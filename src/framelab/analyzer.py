@@ -37,6 +37,7 @@ __all__ = [
 
 SUPPORT_ETA = 1e-12
 HYPOTHESIS_TOL = 1e-9
+PARSEVAL_FIELDS = 8
 
 
 class Verdict(str, Enum):
@@ -57,6 +58,10 @@ class FrameReport:
         gram_bounds: extreme synthesis-Gram eigenvalues, when computed.
         residuals: named nonnegative diagnostics from the cross checks.
         witness: field exhibiting a failure, when the verdict is negative.
+        spectrum: ascending frame-operator spectrum on the support (the
+            squared singular values of the analysis matrix) when the
+            analysis route ran, so callers can reuse it instead of running
+            the SVD again; ``oracle_bounds`` are its first and last entries.
     """
 
     verdict: Verdict
@@ -65,6 +70,7 @@ class FrameReport:
     gram_bounds: tuple | None
     residuals: dict
     witness: Field | None
+    spectrum: np.ndarray | None = None
 
 
 def weight_bounds(space: WeightedSpace) -> tuple:
@@ -96,9 +102,13 @@ def synthesis_gram(fam: OperatorFamily) -> np.ndarray:
     return (V * wq) @ V.conj().T
 
 
-def gram_bounds(fam: OperatorFamily) -> tuple:
-    eig = np.linalg.eigvalsh(synthesis_gram(fam))
+def _eig_bounds(gram: np.ndarray) -> tuple:
+    eig = np.linalg.eigvalsh(gram)
     return (float(eig[0]), float(eig[-1]))
+
+
+def gram_bounds(fam: OperatorFamily) -> tuple:
+    return _eig_bounds(synthesis_gram(fam))
 
 
 def witness_ratio(space: WeightedSpace, fam: OperatorFamily, field: Field) -> float:
@@ -162,6 +172,10 @@ def decide_frame(space: WeightedSpace, fam: OperatorFamily, tol: float = 1e-9) -
     weight) and must reproduce the support weight range.
     """
     _validate_family(fam)
+    return _decide_frame(space, fam, tol)
+
+
+def _decide_frame(space: WeightedSpace, fam: OperatorFamily, tol: float) -> FrameReport:
     lo, hi = weight_bounds(space)
     supp = _support(space)
     sw = space.weights[supp]
@@ -180,15 +194,20 @@ def decide_frame(space: WeightedSpace, fam: OperatorFamily, tol: float = 1e-9) -
         claim = float(np.nextafter(max(lo, tol), np.inf))
         witness = witness_lower_failure(space, fam, claim)
         residuals["witness_ratio"] = witness_ratio(space, fam, witness)
-    return FrameReport(verdict, (lo, hi), oracle, None, residuals, witness)
+    return FrameReport(verdict, (lo, hi), oracle, None, residuals, witness, spec)
 
 
 def decide_riesz(space: WeightedSpace, fam: OperatorFamily, tol: float = 1e-9) -> FrameReport:
     """Riesz-basis verdict; for this square family it coincides with the
     frame condition, verified through the synthesis Gram spectrum."""
     _validate_family(fam)
+    return _decide_riesz(space, fam, tol, gram_bounds(fam))
+
+
+def _decide_riesz(
+    space: WeightedSpace, fam: OperatorFamily, tol: float, gb: tuple
+) -> FrameReport:
     lo, hi = weight_bounds(space)
-    gb = gram_bounds(fam)
     residuals = {"gram_vs_weight": max(abs(gb[0] - lo), abs(gb[1] - hi))}
     verdict = Verdict.RIESZ_BASIS if lo > tol else Verdict.NOT_FRAME
     witness = None
@@ -204,7 +223,7 @@ def decide_onb(
     fam: OperatorFamily,
     tol: float = 1e-9,
     rng: np.random.Generator | None = None,
-    n_fields: int = 8,
+    n_fields: int = PARSEVAL_FIELDS,
 ) -> FrameReport:
     """Orthonormal-basis verdict: holds exactly when the weight is 1.
 
@@ -215,12 +234,22 @@ def decide_onb(
     explicit defect field whose energy ratio equals its weight.
     """
     _validate_family(fam)
+    gram = synthesis_gram(fam)
+    return _decide_onb(space, fam, tol, rng, n_fields, gram, _eig_bounds(gram))
+
+
+def _decide_onb(
+    space: WeightedSpace,
+    fam: OperatorFamily,
+    tol: float,
+    rng: np.random.Generator | None,
+    n_fields: int,
+    gram: np.ndarray,
+    gb: tuple,
+) -> FrameReport:
     if rng is None:
         rng = np.random.default_rng(0)
     lo, hi = weight_bounds(space)
-    gram = synthesis_gram(fam)
-    eig = np.linalg.eigvalsh(gram)
-    gb = (float(eig[0]), float(eig[-1]))
     off = gram - np.diag(np.diag(gram))
     residuals = {
         "onb_cross": float(np.max(np.abs(off))),
@@ -273,13 +302,25 @@ def classify(
 
     Note the family is square, so the two-sided bound and the basis
     property coincide; the merged verdict is onb, riesz_basis or not_frame.
+    The same checks as ``decide_frame``, ``decide_riesz`` and ``decide_onb``,
+    with the family hypotheses verified and the synthesis Gram and its
+    spectrum computed once for all three.
     """
-    fr = decide_frame(space, fam, tol=tol)
-    rz = decide_riesz(space, fam, tol=tol)
-    ob = decide_onb(space, fam, tol=tol, rng=rng)
+    _validate_family(fam)
+    fr = _decide_frame(space, fam, tol)
+    gram = synthesis_gram(fam)
+    gb = _eig_bounds(gram)
+    rz = _decide_riesz(space, fam, tol, gb)
+    ob = _decide_onb(space, fam, tol, rng, PARSEVAL_FIELDS, gram, gb)
     residuals = {**fr.residuals, **rz.residuals, **ob.residuals}
     verdict = ob.verdict if ob.verdict is Verdict.ONB else rz.verdict
     witness = fr.witness if fr.witness is not None else ob.witness
     return FrameReport(
-        verdict, fr.weight_bounds, fr.oracle_bounds, rz.gram_bounds, residuals, witness
+        verdict,
+        fr.weight_bounds,
+        fr.oracle_bounds,
+        gb,
+        residuals,
+        witness,
+        fr.spectrum,
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .analyzer import (
+    SUPPORT_ETA,
     FrameReport,
     Verdict,
     classify,
@@ -36,14 +38,14 @@ from .analyzer import (
 from .errors import ConsistencyError, TruncationError
 from .heisenberg import (
     CenterTranslateModel,
-    frame_problem,
     frame_report,
+    hs_weight,
     isometry_residual,
     midpoint_grid,
     psi_norm_sq,
     weight_envelope_check,
 )
-from .operators import OperatorFamily, frame_spectrum
+from .operators import OperatorFamily
 from .shiftinv import (
     Generator,
     gabor_gram_spectrum,
@@ -63,7 +65,6 @@ MODES = ("analyze", "witness", "shiftinv", "zak", "heisenberg")
 GENERATOR_PRESETS = ("indicator", "wide-indicator", "gaussian", "custom")
 WINDOW_PRESETS = ("indicator", "gaussian", "custom")
 DEFAULT_TOLERANCES = {"consistency": 1e-9, "verdict": 1e-9}
-SUPPORT_ETA = 1e-12
 
 
 # ---------------------------------------------------------------- config
@@ -186,8 +187,8 @@ def validate_config(config) -> list:
         for key, val in tols.items():
             if key not in DEFAULT_TOLERANCES:
                 diags.append(f"tolerances.{key}: unknown key")
-            elif not _is_num(val) or val <= 0:
-                diags.append(f"tolerances.{key}: must be a positive number")
+            elif not _is_num(val) or not math.isfinite(val) or val <= 0:
+                diags.append(f"tolerances.{key}: must be a positive finite number")
 
     if mode in ("analyze", "witness"):
         _check_space(config.get("space"), diags, "space")
@@ -382,19 +383,22 @@ def _write_spectrum_csv(out: Path, spec) -> None:
     _write_csv(out / "spectrum.csv", ("index", "eigenvalue"), rows)
 
 
-def _witness_summary(rep: FrameReport, ratio=None):
-    if rep.witness is None:
+def _witness_summary(field, ratio) -> dict:
+    """Report entry for a witness field (or None) and its energy ratio."""
+    if field is None:
         return {"exists": False}
-    vals = rep.witness.values
-    if ratio is None:
-        ratio = rep.residuals.get(
-            "witness_ratio", rep.residuals.get("onb_defect_ratio")
-        )
     return {
         "exists": True,
-        "support_size": int(np.count_nonzero(np.abs(vals).sum(axis=1))),
-        "ratio": float(ratio) if ratio is not None else None,
+        "support_size": int(np.count_nonzero(np.abs(field.values).sum(axis=1))),
+        "ratio": float(ratio),
     }
+
+
+def _classify_witness(rep: FrameReport) -> dict:
+    """Witness entry of a ``classify`` report: the frame witness when there
+    is one, else the ONB defect field."""
+    ratio = rep.residuals.get("witness_ratio", rep.residuals.get("onb_defect_ratio"))
+    return _witness_summary(rep.witness, ratio)
 
 
 def _doc(mode, cfg, verdict, rep: FrameReport | None, residuals, metrics, witness):
@@ -426,18 +430,16 @@ def _run_analyze(cfg: dict, out: Path) -> dict:
     fam = OperatorFamily(space, basis)
     rng = np.random.default_rng(cfg["seed"])
     rep = classify(space, fam, tol=cfg["tolerances"]["verdict"], rng=rng)
-    supp = space.weights > SUPPORT_ETA
-    spec = frame_spectrum(fam, support=supp)
     _write_weight_csv(out, space.grid, space.weights)
-    _write_spectrum_csv(out, spec)
+    _write_spectrum_csv(out, rep.spectrum)
     metrics = {
         "total_mass": total_mass(space),
-        "support_fraction": float(supp.mean()),
+        "support_fraction": float((space.weights > SUPPORT_ETA).mean()),
     }
     if rep.witness is not None:
         _write_witness_csv(out, space, rep.witness)
     return _doc(
-        "analyze", cfg, rep.verdict, rep, rep.residuals, metrics, _witness_summary(rep)
+        "analyze", cfg, rep.verdict, rep, rep.residuals, metrics, _classify_witness(rep)
     )
 
 
@@ -456,19 +458,13 @@ def _run_witness(cfg: dict, out: Path) -> dict:
     fam = OperatorFamily(space, basis)
     rep = decide_frame(space, fam, tol=cfg["tolerances"]["verdict"])
     field = witness_lower_failure(space, fam, cfg["a_claimed"])
-    if field is None:
-        witness = {"exists": False}
-    else:
+    ratio = None
+    if field is not None:
         ratio = witness_ratio(space, fam, field)
-        witness = {
-            "exists": True,
-            "support_size": int(np.count_nonzero(np.abs(field.values).sum(axis=1))),
-            "ratio": float(ratio),
-        }
         _write_witness_csv(out, space, field)
-    supp = space.weights > SUPPORT_ETA
+    witness = _witness_summary(field, ratio)
     _write_weight_csv(out, space.grid, space.weights)
-    _write_spectrum_csv(out, frame_spectrum(fam, support=supp))
+    _write_spectrum_csv(out, rep.spectrum)
     metrics = {"a_claimed": cfg["a_claimed"], "total_mass": total_mass(space)}
     return _doc("witness", cfg, rep.verdict, rep, rep.residuals, metrics, witness)
 
@@ -510,11 +506,10 @@ def _run_shiftinv(cfg: dict, out: Path) -> dict:
         residuals["translate_gram_vs_weight"] = (
             max(abs(float(eig[0]) - w.min()), abs(float(eig[-1]) - w.max())) / scale
         )
-    supp = space.weights > SUPPORT_ETA
     _write_weight_csv(out, x, w)
-    _write_spectrum_csv(out, frame_spectrum(fam, support=supp))
+    _write_spectrum_csv(out, rep.spectrum)
     return _doc(
-        "shiftinv", cfg, rep.verdict, rep, residuals, metrics, _witness_summary(rep)
+        "shiftinv", cfg, rep.verdict, rep, residuals, metrics, _classify_witness(rep)
     )
 
 
@@ -558,11 +553,9 @@ def _run_heisenberg(cfg: dict, out: Path) -> dict:
     coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     residuals = dict(rep.residuals)
     residuals["isometry_vs_periodization"] = isometry_residual(model, coeffs)
-    space, scal = frame_problem(eps, d, h["spectral_resolution"])
-    fam = OperatorFamily(space, TensorBasis(scal, np.eye(1, dtype=complex)))
-    supp = space.weights > SUPPORT_ETA
-    _write_weight_csv(out, midpoint_grid(h["spectral_resolution"]), space.weights, "alpha")
-    _write_spectrum_csv(out, frame_spectrum(fam, support=supp))
+    alpha = midpoint_grid(h["spectral_resolution"])
+    _write_weight_csv(out, alpha, hs_weight(eps, d, alpha), "alpha")
+    _write_spectrum_csv(out, rep.spectrum)
     metrics = {"band_mass": mass, "envelope_lo": lo, "envelope_hi": hi}
     return _doc(
         "heisenberg", cfg, rep.verdict, rep, residuals, metrics, {"exists": False}

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analyzer import FrameReport, Verdict
+from .analyzer import SUPPORT_ETA, FrameReport, Verdict
 from .errors import ConsistencyError
 from .operators import OperatorFamily, frame_spectrum
 from .tensor_onb import TensorBasis
@@ -44,7 +44,6 @@ __all__ = [
 CLOSED_FORM_TOL = 1e-12
 MASS_TOL = 1e-9
 ISOMETRY_TOL = 1e-8
-SUPPORT_ETA = 1e-12
 
 
 def _check_params(eps: float, d: int) -> tuple[float, int]:
@@ -340,7 +339,8 @@ def frame_report(
     The model space is the closed span of the translates, which consists
     of the fields supported on the positive-weight band, so the verdict
     and the reported weight bounds are taken over that support.  The
-    analysis-operator spectrum restricted to the support is the oracle.
+    analysis-operator spectrum restricted to the support is the oracle, and
+    the report carries it as ``spectrum``.
     """
     space, scal = frame_problem(eps, d, resolution)
     basis = TensorBasis(scal, np.eye(1, dtype=complex))
@@ -364,4 +364,5 @@ def frame_report(
         None,
         residuals,
         None,
+        spec,
     )

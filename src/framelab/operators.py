@@ -107,12 +107,17 @@ def lambda_coeff(fam: OperatorFamily, m: int, n: int, field: Field, check: bool 
     return v_int
 
 
+def _quadrature(fam: OperatorFamily) -> np.ndarray:
+    """Entry [n, i] = conj(f_n(x_i)) w_i / N: the weighted quadrature that
+    turns fiber coefficients at the nodes into the functional for n."""
+    return fam.basis.scalar_family.conj() * (fam.space.weights / fam.space.grid_size)
+
+
 def lambda_all(fam: OperatorFamily, field: Field) -> np.ndarray:
     """All coefficients at once as an (M, N) array; single-route, vectorized."""
     _conform(fam.space, field)
     V = field.values @ fam.basis.fiber_family.conj().T
-    quad = fam.basis.scalar_family.conj() * (fam.space.weights / fam.space.grid_size)
-    return (quad @ V).T
+    return (_quadrature(fam) @ V).T
 
 
 def lambda_tilde_adjoint(fam: OperatorFamily, m: int, n: int, phi: np.ndarray) -> Field:
@@ -154,28 +159,27 @@ def analysis_matrix(fam: OperatorFamily, support=None) -> np.ndarray:
     """Matrix of all coefficient functionals in weighted coordinates.
 
     Columns correspond to the orthonormal coordinate fields of the weighted
-    space (delta at node i, fiber direction j, scaled by sqrt(N / w_i)); the
-    matrix is built by applying the coefficient functionals to each of them.
+    space (delta at node i, fiber direction j, scaled by sqrt(N / w_i)).
     Rows are indexed (m, n) m-major, columns (i, j) i-major over the support.
+
+    Column (i, j) is ``lambda_all`` applied to that coordinate field.  The
+    functionals are linear, so the column is the closed form
+    conj(g_m[j]) * quad[n, i] * sqrt(N / w_i), with ``quad`` the same
+    weighted quadrature ``lambda_all`` uses, and the whole matrix is one
+    outer product.  It is built from the functionals, not from the weights,
+    so its spectrum stays an independent check on the weight route.
 
     Args:
         support: optional boolean node mask restricting the coordinate
             fields; required when some weights vanish.
     """
     mask = _support_mask(fam, support)
-    space = fam.space
-    N, M = space.grid_size, space.fiber_dim
+    N, M = fam.space.grid_size, fam.space.fiber_dim
     idx = np.flatnonzero(mask)
-    T = np.empty((M * N, idx.size * M), dtype=complex)
-    col = 0
-    for i in idx:
-        scale = np.sqrt(N / space.weights[i])
-        for j in range(M):
-            e = np.zeros((N, M), dtype=complex)
-            e[i, j] = scale
-            T[:, col] = lambda_all(fam, Field(e)).reshape(-1)
-            col += 1
-    return T
+    q = _quadrature(fam)[:, idx]
+    q *= np.sqrt(N / fam.space.weights[idx])
+    T = np.einsum("mj,ni->mnij", fam.basis.fiber_family.conj(), q)
+    return T.reshape(M * N, idx.size * M)
 
 
 def frame_spectrum(fam: OperatorFamily, support=None) -> np.ndarray:

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from framelab import analyzer, cli, heisenberg, operators
 from framelab.cli import normalize_config, run_config, validate_config
 
 
@@ -278,6 +279,48 @@ def test_seed_and_tol_overrides_echoed(tmp_path):
     assert doc["config"]["tolerances"]["verdict"] == 1e-6
 
 
+def test_nan_tolerance_override_rejected(tmp_path):
+    proc = _run(tmp_path, ANALYZE, extra=["--tol", "nan"])
+    assert proc.returncode == 1
+    assert "tolerances.verdict" in proc.stderr
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
+def _count_calls(monkeypatch, func):
+    """Count calls to ``func`` through every framelab module binding it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return func(*args, **kwargs)
+
+    for mod in (operators, analyzer, heisenberg, cli):
+        if getattr(mod, func.__name__, None) is func:
+            monkeypatch.setattr(mod, func.__name__, counted)
+    return calls
+
+
+def test_analyze_builds_each_spectrum_once(tmp_path, monkeypatch):
+    matrix = _count_calls(monkeypatch, operators.analysis_matrix)
+    gram = _count_calls(monkeypatch, analyzer.synthesis_gram)
+    assert run_config(ANALYZE, tmp_path / "run") == 0
+    assert len(matrix) == 1
+    assert len(gram) == 1
+
+
+def test_heisenberg_builds_problem_and_spectrum_once(tmp_path, monkeypatch):
+    cfg = {
+        "mode": "heisenberg",
+        "heisenberg": {"eps": 0.5, "d": 1, "resolution": 256,
+                       "spectral_resolution": 64, "k_max": 2},
+    }
+    problem = _count_calls(monkeypatch, heisenberg.frame_problem)
+    spectrum = _count_calls(monkeypatch, operators.frame_spectrum)
+    assert run_config(cfg, tmp_path / "run") == 0
+    assert len(problem) == 1
+    assert len(spectrum) == 1
+
+
 def test_config_echo_round_trip(tmp_path):
     proc = _run(tmp_path, ANALYZE)
     assert proc.returncode == 0
@@ -311,6 +354,13 @@ def test_validate_config_diagnostics_name_fields():
     assert any("seed" in d for d in diags3)
     assert any("tolerances.verdict" in d for d in diags3)
     assert any("tolerances.bogus" in d for d in diags3)
+    for key in ("consistency", "verdict"):
+        for bad in (float("nan"), float("inf")):
+            diags4 = validate_config(
+                {"mode": "analyze", "tolerances": {key: bad},
+                 "space": {"grid_size": 4, "weight": {"preset": "constant"}}}
+            )
+            assert any(f"tolerances.{key}" in d for d in diags4), (key, bad)
     assert validate_config("nope") == ["config: must be a JSON object"]
 
 

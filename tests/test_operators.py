@@ -8,6 +8,7 @@ from framelab import (
     ConsistencyError,
     Field,
     OperatorFamily,
+    TensorBasis,
     WeightedSpace,
     analysis_matrix,
     bessel_excess,
@@ -115,12 +116,51 @@ def test_lambda_tilde_adjoint_shape_check():
         lambda_tilde_adjoint(fam, 0, 0, np.ones(5))
 
 
+def _column_by_column(fam, support=None):
+    """Reference analysis matrix: lambda_all on each coordinate field."""
+    n, m = fam.space.grid_size, fam.space.fiber_dim
+    w = fam.space.weights
+    idx = np.arange(n) if support is None else np.flatnonzero(support)
+    cols = []
+    for i in idx:
+        for j in range(m):
+            vals = np.zeros((n, m), dtype=complex)
+            vals[i, j] = np.sqrt(n / w[i])
+            cols.append(lambda_all(fam, Field(vals)).reshape(-1))
+    return np.array(cols).T
+
+
 def test_analysis_matrix_shape_and_spectrum_frozen():
     sp, fam = _family(2, 1, np.array([0.25, 4.0]))
     T = analysis_matrix(fam)
     assert T.shape == (2, 2)
     spec = frame_spectrum(fam)
     assert np.allclose(spec, [0.25, 4.0], atol=1e-12)
+
+
+def test_analysis_matrix_matches_column_construction():
+    rng = np.random.default_rng(53)
+    for n, m in [(5, 2), (64, 2), (37, 3), (16, 1)]:
+        w = rng.uniform(0.1, 3.0, n)
+        sp, fam = _family(n, m, w)
+        assert np.array_equal(analysis_matrix(fam), _column_by_column(fam))
+
+        w_dead = w.copy()
+        w_dead[::3] = 0.0
+        sp, fam = _family(n, m, w_dead)
+        supp = w_dead > 0
+        T = analysis_matrix(fam, support=supp)
+        assert T.shape == (n * m, int(supp.sum()) * m)
+        assert np.array_equal(T, _column_by_column(fam, supp))
+
+        # a non-standard unitary fiber basis changes the rounding order only
+        q, _ = np.linalg.qr(
+            rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        )
+        fam_u = OperatorFamily(sp, TensorBasis(build_default(n, m).scalar_family, q))
+        T = analysis_matrix(fam_u, support=supp)
+        ref = _column_by_column(fam_u, supp)
+        assert np.max(np.abs(T - ref)) <= 1e-15 * np.max(np.abs(T))
 
 
 def test_frame_spectrum_equals_weight_multiset():
@@ -143,13 +183,7 @@ def test_frame_spectrum_oracle_eigensolve():
     n, m = 5, 2
     w = rng.uniform(0.2, 4.0, n)
     sp, fam = _family(n, m, w)
-    cols = []
-    for i in range(n):
-        for j in range(m):
-            vals = np.zeros((n, m), dtype=complex)
-            vals[i, j] = np.sqrt(n / w[i])
-            cols.append(lambda_all(fam, Field(vals)).reshape(-1))
-    A = np.array(cols)
+    A = _column_by_column(fam).T
     gram = A @ A.conj().T
     oracle = np.sort(np.linalg.eigvalsh(gram).real)
     assert np.max(np.abs(frame_spectrum(fam) - oracle)) < 1e-10
