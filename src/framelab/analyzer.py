@@ -60,8 +60,9 @@ class FrameReport:
         witness: field exhibiting a failure, when the verdict is negative.
         spectrum: ascending frame-operator spectrum on the support (the
             squared singular values of the analysis matrix) when the
-            analysis route ran, so callers can reuse it instead of running
-            the SVD again; ``oracle_bounds`` are its first and last entries.
+            analysis route ran, or the ascending Gabor Gram spectrum of a
+            Zak check, so callers can reuse it instead of computing it
+            again; ``oracle_bounds`` are its first and last entries.
     """
 
     verdict: Verdict

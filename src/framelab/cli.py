@@ -6,7 +6,8 @@ Identical config and seed produce byte-identical reports.
 
 Exit codes:
     0  computed, all cross checks within the consistency tolerance
-    2  computed, but an oracle cross check exceeded the tolerance
+    2  computed, but an oracle cross check exceeded the tolerance; each
+       failing check is named on stderr with its value and tolerance
     1  invalid config, unreadable input, or a truncation refusal
 
 Residual keys containing ``_vs_`` are the cross checks: each compares two
@@ -47,8 +48,8 @@ from .heisenberg import (
 )
 from .operators import OperatorFamily
 from .shiftinv import (
+    GENERATOR_RADIUS,
     Generator,
-    gabor_gram_spectrum,
     gabor_riesz_check,
     gabor_window,
     make_generator,
@@ -65,6 +66,12 @@ MODES = ("analyze", "witness", "shiftinv", "zak", "heisenberg")
 GENERATOR_PRESETS = ("indicator", "wide-indicator", "gaussian", "custom")
 WINDOW_PRESETS = ("indicator", "gaussian", "custom")
 DEFAULT_TOLERANCES = {"consistency": 1e-9, "verdict": 1e-9}
+HEISENBERG_DEFAULTS = {
+    "d": 1,
+    "resolution": 4096,
+    "spectral_resolution": 256,
+    "k_max": 4,
+}
 
 
 # ---------------------------------------------------------------- config
@@ -250,18 +257,20 @@ def validate_config(config) -> list:
             eps = h.get("eps")
             if not _is_num(eps) or not 0.0 < eps < 1.0:
                 diags.append("heisenberg.eps: must lie strictly between 0 and 1")
-            d = h.get("d", 1)
+            d = h.get("d", HEISENBERG_DEFAULTS["d"])
             if not _is_int(d) or not 1 <= d <= 64:
                 diags.append("heisenberg.d: must be an integer in [1, 64]")
-            res = h.get("resolution", 4096)
+            res = h.get("resolution", HEISENBERG_DEFAULTS["resolution"])
             if not _is_int(res) or not 2 <= res <= 65536:
                 diags.append("heisenberg.resolution: must be an integer in [2, 65536]")
-            sres = h.get("spectral_resolution", 256)
+            sres = h.get(
+                "spectral_resolution", HEISENBERG_DEFAULTS["spectral_resolution"]
+            )
             if not _is_int(sres) or not 2 <= sres <= 1024:
                 diags.append(
                     "heisenberg.spectral_resolution: must be an integer in [2, 1024]"
                 )
-            kmax = h.get("k_max", 4)
+            kmax = h.get("k_max", HEISENBERG_DEFAULTS["k_max"])
             if not _is_int(kmax) or not 0 <= kmax <= 64:
                 diags.append("heisenberg.k_max: must be an integer in [0, 64]")
     return diags
@@ -288,10 +297,9 @@ def normalize_config(config: dict) -> dict:
             out["a_claimed"] = float(config["a_claimed"])
     elif mode == "shiftinv":
         gen = config["generator"]
-        defaults = {"indicator": 1, "wide-indicator": 2, "gaussian": 4}
         radius = gen.get("radius")
         if radius is None:
-            radius = defaults[gen["preset"]]
+            radius = GENERATOR_RADIUS[gen["preset"]]
         out["generator"] = {
             "preset": gen["preset"],
             "grid_size": int(gen["grid_size"]),
@@ -308,13 +316,9 @@ def normalize_config(config: dict) -> dict:
         out["translates"] = int(config["translates"])
     elif mode == "heisenberg":
         h = config["heisenberg"]
-        out["heisenberg"] = {
-            "eps": float(h["eps"]),
-            "d": int(h.get("d", 1)),
-            "resolution": int(h.get("resolution", 4096)),
-            "spectral_resolution": int(h.get("spectral_resolution", 256)),
-            "k_max": int(h.get("k_max", 4)),
-        }
+        out["heisenberg"] = {"eps": float(h["eps"])}
+        for key, default in HEISENBERG_DEFAULTS.items():
+            out["heisenberg"][key] = int(h.get(key, default))
     return out
 
 
@@ -531,7 +535,7 @@ def _run_zak(cfg: dict, out: Path) -> dict:
         (j, m, float(zsq[j, m])) for j in range(N) for m in range(L)
     ]
     _write_csv(out / "zak_magnitude.csv", ("time_index", "freq_index", "magnitude_sq"), rows)
-    _write_spectrum_csv(out, gabor_gram_spectrum(phi, N, L))
+    _write_spectrum_csv(out, rep.spectrum)
     metrics = {
         "zak_min_sq": float(zsq.min()),
         "zak_max_sq": float(zsq.max()),
@@ -571,16 +575,23 @@ _RUNNERS = {
 }
 
 
+def _failed_checks(doc: dict) -> list:
+    """(name, value) of each cross check in a report above its tolerance."""
+    tol = doc["config"]["tolerances"]["consistency"]
+    return [
+        (k, v)
+        for k, v in sorted(doc["residuals"].items())
+        if "_vs_" in k and not v <= tol
+    ]
+
+
 def run_config(config: dict, out_dir) -> int:
     """Execute a validated config; write report and tables; return exit code."""
     cfg = normalize_config(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     doc = _RUNNERS[cfg["mode"]](cfg, out)
-    worst = max(
-        (v for k, v in doc["residuals"].items() if "_vs_" in k), default=0.0
-    )
-    code = 0 if worst <= cfg["tolerances"]["consistency"] else 2
+    code = 2 if _failed_checks(doc) else 0
     (out / "report.json").write_text(
         json.dumps(doc, sort_keys=True, indent=2) + "\n"
     )
@@ -644,6 +655,12 @@ def main(argv=None) -> int:
         return 1
     report = Path(args.out) / "report.json"
     doc = json.loads(report.read_text())
+    tol = doc["config"]["tolerances"]["consistency"]
+    for name, value in _failed_checks(doc):
+        print(
+            f"check failed: {name} = {value:.6e} exceeds tolerance {tol:.6e}",
+            file=sys.stderr,
+        )
     print(f"verdict: {doc['verdict']}")
     print(f"report: {report}")
     return code

@@ -35,7 +35,6 @@ __all__ = [
     "zak_transform",
     "zak_quasiperiodicity_residual",
     "gabor_window",
-    "gabor_system",
     "gabor_gram_spectrum",
     "gabor_riesz_check",
 ]
@@ -43,6 +42,8 @@ __all__ = [
 TAIL_LIMIT = 1e-6
 DUAL_PAIRING_TOL = 1e-8
 ZAK_GRAM_TOL = 1e-6
+# Default band half-width R of each built-in generator preset.
+GENERATOR_RADIUS = {"indicator": 1, "wide-indicator": 2, "gaussian": 4}
 
 
 @dataclass(frozen=True)
@@ -85,29 +86,27 @@ def make_generator(preset: str, grid_size: int, radius: int | None = None) -> Ge
     indicator: unit indicator of [0, 1); folds to unit weight.
     wide-indicator: indicator of [0, 2) scaled by 1/sqrt(2); same mass.
     gaussian: normalized Gaussian bump, with a computed band tail bound.
+
+    Without ``radius`` the band half-width is ``GENERATOR_RADIUS[preset]``.
     """
+    if preset not in GENERATOR_RADIUS:
+        raise ValueError(f"unknown generator preset {preset!r}")
     N = grid_size
+    R = GENERATOR_RADIUS[preset] if radius is None else radius
+    xi = -R + np.arange(2 * R * N) / N
     if preset == "indicator":
-        R = 1 if radius is None else radius
-        xi = -R + np.arange(2 * R * N) / N
         fhat = ((xi >= 0) & (xi < 1)).astype(complex)
         return Generator(fhat, R, N)
     if preset == "wide-indicator":
-        R = 2 if radius is None else radius
         if R < 2:
             raise ValueError("wide-indicator needs radius >= 2")
-        xi = -R + np.arange(2 * R * N) / N
         fhat = ((xi >= 0) & (xi < 2)).astype(complex) / np.sqrt(2.0)
         return Generator(fhat, R, N)
-    if preset == "gaussian":
-        R = 4 if radius is None else radius
-        xi = -R + np.arange(2 * R * N) / N
-        fhat = (2.0 ** 0.25) * np.exp(-np.pi * xi ** 2) + 0j
-        # translates not covered by the band: n >= R and n <= -(R + 1)
-        n = np.arange(R, R + 24, dtype=float)
-        tail = np.sqrt(2.0) * (np.exp(-2 * np.pi * n ** 2).sum() * 2.0)
-        return Generator(fhat, R, N, decay_tail=float(tail))
-    raise ValueError(f"unknown generator preset {preset!r}")
+    fhat = (2.0 ** 0.25) * np.exp(-np.pi * xi ** 2) + 0j
+    # translates not covered by the band: n >= R and n <= -(R + 1)
+    n = np.arange(R, R + 24, dtype=float)
+    tail = np.sqrt(2.0) * (np.exp(-2 * np.pi * n ** 2).sum() * 2.0)
+    return Generator(fhat, R, N, decay_tail=float(tail))
 
 
 def freq_grid(gen: Generator) -> np.ndarray:
@@ -260,32 +259,36 @@ def gabor_window(preset: str, time_resolution: int, translates: int) -> np.ndarr
     raise ValueError(f"unknown window preset {preset!r}")
 
 
-def gabor_system(phi, time_resolution: int, translates: int) -> np.ndarray:
-    """All N*L time-frequency shifts of the window, one per row.
+def gabor_gram_spectrum(phi, time_resolution: int, translates: int) -> np.ndarray:
+    """Ascending eigenvalues of the Gabor Gram under quadrature pairing.
 
-    Modulations advance in steps of 1/N in frequency units, translates in
-    whole periods; together they fill the critical-density lattice of the
-    cyclic grid.
+    The system holds the P = N*L time-frequency shifts
+    g_{a,b}[s] = exp(2 pi i a s / N) phi[s - b N] for a < N, b < L, and its
+    Gram is G[(a,b), (a',b')] = (1/N) sum_s g_{a,b}[s] conj(g_{a',b'}[s]).
+    Substituting u = s - b'N, the phase exp(2 pi i (a-a') b' N / N) is 1, so
+
+        G[(a,b), (a',b')] = c[(a-a') mod N, (b-b') mod L],
+        c[a, b] = (1/N) sum_u exp(2 pi i a u / N) phi[u - b N] conj(phi[u]).
+
+    At critical density the Gram is therefore block-circulant with
+    circulant blocks (BCCB): the 2-D DFT diagonalizes it, and its spectrum
+    is fft2(c), real because G is Hermitian.  The column c is formed by
+    direct inner products: the L products roll(phi, bN) * conj(phi), each
+    folded mod N and sent through an N-point inverse FFT, with O(L * P)
+    memory and no P x P array.
+
+    The route never forms the Zak transform: it pairs shifted copies of the
+    window in time, while ``zak_transform`` transforms across the translate
+    index.  The two meet only through the Zak criterion itself, which is
+    what ``gabor_riesz_check`` compares.
     """
     N, L = int(time_resolution), int(translates)
-    phi = _check_window(phi, N, L)
-    P = N * L
-    s = np.arange(P)
-    V = np.empty((P, P), dtype=complex)
-    r = 0
-    for a in range(N):
-        mod = np.exp(2j * np.pi * a * s / N)
-        for b in range(L):
-            V[r] = mod * np.roll(phi, b * N)
-            r += 1
-    return V
-
-
-def gabor_gram_spectrum(phi, time_resolution: int, translates: int) -> np.ndarray:
-    """Ascending eigenvalues of the Gabor Gram under quadrature pairing."""
-    V = gabor_system(phi, time_resolution, translates)
-    gram = (V @ V.conj().T) / time_resolution
-    return np.linalg.eigvalsh(gram)
+    blocks = _check_window(phi, N, L).reshape(L, N)
+    # shifted[b, k] is period k of roll(phi, b N), i.e. period (k - b) mod L
+    shifted = blocks[(np.arange(L)[None, :] - np.arange(L)[:, None]) % L]
+    folded = (shifted * blocks.conj()[None]).sum(axis=1)
+    column = np.fft.ifft(folded, axis=1).T
+    return np.sort(np.fft.fft2(column).real, axis=None)
 
 
 def gabor_riesz_check(
@@ -298,24 +301,25 @@ def gabor_riesz_check(
     """Classify the critical-density Gabor system through its Zak range.
 
     The squared Zak magnitudes play the role the node weights play on the
-    unit grid: their extremes are the candidate frame bounds, and the
-    brute-force Gram spectrum of the full time-frequency system must
-    reproduce them to 1e-6 relative.
+    unit grid: their extremes are the candidate frame bounds, and the Gram
+    spectrum of the full time-frequency system must reproduce their whole
+    sorted multiset to 1e-6 relative.  The spectrum is kept on the report.
 
     Raises:
-        ConsistencyError: if the Zak range and the Gram spectrum disagree.
+        ConsistencyError: if the Zak magnitudes and the Gram spectrum
+            disagree.
     """
     N, L = int(time_resolution), int(translates)
     z = zak_transform(phi, N, L).values
-    zsq = np.abs(z) ** 2
-    az, bz = float(zsq.min()), float(zsq.max())
+    zsq = np.sort(np.abs(z) ** 2, axis=None)
+    az, bz = float(zsq[0]), float(zsq[-1])
     eig = gabor_gram_spectrum(phi, N, L)
     scale = max(bz, float(eig[-1]), np.finfo(float).tiny)
-    res = float(max(abs(az - eig[0]), abs(bz - eig[-1])) / scale)
+    res = float(np.max(np.abs(zsq - eig)) / scale)
     if res > ZAK_GRAM_TOL:
         raise ConsistencyError(
-            f"Zak bounds ({az:.6e}, {bz:.6e}) disagree with Gram spectrum "
-            f"({eig[0]:.6e}, {eig[-1]:.6e})"
+            f"Zak magnitudes in ({az:.6e}, {bz:.6e}) disagree with Gram spectrum "
+            f"in ({eig[0]:.6e}, {eig[-1]:.6e}): max relative gap {res:.3e}"
         )
     if max(abs(az - 1.0), abs(bz - 1.0)) <= onb_tol:
         verdict = Verdict.ONB
@@ -330,4 +334,5 @@ def gabor_riesz_check(
         None,
         {"zak_vs_gram": res},
         None,
+        eig,
     )

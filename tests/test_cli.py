@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from framelab import analyzer, cli, heisenberg, operators
+from framelab import analyzer, cli, heisenberg, operators, shiftinv
 from framelab.cli import normalize_config, run_config, validate_config
 
 
@@ -208,7 +208,20 @@ def test_exit_code_two_on_strict_consistency(tmp_path):
     proc = _run(tmp_path, cfg)
     assert proc.returncode == 2
     # the report is still written with the verdict in place
-    assert _report(tmp_path)["verdict"] == "riesz_basis"
+    doc = _report(tmp_path)
+    assert doc["verdict"] == "riesz_basis"
+    # stderr names every failing cross check, with its value and tolerance
+    failed = [
+        line for line in proc.stderr.splitlines() if line.startswith("check failed:")
+    ]
+    checks = {k: v for k, v in doc["residuals"].items() if "_vs_" in k}
+    expect = [
+        f"check failed: {k} = {v:.6e} exceeds tolerance {1e-18:.6e}"
+        for k, v in sorted(checks.items())
+        if v > 1e-18
+    ]
+    assert expect
+    assert failed == expect
 
 
 def test_exit_code_one_on_bad_configs(tmp_path):
@@ -294,7 +307,7 @@ def _count_calls(monkeypatch, func):
         calls.append(1)
         return func(*args, **kwargs)
 
-    for mod in (operators, analyzer, heisenberg, cli):
+    for mod in (operators, analyzer, heisenberg, shiftinv, cli):
         if getattr(mod, func.__name__, None) is func:
             monkeypatch.setattr(mod, func.__name__, counted)
     return calls
@@ -319,6 +332,36 @@ def test_heisenberg_builds_problem_and_spectrum_once(tmp_path, monkeypatch):
     assert run_config(cfg, tmp_path / "run") == 0
     assert len(problem) == 1
     assert len(spectrum) == 1
+
+
+def test_zak_builds_gram_spectrum_once(tmp_path, monkeypatch):
+    cfg = {
+        "mode": "zak",
+        "window": {"preset": "gaussian"},
+        "time_resolution": 8,
+        "translates": 6,
+    }
+    spectrum = _count_calls(monkeypatch, shiftinv.gabor_gram_spectrum)
+    assert run_config(cfg, tmp_path / "run") == 0
+    assert len(spectrum) == 1
+    with open(tmp_path / "run" / "spectrum.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 48
+
+
+def test_zak_at_size_cap(tmp_path):
+    cfg = {
+        "mode": "zak",
+        "window": {"preset": "gaussian"},
+        "time_resolution": 64,
+        "translates": 32,
+    }
+    proc = _run(tmp_path, cfg)
+    assert proc.returncode == 0, proc.stderr
+    doc = _report(tmp_path)
+    assert doc["verdict"] == "not_frame"
+    assert doc["residuals"]["zak_vs_gram"] <= 1e-12
+    with open(tmp_path / "run" / "spectrum.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 2048
 
 
 def test_config_echo_round_trip(tmp_path):

@@ -198,15 +198,75 @@ def test_gabor_window_validation():
         si.gabor_window("no-such", 8, 8)
 
 
+def _gabor_system(phi, N, L):
+    """Dense test oracle: all N*L time-frequency shifts of the window, one
+    per row (row a*L + b is the a-th modulation of the b-period translate)."""
+    P = N * L
+    assert P <= 256, "the dense oracle is for small systems only"
+    s = np.arange(P)
+    V = np.empty((P, P), dtype=complex)
+    for a in range(N):
+        mod = np.exp(2j * np.pi * a * s / N)
+        for b in range(L):
+            V[a * L + b] = mod * np.roll(phi, b * N)
+    return V
+
+
+def _dense_gram_spectrum(phi, N, L):
+    """Ascending eigenvalues of the dense Gabor Gram V V^H / N."""
+    V = _gabor_system(phi, N, L)
+    return np.linalg.eigvalsh((V @ V.conj().T) / N)
+
+
 def test_gabor_system_shape_and_members():
     N, L = 4, 3
     phi = si.gabor_window("indicator", N, L)
-    V = si.gabor_system(phi, N, L)
+    V = _gabor_system(phi, N, L)
     assert V.shape == (12, 12)
     s = np.arange(12)
     # row (a=1, b=2): modulation times two-period translate
     expect = np.exp(2j * np.pi * s / N) * np.roll(phi, 2 * N)
     assert np.allclose(V[1 * L + 2], expect, atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(2, 128), (16, 16), (8, 32), (128, 2), (5, 7)])
+def test_structured_gram_spectrum_matches_dense_oracle(shape):
+    N, L = shape
+    rng = np.random.default_rng(N * 1000 + L)
+    windows = {
+        "indicator": si.gabor_window("indicator", N, L),
+        "gaussian": si.gabor_window("gaussian", N, L),
+        "random": rng.standard_normal(N * L) + 1j * rng.standard_normal(N * L),
+    }
+    for name, phi in windows.items():
+        dense = _dense_gram_spectrum(phi, N, L)
+        eig = si.gabor_gram_spectrum(phi, N, L)
+        assert eig.shape == (N * L,)
+        assert np.all(np.diff(eig) >= 0)
+        assert np.max(np.abs(eig - dense)) <= 1e-12 * np.abs(dense).max(), name
+
+
+def test_gabor_check_compares_whole_spectrum(monkeypatch):
+    # same extremes as the Zak magnitudes, wrong interior: only a comparison
+    # of the full multiset can see it
+    rng = np.random.default_rng(31)
+    N, L = 6, 5
+    phi = rng.standard_normal(N * L) + 1j * rng.standard_normal(N * L)
+    zsq = np.sort(np.abs(si.zak_transform(phi, N, L).values) ** 2, axis=None)
+    skewed = np.linspace(zsq[0], zsq[-1], N * L)
+    assert np.max(np.abs(skewed - zsq)) > 1e-3 * zsq[-1]
+    monkeypatch.setattr(si, "gabor_gram_spectrum", lambda *a, **k: skewed)
+    with pytest.raises(ConsistencyError):
+        si.gabor_riesz_check(phi, N, L)
+
+
+def test_gabor_check_keeps_spectrum():
+    rng = np.random.default_rng(32)
+    N, L = 8, 4
+    phi = rng.standard_normal(N * L) + 1j * rng.standard_normal(N * L)
+    rep = si.gabor_riesz_check(phi, N, L)
+    assert np.array_equal(rep.spectrum, si.gabor_gram_spectrum(phi, N, L))
+    assert rep.oracle_bounds == (rep.spectrum[0], rep.spectrum[-1])
 
 
 def test_gabor_indicator_is_onb():
