@@ -97,19 +97,49 @@ def _validate_family(fam: OperatorFamily) -> None:
 
 
 def synthesis_gram(fam: OperatorFamily) -> np.ndarray:
-    """Gram matrix of the synthesis images G_{m,n} in the weighted space."""
+    """Gram matrix of the synthesis images G_{m,n} in the weighted space.
+
+    The dense NM x NM reference, built from the fields themselves.  It
+    equals kron(G G^H, (F w/N) F^H); the deciders work from those two
+    factors (``_gram_factors``) and never call this.
+    """
     V = _field_matrix(fam.basis)
     wq = np.repeat(fam.space.weights, fam.space.fiber_dim) / fam.space.grid_size
     return (V * wq) @ V.conj().T
 
 
-def _eig_bounds(gram: np.ndarray) -> tuple:
-    eig = np.linalg.eigvalsh(gram)
-    return (float(eig[0]), float(eig[-1]))
+def _gram_factors(fam: OperatorFamily) -> tuple:
+    """Kronecker factors of the synthesis Gram: the fiber Gram G G^H
+    (M x M) and the weighted scalar Gram (F w/N) F^H (N x N).
+
+    Entry ((m, n), (m', n')) of the synthesis Gram is
+    <g_m, g_m'> * (1/N) sum_i f_n(x_i) conj(f_n'(x_i)) w_i, the product of
+    the two factor entries, so the Gram is their Kronecker product.
+    """
+    G, F = fam.basis.fiber_family, fam.basis.scalar_family
+    gs = (F * (fam.space.weights / fam.space.grid_size)) @ F.conj().T
+    return G @ G.conj().T, gs
+
+
+def _gram_spectrum(factors: tuple) -> np.ndarray:
+    """Ascending synthesis-Gram spectrum: the pairwise products of the
+    eigenvalues of the two Hermitian factors (tiny negative ones from
+    zero-weight nodes included)."""
+    gf, gs = factors
+    return np.sort(np.outer(np.linalg.eigvalsh(gf), np.linalg.eigvalsh(gs)).ravel())
+
+
+def _extremes(spec: np.ndarray) -> tuple:
+    return (float(spec[0]), float(spec[-1]))
 
 
 def gram_bounds(fam: OperatorFamily) -> tuple:
-    return _eig_bounds(synthesis_gram(fam))
+    return _extremes(_gram_spectrum(_gram_factors(fam)))
+
+
+def _offmax(a: np.ndarray) -> float:
+    """Largest modulus off the diagonal; 0 for a 1 x 1 matrix."""
+    return float(np.max(np.abs(a - np.diag(np.diag(a)))))
 
 
 def witness_ratio(space: WeightedSpace, fam: OperatorFamily, field: Field) -> float:
@@ -235,8 +265,9 @@ def decide_onb(
     explicit defect field whose energy ratio equals its weight.
     """
     _validate_family(fam)
-    gram = synthesis_gram(fam)
-    return _decide_onb(space, fam, tol, rng, n_fields, gram, _eig_bounds(gram))
+    factors = _gram_factors(fam)
+    gb = _extremes(_gram_spectrum(factors))
+    return _decide_onb(space, fam, tol, rng, n_fields, factors, gb)
 
 
 def _decide_onb(
@@ -245,16 +276,24 @@ def _decide_onb(
     tol: float,
     rng: np.random.Generator | None,
     n_fields: int,
-    gram: np.ndarray,
+    factors: tuple,
     gb: tuple,
 ) -> FrameReport:
     if rng is None:
         rng = np.random.default_rng(0)
     lo, hi = weight_bounds(space)
-    off = gram - np.diag(np.diag(gram))
+    # Off the diagonal of kron(gf, gs) either m != m' (any n, n') or
+    # m = m' and n != n'; the diagonal is diag(gf) (x) diag(gs).
+    gf, gs = factors
+    dgf = np.diag(gf)
     residuals = {
-        "onb_cross": float(np.max(np.abs(off))),
-        "onb_norm": float(np.max(np.abs(np.diag(gram).real - 1.0))),
+        "onb_cross": max(
+            _offmax(gf) * float(np.max(np.abs(gs))),
+            float(np.max(np.abs(dgf))) * _offmax(gs),
+        ),
+        "onb_norm": float(
+            np.max(np.abs(np.outer(dgf, np.diag(gs)).real - 1.0))
+        ),
     }
     parseval = 0.0
     for _ in range(n_fields):
@@ -304,15 +343,15 @@ def classify(
     Note the family is square, so the two-sided bound and the basis
     property coincide; the merged verdict is onb, riesz_basis or not_frame.
     The same checks as ``decide_frame``, ``decide_riesz`` and ``decide_onb``,
-    with the family hypotheses verified and the synthesis Gram and its
-    spectrum computed once for all three.
+    with the family hypotheses verified and the synthesis-Gram factors and
+    their spectrum computed once for all three.
     """
     _validate_family(fam)
     fr = _decide_frame(space, fam, tol)
-    gram = synthesis_gram(fam)
-    gb = _eig_bounds(gram)
+    factors = _gram_factors(fam)
+    gb = _extremes(_gram_spectrum(factors))
     rz = _decide_riesz(space, fam, tol, gb)
-    ob = _decide_onb(space, fam, tol, rng, PARSEVAL_FIELDS, gram, gb)
+    ob = _decide_onb(space, fam, tol, rng, PARSEVAL_FIELDS, factors, gb)
     residuals = {**fr.residuals, **rz.residuals, **ob.residuals}
     verdict = ob.verdict if ob.verdict is Verdict.ONB else rz.verdict
     witness = fr.witness if fr.witness is not None else ob.witness

@@ -176,6 +176,17 @@ def _check_space(section, diags: list, where: str) -> None:
         diags.append(f"{where}: {exc}")
 
 
+def _check_sample_count(path, expect: int, where: str, rule: str, diags: list) -> None:
+    """The custom samples CSV must parse and hold exactly ``expect`` rows."""
+    try:
+        got = _load_samples(path).size
+    except (OSError, ValueError) as exc:
+        diags.append(f"{where}: {exc}")
+        return
+    if got != expect:
+        diags.append(f"{where}: holds {got} samples, {rule} needs {expect}")
+
+
 def validate_config(config) -> list:
     """Collect diagnostics; an empty list means the config can run."""
     diags: list = []
@@ -214,10 +225,12 @@ def validate_config(config) -> list:
                     f"generator.preset: must be one of {', '.join(GENERATOR_PRESETS)}"
                 )
             n = gen.get("grid_size")
-            if not _is_int(n) or not 2 <= n <= 256:
+            n_ok = _is_int(n) and 2 <= n <= 256
+            if not n_ok:
                 diags.append("generator.grid_size: must be an integer in [2, 256]")
             radius = gen.get("radius")
-            if radius is not None and (not _is_int(radius) or not 1 <= radius <= 16):
+            radius_ok = _is_int(radius) and 1 <= radius <= 16
+            if radius is not None and not radius_ok:
                 diags.append("generator.radius: must be an integer in [1, 16]")
             if preset == "custom":
                 if radius is None:
@@ -225,10 +238,16 @@ def validate_config(config) -> list:
                 path = gen.get("samples_path")
                 if not isinstance(path, str) or not Path(path).is_file():
                     diags.append("generator.samples_path: must name a readable file")
+                elif n_ok and radius_ok:
+                    _check_sample_count(
+                        path, 2 * radius * n, "generator.samples_path",
+                        "2 * radius * grid_size", diags,
+                    )
             if preset == "wide-indicator" and radius is not None and radius < 2:
                 diags.append("generator.radius: wide-indicator needs radius >= 2")
     elif mode == "zak":
         win = config.get("window")
+        samples_path = None
         if not isinstance(win, dict):
             diags.append("window: must be an object")
         else:
@@ -241,14 +260,23 @@ def validate_config(config) -> list:
                 path = win.get("samples_path")
                 if not isinstance(path, str) or not Path(path).is_file():
                     diags.append("window.samples_path: must name a readable file")
+                else:
+                    samples_path = path
         n = config.get("time_resolution")
         L = config.get("translates")
-        if not _is_int(n) or n < 2:
+        n_ok = _is_int(n) and n >= 2
+        L_ok = _is_int(L) and L >= 2
+        if not n_ok:
             diags.append("time_resolution: must be an integer >= 2")
-        if not _is_int(L) or L < 2:
+        if not L_ok:
             diags.append("translates: must be an integer >= 2")
         if _is_int(n) and _is_int(L) and n * L > 2048:
             diags.append("time_resolution * translates must not exceed 2048")
+        elif n_ok and L_ok and samples_path is not None:
+            _check_sample_count(
+                samples_path, n * L, "window.samples_path",
+                "time_resolution * translates", diags,
+            )
     elif mode == "heisenberg":
         h = config.get("heisenberg")
         if not isinstance(h, dict):

@@ -6,7 +6,9 @@ coefficient functional.  Stacking all the functionals, applied to a
 weighted orthonormal coordinate system, yields the analysis matrix whose
 singular values squared are the frame-operator spectrum.  With a complete
 orthonormal scalar family that spectrum is the weight multiset, each value
-repeated once per fiber dimension.
+repeated once per fiber dimension.  The matrix is a Kronecker product of a
+fiber factor and a scalar factor, and the spectrum is computed from the
+factors.
 """
 
 from __future__ import annotations
@@ -155,6 +157,22 @@ def _support_mask(fam: OperatorFamily, support) -> np.ndarray:
     return mask
 
 
+def _analysis_factors(fam: OperatorFamily, support=None) -> tuple:
+    """Kronecker factors of the analysis matrix.
+
+    Returns the fiber factor conj(G) (M x M, entry [m, j] = conj(g_m[j]))
+    and the scalar factor q (N x |S|, entry [n, i] = quad[n, i] *
+    sqrt(N / w_i) over the support S), with ``quad`` the weighted
+    quadrature ``lambda_all`` uses.  The analysis matrix is their Kronecker
+    product up to a permutation of its columns.
+    """
+    mask = _support_mask(fam, support)
+    idx = np.flatnonzero(mask)
+    q = _quadrature(fam)[:, idx]
+    q *= np.sqrt(fam.space.grid_size / fam.space.weights[idx])
+    return fam.basis.fiber_family.conj(), q
+
+
 def analysis_matrix(fam: OperatorFamily, support=None) -> np.ndarray:
     """Matrix of all coefficient functionals in weighted coordinates.
 
@@ -166,27 +184,35 @@ def analysis_matrix(fam: OperatorFamily, support=None) -> np.ndarray:
     functionals are linear, so the column is the closed form
     conj(g_m[j]) * quad[n, i] * sqrt(N / w_i), with ``quad`` the same
     weighted quadrature ``lambda_all`` uses, and the whole matrix is one
-    outer product.  It is built from the functionals, not from the weights,
-    so its spectrum stays an independent check on the weight route.
+    outer product of the two factors of ``_analysis_factors``.  It is built
+    from the functionals, not from the weights, so its spectrum stays an
+    independent check on the weight route.  ``frame_spectrum`` works from
+    the factors and never forms this NM x NM matrix; it is kept as the
+    dense reference.
 
     Args:
         support: optional boolean node mask restricting the coordinate
             fields; required when some weights vanish.
     """
-    mask = _support_mask(fam, support)
-    N, M = fam.space.grid_size, fam.space.fiber_dim
-    idx = np.flatnonzero(mask)
-    q = _quadrature(fam)[:, idx]
-    q *= np.sqrt(N / fam.space.weights[idx])
-    T = np.einsum("mj,ni->mnij", fam.basis.fiber_family.conj(), q)
-    return T.reshape(M * N, idx.size * M)
+    fiber, q = _analysis_factors(fam, support)
+    M, (N, S) = fiber.shape[0], q.shape
+    return np.einsum("mj,ni->mnij", fiber, q).reshape(M * N, S * M)
 
 
 def frame_spectrum(fam: OperatorFamily, support=None) -> np.ndarray:
     """Ascending frame-operator spectrum (squared singular values of the
-    analysis matrix)."""
-    s = np.linalg.svd(analysis_matrix(fam, support), compute_uv=False)
-    return np.sort(s) ** 2
+    analysis matrix).
+
+    The analysis matrix is conj(G) (x) q up to a column permutation, so its
+    singular values are the pairwise products of those of the M x M fiber
+    factor and the N x |S| scalar factor: two small SVDs instead of one of
+    the NM x |S|M matrix.
+    """
+    fiber, q = _analysis_factors(fam, support)
+    s = np.outer(
+        np.linalg.svd(fiber, compute_uv=False), np.linalg.svd(q, compute_uv=False)
+    )
+    return np.sort(s.ravel()) ** 2
 
 
 def parseval_residual(fam: OperatorFamily, field: Field) -> float:

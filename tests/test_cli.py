@@ -264,6 +264,46 @@ def test_validate_only(tmp_path):
     assert "grid_size" in proc2.stderr
 
 
+def _short_csv(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("re,im\n1,0\n0.5,0\n0.25,0\n")
+    return str(path)
+
+
+def test_validate_only_rejects_short_custom_window(tmp_path):
+    cfg = {
+        "mode": "zak",
+        "window": {"preset": "custom", "samples_path": _short_csv(tmp_path)},
+        "time_resolution": 4,
+        "translates": 4,
+    }
+    proc = _run(tmp_path, cfg, extra=["--validate-only"])
+    assert proc.returncode == 1
+    assert "config ok" not in proc.stdout
+    assert (
+        "window.samples_path: holds 3 samples, "
+        "time_resolution * translates needs 16"
+    ) in proc.stderr
+
+
+def test_validate_only_rejects_short_custom_generator(tmp_path):
+    cfg = {
+        "mode": "shiftinv",
+        "generator": {
+            "preset": "custom",
+            "grid_size": 4,
+            "radius": 1,
+            "samples_path": _short_csv(tmp_path),
+        },
+    }
+    proc = _run(tmp_path, cfg, extra=["--validate-only"])
+    assert proc.returncode == 1
+    assert "config ok" not in proc.stdout
+    assert (
+        "generator.samples_path: holds 3 samples, 2 * radius * grid_size needs 8"
+    ) in proc.stderr
+
+
 def test_determinism_byte_identical(tmp_path):
     for i, cfg in enumerate(
         [
@@ -314,11 +354,15 @@ def _count_calls(monkeypatch, func):
 
 
 def test_analyze_builds_each_spectrum_once(tmp_path, monkeypatch):
+    # Both spectra come from their Kronecker factors: the dense NM x NM
+    # analysis matrix and synthesis Gram are never formed in a run.
     matrix = _count_calls(monkeypatch, operators.analysis_matrix)
     gram = _count_calls(monkeypatch, analyzer.synthesis_gram)
+    spectrum = _count_calls(monkeypatch, operators.frame_spectrum)
     assert run_config(ANALYZE, tmp_path / "run") == 0
-    assert len(matrix) == 1
-    assert len(gram) == 1
+    assert len(matrix) == 0
+    assert len(gram) == 0
+    assert len(spectrum) == 1
 
 
 def test_heisenberg_builds_problem_and_spectrum_once(tmp_path, monkeypatch):
