@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -62,292 +61,262 @@ from .shiftinv import (
 from .tensor_onb import TensorBasis, build_default
 from .wspace import WeightedSpace, total_mass
 
-MODES = ("analyze", "witness", "shiftinv", "zak", "heisenberg")
-GENERATOR_PRESETS = ("indicator", "wide-indicator", "gaussian", "custom")
-WINDOW_PRESETS = ("indicator", "gaussian", "custom")
-DEFAULT_TOLERANCES = {"consistency": 1e-9, "verdict": 1e-9}
-HEISENBERG_DEFAULTS = {
-    "d": 1,
-    "resolution": 4096,
-    "spectral_resolution": 256,
-    "k_max": 4,
-}
-
 
 # ---------------------------------------------------------------- config
+#
+# Every config key has one rule in the table below.  A rule is called as
+# ``rule(value, path, diags)`` with the raw value (``_MISSING`` when the key
+# is absent) and the key's dotted path.  It returns the typed value with its
+# default filled in, or appends a diagnostic that starts with the path.
+# Rules that tie several keys together run afterwards, in ``_check_cross``,
+# on the typed config.
 
-
-def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+_MISSING = object()
+_REQUIRED = object()
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _build_weight(wcfg: dict, n: int) -> np.ndarray:
-    """Materialize a weight section into an (n,) array.
+def _finite(x) -> bool:
+    # abs(x) <= max compares an int exactly, where isfinite would overflow
+    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
 
-    Raises:
-        ValueError: on any malformed preset or inline vector.
-    """
-    if not isinstance(wcfg, dict):
-        raise ValueError("weight must be an object")
-    if "inline" in wcfg:
-        vals = wcfg["inline"]
-        if not isinstance(vals, list) or not all(_is_num(v) for v in vals):
-            raise ValueError("weight.inline must be a list of numbers")
-        if len(vals) != n:
-            raise ValueError(f"weight.inline has length {len(vals)}, expected {n}")
-        return np.asarray(vals, dtype=float)
-    preset = wcfg.get("preset")
-    if preset == "constant":
-        v = wcfg.get("value", 1.0)
-        if not _is_num(v):
-            raise ValueError("weight.value must be a number")
-        return np.full(n, float(v))
-    if preset == "step":
-        low, high = wcfg.get("low", 0.5), wcfg.get("high", 1.0)
-        split = wcfg.get("split", 0.5)
-        if not (_is_num(low) and _is_num(high) and _is_num(split)):
-            raise ValueError("weight.step needs numeric low, high, split")
-        if not 0.0 <= split <= 1.0:
-            raise ValueError("weight.split must lie in [0, 1]")
-        w = np.full(n, float(high))
-        w[: int(round(split * n))] = float(low)
-        return w
-    if preset == "ramp":
-        start, stop = wcfg.get("start", 0.5), wcfg.get("stop", 1.5)
-        if not (_is_num(start) and _is_num(stop)):
-            raise ValueError("weight.ramp needs numeric start, stop")
-        return np.linspace(float(start), float(stop), n)
-    raise ValueError(
-        "weight needs 'inline' or preset in {'constant', 'step', 'ramp'}"
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _leaf(ok, cast, default, what: str):
+    def rule(value, path, diags):
+        if value is _MISSING and default is not _REQUIRED:
+            return default
+        if ok(value):
+            return cast(value)
+        diags.append(f"{path}: must be {what}")
+    return rule
+
+
+def _int(lo: int, hi: int | None = None, default=_REQUIRED):
+    what = f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi}]"
+    return _leaf(
+        lambda v: _is_int(v) and lo <= v and (hi is None or v <= hi), int, default, what
     )
 
 
-def _normalize_weight(wcfg: dict) -> dict:
-    if "inline" in wcfg:
-        return {"inline": [float(v) for v in wcfg["inline"]]}
-    preset = wcfg["preset"]
-    if preset == "constant":
-        return {"preset": "constant", "value": float(wcfg.get("value", 1.0))}
-    if preset == "step":
-        return {
-            "preset": "step",
-            "low": float(wcfg.get("low", 0.5)),
-            "high": float(wcfg.get("high", 1.0)),
-            "split": float(wcfg.get("split", 0.5)),
-        }
-    return {
-        "preset": "ramp",
-        "start": float(wcfg.get("start", 0.5)),
-        "stop": float(wcfg.get("stop", 1.5)),
+def _num(default=_REQUIRED, ok=lambda v: True, what: str = "a finite number"):
+    return _leaf(lambda v: _finite(v) and ok(v), float, default, what)
+
+
+def _positive(default=_REQUIRED):
+    return _num(default, lambda v: v > 0, "a positive finite number")
+
+
+def _obj(rules: dict, tag: str | None = None, optional: bool = False):
+    """Object rule that refuses unknown keys.  With a ``tag``, ``rules``
+    maps each allowed value of that key to the rules of the other keys.
+    An ``optional`` object defaults to ``{}``."""
+
+    def rule(value, path, diags):
+        if value is _MISSING and optional:
+            value = {}
+        if not isinstance(value, dict):
+            diags.append(f"{path or 'config'}: must be a JSON object")
+            return None
+        keys, out = rules, {}
+        if tag is not None:
+            choice = value.get(tag)
+            if not (isinstance(choice, str) and choice in rules):
+                diags.append(f"{_join(path, tag)}: must be one of {', '.join(rules)}")
+                return None
+            keys, out = rules[choice], {tag: choice}
+        for key, sub in keys.items():
+            out[key] = sub(value.get(key, _MISSING), _join(path, key), diags)
+        diags.extend(
+            f"{_join(path, k)}: unknown key" for k in value if k not in keys and k != tag
+        )
+        return out
+
+    return rule
+
+
+_FLOATS = _leaf(
+    lambda v: isinstance(v, list) and all(map(_finite, v)),
+    lambda v: [float(x) for x in v],
+    _REQUIRED,
+    "a list of finite numbers",
+)
+_INLINE_WEIGHT = _obj({"inline": _FLOATS})
+_PRESET_WEIGHT = _obj(
+    {
+        "constant": {"value": _num(1.0)},
+        "step": {
+            "low": _num(0.5),
+            "high": _num(1.0),
+            "split": _num(0.5, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
+        },
+        "ramp": {"start": _num(0.5), "stop": _num(1.5)},
+    },
+    tag="preset",
+)
+
+
+def _weight(value, path, diags):
+    """A weight is ``{"inline": [...]}`` or one of the presets."""
+    inline = isinstance(value, dict) and "inline" in value
+    return (_INLINE_WEIGHT if inline else _PRESET_WEIGHT)(value, path, diags)
+
+
+_SAMPLES_PATH = _leaf(lambda v: isinstance(v, str), str, _REQUIRED, "a file path")
+_SPACE = _obj({"grid_size": _int(1, 512), "fiber_dim": _int(1, 16, 1), "weight": _weight})
+# Without a radius, a preset generator takes GENERATOR_RADIUS[preset] in _check_cross.
+_GEN_KEYS = {"grid_size": _int(2, 256), "radius": _int(1, 16, None)}
+_GENERATOR = _obj(
+    {
+        **{preset: _GEN_KEYS for preset in GENERATOR_RADIUS},
+        "custom": {**_GEN_KEYS, "samples_path": _SAMPLES_PATH},
+    },
+    tag="preset",
+)
+_WINDOW = _obj(
+    {"indicator": {}, "gaussian": {}, "custom": {"samples_path": _SAMPLES_PATH}},
+    tag="preset",
+)
+_HEISENBERG = _obj(
+    {
+        "eps": _num(ok=lambda v: 0.0 < v < 1.0, what="a number strictly between 0 and 1"),
+        "d": _int(1, 64, 1),
+        "resolution": _int(2, 65536, 4096),
+        "spectral_resolution": _int(2, 1024, 256),
+        "k_max": _int(0, 64, 4),
     }
+)
+_TOLERANCE = _positive(1e-9)
+_COMMON = {
+    "seed": _int(0, default=0),
+    "tolerances": _obj({"consistency": _TOLERANCE, "verdict": _TOLERANCE}, optional=True),
+}
+_CONFIG = _obj(
+    {
+        "analyze": {**_COMMON, "space": _SPACE},
+        "witness": {**_COMMON, "space": _SPACE, "a_claimed": _positive()},
+        "shiftinv": {**_COMMON, "generator": _GENERATOR},
+        "zak": {
+            **_COMMON,
+            "window": _WINDOW,
+            "time_resolution": _int(2),
+            "translates": _int(2),
+        },
+        "heisenberg": {**_COMMON, "heisenberg": _HEISENBERG},
+    },
+    tag="mode",
+)
+
+
+def _build_weight(weight: dict, n: int) -> np.ndarray:
+    """Materialize a normalized weight section into an (n,) array."""
+    if "inline" in weight:
+        return np.asarray(weight["inline"], dtype=float)
+    preset = weight["preset"]
+    if preset == "constant":
+        return np.full(n, weight["value"])
+    if preset == "step":
+        w = np.full(n, weight["high"])
+        w[: int(round(weight["split"] * n))] = weight["low"]
+        return w
+    return np.linspace(weight["start"], weight["stop"], n)
 
 
 def _space_from(section: dict) -> WeightedSpace:
-    n = int(section["grid_size"])
-    m = int(section.get("fiber_dim", 1))
-    return WeightedSpace(n, m, _build_weight(section["weight"], n))
+    n = section["grid_size"]
+    return WeightedSpace(n, section["fiber_dim"], _build_weight(section["weight"], n))
 
 
-def _check_space(section, diags: list, where: str) -> None:
-    if not isinstance(section, dict):
-        diags.append(f"{where}: must be an object")
+def _check_cross(cfg: dict, diags: list) -> None:
+    """Rules that tie keys together, on the typed config with its defaults
+    filled; also fills the radius of a preset generator."""
+    space = cfg.get("space")
+    if space is not None:
+        n, inline = space["grid_size"], space["weight"].get("inline")
+        if n * space["fiber_dim"] > 1024:
+            diags.append("space: grid_size * fiber_dim must not exceed 1024")
+        elif inline is not None and len(inline) != n:
+            diags.append(f"space.weight.inline: has length {len(inline)}, expected {n}")
+        else:
+            try:
+                _space_from(space)
+            except ValueError as exc:
+                diags.append(f"space: {exc}")
+    gen = cfg.get("generator")
+    if gen is not None:
+        if gen["radius"] is None and gen["preset"] == "custom":
+            diags.append("generator.radius: required for custom samples")
+        elif gen["radius"] is None:
+            gen["radius"] = GENERATOR_RADIUS[gen["preset"]]
+        elif gen["preset"] == "wide-indicator" and gen["radius"] < 2:
+            diags.append("generator.radius: wide-indicator needs radius >= 2")
+    if cfg["mode"] == "zak" and cfg["time_resolution"] * cfg["translates"] > 2048:
+        diags.append("time_resolution * translates must not exceed 2048")
+
+
+def _walk(config) -> tuple:
+    """(typed config, diagnostics); the config is whole only when there
+    are no diagnostics."""
+    diags: list = []
+    cfg = _CONFIG(config, "", diags)
+    if not diags:
+        _check_cross(cfg, diags)
+    return cfg, diags
+
+
+def _check_samples(cfg: dict, diags: list) -> None:
+    """A custom samples CSV must parse and hold exactly the samples that
+    its sizes need.  The one rule that reads a file."""
+    sec = cfg.get("window") or cfg.get("generator")
+    if sec is None or sec["preset"] != "custom":
         return
-    n = section.get("grid_size")
-    if not _is_int(n) or not 1 <= n <= 512:
-        diags.append(f"{where}.grid_size: must be an integer in [1, 512]")
-        return
-    m = section.get("fiber_dim", 1)
-    if not _is_int(m) or not 1 <= m <= 16:
-        diags.append(f"{where}.fiber_dim: must be an integer in [1, 16]")
-        return
-    if n * m > 1024:
-        diags.append(f"{where}: grid_size * fiber_dim must not exceed 1024")
-        return
-    if "weight" not in section:
-        diags.append(f"{where}.weight: missing")
-        return
+    if cfg["mode"] == "zak":
+        where, rule = "window.samples_path", "time_resolution * translates"
+        expect = cfg["time_resolution"] * cfg["translates"]
+    else:
+        where, rule = "generator.samples_path", "2 * radius * grid_size"
+        expect = 2 * sec["radius"] * sec["grid_size"]
     try:
-        _space_from(section)
+        got = _load_samples(sec["samples_path"]).size
+    except OSError:
+        diags.append(f"{where}: must name a readable file")
     except ValueError as exc:
         diags.append(f"{where}: {exc}")
-
-
-def _check_sample_count(path, expect: int, where: str, rule: str, diags: list) -> None:
-    """The custom samples CSV must parse and hold exactly ``expect`` rows."""
-    try:
-        got = _load_samples(path).size
-    except (OSError, ValueError) as exc:
-        diags.append(f"{where}: {exc}")
-        return
-    if got != expect:
-        diags.append(f"{where}: holds {got} samples, {rule} needs {expect}")
+    else:
+        if got != expect:
+            diags.append(f"{where}: holds {got} samples, {rule} needs {expect}")
 
 
 def validate_config(config) -> list:
-    """Collect diagnostics; an empty list means the config can run."""
-    diags: list = []
-    if not isinstance(config, dict):
-        return ["config: must be a JSON object"]
-    mode = config.get("mode")
-    if mode not in MODES:
-        return [f"mode: must be one of {', '.join(MODES)}"]
-    seed = config.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        diags.append("seed: must be a nonnegative integer")
-    tols = config.get("tolerances", {})
-    if not isinstance(tols, dict):
-        diags.append("tolerances: must be an object")
-    else:
-        for key, val in tols.items():
-            if key not in DEFAULT_TOLERANCES:
-                diags.append(f"tolerances.{key}: unknown key")
-            elif not _is_num(val) or not math.isfinite(val) or val <= 0:
-                diags.append(f"tolerances.{key}: must be a positive finite number")
+    """Collect diagnostics; an empty list means the config can run.
 
-    if mode in ("analyze", "witness"):
-        _check_space(config.get("space"), diags, "space")
-        if mode == "witness":
-            a = config.get("a_claimed")
-            if not _is_num(a) or a <= 0:
-                diags.append("a_claimed: must be a positive number")
-    elif mode == "shiftinv":
-        gen = config.get("generator")
-        if not isinstance(gen, dict):
-            diags.append("generator: must be an object")
-        else:
-            preset = gen.get("preset")
-            if preset not in GENERATOR_PRESETS:
-                diags.append(
-                    f"generator.preset: must be one of {', '.join(GENERATOR_PRESETS)}"
-                )
-            n = gen.get("grid_size")
-            n_ok = _is_int(n) and 2 <= n <= 256
-            if not n_ok:
-                diags.append("generator.grid_size: must be an integer in [2, 256]")
-            radius = gen.get("radius")
-            radius_ok = _is_int(radius) and 1 <= radius <= 16
-            if radius is not None and not radius_ok:
-                diags.append("generator.radius: must be an integer in [1, 16]")
-            if preset == "custom":
-                if radius is None:
-                    diags.append("generator.radius: required for custom samples")
-                path = gen.get("samples_path")
-                if not isinstance(path, str) or not Path(path).is_file():
-                    diags.append("generator.samples_path: must name a readable file")
-                elif n_ok and radius_ok:
-                    _check_sample_count(
-                        path, 2 * radius * n, "generator.samples_path",
-                        "2 * radius * grid_size", diags,
-                    )
-            if preset == "wide-indicator" and radius is not None and radius < 2:
-                diags.append("generator.radius: wide-indicator needs radius >= 2")
-    elif mode == "zak":
-        win = config.get("window")
-        samples_path = None
-        if not isinstance(win, dict):
-            diags.append("window: must be an object")
-        else:
-            preset = win.get("preset")
-            if preset not in WINDOW_PRESETS:
-                diags.append(
-                    f"window.preset: must be one of {', '.join(WINDOW_PRESETS)}"
-                )
-            if preset == "custom":
-                path = win.get("samples_path")
-                if not isinstance(path, str) or not Path(path).is_file():
-                    diags.append("window.samples_path: must name a readable file")
-                else:
-                    samples_path = path
-        n = config.get("time_resolution")
-        L = config.get("translates")
-        n_ok = _is_int(n) and n >= 2
-        L_ok = _is_int(L) and L >= 2
-        if not n_ok:
-            diags.append("time_resolution: must be an integer >= 2")
-        if not L_ok:
-            diags.append("translates: must be an integer >= 2")
-        if _is_int(n) and _is_int(L) and n * L > 2048:
-            diags.append("time_resolution * translates must not exceed 2048")
-        elif n_ok and L_ok and samples_path is not None:
-            _check_sample_count(
-                samples_path, n * L, "window.samples_path",
-                "time_resolution * translates", diags,
-            )
-    elif mode == "heisenberg":
-        h = config.get("heisenberg")
-        if not isinstance(h, dict):
-            diags.append("heisenberg: must be an object")
-        else:
-            eps = h.get("eps")
-            if not _is_num(eps) or not 0.0 < eps < 1.0:
-                diags.append("heisenberg.eps: must lie strictly between 0 and 1")
-            d = h.get("d", HEISENBERG_DEFAULTS["d"])
-            if not _is_int(d) or not 1 <= d <= 64:
-                diags.append("heisenberg.d: must be an integer in [1, 64]")
-            res = h.get("resolution", HEISENBERG_DEFAULTS["resolution"])
-            if not _is_int(res) or not 2 <= res <= 65536:
-                diags.append("heisenberg.resolution: must be an integer in [2, 65536]")
-            sres = h.get(
-                "spectral_resolution", HEISENBERG_DEFAULTS["spectral_resolution"]
-            )
-            if not _is_int(sres) or not 2 <= sres <= 1024:
-                diags.append(
-                    "heisenberg.spectral_resolution: must be an integer in [2, 1024]"
-                )
-            kmax = h.get("k_max", HEISENBERG_DEFAULTS["k_max"])
-            if not _is_int(kmax) or not 0 <= kmax <= 64:
-                diags.append("heisenberg.k_max: must be an integer in [0, 64]")
+    Each diagnostic starts with the dotted path of the key it names.
+    """
+    cfg, diags = _walk(config)
+    if not diags:
+        _check_samples(cfg, diags)
     return diags
 
 
-def normalize_config(config: dict) -> dict:
-    """Canonical config with defaults filled; assumes validation passed.
+def normalize_config(config) -> dict:
+    """Canonical config with defaults filled; reads no file.
 
     Normalizing is idempotent, and the result is echoed into the report so
     a run can be reproduced from its own output.
+
+    Raises:
+        ValueError: if the config is invalid, listing its diagnostics.
     """
-    mode = config["mode"]
-    tols = dict(DEFAULT_TOLERANCES)
-    tols.update({k: float(v) for k, v in config.get("tolerances", {}).items()})
-    out = {"mode": mode, "seed": int(config.get("seed", 0)), "tolerances": tols}
-    if mode in ("analyze", "witness"):
-        sec = config["space"]
-        out["space"] = {
-            "grid_size": int(sec["grid_size"]),
-            "fiber_dim": int(sec.get("fiber_dim", 1)),
-            "weight": _normalize_weight(sec["weight"]),
-        }
-        if mode == "witness":
-            out["a_claimed"] = float(config["a_claimed"])
-    elif mode == "shiftinv":
-        gen = config["generator"]
-        radius = gen.get("radius")
-        if radius is None:
-            radius = GENERATOR_RADIUS[gen["preset"]]
-        out["generator"] = {
-            "preset": gen["preset"],
-            "grid_size": int(gen["grid_size"]),
-            "radius": int(radius),
-        }
-        if gen["preset"] == "custom":
-            out["generator"]["samples_path"] = str(gen["samples_path"])
-    elif mode == "zak":
-        win = {"preset": config["window"]["preset"]}
-        if win["preset"] == "custom":
-            win["samples_path"] = str(config["window"]["samples_path"])
-        out["window"] = win
-        out["time_resolution"] = int(config["time_resolution"])
-        out["translates"] = int(config["translates"])
-    elif mode == "heisenberg":
-        h = config["heisenberg"]
-        out["heisenberg"] = {"eps": float(h["eps"])}
-        for key, default in HEISENBERG_DEFAULTS.items():
-            out["heisenberg"][key] = int(h.get(key, default))
-    return out
+    cfg, diags = _walk(config)
+    if diags:
+        raise ValueError("invalid config: " + "; ".join(diags))
+    return cfg
 
 
 def _load_samples(path: str) -> np.ndarray:
@@ -549,10 +518,6 @@ def _run_zak(cfg: dict, out: Path) -> dict:
     N, L = cfg["time_resolution"], cfg["translates"]
     if cfg["window"]["preset"] == "custom":
         phi = _load_samples(cfg["window"]["samples_path"])
-        if phi.shape != (N * L,):
-            raise ValueError(
-                f"window samples must have length {N * L}, got {phi.size}"
-            )
     else:
         phi = gabor_window(cfg["window"]["preset"], N, L)
     tol = cfg["tolerances"]["verdict"]

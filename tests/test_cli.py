@@ -1,7 +1,9 @@
 """CLI contract: validation, exit codes, determinism, reproducibility."""
 
+import copy
 import csv
 import json
+import re
 import subprocess
 import sys
 
@@ -449,6 +451,163 @@ def test_validate_config_diagnostics_name_fields():
             )
             assert any(f"tolerances.{key}" in d for d in diags4), (key, bad)
     assert validate_config("nope") == ["config: must be a JSON object"]
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_non_finite_a_claimed_refused(tmp_path, bad):
+    cfg = {
+        "mode": "witness",
+        "a_claimed": float(bad),
+        "space": {"grid_size": 4, "weight": {"inline": [0.5, 1.0, 1.0, 1.0]}},
+    }
+    assert bad in json.dumps(cfg)
+    check = _run(tmp_path, cfg, extra=["--validate-only"])
+    assert check.returncode == 1
+    assert "config ok" not in check.stdout
+    assert "a_claimed: must be a positive finite number" in check.stderr
+    proc = _run(tmp_path, cfg)
+    assert proc.returncode == 1
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
+def test_unknown_keys_refused(tmp_path):
+    space = {"grid_size": 4, "weight": {"preset": "ramp"}}
+    assert validate_config({"mode": "analyze", "sede": 3, "space": space}) == [
+        "sede: unknown key"
+    ]
+    assert validate_config(
+        {"mode": "analyze", "space": dict(space, fiber_dims=3)}
+    ) == ["space.fiber_dims: unknown key"]
+    assert validate_config(
+        {"mode": "analyze", "space": dict(space, weight={"preset": "ramp", "strat": 5})}
+    ) == ["space.weight.strat: unknown key"]
+    both = {"inline": [1.0, 1.0, 1.0, 1.0], "preset": "constant"}
+    assert validate_config(
+        {"mode": "analyze", "space": dict(space, weight=both)}
+    ) == ["space.weight.preset: unknown key"]
+    # a key of another mode is unknown too
+    assert validate_config(
+        {"mode": "analyze", "a_claimed": 0.5, "space": space}
+    ) == ["a_claimed: unknown key"]
+    proc = _run(tmp_path, {"mode": "analyze", "space": dict(space, fiber_dims=3)},
+                extra=["--validate-only"])
+    assert proc.returncode == 1
+    assert "config error: space.fiber_dims: unknown key" in proc.stderr
+
+
+# One valid config per mode and preset; together they hold every config key.
+_STEP = {"preset": "step", "low": 0.5, "high": 1.0, "split": 0.25}
+_SPACE = {"grid_size": 8, "fiber_dim": 2, "weight": _STEP}
+_BASES = {
+    "step": {"mode": "analyze", "seed": 1,
+             "tolerances": {"consistency": 1e-9, "verdict": 1e-9}, "space": _SPACE},
+    "constant": {"mode": "analyze",
+                 "space": dict(_SPACE, weight={"preset": "constant", "value": 2.0})},
+    "ramp": {"mode": "analyze",
+             "space": dict(_SPACE, weight={"preset": "ramp", "start": 0.5, "stop": 1.5})},
+    "inline": {"mode": "analyze",
+               "space": {"grid_size": 2, "weight": {"inline": [0.5, 1.0]}}},
+    "witness": {"mode": "witness", "a_claimed": 0.9, "space": _SPACE},
+    "generator": {"mode": "shiftinv",
+                  "generator": {"preset": "gaussian", "grid_size": 16, "radius": 4}},
+    "custom_generator": {"mode": "shiftinv", "generator": {
+        "preset": "custom", "grid_size": 4, "radius": 1, "samples_path": "gen.csv"}},
+    "window": {"mode": "zak", "window": {"preset": "custom", "samples_path": "win.csv"},
+               "time_resolution": 4, "translates": 4},
+    "heisenberg": {"mode": "heisenberg", "heisenberg": {
+        "eps": 0.5, "d": 1, "resolution": 64, "spectral_resolution": 16, "k_max": 2}},
+}
+_BAD_VALUES = [
+    ("step", "mode", "nope"),
+    ("step", "seed", -1),
+    ("step", "tolerances", 3),
+    ("step", "tolerances.consistency", float("nan")),
+    ("step", "tolerances.verdict", 0.0),
+    ("step", "space", "x"),
+    ("step", "space.grid_size", 513),
+    ("step", "space.fiber_dim", 0),
+    ("step", "space.weight", []),
+    ("step", "space.weight.preset", "nope"),
+    ("step", "space.weight.low", "a"),
+    ("step", "space.weight.high", float("inf")),
+    ("step", "space.weight.split", 1.5),
+    ("constant", "space.weight.value", float("nan")),
+    ("ramp", "space.weight.start", None),
+    ("ramp", "space.weight.stop", True),
+    ("inline", "space.weight.inline", [1.0, "x"]),
+    ("witness", "a_claimed", 0),
+    ("generator", "generator", 1),
+    ("generator", "generator.preset", "nope"),
+    ("generator", "generator.grid_size", 1),
+    ("generator", "generator.radius", 17),
+    ("custom_generator", "generator.samples_path", 5),
+    ("window", "window", None),
+    ("window", "window.preset", "square"),
+    ("window", "window.samples_path", []),
+    ("window", "time_resolution", 1),
+    ("window", "translates", 1.5),
+    ("heisenberg", "heisenberg", []),
+    ("heisenberg", "heisenberg.eps", 1.0),
+    ("heisenberg", "heisenberg.d", 65),
+    ("heisenberg", "heisenberg.resolution", 1),
+    ("heisenberg", "heisenberg.spectral_resolution", 2048),
+    ("heisenberg", "heisenberg.k_max", -1),
+]
+
+
+def _keys(cfg, prefix=""):
+    for key, value in cfg.items():
+        path = f"{prefix}{key}"
+        yield path
+        if isinstance(value, dict):
+            yield from _keys(value, path + ".")
+
+
+def test_bad_values_cover_every_config_key():
+    # normalize_config reads no file, so the custom samples paths need not exist
+    keys = {k for base in _BASES.values() for k in _keys(normalize_config(base))}
+    assert keys == {path for _, path, _ in _BAD_VALUES}
+
+
+@pytest.mark.parametrize(
+    "base,path,bad", _BAD_VALUES, ids=[f"{p}={v!r}" for _, p, v in _BAD_VALUES]
+)
+def test_bad_value_diagnostic_names_key(base, path, bad):
+    cfg = copy.deepcopy(_BASES[base])
+    *parents, leaf = path.split(".")
+    section = cfg
+    for key in parents:
+        section = section[key]
+    section[leaf] = bad
+    diags = validate_config(cfg)
+    assert any(d.startswith(f"{path}:") for d in diags), diags
+    with pytest.raises(ValueError, match=re.escape(f"{path}:")):
+        normalize_config(cfg)
+
+
+def test_run_config_refuses_wrong_length_custom_window(tmp_path):
+    cfg = {
+        "mode": "zak",
+        "window": {"preset": "custom", "samples_path": _short_csv(tmp_path)},
+        "time_resolution": 4,
+        "translates": 4,
+    }
+    with pytest.raises(ValueError, match="window must have 16 samples"):
+        run_config(cfg, tmp_path / "run")
+
+
+def test_custom_window_parsed_once_per_run(tmp_path, monkeypatch):
+    path = tmp_path / "window.csv"
+    path.write_text("".join(f"{v},0\n" for v in np.linspace(0.5, 1.5, 16)))
+    cfg = {
+        "mode": "zak",
+        "window": {"preset": "custom", "samples_path": str(path)},
+        "time_resolution": 4,
+        "translates": 4,
+    }
+    loads = _count_calls(monkeypatch, cli._load_samples)
+    assert run_config(cfg, tmp_path / "run") == 0
+    assert len(loads) == 1
 
 
 def test_csv_float_format_full_precision(tmp_path):
