@@ -17,36 +17,28 @@ from .analyzer import (
     decide_frame,
     decide_onb,
     decide_riesz,
-    decide_scalar_frame,
     gram_bounds,
     synthesis_gram,
     weight_bounds,
     witness_lower_failure,
     witness_ratio,
-    witness_upper_failure,
 )
 from .errors import ConsistencyError, TruncationError
 from .operators import (
     OperatorFamily,
-    analysis_matrix,
     bessel_excess,
     frame_spectrum,
-    lambda_adjoint,
     lambda_all,
     lambda_coeff,
     lambda_tilde,
-    lambda_tilde_adjoint,
     parseval_residual,
 )
 from .tensor_onb import (
     TensorBasis,
     build_default,
-    build_weighted,
     coefficients,
-    reconstruct,
     tensor_field,
     verify_tensor_onb,
-    verify_weighted_onb,
 )
 from .wspace import Field, WeightedSpace, inner, norm, random_field, total_mass
 
@@ -63,19 +55,13 @@ __all__ = [
     "random_field",
     "TensorBasis",
     "build_default",
-    "build_weighted",
     "tensor_field",
     "coefficients",
-    "reconstruct",
     "verify_tensor_onb",
-    "verify_weighted_onb",
     "OperatorFamily",
     "lambda_tilde",
     "lambda_coeff",
     "lambda_all",
-    "lambda_tilde_adjoint",
-    "lambda_adjoint",
-    "analysis_matrix",
     "frame_spectrum",
     "parseval_residual",
     "bessel_excess",
@@ -86,11 +72,9 @@ __all__ = [
     "gram_bounds",
     "witness_ratio",
     "witness_lower_failure",
-    "witness_upper_failure",
     "decide_frame",
     "decide_riesz",
     "decide_onb",
-    "decide_scalar_frame",
     "classify",
     "__version__",
 ]

@@ -6,6 +6,13 @@ node weights: the frame-operator spectrum and the synthesis Gram spectrum
 both equal the weight multiset (repeated per fiber dimension).  The
 deciders here read the verdict off the weights and independently verify it
 spectrally, reporting residuals and, on failure, an explicit witness field.
+
+The spectral route stays dense on purpose: an SVD of the analysis factors
+and an ``eigvalsh`` of the synthesis-Gram factors, O(N^3) in the grid size.
+For the discrete Fourier family the weighted scalar Gram is circulant, and
+its FFT eigenvalues are the weights themselves, so an FFT Gram route would
+read back the very numbers the weight route reads and check nothing.  The
+cost of the cross check is the price of its independence.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .operators import OperatorFamily, frame_spectrum, lambda_all
-from .tensor_onb import TensorBasis, _field_matrix
+from .tensor_onb import _field_matrix
 from .wspace import Field, WeightedSpace, norm
 
 __all__ = [
@@ -28,10 +35,8 @@ __all__ = [
     "decide_frame",
     "decide_riesz",
     "decide_onb",
-    "decide_scalar_frame",
     "classify",
     "witness_lower_failure",
-    "witness_upper_failure",
     "witness_ratio",
 ]
 
@@ -178,23 +183,6 @@ def witness_lower_failure(space: WeightedSpace, fam: OperatorFamily, a_claimed: 
     return Field(vals)
 
 
-def witness_upper_failure(space: WeightedSpace, fam: OperatorFamily, b_claimed: float):
-    """Upper-bound analogue of ``witness_lower_failure``.
-
-    The indicator field on E = {i : w_i > b_claimed} has energy ratio at
-    least min(w on E), exceeding the claim.  This mirrors the lower-bound
-    construction; it is a direct extension, not a consequence of it.
-    """
-    if not b_claimed > 0:
-        raise ValueError("claimed upper bound must be positive")
-    mask = space.weights > b_claimed
-    if not mask.any():
-        return None
-    vals = np.zeros((space.grid_size, space.fiber_dim), dtype=complex)
-    vals[mask, :] = fam.basis.fiber_family[0][None, :]
-    return Field(vals)
-
-
 def decide_frame(space: WeightedSpace, fam: OperatorFamily, tol: float = 1e-9) -> FrameReport:
     """Frame verdict from the weight minimum, cross-checked spectrally.
 
@@ -315,21 +303,6 @@ def _decide_onb(
         witness = Field(vals)
         residuals["onb_defect_ratio"] = witness_ratio(space, fam, witness)
     return FrameReport(verdict, (lo, hi), None, gb, residuals, witness)
-
-
-def decide_scalar_frame(
-    space: WeightedSpace, scalar_family, tol: float = 1e-9
-) -> FrameReport:
-    """Frame verdict for a scalar (fiber dimension 1) coefficient family.
-
-    Entry point for externally supplied unimodular orthonormal families,
-    e.g. exponential families attached to translate systems.
-    """
-    if space.fiber_dim != 1:
-        raise ValueError("scalar analysis expects fiber dimension 1")
-    basis = TensorBasis(np.asarray(scalar_family, dtype=complex), np.eye(1, dtype=complex))
-    fam = OperatorFamily(space, basis)
-    return decide_frame(space, fam, tol=tol)
 
 
 def classify(

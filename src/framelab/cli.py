@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__
 from .analyzer import (
     SUPPORT_ETA,
-    FrameReport,
     Verdict,
     classify,
     decide_frame,
@@ -53,7 +52,6 @@ from .shiftinv import (
     gabor_window,
     make_generator,
     periodized_weight,
-    time_samples,
     translate_gram,
     zak_quasiperiodicity_residual,
     zak_transform,
@@ -366,129 +364,86 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(header)
-        for row in rows:
-            wr.writerow([_fmt(v) for v in row])
+def _table(header, *columns) -> tuple:
+    """A CSV table: its header and the rows read across equal-length columns."""
+    return header, list(zip(*(np.asarray(c).tolist() for c in columns)))
 
 
-def _write_weight_csv(out: Path, xs, w, xname: str = "x") -> None:
-    rows = [(i, float(xs[i]), float(w[i])) for i in range(len(w))]
-    _write_csv(out / "weight.csv", ("index", xname, "weight"), rows)
+def _weight_table(xs, w, xname: str = "x") -> tuple:
+    return _table(("index", xname, "weight"), np.arange(len(w)), xs, w)
 
 
-def _write_spectrum_csv(out: Path, spec) -> None:
-    rows = [(i, float(v)) for i, v in enumerate(spec)]
-    _write_csv(out / "spectrum.csv", ("index", "eigenvalue"), rows)
-
-
-def _witness_summary(field, ratio) -> dict:
-    """Report entry for a witness field (or None) and its energy ratio."""
+def _witness(space: WeightedSpace, field, ratio) -> tuple:
+    """Report entry and tables of a witness field (or None) with its energy
+    ratio: ``witness.csv`` holds the field's fiber norm at every node."""
     if field is None:
-        return {"exists": False}
-    return {
+        return {"exists": False}, {}
+    norms = np.linalg.norm(field.values, axis=1)
+    entry = {
         "exists": True,
-        "support_size": int(np.count_nonzero(np.abs(field.values).sum(axis=1))),
+        "support_size": int(np.count_nonzero(norms)),
         "ratio": float(ratio),
     }
-
-
-def _classify_witness(rep: FrameReport) -> dict:
-    """Witness entry of a ``classify`` report: the frame witness when there
-    is one, else the ONB defect field."""
-    ratio = rep.residuals.get("witness_ratio", rep.residuals.get("onb_defect_ratio"))
-    return _witness_summary(rep.witness, ratio)
-
-
-def _doc(mode, cfg, verdict, rep: FrameReport | None, residuals, metrics, witness):
-    bounds = {"weight": None, "oracle": None, "gram": None}
-    if rep is not None:
-        bounds["weight"] = list(rep.weight_bounds)
-        bounds["oracle"] = None if rep.oracle_bounds is None else list(rep.oracle_bounds)
-        bounds["gram"] = None if rep.gram_bounds is None else list(rep.gram_bounds)
-    return _plain(
-        {
-            "tool": {"name": "framelab", "version": __version__},
-            "mode": mode,
-            "verdict": verdict,
-            "bounds": bounds,
-            "residuals": residuals,
-            "metrics": metrics,
-            "witness": witness,
-            "config": cfg,
-        }
-    )
+    header = ("index", "x", "weight", "norm")
+    table = _table(header, np.arange(space.grid_size), space.grid, space.weights, norms)
+    return entry, {"witness.csv": table}
 
 
 # ---------------------------------------------------------------- modes
+#
+# A runner maps a typed config to (FrameReport, residuals, metrics, witness
+# entry, tables) and touches no file; ``tables`` maps a CSV file name to
+# its header and rows.  ``run_config`` writes everything.
 
 
-def _run_analyze(cfg: dict, out: Path) -> dict:
-    space = _space_from(cfg["space"])
-    basis = build_default(space.grid_size, space.fiber_dim)
+def _classified(cfg: dict, space: WeightedSpace, basis: TensorBasis) -> tuple:
+    """``classify`` the family of ``basis`` on ``space``: the report, its
+    witness entry (the frame witness, else the ONB defect field) and tables."""
     fam = OperatorFamily(space, basis)
     rng = np.random.default_rng(cfg["seed"])
     rep = classify(space, fam, tol=cfg["tolerances"]["verdict"], rng=rng)
-    _write_weight_csv(out, space.grid, space.weights)
-    _write_spectrum_csv(out, rep.spectrum)
+    ratio = rep.residuals.get("witness_ratio", rep.residuals.get("onb_defect_ratio"))
+    witness, tables = _witness(space, rep.witness, ratio)
+    tables["weight.csv"] = _weight_table(space.grid, space.weights)
+    return rep, witness, tables
+
+
+def _run_analyze(cfg: dict) -> tuple:
+    space = _space_from(cfg["space"])
+    rep, witness, tables = _classified(
+        cfg, space, build_default(space.grid_size, space.fiber_dim)
+    )
     metrics = {
         "total_mass": total_mass(space),
         "support_fraction": float((space.weights > SUPPORT_ETA).mean()),
     }
-    if rep.witness is not None:
-        _write_witness_csv(out, space, rep.witness)
-    return _doc(
-        "analyze", cfg, rep.verdict, rep, rep.residuals, metrics, _classify_witness(rep)
-    )
+    return rep, rep.residuals, metrics, witness, tables
 
 
-def _write_witness_csv(out: Path, space, field) -> None:
-    norms = np.linalg.norm(field.values, axis=1)
-    rows = [
-        (i, float(space.grid[i]), float(space.weights[i]), float(norms[i]))
-        for i in range(space.grid_size)
-    ]
-    _write_csv(out / "witness.csv", ("index", "x", "weight", "norm"), rows)
-
-
-def _run_witness(cfg: dict, out: Path) -> dict:
+def _run_witness(cfg: dict) -> tuple:
     space = _space_from(cfg["space"])
-    basis = build_default(space.grid_size, space.fiber_dim)
-    fam = OperatorFamily(space, basis)
+    fam = OperatorFamily(space, build_default(space.grid_size, space.fiber_dim))
     rep = decide_frame(space, fam, tol=cfg["tolerances"]["verdict"])
     field = witness_lower_failure(space, fam, cfg["a_claimed"])
-    ratio = None
-    if field is not None:
-        ratio = witness_ratio(space, fam, field)
-        _write_witness_csv(out, space, field)
-    witness = _witness_summary(field, ratio)
-    _write_weight_csv(out, space.grid, space.weights)
-    _write_spectrum_csv(out, rep.spectrum)
+    ratio = None if field is None else witness_ratio(space, fam, field)
+    witness, tables = _witness(space, field, ratio)
+    tables["weight.csv"] = _weight_table(space.grid, space.weights)
     metrics = {"a_claimed": cfg["a_claimed"], "total_mass": total_mass(space)}
-    return _doc("witness", cfg, rep.verdict, rep, rep.residuals, metrics, witness)
+    return rep, rep.residuals, metrics, witness, tables
 
 
-def _make_generator_from(cfg: dict) -> Generator:
-    gen = cfg["generator"]
-    if gen["preset"] == "custom":
-        samples = _load_samples(gen["samples_path"])
-        return Generator(samples, gen["radius"], gen["grid_size"])
-    return make_generator(gen["preset"], gen["grid_size"], gen["radius"])
-
-
-def _run_shiftinv(cfg: dict, out: Path) -> dict:
-    gen = _make_generator_from(cfg)
+def _run_shiftinv(cfg: dict) -> tuple:
+    g = cfg["generator"]
+    if g["preset"] == "custom":
+        gen = Generator(_load_samples(g["samples_path"]), g["radius"], g["grid_size"])
+    else:
+        gen = make_generator(g["preset"], g["grid_size"], g["radius"])
     w = periodized_weight(gen)
     space = WeightedSpace(gen.grid_size, 1, w)
-    ks = np.arange(gen.grid_size)
-    x = space.grid
-    scal = np.exp(-2j * np.pi * np.outer(ks, x))
-    basis = TensorBasis(scal, np.eye(1, dtype=complex))
-    fam = OperatorFamily(space, basis)
-    rng = np.random.default_rng(cfg["seed"])
-    rep = classify(space, fam, tol=cfg["tolerances"]["verdict"], rng=rng)
+    scal = np.exp(-2j * np.pi * np.outer(np.arange(gen.grid_size), space.grid))
+    rep, witness, tables = _classified(
+        cfg, space, TensorBasis(scal, np.eye(1, dtype=complex))
+    )
     residuals = dict(rep.residuals)
     mass = total_mass(space)
     norm_sq = float((np.abs(gen.fhat) ** 2).sum() / gen.grid_size)
@@ -507,14 +462,10 @@ def _run_shiftinv(cfg: dict, out: Path) -> dict:
         residuals["translate_gram_vs_weight"] = (
             max(abs(float(eig[0]) - w.min()), abs(float(eig[-1]) - w.max())) / scale
         )
-    _write_weight_csv(out, x, w)
-    _write_spectrum_csv(out, rep.spectrum)
-    return _doc(
-        "shiftinv", cfg, rep.verdict, rep, residuals, metrics, _classify_witness(rep)
-    )
+    return rep, residuals, metrics, witness, tables
 
 
-def _run_zak(cfg: dict, out: Path) -> dict:
+def _run_zak(cfg: dict) -> tuple:
     N, L = cfg["time_resolution"], cfg["translates"]
     if cfg["window"]["preset"] == "custom":
         phi = _load_samples(cfg["window"]["samples_path"])
@@ -522,22 +473,19 @@ def _run_zak(cfg: dict, out: Path) -> dict:
         phi = gabor_window(cfg["window"]["preset"], N, L)
     tol = cfg["tolerances"]["verdict"]
     rep = gabor_riesz_check(phi, N, L, tol=tol, onb_tol=tol)
-    z = zak_transform(phi, N, L).values
-    zsq = np.abs(z) ** 2
-    rows = [
-        (j, m, float(zsq[j, m])) for j in range(N) for m in range(L)
-    ]
-    _write_csv(out / "zak_magnitude.csv", ("time_index", "freq_index", "magnitude_sq"), rows)
-    _write_spectrum_csv(out, rep.spectrum)
+    zsq = np.abs(zak_transform(phi, N, L).values) ** 2
+    j, m = np.indices((N, L))
+    header = ("time_index", "freq_index", "magnitude_sq")
+    tables = {"zak_magnitude.csv": _table(header, j.ravel(), m.ravel(), zsq.ravel())}
     metrics = {
         "zak_min_sq": float(zsq.min()),
         "zak_max_sq": float(zsq.max()),
         "quasiperiodicity": zak_quasiperiodicity_residual(phi, N, L),
     }
-    return _doc("zak", cfg, rep.verdict, rep, rep.residuals, metrics, {"exists": False})
+    return rep, rep.residuals, metrics, {"exists": False}, tables
 
 
-def _run_heisenberg(cfg: dict, out: Path) -> dict:
+def _run_heisenberg(cfg: dict) -> tuple:
     h = cfg["heisenberg"]
     eps, d = h["eps"], h["d"]
     mass = psi_norm_sq(eps, d)
@@ -551,12 +499,9 @@ def _run_heisenberg(cfg: dict, out: Path) -> dict:
     residuals = dict(rep.residuals)
     residuals["isometry_vs_periodization"] = isometry_residual(model, coeffs)
     alpha = midpoint_grid(h["spectral_resolution"])
-    _write_weight_csv(out, alpha, hs_weight(eps, d, alpha), "alpha")
-    _write_spectrum_csv(out, rep.spectrum)
+    tables = {"weight.csv": _weight_table(alpha, hs_weight(eps, d, alpha), "alpha")}
     metrics = {"band_mass": mass, "envelope_lo": lo, "envelope_hi": hi}
-    return _doc(
-        "heisenberg", cfg, rep.verdict, rep, residuals, metrics, {"exists": False}
-    )
+    return rep, residuals, metrics, {"exists": False}, tables
 
 
 _RUNNERS = {
@@ -579,16 +524,41 @@ def _failed_checks(doc: dict) -> list:
 
 
 def run_config(config: dict, out_dir) -> int:
-    """Execute a validated config; write report and tables; return exit code."""
+    """Execute a validated config; write report and tables; return exit code.
+
+    The only writer: every CSV table, ``spectrum.csv`` from the report's
+    spectrum, and ``report.json``.
+    """
     cfg = normalize_config(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    doc = _RUNNERS[cfg["mode"]](cfg, out)
-    code = 2 if _failed_checks(doc) else 0
-    (out / "report.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    rep, residuals, metrics, witness, tables = _RUNNERS[cfg["mode"]](cfg)
+    spec = rep.spectrum
+    tables["spectrum.csv"] = _table(("index", "eigenvalue"), np.arange(spec.size), spec)
+    for name, (header, rows) in tables.items():
+        with open(out / name, "w", newline="") as fh:
+            wr = csv.writer(fh, lineterminator="\n")
+            wr.writerow(header)
+            wr.writerows([_fmt(v) for v in row] for row in rows)
+    bounds = {
+        "weight": rep.weight_bounds,
+        "oracle": rep.oracle_bounds,
+        "gram": rep.gram_bounds,
+    }
+    doc = _plain(
+        {
+            "tool": {"name": "framelab", "version": __version__},
+            "mode": cfg["mode"],
+            "verdict": rep.verdict,
+            "bounds": bounds,
+            "residuals": residuals,
+            "metrics": metrics,
+            "witness": witness,
+            "config": cfg,
+        }
     )
-    return code
+    (out / "report.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    return 2 if _failed_checks(doc) else 0
 
 
 def main(argv=None) -> int:
@@ -622,8 +592,9 @@ def main(argv=None) -> int:
     if isinstance(raw, dict):
         if args.seed is not None:
             raw["seed"] = args.seed
-        if args.tol is not None:
-            raw.setdefault("tolerances", {})["verdict"] = args.tol
+        # a non-object ``tolerances`` is left for validation to name
+        if args.tol is not None and isinstance(raw.setdefault("tolerances", {}), dict):
+            raw["tolerances"]["verdict"] = args.tol
 
     diags = validate_config(raw)
     for diag in diags:

@@ -29,13 +29,10 @@ __all__ = [
     "psi_norm_sq",
     "weight_envelope_check",
     "midpoint_grid",
-    "RankOneHSField",
-    "hs_rank_one_norm",
     "CenterTranslateModel",
     "s_map",
     "norm_sq_periodization",
     "isometry_residual",
-    "lambda_k",
     "scalar_family",
     "frame_problem",
     "frame_report",
@@ -147,68 +144,6 @@ def midpoint_grid(resolution: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RankOneHSField:
-    """The window field itself: scale alpha maps to u_alpha tensor u_alpha.
-
-    The fiber is rank one, so its Hilbert-Schmidt norm is the squared
-    window norm, which the dilation keeps at exactly 1 on the band.
-    """
-
-    eps: float
-    d: int
-
-    def __post_init__(self):
-        eps, d = _check_params(self.eps, self.d)
-        if not 0.0 < eps:
-            raise ValueError("eps must be positive for the band model")
-        if d < 1:
-            raise ValueError("d must be >= 1 for the band model")
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "d", d)
-
-    def hs_norm(self, alpha: float) -> float:
-        """HS norm of the fiber at one scale: 1 on the band, else 0."""
-        alpha = float(alpha)
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-        return 1.0 if alpha > self.eps else 0.0
-
-    def norm_sq(self) -> float:
-        """Squared model norm across scales, equal to the band mass."""
-        return psi_norm_sq(self.eps, self.d)
-
-    def u_alpha_samples(self, alpha: float, resolution: int = 1024):
-        """One axis factor of the dilated cube window, sampled uniformly.
-
-        Returns (samples, dx) on [0, 1/alpha); the d-dimensional window is
-        the product over axes, so its norm is this axis norm to the d-th
-        power.
-        """
-        alpha = float(alpha)
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-        R = int(resolution)
-        if R < 1:
-            raise ValueError("resolution must be >= 1")
-        dx = (1.0 / alpha) / R
-        return np.full(R, np.sqrt(alpha), dtype=float), dx
-
-
-def hs_rank_one_norm(u, dx: float) -> float:
-    """HS norm of the rank-one kernel u tensor conj(u) by direct quadrature.
-
-    Computed as the trace route sum |u|^2 dx, which equals the squared
-    vector norm; scaling u by c scales the result by |c|^2.
-    """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 1:
-        raise ValueError("u must be a 1-d sample vector")
-    if dx <= 0:
-        raise ValueError("dx must be positive")
-    return float((np.abs(u) ** 2).sum() * dx)
-
-
-@dataclass(frozen=True)
 class CenterTranslateModel:
     """Discretized coefficient model for center translates of the window.
 
@@ -289,25 +224,6 @@ def isometry_residual(model: CenterTranslateModel, a) -> float:
             f"synthesis norm routes disagree: {direct!r} vs {lattice!r}"
         )
     return rel
-
-
-def lambda_k(model: CenterTranslateModel, k: int, a) -> complex:
-    """Coefficient of S(a) against the k-th center translate.
-
-    The pairing kernel is the conjugate of the translate's own phase, so
-    for a = delta_j the k = j coefficient is the band mass itself.
-
-    Raises:
-        ValueError: for k beyond the resolvable range of the scale grid.
-    """
-    k = int(k)
-    if abs(k) > model.resolution // 2:
-        raise ValueError(
-            f"translate index {k} beyond resolvable range {model.resolution // 2}"
-        )
-    sf = s_map(model, a)
-    kernel = np.exp(2j * np.pi * k * model.alpha)
-    return complex((sf * model.weights * kernel).sum() / model.resolution)
 
 
 def scalar_family(resolution: int) -> np.ndarray:

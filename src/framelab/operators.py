@@ -8,7 +8,7 @@ singular values squared are the frame-operator spectrum.  With a complete
 orthonormal scalar family that spectrum is the weight multiset, each value
 repeated once per fiber dimension.  The matrix is a Kronecker product of a
 fiber factor and a scalar factor, and the spectrum is computed from the
-factors.
+factors; the dense matrix itself is built only by the tests, as an oracle.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ __all__ = [
     "lambda_tilde",
     "lambda_coeff",
     "lambda_all",
-    "lambda_tilde_adjoint",
-    "lambda_adjoint",
-    "analysis_matrix",
     "frame_spectrum",
     "parseval_residual",
     "bessel_excess",
@@ -122,22 +119,6 @@ def lambda_all(fam: OperatorFamily, field: Field) -> np.ndarray:
     return (_quadrature(fam) @ V).T
 
 
-def lambda_tilde_adjoint(fam: OperatorFamily, m: int, n: int, phi: np.ndarray) -> Field:
-    """Adjoint of the pointwise coefficient map: phi -> f_n * phi * g_m."""
-    _check_index(fam, m, n)
-    phi = np.asarray(phi, dtype=complex)
-    if phi.shape != (fam.space.grid_size,):
-        raise ValueError(f"phi must have shape ({fam.space.grid_size},)")
-    vals = (fam.basis.scalar_family[n] * phi)[:, None] * fam.basis.fiber_family[m][None, :]
-    return Field(vals)
-
-
-def lambda_adjoint(fam: OperatorFamily, m: int, n: int, c: complex) -> Field:
-    """Adjoint of the coefficient functional: c -> c * G_{m,n}."""
-    _check_index(fam, m, n)
-    return Field(complex(c) * tensor_field(fam.basis, m, n).values)
-
-
 def _support_mask(fam: OperatorFamily, support) -> np.ndarray:
     w = fam.space.weights
     if support is None:
@@ -171,32 +152,6 @@ def _analysis_factors(fam: OperatorFamily, support=None) -> tuple:
     q = _quadrature(fam)[:, idx]
     q *= np.sqrt(fam.space.grid_size / fam.space.weights[idx])
     return fam.basis.fiber_family.conj(), q
-
-
-def analysis_matrix(fam: OperatorFamily, support=None) -> np.ndarray:
-    """Matrix of all coefficient functionals in weighted coordinates.
-
-    Columns correspond to the orthonormal coordinate fields of the weighted
-    space (delta at node i, fiber direction j, scaled by sqrt(N / w_i)).
-    Rows are indexed (m, n) m-major, columns (i, j) i-major over the support.
-
-    Column (i, j) is ``lambda_all`` applied to that coordinate field.  The
-    functionals are linear, so the column is the closed form
-    conj(g_m[j]) * quad[n, i] * sqrt(N / w_i), with ``quad`` the same
-    weighted quadrature ``lambda_all`` uses, and the whole matrix is one
-    outer product of the two factors of ``_analysis_factors``.  It is built
-    from the functionals, not from the weights, so its spectrum stays an
-    independent check on the weight route.  ``frame_spectrum`` works from
-    the factors and never forms this NM x NM matrix; it is kept as the
-    dense reference.
-
-    Args:
-        support: optional boolean node mask restricting the coordinate
-            fields; required when some weights vanish.
-    """
-    fiber, q = _analysis_factors(fam, support)
-    M, (N, S) = fiber.shape[0], q.shape
-    return np.einsum("mj,ni->mnij", fiber, q).reshape(M * N, S * M)
 
 
 def frame_spectrum(fam: OperatorFamily, support=None) -> np.ndarray:

@@ -4,13 +4,13 @@ A generator is given by frequency samples on [-R, R) at spacing 1/N, so
 integer translates of the unit grid land on sample points.  Folding the
 squared modulus over integer shifts produces a node weight on [0, 1) that
 carries the frame character of the translate family.  The module also
-provides translate coefficient functionals with a dual time-side check,
-the finite Zak transform, and a Gabor basis check at critical density.
+provides the time-side Gram of the translates, the finite Zak transform,
+and a Gabor basis check at critical density.
 
 The discrete model is periodic: time samples live on a cyclic grid of
 period N with spacing 1/(2R), the exact transform pair of the frequency
-grid, which makes the frequency-side and time-side pairings equal up to
-rounding.
+grid, which makes the time-side translate Gram and the frequency-side
+weight agree up to rounding.
 """
 
 from __future__ import annotations
@@ -26,10 +26,8 @@ from .wspace import _readonly
 __all__ = [
     "Generator",
     "make_generator",
-    "freq_grid",
     "periodized_weight",
     "time_samples",
-    "translation_coefficient",
     "translate_gram",
     "ZakGrid",
     "zak_transform",
@@ -40,7 +38,6 @@ __all__ = [
 ]
 
 TAIL_LIMIT = 1e-6
-DUAL_PAIRING_TOL = 1e-8
 ZAK_GRAM_TOL = 1e-6
 # Default band half-width R of each built-in generator preset.
 GENERATOR_RADIUS = {"indicator": 1, "wide-indicator": 2, "gaussian": 4}
@@ -109,10 +106,6 @@ def make_generator(preset: str, grid_size: int, radius: int | None = None) -> Ge
     return Generator(fhat, R, N, decay_tail=float(tail))
 
 
-def freq_grid(gen: Generator) -> np.ndarray:
-    return -gen.radius + np.arange(2 * gen.radius * gen.grid_size) / gen.grid_size
-
-
 def periodized_weight(gen: Generator) -> np.ndarray:
     """Node weight w(x_i) = sum_n |fhat(x_i + n)|^2 over the sampled band.
 
@@ -134,52 +127,6 @@ def time_samples(gen: Generator) -> np.ndarray:
     P = gen.fhat.size
     signs = np.where(np.arange(P) % 2 == 0, 1.0, -1.0)
     return 2 * gen.radius * signs * np.fft.ifft(gen.fhat)
-
-
-def _check_shift(gen: Generator, k: int, what: str) -> None:
-    if abs(int(k)) >= gen.grid_size / 2:
-        raise ValueError(
-            f"{what} {k} beyond the representable range |k| < {gen.grid_size / 2}"
-        )
-
-
-def translation_coefficient(gen: Generator, k: int, coeffs, check: bool = True) -> complex:
-    """Coefficient of f = sum_l c_l T_l(phi) against the k-th translate.
-
-    ``coeffs`` is an odd-length sequence for l = -K..K.  The value is the
-    frequency-side integral of the folded cross product against the k-th
-    exponential; with ``check`` it is recomputed as the time-side cyclic
-    inner product <T_k(phi), f> and the two must agree to 1e-8.
-
-    Raises:
-        ValueError: when k or the coefficient span exceeds the cyclic range.
-        ConsistencyError: if the frequency and time routes disagree.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 1 or c.size % 2 == 0:
-        raise ValueError("coeffs must be a 1-d odd-length sequence")
-    K = (c.size - 1) // 2
-    _check_shift(gen, k, "translate index")
-    _check_shift(gen, K, "coefficient span")
-    ls = np.arange(-K, K + 1)
-    xi = freq_grid(gen)
-    fhat_f = (c[:, None] * np.exp(-2j * np.pi * np.outer(ls, xi))).sum(axis=0) * gen.fhat
-    bracket = (fhat_f * gen.fhat.conj()).reshape(2 * gen.radius, gen.grid_size).sum(axis=0)
-    x = np.arange(gen.grid_size) / gen.grid_size
-    v_freq = complex((bracket * np.exp(2j * np.pi * k * x)).sum() / gen.grid_size)
-    if check:
-        step = 2 * gen.radius
-        phi_t = time_samples(gen)
-        f_t = np.zeros_like(phi_t)
-        for l, cl in zip(ls, c):
-            f_t += cl * np.roll(phi_t, step * int(l))
-        tk = np.roll(phi_t, step * int(k))
-        v_time = complex((tk.conj() * f_t).sum() / step)
-        if abs(v_freq - v_time) > DUAL_PAIRING_TOL * max(1.0, abs(v_freq)):
-            raise ConsistencyError(
-                f"translate pairing routes disagree at k={k}: {v_freq} vs {v_time}"
-            )
-    return v_freq
 
 
 def translate_gram(gen: Generator, count: int | None = None) -> np.ndarray:

@@ -3,9 +3,9 @@
 A scalar family {f_n} on the grid and a vector family {g_m} in the fiber
 combine into the fields G_{m,n}(x_i) = f_n(x_i) g_m.  With the discrete
 Fourier family and the standard fiber basis this is a unimodular
-orthonormal system of the unweighted space.  A strictly positive node
-weight calls for a re-orthonormalized scalar family instead; both readings
-get a dedicated verifier, and the analyzer works with the unweighted one.
+orthonormal system of the unweighted space, and it is the family the
+analyzer works with: the node weight enters through the quadrature, not
+through the family.
 """
 
 from __future__ import annotations
@@ -19,12 +19,9 @@ from .wspace import Field, WeightedSpace, _conform, _readonly
 __all__ = [
     "TensorBasis",
     "build_default",
-    "build_weighted",
     "tensor_field",
     "coefficients",
-    "reconstruct",
     "verify_tensor_onb",
-    "verify_weighted_onb",
 ]
 
 
@@ -62,16 +59,12 @@ class TensorBasis:
         """max_i,n abs(|f_n(x_i)| - 1)."""
         return float(np.max(np.abs(np.abs(self.scalar_family) - 1.0)))
 
-    def scalar_gram_residual(self, weights=None) -> float:
-        """Deviation of the scalar Gram from the identity.
-
-        Uses quadrature (1/N) sum_i f_n conj(f_n') w_i; unit weight when
-        ``weights`` is omitted.
-        """
+    def scalar_gram_residual(self) -> float:
+        """Deviation of the scalar Gram from the identity under the
+        unweighted quadrature (1/N) sum_i f_n conj(f_n')."""
         F = self.scalar_family
         N = self.grid_size
-        w = np.ones(N) if weights is None else np.asarray(weights, dtype=float)
-        gram = (F * (w / N)) @ F.conj().T
+        gram = (F / N) @ F.conj().T
         return float(np.max(np.abs(gram - np.eye(N))))
 
     def fiber_gram_residual(self) -> float:
@@ -89,27 +82,6 @@ def build_default(grid_size: int, fiber_dim: int) -> TensorBasis:
     n = np.arange(grid_size)
     scalar = np.exp(2j * np.pi * np.outer(n, n) / grid_size)
     return TensorBasis(scalar, np.eye(fiber_dim, dtype=complex))
-
-
-def build_weighted(grid_size: int, fiber_dim: int, weights) -> TensorBasis:
-    """Orthonormalize the Fourier family under a strictly positive weight.
-
-    Performs Gram-Schmidt (via QR) of the discrete Fourier family in the
-    weighted inner product.  The result is orthonormal for the weighted
-    quadrature but no longer unimodular in general.
-
-    Raises:
-        ValueError: if any weight is zero (the weighted Gram degenerates).
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (grid_size,):
-        raise ValueError(f"weights must have shape ({grid_size},)")
-    if np.any(w <= 0):
-        raise ValueError("weighted orthonormalization needs strictly positive weights")
-    seed = build_default(grid_size, fiber_dim).scalar_family
-    scale = np.sqrt(w / grid_size)
-    q, _ = np.linalg.qr((seed * scale).T)
-    return TensorBasis((q / scale[:, None]).T, np.eye(fiber_dim, dtype=complex))
 
 
 def tensor_field(basis: TensorBasis, m: int, n: int) -> Field:
@@ -139,13 +111,6 @@ def coefficients(space: WeightedSpace, basis: TensorBasis, field: Field) -> np.n
     ) / space.grid_size
 
 
-def reconstruct(space: WeightedSpace, basis: TensorBasis, field: Field) -> Field:
-    """Expand ``field`` in the family and resynthesize it."""
-    c = coefficients(space, basis, field)
-    vals = np.einsum("mn,ni,mj->ij", c, basis.scalar_family, basis.fiber_family)
-    return Field(vals)
-
-
 def verify_tensor_onb(space: WeightedSpace, basis: TensorBasis) -> float:
     """Largest deviation of the full tensor Gram from the identity.
 
@@ -161,24 +126,4 @@ def verify_tensor_onb(space: WeightedSpace, basis: TensorBasis) -> float:
         raise ValueError("basis dimensions do not match the space")
     V = _field_matrix(basis)
     gram = V @ V.conj().T / space.grid_size
-    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-
-
-def verify_weighted_onb(space: WeightedSpace, basis: TensorBasis) -> float:
-    """Largest deviation of the tensor Gram from the identity, weighted case.
-
-    Same brute-force Gram as ``verify_tensor_onb`` but under the weighted
-    inner product; the basis should carry a scalar family orthonormalized
-    for that weight.
-
-    Raises:
-        ValueError: if any node weight vanishes.
-    """
-    if np.any(space.weights <= 0):
-        raise ValueError("verify_weighted_onb needs strictly positive weights")
-    if (basis.grid_size, basis.fiber_dim) != (space.grid_size, space.fiber_dim):
-        raise ValueError("basis dimensions do not match the space")
-    V = _field_matrix(basis)
-    wq = np.repeat(space.weights, space.fiber_dim) / space.grid_size
-    gram = (V * wq) @ V.conj().T
     return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))

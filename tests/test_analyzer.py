@@ -6,21 +6,19 @@ import pytest
 from framelab import (
     Field,
     OperatorFamily,
+    TensorBasis,
     Verdict,
     WeightedSpace,
     build_default,
-    build_weighted,
     classify,
     decide_frame,
     decide_onb,
     decide_riesz,
-    decide_scalar_frame,
     gram_bounds,
     synthesis_gram,
     weight_bounds,
     witness_lower_failure,
     witness_ratio,
-    witness_upper_failure,
 )
 
 
@@ -74,7 +72,9 @@ def test_decide_frame_positive_and_negative():
 def test_decide_frame_rejects_invalid_family():
     w = np.linspace(0.5, 2.0, 6)
     sp = WeightedSpace(6, 1, w)
-    fam = OperatorFamily(sp, build_weighted(6, 1, w))  # not unimodular
+    scalar = build_default(6, 1).scalar_family.copy()
+    scalar[1] *= 2.0  # not unimodular
+    fam = OperatorFamily(sp, TensorBasis(scalar, np.eye(1)))
     with pytest.raises(ValueError, match="unimodularity"):
         decide_frame(sp, fam)
 
@@ -118,17 +118,6 @@ def test_witness_soundness_random_sweep():
         # single-point supports can round w*w/w one ulp above w itself
         assert ratio <= w[mask].max() * (1.0 + 4.0 * np.finfo(float).eps)
         assert ratio < a_claimed
-
-
-def test_witness_upper_failure():
-    sp, fam = _family([1.0, 1.0, 1.0, 4.0])
-    field = witness_upper_failure(sp, fam, 2.0)
-    ratio = witness_ratio(sp, fam, field)
-    assert ratio == pytest.approx(4.0, abs=1e-12)
-    assert ratio > 2.0
-    assert witness_upper_failure(sp, fam, 5.0) is None
-    with pytest.raises(ValueError):
-        witness_upper_failure(sp, fam, 0.0)
 
 
 def test_decide_riesz_tracks_full_weight_range():
@@ -185,13 +174,13 @@ def test_decide_scalar_frame():
     n = 8
     w = np.full(n, 0.7)
     sp = WeightedSpace(n, 1, w)
-    scal = build_default(n, 1).scalar_family
-    rep = decide_scalar_frame(sp, scal)
+    basis = TensorBasis(build_default(n, 1).scalar_family, np.eye(1))
+    rep = decide_frame(sp, OperatorFamily(sp, basis))
     assert rep.verdict is Verdict.FRAME
     assert rep.oracle_bounds[0] == pytest.approx(0.7, abs=1e-10)
     sp_bad = WeightedSpace(n, 2, w)
     with pytest.raises(ValueError):
-        decide_scalar_frame(sp_bad, scal)
+        OperatorFamily(sp_bad, basis)  # a scalar family needs fiber dimension 1
 
 
 def test_classify_merges_reports():

@@ -10,7 +10,6 @@ from framelab import (
     TensorBasis,
     Verdict,
     WeightedSpace,
-    analysis_matrix,
     build_default,
     classify,
     decide_onb,
@@ -19,6 +18,7 @@ from framelab import (
     synthesis_gram,
 )
 from framelab.analyzer import _gram_factors, _gram_spectrum
+from oracles import analysis_matrix
 
 
 def _oracle_cases():

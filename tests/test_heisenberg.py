@@ -80,34 +80,6 @@ def test_midpoint_grid():
         hb.midpoint_grid(1)
 
 
-def test_rank_one_field_norms():
-    fld = hb.RankOneHSField(0.5, 2)
-    assert fld.hs_norm(0.7) == 1.0
-    assert fld.hs_norm(0.5) == 0.0
-    assert fld.hs_norm(0.2) == 0.0
-    assert fld.norm_sq() == pytest.approx((1 - 0.5 ** 3) / 3, abs=1e-12)
-    with pytest.raises(ValueError):
-        fld.hs_norm(0.0)
-    with pytest.raises(ValueError):
-        hb.RankOneHSField(0.0, 2)
-    with pytest.raises(ValueError):
-        hb.RankOneHSField(0.5, 0)
-
-
-def test_rank_one_hs_norm_quadrature():
-    fld = hb.RankOneHSField(0.5, 1)
-    for alpha in (1.0, 0.5, 0.25, 0.125):
-        u, dx = fld.u_alpha_samples(alpha)
-        assert hb.hs_rank_one_norm(u, dx) == pytest.approx(1.0, abs=1e-12)
-    u, dx = fld.u_alpha_samples(0.5)
-    assert hb.hs_rank_one_norm(3.0 * u, dx) == pytest.approx(9.0, abs=1e-12)
-    assert hb.hs_rank_one_norm(1j * u, dx) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        hb.hs_rank_one_norm(np.ones((2, 2)), 0.1)
-    with pytest.raises(ValueError):
-        hb.hs_rank_one_norm(np.ones(4), 0.0)
-
-
 def test_model_construction_and_support():
     model = hb.CenterTranslateModel(0.5, 1, resolution=1024, k_max=2)
     assert model.alpha.shape == (1024,)
@@ -145,32 +117,6 @@ def test_norm_periodization_route_differs_then_matches():
         (np.abs(sf) ** 2 * model.weights).sum() / model.resolution
     )
     assert hb.norm_sq_periodization(model, a) == pytest.approx(direct, rel=1e-12)
-
-
-def test_lambda_k_anchor_is_band_mass():
-    # eps = 0.5 splits the midpoint grid exactly, so the quadrature of the
-    # weight over the band is the band mass with no discretization error
-    model = hb.CenterTranslateModel(0.5, 1, resolution=4096, k_max=4)
-    delta = np.zeros(9, dtype=complex)
-    delta[4] = 1.0  # translate k = 0
-    assert hb.lambda_k(model, 0, delta) == pytest.approx(0.375, abs=1e-12)
-    delta2 = np.zeros(9, dtype=complex)
-    delta2[6] = 1.0  # translate k = +2
-    assert hb.lambda_k(model, 2, delta2) == pytest.approx(0.375, abs=1e-12)
-
-
-def test_lambda_k_linearity_and_range():
-    rng = np.random.default_rng(55)
-    model = hb.CenterTranslateModel(0.3, 1, resolution=512, k_max=3)
-    a = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-    b = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-    for k in (-2, 0, 3):
-        va = hb.lambda_k(model, k, a)
-        vb = hb.lambda_k(model, k, b)
-        vab = hb.lambda_k(model, k, 2.0 * a - 1j * b)
-        assert vab == pytest.approx(2.0 * va - 1j * vb, abs=1e-12)
-    with pytest.raises(ValueError):
-        hb.lambda_k(model, 257, a)
 
 
 def test_scalar_family_orthonormal_on_midpoint_grid():

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 import framelab.shiftinv as si
-from framelab import ConsistencyError, TruncationError, Verdict, WeightedSpace
-from framelab.analyzer import decide_scalar_frame
+from framelab import (
+    ConsistencyError,
+    OperatorFamily,
+    TensorBasis,
+    TruncationError,
+    Verdict,
+    WeightedSpace,
+    decide_frame,
+)
 
 
 def _random_generator(rng, N=16, R=2):
@@ -24,14 +31,6 @@ def test_generator_validation():
         si.Generator(np.ones(8), 1, 4, decay_tail=-1.0)
     with pytest.raises(ValueError):
         si.make_generator("no-such", 8)
-
-
-def test_freq_grid_covers_band():
-    gen = si.make_generator("indicator", 8)
-    xi = si.freq_grid(gen)
-    assert xi[0] == -1.0
-    assert xi[-1] == pytest.approx(1.0 - 1 / 8)
-    assert xi.size == 16
 
 
 def test_indicator_weight_is_one_everywhere():
@@ -79,61 +78,6 @@ def test_time_samples_match_quadrature_norm():
     assert t_norm == pytest.approx(f_norm, rel=1e-12)
 
 
-def test_translation_coefficient_anchor_values():
-    gen = si.make_generator("indicator", 8)
-    # f = T_1 phi, paired against the k-th translate of an orthonormal system
-    c = np.zeros(3, dtype=complex)
-    c[2] = 1.0  # l = +1
-    assert si.translation_coefficient(gen, 1, c) == pytest.approx(1.0, abs=1e-10)
-    assert si.translation_coefficient(gen, 0, c) == pytest.approx(0.0, abs=1e-10)
-    # f = phi itself against k = 0 gives the squared norm
-    c0 = np.array([1.0 + 0j])
-    assert si.translation_coefficient(gen, 0, c0) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_translation_coefficient_dual_route_sweep():
-    rng = np.random.default_rng(15)
-    for _ in range(15):
-        gen = _random_generator(rng, N=16, R=int(rng.integers(1, 4)))
-        span = int(rng.integers(0, 4))
-        c = rng.standard_normal(2 * span + 1) + 1j * rng.standard_normal(2 * span + 1)
-        k = int(rng.integers(-5, 6))
-        si.translation_coefficient(gen, k, c)  # raises if routes disagree
-
-
-def test_translation_coefficient_linearity():
-    rng = np.random.default_rng(16)
-    gen = _random_generator(rng, N=16, R=2)
-    c1 = np.array([0.0, 1.0, 0.0], dtype=complex)
-    c2 = np.array([1.0j, 0.0, -2.0], dtype=complex)
-    v1 = si.translation_coefficient(gen, 2, c1)
-    v2 = si.translation_coefficient(gen, 2, c2)
-    v12 = si.translation_coefficient(gen, 2, 3.0 * c1 + c2)
-    assert v12 == pytest.approx(3.0 * v1 + v2, rel=1e-10)
-
-
-def test_translation_coefficient_range_checks():
-    gen = si.make_generator("indicator", 8)
-    with pytest.raises(ValueError):
-        si.translation_coefficient(gen, 4, np.array([1.0 + 0j]))
-    with pytest.raises(ValueError):
-        si.translation_coefficient(gen, 0, np.ones(9, dtype=complex))  # span 4
-    with pytest.raises(ValueError):
-        si.translation_coefficient(gen, 0, np.ones(2, dtype=complex))  # even length
-
-
-def test_translation_coefficient_guard_trips(monkeypatch):
-    gen = si.make_generator("indicator", 8)
-    real = si.time_samples
-
-    def skewed(g):
-        return real(g) + 0.01
-
-    monkeypatch.setattr(si, "time_samples", skewed)
-    with pytest.raises(ConsistencyError):
-        si.translation_coefficient(gen, 0, np.array([1.0 + 0j]))
-
-
 def test_translate_gram_spectrum_equals_weight():
     rng = np.random.default_rng(18)
     for _ in range(6):
@@ -159,7 +103,7 @@ def test_translate_frame_verdict_through_weight():
     sp = WeightedSpace(16, 1, w)
     ks = np.arange(16)
     scal = np.exp(-2j * np.pi * np.outer(ks, sp.grid))
-    rep = decide_scalar_frame(sp, scal)
+    rep = decide_frame(sp, OperatorFamily(sp, TensorBasis(scal, np.eye(1))))
     assert rep.verdict is Verdict.FRAME
     assert rep.weight_bounds[0] > 0.5
 

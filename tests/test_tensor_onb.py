@@ -7,13 +7,10 @@ from framelab import (
     Field,
     WeightedSpace,
     build_default,
-    build_weighted,
     coefficients,
     random_field,
-    reconstruct,
     tensor_field,
     verify_tensor_onb,
-    verify_weighted_onb,
 )
 from framelab.tensor_onb import TensorBasis, _field_matrix
 
@@ -76,8 +73,6 @@ def test_expansion_round_trip():
         f = random_field(sp, rng)
         c = coefficients(sp, basis, f)
         assert c.shape == (3, 8)
-        g = reconstruct(sp, basis, f)
-        assert np.max(np.abs(g.values - f.values)) < 1e-12
 
 
 def test_coefficients_pick_out_members():
@@ -87,30 +82,3 @@ def test_coefficients_pick_out_members():
     expect = np.zeros((2, 6))
     expect[1, 4] = 1.0
     assert np.max(np.abs(c - expect)) < 1e-12
-
-
-def test_weighted_family_orthonormal_under_weight():
-    rng = np.random.default_rng(9)
-    for n, m in [(4, 1), (8, 2), (5, 3)]:
-        w = rng.uniform(0.2, 3.0, n)
-        sp = WeightedSpace(n, m, w)
-        basis = build_weighted(n, m, w)
-        assert basis.scalar_gram_residual(w) < 1e-10
-        assert verify_weighted_onb(sp, basis) < 1e-10
-        # generally trades away unimodularity
-        if np.max(np.abs(w - 1.0)) > 0.1:
-            assert basis.unimodularity_residual() > 1e-6
-
-
-def test_weighted_family_rejects_degenerate_weight():
-    with pytest.raises(ValueError):
-        build_weighted(4, 1, np.array([0.0, 1.0, 1.0, 1.0]))
-    sp = WeightedSpace(4, 1, np.array([0.0, 1.0, 1.0, 1.0]))
-    with pytest.raises(ValueError):
-        verify_weighted_onb(sp, build_default(4, 1))
-
-
-def test_weighted_reduces_to_default_on_unit_weight():
-    basis = build_weighted(8, 1, np.ones(8))
-    assert basis.unimodularity_residual() < 1e-10
-    assert basis.scalar_gram_residual() < 1e-10
