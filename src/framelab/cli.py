@@ -34,7 +34,7 @@ from .analyzer import (
     witness_lower_failure,
     witness_ratio,
 )
-from .errors import ConsistencyError, TruncationError
+from .errors import ConsistencyError
 from .heisenberg import (
     CenterTranslateModel,
     frame_report,
@@ -42,7 +42,6 @@ from .heisenberg import (
     isometry_residual,
     midpoint_grid,
     psi_norm_sq,
-    weight_envelope_check,
 )
 from .operators import OperatorFamily
 from .shiftinv import (
@@ -349,9 +348,7 @@ def _plain(x):
         return int(x)
     if isinstance(x, (float, np.floating)):
         return float(x)
-    if isinstance(x, np.ndarray):
-        return [_plain(v) for v in x]
-    if isinstance(x, (list, tuple)):
+    if isinstance(x, (np.ndarray, list, tuple)):
         return [_plain(v) for v in x]
     if isinstance(x, dict):
         return {str(k): _plain(v) for k, v in x.items()}
@@ -489,15 +486,14 @@ def _run_heisenberg(cfg: dict) -> tuple:
     h = cfg["heisenberg"]
     eps, d = h["eps"], h["d"]
     mass = psi_norm_sq(eps, d)
-    grid = midpoint_grid(h["resolution"])
-    lo, hi = weight_envelope_check(eps, d, grid)
-    rep = frame_report(eps, d, h["spectral_resolution"], tol=cfg["tolerances"]["verdict"])
     model = CenterTranslateModel(eps, d, h["resolution"], h["k_max"])
+    lo, hi = model.envelope()
+    rep = frame_report(eps, d, h["spectral_resolution"], tol=cfg["tolerances"]["verdict"])
     rng = np.random.default_rng(cfg["seed"])
     k = 2 * h["k_max"] + 1
     coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     residuals = dict(rep.residuals)
-    residuals["isometry_vs_periodization"] = isometry_residual(model, coeffs)
+    residuals["isometry_vs_translate_gram"] = isometry_residual(model, coeffs)
     alpha = midpoint_grid(h["spectral_resolution"])
     tables = {"weight.csv": _weight_table(alpha, hs_weight(eps, d, alpha), "alpha")}
     metrics = {"band_mass": mass, "envelope_lo": lo, "envelope_hi": hi}
@@ -523,11 +519,18 @@ def _failed_checks(doc: dict) -> list:
     ]
 
 
+class _Exit(int):
+    """An exit code that also carries the report document of its run."""
+
+    doc: dict
+
+
 def run_config(config: dict, out_dir) -> int:
     """Execute a validated config; write report and tables; return exit code.
 
     The only writer: every CSV table, ``spectrum.csv`` from the report's
-    spectrum, and ``report.json``.
+    spectrum, and ``report.json``.  The code also carries the written
+    document as ``.doc``, so the caller need not read the file back.
     """
     cfg = normalize_config(config)
     out = Path(out_dir)
@@ -558,7 +561,9 @@ def run_config(config: dict, out_dir) -> int:
         }
     )
     (out / "report.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    return 2 if _failed_checks(doc) else 0
+    code = _Exit(2 if _failed_checks(doc) else 0)
+    code.doc = doc
+    return code
 
 
 def main(argv=None) -> int:
@@ -608,17 +613,13 @@ def main(argv=None) -> int:
 
     try:
         code = run_config(raw, args.out)
-    except TruncationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except ValueError as exc:  # TruncationError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = Path(args.out) / "report.json"
-    doc = json.loads(report.read_text())
+    doc = code.doc
     tol = doc["config"]["tolerances"]["consistency"]
     for name, value in _failed_checks(doc):
         print(
@@ -626,8 +627,8 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
     print(f"verdict: {doc['verdict']}")
-    print(f"report: {report}")
-    return code
+    print(f"report: {Path(args.out) / 'report.json'}")
+    return int(code)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,10 @@ bounds on that weight over its support.
 
 Everything here is one-dimensional in the scale variable; the ambient
 dimension d enters only through the weight exponent and the window
-normalization.
+normalization.  The isometry from translate coefficients c to fields S(c)
+is checked along two routes: the weighted norm of S(c), evaluated with one
+FFT, against the quadratic form c^H T c of the Toeplitz translate Gram T,
+read from the inverse DFT of the weight.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ __all__ = [
     "midpoint_grid",
     "CenterTranslateModel",
     "s_map",
-    "norm_sq_periodization",
     "isometry_residual",
     "scalar_family",
     "frame_problem",
@@ -41,6 +43,8 @@ __all__ = [
 CLOSED_FORM_TOL = 1e-12
 MASS_TOL = 1e-9
 ISOMETRY_TOL = 1e-8
+LATTICE_WINDOW = 3  # integer shifts j in [-3, 3] cover every alpha in (0, 1]
+QUAD_NODES = 64
 
 
 def _check_params(eps: float, d: int) -> tuple[float, int]:
@@ -62,7 +66,7 @@ def _lattice_profile(eps: float, d: int, x: np.ndarray, window: int) -> np.ndarr
     return total
 
 
-def hs_weight(eps: float, d: int, alpha, window: int = 3) -> np.ndarray:
+def hs_weight(eps: float, d: int, alpha) -> np.ndarray:
     """Periodized squared fiber norm of the dilated window at scale alpha.
 
     For alpha in (0, 1] exactly one lattice point can land in the band, so
@@ -77,7 +81,7 @@ def hs_weight(eps: float, d: int, alpha, window: int = 3) -> np.ndarray:
     a = np.asarray(alpha, dtype=float)
     if not np.all((a > 0.0) & (a <= 1.0)):
         raise ValueError("alpha must lie in (0, 1]")
-    summed = _lattice_profile(eps, d, a, window)
+    summed = _lattice_profile(eps, d, a, LATTICE_WINDOW)
     closed = np.where(a > eps, a ** d, 0.0)
     drift = float(np.max(np.abs(summed - closed))) if a.size else 0.0
     if drift > CLOSED_FORM_TOL:
@@ -87,7 +91,7 @@ def hs_weight(eps: float, d: int, alpha, window: int = 3) -> np.ndarray:
     return closed if a.ndim else float(closed)
 
 
-def psi_norm_sq(eps: float, d: int, nodes: int = 64) -> float:
+def psi_norm_sq(eps: float, d: int) -> float:
     """Squared model norm of the window field: integral of the weight.
 
     Evaluated by Gauss-Legendre quadrature of the defining lattice sum
@@ -98,16 +102,28 @@ def psi_norm_sq(eps: float, d: int, nodes: int = 64) -> float:
     """
     eps, d = _check_params(eps, d)
     # enough nodes to integrate alpha^d exactly, whatever d is
-    x, w = np.polynomial.legendre.leggauss(max(int(nodes), (d + 3) // 2))
+    x, w = np.polynomial.legendre.leggauss(max(QUAD_NODES, (d + 3) // 2))
     half = (1.0 - eps) / 2.0
     t = eps + (x + 1.0) * half
-    quad = float((w * _lattice_profile(eps, d, t, window=3)).sum() * half)
+    quad = float((w * _lattice_profile(eps, d, t, LATTICE_WINDOW)).sum() * half)
     closed = (1.0 - eps ** (d + 1)) / (d + 1)
     if abs(quad - closed) > MASS_TOL:
         raise ConsistencyError(
             f"mass quadrature {quad!r} differs from closed form {closed!r}"
         )
     return quad
+
+
+def _envelope(eps: float, d: int, w: np.ndarray) -> tuple[float, float]:
+    w = w[w > SUPPORT_ETA]
+    if not w.size:
+        raise ValueError("no grid point carries positive weight")
+    lo, hi = float(w.min()), float(w.max())
+    if lo < eps ** d - 1e-12 or hi > 1.0 + 1e-12:
+        raise ConsistencyError(
+            f"supported weight range ({lo}, {hi}) escapes [{eps ** d}, 1]"
+        )
+    return lo, hi
 
 
 def weight_envelope_check(eps: float, d: int, grid) -> tuple[float, float]:
@@ -121,18 +137,7 @@ def weight_envelope_check(eps: float, d: int, grid) -> tuple[float, float]:
         ConsistencyError: if a value escapes the guaranteed sandwich.
     """
     eps, d = _check_params(eps, d)
-    g = np.asarray(grid, dtype=float)
-    w = np.asarray(hs_weight(eps, d, g))
-    supported = w > SUPPORT_ETA
-    if not supported.any():
-        raise ValueError("no grid point carries positive weight")
-    lo = float(w[supported].min())
-    hi = float(w[supported].max())
-    if lo < eps ** d - 1e-12 or hi > 1.0 + 1e-12:
-        raise ConsistencyError(
-            f"supported weight range ({lo}, {hi}) escapes [{eps ** d}, 1]"
-        )
-    return lo, hi
+    return _envelope(eps, d, np.asarray(hs_weight(eps, d, grid)))
 
 
 def midpoint_grid(resolution: int) -> np.ndarray:
@@ -178,6 +183,10 @@ class CenterTranslateModel:
         object.__setattr__(self, "weights", _readonly(w))
         object.__setattr__(self, "support", _readonly(w > SUPPORT_ETA))
 
+    def envelope(self) -> tuple[float, float]:
+        """``weight_envelope_check`` over the model grid, from the stored weights."""
+        return _envelope(self.eps, self.d, self.weights)
+
     def _coeffs(self, a) -> np.ndarray:
         c = np.asarray(a, dtype=complex)
         if c.shape != (2 * self.k_max + 1,):
@@ -189,40 +198,38 @@ class CenterTranslateModel:
 
 
 def s_map(model: CenterTranslateModel, a) -> np.ndarray:
-    """Samples of the synthesized field S(a) = 1_E sum_k a_k e^(-2 pi i k alpha)."""
-    c = model._coeffs(a)
-    ks = np.arange(-model.k_max, model.k_max + 1)
-    p = (c[:, None] * np.exp(-2j * np.pi * np.outer(ks, model.alpha))).sum(axis=0)
-    return np.where(model.support, p, 0.0)
+    """Samples of the synthesized field S(a) = 1_E sum_k a_k e^(-2 pi i k alpha).
 
-
-def norm_sq_periodization(model: CenterTranslateModel, a) -> float:
-    """Squared norm of S(a) recomputed through the defining lattice sum.
-
-    Independent route from the weighted quadrature: the polynomial is
-    squared against the periodized profile rather than the stored weight.
+    One R-point FFT: alpha_i = (i + 1/2) / R, so a_k e^(-pi i k / R) goes to
+    bin k mod R (the fold keeps 2 k_max + 1 > R exact).
     """
     c = model._coeffs(a)
+    R = model.resolution
     ks = np.arange(-model.k_max, model.k_max + 1)
-    p = (c[:, None] * np.exp(-2j * np.pi * np.outer(ks, model.alpha))).sum(axis=0)
-    profile = _lattice_profile(model.eps, model.d, model.alpha, window=3)
-    return float((np.abs(p) ** 2 * profile).sum() / model.resolution)
+    bins = np.zeros(R, dtype=complex)
+    np.add.at(bins, ks % R, c * np.exp(-1j * np.pi * ks / R))
+    return np.where(model.support, np.fft.fft(bins), 0.0)
 
 
 def isometry_residual(model: CenterTranslateModel, a) -> float:
-    """Relative gap between the weighted norm of S(a) and the lattice route.
+    """Relative gap between the weighted norm of S(a) and a^H T a, where
+    T[k, k'] = (1/R) sum_i w_i e^(2 pi i (k - k') alpha_i) over the support:
+    at lag l, the inverse DFT of the weight at l mod R times e^(pi i l / R).
 
     Raises:
         ConsistencyError: when the gap exceeds 1e-8 relative.
     """
-    sf = s_map(model, a)
-    direct = float((np.abs(sf) ** 2 * model.weights).sum() / model.resolution)
-    lattice = norm_sq_periodization(model, a)
-    rel = abs(direct - lattice) / max(lattice, np.finfo(float).tiny)
+    c = model._coeffs(a)
+    R, n = model.resolution, c.size
+    field = float((np.abs(s_map(model, c)) ** 2 * model.weights).sum() / R)
+    lags = np.arange(1 - n, n)
+    w = np.where(model.support, model.weights, 0.0)
+    t = np.fft.ifft(w)[lags % R] * np.exp(1j * np.pi * lags / R)
+    k = np.arange(n)
+    gram = float(np.real(c.conj() @ t[k[:, None] - k + n - 1] @ c))
+    rel = abs(field - gram) / max(gram, np.finfo(float).tiny)
     if rel > ISOMETRY_TOL:
-        raise ConsistencyError(
-            f"synthesis norm routes disagree: {direct!r} vs {lattice!r}"
-        )
+        raise ConsistencyError(f"synthesis norm routes disagree: {field!r} vs {gram!r}")
     return rel
 
 
@@ -240,11 +247,8 @@ def scalar_family(resolution: int) -> np.ndarray:
 
 def frame_problem(eps: float, d: int, resolution: int):
     """Weighted space plus scalar family for the center-translate system."""
-    eps, d = _check_params(eps, d)
-    alpha = midpoint_grid(resolution)
-    w = np.asarray(hs_weight(eps, d, alpha))
-    space = WeightedSpace(int(resolution), 1, w)
-    return space, scalar_family(resolution)
+    w = np.asarray(hs_weight(eps, d, midpoint_grid(resolution)))
+    return WeightedSpace(int(resolution), 1, w), scalar_family(resolution)
 
 
 def frame_report(
@@ -267,18 +271,10 @@ def frame_report(
     spec = frame_spectrum(fam, support=supp)
     lo = float(space.weights[supp].min())
     hi = float(space.weights[supp].max())
-    residual = max(abs(float(spec[0]) - lo), abs(float(spec[-1]) - hi))
-    verdict = Verdict.FRAME if lo > tol else Verdict.NOT_FRAME
+    oracle = (float(spec[0]), float(spec[-1]))
     residuals = {
-        "spectrum_vs_weight": residual,
+        "spectrum_vs_weight": max(abs(oracle[0] - lo), abs(oracle[1] - hi)),
         "support_fraction": float(supp.mean()),
     }
-    return FrameReport(
-        verdict,
-        (lo, hi),
-        (float(spec[0]), float(spec[-1])),
-        None,
-        residuals,
-        None,
-        spec,
-    )
+    verdict = Verdict.FRAME if lo > tol else Verdict.NOT_FRAME
+    return FrameReport(verdict, (lo, hi), oracle, None, residuals, None, spec)

@@ -24,3 +24,20 @@ def analysis_matrix(fam, support=None) -> np.ndarray:
     fiber, q = _analysis_factors(fam, support)
     M, (N, S) = fiber.shape[0], q.shape
     return np.einsum("mj,ni->mnij", fiber, q).reshape(M * N, S * M)
+
+
+def s_map(model, a) -> np.ndarray:
+    """S(a) on the model grid as the dense sum over k of a_k e^(-2 pi i k alpha):
+    the (2 k_max + 1) x R reference for the FFT evaluation in ``heisenberg``."""
+    ks = np.arange(-model.k_max, model.k_max + 1)
+    p = np.asarray(a, dtype=complex) @ np.exp(-2j * np.pi * np.outer(ks, model.alpha))
+    return np.where(model.support, p, 0.0)
+
+
+def translate_gram(model) -> np.ndarray:
+    """T[k, k'] = (1/R) sum_i w_i e^(2 pi i (k - k') alpha_i) over the support,
+    formed entry by entry from the dense exponentials."""
+    ks = np.arange(-model.k_max, model.k_max + 1)
+    e = np.exp(2j * np.pi * np.outer(ks, model.alpha))
+    w = np.where(model.support, model.weights, 0.0)
+    return (e * w) @ e.conj().T / model.resolution

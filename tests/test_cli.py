@@ -205,7 +205,7 @@ def test_heisenberg_mode(tmp_path):
     assert doc["metrics"]["band_mass"] == pytest.approx(0.375, abs=1e-9)
     assert doc["metrics"]["envelope_lo"] >= 0.5 - 1e-12
     assert doc["metrics"]["envelope_hi"] <= 1.0 + 1e-12
-    assert doc["residuals"]["isometry_vs_periodization"] < 1e-8
+    assert doc["residuals"]["isometry_vs_translate_gram"] < 1e-8
     assert doc["bounds"]["oracle"][0] >= 0.5 - 1e-9
 
 
@@ -362,11 +362,12 @@ def test_tol_override_keeps_non_object_tolerances_diagnostic(tmp_path):
 
 
 def _count_calls(monkeypatch, func):
-    """Count calls to ``func`` through every framelab module binding it."""
+    """Record the positional arguments of every call to ``func`` through
+    every framelab module binding it."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return func(*args, **kwargs)
 
     for mod in (operators, analyzer, heisenberg, shiftinv, cli):
@@ -394,9 +395,14 @@ def test_heisenberg_builds_problem_and_spectrum_once(tmp_path, monkeypatch):
     }
     problem = _count_calls(monkeypatch, heisenberg.frame_problem)
     spectrum = _count_calls(monkeypatch, operators.frame_spectrum)
+    weight = _count_calls(monkeypatch, heisenberg.hs_weight)
+    profile = _count_calls(monkeypatch, heisenberg._lattice_profile)
     assert run_config(cfg, tmp_path / "run") == 0
     assert len(problem) == 1
     assert len(spectrum) == 1
+    # the 256-point scale grid is weighed once, by one lattice pass
+    assert sum(np.size(args[2]) == 256 for args in weight) == 1
+    assert sum(np.size(args[2]) == 256 for args in profile) == 1
 
 
 def test_zak_builds_gram_spectrum_once(tmp_path, monkeypatch):

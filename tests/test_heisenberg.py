@@ -6,6 +6,8 @@ import pytest
 import framelab.heisenberg as hb
 from framelab import ConsistencyError, Verdict
 
+import oracles
+
 
 def test_hs_weight_closed_form_anchors():
     assert hb.hs_weight(0.5, 1, 0.7) == pytest.approx(0.7, abs=1e-12)
@@ -109,14 +111,31 @@ def test_isometry_residual_random_sweep():
         assert hb.isometry_residual(model, a) < 1e-8
 
 
-def test_norm_periodization_route_differs_then_matches():
-    model = hb.CenterTranslateModel(0.5, 1, resolution=512, k_max=2)
-    a = np.array([1.0, 0.5j, -0.25, 0.0, 2.0], dtype=complex)
+@pytest.mark.parametrize(
+    "eps, d, resolution, k_max",
+    [(0.37, 5, 1001, 16), (0.9, 1, 257, 8), (0.5, 1, 7, 8)],  # last: 2K+1 > R
+)
+def test_fft_s_map_and_translate_gram_match_dense_routes(eps, d, resolution, k_max):
+    model = hb.CenterTranslateModel(eps, d, resolution=resolution, k_max=k_max)
+    rng = np.random.default_rng(resolution)
+    a = rng.standard_normal(2 * k_max + 1) + 1j * rng.standard_normal(2 * k_max + 1)
     sf = hb.s_map(model, a)
-    direct = float(
-        (np.abs(sf) ** 2 * model.weights).sum() / model.resolution
-    )
-    assert hb.norm_sq_periodization(model, a) == pytest.approx(direct, rel=1e-12)
+    dense = oracles.s_map(model, a)
+    assert np.max(np.abs(sf - dense)) <= 1e-13 * np.max(np.abs(dense))
+    field = float((np.abs(sf) ** 2 * model.weights).sum() / model.resolution)
+    gram = float(np.real(a.conj() @ oracles.translate_gram(model) @ a))
+    assert field == pytest.approx(gram, rel=1e-13)
+    assert hb.isometry_residual(model, a) < 1e-13
+
+
+def test_isometry_guard_is_live(monkeypatch):
+    model = hb.CenterTranslateModel(0.5, 2, resolution=512, k_max=3)
+    a = np.arange(1.0, 8.0) + 0.5j
+    assert hb.isometry_residual(model, a) < 1e-13
+    s_map = hb.s_map
+    monkeypatch.setattr(hb, "s_map", lambda m, c: s_map(m, c) * (1.0 + 1e-6))
+    with pytest.raises(ConsistencyError):
+        hb.isometry_residual(model, a)
 
 
 def test_scalar_family_orthonormal_on_midpoint_grid():
