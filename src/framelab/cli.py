@@ -37,8 +37,8 @@ from .analyzer import (
 from .errors import ConsistencyError
 from .heisenberg import (
     CenterTranslateModel,
-    frame_report,
-    hs_weight,
+    _frame_report,
+    frame_problem,
     isometry_residual,
     midpoint_grid,
     psi_norm_sq,
@@ -47,12 +47,12 @@ from .operators import OperatorFamily
 from .shiftinv import (
     GENERATOR_RADIUS,
     Generator,
-    gabor_riesz_check,
+    _gabor_riesz_check,
+    _quasiperiodicity_residual,
     gabor_window,
     make_generator,
     periodized_weight,
     translate_gram,
-    zak_quasiperiodicity_residual,
     zak_transform,
 )
 from .tensor_onb import TensorBasis, build_default
@@ -268,8 +268,8 @@ def _walk(config) -> tuple:
 
 
 def _check_samples(cfg: dict, diags: list) -> None:
-    """A custom samples CSV must parse and hold exactly the samples that
-    its sizes need.  The one rule that reads a file."""
+    """A custom samples CSV must parse and hold exactly the finite samples
+    that its sizes need.  The one rule that reads a file."""
     sec = cfg.get("window") or cfg.get("generator")
     if sec is None or sec["preset"] != "custom":
         return
@@ -280,14 +280,17 @@ def _check_samples(cfg: dict, diags: list) -> None:
         where, rule = "generator.samples_path", "2 * radius * grid_size"
         expect = 2 * sec["radius"] * sec["grid_size"]
     try:
-        got = _load_samples(sec["samples_path"]).size
+        samples = _load_samples(sec["samples_path"])
     except OSError:
         diags.append(f"{where}: must name a readable file")
     except ValueError as exc:
         diags.append(f"{where}: {exc}")
     else:
-        if got != expect:
-            diags.append(f"{where}: holds {got} samples, {rule} needs {expect}")
+        bad = np.flatnonzero(~np.isfinite(samples))
+        if bad.size:
+            diags.append(f"{where}: sample {bad[0] + 1} is not finite")
+        if samples.size != expect:
+            diags.append(f"{where}: holds {samples.size} samples, {rule} needs {expect}")
 
 
 def validate_config(config) -> list:
@@ -355,15 +358,18 @@ def _plain(x):
     return x
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
-    return str(v)
-
-
 def _table(header, *columns) -> tuple:
-    """A CSV table: its header and the rows read across equal-length columns."""
-    return header, list(zip(*(np.asarray(c).tolist() for c in columns)))
+    """A CSV table: its header and its equal-length columns, as arrays."""
+    return header, tuple(map(np.asarray, columns))
+
+
+def _csv_text(header, columns) -> str:
+    """The CSV text of a table, through one row format for the whole table:
+    ``%d`` for an integer column, ``%.17g`` (which round-trips) for a float
+    column."""
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    body = "".join(map(row.__mod__, zip(*(c.tolist() for c in columns))))
+    return ",".join(header) + "\n" + body
 
 
 def _weight_table(xs, w, xname: str = "x") -> tuple:
@@ -390,7 +396,7 @@ def _witness(space: WeightedSpace, field, ratio) -> tuple:
 #
 # A runner maps a typed config to (FrameReport, residuals, metrics, witness
 # entry, tables) and touches no file; ``tables`` maps a CSV file name to
-# its header and rows.  ``run_config`` writes everything.
+# its header and columns.  ``run_config`` writes everything.
 
 
 def _classified(cfg: dict, space: WeightedSpace, basis: TensorBasis) -> tuple:
@@ -469,15 +475,17 @@ def _run_zak(cfg: dict) -> tuple:
     else:
         phi = gabor_window(cfg["window"]["preset"], N, L)
     tol = cfg["tolerances"]["verdict"]
-    rep = gabor_riesz_check(phi, N, L, tol=tol, onb_tol=tol)
-    zsq = np.abs(zak_transform(phi, N, L).values) ** 2
+    # one transform for the check, the CSV and the residual's unshifted side
+    zak = zak_transform(phi, N, L)
+    rep = _gabor_riesz_check(zak, phi, tol, tol)
+    zsq = np.abs(zak.values) ** 2
     j, m = np.indices((N, L))
     header = ("time_index", "freq_index", "magnitude_sq")
     tables = {"zak_magnitude.csv": _table(header, j.ravel(), m.ravel(), zsq.ravel())}
     metrics = {
         "zak_min_sq": float(zsq.min()),
         "zak_max_sq": float(zsq.max()),
-        "quasiperiodicity": zak_quasiperiodicity_residual(phi, N, L),
+        "quasiperiodicity": _quasiperiodicity_residual(zak, phi),
     }
     return rep, rep.residuals, metrics, {"exists": False}, tables
 
@@ -488,14 +496,15 @@ def _run_heisenberg(cfg: dict) -> tuple:
     mass = psi_norm_sq(eps, d)
     model = CenterTranslateModel(eps, d, h["resolution"], h["k_max"])
     lo, hi = model.envelope()
-    rep = frame_report(eps, d, h["spectral_resolution"], tol=cfg["tolerances"]["verdict"])
+    space, scal = frame_problem(eps, d, h["spectral_resolution"])
+    rep = _frame_report(space, scal, cfg["tolerances"]["verdict"])
     rng = np.random.default_rng(cfg["seed"])
     k = 2 * h["k_max"] + 1
     coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     residuals = dict(rep.residuals)
     residuals["isometry_vs_translate_gram"] = isometry_residual(model, coeffs)
     alpha = midpoint_grid(h["spectral_resolution"])
-    tables = {"weight.csv": _weight_table(alpha, hs_weight(eps, d, alpha), "alpha")}
+    tables = {"weight.csv": _weight_table(alpha, space.weights, "alpha")}
     metrics = {"band_mass": mass, "envelope_lo": lo, "envelope_hi": hi}
     return rep, residuals, metrics, {"exists": False}, tables
 
@@ -538,11 +547,8 @@ def run_config(config: dict, out_dir) -> int:
     rep, residuals, metrics, witness, tables = _RUNNERS[cfg["mode"]](cfg)
     spec = rep.spectrum
     tables["spectrum.csv"] = _table(("index", "eigenvalue"), np.arange(spec.size), spec)
-    for name, (header, rows) in tables.items():
-        with open(out / name, "w", newline="") as fh:
-            wr = csv.writer(fh, lineterminator="\n")
-            wr.writerow(header)
-            wr.writerows([_fmt(v) for v in row] for row in rows)
+    for name, (header, columns) in tables.items():
+        (out / name).write_text(_csv_text(header, columns), newline="")
     bounds = {
         "weight": rep.weight_bounds,
         "oracle": rep.oracle_bounds,

@@ -262,7 +262,11 @@ def frame_report(
     analysis-operator spectrum restricted to the support is the oracle, and
     the report carries it as ``spectrum``.
     """
-    space, scal = frame_problem(eps, d, resolution)
+    return _frame_report(*frame_problem(eps, d, resolution), tol)
+
+
+def _frame_report(space: WeightedSpace, scal: np.ndarray, tol: float) -> FrameReport:
+    """``frame_report`` given the ``frame_problem`` result (space, scal)."""
     basis = TensorBasis(scal, np.eye(1, dtype=complex))
     fam = OperatorFamily(space, basis)
     supp = space.weights > SUPPORT_ETA

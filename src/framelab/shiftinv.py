@@ -168,6 +168,8 @@ def _check_window(phi, time_resolution: int, translates: int) -> np.ndarray:
         raise ValueError(
             f"window must have {time_resolution * translates} samples, got {phi.shape}"
         )
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("window must be finite")
     return phi
 
 
@@ -185,11 +187,18 @@ def zak_transform(phi, time_resolution: int, translates: int) -> ZakGrid:
 
 def zak_quasiperiodicity_residual(phi, time_resolution: int, translates: int) -> float:
     """Defect of Z(x + 1, xi) = exp(-2 pi i xi) Z(x, xi) on wrapped indices."""
-    N, L = int(time_resolution), int(translates)
-    z = zak_transform(phi, N, L).values
+    zak = zak_transform(phi, time_resolution, translates)
+    return _quasiperiodicity_residual(zak, phi)
+
+
+def _quasiperiodicity_residual(zak: ZakGrid, phi) -> float:
+    """``zak_quasiperiodicity_residual`` given ``zak``, the Zak transform of
+    ``phi``.  The shifted side is a transform of its own, of the rolled
+    window: reading it off ``zak`` by the shift theorem would check nothing."""
+    N, L = zak.time_resolution, zak.translates
     shifted = zak_transform(np.roll(np.asarray(phi, dtype=complex), -N), N, L).values
     phase = np.exp(-2j * np.pi * np.arange(L) / L)
-    return float(np.max(np.abs(shifted - phase[None, :] * z)))
+    return float(np.max(np.abs(shifted - phase[None, :] * zak.values)))
 
 
 def gabor_window(preset: str, time_resolution: int, translates: int) -> np.ndarray:
@@ -256,11 +265,15 @@ def gabor_riesz_check(
         ConsistencyError: if the Zak magnitudes and the Gram spectrum
             disagree.
     """
-    N, L = int(time_resolution), int(translates)
-    z = zak_transform(phi, N, L).values
-    zsq = np.sort(np.abs(z) ** 2, axis=None)
+    zak = zak_transform(phi, time_resolution, translates)
+    return _gabor_riesz_check(zak, phi, tol, onb_tol)
+
+
+def _gabor_riesz_check(zak: ZakGrid, phi, tol: float, onb_tol: float) -> FrameReport:
+    """``gabor_riesz_check`` given ``zak``, the Zak transform of ``phi``."""
+    zsq = np.sort(np.abs(zak.values) ** 2, axis=None)
     az, bz = float(zsq[0]), float(zsq[-1])
-    eig = gabor_gram_spectrum(phi, N, L)
+    eig = gabor_gram_spectrum(phi, zak.time_resolution, zak.translates)
     scale = max(bz, float(eig[-1]), np.finfo(float).tiny)
     res = float(np.max(np.abs(zsq - eig)) / scale)
     if res > ZAK_GRAM_TOL:

@@ -1,4 +1,8 @@
-"""Dense reference constructions that the package itself never forms."""
+"""Dense reference constructions that the package itself never forms, and
+the per-value CSV writer that the CLI's one-format-per-table writer replaced."""
+
+import csv
+import io
 
 import numpy as np
 
@@ -41,3 +45,20 @@ def translate_gram(model) -> np.ndarray:
     e = np.exp(2j * np.pi * np.outer(ks, model.alpha))
     w = np.where(model.support, model.weights, 0.0)
     return (e * w) @ e.conj().T / model.resolution
+
+
+def csv_text(header, columns) -> str:
+    """A table as ``csv.writer`` writes it row by row, each value formatted
+    on its own: floats with ``.17g``, anything else with ``str``."""
+
+    def fmt(v) -> str:
+        if isinstance(v, (float, np.floating)):
+            return f"{float(v):.17g}"
+        return str(v)
+
+    buf = io.StringIO()
+    wr = csv.writer(buf, lineterminator="\n")
+    wr.writerow(header)
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    wr.writerows([fmt(v) for v in row] for row in rows)
+    return buf.getvalue()

@@ -12,6 +12,7 @@ import pytest
 
 from framelab import analyzer, cli, heisenberg, operators, shiftinv
 from framelab.cli import normalize_config, run_config, validate_config
+from oracles import csv_text
 
 
 def _run(tmp_path, config, out="run", extra=()):
@@ -403,6 +404,8 @@ def test_heisenberg_builds_problem_and_spectrum_once(tmp_path, monkeypatch):
     # the 256-point scale grid is weighed once, by one lattice pass
     assert sum(np.size(args[2]) == 256 for args in weight) == 1
     assert sum(np.size(args[2]) == 256 for args in profile) == 1
+    # and the 64-point spectral grid once: weight.csv reuses the frame problem's
+    assert sum(np.size(args[2]) == 64 for args in weight) == 1
 
 
 def test_zak_builds_gram_spectrum_once(tmp_path, monkeypatch):
@@ -412,9 +415,17 @@ def test_zak_builds_gram_spectrum_once(tmp_path, monkeypatch):
         "time_resolution": 8,
         "translates": 6,
     }
+    phi = shiftinv.gabor_window("gaussian", 8, 6)
+    residual = shiftinv.zak_quasiperiodicity_residual(phi, 8, 6)
     spectrum = _count_calls(monkeypatch, shiftinv.gabor_gram_spectrum)
-    assert run_config(cfg, tmp_path / "run") == 0
+    zak = _count_calls(monkeypatch, shiftinv.zak_transform)
+    code = run_config(cfg, tmp_path / "run")
+    assert code == 0
     assert len(spectrum) == 1
+    # one transform shared by the check, the CSV and the residual, plus the
+    # residual's transform of the rolled window
+    assert len(zak) == 2
+    assert code.doc["metrics"]["quasiperiodicity"] == residual
     with open(tmp_path / "run" / "spectrum.csv") as fh:
         assert len(list(csv.DictReader(fh))) == 48
 
@@ -648,3 +659,71 @@ def test_csv_float_format_full_precision(tmp_path):
     with open(tmp_path / "run" / "weight.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert float(rows[0]["weight"]) == 1 / 3  # %.17g survives the round trip
+
+
+def test_csv_writer_matches_per_value_oracle():
+    ints = np.array([0, 1, -7, 2**62, 42, 3, 10**15, 9])
+    floats = np.array(
+        [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1 / 3, 1e300]
+    )
+    table = cli._table(("index", "value", "neg"), ints, floats, -floats)
+    assert cli._csv_text(*table) == csv_text(*table)
+
+
+_SMALL = {
+    "analyze": ANALYZE,
+    "witness": {"mode": "witness", "a_claimed": 0.9,
+                "space": {"grid_size": 4, "weight": {"inline": [0.5, 1.0, 1.0, 1.0]}}},
+    "shiftinv": {"mode": "shiftinv", "generator": {"preset": "gaussian", "grid_size": 16}},
+    "zak": {"mode": "zak", "window": {"preset": "gaussian"},
+            "time_resolution": 8, "translates": 6},
+    "heisenberg": _BASES["heisenberg"],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_SMALL))
+def test_every_runner_table_matches_per_value_oracle(mode):
+    cfg = normalize_config(_SMALL[mode])
+    assert cfg["mode"] == mode
+    rep, _, _, _, tables = cli._RUNNERS[mode](cfg)
+    spec = rep.spectrum
+    tables["spectrum.csv"] = cli._table(("index", "eigenvalue"), np.arange(spec.size), spec)
+    for header, columns in tables.values():
+        assert cli._csv_text(header, columns) == csv_text(header, columns)
+
+
+def _nonfinite_csv(tmp_path, count, bad):
+    path = tmp_path / "samples.csv"
+    path.write_text("re,im\n" + "1,0\n" * (count - 1) + f"{bad},0\n")
+    return str(path)
+
+
+_NONFINITE = {
+    "zak": ("window.samples_path", lambda path: {
+        "mode": "zak", "window": {"preset": "custom", "samples_path": path},
+        "time_resolution": 4, "translates": 4}),
+    "shiftinv": ("generator.samples_path", lambda path: {
+        "mode": "shiftinv", "generator": {
+            "preset": "custom", "grid_size": 8, "radius": 1, "samples_path": path}}),
+}
+
+
+@pytest.mark.parametrize("validate_only", [True, False], ids=["validate", "run"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("mode", sorted(_NONFINITE))
+def test_nonfinite_custom_samples_refused(tmp_path, mode, bad, validate_only):
+    where, make = _NONFINITE[mode]
+    cfg = make(_nonfinite_csv(tmp_path, 16, bad))
+    proc = _run(tmp_path, cfg, extra=["--validate-only"] if validate_only else [])
+    assert proc.returncode == 1
+    assert "config ok" not in proc.stdout
+    assert f"config error: {where}: sample 16 is not finite" in proc.stderr
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
+@pytest.mark.parametrize("mode", sorted(_NONFINITE))
+def test_run_config_refuses_nonfinite_custom_samples(tmp_path, mode):
+    cfg = _NONFINITE[mode][1](_nonfinite_csv(tmp_path, 16, "nan"))
+    with pytest.raises(ValueError, match="must be finite"):
+        run_config(cfg, tmp_path / "run")
+    assert not (tmp_path / "run" / "report.json").exists()

@@ -117,6 +117,15 @@ def test_zak_transform_shape_and_indicator():
         si.zak_transform(phi, 8, 7)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_window_must_be_finite(bad):
+    phi = si.gabor_window("gaussian", 4, 4)
+    phi[-1] = bad
+    for route in (si.zak_transform, si.gabor_gram_spectrum, si.gabor_riesz_check):
+        with pytest.raises(ValueError, match="window must be finite"):
+            route(phi, 4, 4)
+
+
 def test_zak_quasiperiodicity():
     rng = np.random.default_rng(23)
     for _ in range(5):
