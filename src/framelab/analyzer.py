@@ -22,8 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .operators import OperatorFamily, frame_spectrum, lambda_all
-from .tensor_onb import _field_matrix
+from .operators import OperatorFamily, _lambda_all, _quadrature, frame_spectrum
+from .tensor_onb import _field_matrix, _weighted_gram
 from .wspace import Field, WeightedSpace, norm
 
 __all__ = [
@@ -97,7 +97,7 @@ def _validate_family(fam: OperatorFamily) -> None:
         ("fiber orthonormality", b.fiber_gram_residual()),
     )
     for name, res in checks:
-        if res > HYPOTHESIS_TOL:
+        if not res <= HYPOTHESIS_TOL:  # a NaN residual fails too
             raise ValueError(f"family violates {name} (residual {res:.3e})")
 
 
@@ -122,7 +122,7 @@ def _gram_factors(fam: OperatorFamily) -> tuple:
     the two factor entries, so the Gram is their Kronecker product.
     """
     G, F = fam.basis.fiber_family, fam.basis.scalar_family
-    gs = (F * (fam.space.weights / fam.space.grid_size)) @ F.conj().T
+    gs = _weighted_gram(F, fam.space.weights / fam.space.grid_size)
     return G @ G.conj().T, gs
 
 
@@ -144,7 +144,9 @@ def gram_bounds(fam: OperatorFamily) -> tuple:
 
 def _offmax(a: np.ndarray) -> float:
     """Largest modulus off the diagonal; 0 for a 1 x 1 matrix."""
-    return float(np.max(np.abs(a - np.diag(np.diag(a)))))
+    r = np.abs(a)
+    np.fill_diagonal(r, 0.0)
+    return float(np.max(r))
 
 
 def witness_ratio(space: WeightedSpace, fam: OperatorFamily, field: Field) -> float:
@@ -152,10 +154,20 @@ def witness_ratio(space: WeightedSpace, fam: OperatorFamily, field: Field) -> fl
 
     Zero-norm fields (supported where the weight vanishes) report 0.
     """
+    return _witness_ratio(space, fam, field, None)
+
+
+def _witness_ratio(
+    space: WeightedSpace, fam: OperatorFamily, field: Field, quad: np.ndarray | None
+) -> float:
+    """``witness_ratio`` with the weighted quadrature of ``fam`` given, so
+    that several fields share one, or built here when None and needed."""
     den = norm(space, field) ** 2
     if den == 0.0:
         return 0.0
-    num = float((np.abs(lambda_all(fam, field)) ** 2).sum())
+    if quad is None:
+        quad = _quadrature(fam)
+    num = float((np.abs(_lambda_all(fam, quad, field)) ** 2).sum())
     return num / den
 
 
@@ -283,11 +295,13 @@ def _decide_onb(
             np.max(np.abs(np.outer(dgf, np.diag(gs)).real - 1.0))
         ),
     }
+    # one quadrature for the Parseval probes and the defect ratio
+    quad = _quadrature(fam)
     parseval = 0.0
     for _ in range(n_fields):
         shape = (space.grid_size, space.fiber_dim)
         f = Field(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        ratio = witness_ratio(space, fam, f)
+        ratio = _witness_ratio(space, fam, f, quad)
         parseval = max(parseval, abs(ratio - 1.0))
     residuals["onb_parseval"] = parseval
 
@@ -301,7 +315,7 @@ def _decide_onb(
         vals = np.zeros((space.grid_size, space.fiber_dim), dtype=complex)
         vals[i_star, :] = fam.basis.fiber_family[0][None, :]
         witness = Field(vals)
-        residuals["onb_defect_ratio"] = witness_ratio(space, fam, witness)
+        residuals["onb_defect_ratio"] = _witness_ratio(space, fam, witness, quad)
     return FrameReport(verdict, (lo, hi), None, gb, residuals, witness)
 
 

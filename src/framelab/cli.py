@@ -55,7 +55,7 @@ from .shiftinv import (
     translate_gram,
     zak_transform,
 )
-from .tensor_onb import TensorBasis, build_default
+from .tensor_onb import TensorBasis, _exp_family, build_default
 from .wspace import WeightedSpace, total_mass
 
 
@@ -443,7 +443,7 @@ def _run_shiftinv(cfg: dict) -> tuple:
         gen = make_generator(g["preset"], g["grid_size"], g["radius"])
     w = periodized_weight(gen)
     space = WeightedSpace(gen.grid_size, 1, w)
-    scal = np.exp(-2j * np.pi * np.outer(np.arange(gen.grid_size), space.grid))
+    scal = _exp_family(-2j * np.pi * np.outer(np.arange(gen.grid_size), space.grid))
     rep, witness, tables = _classified(
         cfg, space, TensorBasis(scal, np.eye(1, dtype=complex))
     )
@@ -498,6 +498,7 @@ def _run_heisenberg(cfg: dict) -> tuple:
     lo, hi = model.envelope()
     space, scal = frame_problem(eps, d, h["spectral_resolution"])
     rep = _frame_report(space, scal, cfg["tolerances"]["verdict"])
+    del scal  # free the R x R family before the isometry stage
     rng = np.random.default_rng(cfg["seed"])
     k = 2 * h["k_max"] + 1
     coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)

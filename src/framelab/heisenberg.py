@@ -24,7 +24,7 @@ import numpy as np
 from .analyzer import SUPPORT_ETA, FrameReport, Verdict
 from .errors import ConsistencyError
 from .operators import OperatorFamily, frame_spectrum
-from .tensor_onb import TensorBasis
+from .tensor_onb import TensorBasis, _exp_family
 from .wspace import WeightedSpace, _readonly
 
 __all__ = [
@@ -237,12 +237,13 @@ def scalar_family(resolution: int) -> np.ndarray:
     """Orthonormal exponential family e^(-2 pi i k alpha) on the midpoint grid.
 
     Rows are indexed by k = -R//2 .. R - R//2 - 1; R consecutive integer
-    frequencies are exactly orthonormal under unit-weight quadrature.
+    frequencies are exactly orthonormal under unit-weight quadrature.  The
+    array is read-only, so a ``TensorBasis`` holds it without a copy.
     """
     R = int(resolution)
     alpha = midpoint_grid(R)
     ks = np.arange(R) - R // 2
-    return np.exp(-2j * np.pi * np.outer(ks, alpha))
+    return _exp_family(-2j * np.pi * np.outer(ks, alpha))
 
 
 def frame_problem(eps: float, d: int, resolution: int):

@@ -109,14 +109,22 @@ def lambda_coeff(fam: OperatorFamily, m: int, n: int, field: Field, check: bool 
 def _quadrature(fam: OperatorFamily) -> np.ndarray:
     """Entry [n, i] = conj(f_n(x_i)) w_i / N: the weighted quadrature that
     turns fiber coefficients at the nodes into the functional for n."""
-    return fam.basis.scalar_family.conj() * (fam.space.weights / fam.space.grid_size)
+    quad = np.conj(fam.basis.scalar_family)
+    quad *= fam.space.weights / fam.space.grid_size
+    return quad
+
+
+def _lambda_all(fam: OperatorFamily, quad: np.ndarray, field: Field) -> np.ndarray:
+    """``lambda_all`` given the quadrature of ``fam``, so that several fields
+    can share one."""
+    _conform(fam.space, field)
+    V = field.values @ fam.basis.fiber_family.conj().T
+    return (quad @ V).T
 
 
 def lambda_all(fam: OperatorFamily, field: Field) -> np.ndarray:
     """All coefficients at once as an (M, N) array; single-route, vectorized."""
-    _conform(fam.space, field)
-    V = field.values @ fam.basis.fiber_family.conj().T
-    return (_quadrature(fam) @ V).T
+    return _lambda_all(fam, _quadrature(fam), field)
 
 
 def _support_mask(fam: OperatorFamily, support) -> np.ndarray:
@@ -144,13 +152,17 @@ def _analysis_factors(fam: OperatorFamily, support=None) -> tuple:
     Returns the fiber factor conj(G) (M x M, entry [m, j] = conj(g_m[j]))
     and the scalar factor q (N x |S|, entry [n, i] = quad[n, i] *
     sqrt(N / w_i) over the support S), with ``quad`` the weighted
-    quadrature ``lambda_all`` uses.  The analysis matrix is their Kronecker
-    product up to a permutation of its columns.
+    quadrature ``lambda_all`` uses, formed on the support columns only.
+    The analysis matrix is their Kronecker product up to a permutation of
+    its columns.
     """
     mask = _support_mask(fam, support)
     idx = np.flatnonzero(mask)
-    q = _quadrature(fam)[:, idx]
-    q *= np.sqrt(fam.space.grid_size / fam.space.weights[idx])
+    N, w = fam.space.grid_size, fam.space.weights[idx]
+    q = fam.basis.scalar_family[:, idx]
+    np.conjugate(q, out=q)
+    q *= w / N
+    q *= np.sqrt(N / w)
     return fam.basis.fiber_family.conj(), q
 
 

@@ -72,7 +72,7 @@ class Generator:
             raise ValueError(f"fhat must have shape ({expect},), got {f.shape}")
         if not np.all(np.isfinite(f)):
             raise ValueError("fhat must be finite")
-        if self.decay_tail < 0:
+        if not self.decay_tail >= 0:  # NaN too
             raise ValueError("decay_tail must be nonnegative")
         object.__setattr__(self, "fhat", _readonly(f))
 

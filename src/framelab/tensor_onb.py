@@ -57,15 +57,17 @@ class TensorBasis:
 
     def unimodularity_residual(self) -> float:
         """max_i,n abs(|f_n(x_i)| - 1)."""
-        return float(np.max(np.abs(np.abs(self.scalar_family) - 1.0)))
+        r = np.abs(self.scalar_family)
+        r -= 1.0
+        return float(np.max(np.abs(r, out=r)))
 
     def scalar_gram_residual(self) -> float:
         """Deviation of the scalar Gram from the identity under the
         unweighted quadrature (1/N) sum_i f_n conj(f_n')."""
-        F = self.scalar_family
         N = self.grid_size
-        gram = (F / N) @ F.conj().T
-        return float(np.max(np.abs(gram - np.eye(N))))
+        gram = _weighted_gram(self.scalar_family, 1.0 / N)
+        gram[np.diag_indices(N)] -= 1.0
+        return float(np.max(np.abs(gram)))
 
     def fiber_gram_residual(self) -> float:
         G = self.fiber_family
@@ -73,15 +75,34 @@ class TensorBasis:
         return float(np.max(np.abs(gram - np.eye(self.fiber_dim))))
 
 
+def _weighted_gram(F: np.ndarray, s) -> np.ndarray:
+    """(F s) @ F^H for a scalar or per-column weight s, formed as
+    conj((conj(F) s) @ F^T): the same bits, without a conjugated copy of F."""
+    a = np.conj(F)
+    a *= s
+    g = a @ F.T
+    return np.conjugate(g, out=g)
+
+
+def _exp_family(phase: np.ndarray) -> np.ndarray:
+    """exp(phase) in the buffer of ``phase``, returned read-only so that a
+    ``TensorBasis`` adopts it instead of copying it."""
+    np.exp(phase, out=phase)
+    phase.setflags(write=False)
+    return phase
+
+
 def build_default(grid_size: int, fiber_dim: int) -> TensorBasis:
     """Discrete Fourier scalar family with the standard fiber basis.
 
     f_n(x_i) = exp(2 pi i n i / N) is unimodular and orthonormal under the
-    unweighted quadrature; g_m is the standard basis of C^M.
+    unweighted quadrature; g_m is the standard basis of C^M.  The scalar
+    family is built in one buffer and held without a copy.
     """
     n = np.arange(grid_size)
-    scalar = np.exp(2j * np.pi * np.outer(n, n) / grid_size)
-    return TensorBasis(scalar, np.eye(fiber_dim, dtype=complex))
+    phase = 2j * np.pi * np.outer(n, n)
+    phase /= grid_size
+    return TensorBasis(_exp_family(phase), np.eye(fiber_dim, dtype=complex))
 
 
 def tensor_field(basis: TensorBasis, m: int, n: int) -> Field:

@@ -24,6 +24,15 @@ __all__ = [
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """Read-only array holding the values of ``a``.
+
+    A plain ndarray that is already read-only and owns its data is adopted
+    as it is: its maker has handed it over (the family builders return their
+    arrays this way), so the N x N families are not copied.  Anything else
+    is copied, so later writes through the caller's array cannot reach it.
+    """
+    if type(a) is np.ndarray and a.flags.owndata and not a.flags.writeable:
+        return a
     out = np.array(a)
     out.setflags(write=False)
     return out

@@ -1,12 +1,14 @@
-"""Dense reference constructions that the package itself never forms, and
-the per-value CSV writer that the CLI's one-format-per-table writer replaced."""
+"""Dense reference constructions that the package itself never forms, the
+per-value CSV writer that the CLI's one-format-per-table writer replaced, and
+the one-expression forms of the family arrays that the package now builds in
+place, without extra N x N copies."""
 
 import csv
 import io
 
 import numpy as np
 
-from framelab.operators import _analysis_factors
+from framelab.operators import _analysis_factors, _support_mask
 
 
 def analysis_matrix(fam, support=None) -> np.ndarray:
@@ -62,3 +64,46 @@ def csv_text(header, columns) -> str:
     rows = zip(*(np.asarray(c).tolist() for c in columns))
     wr.writerows([fmt(v) for v in row] for row in rows)
     return buf.getvalue()
+
+
+def dft_family(n: int) -> np.ndarray:
+    """The discrete Fourier scalar family of ``build_default`` in one expression."""
+    k = np.arange(n)
+    return np.exp(2j * np.pi * np.outer(k, k) / n)
+
+
+def midpoint_family(resolution: int) -> np.ndarray:
+    """``heisenberg.scalar_family`` in one expression."""
+    alpha = (np.arange(resolution) + 0.5) / resolution
+    ks = np.arange(resolution) - resolution // 2
+    return np.exp(-2j * np.pi * np.outer(ks, alpha))
+
+
+def scalar_gram_defect(F: np.ndarray) -> np.ndarray:
+    """(F/N) F^H - I, the unweighted scalar Gram's deviation from the identity."""
+    N = F.shape[0]
+    return (F / N) @ F.conj().T - np.eye(N)
+
+
+def weighted_scalar_gram(F: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(F w/N) F^H, the weighted scalar Gram factor of the synthesis Gram."""
+    return (F * (w / F.shape[0])) @ F.conj().T
+
+
+def quadrature(fam) -> np.ndarray:
+    """The weighted quadrature conj(F) w/N in one expression."""
+    return fam.basis.scalar_family.conj() * (fam.space.weights / fam.space.grid_size)
+
+
+def analysis_factor(fam, support=None) -> np.ndarray:
+    """The scalar analysis factor q: the full N x N weighted quadrature,
+    then its support columns, each scaled by sqrt(N / w_i)."""
+    idx = np.flatnonzero(_support_mask(fam, support))
+    q = quadrature(fam)[:, idx]
+    q *= np.sqrt(fam.space.grid_size / fam.space.weights[idx])
+    return q
+
+
+def off_diagonal(a: np.ndarray) -> np.ndarray:
+    """``a`` with its diagonal set to zero."""
+    return a - np.diag(np.diag(a))

@@ -1,5 +1,7 @@
 """Verdict logic, witnesses, and the Gram route."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,33 @@ def test_decide_frame_rejects_invalid_family():
     fam = OperatorFamily(sp, TensorBasis(scalar, np.eye(1)))
     with pytest.raises(ValueError, match="unimodularity"):
         decide_frame(sp, fam)
+
+
+def test_nan_family_refused_by_both_deciders():
+    n = 8
+    sp = WeightedSpace(n, 1, np.linspace(0.5, 2.0, n))
+    scalar = build_default(n, 1).scalar_family.copy()
+    scalar[3, 5] = np.nan
+    fam = OperatorFamily(sp, TensorBasis(scalar, np.eye(1)))
+    for decide in (decide_frame, classify):
+        with pytest.raises(ValueError, match=r"unimodularity \(residual nan\)"):
+            decide(sp, fam)
+
+
+def test_classify_working_set_at_grid_cap():
+    # Each N x N complex array takes 16 N^2 bytes.  The run holds one
+    # family, and classify adds its analysis factor, then the weighted scalar
+    # Gram with one quadrature shared by the Parseval and defect ratios.
+    n, m = 512, 2
+    tracemalloc.start()
+    try:
+        sp, fam = _family(np.linspace(0.5, 2.0, n), m=m)
+        rep = classify(sp, fam, rng=np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict is Verdict.RIESZ_BASIS
+    assert peak <= 3.5 * 16 * n * n
 
 
 def test_witness_ratio_two_sum_formula():

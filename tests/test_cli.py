@@ -383,9 +383,13 @@ def test_analyze_builds_each_spectrum_once(tmp_path, monkeypatch):
     assert not hasattr(operators, "analysis_matrix")  # a test oracle only
     gram = _count_calls(monkeypatch, analyzer.synthesis_gram)
     spectrum = _count_calls(monkeypatch, operators.frame_spectrum)
+    # the analysis factor reads the family's support columns directly, and
+    # the Parseval probes and the defect ratio share one quadrature
+    quad = _count_calls(monkeypatch, operators._quadrature)
     assert run_config(ANALYZE, tmp_path / "run") == 0
     assert len(gram) == 0
     assert len(spectrum) == 1
+    assert len(quad) == 1
 
 
 def test_heisenberg_builds_problem_and_spectrum_once(tmp_path, monkeypatch):

@@ -1,11 +1,14 @@
 """Kronecker-factored frame and Gram spectra against the dense NM x NM
-references, plus scale and permutation properties of the factored route."""
+references, the in-place family and factor builders against their
+one-expression forms bit for bit, plus scale and permutation properties of
+the factored route."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framelab import (
+    Field,
     OperatorFamily,
     TensorBasis,
     Verdict,
@@ -17,7 +20,10 @@ from framelab import (
     gram_bounds,
     synthesis_gram,
 )
-from framelab.analyzer import _gram_factors, _gram_spectrum
+import oracles
+from framelab import heisenberg, witness_ratio
+from framelab.analyzer import _gram_factors, _gram_spectrum, _offmax
+from framelab.operators import _analysis_factors, _quadrature
 from oracles import analysis_matrix
 
 
@@ -71,6 +77,67 @@ def test_factored_gram_route_matches_dense_gram():
             assert abs(cross - dense_cross) <= 1e-12 * scale
             assert abs(unit - dense_norm) <= 1e-12 * scale
         assert rep.gram_bounds == (float(spec[0]), float(spec[-1]))
+
+
+BIT_SIZES = (1, 3, 7, 100, 257, 512)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(float), b.view(float))
+
+
+def test_family_builders_match_one_expression_bit_for_bit():
+    for n in BIT_SIZES:
+        assert _same_bits(build_default(n, 1).scalar_family, oracles.dft_family(n))
+        if n >= 2:  # the midpoint grid needs two points
+            assert _same_bits(heisenberg.scalar_family(n), oracles.midpoint_family(n))
+
+
+def test_working_set_routes_match_dense_forms_bit_for_bit():
+    rng = np.random.default_rng(71)
+    for n in BIT_SIZES:
+        w = rng.uniform(0.1, 3.0, n)
+        dead = w.copy()
+        dead[1::3] = 0.0
+        families = [build_default(n, 1).scalar_family]
+        if n >= 2:
+            families.append(heisenberg.scalar_family(n))
+        for F in families:
+            basis = TensorBasis(F, np.eye(1))
+            assert basis.unimodularity_residual() == float(
+                np.max(np.abs(np.abs(F) - 1.0))
+            )
+            assert basis.scalar_gram_residual() == float(
+                np.max(np.abs(oracles.scalar_gram_defect(F)))
+            )
+            for weights, supp in ((w, None), (dead, dead > 0)):
+                sp = WeightedSpace(n, 1, weights)
+                fam = OperatorFamily(sp, basis)
+                assert _same_bits(_quadrature(fam), oracles.quadrature(fam))
+                q = _analysis_factors(fam, supp)[1]
+                assert _same_bits(q, oracles.analysis_factor(fam, supp))
+                gs = _gram_factors(fam)[1]
+                assert _same_bits(gs, oracles.weighted_scalar_gram(F, weights))
+                assert _offmax(gs) == float(np.max(np.abs(oracles.off_diagonal(gs))))
+
+
+def test_shared_quadrature_ratios_match_witness_ratio():
+    # decide_onb shares one quadrature between its Parseval probes and the
+    # defect ratio; each must equal witness_ratio of the same field exactly.
+    for n, m in [(1, 1), (7, 1), (100, 1), (100, 2), (64, 3)]:
+        w = np.linspace(0.4, 2.5, n) if n > 1 else np.array([0.7])
+        sp, fam = _fam(n, m, w)
+        rep = decide_onb(sp, fam, rng=np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        parseval = 0.0
+        for _ in range(8):
+            shape = (n, m)
+            f = Field(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            parseval = max(parseval, abs(witness_ratio(sp, fam, f) - 1.0))
+        assert rep.residuals["onb_parseval"] == parseval
+        defect = witness_ratio(sp, fam, rep.witness)
+        assert rep.residuals["onb_defect_ratio"] == defect
 
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -33,6 +33,12 @@ def test_generator_validation():
         si.make_generator("no-such", 8)
 
 
+def test_generator_refuses_nan_decay_tail():
+    # a NaN tail would slip past the truncation refusal in periodized_weight
+    with pytest.raises(ValueError, match="decay_tail"):
+        si.Generator(np.ones(8), 1, 4, decay_tail=float("nan"))
+
+
 def test_indicator_weight_is_one_everywhere():
     for n in (2, 8, 32, 64):
         gen = si.make_generator("indicator", n)

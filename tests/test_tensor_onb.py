@@ -12,6 +12,7 @@ from framelab import (
     tensor_field,
     verify_tensor_onb,
 )
+from framelab.heisenberg import scalar_family
 from framelab.tensor_onb import TensorBasis, _field_matrix
 
 
@@ -22,6 +23,18 @@ def test_basis_validation():
         TensorBasis(np.ones((3, 3)), np.ones((2, 3)))
     with pytest.raises(ValueError):
         TensorBasis(np.ones(3), np.eye(2))
+
+
+def test_basis_adopts_readonly_family_and_copies_writable_one():
+    fam = scalar_family(16)
+    assert not fam.flags.writeable
+    assert np.shares_memory(TensorBasis(fam, np.eye(1)).scalar_family, fam)
+    assert not build_default(8, 1).scalar_family.flags.writeable
+    mine = np.array(fam)
+    basis = TensorBasis(mine, np.eye(1))
+    assert not np.shares_memory(basis.scalar_family, mine)
+    mine[0, 0] = 0.0
+    assert basis.scalar_family[0, 0] == fam[0, 0]
 
 
 def test_default_family_is_unimodular_orthonormal():
