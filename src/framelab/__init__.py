@@ -33,13 +33,7 @@ from .operators import (
     lambda_tilde,
     parseval_residual,
 )
-from .tensor_onb import (
-    TensorBasis,
-    build_default,
-    coefficients,
-    tensor_field,
-    verify_tensor_onb,
-)
+from .tensor_onb import TensorBasis, build_default, tensor_field
 from .wspace import Field, WeightedSpace, inner, norm, random_field, total_mass
 
 __version__ = "0.1.0"
@@ -56,8 +50,6 @@ __all__ = [
     "TensorBasis",
     "build_default",
     "tensor_field",
-    "coefficients",
-    "verify_tensor_onb",
     "OperatorFamily",
     "lambda_tilde",
     "lambda_coeff",

@@ -84,10 +84,6 @@ def weight_bounds(space: WeightedSpace) -> tuple:
     return (float(w.min()), float(w.max()))
 
 
-def _support(space: WeightedSpace) -> np.ndarray:
-    return space.weights > SUPPORT_ETA
-
-
 def _validate_family(fam: OperatorFamily) -> None:
     """The deciders assume a unimodular orthonormal tensor family."""
     b = fam.basis
@@ -195,6 +191,89 @@ def witness_lower_failure(space: WeightedSpace, fam: OperatorFamily, a_claimed: 
     return Field(vals)
 
 
+def _frame_route(space: WeightedSpace, fam: OperatorFamily) -> tuple:
+    """Ascending frame-operator spectrum on the support (nodes with positive
+    weight) and its gap to the extremes of the support weights."""
+    supp = space.weights > SUPPORT_ETA
+    spec = frame_spectrum(fam, support=supp)
+    sw = space.weights[supp]
+    return spec, max(abs(float(spec[0]) - sw.min()), abs(float(spec[-1]) - sw.max()))
+
+
+def _verdict(values: np.ndarray, tol: float) -> Verdict:
+    """The verdict rule for weights, or squared Zak magnitudes: not_frame
+    unless every value exceeds ``tol``, else onb when every value is within
+    ``tol`` of 1, else riesz_basis."""
+    if not values.min() > tol:
+        return Verdict.NOT_FRAME
+    if np.max(np.abs(values - 1.0)) <= tol:
+        return Verdict.ONB
+    return Verdict.RIESZ_BASIS
+
+
+def _lower_witness(
+    space: WeightedSpace, fam: OperatorFamily, tol: float, quad: np.ndarray | None
+) -> tuple:
+    """(field, {"witness_ratio": its energy ratio}) when the weight minimum
+    does not exceed ``tol``, the family being no frame then; (None, {})
+    otherwise.  The field undercuts the smallest claim above both."""
+    lo = float(space.weights.min())
+    if lo > tol:
+        return None, {}
+    claim = float(np.nextafter(max(lo, tol), np.inf))
+    field = witness_lower_failure(space, fam, claim)
+    return field, {"witness_ratio": _witness_ratio(space, fam, field, quad)}
+
+
+def _factor_residuals(factors: tuple) -> dict:
+    """ONB defects of the synthesis Gram kron(gf, gs) from its factors: the
+    largest off-diagonal modulus (onb_cross) and the largest deviation of a
+    diagonal entry from 1 (onb_norm)."""
+    # Off the diagonal of kron(gf, gs) either m != m' (any n, n') or
+    # m = m' and n != n'; the diagonal is diag(gf) (x) diag(gs).
+    gf, gs = factors
+    dgf = np.diag(gf)
+    return {
+        "onb_cross": max(
+            _offmax(gf) * float(np.max(np.abs(gs))),
+            float(np.max(np.abs(dgf))) * _offmax(gs),
+        ),
+        "onb_norm": float(np.max(np.abs(np.outer(dgf, np.diag(gs)).real - 1.0))),
+    }
+
+
+def _parseval_checks(
+    space: WeightedSpace,
+    fam: OperatorFamily,
+    verdict: Verdict,
+    rng: np.random.Generator | None,
+    quad: np.ndarray,
+) -> tuple:
+    """Energy preservation on ``PARSEVAL_FIELDS`` random fields
+    (onb_parseval) and, unless the verdict is onb, the defect field at the
+    node whose weight is farthest from 1 with its energy ratio
+    (onb_defect_ratio), all through the one quadrature ``quad``.
+
+    Returns:
+        (defect field or None, residuals).
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    shape = (space.grid_size, space.fiber_dim)
+    parseval = 0.0
+    for _ in range(PARSEVAL_FIELDS):
+        f = Field(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        parseval = max(parseval, abs(_witness_ratio(space, fam, f, quad) - 1.0))
+    residuals = {"onb_parseval": parseval}
+    if verdict is Verdict.ONB:
+        return None, residuals
+    vals = np.zeros(shape, dtype=complex)
+    vals[int(np.argmax(np.abs(space.weights - 1.0))), :] = fam.basis.fiber_family[0]
+    defect = Field(vals)
+    residuals["onb_defect_ratio"] = _witness_ratio(space, fam, defect, quad)
+    return defect, residuals
+
+
 def decide_frame(space: WeightedSpace, fam: OperatorFamily, tol: float = 1e-9) -> FrameReport:
     """Frame verdict from the weight minimum, cross-checked spectrally.
 
@@ -203,49 +282,24 @@ def decide_frame(space: WeightedSpace, fam: OperatorFamily, tol: float = 1e-9) -
     weight) and must reproduce the support weight range.
     """
     _validate_family(fam)
-    return _decide_frame(space, fam, tol)
-
-
-def _decide_frame(space: WeightedSpace, fam: OperatorFamily, tol: float) -> FrameReport:
-    lo, hi = weight_bounds(space)
-    supp = _support(space)
-    sw = space.weights[supp]
-    spec = frame_spectrum(fam, support=supp)
-    oracle = (float(spec[0]), float(spec[-1]))
-    residuals = {
-        "spectrum_vs_weight": max(
-            abs(oracle[0] - sw.min()), abs(oracle[1] - sw.max())
-        )
-    }
-    witness = None
-    if lo > tol:
-        verdict = Verdict.FRAME
-    else:
-        verdict = Verdict.NOT_FRAME
-        claim = float(np.nextafter(max(lo, tol), np.inf))
-        witness = witness_lower_failure(space, fam, claim)
-        residuals["witness_ratio"] = witness_ratio(space, fam, witness)
-    return FrameReport(verdict, (lo, hi), oracle, None, residuals, witness, spec)
+    spec, gap = _frame_route(space, fam)
+    witness, ratio = _lower_witness(space, fam, tol, None)
+    verdict = Verdict.FRAME if witness is None else Verdict.NOT_FRAME
+    residuals = {"spectrum_vs_weight": gap, **ratio}
+    return FrameReport(
+        verdict, weight_bounds(space), _extremes(spec), None, residuals, witness, spec
+    )
 
 
 def decide_riesz(space: WeightedSpace, fam: OperatorFamily, tol: float = 1e-9) -> FrameReport:
     """Riesz-basis verdict; for this square family it coincides with the
     frame condition, verified through the synthesis Gram spectrum."""
     _validate_family(fam)
-    return _decide_riesz(space, fam, tol, gram_bounds(fam))
-
-
-def _decide_riesz(
-    space: WeightedSpace, fam: OperatorFamily, tol: float, gb: tuple
-) -> FrameReport:
     lo, hi = weight_bounds(space)
-    residuals = {"gram_vs_weight": max(abs(gb[0] - lo), abs(gb[1] - hi))}
-    verdict = Verdict.RIESZ_BASIS if lo > tol else Verdict.NOT_FRAME
-    witness = None
-    if verdict is Verdict.NOT_FRAME:
-        claim = float(np.nextafter(max(lo, tol), np.inf))
-        witness = witness_lower_failure(space, fam, claim)
-        residuals["witness_ratio"] = witness_ratio(space, fam, witness)
+    gb = gram_bounds(fam)
+    witness, ratio = _lower_witness(space, fam, tol, None)
+    verdict = Verdict.RIESZ_BASIS if witness is None else Verdict.NOT_FRAME
+    residuals = {"gram_vs_weight": max(abs(gb[0] - lo), abs(gb[1] - hi)), **ratio}
     return FrameReport(verdict, (lo, hi), None, gb, residuals, witness)
 
 
@@ -254,69 +308,27 @@ def decide_onb(
     fam: OperatorFamily,
     tol: float = 1e-9,
     rng: np.random.Generator | None = None,
-    n_fields: int = PARSEVAL_FIELDS,
 ) -> FrameReport:
-    """Orthonormal-basis verdict: holds exactly when the weight is 1.
+    """Orthonormal-basis verdict: holds exactly when the weight is 1 to
+    within ``tol`` and, as for every ONB, the family is a frame, i.e. the
+    weight exceeds ``tol``.
 
     Three independent conditions are verified and reported: cross
     orthogonality of the synthesis images (onb_cross), unit norm of the
     synthesis images (onb_norm), and energy preservation on random fields
-    (onb_parseval).  When the weight deviates, the worst node yields an
-    explicit defect field whose energy ratio equals its weight.
+    (onb_parseval).  Unless the verdict is onb, the node whose weight is
+    farthest from 1 yields an explicit defect field whose energy ratio
+    equals its weight.
     """
     _validate_family(fam)
     factors = _gram_factors(fam)
     gb = _extremes(_gram_spectrum(factors))
-    return _decide_onb(space, fam, tol, rng, n_fields, factors, gb)
-
-
-def _decide_onb(
-    space: WeightedSpace,
-    fam: OperatorFamily,
-    tol: float,
-    rng: np.random.Generator | None,
-    n_fields: int,
-    factors: tuple,
-    gb: tuple,
-) -> FrameReport:
-    if rng is None:
-        rng = np.random.default_rng(0)
-    lo, hi = weight_bounds(space)
-    # Off the diagonal of kron(gf, gs) either m != m' (any n, n') or
-    # m = m' and n != n'; the diagonal is diag(gf) (x) diag(gs).
-    gf, gs = factors
-    dgf = np.diag(gf)
-    residuals = {
-        "onb_cross": max(
-            _offmax(gf) * float(np.max(np.abs(gs))),
-            float(np.max(np.abs(dgf))) * _offmax(gs),
-        ),
-        "onb_norm": float(
-            np.max(np.abs(np.outer(dgf, np.diag(gs)).real - 1.0))
-        ),
-    }
-    # one quadrature for the Parseval probes and the defect ratio
-    quad = _quadrature(fam)
-    parseval = 0.0
-    for _ in range(n_fields):
-        shape = (space.grid_size, space.fiber_dim)
-        f = Field(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        ratio = _witness_ratio(space, fam, f, quad)
-        parseval = max(parseval, abs(ratio - 1.0))
-    residuals["onb_parseval"] = parseval
-
-    deviation = float(np.max(np.abs(space.weights - 1.0)))
-    witness = None
-    if deviation <= tol:
-        verdict = Verdict.ONB
-    else:
-        verdict = Verdict.RIESZ_BASIS if lo > tol else Verdict.NOT_FRAME
-        i_star = int(np.argmax(np.abs(space.weights - 1.0)))
-        vals = np.zeros((space.grid_size, space.fiber_dim), dtype=complex)
-        vals[i_star, :] = fam.basis.fiber_family[0][None, :]
-        witness = Field(vals)
-        residuals["onb_defect_ratio"] = _witness_ratio(space, fam, witness, quad)
-    return FrameReport(verdict, (lo, hi), None, gb, residuals, witness)
+    residuals = _factor_residuals(factors)
+    verdict = _verdict(space.weights, tol)
+    witness, probes = _parseval_checks(space, fam, verdict, rng, _quadrature(fam))
+    return FrameReport(
+        verdict, weight_bounds(space), None, gb, {**residuals, **probes}, witness
+    )
 
 
 def classify(
@@ -330,24 +342,31 @@ def classify(
     Note the family is square, so the two-sided bound and the basis
     property coincide; the merged verdict is onb, riesz_basis or not_frame.
     The same checks as ``decide_frame``, ``decide_riesz`` and ``decide_onb``,
-    with the family hypotheses verified and the synthesis-Gram factors and
-    their spectrum computed once for all three.
+    with the family hypotheses verified, the synthesis-Gram factors and
+    their spectrum computed once, and one weighted quadrature shared by the
+    lower-bound witness, the Parseval probes and the defect field.  The
+    witness is the lower-bound one, else the defect field.
     """
     _validate_family(fam)
-    fr = _decide_frame(space, fam, tol)
+    lo, hi = weight_bounds(space)
+    spec, gap = _frame_route(space, fam)
     factors = _gram_factors(fam)
     gb = _extremes(_gram_spectrum(factors))
-    rz = _decide_riesz(space, fam, tol, gb)
-    ob = _decide_onb(space, fam, tol, rng, PARSEVAL_FIELDS, factors, gb)
-    residuals = {**fr.residuals, **rz.residuals, **ob.residuals}
-    verdict = ob.verdict if ob.verdict is Verdict.ONB else rz.verdict
-    witness = fr.witness if fr.witness is not None else ob.witness
+    residuals = {
+        "spectrum_vs_weight": gap,
+        "gram_vs_weight": max(abs(gb[0] - lo), abs(gb[1] - hi)),
+        **_factor_residuals(factors),
+    }
+    quad = _quadrature(fam)
+    witness, ratio = _lower_witness(space, fam, tol, quad)
+    verdict = _verdict(space.weights, tol)
+    defect, probes = _parseval_checks(space, fam, verdict, rng, quad)
     return FrameReport(
         verdict,
-        fr.weight_bounds,
-        fr.oracle_bounds,
+        (lo, hi),
+        _extremes(spec),
         gb,
-        residuals,
-        witness,
-        fr.spectrum,
+        {**residuals, **ratio, **probes},
+        defect if witness is None else witness,
+        spec,
     )

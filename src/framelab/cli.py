@@ -477,7 +477,7 @@ def _run_zak(cfg: dict) -> tuple:
     tol = cfg["tolerances"]["verdict"]
     # one transform for the check, the CSV and the residual's unshifted side
     zak = zak_transform(phi, N, L)
-    rep = _gabor_riesz_check(zak, phi, tol, tol)
+    rep = _gabor_riesz_check(zak, phi, tol)
     zsq = np.abs(zak.values) ** 2
     j, m = np.indices((N, L))
     header = ("time_index", "freq_index", "magnitude_sq")

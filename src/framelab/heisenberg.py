@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analyzer import SUPPORT_ETA, FrameReport, Verdict
+from .analyzer import SUPPORT_ETA, FrameReport, Verdict, _extremes, _frame_route
 from .errors import ConsistencyError
-from .operators import OperatorFamily, frame_spectrum
+from .operators import OperatorFamily
 from .tensor_onb import TensorBasis, _exp_family
 from .wspace import WeightedSpace, _readonly
 
@@ -268,18 +268,10 @@ def frame_report(
 
 def _frame_report(space: WeightedSpace, scal: np.ndarray, tol: float) -> FrameReport:
     """``frame_report`` given the ``frame_problem`` result (space, scal)."""
-    basis = TensorBasis(scal, np.eye(1, dtype=complex))
-    fam = OperatorFamily(space, basis)
+    fam = OperatorFamily(space, TensorBasis(scal, np.eye(1, dtype=complex)))
+    spec, gap = _frame_route(space, fam)
     supp = space.weights > SUPPORT_ETA
-    if not supp.any():
-        raise ValueError("weight vanishes on the whole grid")
-    spec = frame_spectrum(fam, support=supp)
-    lo = float(space.weights[supp].min())
-    hi = float(space.weights[supp].max())
-    oracle = (float(spec[0]), float(spec[-1]))
-    residuals = {
-        "spectrum_vs_weight": max(abs(oracle[0] - lo), abs(oracle[1] - hi)),
-        "support_fraction": float(supp.mean()),
-    }
+    lo, hi = float(space.weights[supp].min()), float(space.weights[supp].max())
+    residuals = {"spectrum_vs_weight": gap, "support_fraction": float(supp.mean())}
     verdict = Verdict.FRAME if lo > tol else Verdict.NOT_FRAME
-    return FrameReport(verdict, (lo, hi), oracle, None, residuals, None, spec)
+    return FrameReport(verdict, (lo, hi), _extremes(spec), None, residuals, None, spec)

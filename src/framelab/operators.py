@@ -75,7 +75,7 @@ def lambda_tilde(fam: OperatorFamily, m: int, n: int, field: Field) -> np.ndarra
     return fam.basis.scalar_family[n].conj() * fiber_part
 
 
-def lambda_coeff(fam: OperatorFamily, m: int, n: int, field: Field, check: bool = True) -> complex:
+def lambda_coeff(fam: OperatorFamily, m: int, n: int, field: Field) -> complex:
     """Coefficient functional: quadrature of lambda_tilde against the weight.
 
     Computes the value two ways, as the weighted integral of the pointwise
@@ -89,20 +89,18 @@ def lambda_coeff(fam: OperatorFamily, m: int, n: int, field: Field, check: bool 
     v_int = complex(
         (lambda_tilde(fam, m, n, field) * space.weights).sum() / space.grid_size
     )
-    if check:
-        v_ip = inner(space, field, tensor_field(fam.basis, m, n))
-        scale = max(
-            1.0,
-            float(
-                (np.linalg.norm(field.values, axis=1) * space.weights).sum()
-                / space.grid_size
-            ),
+    v_ip = inner(space, field, tensor_field(fam.basis, m, n))
+    scale = max(
+        1.0,
+        float(
+            (np.linalg.norm(field.values, axis=1) * space.weights).sum()
+            / space.grid_size
+        ),
+    )
+    if abs(v_int - v_ip) > DUAL_FORMULA_TOL * scale:
+        raise ConsistencyError(
+            f"coefficient routes disagree at (m, n) = ({m}, {n}): {v_int} vs {v_ip}"
         )
-        if abs(v_int - v_ip) > DUAL_FORMULA_TOL * scale:
-            raise ConsistencyError(
-                f"coefficient routes disagree at (m, n) = ({m}, {n}): "
-                f"{v_int} vs {v_ip}"
-            )
     return v_int
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analyzer import FrameReport, Verdict
+from .analyzer import FrameReport, _extremes, _verdict
 from .errors import ConsistencyError, TruncationError
 from .wspace import _readonly
 
@@ -129,19 +129,12 @@ def time_samples(gen: Generator) -> np.ndarray:
     return 2 * gen.radius * signs * np.fft.ifft(gen.fhat)
 
 
-def translate_gram(gen: Generator, count: int | None = None) -> np.ndarray:
-    """Gram matrix of the first ``count`` translates, by time-side quadrature.
-
-    With count equal to the grid size the spectrum reproduces the
-    periodized weight exactly.
-    """
-    N = gen.grid_size
-    count = N if count is None else int(count)
-    if not 1 <= count <= N:
-        raise ValueError(f"count must lie in [1, {N}]")
+def translate_gram(gen: Generator) -> np.ndarray:
+    """Gram matrix of the N translates, by time-side quadrature; its
+    spectrum reproduces the periodized weight exactly."""
     step = 2 * gen.radius
     phi_t = time_samples(gen)
-    V = np.stack([np.roll(phi_t, step * k) for k in range(count)])
+    V = np.stack([np.roll(phi_t, step * k) for k in range(gen.grid_size)])
     return (V.conj() @ V.T) / step
 
 
@@ -252,24 +245,24 @@ def gabor_riesz_check(
     time_resolution: int,
     translates: int,
     tol: float = 1e-9,
-    onb_tol: float = 1e-9,
 ) -> FrameReport:
     """Classify the critical-density Gabor system through its Zak range.
 
     The squared Zak magnitudes play the role the node weights play on the
-    unit grid: their extremes are the candidate frame bounds, and the Gram
-    spectrum of the full time-frequency system must reproduce their whole
-    sorted multiset to 1e-6 relative.  The spectrum is kept on the report.
+    unit grid: they give the verdict by the analyzer's rule, their extremes
+    are the candidate frame bounds, and the Gram spectrum of the full
+    time-frequency system must reproduce their whole sorted multiset to
+    1e-6 relative.  The spectrum is kept on the report.
 
     Raises:
         ConsistencyError: if the Zak magnitudes and the Gram spectrum
             disagree.
     """
     zak = zak_transform(phi, time_resolution, translates)
-    return _gabor_riesz_check(zak, phi, tol, onb_tol)
+    return _gabor_riesz_check(zak, phi, tol)
 
 
-def _gabor_riesz_check(zak: ZakGrid, phi, tol: float, onb_tol: float) -> FrameReport:
+def _gabor_riesz_check(zak: ZakGrid, phi, tol: float) -> FrameReport:
     """``gabor_riesz_check`` given ``zak``, the Zak transform of ``phi``."""
     zsq = np.sort(np.abs(zak.values) ** 2, axis=None)
     az, bz = float(zsq[0]), float(zsq[-1])
@@ -281,18 +274,6 @@ def _gabor_riesz_check(zak: ZakGrid, phi, tol: float, onb_tol: float) -> FrameRe
             f"Zak magnitudes in ({az:.6e}, {bz:.6e}) disagree with Gram spectrum "
             f"in ({eig[0]:.6e}, {eig[-1]:.6e}): max relative gap {res:.3e}"
         )
-    if max(abs(az - 1.0), abs(bz - 1.0)) <= onb_tol:
-        verdict = Verdict.ONB
-    elif az > tol:
-        verdict = Verdict.RIESZ_BASIS
-    else:
-        verdict = Verdict.NOT_FRAME
     return FrameReport(
-        verdict,
-        (az, bz),
-        (float(eig[0]), float(eig[-1])),
-        None,
-        {"zak_vs_gram": res},
-        None,
-        eig,
+        _verdict(zsq, tol), (az, bz), _extremes(eig), None, {"zak_vs_gram": res}, None, eig
     )

@@ -14,15 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wspace import Field, WeightedSpace, _conform, _readonly
+from .wspace import Field, _readonly
 
-__all__ = [
-    "TensorBasis",
-    "build_default",
-    "tensor_field",
-    "coefficients",
-    "verify_tensor_onb",
-]
+__all__ = ["TensorBasis", "build_default", "tensor_field"]
 
 
 @dataclass(frozen=True)
@@ -118,33 +112,3 @@ def _field_matrix(basis: TensorBasis) -> np.ndarray:
     N, M = basis.grid_size, basis.fiber_dim
     stack = np.einsum("mj,ni->mnij", basis.fiber_family, basis.scalar_family)
     return stack.reshape(M * N, N * M)
-
-
-def coefficients(space: WeightedSpace, basis: TensorBasis, field: Field) -> np.ndarray:
-    """Weighted inner products <field, G_{m,n}> as an (M, N) array."""
-    _conform(space, field)
-    return np.einsum(
-        "ij,ni,mj,i->mn",
-        field.values,
-        basis.scalar_family.conj(),
-        basis.fiber_family.conj(),
-        space.weights,
-    ) / space.grid_size
-
-
-def verify_tensor_onb(space: WeightedSpace, basis: TensorBasis) -> float:
-    """Largest deviation of the full tensor Gram from the identity.
-
-    Brute-forces the (N*M) x (N*M) Gram of all G_{m,n} under the unweighted
-    quadrature inner product.
-
-    Raises:
-        ValueError: unless the space carries unit weight everywhere.
-    """
-    if np.max(np.abs(space.weights - 1.0)) > 1e-12:
-        raise ValueError("verify_tensor_onb expects unit weight at every node")
-    if (basis.grid_size, basis.fiber_dim) != (space.grid_size, space.fiber_dim):
-        raise ValueError("basis dimensions do not match the space")
-    V = _field_matrix(basis)
-    gram = V @ V.conj().T / space.grid_size
-    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framelab import (
     Field,
@@ -230,8 +232,58 @@ def test_classify_merges_reports():
 
     spu, famu = _family(np.ones(4), m=2)
     assert classify(spu, famu, rng=rng).verdict is Verdict.ONB
+    # a weight of 1 is no frame at tol 1.5: not_frame is decided first
+    rep1 = classify(spu, famu, tol=1.5, rng=rng)
+    assert rep1.verdict is Verdict.NOT_FRAME
+    assert rep1.residuals["witness_ratio"] == pytest.approx(1.0, abs=1e-12)
+    assert decide_onb(spu, famu, tol=1.5).verdict is Verdict.NOT_FRAME
 
     spz, famz = _family([0.0, 1.0, 1.0, 1.0])
     repz = classify(spz, famz, rng=rng)
     assert repz.verdict is Verdict.NOT_FRAME
     assert repz.witness is not None
+
+
+_WEIGHTS = st.one_of(
+    st.just(0.0),
+    st.just(1.0),
+    st.floats(1.0 - 2e-3, 1.0 + 2e-3),
+    st.floats(1e-12, 20.0),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(_WEIGHTS, min_size=1, max_size=40),
+    st.integers(1, 3),
+    st.sampled_from([1e-9, 1e-3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_classify_equals_the_three_deciders_merged(w, m, tol, seed):
+    w = np.array(w)
+    if not np.any(w > 1e-12):
+        w[0] = 1.0
+    sp, fam = _family(w, m)
+    rep = classify(sp, fam, tol=tol, rng=np.random.default_rng(seed))
+    fr = decide_frame(sp, fam, tol=tol)
+    rz = decide_riesz(sp, fam, tol=tol)
+    ob = decide_onb(sp, fam, tol=tol, rng=np.random.default_rng(seed))
+    assert rep.verdict is (ob.verdict if ob.verdict is Verdict.ONB else rz.verdict)
+    assert rep.verdict is ob.verdict
+    assert rep.weight_bounds == fr.weight_bounds == rz.weight_bounds == ob.weight_bounds
+    assert rep.oracle_bounds == fr.oracle_bounds
+    assert np.array_equal(rep.spectrum, fr.spectrum)
+    assert rep.gram_bounds == rz.gram_bounds == ob.gram_bounds
+    merged = {**fr.residuals, **rz.residuals, **ob.residuals}
+    assert rep.residuals.keys() == merged.keys()
+    owners = {"spectrum_vs_weight": (fr,), "gram_vs_weight": (rz,), "witness_ratio": (fr, rz)}
+    for key, value in rep.residuals.items():
+        for owner in owners.get(key, (ob,)):
+            assert value == owner.residuals[key]
+    witness = fr.witness if fr.witness is not None else ob.witness
+    if witness is None:
+        assert rep.witness is None
+    else:
+        assert np.array_equal(rep.witness.values, witness.values)
+    if rz.witness is not None:
+        assert np.array_equal(rz.witness.values, fr.witness.values)

@@ -179,6 +179,11 @@ def test_zak_modes(tmp_path):
     assert doc["metrics"]["zak_min_sq"] == pytest.approx(1.0, abs=1e-12)
     with open(tmp_path / "run" / "zak_magnitude.csv") as fh:
         assert len(list(csv.DictReader(fh))) == 64
+    # min |Z|^2 = 1 does not exceed the verdict tolerance 1.5
+    proc1 = _run(tmp_path, cfg, out="run1", extra=("--tol", "1.5"))
+    assert proc1.returncode == 0, proc1.stderr
+    assert "verdict: not_frame" in proc1.stdout
+    assert _report(tmp_path, "run1")["verdict"] == "not_frame"
 
     cfg2 = dict(cfg, window={"preset": "gaussian"}, time_resolution=16, translates=16)
     proc2 = _run(tmp_path, cfg2, out="run2")
@@ -390,6 +395,16 @@ def test_analyze_builds_each_spectrum_once(tmp_path, monkeypatch):
     assert len(gram) == 0
     assert len(spectrum) == 1
     assert len(quad) == 1
+    # a not_frame run builds its lower-bound witness once, and the witness
+    # ratio shares the one quadrature with the Parseval probes (a positive
+    # weight under the tolerance, so that the witness norm is not zero)
+    witness = _count_calls(monkeypatch, analyzer.witness_lower_failure)
+    cfg = copy.deepcopy(ANALYZE)
+    cfg["space"]["weight"]["low"] = 1e-10
+    code = run_config(cfg, tmp_path / "not_frame")
+    assert code == 0 and code.doc["verdict"] == "not_frame"
+    assert len(witness) == 1
+    assert len(quad) == 2
 
 
 def test_heisenberg_builds_problem_and_spectrum_once(tmp_path, monkeypatch):

@@ -73,8 +73,6 @@ def test_lambda_coeff_guard_trips_on_inconsistency(monkeypatch):
     monkeypatch.setattr(ops, "inner", lambda *a, **k: 123.0 + 0j)
     with pytest.raises(ConsistencyError):
         lambda_coeff(fam, 0, 0, f)
-    # an explicit opt-out skips the cross check
-    lambda_coeff(fam, 0, 0, f, check=False)
 
 
 def test_lambda_all_matches_loop():

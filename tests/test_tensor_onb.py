@@ -5,12 +5,13 @@ import pytest
 
 from framelab import (
     Field,
+    OperatorFamily,
     WeightedSpace,
     build_default,
-    coefficients,
+    lambda_all,
     random_field,
+    synthesis_gram,
     tensor_field,
-    verify_tensor_onb,
 )
 from framelab.heisenberg import scalar_family
 from framelab.tensor_onb import TensorBasis, _field_matrix
@@ -70,28 +71,26 @@ def test_field_matrix_layout():
 
 
 def test_verify_tensor_onb_brute_force():
+    # the full (N*M) x (N*M) Gram of all G_{m,n} under unit weight
     sp = WeightedSpace.uniform(8, 2)
-    basis = build_default(8, 2)
-    assert verify_tensor_onb(sp, basis) < 1e-12
-    bad = WeightedSpace(8, 2, np.linspace(0.5, 1.5, 8))
-    with pytest.raises(ValueError):
-        verify_tensor_onb(bad, basis)
+    gram = synthesis_gram(OperatorFamily(sp, build_default(8, 2)))
+    assert np.max(np.abs(gram - np.eye(16))) < 1e-12
 
 
 def test_expansion_round_trip():
     rng = np.random.default_rng(5)
     sp = WeightedSpace.uniform(8, 3)
-    basis = build_default(8, 3)
+    fam = OperatorFamily(sp, build_default(8, 3))
     for _ in range(10):
         f = random_field(sp, rng)
-        c = coefficients(sp, basis, f)
+        c = lambda_all(fam, f)
         assert c.shape == (3, 8)
 
 
 def test_coefficients_pick_out_members():
     sp = WeightedSpace.uniform(6, 2)
     basis = build_default(6, 2)
-    c = coefficients(sp, basis, tensor_field(basis, 1, 4))
+    c = lambda_all(OperatorFamily(sp, basis), tensor_field(basis, 1, 4))
     expect = np.zeros((2, 6))
     expect[1, 4] = 1.0
     assert np.max(np.abs(c - expect)) < 1e-12
