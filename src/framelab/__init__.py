@@ -16,8 +16,6 @@ from .analyzer import (
     classify,
     decide_frame,
     decide_onb,
-    decide_riesz,
-    gram_bounds,
     synthesis_gram,
     weight_bounds,
     witness_lower_failure,
@@ -61,11 +59,9 @@ __all__ = [
     "FrameReport",
     "weight_bounds",
     "synthesis_gram",
-    "gram_bounds",
     "witness_ratio",
     "witness_lower_failure",
     "decide_frame",
-    "decide_riesz",
     "decide_onb",
     "classify",
     "__version__",

@@ -7,6 +7,10 @@ both equal the weight multiset (repeated per fiber dimension).  The
 deciders here read the verdict off the weights and independently verify it
 spectrally, reporting residuals and, on failure, an explicit witness field.
 
+One frame decision serves every weight mode: ``decide_frame`` reads the
+verdict, the weight bounds and a witness over the span, the nodes the family
+must cover (the whole grid, or the positive-weight band of ``heisenberg``).
+
 The spectral route stays dense on purpose: an SVD of the analysis factors
 and an ``eigvalsh`` of the synthesis-Gram factors, O(N^3) in the grid size.
 For the discrete Fourier family the weighted scalar Gram is circulant, and
@@ -31,9 +35,7 @@ __all__ = [
     "FrameReport",
     "weight_bounds",
     "synthesis_gram",
-    "gram_bounds",
     "decide_frame",
-    "decide_riesz",
     "decide_onb",
     "classify",
     "witness_lower_failure",
@@ -134,10 +136,6 @@ def _extremes(spec: np.ndarray) -> tuple:
     return (float(spec[0]), float(spec[-1]))
 
 
-def gram_bounds(fam: OperatorFamily) -> tuple:
-    return _extremes(_gram_spectrum(_gram_factors(fam)))
-
-
 def _offmax(a: np.ndarray) -> float:
     """Largest modulus off the diagonal; 0 for a 1 x 1 matrix."""
     r = np.abs(a)
@@ -167,16 +165,25 @@ def _witness_ratio(
     return num / den
 
 
-def witness_lower_failure(space: WeightedSpace, fam: OperatorFamily, a_claimed: float):
-    """Indicator field on the nodes where the weight undercuts a claimed
-    lower bound.
+def _indicator_field(space: WeightedSpace, fam: OperatorFamily, nodes) -> Field:
+    """The first fiber vector g_0 on ``nodes`` (a mask or an index), else 0."""
+    vals = np.zeros((space.grid_size, space.fiber_dim), dtype=complex)
+    vals[nodes] = fam.basis.fiber_family[0]
+    return Field(vals)
 
-    On E = {i : w_i < a_claimed} the field 1_E e_0 has coefficient energy
-    (1/N) sum_E w_i^2 against squared norm (1/N) sum_E w_i, so its energy
-    ratio is at most max(w on E) and in particular below the claim.
+
+def witness_lower_failure(
+    space: WeightedSpace, fam: OperatorFamily, a_claimed: float, span=None
+):
+    """Indicator field on the nodes of ``span`` (a node mask, by default the
+    whole grid) where the weight undercuts a claimed lower bound.
+
+    On E = {i in span : w_i < a_claimed} the field 1_E g_0 has coefficient
+    energy (1/N) sum_E w_i^2 against squared norm (1/N) sum_E w_i, so its
+    energy ratio is at most max(w on E) and in particular below the claim.
 
     Returns:
-        The witness field, or None when every weight meets the claim.
+        The witness field, or None when every weight on the span meets it.
 
     Raises:
         ValueError: if ``a_claimed`` is not positive.
@@ -184,11 +191,11 @@ def witness_lower_failure(space: WeightedSpace, fam: OperatorFamily, a_claimed: 
     if not a_claimed > 0:
         raise ValueError("claimed lower bound must be positive")
     mask = space.weights < a_claimed
+    if span is not None:
+        mask &= span
     if not mask.any():
         return None
-    vals = np.zeros((space.grid_size, space.fiber_dim), dtype=complex)
-    vals[mask, :] = fam.basis.fiber_family[0][None, :]
-    return Field(vals)
+    return _indicator_field(space, fam, mask)
 
 
 def _frame_route(space: WeightedSpace, fam: OperatorFamily) -> tuple:
@@ -211,17 +218,18 @@ def _verdict(values: np.ndarray, tol: float) -> Verdict:
     return Verdict.RIESZ_BASIS
 
 
-def _lower_witness(
-    space: WeightedSpace, fam: OperatorFamily, tol: float, quad: np.ndarray | None
-) -> tuple:
-    """(field, {"witness_ratio": its energy ratio}) when the weight minimum
-    does not exceed ``tol``, the family being no frame then; (None, {})
-    otherwise.  The field undercuts the smallest claim above both."""
-    lo = float(space.weights.min())
-    if lo > tol:
+def _default_claim(lo: float, tol: float) -> float | None:
+    """No claim for a frame (weight minimum ``lo`` > ``tol``), else the
+    smallest one above ``tol``: its witness holds the nodes of weight <= tol."""
+    return None if lo > tol else float(np.nextafter(tol, np.inf))
+
+
+def _lower_witness(space, fam, claim: float | None, span, quad) -> tuple:
+    """(field, {"witness_ratio": its energy ratio}) of the ``claim`` witness
+    on ``span``; (None, {}) when ``claim`` is None or no node undercuts it."""
+    field = None if claim is None else witness_lower_failure(space, fam, claim, span)
+    if field is None:
         return None, {}
-    claim = float(np.nextafter(max(lo, tol), np.inf))
-    field = witness_lower_failure(space, fam, claim)
     return field, {"witness_ratio": _witness_ratio(space, fam, field, quad)}
 
 
@@ -267,40 +275,37 @@ def _parseval_checks(
     residuals = {"onb_parseval": parseval}
     if verdict is Verdict.ONB:
         return None, residuals
-    vals = np.zeros(shape, dtype=complex)
-    vals[int(np.argmax(np.abs(space.weights - 1.0))), :] = fam.basis.fiber_family[0]
-    defect = Field(vals)
+    defect = _indicator_field(space, fam, int(np.argmax(np.abs(space.weights - 1.0))))
     residuals["onb_defect_ratio"] = _witness_ratio(space, fam, defect, quad)
     return defect, residuals
 
 
-def decide_frame(space: WeightedSpace, fam: OperatorFamily, tol: float = 1e-9) -> FrameReport:
+def decide_frame(
+    space: WeightedSpace, fam: OperatorFamily, tol: float = 1e-9, span=None, claim=None
+) -> FrameReport:
     """Frame verdict from the weight minimum, cross-checked spectrally.
 
-    The family is a frame exactly when the weights stay above ``tol``.  The
-    frame-operator spectrum is computed on the support (nodes with positive
-    weight) and must reproduce the support weight range.
+    The family is a frame on ``span`` (a node mask, by default the whole
+    grid) exactly when the weights there, which give the weight bounds, stay
+    above ``tol``.  The frame-operator spectrum on the support (nodes with
+    positive weight) must reproduce the support weight range.  The witness
+    undercuts ``claim`` on the span, by default the smallest claim above
+    ``tol`` when the weight minimum does not exceed ``tol``.
     """
     _validate_family(fam)
+    return _decide_frame(space, fam, tol, span, claim)
+
+
+def _decide_frame(space, fam, tol: float, span, claim) -> FrameReport:
+    """``decide_frame`` for a family that holds its hypotheses by construction."""
     spec, gap = _frame_route(space, fam)
-    witness, ratio = _lower_witness(space, fam, tol, None)
-    verdict = Verdict.FRAME if witness is None else Verdict.NOT_FRAME
+    w = space.weights if span is None else space.weights[span]
+    lo, hi = float(w.min()), float(w.max())
+    claim = _default_claim(lo, tol) if claim is None else claim
+    witness, ratio = _lower_witness(space, fam, claim, span, None)
+    verdict = Verdict.FRAME if lo > tol else Verdict.NOT_FRAME
     residuals = {"spectrum_vs_weight": gap, **ratio}
-    return FrameReport(
-        verdict, weight_bounds(space), _extremes(spec), None, residuals, witness, spec
-    )
-
-
-def decide_riesz(space: WeightedSpace, fam: OperatorFamily, tol: float = 1e-9) -> FrameReport:
-    """Riesz-basis verdict; for this square family it coincides with the
-    frame condition, verified through the synthesis Gram spectrum."""
-    _validate_family(fam)
-    lo, hi = weight_bounds(space)
-    gb = gram_bounds(fam)
-    witness, ratio = _lower_witness(space, fam, tol, None)
-    verdict = Verdict.RIESZ_BASIS if witness is None else Verdict.NOT_FRAME
-    residuals = {"gram_vs_weight": max(abs(gb[0] - lo), abs(gb[1] - hi)), **ratio}
-    return FrameReport(verdict, (lo, hi), None, gb, residuals, witness)
+    return FrameReport(verdict, (lo, hi), _extremes(spec), None, residuals, witness, spec)
 
 
 def decide_onb(
@@ -341,11 +346,12 @@ def classify(
 
     Note the family is square, so the two-sided bound and the basis
     property coincide; the merged verdict is onb, riesz_basis or not_frame.
-    The same checks as ``decide_frame``, ``decide_riesz`` and ``decide_onb``,
-    with the family hypotheses verified, the synthesis-Gram factors and
-    their spectrum computed once, and one weighted quadrature shared by the
-    lower-bound witness, the Parseval probes and the defect field.  The
-    witness is the lower-bound one, else the defect field.
+    The checks of ``decide_frame`` and ``decide_onb`` plus the synthesis-Gram
+    spectrum against the weight range (gram_vs_weight), with the family
+    hypotheses verified, the synthesis-Gram factors and their spectrum
+    computed once, and one weighted quadrature shared by the lower-bound
+    witness, the Parseval probes and the defect field.  The witness is the
+    lower-bound one, else the defect field.
     """
     _validate_family(fam)
     lo, hi = weight_bounds(space)
@@ -358,7 +364,7 @@ def classify(
         **_factor_residuals(factors),
     }
     quad = _quadrature(fam)
-    witness, ratio = _lower_witness(space, fam, tol, quad)
+    witness, ratio = _lower_witness(space, fam, _default_claim(lo, tol), None, quad)
     verdict = _verdict(space.weights, tol)
     defect, probes = _parseval_checks(space, fam, verdict, rng, quad)
     return FrameReport(

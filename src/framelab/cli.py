@@ -26,19 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analyzer import (
-    SUPPORT_ETA,
-    Verdict,
-    classify,
-    decide_frame,
-    witness_lower_failure,
-    witness_ratio,
-)
+from .analyzer import SUPPORT_ETA, Verdict, classify, decide_frame
 from .errors import ConsistencyError
 from .heisenberg import (
     CenterTranslateModel,
-    _frame_report,
-    frame_problem,
+    _band_report,
+    hs_weight,
     isometry_residual,
     midpoint_grid,
     psi_norm_sq,
@@ -55,7 +48,7 @@ from .shiftinv import (
     translate_gram,
     zak_transform,
 )
-from .tensor_onb import TensorBasis, _exp_family, build_default
+from .tensor_onb import TensorBasis, build_default, fourier_family
 from .wspace import WeightedSpace, total_mass
 
 
@@ -267,12 +260,18 @@ def _walk(config) -> tuple:
     return cfg, diags
 
 
-def _check_samples(cfg: dict, diags: list) -> None:
-    """A custom samples CSV must parse and hold exactly the finite samples
-    that its sizes need.  The one rule that reads a file."""
+def _custom_section(cfg: dict) -> dict | None:
     sec = cfg.get("window") or cfg.get("generator")
-    if sec is None or sec["preset"] != "custom":
-        return
+    return sec if sec is not None and sec["preset"] == "custom" else None
+
+
+def _check_samples(cfg: dict, diags: list) -> np.ndarray | None:
+    """The samples of a custom window or generator, which must parse and
+    hold exactly the finite samples that its sizes need; None for a preset
+    or a file that does not parse.  The one rule that reads a file."""
+    sec = _custom_section(cfg)
+    if sec is None:
+        return None
     if cfg["mode"] == "zak":
         where, rule = "window.samples_path", "time_resolution * translates"
         expect = cfg["time_resolution"] * cfg["translates"]
@@ -291,6 +290,23 @@ def _check_samples(cfg: dict, diags: list) -> None:
             diags.append(f"{where}: sample {bad[0] + 1} is not finite")
         if samples.size != expect:
             diags.append(f"{where}: holds {samples.size} samples, {rule} needs {expect}")
+        return samples
+
+
+class _Checked(dict):
+    """A typed config with the ``samples`` of its custom window or generator
+    (None for a preset), so that ``run_config`` reads no CSV again."""
+
+    samples: np.ndarray | None
+
+
+def _checked(config) -> tuple:
+    """(typed config, diagnostics); past the key rules, a ``_Checked``."""
+    cfg, diags = _walk(config)
+    if not diags:
+        cfg = _Checked(cfg)
+        cfg.samples = _check_samples(cfg, diags)
+    return cfg, diags
 
 
 def validate_config(config) -> list:
@@ -298,10 +314,7 @@ def validate_config(config) -> list:
 
     Each diagnostic starts with the dotted path of the key it names.
     """
-    cfg, diags = _walk(config)
-    if not diags:
-        _check_samples(cfg, diags)
-    return diags
+    return _checked(config)[1]
 
 
 def normalize_config(config) -> dict:
@@ -376,42 +389,40 @@ def _weight_table(xs, w, xname: str = "x") -> tuple:
     return _table(("index", xname, "weight"), np.arange(len(w)), xs, w)
 
 
-def _witness(space: WeightedSpace, field, ratio) -> tuple:
-    """Report entry and tables of a witness field (or None) with its energy
-    ratio: ``witness.csv`` holds the field's fiber norm at every node."""
-    if field is None:
-        return {"exists": False}, {}
-    norms = np.linalg.norm(field.values, axis=1)
-    entry = {
-        "exists": True,
-        "support_size": int(np.count_nonzero(norms)),
-        "ratio": float(ratio),
-    }
-    header = ("index", "x", "weight", "norm")
-    table = _table(header, np.arange(space.grid_size), space.grid, space.weights, norms)
-    return entry, {"witness.csv": table}
+def _witness(rep, weights: tuple) -> tuple:
+    """Report entry and tables of the witness of ``rep``: ``weight.csv`` is
+    the run's weight table, and ``witness.csv`` adds the fiber norm of the
+    field at every node."""
+    tables = {"weight.csv": weights}
+    if rep.witness is None:
+        return {"exists": False}, tables
+    ratio = rep.residuals.get("witness_ratio", rep.residuals.get("onb_defect_ratio"))
+    norms = np.linalg.norm(rep.witness.values, axis=1)
+    size = int(np.count_nonzero(norms))
+    entry = {"exists": True, "support_size": size, "ratio": float(ratio)}
+    header, columns = weights
+    tables["witness.csv"] = (header + ("norm",), columns + (norms,))
+    return entry, tables
 
 
 # ---------------------------------------------------------------- modes
 #
-# A runner maps a typed config to (FrameReport, residuals, metrics, witness
-# entry, tables) and touches no file; ``tables`` maps a CSV file name to
-# its header and columns.  ``run_config`` writes everything.
+# A runner maps a typed config and its custom samples (None for a preset) to
+# (FrameReport, residuals, metrics, witness entry, tables) and touches no file;
+# ``tables`` maps a CSV file name to its header and columns.  ``run_config``
+# writes everything.
 
 
 def _classified(cfg: dict, space: WeightedSpace, basis: TensorBasis) -> tuple:
     """``classify`` the family of ``basis`` on ``space``: the report, its
-    witness entry (the frame witness, else the ONB defect field) and tables."""
+    witness entry and tables."""
     fam = OperatorFamily(space, basis)
     rng = np.random.default_rng(cfg["seed"])
     rep = classify(space, fam, tol=cfg["tolerances"]["verdict"], rng=rng)
-    ratio = rep.residuals.get("witness_ratio", rep.residuals.get("onb_defect_ratio"))
-    witness, tables = _witness(space, rep.witness, ratio)
-    tables["weight.csv"] = _weight_table(space.grid, space.weights)
-    return rep, witness, tables
+    return (rep, *_witness(rep, _weight_table(space.grid, space.weights)))
 
 
-def _run_analyze(cfg: dict) -> tuple:
+def _run_analyze(cfg: dict, samples) -> tuple:
     space = _space_from(cfg["space"])
     rep, witness, tables = _classified(
         cfg, space, build_default(space.grid_size, space.fiber_dim)
@@ -423,27 +434,25 @@ def _run_analyze(cfg: dict) -> tuple:
     return rep, rep.residuals, metrics, witness, tables
 
 
-def _run_witness(cfg: dict) -> tuple:
+def _run_witness(cfg: dict, samples) -> tuple:
     space = _space_from(cfg["space"])
     fam = OperatorFamily(space, build_default(space.grid_size, space.fiber_dim))
-    rep = decide_frame(space, fam, tol=cfg["tolerances"]["verdict"])
-    field = witness_lower_failure(space, fam, cfg["a_claimed"])
-    ratio = None if field is None else witness_ratio(space, fam, field)
-    witness, tables = _witness(space, field, ratio)
-    tables["weight.csv"] = _weight_table(space.grid, space.weights)
+    tol = cfg["tolerances"]["verdict"]
+    rep = decide_frame(space, fam, tol=tol, claim=cfg["a_claimed"])
+    witness, tables = _witness(rep, _weight_table(space.grid, space.weights))
     metrics = {"a_claimed": cfg["a_claimed"], "total_mass": total_mass(space)}
     return rep, rep.residuals, metrics, witness, tables
 
 
-def _run_shiftinv(cfg: dict) -> tuple:
+def _run_shiftinv(cfg: dict, samples) -> tuple:
     g = cfg["generator"]
-    if g["preset"] == "custom":
-        gen = Generator(_load_samples(g["samples_path"]), g["radius"], g["grid_size"])
+    if samples is not None:
+        gen = Generator(samples, g["radius"], g["grid_size"])
     else:
         gen = make_generator(g["preset"], g["grid_size"], g["radius"])
     w = periodized_weight(gen)
     space = WeightedSpace(gen.grid_size, 1, w)
-    scal = _exp_family(-2j * np.pi * np.outer(np.arange(gen.grid_size), space.grid))
+    scal = fourier_family(-np.arange(gen.grid_size), space.grid)
     rep, witness, tables = _classified(
         cfg, space, TensorBasis(scal, np.eye(1, dtype=complex))
     )
@@ -468,12 +477,9 @@ def _run_shiftinv(cfg: dict) -> tuple:
     return rep, residuals, metrics, witness, tables
 
 
-def _run_zak(cfg: dict) -> tuple:
+def _run_zak(cfg: dict, samples) -> tuple:
     N, L = cfg["time_resolution"], cfg["translates"]
-    if cfg["window"]["preset"] == "custom":
-        phi = _load_samples(cfg["window"]["samples_path"])
-    else:
-        phi = gabor_window(cfg["window"]["preset"], N, L)
+    phi = samples if samples is not None else gabor_window(cfg["window"]["preset"], N, L)
     tol = cfg["tolerances"]["verdict"]
     # one transform for the check, the CSV and the residual's unshifted side
     zak = zak_transform(phi, N, L)
@@ -490,24 +496,23 @@ def _run_zak(cfg: dict) -> tuple:
     return rep, rep.residuals, metrics, {"exists": False}, tables
 
 
-def _run_heisenberg(cfg: dict) -> tuple:
+def _run_heisenberg(cfg: dict, samples) -> tuple:
     h = cfg["heisenberg"]
     eps, d = h["eps"], h["d"]
     mass = psi_norm_sq(eps, d)
     model = CenterTranslateModel(eps, d, h["resolution"], h["k_max"])
     lo, hi = model.envelope()
-    space, scal = frame_problem(eps, d, h["spectral_resolution"])
-    rep = _frame_report(space, scal, cfg["tolerances"]["verdict"])
-    del scal  # free the R x R family before the isometry stage
+    alpha = midpoint_grid(h["spectral_resolution"])
+    space = WeightedSpace(alpha.size, 1, hs_weight(eps, d, alpha))
+    rep = _band_report(space, cfg["tolerances"]["verdict"])
     rng = np.random.default_rng(cfg["seed"])
     k = 2 * h["k_max"] + 1
     coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     residuals = dict(rep.residuals)
     residuals["isometry_vs_translate_gram"] = isometry_residual(model, coeffs)
-    alpha = midpoint_grid(h["spectral_resolution"])
-    tables = {"weight.csv": _weight_table(alpha, space.weights, "alpha")}
+    witness, tables = _witness(rep, _weight_table(alpha, space.weights, "alpha"))
     metrics = {"band_mass": mass, "envelope_lo": lo, "envelope_hi": hi}
-    return rep, residuals, metrics, {"exists": False}, tables
+    return rep, residuals, metrics, witness, tables
 
 
 _RUNNERS = {
@@ -540,12 +545,18 @@ def run_config(config: dict, out_dir) -> int:
 
     The only writer: every CSV table, ``spectrum.csv`` from the report's
     spectrum, and ``report.json``.  The code also carries the written
-    document as ``.doc``, so the caller need not read the file back.
+    document as ``.doc``, so the caller need not read the file back.  A
+    ``_Checked`` config brings its custom samples; any other reads them here.
     """
     cfg = normalize_config(config)
+    if isinstance(config, _Checked):
+        samples = config.samples
+    else:
+        sec = _custom_section(cfg)
+        samples = None if sec is None else _load_samples(sec["samples_path"])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rep, residuals, metrics, witness, tables = _RUNNERS[cfg["mode"]](cfg)
+    rep, residuals, metrics, witness, tables = _RUNNERS[cfg["mode"]](cfg, samples)
     spec = rep.spectrum
     tables["spectrum.csv"] = _table(("index", "eigenvalue"), np.arange(spec.size), spec)
     for name, (header, columns) in tables.items():
@@ -608,7 +619,7 @@ def main(argv=None) -> int:
         if args.tol is not None and isinstance(raw.setdefault("tolerances", {}), dict):
             raw["tolerances"]["verdict"] = args.tol
 
-    diags = validate_config(raw)
+    cfg, diags = _checked(raw)
     for diag in diags:
         print(f"config error: {diag}", file=sys.stderr)
     if args.validate_only:
@@ -619,7 +630,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        code = run_config(raw, args.out)
+        code = run_config(cfg, args.out)
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 2

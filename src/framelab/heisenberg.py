@@ -13,6 +13,9 @@ normalization.  The isometry from translate coefficients c to fields S(c)
 is checked along two routes: the weighted norm of S(c), evaluated with one
 FFT, against the quadratic form c^H T c of the Toeplitz translate Gram T,
 read from the inverse DFT of the weight.
+
+The frame verdict is the analyzer's frame decision with the positive-weight
+band as its span, the model space being the span of the translates.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analyzer import SUPPORT_ETA, FrameReport, Verdict, _extremes, _frame_route
+from .analyzer import SUPPORT_ETA, FrameReport, _decide_frame
 from .errors import ConsistencyError
 from .operators import OperatorFamily
-from .tensor_onb import TensorBasis, _exp_family
+from .tensor_onb import TensorBasis, fourier_family
 from .wspace import WeightedSpace, _readonly
 
 __all__ = [
@@ -35,8 +38,6 @@ __all__ = [
     "CenterTranslateModel",
     "s_map",
     "isometry_residual",
-    "scalar_family",
-    "frame_problem",
     "frame_report",
 ]
 
@@ -233,45 +234,27 @@ def isometry_residual(model: CenterTranslateModel, a) -> float:
     return rel
 
 
-def scalar_family(resolution: int) -> np.ndarray:
-    """Orthonormal exponential family e^(-2 pi i k alpha) on the midpoint grid.
-
-    Rows are indexed by k = -R//2 .. R - R//2 - 1; R consecutive integer
-    frequencies are exactly orthonormal under unit-weight quadrature.  The
-    array is read-only, so a ``TensorBasis`` holds it without a copy.
-    """
-    R = int(resolution)
-    alpha = midpoint_grid(R)
-    ks = np.arange(R) - R // 2
-    return _exp_family(-2j * np.pi * np.outer(ks, alpha))
-
-
-def frame_problem(eps: float, d: int, resolution: int):
-    """Weighted space plus scalar family for the center-translate system."""
-    w = np.asarray(hs_weight(eps, d, midpoint_grid(resolution)))
-    return WeightedSpace(int(resolution), 1, w), scalar_family(resolution)
-
-
 def frame_report(
     eps: float, d: int, resolution: int = 256, tol: float = 1e-9
 ) -> FrameReport:
     """Frame verdict for the center-translate family on its own span.
 
-    The model space is the closed span of the translates, which consists
-    of the fields supported on the positive-weight band, so the verdict
-    and the reported weight bounds are taken over that support.  The
-    analysis-operator spectrum restricted to the support is the oracle, and
-    the report carries it as ``spectrum``.
+    The model space is the closed span of the translates, the fields
+    supported on the positive-weight band, so the report is the frame
+    decision with the band as span, plus its share of the grid as
+    ``support_fraction``.
     """
-    return _frame_report(*frame_problem(eps, d, resolution), tol)
+    w = hs_weight(eps, d, midpoint_grid(resolution))
+    return _band_report(WeightedSpace(int(resolution), 1, w), tol)
 
 
-def _frame_report(space: WeightedSpace, scal: np.ndarray, tol: float) -> FrameReport:
-    """``frame_report`` given the ``frame_problem`` result (space, scal)."""
+def _band_report(space: WeightedSpace, tol: float) -> FrameReport:
+    """``frame_report`` on its weighted space.  The family e^(-2 pi i k alpha),
+    k = -R//2 .. R - R//2 - 1, is orthonormal, so its R x R check is skipped."""
+    R = space.grid_size
+    scal = fourier_family(R // 2 - np.arange(R), midpoint_grid(R))
     fam = OperatorFamily(space, TensorBasis(scal, np.eye(1, dtype=complex)))
-    spec, gap = _frame_route(space, fam)
-    supp = space.weights > SUPPORT_ETA
-    lo, hi = float(space.weights[supp].min()), float(space.weights[supp].max())
-    residuals = {"spectrum_vs_weight": gap, "support_fraction": float(supp.mean())}
-    verdict = Verdict.FRAME if lo > tol else Verdict.NOT_FRAME
-    return FrameReport(verdict, (lo, hi), _extremes(spec), None, residuals, None, spec)
+    band = space.weights > SUPPORT_ETA
+    rep = _decide_frame(space, fam, tol, band, None)
+    rep.residuals["support_fraction"] = float(band.mean())
+    return rep

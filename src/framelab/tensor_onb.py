@@ -16,7 +16,7 @@ import numpy as np
 
 from .wspace import Field, _readonly
 
-__all__ = ["TensorBasis", "build_default", "tensor_field"]
+__all__ = ["TensorBasis", "build_default", "fourier_family", "tensor_field"]
 
 
 @dataclass(frozen=True)
@@ -78,25 +78,28 @@ def _weighted_gram(F: np.ndarray, s) -> np.ndarray:
     return np.conjugate(g, out=g)
 
 
-def _exp_family(phase: np.ndarray) -> np.ndarray:
-    """exp(phase) in the buffer of ``phase``, returned read-only so that a
-    ``TensorBasis`` adopts it instead of copying it."""
-    np.exp(phase, out=phase)
-    phase.setflags(write=False)
-    return phase
+def fourier_family(freqs, nodes) -> np.ndarray:
+    """The exponential family exp(2 pi i k x), row k over the nodes x.
+
+    R consecutive integer frequencies on R nodes spaced 1/R apart are
+    orthonormal under the unweighted quadrature.  The array is formed in one
+    buffer and is read-only, so a ``TensorBasis`` holds it without a copy.
+    """
+    family = 2j * np.pi * np.outer(freqs, nodes)
+    np.exp(family, out=family)
+    family.setflags(write=False)
+    return family
 
 
 def build_default(grid_size: int, fiber_dim: int) -> TensorBasis:
     """Discrete Fourier scalar family with the standard fiber basis.
 
-    f_n(x_i) = exp(2 pi i n i / N) is unimodular and orthonormal under the
-    unweighted quadrature; g_m is the standard basis of C^M.  The scalar
-    family is built in one buffer and held without a copy.
+    f_n(x_i) = exp(2 pi i n x_i) on the grid x_i = i/N, and g_m is the
+    standard basis of C^M.
     """
     n = np.arange(grid_size)
-    phase = 2j * np.pi * np.outer(n, n)
-    phase /= grid_size
-    return TensorBasis(_exp_family(phase), np.eye(fiber_dim, dtype=complex))
+    scalar = fourier_family(n, n / grid_size)
+    return TensorBasis(scalar, np.eye(fiber_dim, dtype=complex))
 
 
 def tensor_field(basis: TensorBasis, m: int, n: int) -> Field:

@@ -67,13 +67,28 @@ def csv_text(header, columns) -> str:
 
 
 def dft_family(n: int) -> np.ndarray:
-    """The discrete Fourier scalar family of ``build_default`` in one expression."""
+    """The discrete Fourier scalar family of ``build_default`` in one
+    expression, with the phase divided by N after the integer product."""
     k = np.arange(n)
     return np.exp(2j * np.pi * np.outer(k, k) / n)
 
 
+def grid_family(n: int) -> np.ndarray:
+    """``build_default``'s family as exp(2 pi i k x) on the grid x = i/N."""
+    k = np.arange(n)
+    return np.exp(2j * np.pi * np.outer(k, k / n))
+
+
+def translate_family(n: int) -> np.ndarray:
+    """The translate family e^(-2 pi i k x) of a ``shiftinv`` run on the grid
+    x = i/N in one expression."""
+    k = np.arange(n)
+    return np.exp(-2j * np.pi * np.outer(k, k / n))
+
+
 def midpoint_family(resolution: int) -> np.ndarray:
-    """``heisenberg.scalar_family`` in one expression."""
+    """The center-translate family e^(-2 pi i k alpha) of ``heisenberg`` on
+    the midpoint grid, k = -R//2 .. R - R//2 - 1, in one expression."""
     alpha = (np.arange(resolution) + 0.5) / resolution
     ks = np.arange(resolution) - resolution // 2
     return np.exp(-2j * np.pi * np.outer(ks, alpha))

@@ -17,13 +17,12 @@ from framelab import (
     classify,
     decide_frame,
     decide_onb,
-    decide_riesz,
-    gram_bounds,
     synthesis_gram,
     weight_bounds,
     witness_lower_failure,
     witness_ratio,
 )
+from framelab.analyzer import _extremes, _gram_factors, _gram_spectrum
 
 
 def _family(weights, m=1):
@@ -51,7 +50,7 @@ def test_synthesis_gram_spectrum_is_weight_multiset():
 
 def test_gram_frozen_two_point_case():
     sp, fam = _family([0.3, 1.7])
-    lo, hi = gram_bounds(fam)
+    lo, hi = classify(sp, fam).gram_bounds
     assert lo == pytest.approx(0.3, abs=1e-12)
     assert hi == pytest.approx(1.7, abs=1e-12)
 
@@ -151,16 +150,16 @@ def test_witness_soundness_random_sweep():
         assert ratio < a_claimed
 
 
-def test_decide_riesz_tracks_full_weight_range():
+def test_classify_gram_tracks_full_weight_range():
     sp, fam = _family([0.0, 1.0, 2.0, 1.0], m=2)
-    rep = decide_riesz(sp, fam)
+    rep = classify(sp, fam)
     assert rep.verdict is Verdict.NOT_FRAME
     assert rep.gram_bounds[0] == pytest.approx(0.0, abs=1e-10)
     assert rep.gram_bounds[1] == pytest.approx(2.0, abs=1e-10)
     assert rep.residuals["gram_vs_weight"] < 1e-9
 
     sp2, fam2 = _family([0.5, 1.5])
-    rep2 = decide_riesz(sp2, fam2)
+    rep2 = classify(sp2, fam2)
     assert rep2.verdict is Verdict.RIESZ_BASIS
 
 
@@ -266,24 +265,22 @@ def test_classify_equals_the_three_deciders_merged(w, m, tol, seed):
     sp, fam = _family(w, m)
     rep = classify(sp, fam, tol=tol, rng=np.random.default_rng(seed))
     fr = decide_frame(sp, fam, tol=tol)
-    rz = decide_riesz(sp, fam, tol=tol)
     ob = decide_onb(sp, fam, tol=tol, rng=np.random.default_rng(seed))
-    assert rep.verdict is (ob.verdict if ob.verdict is Verdict.ONB else rz.verdict)
+    # the Gram route: its spectrum from the factors against the weight range
+    gb = _extremes(_gram_spectrum(_gram_factors(fam)))
+    lo, hi = fr.weight_bounds
+    gram = {"gram_vs_weight": max(abs(gb[0] - lo), abs(gb[1] - hi))}
+    basis = Verdict.RIESZ_BASIS if fr.verdict is Verdict.FRAME else Verdict.NOT_FRAME
+    assert rep.verdict is (ob.verdict if ob.verdict is Verdict.ONB else basis)
     assert rep.verdict is ob.verdict
-    assert rep.weight_bounds == fr.weight_bounds == rz.weight_bounds == ob.weight_bounds
+    assert rep.weight_bounds == fr.weight_bounds == ob.weight_bounds
     assert rep.oracle_bounds == fr.oracle_bounds
     assert np.array_equal(rep.spectrum, fr.spectrum)
-    assert rep.gram_bounds == rz.gram_bounds == ob.gram_bounds
-    merged = {**fr.residuals, **rz.residuals, **ob.residuals}
-    assert rep.residuals.keys() == merged.keys()
-    owners = {"spectrum_vs_weight": (fr,), "gram_vs_weight": (rz,), "witness_ratio": (fr, rz)}
-    for key, value in rep.residuals.items():
-        for owner in owners.get(key, (ob,)):
-            assert value == owner.residuals[key]
+    assert rep.gram_bounds == gb == ob.gram_bounds
+    merged = {**fr.residuals, **gram, **ob.residuals}
+    assert rep.residuals == merged
     witness = fr.witness if fr.witness is not None else ob.witness
     if witness is None:
         assert rep.witness is None
     else:
         assert np.array_equal(rep.witness.values, witness.values)
-    if rz.witness is not None:
-        assert np.array_equal(rz.witness.values, fr.witness.values)

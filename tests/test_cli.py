@@ -10,20 +10,25 @@ import sys
 import numpy as np
 import pytest
 
-from framelab import analyzer, cli, heisenberg, operators, shiftinv
+from framelab import TensorBasis, analyzer, cli, heisenberg, operators, shiftinv
+from framelab import tensor_onb
 from framelab.cli import normalize_config, run_config, validate_config
 from oracles import csv_text
 
 
+def _write(tmp_path, config) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
 def _run(tmp_path, config, out="run", extra=()):
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(config))
     cmd = [
         sys.executable,
         "-m",
         "framelab",
         "--config",
-        str(cfg_path),
+        _write(tmp_path, config),
         "--out",
         str(tmp_path / out),
         *extra,
@@ -413,18 +418,55 @@ def test_heisenberg_builds_problem_and_spectrum_once(tmp_path, monkeypatch):
         "heisenberg": {"eps": 0.5, "d": 1, "resolution": 256,
                        "spectral_resolution": 64, "k_max": 2},
     }
-    problem = _count_calls(monkeypatch, heisenberg.frame_problem)
+    family = _count_calls(monkeypatch, tensor_onb.fourier_family)
     spectrum = _count_calls(monkeypatch, operators.frame_spectrum)
     weight = _count_calls(monkeypatch, heisenberg.hs_weight)
     profile = _count_calls(monkeypatch, heisenberg._lattice_profile)
     assert run_config(cfg, tmp_path / "run") == 0
-    assert len(problem) == 1
+    assert len(family) == 1
     assert len(spectrum) == 1
     # the 256-point scale grid is weighed once, by one lattice pass
     assert sum(np.size(args[2]) == 256 for args in weight) == 1
     assert sum(np.size(args[2]) == 256 for args in profile) == 1
     # and the 64-point spectral grid once: weight.csv reuses the frame problem's
     assert sum(np.size(args[2]) == 64 for args in weight) == 1
+
+
+def test_heisenberg_takes_the_band_decision_without_hypothesis_check(
+    tmp_path, monkeypatch
+):
+    # The midpoint family is orthonormal by construction: checking it would
+    # form an R x R scalar Gram, a second R x R array at the peak of the run.
+    cfg = {"mode": "heisenberg", "heisenberg": {"eps": 0.5, "d": 1, "resolution": 256,
+                                                "spectral_resolution": 512}}
+    decide = _count_calls(monkeypatch, analyzer._decide_frame)
+    check = _count_calls(monkeypatch, analyzer._validate_family)
+    gram = []
+    residual = TensorBasis.scalar_gram_residual
+    monkeypatch.setattr(
+        TensorBasis, "scalar_gram_residual", lambda b: gram.append(b) or residual(b)
+    )
+    assert cli.main(["--config", _write(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+    assert len(decide) == 1
+    assert check == [] and gram == []
+
+
+def test_witness_run_builds_one_witness_at_the_claim(tmp_path, monkeypatch):
+    cfg = {
+        "mode": "witness",
+        "a_claimed": 0.7,
+        "space": {"grid_size": 64, "fiber_dim": 2,
+                  "weight": {"preset": "ramp", "start": 1e-12, "stop": 1.0}},
+    }
+    witness = _count_calls(monkeypatch, analyzer.witness_lower_failure)
+    quad = _count_calls(monkeypatch, operators._quadrature)
+    code = run_config(cfg, tmp_path / "run")
+    assert code == 0 and code.doc["verdict"] == "not_frame"
+    assert len(witness) == 1 and witness[0][2] == 0.7
+    assert len(quad) == 1
+    ratio = code.doc["residuals"]["witness_ratio"]
+    assert ratio == code.doc["witness"]["ratio"]
+    assert 0.0 < ratio < 0.7
 
 
 def test_zak_builds_gram_spectrum_once(tmp_path, monkeypatch):
@@ -663,6 +705,18 @@ def test_custom_window_parsed_once_per_run(tmp_path, monkeypatch):
     loads = _count_calls(monkeypatch, cli._load_samples)
     assert run_config(cfg, tmp_path / "run") == 0
     assert len(loads) == 1
+    # main checks the samples and runs on the ones it checked, for a window
+    # and for a generator
+    xi = -1 + np.arange(2 * 8) / 8
+    gen = tmp_path / "generator.csv"
+    gen.write_text("".join(f"{int(v)},0\n" for v in ((xi >= 0) & (xi < 1))))
+    generator = {"preset": "custom", "grid_size": 8, "radius": 1,
+                 "samples_path": str(gen)}
+    for run in (cfg, {"mode": "shiftinv", "generator": generator}):
+        loads.clear()
+        out = tmp_path / run["mode"]
+        assert cli.main(["--config", _write(tmp_path, run), "--out", str(out)]) == 0
+        assert len(loads) == 1
 
 
 def test_csv_float_format_full_precision(tmp_path):
@@ -704,7 +758,7 @@ _SMALL = {
 def test_every_runner_table_matches_per_value_oracle(mode):
     cfg = normalize_config(_SMALL[mode])
     assert cfg["mode"] == mode
-    rep, _, _, _, tables = cli._RUNNERS[mode](cfg)
+    rep, _, _, _, tables = cli._RUNNERS[mode](cfg, None)
     spec = rep.spectrum
     tables["spectrum.csv"] = cli._table(("index", "eigenvalue"), np.arange(spec.size), spec)
     for header, columns in tables.values():

@@ -17,13 +17,13 @@ from framelab import (
     classify,
     decide_onb,
     frame_spectrum,
-    gram_bounds,
     synthesis_gram,
 )
 import oracles
 from framelab import heisenberg, witness_ratio
-from framelab.analyzer import _gram_factors, _gram_spectrum, _offmax
+from framelab.analyzer import _extremes, _gram_factors, _gram_spectrum, _offmax
 from framelab.operators import _analysis_factors, _quadrature
+from framelab.tensor_onb import fourier_family
 from oracles import analysis_matrix
 
 
@@ -87,11 +87,25 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(float), b.view(float))
 
 
+def _translate_family(n: int) -> np.ndarray:
+    """The family a ``shiftinv`` run builds."""
+    return fourier_family(-np.arange(n), np.arange(n) / n)
+
+
+def _midpoint_family(n: int) -> np.ndarray:
+    """The family a ``heisenberg`` run builds."""
+    return fourier_family(n // 2 - np.arange(n), heisenberg.midpoint_grid(n))
+
+
 def test_family_builders_match_one_expression_bit_for_bit():
     for n in BIT_SIZES:
-        assert _same_bits(build_default(n, 1).scalar_family, oracles.dft_family(n))
+        assert _same_bits(_translate_family(n), oracles.translate_family(n))
         if n >= 2:  # the midpoint grid needs two points
-            assert _same_bits(heisenberg.scalar_family(n), oracles.midpoint_family(n))
+            assert _same_bits(_midpoint_family(n), oracles.midpoint_family(n))
+        F = build_default(n, 1).scalar_family
+        if n & (n - 1) == 0:  # dividing by a power of two rounds nothing
+            assert _same_bits(F, oracles.dft_family(n))
+        assert _same_bits(F, oracles.grid_family(n))
 
 
 def test_working_set_routes_match_dense_forms_bit_for_bit():
@@ -102,7 +116,7 @@ def test_working_set_routes_match_dense_forms_bit_for_bit():
         dead[1::3] = 0.0
         families = [build_default(n, 1).scalar_family]
         if n >= 2:
-            families.append(heisenberg.scalar_family(n))
+            families.append(_midpoint_family(n))
         for F in families:
             basis = TensorBasis(F, np.eye(1))
             assert basis.unimodularity_residual() == float(
@@ -164,8 +178,8 @@ def test_weight_scaling_scales_spectra(case, c):
     _, fam_c = _fam(n, m, c * w)
     spec, spec_c = frame_spectrum(fam), frame_spectrum(fam_c)
     assert np.max(np.abs(spec_c - c * spec)) <= 1e-12 * c * spec.max()
-    lo, hi = gram_bounds(fam)
-    lo_c, hi_c = gram_bounds(fam_c)
+    lo, hi = _extremes(_gram_spectrum(_gram_factors(fam)))
+    lo_c, hi_c = _extremes(_gram_spectrum(_gram_factors(fam_c)))
     assert abs(lo_c - c * lo) <= 1e-12 * c * hi
     assert abs(hi_c - c * hi) <= 1e-12 * c * hi
 

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 import framelab.heisenberg as hb
-from framelab import ConsistencyError, Verdict
+from framelab import (
+    ConsistencyError,
+    OperatorFamily,
+    TensorBasis,
+    Verdict,
+    WeightedSpace,
+    decide_frame,
+)
+from framelab.tensor_onb import fourier_family
 
 import oracles
 
@@ -140,18 +148,35 @@ def test_isometry_guard_is_live(monkeypatch):
 
 def test_scalar_family_orthonormal_on_midpoint_grid():
     for r in (4, 16, 64):
-        fam = hb.scalar_family(r)
+        fam = fourier_family(r // 2 - np.arange(r), hb.midpoint_grid(r))
         gram = fam @ fam.conj().T / r
         assert np.max(np.abs(gram - np.eye(r))) < 1e-12
         assert np.max(np.abs(np.abs(fam) - 1.0)) < 1e-12
 
 
-def test_frame_problem_weight_matches_closed_form():
-    space, fam = hb.frame_problem(0.5, 1, 128)
-    grid = hb.midpoint_grid(128)
-    expect = np.where(grid > 0.5, grid, 0.0)
-    assert np.max(np.abs(space.weights - expect)) < 1e-12
-    assert fam.shape == (128, 128)
+@pytest.mark.parametrize("eps, d", [(0.5, 1), (0.3, 3), (0.5, 64)])
+def test_frame_report_is_decide_frame_on_the_band(eps, d):
+    # the closed-form weight on the midpoint grid, decided over its band
+    r = 128
+    grid = hb.midpoint_grid(r)
+    w = np.where(grid > eps, grid**d, 0.0)
+    sp = WeightedSpace(r, 1, w)
+    scal = fourier_family(r // 2 - np.arange(r), grid)
+    band = w > 1e-12
+    want = decide_frame(sp, OperatorFamily(sp, TensorBasis(scal, np.eye(1))), span=band)
+    rep = hb.frame_report(eps, d, resolution=r)
+    assert rep.verdict is want.verdict
+    assert rep.weight_bounds == want.weight_bounds == (w[band].min(), w[band].max())
+    assert rep.oracle_bounds == want.oracle_bounds
+    assert np.array_equal(rep.spectrum, want.spectrum)
+    assert rep.residuals == {**want.residuals, "support_fraction": band.mean()}
+    if want.witness is None:
+        assert rep.witness is None
+    else:  # alpha^64 dips below the verdict tolerance inside the band
+        assert rep.verdict is Verdict.NOT_FRAME
+        assert np.array_equal(rep.witness.values, want.witness.values)
+        assert not np.any(rep.witness.values[~band])
+        assert rep.residuals["witness_ratio"] < 1e-9
 
 
 def test_frame_report_bounds_and_verdict():

@@ -13,8 +13,7 @@ from framelab import (
     synthesis_gram,
     tensor_field,
 )
-from framelab.heisenberg import scalar_family
-from framelab.tensor_onb import TensorBasis, _field_matrix
+from framelab.tensor_onb import TensorBasis, _field_matrix, fourier_family
 
 
 def test_basis_validation():
@@ -27,7 +26,7 @@ def test_basis_validation():
 
 
 def test_basis_adopts_readonly_family_and_copies_writable_one():
-    fam = scalar_family(16)
+    fam = fourier_family(np.arange(16), np.arange(16) / 16)
     assert not fam.flags.writeable
     assert np.shares_memory(TensorBasis(fam, np.eye(1)).scalar_family, fam)
     assert not build_default(8, 1).scalar_family.flags.writeable
