@@ -8,8 +8,9 @@ deciders here read the verdict off the weights and independently verify it
 spectrally, reporting residuals and, on failure, an explicit witness field.
 
 One frame decision serves every weight mode: ``decide_frame`` reads the
-verdict, the weight bounds and a witness over the span, the nodes the family
-must cover (the whole grid, or the positive-weight band of ``heisenberg``).
+verdict, the weight bounds and a witness over the whole grid, and
+``heisenberg`` takes the same decision over its positive-weight band, the
+nodes its family must cover.
 
 The spectral route stays dense on purpose: an SVD of the analysis factors
 and an ``eigvalsh`` of the synthesis-Gram factors, O(N^3) in the grid size.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -172,30 +174,21 @@ def _indicator_field(space: WeightedSpace, fam: OperatorFamily, nodes) -> Field:
     return Field(vals)
 
 
-def witness_lower_failure(
-    space: WeightedSpace, fam: OperatorFamily, a_claimed: float, span=None
-):
-    """Indicator field on the nodes of ``span`` (a node mask, by default the
-    whole grid) where the weight undercuts a claimed lower bound.
+def witness_lower_failure(space: WeightedSpace, fam: OperatorFamily, a_claimed: float):
+    """Indicator field on the nodes where the weight undercuts a claimed
+    lower bound.
 
-    On E = {i in span : w_i < a_claimed} the field 1_E g_0 has coefficient
-    energy (1/N) sum_E w_i^2 against squared norm (1/N) sum_E w_i, so its
-    energy ratio is at most max(w on E) and in particular below the claim.
+    On E = {i : w_i < a_claimed} the field 1_E g_0 has coefficient energy
+    (1/N) sum_E w_i^2 against squared norm (1/N) sum_E w_i, so its energy
+    ratio is at most max(w on E) and in particular below the claim.
 
     Returns:
-        The witness field, or None when every weight on the span meets it.
+        The witness field, or None when every weight meets the claim.
 
     Raises:
         ValueError: if ``a_claimed`` is not positive.
     """
-    if not a_claimed > 0:
-        raise ValueError("claimed lower bound must be positive")
-    mask = space.weights < a_claimed
-    if span is not None:
-        mask &= span
-    if not mask.any():
-        return None
-    return _indicator_field(space, fam, mask)
+    return _lower_witness(space, fam, a_claimed, -np.inf, None)[0]
 
 
 def _frame_route(space: WeightedSpace, fam: OperatorFamily) -> tuple:
@@ -224,13 +217,26 @@ def _default_claim(lo: float, tol: float) -> float | None:
     return None if lo > tol else float(np.nextafter(tol, np.inf))
 
 
-def _lower_witness(space, fam, claim: float | None, span, quad) -> tuple:
-    """(field, {"witness_ratio": its energy ratio}) of the ``claim`` witness
-    on ``span``; (None, {}) when ``claim`` is None or no node undercuts it."""
-    field = None if claim is None else witness_lower_failure(space, fam, claim, span)
-    if field is None:
+def _band_ratio(space: WeightedSpace, field: Field) -> float:
+    """``witness_ratio`` of a field of positive norm for a square orthonormal
+    family, read off the weights: sum w^2 |f|^2 over sum w |f|^2."""
+    f2 = (np.abs(field.values) ** 2).sum(axis=1)
+    return float((space.weights**2 * f2).sum() / (space.weights * f2).sum())
+
+
+def _lower_witness(space, fam, claim: float | None, floor: float, ratio) -> tuple:
+    """(field, {"witness_ratio": ratio(field)}) of the ``claim`` witness on the
+    nodes of weight above ``floor``, without the entry when ``ratio`` is None;
+    (None, {}) when ``claim`` is None or no node undercuts it."""
+    if claim is None:
         return None, {}
-    return field, {"witness_ratio": _witness_ratio(space, fam, field, quad)}
+    if not claim > 0:
+        raise ValueError("claimed lower bound must be positive")
+    mask = (floor < space.weights) & (space.weights < claim)
+    if not mask.any():
+        return None, {}
+    field = _indicator_field(space, fam, mask)
+    return field, {} if ratio is None else {"witness_ratio": ratio(field)}
 
 
 def _factor_residuals(factors: tuple) -> dict:
@@ -281,28 +287,32 @@ def _parseval_checks(
 
 
 def decide_frame(
-    space: WeightedSpace, fam: OperatorFamily, tol: float = 1e-9, span=None, claim=None
+    space: WeightedSpace, fam: OperatorFamily, tol: float = 1e-9, claim=None
 ) -> FrameReport:
     """Frame verdict from the weight minimum, cross-checked spectrally.
 
-    The family is a frame on ``span`` (a node mask, by default the whole
-    grid) exactly when the weights there, which give the weight bounds, stay
-    above ``tol``.  The frame-operator spectrum on the support (nodes with
-    positive weight) must reproduce the support weight range.  The witness
-    undercuts ``claim`` on the span, by default the smallest claim above
-    ``tol`` when the weight minimum does not exceed ``tol``.
+    The family is a frame exactly when the weight stays above ``tol``; the
+    frame-operator spectrum on the support (nodes with positive weight)
+    must reproduce the support weight range.  The witness undercuts
+    ``claim``, else, for a non-frame, the smallest claim above ``tol``.
     """
     _validate_family(fam)
-    return _decide_frame(space, fam, tol, span, claim)
+    return _decide_frame(space, fam, tol, claim, band=False)
 
 
-def _decide_frame(space, fam, tol: float, span, claim) -> FrameReport:
-    """``decide_frame`` for a family that holds its hypotheses by construction."""
+def _decide_frame(space, fam, tol: float, claim, band: bool) -> FrameReport:
+    """``decide_frame`` for a family that holds its hypotheses by construction;
+    with ``band``, over the positive-weight band, with the witness ratio read
+    off the weights so that no N x N quadrature joins the N x N family."""
     spec, gap = _frame_route(space, fam)
-    w = space.weights if span is None else space.weights[span]
+    floor = SUPPORT_ETA if band else -np.inf
+    w = space.weights[space.weights > floor]
     lo, hi = float(w.min()), float(w.max())
-    claim = _default_claim(lo, tol) if claim is None else claim
-    witness, ratio = _lower_witness(space, fam, claim, span, None)
+    ratio_of = partial(_band_ratio, space) if band else partial(witness_ratio, space, fam)
+    witness, ratio = _lower_witness(space, fam, claim, floor, ratio_of)
+    if witness is None:  # no claim, or one at or below every weight
+        claim = _default_claim(lo, tol)
+        witness, ratio = _lower_witness(space, fam, claim, floor, ratio_of)
     verdict = Verdict.FRAME if lo > tol else Verdict.NOT_FRAME
     residuals = {"spectrum_vs_weight": gap, **ratio}
     return FrameReport(verdict, (lo, hi), _extremes(spec), None, residuals, witness, spec)
@@ -364,7 +374,9 @@ def classify(
         **_factor_residuals(factors),
     }
     quad = _quadrature(fam)
-    witness, ratio = _lower_witness(space, fam, _default_claim(lo, tol), None, quad)
+    ratio_of = partial(_witness_ratio, space, fam, quad=quad)
+    claim = _default_claim(lo, tol)
+    witness, ratio = _lower_witness(space, fam, claim, -np.inf, ratio_of)
     verdict = _verdict(space.weights, tol)
     defect, probes = _parseval_checks(space, fam, verdict, rng, quad)
     return FrameReport(

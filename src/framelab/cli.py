@@ -300,8 +300,9 @@ class _Checked(dict):
     samples: np.ndarray | None
 
 
-def _checked(config) -> tuple:
-    """(typed config, diagnostics); past the key rules, a ``_Checked``."""
+def check_config(config) -> tuple:
+    """(typed config, diagnostics) of ``validate_config``.  Past the key rules
+    the config is a ``_Checked``, which ``run_config`` takes as it is."""
     cfg, diags = _walk(config)
     if not diags:
         cfg = _Checked(cfg)
@@ -314,7 +315,7 @@ def validate_config(config) -> list:
 
     Each diagnostic starts with the dotted path of the key it names.
     """
-    return _checked(config)[1]
+    return check_config(config)[1]
 
 
 def normalize_config(config) -> dict:
@@ -546,12 +547,12 @@ def run_config(config: dict, out_dir) -> int:
     The only writer: every CSV table, ``spectrum.csv`` from the report's
     spectrum, and ``report.json``.  The code also carries the written
     document as ``.doc``, so the caller need not read the file back.  A
-    ``_Checked`` config brings its custom samples; any other reads them here.
+    config other than a ``check_config`` result is normalized here.
     """
-    cfg = normalize_config(config)
     if isinstance(config, _Checked):
-        samples = config.samples
+        cfg, samples = config, config.samples
     else:
+        cfg = normalize_config(config)
         sec = _custom_section(cfg)
         samples = None if sec is None else _load_samples(sec["samples_path"])
     out = Path(out_dir)
@@ -619,7 +620,7 @@ def main(argv=None) -> int:
         if args.tol is not None and isinstance(raw.setdefault("tolerances", {}), dict):
             raw["tolerances"]["verdict"] = args.tol
 
-    cfg, diags = _checked(raw)
+    cfg, diags = check_config(raw)
     for diag in diags:
         print(f"config error: {diag}", file=sys.stderr)
     if args.validate_only:

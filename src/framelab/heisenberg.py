@@ -241,7 +241,7 @@ def frame_report(
 
     The model space is the closed span of the translates, the fields
     supported on the positive-weight band, so the report is the frame
-    decision with the band as span, plus its share of the grid as
+    decision over the band, plus its share of the grid as
     ``support_fraction``.
     """
     w = hs_weight(eps, d, midpoint_grid(resolution))
@@ -254,7 +254,6 @@ def _band_report(space: WeightedSpace, tol: float) -> FrameReport:
     R = space.grid_size
     scal = fourier_family(R // 2 - np.arange(R), midpoint_grid(R))
     fam = OperatorFamily(space, TensorBasis(scal, np.eye(1, dtype=complex)))
-    band = space.weights > SUPPORT_ETA
-    rep = _decide_frame(space, fam, tol, band, None)
-    rep.residuals["support_fraction"] = float(band.mean())
+    rep = _decide_frame(space, fam, tol, None, band=True)
+    rep.residuals["support_fraction"] = float((space.weights > SUPPORT_ETA).mean())
     return rep

@@ -400,10 +400,11 @@ def test_analyze_builds_each_spectrum_once(tmp_path, monkeypatch):
     assert len(gram) == 0
     assert len(spectrum) == 1
     assert len(quad) == 1
-    # a not_frame run builds its lower-bound witness once, and the witness
-    # ratio shares the one quadrature with the Parseval probes (a positive
-    # weight under the tolerance, so that the witness norm is not zero)
-    witness = _count_calls(monkeypatch, analyzer.witness_lower_failure)
+    # a not_frame run builds its lower-bound witness once (_lower_witness builds
+    # every one, witness_lower_failure's too), and the witness ratio shares
+    # the one quadrature with the Parseval probes (a positive weight under
+    # the tolerance, so that the witness norm is not zero)
+    witness = _count_calls(monkeypatch, analyzer._lower_witness)
     cfg = copy.deepcopy(ANALYZE)
     cfg["space"]["weight"]["low"] = 1e-10
     code = run_config(cfg, tmp_path / "not_frame")
@@ -436,19 +437,27 @@ def test_heisenberg_takes_the_band_decision_without_hypothesis_check(
     tmp_path, monkeypatch
 ):
     # The midpoint family is orthonormal by construction: checking it would
-    # form an R x R scalar Gram, a second R x R array at the peak of the run.
-    cfg = {"mode": "heisenberg", "heisenberg": {"eps": 0.5, "d": 1, "resolution": 256,
-                                                "spectral_resolution": 512}}
+    # form an R x R scalar Gram, and the witness ratio of a not_frame run
+    # (alpha^64 under the tolerance) through the quadrature an R x R
+    # quadrature, each a second R x R array at the peak of the run.
     decide = _count_calls(monkeypatch, analyzer._decide_frame)
     check = _count_calls(monkeypatch, analyzer._validate_family)
+    quad = _count_calls(monkeypatch, operators._quadrature)
     gram = []
     residual = TensorBasis.scalar_gram_residual
     monkeypatch.setattr(
         TensorBasis, "scalar_gram_residual", lambda b: gram.append(b) or residual(b)
     )
-    assert cli.main(["--config", _write(tmp_path, cfg), "--out", str(tmp_path)]) == 0
-    assert len(decide) == 1
-    assert check == [] and gram == []
+    for d, verdict in ((1, "frame"), (64, "not_frame")):
+        cfg = {"mode": "heisenberg", "heisenberg": {"eps": 0.5, "d": d, "resolution": 256,
+                                                    "spectral_resolution": 512}}
+        out = tmp_path / str(d)
+        assert cli.main(["--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["verdict"] == verdict
+        assert doc["witness"]["exists"] is (verdict == "not_frame")
+    assert len(decide) == 2
+    assert check == [] and gram == [] and quad == []
 
 
 def test_witness_run_builds_one_witness_at_the_claim(tmp_path, monkeypatch):
@@ -458,7 +467,7 @@ def test_witness_run_builds_one_witness_at_the_claim(tmp_path, monkeypatch):
         "space": {"grid_size": 64, "fiber_dim": 2,
                   "weight": {"preset": "ramp", "start": 1e-12, "stop": 1.0}},
     }
-    witness = _count_calls(monkeypatch, analyzer.witness_lower_failure)
+    witness = _count_calls(monkeypatch, analyzer._lower_witness)
     quad = _count_calls(monkeypatch, operators._quadrature)
     code = run_config(cfg, tmp_path / "run")
     assert code == 0 and code.doc["verdict"] == "not_frame"
@@ -467,6 +476,24 @@ def test_witness_run_builds_one_witness_at_the_claim(tmp_path, monkeypatch):
     ratio = code.doc["residuals"]["witness_ratio"]
     assert ratio == code.doc["witness"]["ratio"]
     assert 0.0 < ratio < 0.7
+
+
+def test_witness_run_below_every_weight_keeps_the_not_frame_witness(tmp_path):
+    # a claim at or below every weight has no witness of its own, so a
+    # not_frame run reports the one of the smallest claim above the tolerance
+    cfg = {
+        "mode": "witness",
+        "a_claimed": 1e-11,
+        "space": {"grid_size": 4, "weight": {"inline": [1e-10, 0.5, 1.0, 1.0]}},
+    }
+    code = run_config(cfg, tmp_path / "run")
+    assert code == 0 and code.doc["verdict"] == "not_frame"
+    witness = code.doc["witness"]
+    assert witness["exists"] and witness["support_size"] == 1
+    assert witness["ratio"] == code.doc["residuals"]["witness_ratio"]
+    assert witness["ratio"] == pytest.approx(1e-10)
+    norms = np.loadtxt(tmp_path / "run" / "witness.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(norms[:, -1] != 0, [True, False, False, False])
 
 
 def test_zak_builds_gram_spectrum_once(tmp_path, monkeypatch):
