@@ -17,7 +17,12 @@ and an ``eigvalsh`` of the synthesis-Gram factors, O(N^3) in the grid size.
 For the discrete Fourier family the weighted scalar Gram is circulant, and
 its FFT eigenvalues are the weights themselves, so an FFT Gram route would
 read back the very numbers the weight route reads and check nothing.  The
-cost of the cross check is the price of its independence.
+cost of the cross check is the price of its independence.  Both
+decompositions run in real arithmetic all the same: every family here is
+closed under conjugation, and a fixed sparse unitary (the centrohermitian
+reduction) makes the scalar factors real without changing their spectra.
+That fold regroups entries and diagonalizes nothing, so the routes stay
+dense and independent.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .operators import OperatorFamily, _lambda_all, _quadrature, frame_spectrum
-from .tensor_onb import _field_matrix, _weighted_gram
+from .tensor_onb import HYPOTHESIS_TOL, PAIRING_BLOCK, _field_matrix, _weighted_gram
 from .wspace import Field, WeightedSpace, norm
 
 __all__ = [
@@ -45,7 +50,6 @@ __all__ = [
 ]
 
 SUPPORT_ETA = 1e-12
-HYPOTHESIS_TOL = 1e-9
 PARSEVAL_FIELDS = 8
 
 
@@ -126,12 +130,45 @@ def _gram_factors(fam: OperatorFamily) -> tuple:
     return G @ G.conj().T, gs
 
 
-def _gram_spectrum(factors: tuple) -> np.ndarray:
+def _gram_spectrum(fam: OperatorFamily, factors: tuple) -> np.ndarray:
     """Ascending synthesis-Gram spectrum: the pairwise products of the
     eigenvalues of the two Hermitian factors (tiny negative ones from
-    zero-weight nodes included)."""
+    zero-weight nodes included).
+
+    The scalar factor gs is folded to a real symmetric matrix with the same
+    spectrum, U D gs D^H U^H, with D the row dephasing and U the sparse
+    unitary of the basis's conjugate row pairing; dephased, entry
+    (p(n), p(n')) is the conjugate of entry (n, n'), so the rows of the
+    self-paired and the lower paired nodes determine it.  ``eigvalsh`` then
+    runs in real arithmetic on the Gram entries themselves.  The fold is
+    not an FFT: for the discrete Fourier family an FFT would diagonalize
+    gs and read back the weights, and check nothing.
+
+    Raises:
+        ValueError: if the scalar family is not closed under conjugation.
+    """
     gf, gs = factors
-    return np.sort(np.outer(np.linalg.eigvalsh(gf), np.linalg.eigvalsh(gs)).ravel())
+    pairs = fam.basis._pairs
+    cols = np.concatenate([pairs.rows, pairs.partners])
+    col_phase = np.conj(pairs.phase[cols])
+    ns, na = pairs.n_self, pairs.partners.size
+    real = np.empty(gs.shape)
+    for start in range(0, pairs.rows.size, PAIRING_BLOCK):
+        rows = pairs.rows[start : start + PAIRING_BLOCK]
+        h = gs[np.ix_(rows, cols)]
+        h *= pairs.phase[rows, None]
+        h *= col_phase
+        # h times U^H, in place: column n' and its partner p' become
+        # (n' + p')/sqrt(2) and i (n' - p')/sqrt(2)
+        plus, minus = h[:, ns : ns + na], h[:, ns + na :]
+        plus += minus
+        minus *= -2.0
+        minus += plus
+        plus *= np.sqrt(0.5)
+        minus *= 1j * np.sqrt(0.5)
+        pairs.fold(h, real, start)
+    del h
+    return np.sort(np.outer(np.linalg.eigvalsh(gf), np.linalg.eigvalsh(real)).ravel())
 
 
 def _extremes(spec: np.ndarray) -> tuple:
@@ -337,7 +374,7 @@ def decide_onb(
     """
     _validate_family(fam)
     factors = _gram_factors(fam)
-    gb = _extremes(_gram_spectrum(factors))
+    gb = _extremes(_gram_spectrum(fam, factors))
     residuals = _factor_residuals(factors)
     verdict = _verdict(space.weights, tol)
     witness, probes = _parseval_checks(space, fam, verdict, rng, _quadrature(fam))
@@ -367,12 +404,13 @@ def classify(
     lo, hi = weight_bounds(space)
     spec, gap = _frame_route(space, fam)
     factors = _gram_factors(fam)
-    gb = _extremes(_gram_spectrum(factors))
+    gb = _extremes(_gram_spectrum(fam, factors))
     residuals = {
         "spectrum_vs_weight": gap,
         "gram_vs_weight": max(abs(gb[0] - lo), abs(gb[1] - hi)),
         **_factor_residuals(factors),
     }
+    del factors  # the quadrature takes the place of the N x N scalar Gram
     quad = _quadrature(fam)
     ratio_of = partial(_witness_ratio, space, fam, quad=quad)
     claim = _default_claim(lo, tol)

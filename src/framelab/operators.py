@@ -144,20 +144,21 @@ def _support_mask(fam: OperatorFamily, support) -> np.ndarray:
     return mask
 
 
-def _analysis_factors(fam: OperatorFamily, support=None) -> tuple:
+def _analysis_factors(fam: OperatorFamily, support=None, rows=None) -> tuple:
     """Kronecker factors of the analysis matrix.
 
     Returns the fiber factor conj(G) (M x M, entry [m, j] = conj(g_m[j]))
     and the scalar factor q (N x |S|, entry [n, i] = quad[n, i] *
     sqrt(N / w_i) over the support S), with ``quad`` the weighted
-    quadrature ``lambda_all`` uses, formed on the support columns only.
-    The analysis matrix is their Kronecker product up to a permutation of
-    its columns.
+    quadrature ``lambda_all`` uses, formed on the support columns only and
+    on the scalar ``rows`` only, all of them by default.  The analysis
+    matrix is their Kronecker product up to a permutation of its columns.
     """
     mask = _support_mask(fam, support)
     idx = np.flatnonzero(mask)
     N, w = fam.space.grid_size, fam.space.weights[idx]
-    q = fam.basis.scalar_family[:, idx]
+    F = fam.basis.scalar_family
+    q = F[:, idx] if rows is None else F[np.ix_(rows, idx)]
     np.conjugate(q, out=q)
     q *= w / N
     q *= np.sqrt(N / w)
@@ -171,11 +172,25 @@ def frame_spectrum(fam: OperatorFamily, support=None) -> np.ndarray:
     The analysis matrix is conj(G) (x) q up to a column permutation, so its
     singular values are the pairwise products of those of the M x M fiber
     factor and the N x |S| scalar factor: two small SVDs instead of one of
-    the NM x |S|M matrix.
+    the NM x |S|M matrix.  The scalar family is closed under conjugation,
+    so a fixed sparse unitary (the basis's conjugate row pairing, after
+    each row is dephased) turns q into a real matrix with the same singular
+    values, built from half its rows: the SVD runs in real arithmetic, on
+    the entries of q themselves.  It is not an FFT route: the fold never
+    diagonalizes anything, so the SVD still checks the weights
+    independently.
+
+    Raises:
+        ValueError: if the scalar family is not closed under conjugation.
     """
-    fiber, q = _analysis_factors(fam, support)
+    pairs = fam.basis._pairs
+    fiber, q = _analysis_factors(fam, support, pairs.rows)
+    q *= np.conj(pairs.phase[pairs.rows, None])
+    real = np.empty((fam.space.grid_size, q.shape[1]))
+    pairs.fold(q, real)
+    del q
     s = np.outer(
-        np.linalg.svd(fiber, compute_uv=False), np.linalg.svd(q, compute_uv=False)
+        np.linalg.svd(fiber, compute_uv=False), np.linalg.svd(real, compute_uv=False)
     )
     return np.sort(s.ravel()) ** 2
 

@@ -11,12 +11,17 @@ through the family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .wspace import Field, _readonly
 
 __all__ = ["TensorBasis", "build_default", "fourier_family", "tensor_field"]
+
+HYPOTHESIS_TOL = 1e-9
+# Rows of the family compared at a time when the conjugate pairing is verified.
+PAIRING_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,86 @@ class TensorBasis:
         G = self.fiber_family
         gram = G @ G.conj().T
         return float(np.max(np.abs(gram - np.eye(self.fiber_dim))))
+
+    @cached_property
+    def _pairs(self) -> _ConjugatePairs:
+        """The conjugate row pairing of the scalar family, found and verified
+        once per basis."""
+        return _conjugate_pairs(self.scalar_family)
+
+
+@dataclass(frozen=True)
+class _ConjugatePairs:
+    """Row pairing n <-> p(n) of a scalar family closed under conjugation.
+
+    Attributes:
+        phase: conj(f_n(x_0)) / |f_n(x_0)|; row n times its phase is the
+            dephased row, and dephased row p(n) is the conjugate of
+            dephased row n.
+        rows: the self-paired rows (real once dephased), then the lower row
+            of each pair.
+        partners: p(n) for the paired rows, in the order of ``rows``.
+        n_self: the number of self-paired rows.
+    """
+
+    phase: np.ndarray
+    rows: np.ndarray
+    partners: np.ndarray
+    n_self: int
+
+    def fold(self, h: np.ndarray, out: np.ndarray, start: int = 0) -> None:
+        """Write into ``out`` the real rows U h of a dephased array whose row
+        p(n) is the conjugate of row n, given as its ``rows``, or as the
+        block ``rows[start : start + len(h)]`` of them.
+
+        U is the unitary that keeps a self-paired row and sends a pair to
+        (e_n + e_p)/sqrt(2) and (e_n - e_p)/(i sqrt(2)).  Row j of U h is
+        the real part of h[j] for a self-paired row, else sqrt(2) times
+        it, and row len(rows) + j - n_self is sqrt(2) times the imaginary
+        part of a paired h[j].
+        """
+        stop, k, ns = start + h.shape[0], self.rows.size, self.n_self
+        first = max(start, ns)  # the first paired row of the block
+        out[start:stop] = h.real
+        out[first:stop] *= np.sqrt(2.0)
+        imag = out[k + first - ns : k + stop - ns]
+        np.multiply(h[first - start :].imag, np.sqrt(2.0), out=imag)
+
+
+def _conjugate_pairs(F: np.ndarray) -> _ConjugatePairs:
+    """Find the conjugate row pairing of F and verify it over the whole array.
+
+    Once each row is dephased by its first entry, a family closed under
+    conjugation has for each row n a row p(n) equal to its conjugate.  The
+    partner is matched on one column, the second, and the match is then
+    checked on every entry, ``PAIRING_BLOCK`` rows at a time.  For the
+    Fourier families f_k(x_i) = exp(2 pi i k x_i) on R nodes spaced 1/R
+    apart with R consecutive frequencies, p is k -> -k mod R.
+
+    Raises:
+        ValueError: if the family is not closed under conjugation.
+    """
+    N = F.shape[0]
+    phase = np.exp(-1j * np.angle(F[:, 0]))
+    z = F[:, min(1, N - 1)] * phase
+    # the partner's entry has the opposite angle: take the nearer of its two
+    # neighbours among the sorted angles, wrapping around at +-pi
+    ang = np.angle(z)
+    order = np.argsort(ang)
+    pos = np.searchsorted(ang[order], -ang)
+    cand = order[np.stack([(pos - 1) % N, pos % N])]
+    n = np.arange(N)
+    p = cand[np.argmin(np.abs(z[cand] - z.conj()), axis=0), n]
+    res = 0.0 if np.array_equal(p[p], n) else np.inf  # p must be an involution
+    for r0 in range(0, N, PAIRING_BLOCK):
+        blk = slice(r0, r0 + PAIRING_BLOCK)
+        d = F[p[blk]] * phase[p[blk], None]
+        d -= np.conj(F[blk] * phase[blk, None])
+        res = max(res, float(np.max(np.abs(d))))
+    if not res <= HYPOTHESIS_TOL:  # a NaN residual fails too
+        raise ValueError(f"family violates conjugate symmetry (residual {res:.3e})")
+    fixed, lower = np.flatnonzero(p == n), np.flatnonzero(n < p)
+    return _ConjugatePairs(phase, np.concatenate([fixed, lower]), p[lower], fixed.size)
 
 
 def _weighted_gram(F: np.ndarray, s) -> np.ndarray:

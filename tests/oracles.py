@@ -122,3 +122,21 @@ def analysis_factor(fam, support=None) -> np.ndarray:
 def off_diagonal(a: np.ndarray) -> np.ndarray:
     """``a`` with its diagonal set to zero."""
     return a - np.diag(np.diag(a))
+
+
+def complex_frame_spectrum(fam, support=None) -> np.ndarray:
+    """The frame spectrum from complex SVDs of the two analysis factors, the
+    route before the real conjugate-pair fold."""
+    fiber, q = _analysis_factors(fam, support)
+    s = np.outer(
+        np.linalg.svd(fiber, compute_uv=False), np.linalg.svd(q, compute_uv=False)
+    )
+    return np.sort(s.ravel()) ** 2
+
+
+def complex_gram_spectrum(fam) -> np.ndarray:
+    """The synthesis-Gram spectrum from complex ``eigvalsh`` of its two
+    factors, the route before the real conjugate-pair fold."""
+    gf = fam.basis.fiber_family @ fam.basis.fiber_family.conj().T
+    gs = weighted_scalar_gram(fam.basis.scalar_family, fam.space.weights)
+    return np.sort(np.outer(np.linalg.eigvalsh(gf), np.linalg.eigvalsh(gs)).ravel())

@@ -95,8 +95,9 @@ def test_nan_family_refused_by_both_deciders():
 
 def test_classify_working_set_at_grid_cap():
     # Each N x N complex array takes 16 N^2 bytes.  The run holds one
-    # family, and classify adds its analysis factor, then the weighted scalar
-    # Gram with one quadrature shared by the Parseval and defect ratios.
+    # family, and classify adds half its analysis factor and the real fold,
+    # then the weighted scalar Gram and its real fold, then one quadrature
+    # shared by the Parseval and defect ratios.
     n, m = 512, 2
     tracemalloc.start()
     try:
@@ -267,7 +268,7 @@ def test_classify_equals_the_three_deciders_merged(w, m, tol, seed):
     fr = decide_frame(sp, fam, tol=tol)
     ob = decide_onb(sp, fam, tol=tol, rng=np.random.default_rng(seed))
     # the Gram route: its spectrum from the factors against the weight range
-    gb = _extremes(_gram_spectrum(_gram_factors(fam)))
+    gb = _extremes(_gram_spectrum(fam, _gram_factors(fam)))
     lo, hi = fr.weight_bounds
     gram = {"gram_vs_weight": max(abs(gb[0] - lo), abs(gb[1] - hi))}
     basis = Verdict.RIESZ_BASIS if fr.verdict is Verdict.FRAME else Verdict.NOT_FRAME

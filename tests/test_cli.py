@@ -117,10 +117,20 @@ def test_shiftinv_mode(tmp_path):
     doc = _report(tmp_path)
     assert doc["verdict"] == "riesz_basis"
     assert doc["residuals"]["mass_vs_norm"] < 1e-12
-    assert doc["residuals"]["translate_gram_vs_weight"] < 1e-9
+    assert doc["residuals"]["translate_gram_vs_weight"] <= 1e-13
+    assert doc["metrics"]["translate_gram_checked"] is True
     assert doc["metrics"]["total_mass"] == pytest.approx(
         doc["metrics"]["window_norm_sq"], rel=1e-12
     )
+
+
+def test_shiftinv_reports_unchecked_translate_gram_above_64(tmp_path):
+    cfg = {"mode": "shiftinv", "generator": {"preset": "gaussian", "grid_size": 65}}
+    proc = _run(tmp_path, cfg)
+    assert proc.returncode == 0, proc.stderr
+    doc = _report(tmp_path)
+    assert doc["metrics"]["translate_gram_checked"] is False
+    assert "translate_gram_vs_weight" not in doc["residuals"]
 
 
 def test_shiftinv_writes_witness_csv(tmp_path):
@@ -532,6 +542,27 @@ def test_zak_at_size_cap(tmp_path):
     assert doc["residuals"]["zak_vs_gram"] <= 1e-12
     with open(tmp_path / "run" / "spectrum.csv") as fh:
         assert len(list(csv.DictReader(fh))) == 2048
+
+
+def test_analyze_at_grid_and_fiber_caps(tmp_path):
+    # No cap on grid_size * fiber_dim: no run forms an NM x NM matrix.
+    cfg = {
+        "mode": "analyze",
+        "space": {
+            "grid_size": 512,
+            "fiber_dim": 16,
+            "weight": {"preset": "ramp", "start": 0.5, "stop": 2.0},
+        },
+    }
+    assert validate_config(cfg) == []
+    assert _run(tmp_path, cfg, extra=("--validate-only",)).returncode == 0
+    proc = _run(tmp_path, cfg)
+    assert proc.returncode == 0, proc.stderr
+    doc = _report(tmp_path)
+    assert doc["verdict"] == "riesz_basis"
+    assert doc["bounds"]["weight"] == [0.5, 2.0]
+    with open(tmp_path / "run" / "spectrum.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 512 * 16
 
 
 def test_config_echo_round_trip(tmp_path):
