@@ -49,7 +49,6 @@ __all__ = [
     "witness_ratio",
 ]
 
-SUPPORT_ETA = 1e-12
 PARSEVAL_FIELDS = 8
 
 
@@ -225,15 +224,14 @@ def witness_lower_failure(space: WeightedSpace, fam: OperatorFamily, a_claimed: 
     Raises:
         ValueError: if ``a_claimed`` is not positive.
     """
-    return _lower_witness(space, fam, a_claimed, -np.inf, None)[0]
+    return _lower_witness(space, fam, a_claimed, False, None)[0]
 
 
 def _frame_route(space: WeightedSpace, fam: OperatorFamily) -> tuple:
     """Ascending frame-operator spectrum on the support (nodes with positive
     weight) and its gap to the extremes of the support weights."""
-    supp = space.weights > SUPPORT_ETA
-    spec = frame_spectrum(fam, support=supp)
-    sw = space.weights[supp]
+    spec = frame_spectrum(fam)
+    sw = space.weights[space.support]
     return spec, max(abs(float(spec[0]) - sw.min()), abs(float(spec[-1]) - sw.max()))
 
 
@@ -261,15 +259,17 @@ def _band_ratio(space: WeightedSpace, field: Field) -> float:
     return float((space.weights**2 * f2).sum() / (space.weights * f2).sum())
 
 
-def _lower_witness(space, fam, claim: float | None, floor: float, ratio) -> tuple:
-    """(field, {"witness_ratio": ratio(field)}) of the ``claim`` witness on the
-    nodes of weight above ``floor``, without the entry when ``ratio`` is None;
+def _lower_witness(space, fam, claim: float | None, band: bool, ratio) -> tuple:
+    """(field, {"witness_ratio": ratio(field)}) of the ``claim`` witness, on
+    the support only with ``band``, without the entry when ``ratio`` is None;
     (None, {}) when ``claim`` is None or no node undercuts it."""
     if claim is None:
         return None, {}
     if not claim > 0:
         raise ValueError("claimed lower bound must be positive")
-    mask = (floor < space.weights) & (space.weights < claim)
+    mask = space.weights < claim
+    if band:
+        mask &= space.support
     if not mask.any():
         return None, {}
     field = _indicator_field(space, fam, mask)
@@ -342,14 +342,13 @@ def _decide_frame(space, fam, tol: float, claim, band: bool) -> FrameReport:
     with ``band``, over the positive-weight band, with the witness ratio read
     off the weights so that no N x N quadrature joins the N x N family."""
     spec, gap = _frame_route(space, fam)
-    floor = SUPPORT_ETA if band else -np.inf
-    w = space.weights[space.weights > floor]
+    w = space.weights[space.support] if band else space.weights
     lo, hi = float(w.min()), float(w.max())
     ratio_of = partial(_band_ratio, space) if band else partial(witness_ratio, space, fam)
-    witness, ratio = _lower_witness(space, fam, claim, floor, ratio_of)
+    witness, ratio = _lower_witness(space, fam, claim, band, ratio_of)
     if witness is None:  # no claim, or one at or below every weight
         claim = _default_claim(lo, tol)
-        witness, ratio = _lower_witness(space, fam, claim, floor, ratio_of)
+        witness, ratio = _lower_witness(space, fam, claim, band, ratio_of)
     verdict = Verdict.FRAME if lo > tol else Verdict.NOT_FRAME
     residuals = {"spectrum_vs_weight": gap, **ratio}
     return FrameReport(verdict, (lo, hi), _extremes(spec), None, residuals, witness, spec)
@@ -414,7 +413,7 @@ def classify(
     quad = _quadrature(fam)
     ratio_of = partial(_witness_ratio, space, fam, quad=quad)
     claim = _default_claim(lo, tol)
-    witness, ratio = _lower_witness(space, fam, claim, -np.inf, ratio_of)
+    witness, ratio = _lower_witness(space, fam, claim, False, ratio_of)
     verdict = _verdict(space.weights, tol)
     defect, probes = _parseval_checks(space, fam, verdict, rng, quad)
     return FrameReport(

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analyzer import SUPPORT_ETA, Verdict, classify, decide_frame
+from .analyzer import Verdict, classify, decide_frame
 from .errors import ConsistencyError
 from .heisenberg import (
     CenterTranslateModel,
@@ -428,7 +428,7 @@ def _run_analyze(cfg: dict, samples) -> tuple:
     )
     metrics = {
         "total_mass": total_mass(space),
-        "support_fraction": float((space.weights > SUPPORT_ETA).mean()),
+        "support_fraction": float(space.support.mean()),
     }
     return rep, rep.residuals, metrics, witness, tables
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analyzer import SUPPORT_ETA, FrameReport, _decide_frame
+from .analyzer import FrameReport, _decide_frame
 from .errors import ConsistencyError
 from .operators import OperatorFamily
 from .tensor_onb import TensorBasis, fourier_family
@@ -116,9 +116,7 @@ def psi_norm_sq(eps: float, d: int) -> float:
 
 
 def _envelope(eps: float, d: int, w: np.ndarray) -> tuple[float, float]:
-    w = w[w > SUPPORT_ETA]
-    if not w.size:
-        raise ValueError("no grid point carries positive weight")
+    """Extremes of the support weights ``w``, which must lie in [eps^d, 1]."""
     lo, hi = float(w.min()), float(w.max())
     if lo < eps ** d - 1e-12 or hi > 1.0 + 1e-12:
         raise ConsistencyError(
@@ -134,11 +132,14 @@ def weight_envelope_check(eps: float, d: int, grid) -> tuple[float, float]:
     are returned as the effective two-sided bounds.
 
     Raises:
-        ValueError: when no grid point carries positive weight.
+        ValueError: when no grid point carries positive weight, or one
+            carries a positive weight that ``WeightedSpace`` refuses.
         ConsistencyError: if a value escapes the guaranteed sandwich.
     """
     eps, d = _check_params(eps, d)
-    return _envelope(eps, d, np.asarray(hs_weight(eps, d, grid)))
+    w = np.atleast_1d(hs_weight(eps, d, grid))
+    space = WeightedSpace(w.size, 1, w)
+    return _envelope(eps, d, space.weights[space.support])
 
 
 def midpoint_grid(resolution: int) -> np.ndarray:
@@ -155,7 +156,10 @@ class CenterTranslateModel:
 
     Scale grid, collapsed weight, and its support are precomputed; the
     model space is the span of the translates, i.e. fields supported on
-    the positive-weight band.
+    the positive-weight band.  ``weights`` and ``support`` are those of the
+    ``WeightedSpace`` of the scale grid: the support is the nodes of
+    positive weight, and a positive weight whose quadrature weight w/R is
+    subnormal is refused.
     """
 
     eps: float
@@ -175,18 +179,18 @@ class CenterTranslateModel:
         if int(self.k_max) < 0:
             raise ValueError("k_max must be nonnegative")
         a = midpoint_grid(self.resolution)
-        w = np.asarray(hs_weight(eps, d, a))
+        space = WeightedSpace(a.size, 1, hs_weight(eps, d, a))
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "resolution", int(self.resolution))
         object.__setattr__(self, "k_max", int(self.k_max))
         object.__setattr__(self, "alpha", _readonly(a))
-        object.__setattr__(self, "weights", _readonly(w))
-        object.__setattr__(self, "support", _readonly(w > SUPPORT_ETA))
+        object.__setattr__(self, "weights", space.weights)
+        object.__setattr__(self, "support", space.support)
 
     def envelope(self) -> tuple[float, float]:
         """``weight_envelope_check`` over the model grid, from the stored weights."""
-        return _envelope(self.eps, self.d, self.weights)
+        return _envelope(self.eps, self.d, self.weights[self.support])
 
     def _coeffs(self, a) -> np.ndarray:
         c = np.asarray(a, dtype=complex)
@@ -224,8 +228,7 @@ def isometry_residual(model: CenterTranslateModel, a) -> float:
     R, n = model.resolution, c.size
     field = float((np.abs(s_map(model, c)) ** 2 * model.weights).sum() / R)
     lags = np.arange(1 - n, n)
-    w = np.where(model.support, model.weights, 0.0)
-    t = np.fft.ifft(w)[lags % R] * np.exp(1j * np.pi * lags / R)
+    t = np.fft.ifft(model.weights)[lags % R] * np.exp(1j * np.pi * lags / R)
     k = np.arange(n)
     gram = float(np.real(c.conj() @ t[k[:, None] - k + n - 1] @ c))
     rel = abs(field - gram) / max(gram, np.finfo(float).tiny)
@@ -255,5 +258,5 @@ def _band_report(space: WeightedSpace, tol: float) -> FrameReport:
     scal = fourier_family(R // 2 - np.arange(R), midpoint_grid(R))
     fam = OperatorFamily(space, TensorBasis(scal, np.eye(1, dtype=complex)))
     rep = _decide_frame(space, fam, tol, None, band=True)
-    rep.residuals["support_fraction"] = float((space.weights > SUPPORT_ETA).mean())
+    rep.residuals["support_fraction"] = float(space.support.mean())
     return rep

@@ -125,37 +125,18 @@ def lambda_all(fam: OperatorFamily, field: Field) -> np.ndarray:
     return _lambda_all(fam, _quadrature(fam), field)
 
 
-def _support_mask(fam: OperatorFamily, support) -> np.ndarray:
-    w = fam.space.weights
-    if support is None:
-        if np.any(w <= 0):
-            raise ValueError(
-                "analysis matrix needs strictly positive weights; "
-                "restrict to the support first"
-            )
-        return np.ones(fam.space.grid_size, dtype=bool)
-    mask = np.asarray(support, dtype=bool)
-    if mask.shape != (fam.space.grid_size,):
-        raise ValueError("support mask must have one entry per grid node")
-    if not mask.any():
-        raise ValueError("support mask is empty")
-    if np.any(w[mask] <= 0):
-        raise ValueError("support mask includes zero-weight nodes")
-    return mask
-
-
-def _analysis_factors(fam: OperatorFamily, support=None, rows=None) -> tuple:
+def _analysis_factors(fam: OperatorFamily, rows=None) -> tuple:
     """Kronecker factors of the analysis matrix.
 
     Returns the fiber factor conj(G) (M x M, entry [m, j] = conj(g_m[j]))
     and the scalar factor q (N x |S|, entry [n, i] = quad[n, i] *
-    sqrt(N / w_i) over the support S), with ``quad`` the weighted
-    quadrature ``lambda_all`` uses, formed on the support columns only and
-    on the scalar ``rows`` only, all of them by default.  The analysis
-    matrix is their Kronecker product up to a permutation of its columns.
+    sqrt(N / w_i) over the support S, the nodes of positive weight), with
+    ``quad`` the weighted quadrature ``lambda_all`` uses, formed on the
+    support columns only and on the scalar ``rows`` only, all of them by
+    default.  The analysis matrix is their Kronecker product up to a
+    permutation of its columns.
     """
-    mask = _support_mask(fam, support)
-    idx = np.flatnonzero(mask)
+    idx = np.flatnonzero(fam.space.support)
     N, w = fam.space.grid_size, fam.space.weights[idx]
     F = fam.basis.scalar_family
     q = F[:, idx] if rows is None else F[np.ix_(rows, idx)]
@@ -165,9 +146,11 @@ def _analysis_factors(fam: OperatorFamily, support=None, rows=None) -> tuple:
     return fam.basis.fiber_family.conj(), q
 
 
-def frame_spectrum(fam: OperatorFamily, support=None) -> np.ndarray:
+def frame_spectrum(fam: OperatorFamily) -> np.ndarray:
     """Ascending frame-operator spectrum (squared singular values of the
-    analysis matrix).
+    analysis matrix) on the support of the space, the nodes of positive
+    weight: M |S| values, the weight multiset of the support repeated once
+    per fiber dimension for a complete orthonormal family.
 
     The analysis matrix is conj(G) (x) q up to a column permutation, so its
     singular values are the pairwise products of those of the M x M fiber
@@ -184,7 +167,7 @@ def frame_spectrum(fam: OperatorFamily, support=None) -> np.ndarray:
         ValueError: if the scalar family is not closed under conjugation.
     """
     pairs = fam.basis._pairs
-    fiber, q = _analysis_factors(fam, support, pairs.rows)
+    fiber, q = _analysis_factors(fam, pairs.rows)
     q *= np.conj(pairs.phase[pairs.rows, None])
     real = np.empty((fam.space.grid_size, q.shape[1]))
     pairs.fold(q, real)

@@ -27,11 +27,9 @@ __all__ = [
     "Generator",
     "make_generator",
     "periodized_weight",
-    "time_samples",
     "translate_gram",
     "ZakGrid",
     "zak_transform",
-    "zak_quasiperiodicity_residual",
     "gabor_window",
     "gabor_gram_spectrum",
     "gabor_riesz_check",
@@ -122,7 +120,7 @@ def periodized_weight(gen: Generator) -> np.ndarray:
     return sq.reshape(2 * gen.radius, gen.grid_size).sum(axis=0)
 
 
-def time_samples(gen: Generator) -> np.ndarray:
+def _time_samples(gen: Generator) -> np.ndarray:
     """Generator samples on the cyclic time grid t_s = s/(2R), period N."""
     P = gen.fhat.size
     signs = np.where(np.arange(P) % 2 == 0, 1.0, -1.0)
@@ -133,7 +131,7 @@ def translate_gram(gen: Generator) -> np.ndarray:
     """Gram matrix of the N translates, by time-side quadrature; its
     spectrum reproduces the periodized weight exactly."""
     step = 2 * gen.radius
-    phi_t = time_samples(gen)
+    phi_t = _time_samples(gen)
     V = np.stack([np.roll(phi_t, step * k) for k in range(gen.grid_size)])
     return (V.conj() @ V.T) / step
 
@@ -178,16 +176,11 @@ def zak_transform(phi, time_resolution: int, translates: int) -> ZakGrid:
     return ZakGrid(L * np.fft.ifft(folded, axis=0).T, N, L)
 
 
-def zak_quasiperiodicity_residual(phi, time_resolution: int, translates: int) -> float:
-    """Defect of Z(x + 1, xi) = exp(-2 pi i xi) Z(x, xi) on wrapped indices."""
-    zak = zak_transform(phi, time_resolution, translates)
-    return _quasiperiodicity_residual(zak, phi)
-
-
 def _quasiperiodicity_residual(zak: ZakGrid, phi) -> float:
-    """``zak_quasiperiodicity_residual`` given ``zak``, the Zak transform of
-    ``phi``.  The shifted side is a transform of its own, of the rolled
-    window: reading it off ``zak`` by the shift theorem would check nothing."""
+    """Defect of Z(x + 1, xi) = exp(-2 pi i xi) Z(x, xi) on wrapped indices,
+    given ``zak``, the Zak transform of ``phi``.  The shifted side is a
+    transform of its own, of the rolled window: reading it off ``zak`` by the
+    shift theorem would check nothing."""
     N, L = zak.time_resolution, zak.translates
     shifted = zak_transform(np.roll(np.asarray(phi, dtype=complex), -N), N, L).values
     phase = np.exp(-2j * np.pi * np.arange(L) / L)

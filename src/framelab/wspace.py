@@ -9,7 +9,7 @@ of immutable inputs, safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,15 +42,24 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class WeightedSpace:
     """Uniform grid, fiber dimension and node weights.
 
+    The support is the set of nodes whose weight is positive; it is decided
+    here, once, and every spectrum, bound and witness restricted to the
+    support reads ``support``.  A positive weight must keep its quadrature
+    weight w_i / N a normal float (at least ``np.finfo(float).tiny``), so
+    that the coordinate scale sqrt(N / w_i) of the support stays finite; a
+    smaller positive weight is refused, not dropped.
+
     Attributes:
         grid_size: number N of grid nodes x_i = i/N in [0, 1).
         fiber_dim: dimension M of the value space.
         weights: N nonnegative node weights, at least one positive.
+        support: read-only mask of the nodes with positive weight.
     """
 
     grid_size: int
     fiber_dim: int
     weights: np.ndarray
+    support: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.grid_size) < 1:
@@ -66,9 +75,17 @@ class WeightedSpace:
             raise ValueError("weights must be finite")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
-        if not np.any(w > 0):
+        support = w > 0
+        if not support.any():
             raise ValueError("at least one weight must be positive")
+        low, tiny = float(w[support].min()), np.finfo(float).tiny
+        if low / self.grid_size < tiny:
+            raise ValueError(
+                f"positive weight {low:.3e} is below grid_size * tiny = "
+                f"{self.grid_size * tiny:.3e}, so its quadrature weight is subnormal"
+            )
         object.__setattr__(self, "weights", _readonly(w))
+        object.__setattr__(self, "support", _readonly(support))
 
     @classmethod
     def uniform(cls, grid_size: int, fiber_dim: int = 1) -> "WeightedSpace":

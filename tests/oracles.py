@@ -8,26 +8,23 @@ import io
 
 import numpy as np
 
-from framelab.operators import _analysis_factors, _support_mask
+from framelab.operators import _analysis_factors
 
 
-def analysis_matrix(fam, support=None) -> np.ndarray:
+def analysis_matrix(fam) -> np.ndarray:
     """Matrix of all coefficient functionals in weighted coordinates.
 
     Columns correspond to the orthonormal coordinate fields of the weighted
     space (delta at node i, fiber direction j, scaled by sqrt(N / w_i)).
-    Rows are indexed (m, n) m-major, columns (i, j) i-major over the support.
+    Rows are indexed (m, n) m-major, columns (i, j) i-major over the support,
+    the nodes of positive weight.
 
     Column (i, j) is ``lambda_all`` applied to that coordinate field, in
     closed form conj(g_m[j]) * quad[n, i] * sqrt(N / w_i): one outer product
     of the two Kronecker factors that ``frame_spectrum`` takes its SVDs of.
     It is the dense NM x NM reference for that factored route.
-
-    Args:
-        support: optional boolean node mask restricting the coordinate
-            fields; required when some weights vanish.
     """
-    fiber, q = _analysis_factors(fam, support)
+    fiber, q = _analysis_factors(fam)
     M, (N, S) = fiber.shape[0], q.shape
     return np.einsum("mj,ni->mnij", fiber, q).reshape(M * N, S * M)
 
@@ -110,10 +107,10 @@ def quadrature(fam) -> np.ndarray:
     return fam.basis.scalar_family.conj() * (fam.space.weights / fam.space.grid_size)
 
 
-def analysis_factor(fam, support=None) -> np.ndarray:
+def analysis_factor(fam) -> np.ndarray:
     """The scalar analysis factor q: the full N x N weighted quadrature,
     then its support columns, each scaled by sqrt(N / w_i)."""
-    idx = np.flatnonzero(_support_mask(fam, support))
+    idx = np.flatnonzero(fam.space.support)
     q = quadrature(fam)[:, idx]
     q *= np.sqrt(fam.space.grid_size / fam.space.weights[idx])
     return q
@@ -124,10 +121,10 @@ def off_diagonal(a: np.ndarray) -> np.ndarray:
     return a - np.diag(np.diag(a))
 
 
-def complex_frame_spectrum(fam, support=None) -> np.ndarray:
+def complex_frame_spectrum(fam) -> np.ndarray:
     """The frame spectrum from complex SVDs of the two analysis factors, the
     route before the real conjugate-pair fold."""
-    fiber, q = _analysis_factors(fam, support)
+    fiber, q = _analysis_factors(fam)
     s = np.outer(
         np.linalg.svd(fiber, compute_uv=False), np.linalg.svd(q, compute_uv=False)
     )

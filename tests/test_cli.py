@@ -230,6 +230,45 @@ def test_heisenberg_mode(tmp_path):
     assert doc["bounds"]["oracle"][0] >= 0.5 - 1e-9
 
 
+def test_support_holds_every_positive_weight(tmp_path):
+    # every weight of the ramp is positive and below 1e-12
+    cfg = {"mode": "analyze", "space": {"grid_size": 64, "fiber_dim": 2, "weight": {
+        "preset": "ramp", "start": 3e-14, "stop": 1e-12}}}
+    code = run_config(cfg, tmp_path / "ramp")
+    assert code == 0
+    assert code.doc["metrics"]["support_fraction"] == 1.0
+    bounds = code.doc["bounds"]
+    assert bounds["oracle"] == pytest.approx(bounds["weight"], rel=1e-12, abs=0.0)
+
+    cfg = {"mode": "analyze",
+           "space": {"grid_size": 4, "weight": {"inline": [1e-13, 1.0, 1.0, 1.0]}}}
+    code = run_config(cfg, tmp_path / "inline")
+    assert code.doc["bounds"]["oracle"][0] == pytest.approx(1e-13, rel=1e-12, abs=0.0)
+
+
+def test_heisenberg_band_keeps_weights_below_1e12(tmp_path):
+    eps, d, r = 0.5, 64, 1024
+    cfg = {"mode": "heisenberg",
+           "heisenberg": {"eps": eps, "d": d, "spectral_resolution": r}}
+    code = run_config(cfg, tmp_path / "run")
+    assert code == 0
+    doc = code.doc
+    w = heisenberg.hs_weight(eps, d, heisenberg.midpoint_grid(r))
+    assert doc["residuals"]["support_fraction"] == 0.5
+    assert doc["bounds"]["weight"][0] == w[w > 0].min()
+    # the model grid's band node nearest eps lies within 1/R' of eps
+    model_r = doc["config"]["heisenberg"]["resolution"]
+    lo = doc["metrics"]["envelope_lo"]
+    assert eps**d <= lo <= (eps + 1.0 / model_r) ** d
+
+
+def test_validate_only_refuses_subnormal_quadrature_weight(tmp_path, capsys):
+    cfg = {"mode": "analyze", "space": {"grid_size": 64, "weight": {
+        "preset": "ramp", "start": 1e-310, "stop": 1.0}}}
+    assert cli.main(["--validate-only", "--config", _write(tmp_path, cfg)]) == 1
+    assert "config error: space: positive weight" in capsys.readouterr().err
+
+
 def test_exit_code_two_on_strict_consistency(tmp_path):
     cfg = {
         "mode": "analyze",
@@ -514,7 +553,8 @@ def test_zak_builds_gram_spectrum_once(tmp_path, monkeypatch):
         "translates": 6,
     }
     phi = shiftinv.gabor_window("gaussian", 8, 6)
-    residual = shiftinv.zak_quasiperiodicity_residual(phi, 8, 6)
+    transform = shiftinv.zak_transform(phi, 8, 6)
+    residual = shiftinv._quasiperiodicity_residual(transform, phi)
     spectrum = _count_calls(monkeypatch, shiftinv.gabor_gram_spectrum)
     zak = _count_calls(monkeypatch, shiftinv.zak_transform)
     code = run_config(cfg, tmp_path / "run")

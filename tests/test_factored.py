@@ -30,9 +30,8 @@ from oracles import analysis_matrix
 
 
 def _oracle_cases():
-    """(family, support mask, standard fiber?) over seeded random weights,
-    with and without dead nodes, with the standard and a random unitary
-    fiber basis."""
+    """(family, standard fiber?) over seeded random weights, with and without
+    dead nodes, with the standard and a random unitary fiber basis."""
     rng = np.random.default_rng(61)
     for n, m in [(5, 2), (37, 3), (64, 2), (16, 1)]:
         w = rng.uniform(0.1, 3.0, n)
@@ -42,18 +41,18 @@ def _oracle_cases():
             rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         )
         scalar = build_default(n, m).scalar_family
-        for weights, supp in ((w, None), (dead, dead > 0)):
+        for weights in (w, dead):
             sp = WeightedSpace(n, m, weights)
             for fiber, standard in ((np.eye(m, dtype=complex), True), (q, False)):
-                yield OperatorFamily(sp, TensorBasis(scalar, fiber)), supp, standard
+                yield OperatorFamily(sp, TensorBasis(scalar, fiber)), standard
 
 
 def test_factored_frame_spectrum_matches_dense_svd():
     # The real fold of q is a different route from the dense complex SVD,
     # so even at M = 1 with the standard fiber the two agree to rounding.
-    for fam, supp, _ in _oracle_cases():
-        spec = frame_spectrum(fam, support=supp)
-        T = analysis_matrix(fam, support=supp)
+    for fam, _ in _oracle_cases():
+        spec = frame_spectrum(fam)
+        T = analysis_matrix(fam)
         dense = np.sort(np.linalg.svd(T, compute_uv=False)) ** 2
         assert spec.shape == dense.shape
         assert np.max(np.abs(spec - dense)) <= 1e-12 * dense.max()
@@ -63,7 +62,7 @@ def test_factored_gram_route_matches_dense_gram():
     # The spectrum comes from the real fold of gs and meets the dense
     # eigensolve to rounding; onb_cross and onb_norm still read the complex
     # factors, and at M = 1 with the standard fiber they are bit-exact.
-    for fam, _, standard in _oracle_cases():
+    for fam, standard in _oracle_cases():
         gram = synthesis_gram(fam)
         dense_eig = np.linalg.eigvalsh(gram)
         dense_cross = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
@@ -127,21 +126,21 @@ def test_working_set_routes_match_dense_forms_bit_for_bit():
             assert basis.scalar_gram_residual() == float(
                 np.max(np.abs(oracles.scalar_gram_defect(F)))
             )
-            for weights, supp in ((w, None), (dead, dead > 0)):
+            for weights in (w, dead):
                 sp = WeightedSpace(n, 1, weights)
                 fam = OperatorFamily(sp, basis)
                 assert _same_bits(_quadrature(fam), oracles.quadrature(fam))
-                q = _analysis_factors(fam, supp)[1]
-                assert _same_bits(q, oracles.analysis_factor(fam, supp))
+                q = _analysis_factors(fam)[1]
+                assert _same_bits(q, oracles.analysis_factor(fam))
                 gs = _gram_factors(fam)[1]
                 assert _same_bits(gs, oracles.weighted_scalar_gram(F, weights))
                 assert _offmax(gs) == float(np.max(np.abs(oracles.off_diagonal(gs))))
 
 
 def _fold_cases():
-    """(family, support mask) for each scalar family a runner builds, at
-    ``BIT_SIZES``, with and without dead nodes, at M = 1 and at M = 3 with
-    a random unitary fiber basis."""
+    """The family of each scalar family a runner builds, at ``BIT_SIZES``,
+    with and without dead nodes, at M = 1 and at M = 3 with a random
+    unitary fiber basis."""
     rng = np.random.default_rng(73)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     for n in BIT_SIZES:
@@ -153,29 +152,29 @@ def _fold_cases():
             dead = w.copy()
             dead[1::3] = 0.0
             for fiber in (np.eye(1, dtype=complex), q):
-                for weights, supp in ((w, None), (dead, dead > 0)):
+                for weights in (w, dead):
                     sp = WeightedSpace(n, fiber.shape[0], weights)
-                    yield OperatorFamily(sp, TensorBasis(F, fiber)), supp
+                    yield OperatorFamily(sp, TensorBasis(F, fiber))
 
 
 def test_folded_spectra_match_complex_oracles_and_weights():
     # Dense NM x NM oracles up to NM = 512; above that the complex factored
     # routes (complex SVD of q, complex eigvalsh of gs), since a dense
     # 1536 x 1536 SVD per case would dominate the suite.
-    for fam, supp in _fold_cases():
+    for fam in _fold_cases():
         n, m = fam.space.grid_size, fam.space.fiber_dim
         w = fam.space.weights
-        spec = frame_spectrum(fam, support=supp)
+        spec = frame_spectrum(fam)
         gram = _gram_spectrum(fam, _gram_factors(fam))
         if n * m <= 512:
-            T = analysis_matrix(fam, support=supp)
+            T = analysis_matrix(fam)
             oracle = np.sort(np.linalg.svd(T, compute_uv=False)) ** 2
             oracle_gram = np.linalg.eigvalsh(synthesis_gram(fam))
         else:
-            oracle = oracles.complex_frame_spectrum(fam, supp)
+            oracle = oracles.complex_frame_spectrum(fam)
             oracle_gram = oracles.complex_gram_spectrum(fam)
         scale = float(w.max())
-        live = w if supp is None else w[supp]
+        live = w[w > 0]
         assert np.max(np.abs(spec - oracle)) <= 1e-12 * scale
         assert np.max(np.abs(spec - np.sort(np.repeat(live, m)))) <= 1e-12 * scale
         assert np.max(np.abs(gram - oracle_gram)) <= 1e-12 * scale
@@ -232,12 +231,20 @@ def _fam(n, m, w):
 
 
 @PROPERTY
-@given(weighted_families(), st.floats(1e-3, 1e3))
+@given(
+    weighted_families(values=st.one_of(st.just(0.0), st.floats(0.05, 20.0))),
+    st.floats(1e-14, 1e12),
+)
 def test_weight_scaling_scales_spectra(case, c):
+    # scaling keeps the support, so the spectra keep their length, even
+    # where every weight lies far below 1
     n, m, w = case
+    if not np.any(w > 0):
+        w[0] = 1.0
     _, fam = _fam(n, m, w)
     _, fam_c = _fam(n, m, c * w)
     spec, spec_c = frame_spectrum(fam), frame_spectrum(fam_c)
+    assert spec_c.shape == spec.shape == (m * np.count_nonzero(w),)
     assert np.max(np.abs(spec_c - c * spec)) <= 1e-12 * c * spec.max()
     lo, hi = _extremes(_gram_spectrum(fam, _gram_factors(fam)))
     lo_c, hi_c = _extremes(_gram_spectrum(fam_c, _gram_factors(fam_c)))
@@ -260,9 +267,8 @@ def test_node_permutation_keeps_spectrum_and_verdict(case, rnd):
     rnd.shuffle(perm)
     sp, fam = _fam(n, m, w)
     sp_p, fam_p = _fam(n, m, w[perm])
-    supp = w > 0
-    spec = frame_spectrum(fam, support=supp)
-    spec_p = frame_spectrum(fam_p, support=supp[perm])
+    spec = frame_spectrum(fam)
+    spec_p = frame_spectrum(fam_p)
     assert np.max(np.abs(spec_p - spec)) <= 1e-12 * spec.max()
     rep = classify(sp, fam, rng=np.random.default_rng(0))
     rep_p = classify(sp_p, fam_p, rng=np.random.default_rng(0))

@@ -166,7 +166,7 @@ def test_frame_report_is_the_frame_decision_on_the_band(eps, d):
     scal = fourier_family(r // 2 - np.arange(r), grid)
     fam = OperatorFamily(sp, TensorBasis(scal, np.eye(1)))
     whole = decide_frame(sp, fam, tol)
-    band = w > 1e-12
+    band = w > 0
     lo, hi = w[band].min(), w[band].max()
     rep = hb.frame_report(eps, d, resolution=r, tol=tol)
     assert rep.verdict is (Verdict.FRAME if lo > tol else Verdict.NOT_FRAME)

@@ -142,7 +142,7 @@ def test_analysis_matrix_matches_column_construction():
         w_dead[::3] = 0.0
         sp, fam = _family(n, m, w_dead)
         supp = w_dead > 0
-        T = analysis_matrix(fam, support=supp)
+        T = analysis_matrix(fam)
         assert T.shape == (n * m, int(supp.sum()) * m)
         assert np.array_equal(T, _column_by_column(fam, supp))
 
@@ -151,7 +151,7 @@ def test_analysis_matrix_matches_column_construction():
             rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         )
         fam_u = OperatorFamily(sp, TensorBasis(build_default(n, m).scalar_family, q))
-        T = analysis_matrix(fam_u, support=supp)
+        T = analysis_matrix(fam_u)
         ref = _column_by_column(fam_u, supp)
         assert np.max(np.abs(T - ref)) <= 1e-15 * np.max(np.abs(T))
 
@@ -185,17 +185,8 @@ def test_frame_spectrum_oracle_eigensolve():
 def test_support_restriction_drops_only_dead_nodes():
     w = np.array([0.0, 2.0, 0.0, 0.5])
     sp, fam = _family(4, 2, w)
-    supp = w > 0
-    spec = frame_spectrum(fam, support=supp)
+    spec = frame_spectrum(fam)
     assert np.allclose(spec, np.sort(np.repeat([2.0, 0.5], 2)), atol=1e-12)
-    with pytest.raises(ValueError, match="support"):
-        frame_spectrum(fam)  # zero-weight node without a mask
-    with pytest.raises(ValueError):
-        frame_spectrum(fam, support=np.zeros(4, dtype=bool))
-    with pytest.raises(ValueError):
-        frame_spectrum(fam, support=np.array([True, True, True, True]))
-    with pytest.raises(ValueError):
-        frame_spectrum(fam, support=np.ones(3, dtype=bool))
 
 
 def test_parseval_identity_per_scalar_index():

@@ -19,12 +19,24 @@ def test_space_validation():
         WeightedSpace(4, 1, np.zeros(4))
     with pytest.raises(ValueError):
         WeightedSpace(4, 1, np.array([1.0, np.inf, 1.0, 1.0]))
+    # a positive weight whose quadrature weight w/N would be subnormal
+    tiny = np.finfo(float).tiny
+    with pytest.raises(ValueError, match="subnormal"):
+        WeightedSpace(4, 1, np.array([1.0, 2.0 * tiny, 1.0, 1.0]))
+    assert WeightedSpace(4, 1, np.array([1.0, 4.0 * tiny, 0.0, 1.0])).support[1]
 
 
 def test_weights_are_readonly():
     sp = WeightedSpace.uniform(4, 2)
     with pytest.raises(ValueError):
         sp.weights[0] = 2.0
+
+
+def test_support_is_the_positive_weights():
+    sp = WeightedSpace(5, 1, np.array([0.0, 1e-300, 2.0, 0.0, 1e-13]))
+    assert np.array_equal(sp.support, [False, True, True, False, True])
+    with pytest.raises(ValueError):
+        sp.support[0] = True
 
 
 def test_uniform_and_grid():
