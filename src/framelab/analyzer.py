@@ -17,12 +17,16 @@ and an ``eigvalsh`` of the synthesis-Gram factors, O(N^3) in the grid size.
 For the discrete Fourier family the weighted scalar Gram is circulant, and
 its FFT eigenvalues are the weights themselves, so an FFT Gram route would
 read back the very numbers the weight route reads and check nothing.  The
-cost of the cross check is the price of its independence.  Both
-decompositions run in real arithmetic all the same: every family here is
-closed under conjugation, and a fixed sparse unitary (the centrohermitian
-reduction) makes the scalar factors real without changing their spectra.
-That fold regroups entries and diagonalizes nothing, so the routes stay
-dense and independent.
+cost of the cross check is the price of its independence.  Every N x N
+product runs in real arithmetic all the same: every family here is closed
+under conjugation, and a fixed sparse unitary (the centrohermitian
+reduction) maps it to its real form R, built once per basis.  The
+hypothesis check reads the scalar Gram R R^T / N, the frame route takes
+the SVD of the support columns of R, and the Gram route the ``eigvalsh``
+of its own product (R w/N) R^T, so the routes share only the family.  The
+fold regroups entries and diagonalizes nothing, so the routes stay dense
+and independent, and the moduli and the diagonal of the complex Gram that
+the residuals report are read back off the real one.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from functools import partial
 import numpy as np
 
 from .operators import OperatorFamily, _lambda_all, _quadrature, frame_spectrum
-from .tensor_onb import HYPOTHESIS_TOL, PAIRING_BLOCK, _field_matrix, _weighted_gram
+from .tensor_onb import HYPOTHESIS_TOL, _field_matrix
 from .wspace import Field, WeightedSpace, norm
 
 __all__ = [
@@ -92,14 +96,18 @@ def weight_bounds(space: WeightedSpace) -> tuple:
 
 
 def _validate_family(fam: OperatorFamily) -> None:
-    """The deciders assume a unimodular orthonormal tensor family."""
+    """The deciders assume a unimodular orthonormal tensor family.  The
+    checks run in order and the first failure is raised: unimodularity,
+    then conjugate symmetry (the real form the scalar check reads needs
+    it), then scalar and fiber orthonormality."""
     b = fam.basis
     checks = (
-        ("unimodularity", b.unimodularity_residual()),
-        ("scalar orthonormality", b.scalar_gram_residual()),
-        ("fiber orthonormality", b.fiber_gram_residual()),
+        ("unimodularity", b.unimodularity_residual),
+        ("scalar orthonormality", b.scalar_gram_residual),
+        ("fiber orthonormality", b.fiber_gram_residual),
     )
-    for name, res in checks:
+    for name, residual in checks:
+        res = residual()
         if not res <= HYPOTHESIS_TOL:  # a NaN residual fails too
             raise ValueError(f"family violates {name} (residual {res:.3e})")
 
@@ -118,56 +126,35 @@ def synthesis_gram(fam: OperatorFamily) -> np.ndarray:
 
 def _gram_factors(fam: OperatorFamily) -> tuple:
     """Kronecker factors of the synthesis Gram: the fiber Gram G G^H
-    (M x M) and the weighted scalar Gram (F w/N) F^H (N x N).
+    (M x M) and the real fold (R w/N) R^T (N x N) of the weighted scalar
+    Gram (F w/N) F^H, with R the basis's real form.
 
     Entry ((m, n), (m', n')) of the synthesis Gram is
     <g_m, g_m'> * (1/N) sum_i f_n(x_i) conj(f_n'(x_i)) w_i, the product of
-    the two factor entries, so the Gram is their Kronecker product.
+    the two factor entries, so the Gram is their Kronecker product.  The
+    scalar factor is its own real product of the family entries, not the
+    square of the frame route's matrix, so the two routes share only the
+    family.
     """
-    G, F = fam.basis.fiber_family, fam.basis.scalar_family
-    gs = _weighted_gram(F, fam.space.weights / fam.space.grid_size)
-    return G @ G.conj().T, gs
+    G, R = fam.basis.fiber_family, fam.basis._pairs.real
+    weighted = R * (fam.space.weights / fam.space.grid_size)
+    return G @ G.conj().T, weighted @ R.T
 
 
-def _gram_spectrum(fam: OperatorFamily, factors: tuple) -> np.ndarray:
+def _gram_spectrum(factors: tuple) -> np.ndarray:
     """Ascending synthesis-Gram spectrum: the pairwise products of the
-    eigenvalues of the two Hermitian factors (tiny negative ones from
-    zero-weight nodes included).
+    eigenvalues of the two factors (tiny negative ones from zero-weight
+    nodes included).
 
-    The scalar factor gs is folded to a real symmetric matrix with the same
-    spectrum, U D gs D^H U^H, with D the row dephasing and U the sparse
-    unitary of the basis's conjugate row pairing; dephased, entry
-    (p(n), p(n')) is the conjugate of entry (n, n'), so the rows of the
-    self-paired and the lower paired nodes determine it.  ``eigvalsh`` then
-    runs in real arithmetic on the Gram entries themselves.  The fold is
-    not an FFT: for the discrete Fourier family an FFT would diagonalize
-    gs and read back the weights, and check nothing.
-
-    Raises:
-        ValueError: if the scalar family is not closed under conjugation.
+    The scalar factor is the real symmetric fold U D gs D^H U^H of the
+    weighted scalar Gram gs, with D the row dephasing and U the sparse
+    unitary of the basis's conjugate row pairing, so it has the spectrum of
+    gs and ``eigvalsh`` runs in real arithmetic on the family entries.  The
+    fold is not an FFT: for the discrete Fourier family an FFT would
+    diagonalize gs and read back the weights, and check nothing.
     """
     gf, gs = factors
-    pairs = fam.basis._pairs
-    cols = np.concatenate([pairs.rows, pairs.partners])
-    col_phase = np.conj(pairs.phase[cols])
-    ns, na = pairs.n_self, pairs.partners.size
-    real = np.empty(gs.shape)
-    for start in range(0, pairs.rows.size, PAIRING_BLOCK):
-        rows = pairs.rows[start : start + PAIRING_BLOCK]
-        h = gs[np.ix_(rows, cols)]
-        h *= pairs.phase[rows, None]
-        h *= col_phase
-        # h times U^H, in place: column n' and its partner p' become
-        # (n' + p')/sqrt(2) and i (n' - p')/sqrt(2)
-        plus, minus = h[:, ns : ns + na], h[:, ns + na :]
-        plus += minus
-        minus *= -2.0
-        minus += plus
-        plus *= np.sqrt(0.5)
-        minus *= 1j * np.sqrt(0.5)
-        pairs.fold(h, real, start)
-    del h
-    return np.sort(np.outer(np.linalg.eigvalsh(gf), np.linalg.eigvalsh(real)).ravel())
+    return np.sort(np.outer(np.linalg.eigvalsh(gf), np.linalg.eigvalsh(gs)).ravel())
 
 
 def _extremes(spec: np.ndarray) -> tuple:
@@ -276,20 +263,22 @@ def _lower_witness(space, fam, claim: float | None, band: bool, ratio) -> tuple:
     return field, {} if ratio is None else {"witness_ratio": ratio(field)}
 
 
-def _factor_residuals(factors: tuple) -> dict:
+def _factor_residuals(fam: OperatorFamily, factors: tuple) -> dict:
     """ONB defects of the synthesis Gram kron(gf, gs) from its factors: the
     largest off-diagonal modulus (onb_cross) and the largest deviation of a
-    diagonal entry from 1 (onb_norm)."""
+    diagonal entry from 1 (onb_norm).  The moduli and the diagonal of the
+    complex scalar factor gs are read off its real fold."""
     # Off the diagonal of kron(gf, gs) either m != m' (any n, n') or
     # m = m' and n != n'; the diagonal is diag(gf) (x) diag(gs).
-    gf, gs = factors
+    gf, real = factors
+    dgs, off = fam.basis._pairs.moduli(real)
     dgf = np.diag(gf)
     return {
         "onb_cross": max(
-            _offmax(gf) * float(np.max(np.abs(gs))),
-            float(np.max(np.abs(dgf))) * _offmax(gs),
+            _offmax(gf) * max(float(np.max(np.abs(dgs))), off),
+            float(np.max(np.abs(dgf))) * off,
         ),
-        "onb_norm": float(np.max(np.abs(np.outer(dgf, np.diag(gs)).real - 1.0))),
+        "onb_norm": float(np.max(np.abs(np.outer(dgf, dgs).real - 1.0))),
     }
 
 
@@ -373,8 +362,8 @@ def decide_onb(
     """
     _validate_family(fam)
     factors = _gram_factors(fam)
-    gb = _extremes(_gram_spectrum(fam, factors))
-    residuals = _factor_residuals(factors)
+    gb = _extremes(_gram_spectrum(factors))
+    residuals = _factor_residuals(fam, factors)
     verdict = _verdict(space.weights, tol)
     witness, probes = _parseval_checks(space, fam, verdict, rng, _quadrature(fam))
     return FrameReport(
@@ -403,11 +392,11 @@ def classify(
     lo, hi = weight_bounds(space)
     spec, gap = _frame_route(space, fam)
     factors = _gram_factors(fam)
-    gb = _extremes(_gram_spectrum(fam, factors))
+    gb = _extremes(_gram_spectrum(factors))
     residuals = {
         "spectrum_vs_weight": gap,
         "gram_vs_weight": max(abs(gb[0] - lo), abs(gb[1] - hi)),
-        **_factor_residuals(factors),
+        **_factor_residuals(fam, factors),
     }
     del factors  # the quadrature takes the place of the N x N scalar Gram
     quad = _quadrature(fam)

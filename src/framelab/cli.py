@@ -31,6 +31,7 @@ from .errors import ConsistencyError
 from .heisenberg import (
     CenterTranslateModel,
     _band_report,
+    _check_band,
     hs_weight,
     isometry_residual,
     midpoint_grid,
@@ -244,6 +245,13 @@ def _check_cross(cfg: dict, diags: list) -> None:
             gen["radius"] = GENERATOR_RADIUS[gen["preset"]]
         elif gen["preset"] == "wide-indicator" and gen["radius"] < 2:
             diags.append("generator.radius: wide-indicator needs radius >= 2")
+    h = cfg.get("heisenberg")
+    if h is not None:
+        for key in ("resolution", "spectral_resolution"):
+            try:
+                _check_band(h["eps"], h["d"], h[key])
+            except ValueError as exc:
+                diags.append(f"heisenberg: {key} grid: {exc}")
     if cfg["mode"] == "zak" and cfg["time_resolution"] * cfg["translates"] > 2048:
         diags.append("time_resolution * translates must not exceed 2048")
 
@@ -451,7 +459,8 @@ def _run_shiftinv(cfg: dict, samples) -> tuple:
         gen = make_generator(g["preset"], g["grid_size"], g["radius"])
     w = periodized_weight(gen)
     space = WeightedSpace(gen.grid_size, 1, w)
-    scal = fourier_family(-np.arange(gen.grid_size), space.grid)
+    n = np.arange(gen.grid_size)
+    scal = fourier_family(-n, n, gen.grid_size)
     rep, witness, tables = _classified(
         cfg, space, TensorBasis(scal, np.eye(1, dtype=complex))
     )

@@ -150,6 +150,26 @@ def midpoint_grid(resolution: int) -> np.ndarray:
     return (np.arange(R) + 0.5) / R
 
 
+def _check_band(eps: float, d: int, resolution: int) -> None:
+    """Refuse the weights of the midpoint grid of ``resolution`` as
+    ``WeightedSpace`` would, from the smallest positive one alone.
+
+    The weight alpha^d grows with alpha, so the first midpoint above eps
+    carries the smallest positive weight.  The space that holds only that
+    weight is refused exactly when the whole grid's space is (no positive
+    weight, or a positive one whose quadrature weight is subnormal), and it
+    costs no pass over the grid.
+
+    Raises:
+        ValueError: the refusal of ``WeightedSpace``.
+    """
+    a = midpoint_grid(resolution)
+    first = int(np.searchsorted(a, eps, side="right"))
+    w = np.zeros(a.size)
+    w[first : first + 1] = hs_weight(eps, d, a[first : first + 1])
+    WeightedSpace(a.size, 1, w)
+
+
 @dataclass(frozen=True)
 class CenterTranslateModel:
     """Discretized coefficient model for center translates of the window.
@@ -255,7 +275,8 @@ def _band_report(space: WeightedSpace, tol: float) -> FrameReport:
     """``frame_report`` on its weighted space.  The family e^(-2 pi i k alpha),
     k = -R//2 .. R - R//2 - 1, is orthonormal, so its R x R check is skipped."""
     R = space.grid_size
-    scal = fourier_family(R // 2 - np.arange(R), midpoint_grid(R))
+    n = np.arange(R)
+    scal = fourier_family(R // 2 - n, 2 * n + 1, 2 * R)  # alpha_i = (2i + 1) / 2R
     fam = OperatorFamily(space, TensorBasis(scal, np.eye(1, dtype=complex)))
     rep = _decide_frame(space, fam, tol, None, band=True)
     rep.residuals["support_fraction"] = float(space.support.mean())

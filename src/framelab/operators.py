@@ -125,55 +125,32 @@ def lambda_all(fam: OperatorFamily, field: Field) -> np.ndarray:
     return _lambda_all(fam, _quadrature(fam), field)
 
 
-def _analysis_factors(fam: OperatorFamily, rows=None) -> tuple:
-    """Kronecker factors of the analysis matrix.
-
-    Returns the fiber factor conj(G) (M x M, entry [m, j] = conj(g_m[j]))
-    and the scalar factor q (N x |S|, entry [n, i] = quad[n, i] *
-    sqrt(N / w_i) over the support S, the nodes of positive weight), with
-    ``quad`` the weighted quadrature ``lambda_all`` uses, formed on the
-    support columns only and on the scalar ``rows`` only, all of them by
-    default.  The analysis matrix is their Kronecker product up to a
-    permutation of its columns.
-    """
-    idx = np.flatnonzero(fam.space.support)
-    N, w = fam.space.grid_size, fam.space.weights[idx]
-    F = fam.basis.scalar_family
-    q = F[:, idx] if rows is None else F[np.ix_(rows, idx)]
-    np.conjugate(q, out=q)
-    q *= w / N
-    q *= np.sqrt(N / w)
-    return fam.basis.fiber_family.conj(), q
-
-
 def frame_spectrum(fam: OperatorFamily) -> np.ndarray:
     """Ascending frame-operator spectrum (squared singular values of the
     analysis matrix) on the support of the space, the nodes of positive
     weight: M |S| values, the weight multiset of the support repeated once
     per fiber dimension for a complete orthonormal family.
 
-    The analysis matrix is conj(G) (x) q up to a column permutation, so its
-    singular values are the pairwise products of those of the M x M fiber
-    factor and the N x |S| scalar factor: two small SVDs instead of one of
-    the NM x |S|M matrix.  The scalar family is closed under conjugation,
-    so a fixed sparse unitary (the basis's conjugate row pairing, after
-    each row is dephased) turns q into a real matrix with the same singular
-    values, built from half its rows: the SVD runs in real arithmetic, on
-    the entries of q themselves.  It is not an FFT route: the fold never
-    diagonalizes anything, so the SVD still checks the weights
-    independently.
+    The analysis matrix is conj(G) (x) q up to a column permutation, with q
+    the N x |S| scalar factor of entries conj(f_n(x_i)) w_i / N scaled by
+    sqrt(N / w_i), so its singular values are the pairwise products of
+    those of the M x M fiber basis and of F[:, S] sqrt(w_S / N): two small
+    SVDs instead of one of the NM x |S|M matrix.  The scalar SVD runs in
+    real arithmetic, on the support columns of the basis's real form R,
+    which has the singular values of the family on every column set.  R
+    is a fixed sparse unitary (the conjugate row pairing, after each row is
+    dephased) applied to the family: it diagonalizes nothing, so the SVD
+    still checks the weights independently.
 
     Raises:
         ValueError: if the scalar family is not closed under conjugation.
     """
-    pairs = fam.basis._pairs
-    fiber, q = _analysis_factors(fam, pairs.rows)
-    q *= np.conj(pairs.phase[pairs.rows, None])
-    real = np.empty((fam.space.grid_size, q.shape[1]))
-    pairs.fold(q, real)
-    del q
+    idx = np.flatnonzero(fam.space.support)
+    real = fam.basis._pairs.real[:, idx]
+    real *= np.sqrt(fam.space.weights[idx] / fam.space.grid_size)
     s = np.outer(
-        np.linalg.svd(fiber, compute_uv=False), np.linalg.svd(real, compute_uv=False)
+        np.linalg.svd(fam.basis.fiber_family, compute_uv=False),
+        np.linalg.svd(real, compute_uv=False),
     )
     return np.sort(s.ravel()) ** 2
 

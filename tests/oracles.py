@@ -8,8 +8,6 @@ import io
 
 import numpy as np
 
-from framelab.operators import _analysis_factors
-
 
 def analysis_matrix(fam) -> np.ndarray:
     """Matrix of all coefficient functionals in weighted coordinates.
@@ -24,7 +22,7 @@ def analysis_matrix(fam) -> np.ndarray:
     of the two Kronecker factors that ``frame_spectrum`` takes its SVDs of.
     It is the dense NM x NM reference for that factored route.
     """
-    fiber, q = _analysis_factors(fam)
+    fiber, q = fam.basis.fiber_family.conj(), analysis_factor(fam)
     M, (N, S) = fiber.shape[0], q.shape
     return np.einsum("mj,ni->mnij", fiber, q).reshape(M * N, S * M)
 
@@ -61,6 +59,12 @@ def csv_text(header, columns) -> str:
     rows = zip(*(np.asarray(c).tolist() for c in columns))
     wr.writerows([fmt(v) for v in row] for row in rows)
     return buf.getvalue()
+
+
+def table_family(freqs, numer, denom: int) -> np.ndarray:
+    """exp(2 pi i k m / denom) in one expression, with k m reduced mod
+    ``denom`` in integers before the exponential."""
+    return np.exp(2j * np.pi * (np.outer(freqs, numer) % denom) / denom)
 
 
 def dft_family(n: int) -> np.ndarray:
@@ -121,12 +125,39 @@ def off_diagonal(a: np.ndarray) -> np.ndarray:
     return a - np.diag(np.diag(a))
 
 
+def conjugate_partner(freqs, modulus: int) -> np.ndarray:
+    """p(n): the row whose frequency is -freqs[n] mod ``modulus``, the
+    conjugate of row n of a dephased Fourier family."""
+    r = np.asarray(freqs) % modulus
+    row = np.empty(modulus, dtype=int)
+    row[r] = np.arange(r.size)
+    return row[-r % modulus]
+
+
+def real_form(F: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """The real form U D F of a family with conjugate row pairing
+    ``partner`` in one expression: the dephased self-paired rows, then the
+    dephased lower row of each pair, real parts then imaginary parts, each
+    paired one times sqrt(2)."""
+    n = np.arange(partner.size)
+    D = F * np.exp(-1j * np.angle(F[:, :1]))
+    fixed, lower = n[partner == n], n[n < partner]
+    return np.concatenate(
+        [D[fixed].real, np.sqrt(2.0) * D[lower].real, np.sqrt(2.0) * D[lower].imag]
+    )
+
+
+def real_gram(R: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(R w/N) R^T, the weighted scalar Gram of a real form."""
+    return (R * (w / R.shape[0])) @ R.T
+
+
 def complex_frame_spectrum(fam) -> np.ndarray:
     """The frame spectrum from complex SVDs of the two analysis factors, the
     route before the real conjugate-pair fold."""
-    fiber, q = _analysis_factors(fam)
     s = np.outer(
-        np.linalg.svd(fiber, compute_uv=False), np.linalg.svd(q, compute_uv=False)
+        np.linalg.svd(fam.basis.fiber_family.conj(), compute_uv=False),
+        np.linalg.svd(analysis_factor(fam), compute_uv=False),
     )
     return np.sort(s.ravel()) ** 2
 

@@ -269,6 +269,26 @@ def test_validate_only_refuses_subnormal_quadrature_weight(tmp_path, capsys):
     assert "config error: space: positive weight" in capsys.readouterr().err
 
 
+def test_validate_only_refuses_heisenberg_band_that_a_run_refuses(tmp_path, capsys):
+    # The first model-grid midpoint, 0.5/40000, weighs (1.25e-5)^64, about
+    # 1.6e-314, whose quadrature weight is subnormal; at 20000 nodes it
+    # weighs 3.4e-295.  No spectral midpoint lies above eps = 0.999.
+    refused = {
+        "resolution": {"eps": 1e-6, "d": 64, "resolution": 40000},
+        "spectral_resolution": {"eps": 0.999, "d": 2, "spectral_resolution": 256},
+    }
+    for key, section in refused.items():
+        path = _write(tmp_path, {"mode": "heisenberg", "heisenberg": section})
+        assert cli.main(["--validate-only", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: heisenberg: {key} grid: " in err
+        assert cli.main(["--config", path, "--out", str(tmp_path / key)]) == 1
+    section = {"eps": 1e-6, "d": 64, "resolution": 20000}
+    path = _write(tmp_path, {"mode": "heisenberg", "heisenberg": section})
+    assert cli.main(["--validate-only", "--config", path]) == 0
+    assert cli.main(["--config", path, "--out", str(tmp_path / "valid")]) == 0
+
+
 def test_exit_code_two_on_strict_consistency(tmp_path):
     cfg = {
         "mode": "analyze",
@@ -603,6 +623,23 @@ def test_analyze_at_grid_and_fiber_caps(tmp_path):
     assert doc["bounds"]["weight"] == [0.5, 2.0]
     with open(tmp_path / "run" / "spectrum.csv") as fh:
         assert len(list(csv.DictReader(fh))) == 512 * 16
+
+
+def test_cross_checks_at_grid_cap_hold_to_rounding(tmp_path):
+    # With every family entry a root of unity to rounding, the SVD and Gram
+    # routes meet the weights to a few ulps even at the grid cap.
+    space = {"grid_size": 512, "fiber_dim": 2}
+    configs = {
+        "onb": {"mode": "analyze",
+                "space": {**space, "weight": {"preset": "constant", "value": 1.0}}},
+        "dip": {"mode": "witness", "a_claimed": 0.7, "space": {**space, "weight": {
+            "preset": "step", "low": 0.0, "high": 1.0, "split": 0.125}}},
+    }
+    for name, cfg in configs.items():
+        code = run_config(cfg, tmp_path / name)
+        assert code == 0
+        checks = {k: v for k, v in code.doc["residuals"].items() if "_vs_" in k}
+        assert checks and max(checks.values()) <= 1e-14, (name, checks)
 
 
 def test_config_echo_round_trip(tmp_path):

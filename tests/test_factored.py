@@ -22,9 +22,9 @@ from framelab import (
     synthesis_gram,
 )
 import oracles
-from framelab import heisenberg, witness_ratio
-from framelab.analyzer import _extremes, _gram_factors, _gram_spectrum, _offmax
-from framelab.operators import _analysis_factors, _quadrature
+from framelab import witness_ratio
+from framelab.analyzer import _extremes, _gram_factors, _gram_spectrum
+from framelab.operators import _quadrature
 from framelab.tensor_onb import fourier_family
 from oracles import analysis_matrix
 
@@ -60,23 +60,27 @@ def test_factored_frame_spectrum_matches_dense_svd():
 
 def test_factored_gram_route_matches_dense_gram():
     # The spectrum comes from the real fold of gs and meets the dense
-    # eigensolve to rounding; onb_cross and onb_norm still read the complex
-    # factors, and at M = 1 with the standard fiber they are bit-exact.
+    # eigensolve to rounding.  onb_cross and onb_norm are the moduli and the
+    # diagonal of the complex factors, read off the real fold; at M = 1 with
+    # the standard fiber they are those of the one-expression real Gram.
     for fam, standard in _oracle_cases():
         gram = synthesis_gram(fam)
         dense_eig = np.linalg.eigvalsh(gram)
         dense_cross = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
         dense_norm = float(np.max(np.abs(np.diag(gram).real - 1.0)))
-        spec = _gram_spectrum(fam, _gram_factors(fam))
+        spec = _gram_spectrum(_gram_factors(fam))
         rep = decide_onb(fam.space, fam)
         cross, unit = rep.residuals["onb_cross"], rep.residuals["onb_norm"]
         scale = float(np.max(np.abs(gram)))
         assert np.max(np.abs(spec - dense_eig)) <= 1e-12 * scale
         if fam.space.fiber_dim == 1 and standard:
-            assert cross == dense_cross and unit == dense_norm
-        else:
-            assert abs(cross - dense_cross) <= 1e-12 * scale
-            assert abs(unit - dense_norm) <= 1e-12 * scale
+            n = fam.space.grid_size
+            F = fam.basis.scalar_family
+            R = oracles.real_form(F, oracles.conjugate_partner(np.arange(n), n))
+            diag, off = fam.basis._pairs.moduli(oracles.real_gram(R, fam.space.weights))
+            assert cross == off and unit == float(np.max(np.abs(diag - 1.0)))
+        assert abs(cross - dense_cross) <= 1e-12 * scale
+        assert abs(unit - dense_norm) <= 1e-12 * scale
         assert rep.gram_bounds == (float(spec[0]), float(spec[-1]))
 
 
@@ -88,25 +92,52 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(float), b.view(float))
 
 
-def _translate_family(n: int) -> np.ndarray:
-    """The family a ``shiftinv`` run builds."""
-    return fourier_family(-np.arange(n), np.arange(n) / n)
-
-
-def _midpoint_family(n: int) -> np.ndarray:
-    """The family a ``heisenberg`` run builds."""
-    return fourier_family(n // 2 - np.arange(n), heisenberg.midpoint_grid(n))
+def _family_kinds(n: int):
+    """(family, builder arguments, conjugate partner, exp-based references)
+    of each scalar family a runner builds: ``build_default``'s, a
+    ``shiftinv`` run's and, for n >= 2 (the midpoint grid needs two
+    points), a ``heisenberg`` run's, whose dephased row k is
+    exp(2 pi i k i / n)."""
+    k = np.arange(n)
+    yield (
+        build_default(n, 1).scalar_family,
+        (k, k, n),
+        oracles.conjugate_partner(k, n),
+        (oracles.grid_family(n), oracles.dft_family(n)),
+    )
+    yield (
+        fourier_family(-k, k, n),
+        (-k, k, n),
+        oracles.conjugate_partner(-k, n),
+        (oracles.translate_family(n),),
+    )
+    if n >= 2:
+        yield (
+            fourier_family(n // 2 - k, 2 * k + 1, 2 * n),
+            (n // 2 - k, 2 * k + 1, 2 * n),
+            oracles.conjugate_partner(n // 2 - k, n),
+            (oracles.midpoint_family(n),),
+        )
 
 
 def test_family_builders_match_one_expression_bit_for_bit():
+    # Each builder reads one table of roots of unity at k m mod denom, which
+    # is exp of the reduced phase bit for bit.  The exp-based references
+    # round a phase argument of up to 2 pi max|k m / denom| (about 3200 at
+    # n = 512), so they agree with it to a few ulps of that argument.
     for n in BIT_SIZES:
-        assert _same_bits(_translate_family(n), oracles.translate_family(n))
-        if n >= 2:  # the midpoint grid needs two points
-            assert _same_bits(_midpoint_family(n), oracles.midpoint_family(n))
-        F = build_default(n, 1).scalar_family
-        if n & (n - 1) == 0:  # dividing by a power of two rounds nothing
-            assert _same_bits(F, oracles.dft_family(n))
-        assert _same_bits(F, oracles.grid_family(n))
+        for F, (freqs, numer, denom), _, refs in _family_kinds(n):
+            assert _same_bits(F, oracles.table_family(freqs, numer, denom))
+            arg = 2 * np.pi * np.max(np.abs(np.outer(freqs, numer))) / denom
+            for ref in refs:
+                assert np.max(np.abs(F - ref)) <= 4 * np.finfo(float).eps * arg
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_families_are_orthonormal_to_rounding(n):
+    # The exp-based grid family missed orthonormality by 4.4e-14 at n = 512.
+    for F, *_ in _family_kinds(n):
+        assert np.max(np.abs(oracles.scalar_gram_defect(F))) <= 1e-15
 
 
 def test_working_set_routes_match_dense_forms_bit_for_bit():
@@ -115,26 +146,22 @@ def test_working_set_routes_match_dense_forms_bit_for_bit():
         w = rng.uniform(0.1, 3.0, n)
         dead = w.copy()
         dead[1::3] = 0.0
-        families = [build_default(n, 1).scalar_family]
-        if n >= 2:
-            families.append(_midpoint_family(n))
-        for F in families:
+        for F, _, partner, _ in _family_kinds(n):
             basis = TensorBasis(F, np.eye(1))
             assert basis.unimodularity_residual() == float(
                 np.max(np.abs(np.abs(F) - 1.0))
             )
-            assert basis.scalar_gram_residual() == float(
-                np.max(np.abs(oracles.scalar_gram_defect(F)))
+            R = oracles.real_form(F, partner)
+            assert _same_bits(basis._pairs.real, R)
+            diag, off = basis._pairs.moduli(R @ R.T / n)
+            assert basis.scalar_gram_residual() == max(
+                float(np.max(np.abs(diag - 1.0))), off
             )
             for weights in (w, dead):
                 sp = WeightedSpace(n, 1, weights)
                 fam = OperatorFamily(sp, basis)
                 assert _same_bits(_quadrature(fam), oracles.quadrature(fam))
-                q = _analysis_factors(fam)[1]
-                assert _same_bits(q, oracles.analysis_factor(fam))
-                gs = _gram_factors(fam)[1]
-                assert _same_bits(gs, oracles.weighted_scalar_gram(F, weights))
-                assert _offmax(gs) == float(np.max(np.abs(oracles.off_diagonal(gs))))
+                assert _same_bits(_gram_factors(fam)[1], oracles.real_gram(R, weights))
 
 
 def _fold_cases():
@@ -144,10 +171,7 @@ def _fold_cases():
     rng = np.random.default_rng(73)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     for n in BIT_SIZES:
-        families = [build_default(n, 1).scalar_family, _translate_family(n)]
-        if n >= 2:
-            families.append(_midpoint_family(n))
-        for F in families:
+        for F, *_ in _family_kinds(n):
             w = rng.uniform(0.1, 3.0, n)
             dead = w.copy()
             dead[1::3] = 0.0
@@ -155,6 +179,25 @@ def _fold_cases():
                 for weights in (w, dead):
                     sp = WeightedSpace(n, fiber.shape[0], weights)
                     yield OperatorFamily(sp, TensorBasis(F, fiber))
+
+
+def test_moduli_match_complex_scalar_gram():
+    # The diagonal and the largest off-diagonal modulus of the complex
+    # scalar Gram, read off the 2 x 2 pair blocks of its real fold, under
+    # the case's weights and under unit weights.
+    for fam in _fold_cases():
+        if fam.space.fiber_dim > 1:
+            continue  # the scalar factor does not depend on the fiber
+        F, n = fam.basis.scalar_family, fam.space.grid_size
+        for w in (fam.space.weights, np.ones(n)):
+            sp = WeightedSpace(n, 1, w)
+            gs = oracles.weighted_scalar_gram(F, w)
+            real = _gram_factors(OperatorFamily(sp, fam.basis))[1]
+            diag, off = fam.basis._pairs.moduli(real)
+            scale = float(w.max())
+            gap = np.max(np.abs(np.sort(diag) - np.sort(np.diag(gs).real)))
+            assert gap <= 1e-15 * scale
+            assert abs(off - np.max(np.abs(oracles.off_diagonal(gs)))) <= 1e-15 * scale
 
 
 def test_folded_spectra_match_complex_oracles_and_weights():
@@ -165,7 +208,7 @@ def test_folded_spectra_match_complex_oracles_and_weights():
         n, m = fam.space.grid_size, fam.space.fiber_dim
         w = fam.space.weights
         spec = frame_spectrum(fam)
-        gram = _gram_spectrum(fam, _gram_factors(fam))
+        gram = _gram_spectrum(_gram_factors(fam))
         if n * m <= 512:
             T = analysis_matrix(fam)
             oracle = np.sort(np.linalg.svd(T, compute_uv=False)) ** 2
@@ -190,8 +233,14 @@ def test_family_not_closed_under_conjugation_is_refused():
     sp = WeightedSpace(n, 2, np.linspace(0.5, 2.0, n))
     fam = OperatorFamily(sp, TensorBasis(F, np.eye(2, dtype=complex)))
     assert fam.basis.unimodularity_residual() <= 1e-12
-    assert fam.basis.scalar_gram_residual() <= 1e-12
-    for decide in (classify, decide_frame, lambda sp, fam: frame_spectrum(fam)):
+    assert np.max(np.abs(oracles.scalar_gram_defect(F))) <= 1e-12
+    checks = (
+        classify,
+        decide_frame,
+        lambda sp, fam: frame_spectrum(fam),
+        lambda sp, fam: fam.basis.scalar_gram_residual(),
+    )
+    for decide in checks:
         with pytest.raises(ValueError, match="conjugate symmetry"):
             decide(sp, fam)
 
@@ -246,8 +295,8 @@ def test_weight_scaling_scales_spectra(case, c):
     spec, spec_c = frame_spectrum(fam), frame_spectrum(fam_c)
     assert spec_c.shape == spec.shape == (m * np.count_nonzero(w),)
     assert np.max(np.abs(spec_c - c * spec)) <= 1e-12 * c * spec.max()
-    lo, hi = _extremes(_gram_spectrum(fam, _gram_factors(fam)))
-    lo_c, hi_c = _extremes(_gram_spectrum(fam_c, _gram_factors(fam_c)))
+    lo, hi = _extremes(_gram_spectrum(_gram_factors(fam)))
+    lo_c, hi_c = _extremes(_gram_spectrum(_gram_factors(fam_c)))
     assert abs(lo_c - c * lo) <= 1e-12 * c * hi
     assert abs(hi_c - c * hi) <= 1e-12 * c * hi
 

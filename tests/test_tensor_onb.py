@@ -26,7 +26,7 @@ def test_basis_validation():
 
 
 def test_basis_adopts_readonly_family_and_copies_writable_one():
-    fam = fourier_family(np.arange(16), np.arange(16) / 16)
+    fam = fourier_family(np.arange(16), np.arange(16), 16)
     assert not fam.flags.writeable
     assert np.shares_memory(TensorBasis(fam, np.eye(1)).scalar_family, fam)
     assert not build_default(8, 1).scalar_family.flags.writeable
