@@ -27,7 +27,6 @@ from .operators import (
     bessel_excess,
     frame_spectrum,
     lambda_all,
-    lambda_coeff,
     lambda_tilde,
     parseval_residual,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "tensor_field",
     "OperatorFamily",
     "lambda_tilde",
-    "lambda_coeff",
     "lambda_all",
     "frame_spectrum",
     "parseval_residual",

@@ -7,10 +7,14 @@ both equal the weight multiset (repeated per fiber dimension).  The
 deciders here read the verdict off the weights and independently verify it
 spectrally, reporting residuals and, on failure, an explicit witness field.
 
+Every decider takes the family alone: an ``OperatorFamily`` binds the
+space it analyzes, so every route reads one weight.  ``classify`` is the
+frame half of ``decide_frame`` followed by the ONB half of ``decide_onb``.
 One frame decision serves every weight mode: ``decide_frame`` reads the
 verdict, the weight bounds and a witness over the whole grid, and
 ``heisenberg`` takes the same decision over its positive-weight band, the
-nodes its family must cover.
+nodes its family must cover.  The ``_vs_`` residuals are relative to
+max(1, largest weight), so they do not depend on the units of the weight.
 
 The spectral route stays dense on purpose: an SVD of the analysis factors
 and an ``eigvalsh`` of the synthesis-Gram factors, O(N^3) in the grid size.
@@ -31,9 +35,8 @@ the residuals report are read back off the real one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -168,20 +171,18 @@ def _offmax(a: np.ndarray) -> float:
     return float(np.max(r))
 
 
-def witness_ratio(space: WeightedSpace, fam: OperatorFamily, field: Field) -> float:
+def witness_ratio(fam: OperatorFamily, field: Field) -> float:
     """Total coefficient energy of ``field`` over its squared norm.
 
     Zero-norm fields (supported where the weight vanishes) report 0.
     """
-    return _witness_ratio(space, fam, field, None)
+    return _witness_ratio(fam, field, None)
 
 
-def _witness_ratio(
-    space: WeightedSpace, fam: OperatorFamily, field: Field, quad: np.ndarray | None
-) -> float:
+def _witness_ratio(fam: OperatorFamily, field: Field, quad: np.ndarray | None) -> float:
     """``witness_ratio`` with the weighted quadrature of ``fam`` given, so
     that several fields share one, or built here when None and needed."""
-    den = norm(space, field) ** 2
+    den = norm(fam.space, field) ** 2
     if den == 0.0:
         return 0.0
     if quad is None:
@@ -190,14 +191,14 @@ def _witness_ratio(
     return num / den
 
 
-def _indicator_field(space: WeightedSpace, fam: OperatorFamily, nodes) -> Field:
+def _indicator_field(fam: OperatorFamily, nodes) -> Field:
     """The first fiber vector g_0 on ``nodes`` (a mask or an index), else 0."""
-    vals = np.zeros((space.grid_size, space.fiber_dim), dtype=complex)
+    vals = np.zeros((fam.space.grid_size, fam.space.fiber_dim), dtype=complex)
     vals[nodes] = fam.basis.fiber_family[0]
     return Field(vals)
 
 
-def witness_lower_failure(space: WeightedSpace, fam: OperatorFamily, a_claimed: float):
+def witness_lower_failure(fam: OperatorFamily, a_claimed: float):
     """Indicator field on the nodes where the weight undercuts a claimed
     lower bound.
 
@@ -211,15 +212,7 @@ def witness_lower_failure(space: WeightedSpace, fam: OperatorFamily, a_claimed: 
     Raises:
         ValueError: if ``a_claimed`` is not positive.
     """
-    return _lower_witness(space, fam, a_claimed, False, None)[0]
-
-
-def _frame_route(space: WeightedSpace, fam: OperatorFamily) -> tuple:
-    """Ascending frame-operator spectrum on the support (nodes with positive
-    weight) and its gap to the extremes of the support weights."""
-    spec = frame_spectrum(fam)
-    sw = space.weights[space.support]
-    return spec, max(abs(float(spec[0]) - sw.min()), abs(float(spec[-1]) - sw.max()))
+    return _lower_witness(fam, a_claimed, False)
 
 
 def _verdict(values: np.ndarray, tol: float) -> Verdict:
@@ -233,34 +226,23 @@ def _verdict(values: np.ndarray, tol: float) -> Verdict:
     return Verdict.RIESZ_BASIS
 
 
-def _default_claim(lo: float, tol: float) -> float | None:
-    """No claim for a frame (weight minimum ``lo`` > ``tol``), else the
-    smallest one above ``tol``: its witness holds the nodes of weight <= tol."""
-    return None if lo > tol else float(np.nextafter(tol, np.inf))
-
-
-def _band_ratio(space: WeightedSpace, field: Field) -> float:
+def _band_ratio(fam: OperatorFamily, field: Field) -> float:
     """``witness_ratio`` of a field of positive norm for a square orthonormal
     family, read off the weights: sum w^2 |f|^2 over sum w |f|^2."""
+    w = fam.space.weights
     f2 = (np.abs(field.values) ** 2).sum(axis=1)
-    return float((space.weights**2 * f2).sum() / (space.weights * f2).sum())
+    return float((w**2 * f2).sum() / (w * f2).sum())
 
 
-def _lower_witness(space, fam, claim: float | None, band: bool, ratio) -> tuple:
-    """(field, {"witness_ratio": ratio(field)}) of the ``claim`` witness, on
-    the support only with ``band``, without the entry when ``ratio`` is None;
-    (None, {}) when ``claim`` is None or no node undercuts it."""
-    if claim is None:
-        return None, {}
+def _lower_witness(fam: OperatorFamily, claim: float, band: bool) -> Field | None:
+    """Indicator field of the nodes whose weight undercuts ``claim``, of the
+    support only with ``band``; None when no node undercuts it."""
     if not claim > 0:
         raise ValueError("claimed lower bound must be positive")
-    mask = space.weights < claim
+    mask = fam.space.weights < claim
     if band:
-        mask &= space.support
-    if not mask.any():
-        return None, {}
-    field = _indicator_field(space, fam, mask)
-    return field, {} if ratio is None else {"witness_ratio": ratio(field)}
+        mask &= fam.space.support
+    return _indicator_field(fam, mask) if mask.any() else None
 
 
 def _factor_residuals(fam: OperatorFamily, factors: tuple) -> dict:
@@ -283,7 +265,6 @@ def _factor_residuals(fam: OperatorFamily, factors: tuple) -> dict:
 
 
 def _parseval_checks(
-    space: WeightedSpace,
     fam: OperatorFamily,
     verdict: Verdict,
     rng: np.random.Generator | None,
@@ -299,22 +280,60 @@ def _parseval_checks(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    shape = (space.grid_size, space.fiber_dim)
+    shape = (fam.space.grid_size, fam.space.fiber_dim)
     parseval = 0.0
     for _ in range(PARSEVAL_FIELDS):
         f = Field(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        parseval = max(parseval, abs(_witness_ratio(space, fam, f, quad) - 1.0))
+        parseval = max(parseval, abs(_witness_ratio(fam, f, quad) - 1.0))
     residuals = {"onb_parseval": parseval}
     if verdict is Verdict.ONB:
         return None, residuals
-    defect = _indicator_field(space, fam, int(np.argmax(np.abs(space.weights - 1.0))))
-    residuals["onb_defect_ratio"] = _witness_ratio(space, fam, defect, quad)
+    defect = _indicator_field(fam, int(np.argmax(np.abs(fam.space.weights - 1.0))))
+    residuals["onb_defect_ratio"] = _witness_ratio(fam, defect, quad)
     return defect, residuals
 
 
-def decide_frame(
-    space: WeightedSpace, fam: OperatorFamily, tol: float = 1e-9, claim=None
-) -> FrameReport:
+def _frame_half(fam: OperatorFamily, tol: float, claim, band: bool) -> FrameReport:
+    """``decide_frame`` without the witness ratio, over the whole grid or,
+    with ``band``, over the support.  The spectrum on the support must
+    reproduce the support weight range: spectrum_vs_weight is the gap of the
+    extremes, relative to max(1, largest weight).  The witness undercuts
+    ``claim``, else, for a non-frame, the smallest claim above ``tol``,
+    which holds the nodes of weight <= tol."""
+    spec = frame_spectrum(fam)
+    sw = fam.space.weights[fam.space.support]
+    gap = max(abs(float(spec[0]) - sw.min()), abs(float(spec[-1]) - sw.max()))
+    residuals = {"spectrum_vs_weight": gap / max(1.0, float(sw.max()))}
+    w = sw if band else fam.space.weights
+    lo, hi = float(w.min()), float(w.max())
+    witness = None if claim is None else _lower_witness(fam, claim, band)
+    if witness is None and not lo > tol:  # no claim witness for a non-frame
+        witness = _lower_witness(fam, float(np.nextafter(tol, np.inf)), band)
+    verdict = Verdict.FRAME if lo > tol else Verdict.NOT_FRAME
+    bounds = _extremes(spec)
+    return FrameReport(verdict, (lo, hi), bounds, None, residuals, witness, spec)
+
+
+def _onb_half(fam: OperatorFamily, tol: float, rng) -> tuple:
+    """The ONB checks, in their stage order: the synthesis-Gram factors,
+    their spectrum and ONB defects; the factors freed; then one weighted
+    quadrature for the Parseval probes and the defect field.
+
+    Returns:
+        (the report of ``decide_onb``, the quadrature).
+    """
+    factors = _gram_factors(fam)
+    gb = _extremes(_gram_spectrum(factors))
+    residuals = _factor_residuals(fam, factors)
+    del factors  # the quadrature takes the place of the N x N scalar Gram
+    quad = _quadrature(fam)
+    verdict = _verdict(fam.space.weights, tol)
+    defect, probes = _parseval_checks(fam, verdict, rng, quad)
+    bounds = weight_bounds(fam.space)
+    return FrameReport(verdict, bounds, None, gb, {**residuals, **probes}, defect), quad
+
+
+def decide_frame(fam: OperatorFamily, tol: float = 1e-9, claim=None) -> FrameReport:
     """Frame verdict from the weight minimum, cross-checked spectrally.
 
     The family is a frame exactly when the weight stays above ``tol``; the
@@ -323,31 +342,24 @@ def decide_frame(
     ``claim``, else, for a non-frame, the smallest claim above ``tol``.
     """
     _validate_family(fam)
-    return _decide_frame(space, fam, tol, claim, band=False)
+    return _decide_frame(fam, tol, claim, band=False)
 
 
-def _decide_frame(space, fam, tol: float, claim, band: bool) -> FrameReport:
+def _decide_frame(
+    fam: OperatorFamily, tol: float, claim, band: bool
+) -> FrameReport:
     """``decide_frame`` for a family that holds its hypotheses by construction;
     with ``band``, over the positive-weight band, with the witness ratio read
     off the weights so that no N x N quadrature joins the N x N family."""
-    spec, gap = _frame_route(space, fam)
-    w = space.weights[space.support] if band else space.weights
-    lo, hi = float(w.min()), float(w.max())
-    ratio_of = partial(_band_ratio, space) if band else partial(witness_ratio, space, fam)
-    witness, ratio = _lower_witness(space, fam, claim, band, ratio_of)
-    if witness is None:  # no claim, or one at or below every weight
-        claim = _default_claim(lo, tol)
-        witness, ratio = _lower_witness(space, fam, claim, band, ratio_of)
-    verdict = Verdict.FRAME if lo > tol else Verdict.NOT_FRAME
-    residuals = {"spectrum_vs_weight": gap, **ratio}
-    return FrameReport(verdict, (lo, hi), _extremes(spec), None, residuals, witness, spec)
+    rep = _frame_half(fam, tol, claim, band)
+    if rep.witness is not None:
+        ratio = _band_ratio if band else witness_ratio
+        rep.residuals["witness_ratio"] = ratio(fam, rep.witness)
+    return rep
 
 
 def decide_onb(
-    space: WeightedSpace,
-    fam: OperatorFamily,
-    tol: float = 1e-9,
-    rng: np.random.Generator | None = None,
+    fam: OperatorFamily, tol: float = 1e-9, rng: np.random.Generator | None = None
 ) -> FrameReport:
     """Orthonormal-basis verdict: holds exactly when the weight is 1 to
     within ``tol`` and, as for every ONB, the family is a frame, i.e. the
@@ -361,56 +373,33 @@ def decide_onb(
     equals its weight.
     """
     _validate_family(fam)
-    factors = _gram_factors(fam)
-    gb = _extremes(_gram_spectrum(factors))
-    residuals = _factor_residuals(fam, factors)
-    verdict = _verdict(space.weights, tol)
-    witness, probes = _parseval_checks(space, fam, verdict, rng, _quadrature(fam))
-    return FrameReport(
-        verdict, weight_bounds(space), None, gb, {**residuals, **probes}, witness
-    )
+    return _onb_half(fam, tol, rng)[0]
 
 
 def classify(
-    space: WeightedSpace,
-    fam: OperatorFamily,
-    tol: float = 1e-9,
-    rng: np.random.Generator | None = None,
+    fam: OperatorFamily, tol: float = 1e-9, rng: np.random.Generator | None = None
 ) -> FrameReport:
     """Strongest verdict with all cross checks merged into one report.
 
     Note the family is square, so the two-sided bound and the basis
     property coincide; the merged verdict is onb, riesz_basis or not_frame.
-    The checks of ``decide_frame`` and ``decide_onb`` plus the synthesis-Gram
-    spectrum against the weight range (gram_vs_weight), with the family
-    hypotheses verified, the synthesis-Gram factors and their spectrum
-    computed once, and one weighted quadrature shared by the lower-bound
-    witness, the Parseval probes and the defect field.  The witness is the
-    lower-bound one, else the defect field.
+    The frame half of ``decide_frame`` and the ONB half of ``decide_onb``
+    merged, plus the synthesis-Gram spectrum against the weight range
+    (gram_vs_weight, relative to max(1, largest weight)): the family
+    hypotheses are verified once, and the lower-bound witness takes its
+    ratio through the quadrature of the ONB half.  The verdict is that of
+    ``decide_onb``; the witness is the lower-bound one, else the defect
+    field.
     """
     _validate_family(fam)
-    lo, hi = weight_bounds(space)
-    spec, gap = _frame_route(space, fam)
-    factors = _gram_factors(fam)
-    gb = _extremes(_gram_spectrum(factors))
-    residuals = {
-        "spectrum_vs_weight": gap,
-        "gram_vs_weight": max(abs(gb[0] - lo), abs(gb[1] - hi)),
-        **_factor_residuals(fam, factors),
-    }
-    del factors  # the quadrature takes the place of the N x N scalar Gram
-    quad = _quadrature(fam)
-    ratio_of = partial(_witness_ratio, space, fam, quad=quad)
-    claim = _default_claim(lo, tol)
-    witness, ratio = _lower_witness(space, fam, claim, False, ratio_of)
-    verdict = _verdict(space.weights, tol)
-    defect, probes = _parseval_checks(space, fam, verdict, rng, quad)
-    return FrameReport(
-        verdict,
-        (lo, hi),
-        _extremes(spec),
-        gb,
-        {**residuals, **ratio, **probes},
-        defect if witness is None else witness,
-        spec,
+    fr = _frame_half(fam, tol, None, band=False)
+    onb, quad = _onb_half(fam, tol, rng)
+    (lo, hi), gb = fr.weight_bounds, onb.gram_bounds
+    gram = max(abs(gb[0] - lo), abs(gb[1] - hi)) / max(1.0, hi)
+    residuals = {**fr.residuals, "gram_vs_weight": gram, **onb.residuals}
+    if fr.witness is not None:
+        residuals["witness_ratio"] = _witness_ratio(fam, fr.witness, quad)
+    witness = onb.witness if fr.witness is None else fr.witness
+    return replace(
+        fr, verdict=onb.verdict, gram_bounds=gb, residuals=residuals, witness=witness
     )

@@ -420,20 +420,17 @@ def _witness(rep, weights: tuple) -> tuple:
 # writes everything.
 
 
-def _classified(cfg: dict, space: WeightedSpace, basis: TensorBasis) -> tuple:
-    """``classify`` the family of ``basis`` on ``space``: the report, its
-    witness entry and tables."""
-    fam = OperatorFamily(space, basis)
+def _classified(cfg: dict, fam: OperatorFamily) -> tuple:
+    """``classify`` ``fam``: the report, its witness entry and tables."""
     rng = np.random.default_rng(cfg["seed"])
-    rep = classify(space, fam, tol=cfg["tolerances"]["verdict"], rng=rng)
-    return (rep, *_witness(rep, _weight_table(space.grid, space.weights)))
+    rep = classify(fam, tol=cfg["tolerances"]["verdict"], rng=rng)
+    return (rep, *_witness(rep, _weight_table(fam.space.grid, fam.space.weights)))
 
 
 def _run_analyze(cfg: dict, samples) -> tuple:
     space = _space_from(cfg["space"])
-    rep, witness, tables = _classified(
-        cfg, space, build_default(space.grid_size, space.fiber_dim)
-    )
+    fam = OperatorFamily(space, build_default(space.grid_size, space.fiber_dim))
+    rep, witness, tables = _classified(cfg, fam)
     metrics = {
         "total_mass": total_mass(space),
         "support_fraction": float(space.support.mean()),
@@ -445,7 +442,7 @@ def _run_witness(cfg: dict, samples) -> tuple:
     space = _space_from(cfg["space"])
     fam = OperatorFamily(space, build_default(space.grid_size, space.fiber_dim))
     tol = cfg["tolerances"]["verdict"]
-    rep = decide_frame(space, fam, tol=tol, claim=cfg["a_claimed"])
+    rep = decide_frame(fam, tol=tol, claim=cfg["a_claimed"])
     witness, tables = _witness(rep, _weight_table(space.grid, space.weights))
     metrics = {"a_claimed": cfg["a_claimed"], "total_mass": total_mass(space)}
     return rep, rep.residuals, metrics, witness, tables
@@ -461,9 +458,8 @@ def _run_shiftinv(cfg: dict, samples) -> tuple:
     space = WeightedSpace(gen.grid_size, 1, w)
     n = np.arange(gen.grid_size)
     scal = fourier_family(-n, n, gen.grid_size)
-    rep, witness, tables = _classified(
-        cfg, space, TensorBasis(scal, np.eye(1, dtype=complex))
-    )
+    fam = OperatorFamily(space, TensorBasis(scal, np.eye(1, dtype=complex)))
+    rep, witness, tables = _classified(cfg, fam)
     residuals = dict(rep.residuals)
     mass = total_mass(space)
     norm_sq = float((np.abs(gen.fhat) ** 2).sum() / gen.grid_size)

@@ -14,8 +14,10 @@ is checked along two routes: the weighted norm of S(c), evaluated with one
 FFT, against the quadratic form c^H T c of the Toeplitz translate Gram T,
 read from the inverse DFT of the weight.
 
-The frame verdict is the analyzer's frame decision with the positive-weight
-band as its span, the model space being the span of the translates.
+The frame verdict is the analyzer's frame decision on the family alone,
+over the positive-weight band, the span of the translates.  The family is
+orthonormal by construction, so no hypothesis check or quadrature adds a
+second R x R array: the witness ratio is read off the weights.
 """
 
 from __future__ import annotations
@@ -278,6 +280,6 @@ def _band_report(space: WeightedSpace, tol: float) -> FrameReport:
     n = np.arange(R)
     scal = fourier_family(R // 2 - n, 2 * n + 1, 2 * R)  # alpha_i = (2i + 1) / 2R
     fam = OperatorFamily(space, TensorBasis(scal, np.eye(1, dtype=complex)))
-    rep = _decide_frame(space, fam, tol, None, band=True)
+    rep = _decide_frame(fam, tol, None, band=True)
     rep.residuals["support_fraction"] = float(space.support.mean())
     return rep

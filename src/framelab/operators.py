@@ -17,21 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError
-from .tensor_onb import TensorBasis, tensor_field
-from .wspace import Field, WeightedSpace, _conform, inner, norm, total_mass
+from .tensor_onb import TensorBasis
+from .wspace import Field, WeightedSpace, _conform, norm, total_mass
 
 __all__ = [
     "OperatorFamily",
     "lambda_tilde",
-    "lambda_coeff",
     "lambda_all",
     "frame_spectrum",
     "parseval_residual",
     "bessel_excess",
 ]
-
-DUAL_FORMULA_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -73,35 +69,6 @@ def lambda_tilde(fam: OperatorFamily, m: int, n: int, field: Field) -> np.ndarra
     _conform(fam.space, field)
     fiber_part = field.values @ fam.basis.fiber_family[m].conj()
     return fam.basis.scalar_family[n].conj() * fiber_part
-
-
-def lambda_coeff(fam: OperatorFamily, m: int, n: int, field: Field) -> complex:
-    """Coefficient functional: quadrature of lambda_tilde against the weight.
-
-    Computes the value two ways, as the weighted integral of the pointwise
-    coefficient and as the weighted inner product <f, G_{m,n}>, and requires
-    them to agree.
-
-    Raises:
-        ConsistencyError: if the two routes differ beyond 1e-12 (scaled).
-    """
-    space = fam.space
-    v_int = complex(
-        (lambda_tilde(fam, m, n, field) * space.weights).sum() / space.grid_size
-    )
-    v_ip = inner(space, field, tensor_field(fam.basis, m, n))
-    scale = max(
-        1.0,
-        float(
-            (np.linalg.norm(field.values, axis=1) * space.weights).sum()
-            / space.grid_size
-        ),
-    )
-    if abs(v_int - v_ip) > DUAL_FORMULA_TOL * scale:
-        raise ConsistencyError(
-            f"coefficient routes disagree at (m, n) = ({m}, {n}): {v_int} vs {v_ip}"
-        )
-    return v_int
 
 
 def _quadrature(fam: OperatorFamily) -> np.ndarray:

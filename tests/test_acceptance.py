@@ -116,13 +116,13 @@ def test_criterion_3_onb_iff_unit_weight():
     w_in = np.ones(8)
     w_in[2] = 1.0 + 9e-10
     sp, fam = _family(w_in, 2)
-    if decide_onb(sp, fam, tol=1e-9).verdict is not Verdict.ONB:
+    if decide_onb(fam, tol=1e-9).verdict is not Verdict.ONB:
         failures.append("within-tolerance weight not recognized as onb")
     # just outside -> not onb
     w_out = np.ones(8)
     w_out[2] = 1.0 + 2e-9
     sp, fam = _family(w_out, 2)
-    if decide_onb(sp, fam, tol=1e-9).verdict is Verdict.ONB:
+    if decide_onb(fam, tol=1e-9).verdict is Verdict.ONB:
         failures.append("out-of-tolerance weight passed as onb")
     # random perturbations classified by the exact rule
     for trial in range(20):
@@ -130,7 +130,7 @@ def test_criterion_3_onb_iff_unit_weight():
         if rng.uniform() < 0.5:
             w[int(rng.integers(w.size))] += rng.uniform(0.01, 0.5)
         sp, fam = _family(w, int(rng.integers(1, 4)))
-        verdict = decide_onb(sp, fam, tol=1e-9).verdict
+        verdict = decide_onb(fam, tol=1e-9).verdict
         should = np.max(np.abs(w - 1.0)) <= 1e-9
         if (verdict is Verdict.ONB) != should:
             failures.append(f"trial {trial}: onb iff rule broken")
@@ -138,7 +138,7 @@ def test_criterion_3_onb_iff_unit_weight():
     w_dip = np.ones(8)
     w_dip[5] = 0.9
     sp, fam = _family(w_dip, 2)
-    rep = decide_onb(sp, fam, tol=1e-9)
+    rep = decide_onb(fam, tol=1e-9)
     ratio = rep.residuals.get("onb_defect_ratio")
     if ratio is None or abs(ratio - 0.9) > 1e-10:
         failures.append(f"defect ratio {ratio} != 0.9 +- 1e-10")
@@ -159,13 +159,13 @@ def test_criterion_4_witness_soundness():
         if not w.min() < a_claimed:
             continue
         sp, fam = _family(w, m)
-        field = witness_lower_failure(sp, fam, a_claimed)
+        field = witness_lower_failure(fam, a_claimed)
         if field is None:
             failures.append(f"trial {trial}: no witness despite min w < claim")
             continue
         mask = w < a_claimed
         two_sum = float((w[mask] ** 2).sum() / w[mask].sum())
-        ratio = witness_ratio(sp, fam, field)
+        ratio = witness_ratio(fam, field)
         if abs(ratio - two_sum) > 1e-12 * max(1.0, two_sum):
             failures.append(f"trial {trial}: ratio {ratio} != two-sum {two_sum}")
         # exact math gives two_sum <= max_E w; floats may add one ulp when

@@ -50,14 +50,14 @@ def test_synthesis_gram_spectrum_is_weight_multiset():
 
 def test_gram_frozen_two_point_case():
     sp, fam = _family([0.3, 1.7])
-    lo, hi = classify(sp, fam).gram_bounds
+    lo, hi = classify(fam).gram_bounds
     assert lo == pytest.approx(0.3, abs=1e-12)
     assert hi == pytest.approx(1.7, abs=1e-12)
 
 
 def test_decide_frame_positive_and_negative():
     sp, fam = _family([0.5, 1.0, 1.0, 1.0], m=2)
-    rep = decide_frame(sp, fam)
+    rep = decide_frame(fam)
     assert rep.verdict is Verdict.FRAME
     assert rep.weight_bounds == (0.5, 1.0)
     assert rep.oracle_bounds[0] == pytest.approx(0.5, abs=1e-10)
@@ -66,7 +66,7 @@ def test_decide_frame_positive_and_negative():
     assert rep.witness is None
 
     sp2, fam2 = _family([0.0, 1.0, 1.0, 1.0])
-    rep2 = decide_frame(sp2, fam2)
+    rep2 = decide_frame(fam2)
     assert rep2.verdict is Verdict.NOT_FRAME
     assert rep2.witness is not None
     assert rep2.residuals["witness_ratio"] == 0.0  # dead-node witness
@@ -79,7 +79,7 @@ def test_decide_frame_rejects_invalid_family():
     scalar[1] *= 2.0  # not unimodular
     fam = OperatorFamily(sp, TensorBasis(scalar, np.eye(1)))
     with pytest.raises(ValueError, match="unimodularity"):
-        decide_frame(sp, fam)
+        decide_frame(fam)
 
 
 def test_nan_family_refused_by_both_deciders():
@@ -90,7 +90,7 @@ def test_nan_family_refused_by_both_deciders():
     fam = OperatorFamily(sp, TensorBasis(scalar, np.eye(1)))
     for decide in (decide_frame, classify):
         with pytest.raises(ValueError, match=r"unimodularity \(residual nan\)"):
-            decide(sp, fam)
+            decide(fam)
 
 
 def test_classify_working_set_at_grid_cap():
@@ -103,7 +103,7 @@ def test_classify_working_set_at_grid_cap():
     tracemalloc.start()
     try:
         sp, fam = _family(np.linspace(0.5, 2.0, n), m=m)
-        rep = classify(sp, fam, rng=np.random.default_rng(0))
+        rep = classify(fam, rng=np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -113,9 +113,9 @@ def test_classify_working_set_at_grid_cap():
 
 def test_witness_ratio_two_sum_formula():
     sp, fam = _family([0.5, 1.0, 1.0, 1.0])
-    field = witness_lower_failure(sp, fam, 0.9)
+    field = witness_lower_failure(fam, 0.9)
     assert field is not None
-    ratio = witness_ratio(sp, fam, field)
+    ratio = witness_ratio(fam, field)
     # (sum w^2) / (sum w) over E = {0}
     assert ratio == pytest.approx(0.5, abs=1e-12)
     assert ratio <= 0.5 < 0.9
@@ -123,12 +123,12 @@ def test_witness_ratio_two_sum_formula():
 
 def test_witness_lower_failure_edge_cases():
     sp, fam = _family([0.5, 1.0, 1.0, 1.0])
-    assert witness_lower_failure(sp, fam, 0.4) is None
+    assert witness_lower_failure(fam, 0.4) is None
     with pytest.raises(ValueError):
-        witness_lower_failure(sp, fam, 0.0)
+        witness_lower_failure(fam, 0.0)
     with pytest.raises(ValueError):
-        witness_lower_failure(sp, fam, -1.0)
-    field = witness_lower_failure(sp, fam, 2.0)  # every node undercuts
+        witness_lower_failure(fam, -1.0)
+    field = witness_lower_failure(fam, 2.0)  # every node undercuts
     assert np.count_nonzero(np.abs(field.values).sum(axis=1)) == 4
 
 
@@ -142,10 +142,10 @@ def test_witness_soundness_random_sweep():
         a_claimed = float(np.median(w)) + 1e-6
         if w.min() >= a_claimed:
             continue
-        field = witness_lower_failure(sp, fam, a_claimed)
+        field = witness_lower_failure(fam, a_claimed)
         mask = w < a_claimed
         two_sum = float((w[mask] ** 2).sum() / w[mask].sum())
-        ratio = witness_ratio(sp, fam, field)
+        ratio = witness_ratio(fam, field)
         assert ratio == pytest.approx(two_sum, rel=1e-12)
         # single-point supports can round w*w/w one ulp above w itself
         assert ratio <= w[mask].max() * (1.0 + 4.0 * np.finfo(float).eps)
@@ -154,14 +154,14 @@ def test_witness_soundness_random_sweep():
 
 def test_classify_gram_tracks_full_weight_range():
     sp, fam = _family([0.0, 1.0, 2.0, 1.0], m=2)
-    rep = classify(sp, fam)
+    rep = classify(fam)
     assert rep.verdict is Verdict.NOT_FRAME
     assert rep.gram_bounds[0] == pytest.approx(0.0, abs=1e-10)
     assert rep.gram_bounds[1] == pytest.approx(2.0, abs=1e-10)
     assert rep.residuals["gram_vs_weight"] < 1e-9
 
     sp2, fam2 = _family([0.5, 1.5])
-    rep2 = classify(sp2, fam2)
+    rep2 = classify(fam2)
     assert rep2.verdict is Verdict.RIESZ_BASIS
 
 
@@ -169,17 +169,17 @@ def test_decide_onb_exact_boundary():
     w = np.ones(6)
     w[3] = 1.0 + 5e-10
     sp, fam = _family(w)
-    assert decide_onb(sp, fam, tol=1e-9).verdict is Verdict.ONB
+    assert decide_onb(fam, tol=1e-9).verdict is Verdict.ONB
 
     w2 = np.ones(6)
     w2[3] = 1.0 + 5e-9
     sp2, fam2 = _family(w2)
-    assert decide_onb(sp2, fam2, tol=1e-9).verdict is Verdict.RIESZ_BASIS
+    assert decide_onb(fam2, tol=1e-9).verdict is Verdict.RIESZ_BASIS
 
 
 def test_decide_onb_three_conditions_and_defect():
     sp, fam = _family(np.ones(8), m=2)
-    rep = decide_onb(sp, fam)
+    rep = decide_onb(fam)
     assert rep.verdict is Verdict.ONB
     assert rep.residuals["onb_cross"] < 1e-12
     assert rep.residuals["onb_norm"] < 1e-12
@@ -189,7 +189,7 @@ def test_decide_onb_three_conditions_and_defect():
     w = np.ones(8)
     w[5] = 0.9
     sp2, fam2 = _family(w, m=2)
-    rep2 = decide_onb(sp2, fam2)
+    rep2 = decide_onb(fam2)
     assert rep2.verdict is Verdict.RIESZ_BASIS
     assert rep2.residuals["onb_defect_ratio"] == pytest.approx(0.9, abs=1e-10)
     assert rep2.witness is not None
@@ -199,7 +199,7 @@ def test_decide_onb_three_conditions_and_defect():
     w3 = np.ones(8)
     w3[5] = 0.0
     sp3, fam3 = _family(w3)
-    assert decide_onb(sp3, fam3).verdict is Verdict.NOT_FRAME
+    assert decide_onb(fam3).verdict is Verdict.NOT_FRAME
 
 
 def test_decide_scalar_frame():
@@ -207,7 +207,7 @@ def test_decide_scalar_frame():
     w = np.full(n, 0.7)
     sp = WeightedSpace(n, 1, w)
     basis = TensorBasis(build_default(n, 1).scalar_family, np.eye(1))
-    rep = decide_frame(sp, OperatorFamily(sp, basis))
+    rep = decide_frame(OperatorFamily(sp, basis))
     assert rep.verdict is Verdict.FRAME
     assert rep.oracle_bounds[0] == pytest.approx(0.7, abs=1e-10)
     sp_bad = WeightedSpace(n, 2, w)
@@ -218,7 +218,7 @@ def test_decide_scalar_frame():
 def test_classify_merges_reports():
     rng = np.random.default_rng(6)
     sp, fam = _family([0.5, 1.0, 1.0, 1.0], m=2)
-    rep = classify(sp, fam, rng=rng)
+    rep = classify(fam, rng=rng)
     assert rep.verdict is Verdict.RIESZ_BASIS
     for key in (
         "spectrum_vs_weight",
@@ -232,15 +232,15 @@ def test_classify_merges_reports():
     assert rep.oracle_bounds is not None and rep.gram_bounds is not None
 
     spu, famu = _family(np.ones(4), m=2)
-    assert classify(spu, famu, rng=rng).verdict is Verdict.ONB
+    assert classify(famu, rng=rng).verdict is Verdict.ONB
     # a weight of 1 is no frame at tol 1.5: not_frame is decided first
-    rep1 = classify(spu, famu, tol=1.5, rng=rng)
+    rep1 = classify(famu, tol=1.5, rng=rng)
     assert rep1.verdict is Verdict.NOT_FRAME
     assert rep1.residuals["witness_ratio"] == pytest.approx(1.0, abs=1e-12)
-    assert decide_onb(spu, famu, tol=1.5).verdict is Verdict.NOT_FRAME
+    assert decide_onb(famu, tol=1.5).verdict is Verdict.NOT_FRAME
 
     spz, famz = _family([0.0, 1.0, 1.0, 1.0])
-    repz = classify(spz, famz, rng=rng)
+    repz = classify(famz, rng=rng)
     assert repz.verdict is Verdict.NOT_FRAME
     assert repz.witness is not None
 
@@ -265,13 +265,13 @@ def test_classify_equals_the_three_deciders_merged(w, m, tol, seed):
     if not np.any(w > 1e-12):
         w[0] = 1.0
     sp, fam = _family(w, m)
-    rep = classify(sp, fam, tol=tol, rng=np.random.default_rng(seed))
-    fr = decide_frame(sp, fam, tol=tol)
-    ob = decide_onb(sp, fam, tol=tol, rng=np.random.default_rng(seed))
+    rep = classify(fam, tol=tol, rng=np.random.default_rng(seed))
+    fr = decide_frame(fam, tol=tol)
+    ob = decide_onb(fam, tol=tol, rng=np.random.default_rng(seed))
     # the Gram route: its spectrum from the factors against the weight range
     gb = _extremes(_gram_spectrum(_gram_factors(fam)))
     lo, hi = fr.weight_bounds
-    gram = {"gram_vs_weight": max(abs(gb[0] - lo), abs(gb[1] - hi))}
+    gram = {"gram_vs_weight": max(abs(gb[0] - lo), abs(gb[1] - hi)) / max(1.0, hi)}
     basis = Verdict.RIESZ_BASIS if fr.verdict is Verdict.FRAME else Verdict.NOT_FRAME
     assert rep.verdict is (ob.verdict if ob.verdict is Verdict.ONB else basis)
     assert rep.verdict is ob.verdict

@@ -529,22 +529,33 @@ def test_heisenberg_takes_the_band_decision_without_hypothesis_check(
     assert check == [] and gram == [] and quad == []
 
 
-def test_witness_run_builds_one_witness_at_the_claim(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "weight, quads",
+    [
+        ({"preset": "ramp", "start": 1e-12, "stop": 1.0}, 1),
+        # a witness on zero-weight nodes only has norm 0, so its ratio is 0
+        # and no quadrature is built for it
+        ({"preset": "step", "low": 0.0, "high": 1.0, "split": 0.25}, 0),
+    ],
+    ids=["ramp", "zero_weight"],
+)
+def test_witness_run_builds_one_witness_at_the_claim(
+    tmp_path, monkeypatch, weight, quads
+):
     cfg = {
         "mode": "witness",
         "a_claimed": 0.7,
-        "space": {"grid_size": 64, "fiber_dim": 2,
-                  "weight": {"preset": "ramp", "start": 1e-12, "stop": 1.0}},
+        "space": {"grid_size": 64, "fiber_dim": 2, "weight": weight},
     }
     witness = _count_calls(monkeypatch, analyzer._lower_witness)
     quad = _count_calls(monkeypatch, operators._quadrature)
     code = run_config(cfg, tmp_path / "run")
     assert code == 0 and code.doc["verdict"] == "not_frame"
-    assert len(witness) == 1 and witness[0][2] == 0.7
-    assert len(quad) == 1
+    assert len(witness) == 1 and witness[0][1] == 0.7
+    assert len(quad) == quads
     ratio = code.doc["residuals"]["witness_ratio"]
     assert ratio == code.doc["witness"]["ratio"]
-    assert 0.0 < ratio < 0.7
+    assert 0.0 < ratio < 0.7 if quads else ratio == 0.0
 
 
 def test_witness_run_below_every_weight_keeps_the_not_frame_witness(tmp_path):
@@ -640,6 +651,25 @@ def test_cross_checks_at_grid_cap_hold_to_rounding(tmp_path):
         assert code == 0
         checks = {k: v for k, v in code.doc["residuals"].items() if "_vs_" in k}
         assert checks and max(checks.values()) <= 1e-14, (name, checks)
+
+
+@pytest.mark.parametrize("mode", ["analyze", "witness"])
+def test_cross_checks_hold_in_large_weight_units(tmp_path, mode):
+    # The _vs_ residuals are relative to max(1, largest weight), so weights
+    # in units of 1e8 pass the default tolerance as weights near 1 do.
+    cfg = {
+        "mode": mode,
+        "space": {"grid_size": 64, "fiber_dim": 2,
+                  "weight": {"preset": "ramp", "start": 3e6, "stop": 1e8}},
+    }
+    if mode == "witness":
+        cfg["a_claimed"] = 5e7
+    out = tmp_path / mode
+    assert cli.main(["--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["verdict"] == ("riesz_basis" if mode == "analyze" else "frame")
+    checks = {k: v for k, v in doc["residuals"].items() if "_vs_" in k}
+    assert checks and max(checks.values()) <= 1e-14, checks
 
 
 def test_config_echo_round_trip(tmp_path):

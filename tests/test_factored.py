@@ -69,7 +69,7 @@ def test_factored_gram_route_matches_dense_gram():
         dense_cross = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
         dense_norm = float(np.max(np.abs(np.diag(gram).real - 1.0)))
         spec = _gram_spectrum(_gram_factors(fam))
-        rep = decide_onb(fam.space, fam)
+        rep = decide_onb(fam)
         cross, unit = rep.residuals["onb_cross"], rep.residuals["onb_norm"]
         scale = float(np.max(np.abs(gram)))
         assert np.max(np.abs(spec - dense_eig)) <= 1e-12 * scale
@@ -237,12 +237,12 @@ def test_family_not_closed_under_conjugation_is_refused():
     checks = (
         classify,
         decide_frame,
-        lambda sp, fam: frame_spectrum(fam),
-        lambda sp, fam: fam.basis.scalar_gram_residual(),
+        frame_spectrum,
+        lambda fam: fam.basis.scalar_gram_residual(),
     )
     for decide in checks:
         with pytest.raises(ValueError, match="conjugate symmetry"):
-            decide(sp, fam)
+            decide(fam)
 
 
 def test_shared_quadrature_ratios_match_witness_ratio():
@@ -251,15 +251,15 @@ def test_shared_quadrature_ratios_match_witness_ratio():
     for n, m in [(1, 1), (7, 1), (100, 1), (100, 2), (64, 3)]:
         w = np.linspace(0.4, 2.5, n) if n > 1 else np.array([0.7])
         sp, fam = _fam(n, m, w)
-        rep = decide_onb(sp, fam, rng=np.random.default_rng(5))
+        rep = decide_onb(fam, rng=np.random.default_rng(5))
         rng = np.random.default_rng(5)
         parseval = 0.0
         for _ in range(8):
             shape = (n, m)
             f = Field(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            parseval = max(parseval, abs(witness_ratio(sp, fam, f) - 1.0))
+            parseval = max(parseval, abs(witness_ratio(fam, f) - 1.0))
         assert rep.residuals["onb_parseval"] == parseval
-        defect = witness_ratio(sp, fam, rep.witness)
+        defect = witness_ratio(fam, rep.witness)
         assert rep.residuals["onb_defect_ratio"] == defect
 
 
@@ -299,6 +299,10 @@ def test_weight_scaling_scales_spectra(case, c):
     lo_c, hi_c = _extremes(_gram_spectrum(_gram_factors(fam_c)))
     assert abs(lo_c - c * lo) <= 1e-12 * c * hi
     assert abs(hi_c - c * hi) <= 1e-12 * c * hi
+    # the cross checks are relative to the weight scale, so they pass in any unit
+    rep = classify(fam_c, rng=np.random.default_rng(0))
+    assert rep.residuals["spectrum_vs_weight"] <= 1e-12
+    assert rep.residuals["gram_vs_weight"] <= 1e-12
 
 
 @PROPERTY
@@ -319,8 +323,8 @@ def test_node_permutation_keeps_spectrum_and_verdict(case, rnd):
     spec = frame_spectrum(fam)
     spec_p = frame_spectrum(fam_p)
     assert np.max(np.abs(spec_p - spec)) <= 1e-12 * spec.max()
-    rep = classify(sp, fam, rng=np.random.default_rng(0))
-    rep_p = classify(sp_p, fam_p, rng=np.random.default_rng(0))
+    rep = classify(fam, rng=np.random.default_rng(0))
+    rep_p = classify(fam_p, rng=np.random.default_rng(0))
     assert rep_p.verdict is rep.verdict
     expect = (
         Verdict.ONB

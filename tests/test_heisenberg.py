@@ -167,7 +167,7 @@ def test_frame_report_is_the_frame_decision_on_the_band(eps, d):
     k = np.arange(r)
     scal = fourier_family(r // 2 - k, 2 * k + 1, 2 * r)
     fam = OperatorFamily(sp, TensorBasis(scal, np.eye(1)))
-    whole = decide_frame(sp, fam, tol)
+    whole = decide_frame(fam, tol)
     band = w > 0
     lo, hi = w[band].min(), w[band].max()
     rep = hb.frame_report(eps, d, resolution=r, tol=tol)
@@ -188,7 +188,7 @@ def test_frame_report_is_the_frame_decision_on_the_band(eps, d):
         # read off the weights, it matches the coefficient route
         ratio = rep.residuals["witness_ratio"]
         assert 0.0 < ratio < tol
-        assert ratio == pytest.approx(witness_ratio(sp, fam, rep.witness), rel=1e-9)
+        assert ratio == pytest.approx(witness_ratio(fam, rep.witness), rel=1e-9)
 
 
 def test_frame_report_bounds_and_verdict():

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-import framelab.operators as ops
 from framelab import (
-    ConsistencyError,
     Field,
     OperatorFamily,
     TensorBasis,
@@ -15,7 +13,6 @@ from framelab import (
     frame_spectrum,
     inner,
     lambda_all,
-    lambda_coeff,
     lambda_tilde,
     parseval_residual,
     random_field,
@@ -52,29 +49,6 @@ def test_lambda_tilde_hand_values():
         lambda_tilde(fam, 0, 2, f)
 
 
-def test_lambda_coeff_matches_inner_product_route():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        n = int(rng.integers(2, 9))
-        m = int(rng.integers(1, 4))
-        sp, fam = _family(n, m, rng.uniform(0.05, 5.0, n))
-        f = random_field(sp, rng)
-        for _ in range(4):
-            mm, nn = int(rng.integers(m)), int(rng.integers(n))
-            v = lambda_coeff(fam, mm, nn, f)
-            ref = inner(sp, f, tensor_field(fam.basis, mm, nn))
-            assert v == pytest.approx(ref, abs=1e-12)
-
-
-def test_lambda_coeff_guard_trips_on_inconsistency(monkeypatch):
-    sp, fam = _family(4, 2, np.array([0.5, 1.0, 1.5, 2.0]))
-    f = Field(np.ones((4, 2)))
-    # sabotage the second route to prove the guard is live
-    monkeypatch.setattr(ops, "inner", lambda *a, **k: 123.0 + 0j)
-    with pytest.raises(ConsistencyError):
-        lambda_coeff(fam, 0, 0, f)
-
-
 def test_lambda_all_matches_loop():
     rng = np.random.default_rng(8)
     sp, fam = _family(6, 3, rng.uniform(0.1, 2.0, 6))
@@ -83,9 +57,8 @@ def test_lambda_all_matches_loop():
     assert table.shape == (3, 6)
     for m in range(3):
         for n in range(6):
-            assert table[m, n] == pytest.approx(
-                lambda_coeff(fam, m, n, f), abs=1e-13
-            )
+            ref = inner(sp, f, tensor_field(fam.basis, m, n))
+            assert table[m, n] == pytest.approx(ref, abs=1e-13)
 
 
 def test_adjoint_pairing_identities():
@@ -104,7 +77,7 @@ def test_adjoint_pairing_identities():
             adj = Field(np.outer(scalar[nn] * phi, fiber[mm]))
             assert lhs == pytest.approx(inner(sp, f, adj), abs=1e-12)
             c = complex(rng.standard_normal(), rng.standard_normal())
-            lhs2 = lambda_coeff(fam, mm, nn, f) * np.conj(c)
+            lhs2 = inner(sp, f, tensor_field(fam.basis, mm, nn)) * np.conj(c)
             rhs2 = inner(sp, f, Field(c * tensor_field(fam.basis, mm, nn).values))
             assert lhs2 == pytest.approx(rhs2, abs=1e-12)
 
