@@ -27,10 +27,9 @@ from .operators import (
     bessel_excess,
     frame_spectrum,
     lambda_all,
-    lambda_tilde,
     parseval_residual,
 )
-from .tensor_onb import TensorBasis, build_default, tensor_field
+from .tensor_onb import TensorBasis, build_default
 from .wspace import Field, WeightedSpace, inner, norm, random_field, total_mass
 
 __version__ = "0.1.0"
@@ -46,9 +45,7 @@ __all__ = [
     "random_field",
     "TensorBasis",
     "build_default",
-    "tensor_field",
     "OperatorFamily",
-    "lambda_tilde",
     "lambda_all",
     "frame_spectrum",
     "parseval_residual",

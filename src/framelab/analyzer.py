@@ -8,13 +8,21 @@ deciders here read the verdict off the weights and independently verify it
 spectrally, reporting residuals and, on failure, an explicit witness field.
 
 Every decider takes the family alone: an ``OperatorFamily`` binds the
-space it analyzes, so every route reads one weight.  ``classify`` is the
-frame half of ``decide_frame`` followed by the ONB half of ``decide_onb``.
-One frame decision serves every weight mode: ``decide_frame`` reads the
-verdict, the weight bounds and a witness over the whole grid, and
-``heisenberg`` takes the same decision over its positive-weight band, the
-nodes its family must cover.  The ``_vs_`` residuals are relative to
-max(1, largest weight), so they do not depend on the units of the weight.
+space it analyzes, so every route reads one weight.  ``classify`` is
+``decide_frame`` followed by the ONB half of ``decide_onb``.  One frame
+decision serves every weight mode: ``decide_frame`` reads the verdict, the
+weight bounds and a witness over the whole grid, and ``heisenberg`` takes
+the same decision with its bounds and witness over its positive-weight
+band, the nodes its family must cover.  The ``_vs_`` residuals are
+relative to max(1, largest weight), so they do not depend on the units of
+the weight.
+
+Every coefficient energy, sum |Lambda_{m,n} f|^2 against ||f||^2, takes
+one route: ``witness_ratio`` through ``operators.lambda_all``, one product
+of the family with the weighted fiber coefficients of the field.  The
+witness ratio, the Parseval probes and the defect ratio all take it, so
+each ratio is a coefficient computation of its own, never read off the
+weights, and none forms an N x N array beside the family.
 
 The spectral route stays dense on purpose: an SVD of the analysis factors
 and an ``eigvalsh`` of the synthesis-Gram factors, O(N^3) in the grid size.
@@ -40,7 +48,7 @@ from enum import Enum
 
 import numpy as np
 
-from .operators import OperatorFamily, _lambda_all, _quadrature, frame_spectrum
+from .operators import OperatorFamily, frame_spectrum, lambda_all
 from .tensor_onb import HYPOTHESIS_TOL, _field_matrix
 from .wspace import Field, WeightedSpace, norm
 
@@ -57,6 +65,8 @@ __all__ = [
 ]
 
 PARSEVAL_FIELDS = 8
+# The default verdict tolerance of every decider and of the CLI config.
+VERDICT_TOL = 1e-9
 
 
 class Verdict(str, Enum):
@@ -172,23 +182,15 @@ def _offmax(a: np.ndarray) -> float:
 
 
 def witness_ratio(fam: OperatorFamily, field: Field) -> float:
-    """Total coefficient energy of ``field`` over its squared norm.
+    """Total coefficient energy sum |Lambda_{m,n} f|^2 of ``field``, through
+    ``lambda_all``, over its squared norm.
 
     Zero-norm fields (supported where the weight vanishes) report 0.
     """
-    return _witness_ratio(fam, field, None)
-
-
-def _witness_ratio(fam: OperatorFamily, field: Field, quad: np.ndarray | None) -> float:
-    """``witness_ratio`` with the weighted quadrature of ``fam`` given, so
-    that several fields share one, or built here when None and needed."""
     den = norm(fam.space, field) ** 2
     if den == 0.0:
         return 0.0
-    if quad is None:
-        quad = _quadrature(fam)
-    num = float((np.abs(_lambda_all(fam, quad, field)) ** 2).sum())
-    return num / den
+    return float((np.abs(lambda_all(fam, field)) ** 2).sum()) / den
 
 
 def _indicator_field(fam: OperatorFamily, nodes) -> Field:
@@ -226,14 +228,6 @@ def _verdict(values: np.ndarray, tol: float) -> Verdict:
     return Verdict.RIESZ_BASIS
 
 
-def _band_ratio(fam: OperatorFamily, field: Field) -> float:
-    """``witness_ratio`` of a field of positive norm for a square orthonormal
-    family, read off the weights: sum w^2 |f|^2 over sum w |f|^2."""
-    w = fam.space.weights
-    f2 = (np.abs(field.values) ** 2).sum(axis=1)
-    return float((w**2 * f2).sum() / (w * f2).sum())
-
-
 def _lower_witness(fam: OperatorFamily, claim: float, band: bool) -> Field | None:
     """Indicator field of the nodes whose weight undercuts ``claim``, of the
     support only with ``band``; None when no node undercuts it."""
@@ -265,15 +259,12 @@ def _factor_residuals(fam: OperatorFamily, factors: tuple) -> dict:
 
 
 def _parseval_checks(
-    fam: OperatorFamily,
-    verdict: Verdict,
-    rng: np.random.Generator | None,
-    quad: np.ndarray,
+    fam: OperatorFamily, verdict: Verdict, rng: np.random.Generator | None
 ) -> tuple:
     """Energy preservation on ``PARSEVAL_FIELDS`` random fields
     (onb_parseval) and, unless the verdict is onb, the defect field at the
     node whose weight is farthest from 1 with its energy ratio
-    (onb_defect_ratio), all through the one quadrature ``quad``.
+    (onb_defect_ratio), each through ``witness_ratio``.
 
     Returns:
         (defect field or None, residuals).
@@ -284,56 +275,31 @@ def _parseval_checks(
     parseval = 0.0
     for _ in range(PARSEVAL_FIELDS):
         f = Field(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        parseval = max(parseval, abs(_witness_ratio(fam, f, quad) - 1.0))
+        parseval = max(parseval, abs(witness_ratio(fam, f) - 1.0))
     residuals = {"onb_parseval": parseval}
     if verdict is Verdict.ONB:
         return None, residuals
     defect = _indicator_field(fam, int(np.argmax(np.abs(fam.space.weights - 1.0))))
-    residuals["onb_defect_ratio"] = _witness_ratio(fam, defect, quad)
+    residuals["onb_defect_ratio"] = witness_ratio(fam, defect)
     return defect, residuals
 
 
-def _frame_half(fam: OperatorFamily, tol: float, claim, band: bool) -> FrameReport:
-    """``decide_frame`` without the witness ratio, over the whole grid or,
-    with ``band``, over the support.  The spectrum on the support must
-    reproduce the support weight range: spectrum_vs_weight is the gap of the
-    extremes, relative to max(1, largest weight).  The witness undercuts
-    ``claim``, else, for a non-frame, the smallest claim above ``tol``,
-    which holds the nodes of weight <= tol."""
-    spec = frame_spectrum(fam)
-    sw = fam.space.weights[fam.space.support]
-    gap = max(abs(float(spec[0]) - sw.min()), abs(float(spec[-1]) - sw.max()))
-    residuals = {"spectrum_vs_weight": gap / max(1.0, float(sw.max()))}
-    w = sw if band else fam.space.weights
-    lo, hi = float(w.min()), float(w.max())
-    witness = None if claim is None else _lower_witness(fam, claim, band)
-    if witness is None and not lo > tol:  # no claim witness for a non-frame
-        witness = _lower_witness(fam, float(np.nextafter(tol, np.inf)), band)
-    verdict = Verdict.FRAME if lo > tol else Verdict.NOT_FRAME
-    bounds = _extremes(spec)
-    return FrameReport(verdict, (lo, hi), bounds, None, residuals, witness, spec)
-
-
-def _onb_half(fam: OperatorFamily, tol: float, rng) -> tuple:
-    """The ONB checks, in their stage order: the synthesis-Gram factors,
-    their spectrum and ONB defects; the factors freed; then one weighted
-    quadrature for the Parseval probes and the defect field.
-
-    Returns:
-        (the report of ``decide_onb``, the quadrature).
-    """
+def _onb_half(fam: OperatorFamily, tol: float, rng) -> FrameReport:
+    """``decide_onb`` for a family that holds its hypotheses: the
+    synthesis-Gram factors, their spectrum and ONB defects, then the
+    Parseval probes and the defect field."""
     factors = _gram_factors(fam)
     gb = _extremes(_gram_spectrum(factors))
     residuals = _factor_residuals(fam, factors)
-    del factors  # the quadrature takes the place of the N x N scalar Gram
-    quad = _quadrature(fam)
     verdict = _verdict(fam.space.weights, tol)
-    defect, probes = _parseval_checks(fam, verdict, rng, quad)
+    defect, probes = _parseval_checks(fam, verdict, rng)
     bounds = weight_bounds(fam.space)
-    return FrameReport(verdict, bounds, None, gb, {**residuals, **probes}, defect), quad
+    return FrameReport(verdict, bounds, None, gb, {**residuals, **probes}, defect)
 
 
-def decide_frame(fam: OperatorFamily, tol: float = 1e-9, claim=None) -> FrameReport:
+def decide_frame(
+    fam: OperatorFamily, tol: float = VERDICT_TOL, claim=None
+) -> FrameReport:
     """Frame verdict from the weight minimum, cross-checked spectrally.
 
     The family is a frame exactly when the weight stays above ``tol``; the
@@ -345,21 +311,32 @@ def decide_frame(fam: OperatorFamily, tol: float = 1e-9, claim=None) -> FrameRep
     return _decide_frame(fam, tol, claim, band=False)
 
 
-def _decide_frame(
-    fam: OperatorFamily, tol: float, claim, band: bool
-) -> FrameReport:
-    """``decide_frame`` for a family that holds its hypotheses by construction;
-    with ``band``, over the positive-weight band, with the witness ratio read
-    off the weights so that no N x N quadrature joins the N x N family."""
-    rep = _frame_half(fam, tol, claim, band)
-    if rep.witness is not None:
-        ratio = _band_ratio if band else witness_ratio
-        rep.residuals["witness_ratio"] = ratio(fam, rep.witness)
-    return rep
+def _decide_frame(fam: OperatorFamily, tol: float, claim, band: bool) -> FrameReport:
+    """``decide_frame`` for a family that holds its hypotheses, with its
+    bounds and witness over the whole grid or, with ``band``, over the
+    support.  The spectrum on the support must reproduce the support weight
+    range: spectrum_vs_weight is the gap of the extremes, relative to
+    max(1, largest weight).  The witness undercuts ``claim``, else, for a
+    non-frame, the smallest claim above ``tol``, which holds the nodes of
+    weight <= tol; its ``witness_ratio`` is reported."""
+    spec = frame_spectrum(fam)
+    sw = fam.space.weights[fam.space.support]
+    gap = max(abs(float(spec[0]) - sw.min()), abs(float(spec[-1]) - sw.max()))
+    residuals = {"spectrum_vs_weight": gap / max(1.0, float(sw.max()))}
+    w = sw if band else fam.space.weights
+    lo, hi = float(w.min()), float(w.max())
+    witness = None if claim is None else _lower_witness(fam, claim, band)
+    if witness is None and not lo > tol:  # no claim witness for a non-frame
+        witness = _lower_witness(fam, float(np.nextafter(tol, np.inf)), band)
+    if witness is not None:
+        residuals["witness_ratio"] = witness_ratio(fam, witness)
+    verdict = Verdict.FRAME if lo > tol else Verdict.NOT_FRAME
+    bounds = _extremes(spec)
+    return FrameReport(verdict, (lo, hi), bounds, None, residuals, witness, spec)
 
 
 def decide_onb(
-    fam: OperatorFamily, tol: float = 1e-9, rng: np.random.Generator | None = None
+    fam: OperatorFamily, tol: float = VERDICT_TOL, rng: np.random.Generator | None = None
 ) -> FrameReport:
     """Orthonormal-basis verdict: holds exactly when the weight is 1 to
     within ``tol`` and, as for every ONB, the family is a frame, i.e. the
@@ -373,32 +350,28 @@ def decide_onb(
     equals its weight.
     """
     _validate_family(fam)
-    return _onb_half(fam, tol, rng)[0]
+    return _onb_half(fam, tol, rng)
 
 
 def classify(
-    fam: OperatorFamily, tol: float = 1e-9, rng: np.random.Generator | None = None
+    fam: OperatorFamily, tol: float = VERDICT_TOL, rng: np.random.Generator | None = None
 ) -> FrameReport:
     """Strongest verdict with all cross checks merged into one report.
 
     Note the family is square, so the two-sided bound and the basis
     property coincide; the merged verdict is onb, riesz_basis or not_frame.
-    The frame half of ``decide_frame`` and the ONB half of ``decide_onb``
-    merged, plus the synthesis-Gram spectrum against the weight range
-    (gram_vs_weight, relative to max(1, largest weight)): the family
-    hypotheses are verified once, and the lower-bound witness takes its
-    ratio through the quadrature of the ONB half.  The verdict is that of
-    ``decide_onb``; the witness is the lower-bound one, else the defect
-    field.
+    The family hypotheses are verified once, then ``decide_frame`` and the
+    ONB half of ``decide_onb`` run, merged with the synthesis-Gram spectrum
+    against the weight range (gram_vs_weight, relative to max(1, largest
+    weight)).  The verdict is that of ``decide_onb``; the witness is the
+    lower-bound one, else the defect field.
     """
     _validate_family(fam)
-    fr = _frame_half(fam, tol, None, band=False)
-    onb, quad = _onb_half(fam, tol, rng)
+    fr = _decide_frame(fam, tol, None, band=False)
+    onb = _onb_half(fam, tol, rng)
     (lo, hi), gb = fr.weight_bounds, onb.gram_bounds
     gram = max(abs(gb[0] - lo), abs(gb[1] - hi)) / max(1.0, hi)
     residuals = {**fr.residuals, "gram_vs_weight": gram, **onb.residuals}
-    if fr.witness is not None:
-        residuals["witness_ratio"] = _witness_ratio(fam, fr.witness, quad)
     witness = onb.witness if fr.witness is None else fr.witness
     return replace(
         fr, verdict=onb.verdict, gram_bounds=gb, residuals=residuals, witness=witness

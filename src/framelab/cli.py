@@ -26,9 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analyzer import Verdict, classify, decide_frame
+from .analyzer import VERDICT_TOL, Verdict, classify, decide_frame
 from .errors import ConsistencyError
 from .heisenberg import (
+    K_MAX,
+    RESOLUTION,
+    SPECTRAL_RESOLUTION,
     CenterTranslateModel,
     _band_report,
     _check_band,
@@ -178,12 +181,12 @@ _HEISENBERG = _obj(
     {
         "eps": _num(ok=lambda v: 0.0 < v < 1.0, what="a number strictly between 0 and 1"),
         "d": _int(1, 64, 1),
-        "resolution": _int(2, 65536, 4096),
-        "spectral_resolution": _int(2, 1024, 256),
-        "k_max": _int(0, 64, 4),
+        "resolution": _int(2, 65536, RESOLUTION),
+        "spectral_resolution": _int(2, 1024, SPECTRAL_RESOLUTION),
+        "k_max": _int(0, 64, K_MAX),
     }
 )
-_TOLERANCE = _positive(1e-9)
+_TOLERANCE = _positive(VERDICT_TOL)
 _COMMON = {
     "seed": _int(0, default=0),
     "tolerances": _obj({"consistency": _TOLERANCE, "verdict": _TOLERANCE}, optional=True),
@@ -256,27 +259,12 @@ def _check_cross(cfg: dict, diags: list) -> None:
         diags.append("time_resolution * translates must not exceed 2048")
 
 
-def _walk(config) -> tuple:
-    """(typed config, diagnostics); the config is whole only when there
-    are no diagnostics."""
-    diags: list = []
-    cfg = _CONFIG(config, "", diags)
-    if not diags:
-        _check_cross(cfg, diags)
-    return cfg, diags
-
-
-def _custom_section(cfg: dict) -> dict | None:
-    sec = cfg.get("window") or cfg.get("generator")
-    return sec if sec is not None and sec["preset"] == "custom" else None
-
-
 def _check_samples(cfg: dict, diags: list) -> np.ndarray | None:
     """The samples of a custom window or generator, which must parse and
     hold exactly the finite samples that its sizes need; None for a preset
     or a file that does not parse.  The one rule that reads a file."""
-    sec = _custom_section(cfg)
-    if sec is None:
+    sec = cfg.get("window") or cfg.get("generator")
+    if sec is None or sec["preset"] != "custom":
         return None
     if cfg["mode"] == "zak":
         where, rule = "window.samples_path", "time_resolution * translates"
@@ -307,36 +295,24 @@ class _Checked(dict):
 
 
 def check_config(config) -> tuple:
-    """(typed config, diagnostics) of ``validate_config``.  Past the key rules
-    the config is a ``_Checked``, which ``run_config`` takes as it is."""
-    cfg, diags = _walk(config)
+    """(typed config, diagnostics); the config can run exactly when the list
+    is empty, and each diagnostic starts with the dotted path of the key it
+    names.
+
+    The typed config has every default filled, and it is echoed into the
+    report, so a run can be reproduced from its own output: checking it
+    again gives it back.  Past the key rules it is a ``_Checked`` holding
+    the samples of a custom window or generator, which ``run_config`` takes
+    as it is.
+    """
+    diags: list = []
+    cfg = _CONFIG(config, "", diags)
+    if not diags:
+        _check_cross(cfg, diags)
     if not diags:
         cfg = _Checked(cfg)
         cfg.samples = _check_samples(cfg, diags)
     return cfg, diags
-
-
-def validate_config(config) -> list:
-    """Collect diagnostics; an empty list means the config can run.
-
-    Each diagnostic starts with the dotted path of the key it names.
-    """
-    return check_config(config)[1]
-
-
-def normalize_config(config) -> dict:
-    """Canonical config with defaults filled; reads no file.
-
-    Normalizing is idempotent, and the result is echoed into the report so
-    a run can be reproduced from its own output.
-
-    Raises:
-        ValueError: if the config is invalid, listing its diagnostics.
-    """
-    cfg, diags = _walk(config)
-    if diags:
-        raise ValueError("invalid config: " + "; ".join(diags))
-    return cfg
 
 
 def _load_samples(path: str) -> np.ndarray:
@@ -552,17 +528,19 @@ def run_config(config: dict, out_dir) -> int:
     The only writer: every CSV table, ``spectrum.csv`` from the report's
     spectrum, and ``report.json``.  The code also carries the written
     document as ``.doc``, so the caller need not read the file back.  A
-    config other than a ``check_config`` result is normalized here.
+    config other than a ``check_config`` result is checked here.
+
+    Raises:
+        ValueError: if the config is invalid, listing its diagnostics.
     """
-    if isinstance(config, _Checked):
-        cfg, samples = config, config.samples
-    else:
-        cfg = normalize_config(config)
-        sec = _custom_section(cfg)
-        samples = None if sec is None else _load_samples(sec["samples_path"])
+    cfg = config
+    if not isinstance(cfg, _Checked):
+        cfg, diags = check_config(config)
+        if diags:
+            raise ValueError("invalid config: " + "; ".join(diags))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rep, residuals, metrics, witness, tables = _RUNNERS[cfg["mode"]](cfg, samples)
+    rep, residuals, metrics, witness, tables = _RUNNERS[cfg["mode"]](cfg, cfg.samples)
     spec = rep.spectrum
     tables["spectrum.csv"] = _table(("index", "eigenvalue"), np.arange(spec.size), spec)
     for name, (header, columns) in tables.items():

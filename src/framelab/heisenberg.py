@@ -15,9 +15,10 @@ FFT, against the quadratic form c^H T c of the Toeplitz translate Gram T,
 read from the inverse DFT of the weight.
 
 The frame verdict is the analyzer's frame decision on the family alone,
-over the positive-weight band, the span of the translates.  The family is
-orthonormal by construction, so no hypothesis check or quadrature adds a
-second R x R array: the witness ratio is read off the weights.
+with its bounds and witness over the positive-weight band, the span of the
+translates.  The family is orthonormal by construction, so no hypothesis
+check adds a second R x R array, and the witness ratio goes through the
+coefficient functionals, which form none either.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analyzer import FrameReport, _decide_frame
+from .analyzer import VERDICT_TOL, FrameReport, _decide_frame
 from .errors import ConsistencyError
 from .operators import OperatorFamily
 from .tensor_onb import TensorBasis, fourier_family
@@ -48,6 +49,10 @@ MASS_TOL = 1e-9
 ISOMETRY_TOL = 1e-8
 LATTICE_WINDOW = 3  # integer shifts j in [-3, 3] cover every alpha in (0, 1]
 QUAD_NODES = 64
+# Default scale grid, translate range and spectral grid of a model and a report.
+RESOLUTION = 4096
+K_MAX = 4
+SPECTRAL_RESOLUTION = 256
 
 
 def _check_params(eps: float, d: int) -> tuple[float, int]:
@@ -186,8 +191,8 @@ class CenterTranslateModel:
 
     eps: float
     d: int
-    resolution: int = 4096
-    k_max: int = 4
+    resolution: int = RESOLUTION
+    k_max: int = K_MAX
     alpha: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
     support: np.ndarray = field(init=False, repr=False)
@@ -260,7 +265,7 @@ def isometry_residual(model: CenterTranslateModel, a) -> float:
 
 
 def frame_report(
-    eps: float, d: int, resolution: int = 256, tol: float = 1e-9
+    eps: float, d: int, resolution: int = SPECTRAL_RESOLUTION, tol: float = VERDICT_TOL
 ) -> FrameReport:
     """Frame verdict for the center-translate family on its own span.
 

@@ -22,7 +22,6 @@ from .wspace import Field, WeightedSpace, _conform, norm, total_mass
 
 __all__ = [
     "OperatorFamily",
-    "lambda_tilde",
     "lambda_all",
     "frame_spectrum",
     "parseval_residual",
@@ -54,42 +53,21 @@ class OperatorFamily:
             )
 
 
-def _check_index(fam: OperatorFamily, m: int, n: int) -> None:
-    M, N = fam.space.fiber_dim, fam.space.grid_size
-    if not (0 <= m < M and 0 <= n < N):
-        raise IndexError(f"(m, n) = ({m}, {n}) out of range for ({M}, {N})")
-
-
-def lambda_tilde(fam: OperatorFamily, m: int, n: int, field: Field) -> np.ndarray:
-    """Pointwise coefficient x_i -> <f(x_i), G_{m,n}(x_i)>_fiber.
-
-    Returns a length-N complex array, conj(f_n(x_i)) <f(x_i), g_m>.
-    """
-    _check_index(fam, m, n)
-    _conform(fam.space, field)
-    fiber_part = field.values @ fam.basis.fiber_family[m].conj()
-    return fam.basis.scalar_family[n].conj() * fiber_part
-
-
-def _quadrature(fam: OperatorFamily) -> np.ndarray:
-    """Entry [n, i] = conj(f_n(x_i)) w_i / N: the weighted quadrature that
-    turns fiber coefficients at the nodes into the functional for n."""
-    quad = np.conj(fam.basis.scalar_family)
-    quad *= fam.space.weights / fam.space.grid_size
-    return quad
-
-
-def _lambda_all(fam: OperatorFamily, quad: np.ndarray, field: Field) -> np.ndarray:
-    """``lambda_all`` given the quadrature of ``fam``, so that several fields
-    can share one."""
-    _conform(fam.space, field)
-    V = field.values @ fam.basis.fiber_family.conj().T
-    return (quad @ V).T
-
-
 def lambda_all(fam: OperatorFamily, field: Field) -> np.ndarray:
-    """All coefficients at once as an (M, N) array; single-route, vectorized."""
-    return _lambda_all(fam, _quadrature(fam), field)
+    """All coefficient functionals at once, as an (M, N) array: entry [m, n]
+    is (1/N) sum_i conj(f_n(x_i)) w_i <f(x_i), g_m>.
+
+    With V = f G^H the fiber coefficients at the nodes, this is
+    conj(F conj((w/N) V)): one product with the family the basis already
+    holds, so no weighted N x N copy of it is made.  Every coefficient
+    energy of the package (witness ratios, Parseval probes, the Bessel
+    bound) goes through here.
+    """
+    space = fam.space
+    _conform(space, field)
+    V = field.values @ fam.basis.fiber_family.conj().T
+    V *= (space.weights / space.grid_size)[:, None]
+    return np.conj(fam.basis.scalar_family @ V.conj()).T
 
 
 def frame_spectrum(fam: OperatorFamily) -> np.ndarray:
@@ -123,7 +101,8 @@ def frame_spectrum(fam: OperatorFamily) -> np.ndarray:
 
 
 def parseval_residual(fam: OperatorFamily, field: Field) -> float:
-    """Worst relative defect, over n, of sum_m ||lambda_tilde_{m,n} f||^2
+    """Worst relative defect, over n, of the energy sum_m ||c_{m,n}||^2 of the
+    pointwise coefficients c_{m,n}(x_i) = conj(f_n(x_i)) <f(x_i), g_m>
     against ||f||^2."""
     space = fam.space
     ns = norm(space, field) ** 2

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analyzer import FrameReport, _extremes, _verdict
+from .analyzer import VERDICT_TOL, FrameReport, _extremes, _verdict
 from .errors import ConsistencyError, TruncationError
 from .wspace import _readonly
 
@@ -237,7 +237,7 @@ def gabor_riesz_check(
     phi,
     time_resolution: int,
     translates: int,
-    tol: float = 1e-9,
+    tol: float = VERDICT_TOL,
 ) -> FrameReport:
     """Classify the critical-density Gabor system through its Zak range.
 

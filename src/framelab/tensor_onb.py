@@ -15,9 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .wspace import Field, _readonly
+from .wspace import _readonly
 
-__all__ = ["TensorBasis", "build_default", "fourier_family", "tensor_field"]
+__all__ = ["TensorBasis", "build_default", "fourier_family"]
 
 HYPOTHESIS_TOL = 1e-9
 # Rows of the family dephased, checked and folded at a time, so that building
@@ -170,8 +170,14 @@ def _conjugate_pairs(F: np.ndarray) -> _ConjugatePairs:
     """Find the conjugate row pairing of F, verify it on every entry and
     fold F to its real form, ``PAIRING_BLOCK`` rows at a time.
 
-    The partner p(n) of each row is matched on one column, the second, of
-    the dephased family.  The match is then checked on every entry: dephased
+    The partner p(n) of each row is matched on one key per row, z = D F r
+    with r_i = sin(i^2), i = 1..N: no rational combination of the r_i
+    vanishes (Lindemann-Weierstrass), so distinct rows of a +-1 family get
+    distinct keys, and so do those of any family in general.  The partner's
+    key is the conjugate, with the same real part, so p(n) is the one of
+    row n and its two neighbours in the order of Re z whose key is nearest
+    to conj(z_n): a real row (every Walsh-Hadamard row, say) pairs with
+    itself.  The match is then checked on every entry: dephased
     row p(n) against the conjugate of dephased row n, for each self-paired
     row and the lower row of each pair (the upper row's difference is minus
     the conjugate of it).  For the Fourier families
@@ -183,13 +189,11 @@ def _conjugate_pairs(F: np.ndarray) -> _ConjugatePairs:
     """
     N = F.shape[0]
     phase = np.exp(-1j * np.angle(F[:, 0]))
-    z = F[:, min(1, N - 1)] * phase
-    # the partner's entry has the opposite angle: take the nearer of its two
-    # neighbours among the sorted angles, wrapping around at +-pi
-    ang = np.angle(z)
-    order = np.argsort(ang)
-    pos = np.searchsorted(ang[order], -ang)
-    cand = order[np.stack([(pos - 1) % N, pos % N])]
+    z = (F @ np.sin(np.arange(1.0, N + 1) ** 2)) * phase
+    order = np.argsort(z.real)
+    rank = np.empty(N, dtype=np.intp)
+    rank[order] = np.arange(N)
+    cand = order[np.clip(rank + np.arange(-1, 2)[:, None], 0, N - 1)]
     n = np.arange(N)
     p = cand[np.argmin(np.abs(z[cand] - z.conj()), axis=0), n]
     if not np.array_equal(p[p], n):  # p must be an involution
@@ -246,14 +250,6 @@ def build_default(grid_size: int, fiber_dim: int) -> TensorBasis:
     n = np.arange(grid_size)
     scalar = fourier_family(n, n, grid_size)
     return TensorBasis(scalar, np.eye(fiber_dim, dtype=complex))
-
-
-def tensor_field(basis: TensorBasis, m: int, n: int) -> Field:
-    """The field G_{m,n}(x_i) = f_n(x_i) g_m."""
-    N, M = basis.grid_size, basis.fiber_dim
-    if not (0 <= m < M and 0 <= n < N):
-        raise IndexError(f"(m, n) = ({m}, {n}) out of range for ({M}, {N})")
-    return Field(np.outer(basis.scalar_family[n], basis.fiber_family[m]))
 
 
 def _field_matrix(basis: TensorBasis) -> np.ndarray:

@@ -1,12 +1,37 @@
 """Dense reference constructions that the package itself never forms, the
-per-value CSV writer that the CLI's one-format-per-table writer replaced, and
+per-value CSV writer that the CLI's one-format-per-table writer replaced,
 the one-expression forms of the family arrays that the package now builds in
-place, without extra N x N copies."""
+place, without extra N x N copies, and the single-member fields and
+pointwise coefficients that only the tests take apart."""
 
 import csv
 import io
 
 import numpy as np
+
+from framelab import Field
+from framelab.wspace import _conform
+
+
+def tensor_field(basis, m: int, n: int) -> Field:
+    """The field G_{m,n}(x_i) = f_n(x_i) g_m."""
+    N, M = basis.grid_size, basis.fiber_dim
+    if not (0 <= m < M and 0 <= n < N):
+        raise IndexError(f"(m, n) = ({m}, {n}) out of range for ({M}, {N})")
+    return Field(np.outer(basis.scalar_family[n], basis.fiber_family[m]))
+
+
+def lambda_tilde(fam, m: int, n: int, field: Field) -> np.ndarray:
+    """Pointwise coefficient x_i -> <f(x_i), G_{m,n}(x_i)>_fiber.
+
+    Returns a length-N complex array, conj(f_n(x_i)) <f(x_i), g_m>.
+    """
+    M, N = fam.space.fiber_dim, fam.space.grid_size
+    if not (0 <= m < M and 0 <= n < N):
+        raise IndexError(f"(m, n) = ({m}, {n}) out of range for ({M}, {N})")
+    _conform(fam.space, field)
+    fiber_part = field.values @ fam.basis.fiber_family[m].conj()
+    return fam.basis.scalar_family[n].conj() * fiber_part
 
 
 def analysis_matrix(fam) -> np.ndarray:
@@ -106,18 +131,13 @@ def weighted_scalar_gram(F: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (F * (w / F.shape[0])) @ F.conj().T
 
 
-def quadrature(fam) -> np.ndarray:
-    """The weighted quadrature conj(F) w/N in one expression."""
-    return fam.basis.scalar_family.conj() * (fam.space.weights / fam.space.grid_size)
-
-
 def analysis_factor(fam) -> np.ndarray:
-    """The scalar analysis factor q: the full N x N weighted quadrature,
-    then its support columns, each scaled by sqrt(N / w_i)."""
+    """The scalar analysis factor q: the support columns of conj(F), each
+    scaled by sqrt(N / w_i) (w_i / N), the factor that ``lambda_all`` puts
+    on the coordinate field of node i."""
     idx = np.flatnonzero(fam.space.support)
-    q = quadrature(fam)[:, idx]
-    q *= np.sqrt(fam.space.grid_size / fam.space.weights[idx])
-    return q
+    N, w = fam.space.grid_size, fam.space.weights[idx]
+    return fam.basis.scalar_family[:, idx].conj() * (np.sqrt(N / w) * (w / N))
 
 
 def off_diagonal(a: np.ndarray) -> np.ndarray:

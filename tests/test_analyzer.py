@@ -97,8 +97,9 @@ def test_classify_working_set_at_grid_cap():
     # Each N x N complex array takes 16 N^2 bytes, a real one half that.
     # The run holds one family and its real form R, and classify adds the
     # real scalar Gram R R^T / N of the hypothesis check, then the support
-    # columns of R for the SVD, then the weighted real Gram, then one
-    # quadrature shared by the Parseval and defect ratios.
+    # columns of R for the SVD, then the weighted real Gram; the Parseval
+    # and defect ratios go through the coefficient functionals, which add
+    # no N x N array.
     n, m = 512, 2
     tracemalloc.start()
     try:

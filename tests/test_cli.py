@@ -12,8 +12,13 @@ import pytest
 
 from framelab import TensorBasis, analyzer, cli, heisenberg, operators, shiftinv
 from framelab import tensor_onb
-from framelab.cli import normalize_config, run_config, validate_config
+from framelab.cli import check_config, run_config
 from oracles import csv_text
+
+
+def _diags(config) -> list:
+    """The diagnostics of ``check_config``; empty when the config can run."""
+    return check_config(config)[1]
 
 
 def _write(tmp_path, config) -> str:
@@ -462,24 +467,24 @@ def test_analyze_builds_each_spectrum_once(tmp_path, monkeypatch):
     assert not hasattr(operators, "analysis_matrix")  # a test oracle only
     gram = _count_calls(monkeypatch, analyzer.synthesis_gram)
     spectrum = _count_calls(monkeypatch, operators.frame_spectrum)
-    # the analysis factor reads the family's support columns directly, and
-    # the Parseval probes and the defect ratio share one quadrature
-    quad = _count_calls(monkeypatch, operators._quadrature)
+    # every coefficient energy is one pass of the coefficient functionals:
+    # each Parseval probe and the defect ratio
+    coeffs = _count_calls(monkeypatch, operators.lambda_all)
+    probes = analyzer.PARSEVAL_FIELDS + 1
     assert run_config(ANALYZE, tmp_path / "run") == 0
     assert len(gram) == 0
     assert len(spectrum) == 1
-    assert len(quad) == 1
+    assert len(coeffs) == probes
     # a not_frame run builds its lower-bound witness once (_lower_witness builds
-    # every one, witness_lower_failure's too), and the witness ratio shares
-    # the one quadrature with the Parseval probes (a positive weight under
-    # the tolerance, so that the witness norm is not zero)
+    # every one, witness_lower_failure's too), and takes its ratio once (a
+    # positive weight under the tolerance, so that the witness norm is not zero)
     witness = _count_calls(monkeypatch, analyzer._lower_witness)
     cfg = copy.deepcopy(ANALYZE)
     cfg["space"]["weight"]["low"] = 1e-10
     code = run_config(cfg, tmp_path / "not_frame")
     assert code == 0 and code.doc["verdict"] == "not_frame"
     assert len(witness) == 1
-    assert len(quad) == 2
+    assert len(coeffs) == 2 * probes + 1
 
 
 def test_heisenberg_builds_problem_and_spectrum_once(tmp_path, monkeypatch):
@@ -506,12 +511,13 @@ def test_heisenberg_takes_the_band_decision_without_hypothesis_check(
     tmp_path, monkeypatch
 ):
     # The midpoint family is orthonormal by construction: checking it would
-    # form an R x R scalar Gram, and the witness ratio of a not_frame run
-    # (alpha^64 under the tolerance) through the quadrature an R x R
-    # quadrature, each a second R x R array at the peak of the run.
+    # form an R x R scalar Gram, a second R x R array at the peak of the run.
+    # The witness ratio of a not_frame run (alpha^64 under the tolerance)
+    # takes one pass of the coefficient functionals, which forms none
+    # (test_band_decision_working_set bounds the peak).
     decide = _count_calls(monkeypatch, analyzer._decide_frame)
     check = _count_calls(monkeypatch, analyzer._validate_family)
-    quad = _count_calls(monkeypatch, operators._quadrature)
+    coeffs = _count_calls(monkeypatch, operators.lambda_all)
     gram = []
     residual = TensorBasis.scalar_gram_residual
     monkeypatch.setattr(
@@ -526,21 +532,22 @@ def test_heisenberg_takes_the_band_decision_without_hypothesis_check(
         assert doc["verdict"] == verdict
         assert doc["witness"]["exists"] is (verdict == "not_frame")
     assert len(decide) == 2
-    assert check == [] and gram == [] and quad == []
+    assert check == [] and gram == []
+    assert len(coeffs) == 1
 
 
 @pytest.mark.parametrize(
-    "weight, quads",
+    "weight, passes",
     [
         ({"preset": "ramp", "start": 1e-12, "stop": 1.0}, 1),
         # a witness on zero-weight nodes only has norm 0, so its ratio is 0
-        # and no quadrature is built for it
+        # and no coefficient is computed for it
         ({"preset": "step", "low": 0.0, "high": 1.0, "split": 0.25}, 0),
     ],
     ids=["ramp", "zero_weight"],
 )
 def test_witness_run_builds_one_witness_at_the_claim(
-    tmp_path, monkeypatch, weight, quads
+    tmp_path, monkeypatch, weight, passes
 ):
     cfg = {
         "mode": "witness",
@@ -548,14 +555,14 @@ def test_witness_run_builds_one_witness_at_the_claim(
         "space": {"grid_size": 64, "fiber_dim": 2, "weight": weight},
     }
     witness = _count_calls(monkeypatch, analyzer._lower_witness)
-    quad = _count_calls(monkeypatch, operators._quadrature)
+    coeffs = _count_calls(monkeypatch, operators.lambda_all)
     code = run_config(cfg, tmp_path / "run")
     assert code == 0 and code.doc["verdict"] == "not_frame"
     assert len(witness) == 1 and witness[0][1] == 0.7
-    assert len(quad) == quads
+    assert len(coeffs) == passes
     ratio = code.doc["residuals"]["witness_ratio"]
     assert ratio == code.doc["witness"]["ratio"]
-    assert 0.0 < ratio < 0.7 if quads else ratio == 0.0
+    assert 0.0 < ratio < 0.7 if passes else ratio == 0.0
 
 
 def test_witness_run_below_every_weight_keeps_the_not_frame_witness(tmp_path):
@@ -625,7 +632,7 @@ def test_analyze_at_grid_and_fiber_caps(tmp_path):
             "weight": {"preset": "ramp", "start": 0.5, "stop": 2.0},
         },
     }
-    assert validate_config(cfg) == []
+    assert _diags(cfg) == []
     assert _run(tmp_path, cfg, extra=("--validate-only",)).returncode == 0
     proc = _run(tmp_path, cfg)
     assert proc.returncode == 0, proc.stderr
@@ -677,8 +684,7 @@ def test_config_echo_round_trip(tmp_path):
     assert proc.returncode == 0
     doc = _report(tmp_path)
     echoed = doc["config"]
-    assert validate_config(echoed) == []
-    assert normalize_config(echoed) == echoed
+    assert check_config(echoed) == (echoed, [])
     proc2 = _run(tmp_path, echoed, out="rerun")
     assert proc2.returncode == 0
     doc2 = _report(tmp_path, "rerun")
@@ -692,13 +698,13 @@ def test_run_config_api(tmp_path):
 
 
 def test_validate_config_diagnostics_name_fields():
-    diags = validate_config(
+    diags = _diags(
         {"mode": "heisenberg", "heisenberg": {"eps": 1.2, "d": 1}}
     )
     assert any("heisenberg.eps" in d for d in diags)
-    diags2 = validate_config({"mode": "analyze"})
+    diags2 = _diags({"mode": "analyze"})
     assert any(d.startswith("space") for d in diags2)
-    diags3 = validate_config(
+    diags3 = _diags(
         {"mode": "analyze", "seed": -1, "tolerances": {"verdict": -1.0, "bogus": 1.0},
          "space": {"grid_size": 4, "weight": {"preset": "constant"}}}
     )
@@ -707,12 +713,12 @@ def test_validate_config_diagnostics_name_fields():
     assert any("tolerances.bogus" in d for d in diags3)
     for key in ("consistency", "verdict"):
         for bad in (float("nan"), float("inf")):
-            diags4 = validate_config(
+            diags4 = _diags(
                 {"mode": "analyze", "tolerances": {key: bad},
                  "space": {"grid_size": 4, "weight": {"preset": "constant"}}}
             )
             assert any(f"tolerances.{key}" in d for d in diags4), (key, bad)
-    assert validate_config("nope") == ["config: must be a JSON object"]
+    assert _diags("nope") == ["config: must be a JSON object"]
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
@@ -734,21 +740,21 @@ def test_non_finite_a_claimed_refused(tmp_path, bad):
 
 def test_unknown_keys_refused(tmp_path):
     space = {"grid_size": 4, "weight": {"preset": "ramp"}}
-    assert validate_config({"mode": "analyze", "sede": 3, "space": space}) == [
+    assert _diags({"mode": "analyze", "sede": 3, "space": space}) == [
         "sede: unknown key"
     ]
-    assert validate_config(
+    assert _diags(
         {"mode": "analyze", "space": dict(space, fiber_dims=3)}
     ) == ["space.fiber_dims: unknown key"]
-    assert validate_config(
+    assert _diags(
         {"mode": "analyze", "space": dict(space, weight={"preset": "ramp", "strat": 5})}
     ) == ["space.weight.strat: unknown key"]
     both = {"inline": [1.0, 1.0, 1.0, 1.0], "preset": "constant"}
-    assert validate_config(
+    assert _diags(
         {"mode": "analyze", "space": dict(space, weight=both)}
     ) == ["space.weight.preset: unknown key"]
     # a key of another mode is unknown too
-    assert validate_config(
+    assert _diags(
         {"mode": "analyze", "a_claimed": 0.5, "space": space}
     ) == ["a_claimed: unknown key"]
     proc = _run(tmp_path, {"mode": "analyze", "space": dict(space, fiber_dims=3)},
@@ -826,25 +832,27 @@ def _keys(cfg, prefix=""):
 
 
 def test_bad_values_cover_every_config_key():
-    # normalize_config reads no file, so the custom samples paths need not exist
-    keys = {k for base in _BASES.values() for k in _keys(normalize_config(base))}
+    # check_config types a config before it reads a file, so the custom
+    # samples paths need not exist
+    keys = {k for base in _BASES.values() for k in _keys(check_config(base)[0])}
     assert keys == {path for _, path, _ in _BAD_VALUES}
 
 
 @pytest.mark.parametrize(
     "base,path,bad", _BAD_VALUES, ids=[f"{p}={v!r}" for _, p, v in _BAD_VALUES]
 )
-def test_bad_value_diagnostic_names_key(base, path, bad):
+def test_bad_value_diagnostic_names_key(tmp_path, base, path, bad):
     cfg = copy.deepcopy(_BASES[base])
     *parents, leaf = path.split(".")
     section = cfg
     for key in parents:
         section = section[key]
     section[leaf] = bad
-    diags = validate_config(cfg)
+    diags = _diags(cfg)
     assert any(d.startswith(f"{path}:") for d in diags), diags
     with pytest.raises(ValueError, match=re.escape(f"{path}:")):
-        normalize_config(cfg)
+        run_config(cfg, tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_config_refuses_wrong_length_custom_window(tmp_path):
@@ -854,8 +862,11 @@ def test_run_config_refuses_wrong_length_custom_window(tmp_path):
         "time_resolution": 4,
         "translates": 4,
     }
-    with pytest.raises(ValueError, match="window must have 16 samples"):
+    # refused by check_config, before the run makes its output directory
+    need = "window.samples_path: holds 3 samples, time_resolution * translates needs 16"
+    with pytest.raises(ValueError, match=re.escape(need)):
         run_config(cfg, tmp_path / "run")
+    assert not (tmp_path / "run" / "report.json").exists()
 
 
 def test_custom_window_parsed_once_per_run(tmp_path, monkeypatch):
@@ -921,8 +932,8 @@ _SMALL = {
 
 @pytest.mark.parametrize("mode", sorted(_SMALL))
 def test_every_runner_table_matches_per_value_oracle(mode):
-    cfg = normalize_config(_SMALL[mode])
-    assert cfg["mode"] == mode
+    cfg, diags = check_config(_SMALL[mode])
+    assert diags == [] and cfg["mode"] == mode
     rep, _, _, _, tables = cli._RUNNERS[mode](cfg, None)
     spec = rep.spectrum
     tables["spectrum.csv"] = cli._table(("index", "eigenvalue"), np.arange(spec.size), spec)
@@ -961,7 +972,8 @@ def test_nonfinite_custom_samples_refused(tmp_path, mode, bad, validate_only):
 
 @pytest.mark.parametrize("mode", sorted(_NONFINITE))
 def test_run_config_refuses_nonfinite_custom_samples(tmp_path, mode):
-    cfg = _NONFINITE[mode][1](_nonfinite_csv(tmp_path, 16, "nan"))
-    with pytest.raises(ValueError, match="must be finite"):
+    where, make = _NONFINITE[mode]
+    cfg = make(_nonfinite_csv(tmp_path, 16, "nan"))
+    with pytest.raises(ValueError, match=re.escape(f"{where}: sample 16 is not finite")):
         run_config(cfg, tmp_path / "run")
     assert not (tmp_path / "run" / "report.json").exists()

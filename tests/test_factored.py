@@ -24,7 +24,6 @@ from framelab import (
 import oracles
 from framelab import witness_ratio
 from framelab.analyzer import _extremes, _gram_factors, _gram_spectrum
-from framelab.operators import _quadrature
 from framelab.tensor_onb import fourier_family
 from oracles import analysis_matrix
 
@@ -160,7 +159,6 @@ def test_working_set_routes_match_dense_forms_bit_for_bit():
             for weights in (w, dead):
                 sp = WeightedSpace(n, 1, weights)
                 fam = OperatorFamily(sp, basis)
-                assert _same_bits(_quadrature(fam), oracles.quadrature(fam))
                 assert _same_bits(_gram_factors(fam)[1], oracles.real_gram(R, weights))
 
 
@@ -245,9 +243,26 @@ def test_family_not_closed_under_conjugation_is_refused():
             decide(fam)
 
 
-def test_shared_quadrature_ratios_match_witness_ratio():
-    # decide_onb shares one quadrature between its Parseval probes and the
-    # defect ratio; each must equal witness_ratio of the same field exactly.
+@pytest.mark.parametrize("n", [16, 512])
+def test_walsh_hadamard_family_is_classified(n):
+    # The Sylvester Walsh-Hadamard family is real, +-1 and orthonormal, so
+    # every row is its own conjugate partner; its weighted scalar Gram is
+    # not circulant, so the DFT diagonalizes neither route.
+    H = np.ones((1, 1))
+    while H.shape[0] < n:
+        H = np.block([[H, H], [H, -H]])
+    w = np.linspace(0.5, 2.0, n)
+    fam = OperatorFamily(WeightedSpace(n, 1, w), TensorBasis(H, np.eye(1)))
+    assert fam.basis._pairs.n_self == n
+    assert classify(fam, rng=np.random.default_rng(0)).verdict is Verdict.RIESZ_BASIS
+    tol = 1e-12 * w.max()
+    assert np.max(np.abs(frame_spectrum(fam) - np.sort(w))) <= tol
+    assert np.max(np.abs(_gram_spectrum(_gram_factors(fam)) - np.sort(w))) <= tol
+
+
+def test_onb_ratios_match_witness_ratio():
+    # decide_onb takes its Parseval probes and its defect ratio through
+    # witness_ratio; each must equal witness_ratio of the same field exactly.
     for n, m in [(1, 1), (7, 1), (100, 1), (100, 2), (64, 3)]:
         w = np.linspace(0.4, 2.5, n) if n > 1 else np.array([0.7])
         sp, fam = _fam(n, m, w)

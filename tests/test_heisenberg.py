@@ -1,5 +1,7 @@
 """Dilated-window weight, band mass, coefficient model, frame bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -185,10 +187,32 @@ def test_frame_report_is_the_frame_decision_on_the_band(eps, d):
     else:  # alpha^64 dips below the verdict tolerance inside the band
         assert rep.verdict is Verdict.NOT_FRAME
         assert np.array_equal(rep.witness.values[:, 0] != 0, undercut)
-        # read off the weights, it matches the coefficient route
+        # the coefficient route, which for an orthonormal family meets the
+        # closed form sum w^2 |f|^2 / sum w |f|^2
         ratio = rep.residuals["witness_ratio"]
+        assert ratio == witness_ratio(fam, rep.witness)
+        f2 = (np.abs(rep.witness.values) ** 2).sum(axis=1)
+        closed = (w**2 * f2).sum() / (w * f2).sum()
         assert 0.0 < ratio < tol
-        assert ratio == pytest.approx(witness_ratio(fam, rep.witness), rel=1e-9)
+        assert ratio == pytest.approx(closed, rel=1e-12)
+
+
+def test_band_decision_working_set():
+    # Each R x R complex array takes 16 R^2 bytes, a real one half that.  A
+    # not_frame band decision holds the family, its real form and the
+    # support columns of the real form for the SVD; its witness ratio goes
+    # through the coefficient functionals, which add no R x R array (a
+    # weighted copy of the family would put the peak near 2.5 x 16 R^2).
+    r = 1024
+    tracemalloc.start()
+    try:
+        rep = hb.frame_report(0.5, 64, resolution=r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict is Verdict.NOT_FRAME
+    assert 0.0 < rep.residuals["witness_ratio"] < 1e-9
+    assert peak <= 2.25 * 16 * r * r
 
 
 def test_frame_report_bounds_and_verdict():

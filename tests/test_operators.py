@@ -13,14 +13,12 @@ from framelab import (
     frame_spectrum,
     inner,
     lambda_all,
-    lambda_tilde,
     parseval_residual,
     random_field,
-    tensor_field,
     total_mass,
 )
 
-from oracles import analysis_matrix
+from oracles import analysis_matrix, lambda_tilde, tensor_field
 
 
 def _family(n, m, weights=None):

@@ -11,9 +11,9 @@ from framelab import (
     lambda_all,
     random_field,
     synthesis_gram,
-    tensor_field,
 )
 from framelab.tensor_onb import TensorBasis, _field_matrix, fourier_family
+from oracles import tensor_field
 
 
 def test_basis_validation():
