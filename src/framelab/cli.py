@@ -34,8 +34,7 @@ from .heisenberg import (
     SPECTRAL_RESOLUTION,
     CenterTranslateModel,
     _band_report,
-    _check_band,
-    hs_weight,
+    _band_space,
     isometry_residual,
     midpoint_grid,
     psi_norm_sq,
@@ -45,6 +44,7 @@ from .shiftinv import (
     GENERATOR_RADIUS,
     Generator,
     _gabor_riesz_check,
+    _multiset_gap,
     _quasiperiodicity_residual,
     gabor_window,
     make_generator,
@@ -63,7 +63,8 @@ from .wspace import WeightedSpace, total_mass
 # is absent) and the key's dotted path.  It returns the typed value with its
 # default filled in, or appends a diagnostic that starts with the path.
 # Rules that tie several keys together run afterwards, in ``_check_cross``,
-# on the typed config.
+# on the typed config.  Last, ``_build_inputs`` builds what the run computes
+# on, so that validation refuses whatever a build would.
 
 _MISSING = object()
 _REQUIRED = object()
@@ -208,23 +209,19 @@ _CONFIG = _obj(
 )
 
 
-def _build_weight(weight: dict, n: int) -> np.ndarray:
-    """Materialize a normalized weight section into an (n,) array."""
+def _space_from(section: dict) -> WeightedSpace:
+    """The weighted space of a typed ``space`` section."""
+    n, weight = section["grid_size"], section["weight"]
     if "inline" in weight:
-        return np.asarray(weight["inline"], dtype=float)
-    preset = weight["preset"]
-    if preset == "constant":
-        return np.full(n, weight["value"])
-    if preset == "step":
+        w = np.asarray(weight["inline"], dtype=float)
+    elif weight["preset"] == "constant":
+        w = np.full(n, weight["value"])
+    elif weight["preset"] == "step":
         w = np.full(n, weight["high"])
         w[: int(round(weight["split"] * n))] = weight["low"]
-        return w
-    return np.linspace(weight["start"], weight["stop"], n)
-
-
-def _space_from(section: dict) -> WeightedSpace:
-    n = section["grid_size"]
-    return WeightedSpace(n, section["fiber_dim"], _build_weight(section["weight"], n))
+    else:
+        w = np.linspace(weight["start"], weight["stop"], n)
+    return WeightedSpace(n, section["fiber_dim"], w)
 
 
 def _check_cross(cfg: dict, diags: list) -> None:
@@ -235,11 +232,6 @@ def _check_cross(cfg: dict, diags: list) -> None:
         n, inline = space["grid_size"], space["weight"].get("inline")
         if inline is not None and len(inline) != n:
             diags.append(f"space.weight.inline: has length {len(inline)}, expected {n}")
-        else:
-            try:
-                _space_from(space)
-            except ValueError as exc:
-                diags.append(f"space: {exc}")
     gen = cfg.get("generator")
     if gen is not None:
         if gen["radius"] is None and gen["preset"] == "custom":
@@ -248,13 +240,6 @@ def _check_cross(cfg: dict, diags: list) -> None:
             gen["radius"] = GENERATOR_RADIUS[gen["preset"]]
         elif gen["preset"] == "wide-indicator" and gen["radius"] < 2:
             diags.append("generator.radius: wide-indicator needs radius >= 2")
-    h = cfg.get("heisenberg")
-    if h is not None:
-        for key in ("resolution", "spectral_resolution"):
-            try:
-                _check_band(h["eps"], h["d"], h[key])
-            except ValueError as exc:
-                diags.append(f"heisenberg: {key} grid: {exc}")
     if cfg["mode"] == "zak" and cfg["time_resolution"] * cfg["translates"] > 2048:
         diags.append("time_resolution * translates must not exceed 2048")
 
@@ -287,11 +272,52 @@ def _check_samples(cfg: dict, diags: list) -> np.ndarray | None:
         return samples
 
 
-class _Checked(dict):
-    """A typed config with the ``samples`` of its custom window or generator
-    (None for a preset), so that ``run_config`` reads no CSV again."""
+def _attempt(diags: list, where: str, build, *args):
+    """``build(*args)``, or None with the ValueError it raises (a
+    TruncationError included) as a diagnostic under ``where``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        diags.append(f"{where}: {exc}")
 
-    samples: np.ndarray | None
+
+def _generator_inputs(g: dict, samples) -> tuple:
+    """The generator of a ``generator`` section and the space of its
+    periodized weight."""
+    if samples is not None:
+        gen = Generator(samples, g["radius"], g["grid_size"])
+    else:
+        gen = make_generator(g["preset"], g["grid_size"], g["radius"])
+    return gen, WeightedSpace(gen.grid_size, 1, periodized_weight(gen))
+
+
+def _build_inputs(cfg: dict, samples, diags: list):
+    """The inputs of the mode's runner, each built once: the space of
+    ``analyze`` and ``witness``, the generator and space of ``shiftinv``,
+    the window of ``zak``, and the model and band of ``heisenberg``."""
+    mode = cfg["mode"]
+    if mode in ("analyze", "witness"):
+        return _attempt(diags, "space", _space_from, cfg["space"])
+    if mode == "shiftinv":
+        return _attempt(diags, "generator", _generator_inputs, cfg["generator"], samples)
+    if mode == "zak":
+        if samples is not None:
+            return samples
+        size = (cfg["time_resolution"], cfg["translates"])
+        return _attempt(diags, "window", gabor_window, cfg["window"]["preset"], *size)
+    h = cfg["heisenberg"]
+    eps, d = h["eps"], h["d"]
+    args = (eps, d, h["resolution"], h["k_max"])
+    model = _attempt(diags, "heisenberg: resolution grid", CenterTranslateModel, *args)
+    where = "heisenberg: spectral_resolution grid"
+    return model, _attempt(diags, where, _band_space, eps, d, h["spectral_resolution"])
+
+
+class _Checked(dict):
+    """A typed config with the ``inputs`` its runner computes on, so that
+    ``run_config`` builds and reads nothing again."""
+
+    inputs: object
 
 
 def check_config(config) -> tuple:
@@ -301,17 +327,25 @@ def check_config(config) -> tuple:
 
     The typed config has every default filled, and it is echoed into the
     report, so a run can be reproduced from its own output: checking it
-    again gives it back.  Past the key rules it is a ``_Checked`` holding
-    the samples of a custom window or generator, which ``run_config`` takes
-    as it is.
+    again gives it back.  A config that can run comes back as a
+    ``_Checked`` holding its runner's inputs, built here once (a custom
+    samples CSV is read here too), so that validation refuses whatever a
+    build would; ``run_config`` takes it as it is.
+
+    Raises:
+        ConsistencyError: if a cross check inside a build fails.
     """
     diags: list = []
     cfg = _CONFIG(config, "", diags)
     if not diags:
         _check_cross(cfg, diags)
     if not diags:
+        samples = _check_samples(cfg, diags)
+    if not diags:
+        inputs = _build_inputs(cfg, samples, diags)
+    if not diags:
         cfg = _Checked(cfg)
-        cfg.samples = _check_samples(cfg, diags)
+        cfg.inputs = inputs
     return cfg, diags
 
 
@@ -368,74 +402,58 @@ def _csv_text(header, columns) -> str:
     return ",".join(header) + "\n" + body
 
 
-def _weight_table(xs, w, xname: str = "x") -> tuple:
-    return _table(("index", xname, "weight"), np.arange(len(w)), xs, w)
+def _weight_tables(xs, w, xname: str = "x") -> dict:
+    """The tables of a run with node weights: ``weight.csv`` alone."""
+    return {"weight.csv": _table(("index", xname, "weight"), np.arange(len(w)), xs, w)}
 
 
-def _witness(rep, weights: tuple) -> tuple:
-    """Report entry and tables of the witness of ``rep``: ``weight.csv`` is
-    the run's weight table, and ``witness.csv`` adds the fiber norm of the
-    field at every node."""
-    tables = {"weight.csv": weights}
+def _witness(rep, tables: dict) -> dict:
+    """Report entry of the witness of ``rep``; adds ``witness.csv`` to
+    ``tables``: the run's ``weight.csv`` plus the fiber norm of the field at
+    every node."""
     if rep.witness is None:
-        return {"exists": False}, tables
+        return {"exists": False}
     ratio = rep.residuals.get("witness_ratio", rep.residuals.get("onb_defect_ratio"))
     norms = np.linalg.norm(rep.witness.values, axis=1)
     size = int(np.count_nonzero(norms))
-    entry = {"exists": True, "support_size": size, "ratio": float(ratio)}
-    header, columns = weights
+    header, columns = tables["weight.csv"]
     tables["witness.csv"] = (header + ("norm",), columns + (norms,))
-    return entry, tables
+    return {"exists": True, "support_size": size, "ratio": float(ratio)}
 
 
 # ---------------------------------------------------------------- modes
 #
-# A runner maps a typed config and its custom samples (None for a preset) to
-# (FrameReport, residuals, metrics, witness entry, tables) and touches no file;
-# ``tables`` maps a CSV file name to its header and columns.  ``run_config``
-# writes everything.
+# A runner maps a typed config and the inputs that ``check_config`` built for
+# it to (FrameReport, residuals, metrics, tables), builds no input and touches
+# no file; ``tables`` maps a CSV file name to its header and columns.
+# ``run_config`` adds the witness and writes everything.
 
 
-def _classified(cfg: dict, fam: OperatorFamily) -> tuple:
-    """``classify`` ``fam``: the report, its witness entry and tables."""
+def _run_analyze(cfg: dict, space: WeightedSpace) -> tuple:
+    fam = OperatorFamily(space, build_default(space.grid_size, space.fiber_dim))
     rng = np.random.default_rng(cfg["seed"])
     rep = classify(fam, tol=cfg["tolerances"]["verdict"], rng=rng)
-    return (rep, *_witness(rep, _weight_table(fam.space.grid, fam.space.weights)))
-
-
-def _run_analyze(cfg: dict, samples) -> tuple:
-    space = _space_from(cfg["space"])
-    fam = OperatorFamily(space, build_default(space.grid_size, space.fiber_dim))
-    rep, witness, tables = _classified(cfg, fam)
     metrics = {
         "total_mass": total_mass(space),
         "support_fraction": float(space.support.mean()),
     }
-    return rep, rep.residuals, metrics, witness, tables
+    return rep, rep.residuals, metrics, _weight_tables(space.grid, space.weights)
 
 
-def _run_witness(cfg: dict, samples) -> tuple:
-    space = _space_from(cfg["space"])
+def _run_witness(cfg: dict, space: WeightedSpace) -> tuple:
     fam = OperatorFamily(space, build_default(space.grid_size, space.fiber_dim))
-    tol = cfg["tolerances"]["verdict"]
-    rep = decide_frame(fam, tol=tol, claim=cfg["a_claimed"])
-    witness, tables = _witness(rep, _weight_table(space.grid, space.weights))
+    rep = decide_frame(fam, tol=cfg["tolerances"]["verdict"], claim=cfg["a_claimed"])
     metrics = {"a_claimed": cfg["a_claimed"], "total_mass": total_mass(space)}
-    return rep, rep.residuals, metrics, witness, tables
+    return rep, rep.residuals, metrics, _weight_tables(space.grid, space.weights)
 
 
-def _run_shiftinv(cfg: dict, samples) -> tuple:
-    g = cfg["generator"]
-    if samples is not None:
-        gen = Generator(samples, g["radius"], g["grid_size"])
-    else:
-        gen = make_generator(g["preset"], g["grid_size"], g["radius"])
-    w = periodized_weight(gen)
-    space = WeightedSpace(gen.grid_size, 1, w)
+def _run_shiftinv(cfg: dict, inputs: tuple) -> tuple:
+    gen, space = inputs
     n = np.arange(gen.grid_size)
     scal = fourier_family(-n, n, gen.grid_size)
     fam = OperatorFamily(space, TensorBasis(scal, np.eye(1, dtype=complex)))
-    rep, witness, tables = _classified(cfg, fam)
+    rng = np.random.default_rng(cfg["seed"])
+    rep = classify(fam, tol=cfg["tolerances"]["verdict"], rng=rng)
     residuals = dict(rep.residuals)
     mass = total_mass(space)
     norm_sq = float((np.abs(gen.fhat) ** 2).sum() / gen.grid_size)
@@ -451,50 +469,41 @@ def _run_shiftinv(cfg: dict, samples) -> tuple:
         "translate_gram_checked": gen.grid_size <= 64,
     }
     if metrics["translate_gram_checked"]:
-        # the whole sorted multiset, as zak_vs_gram compares it
         eig = np.linalg.eigvalsh(translate_gram(gen))
-        scale = max(float(w.max()), float(eig[-1]), np.finfo(float).tiny)
-        gap = float(np.max(np.abs(np.sort(w) - eig)))
-        residuals["translate_gram_vs_weight"] = gap / scale
-    return rep, residuals, metrics, witness, tables
+        residuals["translate_gram_vs_weight"] = _multiset_gap(np.sort(space.weights), eig)
+    return rep, residuals, metrics, _weight_tables(space.grid, space.weights)
 
 
-def _run_zak(cfg: dict, samples) -> tuple:
+def _run_zak(cfg: dict, phi: np.ndarray) -> tuple:
     N, L = cfg["time_resolution"], cfg["translates"]
-    phi = samples if samples is not None else gabor_window(cfg["window"]["preset"], N, L)
-    tol = cfg["tolerances"]["verdict"]
     # one transform for the check, the CSV and the residual's unshifted side
     zak = zak_transform(phi, N, L)
-    rep = _gabor_riesz_check(zak, phi, tol)
+    rep = _gabor_riesz_check(zak, phi, cfg["tolerances"]["verdict"])
     zsq = np.abs(zak.values) ** 2
     j, m = np.indices((N, L))
     header = ("time_index", "freq_index", "magnitude_sq")
     tables = {"zak_magnitude.csv": _table(header, j.ravel(), m.ravel(), zsq.ravel())}
     metrics = {
-        "zak_min_sq": float(zsq.min()),
-        "zak_max_sq": float(zsq.max()),
+        "zak_min_sq": rep.weight_bounds[0],
+        "zak_max_sq": rep.weight_bounds[1],
         "quasiperiodicity": _quasiperiodicity_residual(zak, phi),
     }
-    return rep, rep.residuals, metrics, {"exists": False}, tables
+    return rep, rep.residuals, metrics, tables
 
 
-def _run_heisenberg(cfg: dict, samples) -> tuple:
-    h = cfg["heisenberg"]
-    eps, d = h["eps"], h["d"]
-    mass = psi_norm_sq(eps, d)
-    model = CenterTranslateModel(eps, d, h["resolution"], h["k_max"])
+def _run_heisenberg(cfg: dict, inputs: tuple) -> tuple:
+    model, space = inputs
+    mass = psi_norm_sq(model.eps, model.d)
     lo, hi = model.envelope()
-    alpha = midpoint_grid(h["spectral_resolution"])
-    space = WeightedSpace(alpha.size, 1, hs_weight(eps, d, alpha))
     rep = _band_report(space, cfg["tolerances"]["verdict"])
     rng = np.random.default_rng(cfg["seed"])
-    k = 2 * h["k_max"] + 1
+    k = 2 * model.k_max + 1
     coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     residuals = dict(rep.residuals)
     residuals["isometry_vs_translate_gram"] = isometry_residual(model, coeffs)
-    witness, tables = _witness(rep, _weight_table(alpha, space.weights, "alpha"))
     metrics = {"band_mass": mass, "envelope_lo": lo, "envelope_hi": hi}
-    return rep, residuals, metrics, witness, tables
+    alpha = midpoint_grid(space.grid_size)
+    return rep, residuals, metrics, _weight_tables(alpha, space.weights, "alpha")
 
 
 _RUNNERS = {
@@ -540,7 +549,8 @@ def run_config(config: dict, out_dir) -> int:
             raise ValueError("invalid config: " + "; ".join(diags))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rep, residuals, metrics, witness, tables = _RUNNERS[cfg["mode"]](cfg, cfg.samples)
+    rep, residuals, metrics, tables = _RUNNERS[cfg["mode"]](cfg, cfg.inputs)
+    witness = _witness(rep, tables)
     spec = rep.spectrum
     tables["spectrum.csv"] = _table(("index", "eigenvalue"), np.arange(spec.size), spec)
     for name, (header, columns) in tables.items():
@@ -603,22 +613,21 @@ def main(argv=None) -> int:
         if args.tol is not None and isinstance(raw.setdefault("tolerances", {}), dict):
             raw["tolerances"]["verdict"] = args.tol
 
-    cfg, diags = check_config(raw)
-    for diag in diags:
-        print(f"config error: {diag}", file=sys.stderr)
-    if args.validate_only:
-        if not diags:
-            print("config ok")
-        return 0 if not diags else 1
-    if diags:
-        return 1
-
     try:
+        cfg, diags = check_config(raw)
+        for diag in diags:
+            print(f"config error: {diag}", file=sys.stderr)
+        if args.validate_only:
+            if not diags:
+                print("config ok")
+            return 0 if not diags else 1
+        if diags:
+            return 1
         code = run_config(cfg, args.out)
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # TruncationError included
+    except ValueError as exc:  # LinAlgError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     doc = code.doc

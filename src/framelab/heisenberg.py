@@ -157,26 +157,6 @@ def midpoint_grid(resolution: int) -> np.ndarray:
     return (np.arange(R) + 0.5) / R
 
 
-def _check_band(eps: float, d: int, resolution: int) -> None:
-    """Refuse the weights of the midpoint grid of ``resolution`` as
-    ``WeightedSpace`` would, from the smallest positive one alone.
-
-    The weight alpha^d grows with alpha, so the first midpoint above eps
-    carries the smallest positive weight.  The space that holds only that
-    weight is refused exactly when the whole grid's space is (no positive
-    weight, or a positive one whose quadrature weight is subnormal), and it
-    costs no pass over the grid.
-
-    Raises:
-        ValueError: the refusal of ``WeightedSpace``.
-    """
-    a = midpoint_grid(resolution)
-    first = int(np.searchsorted(a, eps, side="right"))
-    w = np.zeros(a.size)
-    w[first : first + 1] = hs_weight(eps, d, a[first : first + 1])
-    WeightedSpace(a.size, 1, w)
-
-
 @dataclass(frozen=True)
 class CenterTranslateModel:
     """Discretized coefficient model for center translates of the window.
@@ -274,8 +254,12 @@ def frame_report(
     decision over the band, plus its share of the grid as
     ``support_fraction``.
     """
-    w = hs_weight(eps, d, midpoint_grid(resolution))
-    return _band_report(WeightedSpace(int(resolution), 1, w), tol)
+    return _band_report(_band_space(eps, d, resolution), tol)
+
+
+def _band_space(eps: float, d: int, resolution: int) -> WeightedSpace:
+    """The weighted space of the midpoint grid of ``resolution``."""
+    return WeightedSpace(int(resolution), 1, hs_weight(eps, d, midpoint_grid(resolution)))
 
 
 def _band_report(space: WeightedSpace, tol: float) -> FrameReport:

@@ -255,13 +255,20 @@ def gabor_riesz_check(
     return _gabor_riesz_check(zak, phi, tol)
 
 
+def _multiset_gap(values: np.ndarray, eig: np.ndarray) -> float:
+    """max |values - eig| over the largest of either (at least tiny), for
+    ascending ``values`` and the ascending eigenvalues that must reproduce
+    them: the relative gap between two whole sorted multisets."""
+    scale = max(float(values[-1]), float(eig[-1]), np.finfo(float).tiny)
+    return float(np.max(np.abs(values - eig)) / scale)
+
+
 def _gabor_riesz_check(zak: ZakGrid, phi, tol: float) -> FrameReport:
     """``gabor_riesz_check`` given ``zak``, the Zak transform of ``phi``."""
     zsq = np.sort(np.abs(zak.values) ** 2, axis=None)
     az, bz = float(zsq[0]), float(zsq[-1])
     eig = gabor_gram_spectrum(phi, zak.time_resolution, zak.translates)
-    scale = max(bz, float(eig[-1]), np.finfo(float).tiny)
-    res = float(np.max(np.abs(zsq - eig)) / scale)
+    res = _multiset_gap(zsq, eig)
     if res > ZAK_GRAM_TOL:
         raise ConsistencyError(
             f"Zak magnitudes in ({az:.6e}, {bz:.6e}) disagree with Gram spectrum "

@@ -151,13 +151,18 @@ def test_shiftinv_writes_witness_csv(tmp_path):
 
 
 def test_shiftinv_truncation_refusal(tmp_path):
+    # radius 1 leaves a Gaussian band tail of 5.3e-3, which periodized_weight
+    # refuses; validation builds the weight, so it refuses the config too
     cfg = {
         "mode": "shiftinv",
         "generator": {"preset": "gaussian", "grid_size": 16, "radius": 1},
     }
-    proc = _run(tmp_path, cfg)
-    assert proc.returncode == 1
-    assert "band tail" in proc.stderr
+    for extra in (["--validate-only"], []):
+        proc = _run(tmp_path, cfg, extra=extra)
+        assert proc.returncode == 1
+        assert "config ok" not in proc.stdout
+        assert "config error: generator: band tail bound" in proc.stderr
+    assert not (tmp_path / "run").exists()
 
 
 def test_shiftinv_custom_samples(tmp_path):
@@ -292,6 +297,25 @@ def test_validate_only_refuses_heisenberg_band_that_a_run_refuses(tmp_path, caps
     path = _write(tmp_path, {"mode": "heisenberg", "heisenberg": section})
     assert cli.main(["--validate-only", "--config", path]) == 0
     assert cli.main(["--config", path, "--out", str(tmp_path / "valid")]) == 0
+
+
+@pytest.mark.parametrize("validate_only", [True, False], ids=["validate", "run"])
+def test_consistency_failure_while_checking_exits_two(
+    tmp_path, monkeypatch, capsys, validate_only
+):
+    # a lattice sum that drifts from the closed form fails the guard of
+    # hs_weight while check_config builds the heisenberg model
+    monkeypatch.setattr(
+        heisenberg, "_lattice_profile",
+        lambda eps, d, x, window: np.full(np.shape(x), 0.123),
+    )
+    path = _write(tmp_path, _BASES["heisenberg"])
+    flags = ["--validate-only"] if validate_only else ["--out", str(tmp_path / "run")]
+    assert cli.main(["--config", path, *flags]) == 2
+    captured = capsys.readouterr()
+    assert "config ok" not in captured.out
+    assert captured.err.startswith("consistency failure: periodized weight differs")
+    assert not (tmp_path / "run").exists()
 
 
 def test_exit_code_two_on_strict_consistency(tmp_path):
@@ -505,6 +529,23 @@ def test_heisenberg_builds_problem_and_spectrum_once(tmp_path, monkeypatch):
     assert sum(np.size(args[2]) == 256 for args in profile) == 1
     # and the 64-point spectral grid once: weight.csv reuses the frame problem's
     assert sum(np.size(args[2]) == 64 for args in weight) == 1
+
+
+@pytest.mark.parametrize("mode", ["analyze", "witness", "shiftinv", "heisenberg"])
+def test_cli_run_builds_each_input_once(tmp_path, monkeypatch, mode):
+    # check_config builds what the run computes on, and the runner takes it:
+    # one space, or for heisenberg the model's space on its 64-point grid and
+    # the band space on the 16-point spectral grid
+    spaces = _count_calls(monkeypatch, cli.WeightedSpace)
+    weights = _count_calls(monkeypatch, shiftinv.periodized_weight)
+    models = _count_calls(monkeypatch, heisenberg.CenterTranslateModel)
+    out = str(tmp_path / "run")
+    assert cli.main(["--config", _write(tmp_path, _SMALL[mode]), "--out", out]) == 0
+    sizes = sorted(args[0] for args in spaces)
+    assert sizes == {"analyze": [8], "witness": [4], "shiftinv": [16],
+                     "heisenberg": [16, 64]}[mode]
+    assert len(weights) == (mode == "shiftinv")
+    assert len(models) == (mode == "heisenberg")
 
 
 def test_heisenberg_takes_the_band_decision_without_hypothesis_check(
@@ -934,7 +975,9 @@ _SMALL = {
 def test_every_runner_table_matches_per_value_oracle(mode):
     cfg, diags = check_config(_SMALL[mode])
     assert diags == [] and cfg["mode"] == mode
-    rep, _, _, _, tables = cli._RUNNERS[mode](cfg, None)
+    rep, _, _, tables = cli._RUNNERS[mode](cfg, cfg.inputs)
+    witness = cli._witness(rep, tables)
+    assert ("witness.csv" in tables) is witness["exists"]
     spec = rep.spectrum
     tables["spectrum.csv"] = cli._table(("index", "eigenvalue"), np.arange(spec.size), spec)
     for header, columns in tables.values():
