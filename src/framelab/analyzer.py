@@ -50,7 +50,7 @@ import numpy as np
 
 from .operators import OperatorFamily, frame_spectrum, lambda_all
 from .tensor_onb import HYPOTHESIS_TOL, _field_matrix
-from .wspace import Field, WeightedSpace, norm
+from .wspace import Field, WeightedSpace, _Normals, norm, random_field
 
 __all__ = [
     "Verdict",
@@ -258,23 +258,22 @@ def _factor_residuals(fam: OperatorFamily, factors: tuple) -> dict:
     }
 
 
-def _parseval_checks(
-    fam: OperatorFamily, verdict: Verdict, rng: np.random.Generator | None
-) -> tuple:
+def _parseval_checks(fam: OperatorFamily, verdict: Verdict, rng) -> tuple:
     """Energy preservation on ``PARSEVAL_FIELDS`` random fields
     (onb_parseval) and, unless the verdict is onb, the defect field at the
     node whose weight is farthest from 1 with its energy ratio
-    (onb_defect_ratio), each through ``witness_ratio``.
+    (onb_defect_ratio), each through ``witness_ratio``.  The fields are
+    drawn from ``rng``, any object with ``standard_normal(shape)``; None
+    draws from the seed-0 ``wspace._Normals``, which imports nothing.
 
     Returns:
         (defect field or None, residuals).
     """
     if rng is None:
-        rng = np.random.default_rng(0)
-    shape = (fam.space.grid_size, fam.space.fiber_dim)
+        rng = _Normals(0)
     parseval = 0.0
     for _ in range(PARSEVAL_FIELDS):
-        f = Field(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        f = random_field(fam.space, rng)
         parseval = max(parseval, abs(witness_ratio(fam, f) - 1.0))
     residuals = {"onb_parseval": parseval}
     if verdict is Verdict.ONB:
@@ -335,9 +334,7 @@ def _decide_frame(fam: OperatorFamily, tol: float, claim, band: bool) -> FrameRe
     return FrameReport(verdict, (lo, hi), bounds, None, residuals, witness, spec)
 
 
-def decide_onb(
-    fam: OperatorFamily, tol: float = VERDICT_TOL, rng: np.random.Generator | None = None
-) -> FrameReport:
+def decide_onb(fam: OperatorFamily, tol: float = VERDICT_TOL, rng=None) -> FrameReport:
     """Orthonormal-basis verdict: holds exactly when the weight is 1 to
     within ``tol`` and, as for every ONB, the family is a frame, i.e. the
     weight exceeds ``tol``.
@@ -345,17 +342,17 @@ def decide_onb(
     Three independent conditions are verified and reported: cross
     orthogonality of the synthesis images (onb_cross), unit norm of the
     synthesis images (onb_norm), and energy preservation on random fields
-    (onb_parseval).  Unless the verdict is onb, the node whose weight is
-    farthest from 1 yields an explicit defect field whose energy ratio
+    (onb_parseval), drawn from ``rng``: any object with
+    ``standard_normal(shape)``, such as a numpy ``Generator``; None uses a
+    fixed seed-0 source.  Unless the verdict is onb, the node whose weight
+    is farthest from 1 yields an explicit defect field whose energy ratio
     equals its weight.
     """
     _validate_family(fam)
     return _onb_half(fam, tol, rng)
 
 
-def classify(
-    fam: OperatorFamily, tol: float = VERDICT_TOL, rng: np.random.Generator | None = None
-) -> FrameReport:
+def classify(fam: OperatorFamily, tol: float = VERDICT_TOL, rng=None) -> FrameReport:
     """Strongest verdict with all cross checks merged into one report.
 
     Note the family is square, so the two-sided bound and the basis
@@ -363,8 +360,9 @@ def classify(
     The family hypotheses are verified once, then ``decide_frame`` and the
     ONB half of ``decide_onb`` run, merged with the synthesis-Gram spectrum
     against the weight range (gram_vs_weight, relative to max(1, largest
-    weight)).  The verdict is that of ``decide_onb``; the witness is the
-    lower-bound one, else the defect field.
+    weight)).  The Parseval probes are drawn from ``rng`` as in
+    ``decide_onb``.  The verdict is that of ``decide_onb``; the witness is
+    the lower-bound one, else the defect field.
     """
     _validate_family(fam)
     fr = _decide_frame(fam, tol, None, band=False)

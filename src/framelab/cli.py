@@ -53,7 +53,7 @@ from .shiftinv import (
     zak_transform,
 )
 from .tensor_onb import TensorBasis, build_default, fourier_family
-from .wspace import WeightedSpace, total_mass
+from .wspace import WeightedSpace, _Normals, total_mass
 
 
 # ---------------------------------------------------------------- config
@@ -431,8 +431,7 @@ def _witness(rep, tables: dict) -> dict:
 
 def _run_analyze(cfg: dict, space: WeightedSpace) -> tuple:
     fam = OperatorFamily(space, build_default(space.grid_size, space.fiber_dim))
-    rng = np.random.default_rng(cfg["seed"])
-    rep = classify(fam, tol=cfg["tolerances"]["verdict"], rng=rng)
+    rep = classify(fam, tol=cfg["tolerances"]["verdict"], rng=_Normals(cfg["seed"]))
     metrics = {
         "total_mass": total_mass(space),
         "support_fraction": float(space.support.mean()),
@@ -452,8 +451,7 @@ def _run_shiftinv(cfg: dict, inputs: tuple) -> tuple:
     n = np.arange(gen.grid_size)
     scal = fourier_family(-n, n, gen.grid_size)
     fam = OperatorFamily(space, TensorBasis(scal, np.eye(1, dtype=complex)))
-    rng = np.random.default_rng(cfg["seed"])
-    rep = classify(fam, tol=cfg["tolerances"]["verdict"], rng=rng)
+    rep = classify(fam, tol=cfg["tolerances"]["verdict"], rng=_Normals(cfg["seed"]))
     residuals = dict(rep.residuals)
     mass = total_mass(space)
     norm_sq = float((np.abs(gen.fhat) ** 2).sum() / gen.grid_size)
@@ -496,7 +494,7 @@ def _run_heisenberg(cfg: dict, inputs: tuple) -> tuple:
     mass = psi_norm_sq(model.eps, model.d)
     lo, hi = model.envelope()
     rep = _band_report(space, cfg["tolerances"]["verdict"])
-    rng = np.random.default_rng(cfg["seed"])
+    rng = _Normals(cfg["seed"])
     k = 2 * model.k_max + 1
     coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     residuals = dict(rep.residuals)

@@ -231,12 +231,22 @@ def fourier_family(freqs, numer, denom: int) -> np.ndarray:
     root of unity to rounding, whatever the size of k m.  R consecutive
     frequencies on R nodes spaced 1/R apart are orthonormal under the
     unweighted quadrature.  The array is formed in one buffer and is
-    read-only, so a ``TensorBasis`` holds it without a copy.
+    read-only, so a ``TensorBasis`` holds it without a copy.  The index is
+    formed and gathered ``PAIRING_BLOCK`` rows at a time in one reused
+    buffer, straight into the family: ``np.take`` with ``mode="wrap"``
+    writes to ``out`` unbuffered, where the default ``mode="raise"`` gathers
+    into a temporary first.
     """
-    idx = np.multiply.outer(np.asarray(freqs, np.int64), np.asarray(numer, np.int64))
-    np.remainder(idx, denom, out=idx)
+    freqs, numer = np.asarray(freqs, np.int64), np.asarray(numer, np.int64)
     roots = np.exp(2j * np.pi * np.arange(denom) / denom)
-    family = roots[idx]
+    family = np.empty((freqs.size, numer.size), dtype=complex)
+    block = np.empty((min(PAIRING_BLOCK, freqs.size), numer.size), np.int64)
+    for start in range(0, freqs.size, PAIRING_BLOCK):
+        k = freqs[start : start + PAIRING_BLOCK]
+        idx = block[: k.size]
+        np.multiply(k[:, None], numer, out=idx)
+        np.remainder(idx, denom, out=idx)
+        np.take(roots, idx, mode="wrap", out=family[start : start + k.size])
     family.setflags(write=False)
     return family
 

@@ -3,12 +3,14 @@
 The domain is the unit interval sampled at the nodes x_i = i/N with
 quadrature weight 1/N per node, so the underlying measure has total mass
 one.  A nonnegative node weight w rescales the inner product, and values
-live in a complex M-dimensional fiber.  Everything here is a pure function
-of immutable inputs, safe to call concurrently.
+live in a complex M-dimensional fiber.  Everything here but the seeded
+draw source ``_Normals`` is a pure function of immutable inputs, safe to
+call concurrently.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,7 +146,37 @@ def total_mass(space: WeightedSpace) -> float:
     return float(space.weights.sum() / space.grid_size)
 
 
-def random_field(space: WeightedSpace, rng: np.random.Generator) -> Field:
-    """Standard complex Gaussian field, for sweeps and spot checks."""
+class _Normals:
+    """Seeded standard normal draws: the one source of random probes in
+    framelab.
+
+    The uniforms are ``random.Random(seed).random()``, the stdlib Mersenne
+    Twister, whose stream for a given seed Python keeps the same across
+    releases; they are read into numpy with ``np.fromiter``, so no list is
+    built and ``numpy.random`` is never imported.  Box-Muller turns them into
+    normals: with u, v uniform on [0, 1), sqrt(-2 log(1 - u)) times
+    cos(2 pi v) and sin(2 pi v) are two independent standard normals.
+    """
+
+    def __init__(self, seed: int):
+        self._random = random.Random(seed).random
+
+    def standard_normal(self, shape) -> np.ndarray:
+        """Array of the given shape (an int or a tuple) of standard
+        normals; the first half of the uniforms drawn gives the radii and
+        the second half the angles."""
+        n = int(np.prod(shape))
+        pairs = (n + 1) // 2
+        u = np.fromiter(iter(self._random, None), float, count=2 * pairs)
+        radius = np.sqrt(-2.0 * np.log1p(-u[:pairs]))
+        angle = 2.0 * np.pi * u[pairs:]
+        z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+        return z[:n].reshape(shape)
+
+
+def random_field(space: WeightedSpace, rng) -> Field:
+    """Standard complex Gaussian field, for sweeps and spot checks; ``rng``
+    is any object with ``standard_normal(shape)``, a numpy ``Generator``
+    say."""
     shape = (space.grid_size, space.fiber_dim)
     return Field(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))

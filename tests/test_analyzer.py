@@ -99,14 +99,13 @@ def test_classify_working_set_at_grid_cap():
     # real scalar Gram R R^T / N of the hypothesis check, then the support
     # columns of R for the SVD, then the weighted real Gram; the Parseval
     # and defect ratios go through the coefficient functionals, which add
-    # no N x N array.  The rng is made before tracing starts: the first
-    # default_rng of a process imports numpy.random, which is no working set.
+    # no N x N array.  The default probe source imports nothing, so no
+    # module import is traced as working set.
     n, m = 512, 2
-    rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
         sp, fam = _family(np.linspace(0.5, 2.0, n), m=m)
-        rep = classify(fam, rng=rng)
+        rep = classify(fam)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

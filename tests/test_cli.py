@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1020,3 +1021,21 @@ def test_run_config_refuses_nonfinite_custom_samples(tmp_path, mode):
     with pytest.raises(ValueError, match=re.escape(f"{where}: sample 16 is not finite")):
         run_config(cfg, tmp_path / "run")
     assert not (tmp_path / "run" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["analyze_step", "shiftinv_gaussian", "heisenberg_half", "witness_dip", "zak_gaussian"],
+)
+def test_cli_run_does_not_import_numpy_random(tmp_path, name):
+    # The probes draw from wspace._Normals; a cold process that imported
+    # numpy.random for them would load every bit generator and OpenSSL's
+    # hash module to draw a few thousand numbers.
+    config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    script = (
+        "import sys, framelab.cli as c\n"
+        f"code = c.main(['--config', {str(config)!r}, '--out', {str(tmp_path)!r}])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stdout + proc.stderr

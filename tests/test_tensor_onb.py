@@ -1,5 +1,7 @@
 """Tensor families: structure, orthonormality, expansion round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,27 @@ def test_basis_adopts_readonly_family_and_copies_writable_one():
     assert not np.shares_memory(basis.scalar_family, mine)
     mine[0, 0] = 0.0
     assert basis.scalar_family[0, 0] == fam[0, 0]
+
+
+def test_fourier_family_gathers_in_row_blocks():
+    # The three families the runners build (analyze, shiftinv, the
+    # heisenberg midpoint grid) equal a gather through the whole N x N
+    # index, and building one holds the family plus one block of index rows,
+    # not an N x N int64 index (8 N^2 bytes, 0.5 of the family).
+    n = 512
+    k = np.arange(n)
+    for args in ((k, k, n), (-k, k, n), (n // 2 - k, 2 * k + 1, 2 * n)):
+        tracemalloc.start()
+        try:
+            fam = fourier_family(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 16 * n * n
+        freqs, numer, denom = args
+        roots = np.exp(2j * np.pi * np.arange(denom) / denom)
+        np.testing.assert_array_equal(fam, roots[np.multiply.outer(freqs, numer) % denom])
+        assert not fam.flags.writeable
 
 
 def test_default_family_is_unimodular_orthonormal():
