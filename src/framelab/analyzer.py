@@ -18,11 +18,12 @@ relative to max(1, largest weight), so they do not depend on the units of
 the weight.
 
 Every coefficient energy, sum |Lambda_{m,n} f|^2 against ||f||^2, takes
-one route: ``witness_ratio`` through ``operators.lambda_all``, one product
-of the family with the weighted fiber coefficients of the field.  The
-witness ratio, the Parseval probes and the defect ratio all take it, so
-each ratio is a coefficient computation of its own, never read off the
-weights, and none forms an N x N array beside the family.
+one route: ``witness_ratio`` through ``operators.lambda_all``, one real
+product of the family's real form R with the weighted fiber coefficients
+of the field, unfolded in O(N M).  The witness ratio, the Parseval probes
+and the defect ratio all take it, so each ratio is a coefficient
+computation of its own, never read off the weights, and none forms an
+N x N array beside R.
 
 The spectral route stays dense on purpose: an SVD of the analysis factors
 and an ``eigvalsh`` of the synthesis-Gram factors, O(N^3) in the grid size.
@@ -32,7 +33,8 @@ read back the very numbers the weight route reads and check nothing.  The
 cost of the cross check is the price of its independence.  Every N x N
 product runs in real arithmetic all the same: every family here is closed
 under conjugation, and a fixed sparse unitary (the centrohermitian
-reduction) maps it to its real form R, built once per basis.  The
+reduction) maps it to its real form R, built once per basis; a basis
+built from a Fourier recipe keeps R alone, not the complex family.  The
 hypothesis check reads the scalar Gram R R^T / N, the frame route takes
 the SVD of the support columns of R, and the Gram route the ``eigvalsh``
 of its own product (R w/N) R^T, so the routes share only the family.  The
@@ -76,7 +78,7 @@ class Verdict(str, Enum):
     ONB = "onb"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameReport:
     """Outcome of a classification run.
 

@@ -52,7 +52,7 @@ from .shiftinv import (
     translate_gram,
     zak_transform,
 )
-from .tensor_onb import TensorBasis, build_default, fourier_family
+from .tensor_onb import TensorBasis, build_default
 from .wspace import WeightedSpace, _Normals, total_mass
 
 
@@ -449,8 +449,8 @@ def _run_witness(cfg: dict, space: WeightedSpace) -> tuple:
 def _run_shiftinv(cfg: dict, inputs: tuple) -> tuple:
     gen, space = inputs
     n = np.arange(gen.grid_size)
-    scal = fourier_family(-n, n, gen.grid_size)
-    fam = OperatorFamily(space, TensorBasis(scal, np.eye(1, dtype=complex)))
+    basis = TensorBasis.fourier(-n, n, gen.grid_size, np.eye(1, dtype=complex))
+    fam = OperatorFamily(space, basis)
     rep = classify(fam, tol=cfg["tolerances"]["verdict"], rng=_Normals(cfg["seed"]))
     residuals = dict(rep.residuals)
     mass = total_mass(space)

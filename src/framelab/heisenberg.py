@@ -16,9 +16,10 @@ read from the inverse DFT of the weight.
 
 The frame verdict is the analyzer's frame decision on the family alone,
 with its bounds and witness over the positive-weight band, the span of the
-translates.  The family is orthonormal by construction, so no hypothesis
-check adds a second R x R array, and the witness ratio goes through the
-coefficient functionals, which form none either.
+translates.  The family is built from its Fourier recipe, so the basis
+keeps only its real form; it is orthonormal by construction, so no
+hypothesis check adds a second R x R array, and the witness ratio goes
+through the coefficient functionals, which form none either.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .analyzer import VERDICT_TOL, FrameReport, _decide_frame
 from .errors import ConsistencyError
 from .operators import OperatorFamily
-from .tensor_onb import TensorBasis, fourier_family
+from .tensor_onb import TensorBasis
 from .wspace import WeightedSpace, _readonly
 
 __all__ = [
@@ -68,9 +69,13 @@ def _check_params(eps: float, d: int) -> tuple[float, int]:
 def _lattice_profile(eps: float, d: int, x: np.ndarray, window: int) -> np.ndarray:
     """sum_j 1_((eps, 1])(x + j) |x + j|^d over integer j in [-window, window]."""
     total = np.zeros_like(x, dtype=float)
+    term = np.empty_like(total)
     for j in range(-window, window + 1):
         y = x + j
-        total += np.where((y > eps) & (y <= 1.0), np.abs(y) ** d, 0.0)
+        band = (y > eps) & (y <= 1.0)  # y > eps >= 0, so |y| = y on the band
+        term.fill(0.0)
+        np.power(y, d, out=term, where=band)
+        total += term
     return total
 
 
@@ -157,7 +162,7 @@ def midpoint_grid(resolution: int) -> np.ndarray:
     return (np.arange(R) + 0.5) / R
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CenterTranslateModel:
     """Discretized coefficient model for center translates of the window.
 
@@ -264,11 +269,13 @@ def _band_space(eps: float, d: int, resolution: int) -> WeightedSpace:
 
 def _band_report(space: WeightedSpace, tol: float) -> FrameReport:
     """``frame_report`` on its weighted space.  The family e^(-2 pi i k alpha),
-    k = -R//2 .. R - R//2 - 1, is orthonormal, so its R x R check is skipped."""
+    k = -R//2 .. R - R//2 - 1, is orthonormal, so its R x R check is skipped;
+    the basis holds its recipe and real form, not the family."""
     R = space.grid_size
     n = np.arange(R)
-    scal = fourier_family(R // 2 - n, 2 * n + 1, 2 * R)  # alpha_i = (2i + 1) / 2R
-    fam = OperatorFamily(space, TensorBasis(scal, np.eye(1, dtype=complex)))
+    # alpha_i = (2i + 1) / 2R
+    basis = TensorBasis.fourier(R // 2 - n, 2 * n + 1, 2 * R, np.eye(1, dtype=complex))
+    fam = OperatorFamily(space, basis)
     rep = _decide_frame(fam, tol, None, band=True)
     rep.residuals["support_fraction"] = float(space.support.mean())
     return rep

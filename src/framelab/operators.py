@@ -9,6 +9,9 @@ orthonormal scalar family that spectrum is the weight multiset, each value
 repeated once per fiber dimension.  The matrix is a Kronecker product of a
 fiber factor and a scalar factor, and the spectrum is computed from the
 factors; the dense matrix itself is built only by the tests, as an oracle.
+``lambda_all`` and ``frame_spectrum`` read the basis's real form R alone;
+of this module only the reference check ``parseval_residual`` reads the
+complex family.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorFamily:
     """A tensor basis bound to the space it analyzes.
 
@@ -41,11 +44,9 @@ class OperatorFamily:
 
     def __post_init__(self):
         N, M = self.space.grid_size, self.space.fiber_dim
-        if self.basis.scalar_family.shape != (N, N):
-            raise ValueError(
-                f"scalar family shape {self.basis.scalar_family.shape} "
-                f"does not match grid size {N}"
-            )
+        n = self.basis.grid_size  # the scalar family is square
+        if n != N:
+            raise ValueError(f"scalar family shape {(n, n)} does not match grid size {N}")
         if self.basis.fiber_family.shape != (M, M):
             raise ValueError(
                 f"fiber family shape {self.basis.fiber_family.shape} "
@@ -58,16 +59,24 @@ def lambda_all(fam: OperatorFamily, field: Field) -> np.ndarray:
     is (1/N) sum_i conj(f_n(x_i)) w_i <f(x_i), g_m>.
 
     With V = f G^H the fiber coefficients at the nodes, this is
-    conj(F conj((w/N) V)): one product with the family the basis already
-    holds, so no weighted N x N copy of it is made.  Every coefficient
-    energy of the package (witness ratios, Parseval probes, the Bessel
-    bound) goes through here.
+    conj(F W) with W = conj((w/N) V), and F W is read off one real product
+    R W with the basis's real form R = U D F, taken on the float64 view of
+    W, then unfolded row pair by row pair and dephased in O(N M)
+    (``_ConjugatePairs.unfold``).  No N x N array beside R is read or made.
+    Every coefficient energy of the package (witness ratios, Parseval
+    probes, the Bessel bound) goes through here.
+
+    Raises:
+        ValueError: if the scalar family is not closed under conjugation.
     """
     space = fam.space
     _conform(space, field)
+    pairs = fam.basis._pairs
     V = field.values @ fam.basis.fiber_family.conj().T
     V *= (space.weights / space.grid_size)[:, None]
-    return np.conj(fam.basis.scalar_family @ V.conj()).T
+    W = np.conj(V, out=V)
+    y = (pairs.real @ W.view(float)).view(complex)
+    return np.conj(pairs.unfold(y)).T
 
 
 def frame_spectrum(fam: OperatorFamily) -> np.ndarray:
@@ -109,9 +118,9 @@ def parseval_residual(fam: OperatorFamily, field: Field) -> float:
     if ns == 0.0:
         return 0.0
     V = field.values @ fam.basis.fiber_family.conj().T
-    worst = 0.0
+    F, worst = fam.basis.scalar_family, 0.0
     for n in range(space.grid_size):
-        lt = fam.basis.scalar_family[n].conj()[:, None] * V
+        lt = F[n].conj()[:, None] * V
         s = float(
             ((np.abs(lt) ** 2).sum(axis=1) * space.weights).sum() / space.grid_size
         )

@@ -41,7 +41,7 @@ ZAK_GRAM_TOL = 1e-6
 GENERATOR_RADIUS = {"indicator": 1, "wide-indicator": 2, "gaussian": 4}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Generator:
     """Frequency samples of a generator on [-radius, radius).
 
@@ -136,7 +136,7 @@ def translate_gram(gen: Generator) -> np.ndarray:
     return (V.conj() @ V.T) / step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZakGrid:
     """Finite Zak transform values Z[j, m] at (x_j, xi_m) = (j/N, m/L)."""
 

@@ -10,7 +10,7 @@ through the family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -20,53 +20,86 @@ from .wspace import _readonly
 __all__ = ["TensorBasis", "build_default", "fourier_family"]
 
 HYPOTHESIS_TOL = 1e-9
-# Rows of the family dephased, checked and folded at a time, so that building
-# the real form adds no N x N complex temporary to the family.
-PAIRING_BLOCK = 128
+# Rows of the family gathered, dephased, checked and folded at a time, so that
+# building the family and its real form adds no N x N temporary to either.
+PAIRING_BLOCK = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class TensorBasis:
     """Scalar family (rows f_n over the grid) and fiber family (rows g_m).
 
+    ``TensorBasis(scalar_family, fiber_family)`` holds the given array.
+    ``TensorBasis.fourier(freqs, numer, denom, fiber_family)`` holds only the
+    recipe of ``fourier_family(freqs, numer, denom)``: its fold generates the
+    family once and keeps the real form alone, so no complex N x N array
+    outlives it, and ``scalar_family`` generates the family again, bit for
+    bit, each time it is read.
+
     The first use of the scalar family's real form (``_pairs``, needed by
-    ``scalar_gram_residual`` and by both spectral routes) finds its
-    conjugate row pairing, checks it on every entry and builds the
-    read-only real form R = U D F once; the basis keeps it, so every N x N
-    product of a run takes the real form, at a quarter of the flops of a
-    complex one.
+    ``scalar_gram_residual``, by both spectral routes and by
+    ``operators.lambda_all``) finds its conjugate row pairing, checks it on
+    every entry and builds the read-only real form R = U D F once; the basis
+    keeps it, so every N x N product of a run takes the real form, at a
+    quarter of the flops of a complex one.
 
     Attributes:
-        scalar_family: (N, N) complex array, entry [n, i] = f_n(x_i).
         fiber_family: (M, M) complex array, row m = g_m.
+        recipe: ``(freqs, numer, denom)`` of a Fourier scalar family, or
+            None for a basis that holds its scalar family.
     """
 
-    scalar_family: np.ndarray
     fiber_family: np.ndarray
+    recipe: tuple | None
+    _array: np.ndarray | None = field(repr=False)
 
-    def __post_init__(self):
-        s = np.asarray(self.scalar_family, dtype=complex)
-        g = np.asarray(self.fiber_family, dtype=complex)
+    def __init__(self, scalar_family, fiber_family):
+        s = np.asarray(scalar_family, dtype=complex)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError("scalar_family must be a square 2-d array")
+        self._bind(_readonly(s), None, fiber_family)
+
+    @classmethod
+    def fourier(cls, freqs, numer, denom: int, fiber_family) -> TensorBasis:
+        """The basis of ``fourier_family(freqs, numer, denom)``, which holds
+        only the recipe; ``freqs`` and ``numer`` must have one length."""
+        freqs, numer = (_readonly(np.asarray(a, np.int64)) for a in (freqs, numer))
+        if freqs.ndim != 1 or freqs.shape != numer.shape:
+            raise ValueError("freqs and numer must be 1-d and of one length")
+        basis = cls.__new__(cls)
+        basis._bind(None, (freqs, numer, int(denom)), fiber_family)
+        return basis
+
+    def _bind(self, array, recipe, fiber_family) -> None:
+        g = np.asarray(fiber_family, dtype=complex)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("fiber_family must be a square 2-d array")
-        object.__setattr__(self, "scalar_family", _readonly(s))
         object.__setattr__(self, "fiber_family", _readonly(g))
+        object.__setattr__(self, "recipe", recipe)
+        object.__setattr__(self, "_array", array)
+
+    @property
+    def scalar_family(self) -> np.ndarray:
+        """(N, N) read-only complex array, entry [n, i] = f_n(x_i)."""
+        if self.recipe is None:
+            return self._array
+        return fourier_family(*self.recipe)
 
     @property
     def grid_size(self) -> int:
-        return self.scalar_family.shape[0]
+        """N, read off the recipe or the array, not off ``scalar_family``."""
+        return self._array.shape[0] if self.recipe is None else self.recipe[0].size
 
     @property
     def fiber_dim(self) -> int:
         return self.fiber_family.shape[0]
 
     def unimodularity_residual(self) -> float:
-        """max_i,n abs(|f_n(x_i)| - 1)."""
-        r = np.abs(self.scalar_family)
-        r -= 1.0
-        return float(np.max(np.abs(r, out=r)))
+        """max_i,n abs(|f_n(x_i)| - 1); the fold measures it for a recipe
+        basis."""
+        if self.recipe is None:
+            return _modulus_gap(self._array)
+        return self._pairs.unimodularity
 
     def scalar_gram_residual(self) -> float:
         """Deviation of the scalar Gram from the identity under the
@@ -91,11 +124,19 @@ class TensorBasis:
     @cached_property
     def _pairs(self) -> _ConjugatePairs:
         """The conjugate row pairing of the scalar family and its real form,
-        found, verified and built once per basis."""
+        found, verified and built once per basis; a recipe basis generates
+        its family for this fold alone."""
         return _conjugate_pairs(self.scalar_family)
 
 
-@dataclass(frozen=True)
+def _modulus_gap(a: np.ndarray) -> float:
+    """max abs(|a| - 1) over the entries of ``a`` (NaN if one is NaN)."""
+    r = np.abs(a)
+    r -= 1.0
+    return float(np.max(np.abs(r, out=r)))
+
+
+@dataclass(frozen=True, eq=False)
 class _ConjugatePairs:
     """The real form of a scalar family F closed under conjugation.
 
@@ -114,10 +155,37 @@ class _ConjugatePairs:
             real parts of the dephased lower rows n of the pairs, then
             sqrt(2) times their imaginary parts, in the same order.
         n_self: the number of self-paired rows.
+        rows: the family row of each of the first ``rows.size`` rows of R,
+            the self-paired rows and then the lower rows of the pairs.
+        partner: p(n) for every family row n.
+        phase: the diagonal of D, one unit modulus per family row.
+        unimodularity: max abs(|F| - 1), measured during the fold.
     """
 
     real: np.ndarray
     n_self: int
+    rows: np.ndarray
+    partner: np.ndarray
+    phase: np.ndarray
+    unimodularity: float
+
+    def unfold(self, y: np.ndarray) -> np.ndarray:
+        """F x from y = R x, for any complex x with one column per column of
+        ``y``: y holds U D F x, whose rows are (D F x)[s] for a self-paired
+        row s, and (D F x)[n] = (y[a] + i y[b]) / sqrt(2) and
+        (D F x)[p(n)] = (y[a] - i y[b]) / sqrt(2) for a pair n < p(n) with
+        real rows a, b; undoing D is one conjugate phase per row.  O(N M)."""
+        ns, k = self.n_self, self.rows.size
+        lower = self.rows[ns:]
+        # dividing by sqrt(2) undoes the fold's scaling more often than
+        # multiplying by sqrt(0.5), whose product with sqrt(2) rounds to 1 + 2^-52
+        a, b = y[ns:k] / np.sqrt(2.0), y[k:] / np.sqrt(2.0) * 1j
+        out = np.empty_like(y)
+        out[self.rows[:ns]] = y[:ns]
+        out[lower] = a + b
+        out[self.partner[lower]] = a - b
+        out *= self.phase.conj()[:, None]
+        return out
 
     def moduli(self, g: np.ndarray) -> tuple:
         """(diagonal, largest off-diagonal modulus) of the complex Gram
@@ -182,7 +250,8 @@ def _conjugate_pairs(F: np.ndarray) -> _ConjugatePairs:
     row and the lower row of each pair (the upper row's difference is minus
     the conjugate of it).  For the Fourier families
     f_k(x_i) = exp(2 pi i k x_i) on R nodes spaced 1/R apart with R
-    consecutive frequencies, p is k -> -k mod R.
+    consecutive frequencies, p is k -> -k mod R.  The same pass measures the
+    unimodularity of every entry, so a recipe basis need not keep F for it.
 
     Raises:
         ValueError: if the family is not closed under conjugation.
@@ -200,12 +269,15 @@ def _conjugate_pairs(F: np.ndarray) -> _ConjugatePairs:
         raise ValueError("family violates conjugate symmetry (residual inf)")
     fixed, lower = np.flatnonzero(p == n), np.flatnonzero(n < p)
     rows, ns = np.concatenate([fixed, lower]), fixed.size
-    k, res = rows.size, []
+    k, res, gap = rows.size, [], []
     real = np.empty(F.shape)
     for start in range(0, k, PAIRING_BLOCK):
         blk = rows[start : start + PAIRING_BLOCK]
-        h = F[blk] * phase[blk, None]
-        d = F[p[blk]] * phase[p[blk], None]
+        # the rows blk and p[blk] cover every row of F
+        h, d = F[blk], F[p[blk]]
+        gap += [_modulus_gap(h), _modulus_gap(d)]
+        h = h * phase[blk, None]
+        d = d * phase[p[blk], None]
         d.real -= h.real  # d - conj(h), which is 2i Im(h) on a self-paired row
         d.imag += h.imag
         res.append(np.max(np.abs(d)))
@@ -218,7 +290,7 @@ def _conjugate_pairs(F: np.ndarray) -> _ConjugatePairs:
     if not res <= HYPOTHESIS_TOL:  # a NaN residual fails too
         raise ValueError(f"family violates conjugate symmetry (residual {res:.3e})")
     real.setflags(write=False)
-    return _ConjugatePairs(real, ns)
+    return _ConjugatePairs(real, ns, rows, p, phase, float(np.max(gap)))
 
 
 def fourier_family(freqs, numer, denom: int) -> np.ndarray:
@@ -258,8 +330,7 @@ def build_default(grid_size: int, fiber_dim: int) -> TensorBasis:
     standard basis of C^M.
     """
     n = np.arange(grid_size)
-    scalar = fourier_family(n, n, grid_size)
-    return TensorBasis(scalar, np.eye(fiber_dim, dtype=complex))
+    return TensorBasis.fourier(n, n, grid_size, np.eye(fiber_dim, dtype=complex))
 
 
 def _field_matrix(basis: TensorBasis) -> np.ndarray:

@@ -40,7 +40,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedSpace:
     """Uniform grid, fiber dimension and node weights.
 
@@ -61,7 +61,7 @@ class WeightedSpace:
     grid_size: int
     fiber_dim: int
     weights: np.ndarray
-    support: np.ndarray = field(init=False, repr=False, compare=False)
+    support: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if int(self.grid_size) < 1:
@@ -99,7 +99,7 @@ class WeightedSpace:
         return np.arange(self.grid_size) / self.grid_size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Field:
     """Grid function with fiber values, stored as an N x M complex array."""
 

@@ -1,8 +1,10 @@
 """Dense reference constructions that the package itself never forms, the
 per-value CSV writer that the CLI's one-format-per-table writer replaced,
 the one-expression forms of the family arrays that the package now builds in
-place, without extra N x N copies, and the single-member fields and
-pointwise coefficients that only the tests take apart."""
+place, without extra N x N copies, the complex coefficient product and the
+whole-grid lattice sum that the real-form and in-band routes replaced, and
+the single-member fields and pointwise coefficients that only the tests take
+apart."""
 
 import csv
 import io
@@ -34,6 +36,26 @@ def lambda_tilde(fam, m: int, n: int, field: Field) -> np.ndarray:
     return fam.basis.scalar_family[n].conj() * fiber_part
 
 
+def complex_lambda_all(fam, field: Field) -> np.ndarray:
+    """``lambda_all`` as one complex product with the family,
+    conj(F conj((w/N) V)) with V = f G^H, the route before the real form."""
+    space = fam.space
+    _conform(space, field)
+    V = field.values @ fam.basis.fiber_family.conj().T
+    V *= (space.weights / space.grid_size)[:, None]
+    return np.conj(fam.basis.scalar_family @ V.conj()).T
+
+
+def lattice_profile(eps: float, d: int, x: np.ndarray, window: int) -> np.ndarray:
+    """``heisenberg._lattice_profile`` with the power taken at every shift of
+    every node and the out-of-band values dropped by ``np.where``."""
+    total = np.zeros_like(x, dtype=float)
+    for j in range(-window, window + 1):
+        y = x + j
+        total += np.where((y > eps) & (y <= 1.0), np.abs(y) ** d, 0.0)
+    return total
+
+
 def analysis_matrix(fam) -> np.ndarray:
     """Matrix of all coefficient functionals in weighted coordinates.
 
@@ -42,8 +64,8 @@ def analysis_matrix(fam) -> np.ndarray:
     Rows are indexed (m, n) m-major, columns (i, j) i-major over the support,
     the nodes of positive weight.
 
-    Column (i, j) is ``lambda_all`` applied to that coordinate field, in
-    closed form conj(g_m[j]) * quad[n, i] * sqrt(N / w_i): one outer product
+    Column (i, j) is ``complex_lambda_all`` applied to that coordinate field,
+    in closed form conj(g_m[j]) * quad[n, i] * sqrt(N / w_i): one outer product
     of the two Kronecker factors that ``frame_spectrum`` takes its SVDs of.
     It is the dense NM x NM reference for that factored route.
     """
@@ -118,6 +140,15 @@ def midpoint_family(resolution: int) -> np.ndarray:
     alpha = (np.arange(resolution) + 0.5) / resolution
     ks = np.arange(resolution) - resolution // 2
     return np.exp(-2j * np.pi * np.outer(ks, alpha))
+
+
+def walsh_family(n: int) -> np.ndarray:
+    """The Sylvester Walsh-Hadamard family of order ``n``, a power of 2: real,
+    +-1 and orthonormal, every row its own conjugate."""
+    H = np.ones((1, 1))
+    while H.shape[0] < n:
+        H = np.block([[H, H], [H, -H]])
+    return H
 
 
 def scalar_gram_defect(F: np.ndarray) -> np.ndarray:

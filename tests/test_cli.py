@@ -480,7 +480,7 @@ def _count_calls(monkeypatch, func):
         calls.append(args)
         return func(*args, **kwargs)
 
-    for mod in (operators, analyzer, heisenberg, shiftinv, cli):
+    for mod in (tensor_onb, operators, analyzer, heisenberg, shiftinv, cli):
         if getattr(mod, func.__name__, None) is func:
             monkeypatch.setattr(mod, func.__name__, counted)
     return calls
@@ -547,6 +547,26 @@ def test_cli_run_builds_each_input_once(tmp_path, monkeypatch, mode):
                      "heisenberg": [16, 64]}[mode]
     assert len(weights) == (mode == "shiftinv")
     assert len(models) == (mode == "heisenberg")
+
+
+@pytest.mark.parametrize("mode", ["analyze", "witness", "shiftinv", "heisenberg"])
+def test_cli_run_generates_each_family_once_inside_the_fold(tmp_path, monkeypatch, mode):
+    # Each runner builds its basis from a Fourier recipe: the fold generates
+    # the family once (scalar_family read by _pairs), keeps the real form
+    # alone, and no runner path reads scalar_family after it.
+    family = _count_calls(monkeypatch, tensor_onb.fourier_family)
+    readers = []
+    read = TensorBasis.scalar_family.fget
+
+    def spy(basis):
+        readers.append(sys._getframe(1).f_code.co_name)
+        return read(basis)
+
+    monkeypatch.setattr(TensorBasis, "scalar_family", property(spy))
+    out = str(tmp_path / "run")
+    assert cli.main(["--config", _write(tmp_path, _SMALL[mode]), "--out", out]) == 0
+    assert len(family) == 1
+    assert readers == ["_pairs"]
 
 
 def test_heisenberg_takes_the_band_decision_without_hypothesis_check(

@@ -19,6 +19,8 @@ from framelab import (
     decide_frame,
     decide_onb,
     frame_spectrum,
+    lambda_all,
+    random_field,
     synthesis_gram,
 )
 import oracles
@@ -145,13 +147,18 @@ def test_working_set_routes_match_dense_forms_bit_for_bit():
         w = rng.uniform(0.1, 3.0, n)
         dead = w.copy()
         dead[1::3] = 0.0
-        for F, _, partner, _ in _family_kinds(n):
+        for F, args, partner, _ in _family_kinds(n):
             basis = TensorBasis(F, np.eye(1))
             assert basis.unimodularity_residual() == float(
                 np.max(np.abs(np.abs(F) - 1.0))
             )
             R = oracles.real_form(F, partner)
             assert _same_bits(basis._pairs.real, R)
+            # a recipe basis folds the same family in the same pass that
+            # measures its unimodularity
+            recipe = TensorBasis.fourier(*args, np.eye(1))
+            assert _same_bits(recipe._pairs.real, R)
+            assert recipe.unimodularity_residual() == basis.unimodularity_residual()
             diag, off = basis._pairs.moduli(R @ R.T / n)
             assert basis.scalar_gram_residual() == max(
                 float(np.max(np.abs(diag - 1.0))), off
@@ -232,11 +239,14 @@ def test_family_not_closed_under_conjugation_is_refused():
     fam = OperatorFamily(sp, TensorBasis(F, np.eye(2, dtype=complex)))
     assert fam.basis.unimodularity_residual() <= 1e-12
     assert np.max(np.abs(oracles.scalar_gram_defect(F))) <= 1e-12
+    f = random_field(sp, np.random.default_rng(80))
     checks = (
         classify,
         decide_frame,
         frame_spectrum,
         lambda fam: fam.basis.scalar_gram_residual(),
+        lambda fam: lambda_all(fam, f),
+        lambda fam: witness_ratio(fam, f),
     )
     for decide in checks:
         with pytest.raises(ValueError, match="conjugate symmetry"):
@@ -248,9 +258,7 @@ def test_walsh_hadamard_family_is_classified(n):
     # The Sylvester Walsh-Hadamard family is real, +-1 and orthonormal, so
     # every row is its own conjugate partner; its weighted scalar Gram is
     # not circulant, so the DFT diagonalizes neither route.
-    H = np.ones((1, 1))
-    while H.shape[0] < n:
-        H = np.block([[H, H], [H, -H]])
+    H = oracles.walsh_family(n)
     w = np.linspace(0.5, 2.0, n)
     fam = OperatorFamily(WeightedSpace(n, 1, w), TensorBasis(H, np.eye(1)))
     assert fam.basis._pairs.n_self == n

@@ -18,7 +18,13 @@ from framelab import (
     total_mass,
 )
 
-from oracles import analysis_matrix, lambda_tilde, tensor_field
+from oracles import (
+    analysis_matrix,
+    complex_lambda_all,
+    lambda_tilde,
+    tensor_field,
+    walsh_family,
+)
 
 
 def _family(n, m, weights=None):
@@ -59,6 +65,32 @@ def test_lambda_all_matches_loop():
             assert table[m, n] == pytest.approx(ref, abs=1e-13)
 
 
+@pytest.mark.parametrize(
+    "kind, n", [("dft", 7), ("dft", 512), ("midpoint", 512), ("walsh", 256)]
+)
+def test_lambda_all_matches_complex_product(kind, n):
+    # lambda_all reads the real form R: one real product and an O(NM)
+    # unfold give the complex product of the family to rounding, for the
+    # analyze, heisenberg and Walsh-Hadamard families, weights with zeros
+    # and random unitary fiber bases.
+    rng = np.random.default_rng(n)
+    k = np.arange(n)
+    for m in (1, 2, 3):
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        basis = {
+            "dft": lambda: TensorBasis.fourier(k, k, n, q),
+            "midpoint": lambda: TensorBasis.fourier(n // 2 - k, 2 * k + 1, 2 * n, q),
+            "walsh": lambda: TensorBasis(walsh_family(n), q),
+        }[kind]()
+        w = rng.uniform(0.0, 2.0, n)
+        w[::3] = 0.0
+        sp = WeightedSpace(n, m, w)
+        fam = OperatorFamily(sp, basis)
+        f = random_field(sp, rng)
+        ref = complex_lambda_all(fam, f)
+        assert np.max(np.abs(lambda_all(fam, f) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_adjoint_pairing_identities():
     # the adjoints in closed form: phi -> f_n phi g_m and c -> c G_{m,n}
     rng = np.random.default_rng(21)
@@ -80,8 +112,9 @@ def test_adjoint_pairing_identities():
             assert lhs2 == pytest.approx(rhs2, abs=1e-12)
 
 
-def _column_by_column(fam, support=None):
-    """Reference analysis matrix: lambda_all on each coordinate field."""
+def _column_by_column(fam, support=None, coeffs=complex_lambda_all):
+    """Reference analysis matrix: ``coeffs`` (the complex product of the
+    family by default) on each coordinate field."""
     n, m = fam.space.grid_size, fam.space.fiber_dim
     w = fam.space.weights
     idx = np.arange(n) if support is None else np.flatnonzero(support)
@@ -90,7 +123,7 @@ def _column_by_column(fam, support=None):
         for j in range(m):
             vals = np.zeros((n, m), dtype=complex)
             vals[i, j] = np.sqrt(n / w[i])
-            cols.append(lambda_all(fam, Field(vals)).reshape(-1))
+            cols.append(coeffs(fam, Field(vals)).reshape(-1))
     return np.array(cols).T
 
 
@@ -107,7 +140,11 @@ def test_analysis_matrix_matches_column_construction():
     for n, m in [(5, 2), (64, 2), (37, 3), (16, 1)]:
         w = rng.uniform(0.1, 3.0, n)
         sp, fam = _family(n, m, w)
-        assert np.array_equal(analysis_matrix(fam), _column_by_column(fam))
+        T = analysis_matrix(fam)
+        assert np.array_equal(T, _column_by_column(fam))
+        # lambda_all takes the real form: the same matrix up to rounding
+        T_real = _column_by_column(fam, coeffs=lambda_all)
+        assert np.max(np.abs(T - T_real)) <= 2e-15 * np.max(np.abs(T))
 
         w_dead = w.copy()
         w_dead[::3] = 0.0

@@ -60,6 +60,31 @@ def test_fourier_family_gathers_in_row_blocks():
         assert not fam.flags.writeable
 
 
+def test_recipe_basis_keeps_only_the_real_form():
+    # A basis built from a Fourier recipe generates its family in the fold
+    # and keeps the real form R (8 N^2 bytes) with O(N) pairing data, not
+    # the complex family (16 N^2 bytes); scalar_family generates the family
+    # again on each read, bit for bit and read-only.
+    n = 512
+    k = np.arange(n)
+    for args in ((k, k, n), (-k, k, n), (n // 2 - k, 2 * k + 1, 2 * n)):
+        basis = TensorBasis.fourier(*args, np.eye(2))
+        assert basis.grid_size == n
+        tracemalloc.start()
+        try:
+            basis._pairs
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 8 * n * n + 64 * n
+        fam = basis.scalar_family
+        np.testing.assert_array_equal(fam, fourier_family(*args))
+        assert not fam.flags.writeable
+        assert not np.shares_memory(fam, basis.scalar_family)
+    with pytest.raises(ValueError, match="one length"):
+        TensorBasis.fourier(k, k[:-1], n, np.eye(1))
+
+
 def test_default_family_is_unimodular_orthonormal():
     for n, m in [(1, 1), (2, 3), (8, 2), (16, 1)]:
         basis = build_default(n, m)
