@@ -33,8 +33,8 @@ read back the very numbers the weight route reads and check nothing.  The
 cost of the cross check is the price of its independence.  Every N x N
 product runs in real arithmetic all the same: every family here is closed
 under conjugation, and a fixed sparse unitary (the centrohermitian
-reduction) maps it to its real form R, built once per basis; a basis
-built from a Fourier recipe keeps R alone, not the complex family.  The
+reduction) maps it to its real form R, built once per basis, a block of
+rows at a time, so a Fourier basis keeps R alone, never its family.  The
 hypothesis check reads the scalar Gram R R^T / N, the frame route takes
 the SVD of the support columns of R, and the Gram route the ``eigvalsh``
 of its own product (R w/N) R^T, so the routes share only the family.  The

@@ -350,20 +350,20 @@ def check_config(config) -> tuple:
 
 
 def _load_samples(path: str) -> np.ndarray:
-    """Complex samples from a CSV with columns re[,im]; header optional."""
-    rows = []
+    """Complex samples from a CSV with rows re[,im], after a header row if
+    the first row's first field is not a number."""
     with open(path, newline="") as fh:
-        for record in csv.reader(fh):
-            if not record:
-                continue
-            try:
-                re = float(record[0])
-                im = float(record[1]) if len(record) > 1 else 0.0
-            except ValueError:
-                if rows:
-                    raise ValueError(f"{path}: malformed sample row {record!r}")
-                continue  # header row
-            rows.append(complex(re, im))
+        records = [record for record in csv.reader(fh) if record]
+    try:
+        float(records[0][0])
+    except (IndexError, ValueError):
+        records = records[1:]  # no rows, or a header row
+    rows = []
+    for record in records:
+        try:  # a third field makes complex() raise TypeError
+            rows.append(complex(*map(float, record)))
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: malformed sample row {record!r}") from None
     if not rows:
         raise ValueError(f"{path}: no samples found")
     return np.asarray(rows, dtype=complex)

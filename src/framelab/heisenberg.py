@@ -16,8 +16,8 @@ read from the inverse DFT of the weight.
 
 The frame verdict is the analyzer's frame decision on the family alone,
 with its bounds and witness over the positive-weight band, the span of the
-translates.  The family is built from its Fourier recipe, so the basis
-keeps only its real form; it is orthonormal by construction, so no
+translates.  The basis generates the family's rows as its fold reads them,
+so it keeps only its real form; it is orthonormal by construction, so no
 hypothesis check adds a second R x R array, and the witness ratio goes
 through the coefficient functionals, which form none either.
 """
@@ -111,7 +111,7 @@ def psi_norm_sq(eps: float, d: int) -> float:
     over (eps, 1), then checked against (1 - eps^(d+1)) / (d + 1).
 
     Raises:
-        ConsistencyError: if quadrature and closed form differ beyond 1e-9.
+        ConsistencyError: if quadrature and closed form differ beyond ``MASS_TOL``.
     """
     eps, d = _check_params(eps, d)
     # enough nodes to integrate alpha^d exactly, whatever d is
@@ -130,7 +130,8 @@ def psi_norm_sq(eps: float, d: int) -> float:
 def _envelope(eps: float, d: int, w: np.ndarray) -> tuple[float, float]:
     """Extremes of the support weights ``w``, which must lie in [eps^d, 1]."""
     lo, hi = float(w.min()), float(w.max())
-    if lo < eps ** d - 1e-12 or hi > 1.0 + 1e-12:
+    # [eps^d, 1] is the range of the closed form, so it takes that tolerance
+    if lo < eps ** d - CLOSED_FORM_TOL or hi > 1.0 + CLOSED_FORM_TOL:
         raise ConsistencyError(
             f"supported weight range ({lo}, {hi}) escapes [{eps ** d}, 1]"
         )
@@ -234,7 +235,7 @@ def isometry_residual(model: CenterTranslateModel, a) -> float:
     at lag l, the inverse DFT of the weight at l mod R times e^(pi i l / R).
 
     Raises:
-        ConsistencyError: when the gap exceeds 1e-8 relative.
+        ConsistencyError: when the gap exceeds ``ISOMETRY_TOL`` relative.
     """
     c = model._coeffs(a)
     R, n = model.resolution, c.size
@@ -270,7 +271,7 @@ def _band_space(eps: float, d: int, resolution: int) -> WeightedSpace:
 def _band_report(space: WeightedSpace, tol: float) -> FrameReport:
     """``frame_report`` on its weighted space.  The family e^(-2 pi i k alpha),
     k = -R//2 .. R - R//2 - 1, is orthonormal, so its R x R check is skipped;
-    the basis holds its recipe and real form, not the family."""
+    the basis generates its rows as they are read and keeps the real form."""
     R = space.grid_size
     n = np.arange(R)
     # alpha_i = (2i + 1) / 2R

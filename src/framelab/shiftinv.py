@@ -108,8 +108,8 @@ def periodized_weight(gen: Generator) -> np.ndarray:
     """Node weight w(x_i) = sum_n |fhat(x_i + n)|^2 over the sampled band.
 
     Raises:
-        TruncationError: when the declared band tail exceeds 1e-6, since
-            the fold would silently drop that much weight.
+        TruncationError: when the declared band tail exceeds ``TAIL_LIMIT``,
+            since the fold would silently drop that much weight.
     """
     if gen.decay_tail > TAIL_LIMIT:
         raise TruncationError(
@@ -245,7 +245,7 @@ def gabor_riesz_check(
     unit grid: they give the verdict by the analyzer's rule, their extremes
     are the candidate frame bounds, and the Gram spectrum of the full
     time-frequency system must reproduce their whole sorted multiset to
-    1e-6 relative.  The spectrum is kept on the report.
+    ``ZAK_GRAM_TOL`` relative.  The spectrum is kept on the report.
 
     Raises:
         ConsistencyError: if the Zak magnitudes and the Gram spectrum

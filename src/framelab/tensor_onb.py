@@ -10,6 +10,7 @@ through the family.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -20,8 +21,8 @@ from .wspace import _readonly
 __all__ = ["TensorBasis", "build_default", "fourier_family"]
 
 HYPOTHESIS_TOL = 1e-9
-# Rows of the family gathered, dephased, checked and folded at a time, so that
-# building the family and its real form adds no N x N temporary to either.
+# Rows of the family read, dephased, checked and folded at a time, so that
+# neither building a family nor folding it holds another N x N temporary.
 PAIRING_BLOCK = 32
 
 
@@ -29,77 +30,69 @@ PAIRING_BLOCK = 32
 class TensorBasis:
     """Scalar family (rows f_n over the grid) and fiber family (rows g_m).
 
-    ``TensorBasis(scalar_family, fiber_family)`` holds the given array.
-    ``TensorBasis.fourier(freqs, numer, denom, fiber_family)`` holds only the
-    recipe of ``fourier_family(freqs, numer, denom)``: its fold generates the
-    family once and keeps the real form alone, so no complex N x N array
-    outlives it, and ``scalar_family`` generates the family again, bit for
-    bit, each time it is read.
+    The scalar family is read through one row reader, which alone knows the
+    kind of basis and returns the rows F[idx]: a basis built as
+    ``TensorBasis(scalar_family, fiber_family)`` indexes the array it holds,
+    and one built by ``TensorBasis.fourier`` generates the rows
+    ``fourier_family(freqs[idx], numer, denom)``, bit for bit those of the
+    whole family, so it holds no complex N x N array.
 
-    The first use of the scalar family's real form (``_pairs``, needed by
-    ``scalar_gram_residual``, by both spectral routes and by
-    ``operators.lambda_all``) finds its conjugate row pairing, checks it on
-    every entry and builds the read-only real form R = U D F once; the basis
-    keeps it, so every N x N product of a run takes the real form, at a
-    quarter of the flops of a complex one.
+    Two passes read the family ``PAIRING_BLOCK`` rows at a time: ``_scan``
+    (for ``unimodularity_residual``) raises nothing, and ``_pairs`` (for
+    ``scalar_gram_residual``, both spectral routes and ``lambda_all``)
+    checks the conjugate row pairing and builds the read-only real form
+    R = U D F once.  The basis keeps R, so every N x N product of a run
+    takes the real form, at a quarter of the flops of a complex one.
 
     Attributes:
         fiber_family: (M, M) complex array, row m = g_m.
-        recipe: ``(freqs, numer, denom)`` of a Fourier scalar family, or
-            None for a basis that holds its scalar family.
+        grid_size: N, the number of rows and of nodes of the scalar family.
     """
 
     fiber_family: np.ndarray
-    recipe: tuple | None
-    _array: np.ndarray | None = field(repr=False)
+    grid_size: int
+    _rows: Callable = field(repr=False)
 
     def __init__(self, scalar_family, fiber_family):
         s = np.asarray(scalar_family, dtype=complex)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError("scalar_family must be a square 2-d array")
-        self._bind(_readonly(s), None, fiber_family)
+        self._bind(_readonly(s).__getitem__, s.shape[0], fiber_family)
 
     @classmethod
     def fourier(cls, freqs, numer, denom: int, fiber_family) -> TensorBasis:
-        """The basis of ``fourier_family(freqs, numer, denom)``, which holds
-        only the recipe; ``freqs`` and ``numer`` must have one length."""
+        """The basis of ``fourier_family(freqs, numer, denom)``, which generates
+        its rows as they are read; ``freqs`` and ``numer`` must have one length."""
         freqs, numer = (_readonly(np.asarray(a, np.int64)) for a in (freqs, numer))
         if freqs.ndim != 1 or freqs.shape != numer.shape:
             raise ValueError("freqs and numer must be 1-d and of one length")
+        denom = int(denom)
         basis = cls.__new__(cls)
-        basis._bind(None, (freqs, numer, int(denom)), fiber_family)
+        basis._bind(
+            lambda i: fourier_family(freqs[i], numer, denom), freqs.size, fiber_family
+        )
         return basis
 
-    def _bind(self, array, recipe, fiber_family) -> None:
+    def _bind(self, rows, grid_size, fiber_family) -> None:
         g = np.asarray(fiber_family, dtype=complex)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("fiber_family must be a square 2-d array")
         object.__setattr__(self, "fiber_family", _readonly(g))
-        object.__setattr__(self, "recipe", recipe)
-        object.__setattr__(self, "_array", array)
+        object.__setattr__(self, "grid_size", grid_size)
+        object.__setattr__(self, "_rows", rows)
 
     @property
     def scalar_family(self) -> np.ndarray:
         """(N, N) read-only complex array, entry [n, i] = f_n(x_i)."""
-        if self.recipe is None:
-            return self._array
-        return fourier_family(*self.recipe)
-
-    @property
-    def grid_size(self) -> int:
-        """N, read off the recipe or the array, not off ``scalar_family``."""
-        return self._array.shape[0] if self.recipe is None else self.recipe[0].size
+        return self._rows(slice(None))
 
     @property
     def fiber_dim(self) -> int:
         return self.fiber_family.shape[0]
 
     def unimodularity_residual(self) -> float:
-        """max_i,n abs(|f_n(x_i)| - 1); the fold measures it for a recipe
-        basis."""
-        if self.recipe is None:
-            return _modulus_gap(self._array)
-        return self._pairs.unimodularity
+        """max_i,n abs(|f_n(x_i)| - 1), measured by the first pass."""
+        return self._scan[2]
 
     def scalar_gram_residual(self) -> float:
         """Deviation of the scalar Gram from the identity under the
@@ -122,18 +115,27 @@ class TensorBasis:
         return float(np.max(np.abs(gram - np.eye(self.fiber_dim))))
 
     @cached_property
+    def _scan(self) -> tuple:
+        """(phase, key, gap): the diagonal of D, which dephases each row by
+        its first entry, the key z = D F r of ``_conjugate_pairs`` and max
+        abs(|F| - 1), which refuses a non-finite row, so its key warns nothing."""
+        N = self.grid_size
+        r = np.sin(np.arange(1.0, N + 1) ** 2)
+        phase, z, gap = np.empty(N, complex), np.empty(N, complex), []
+        with np.errstate(invalid="ignore", over="ignore"):
+            for start in range(0, N, PAIRING_BLOCK):
+                blk = slice(start, start + PAIRING_BLOCK)
+                h = self._rows(blk)
+                phase[blk] = np.exp(-1j * np.angle(h[:, 0]))
+                z[blk] = h @ r
+                gap.append(np.max(np.abs(np.abs(h) - 1.0)))
+            z *= phase
+        return phase, z, float(np.max(gap))
+
+    @cached_property
     def _pairs(self) -> _ConjugatePairs:
-        """The conjugate row pairing of the scalar family and its real form,
-        found, verified and built once per basis; a recipe basis generates
-        its family for this fold alone."""
-        return _conjugate_pairs(self.scalar_family)
-
-
-def _modulus_gap(a: np.ndarray) -> float:
-    """max abs(|a| - 1) over the entries of ``a`` (NaN if one is NaN)."""
-    r = np.abs(a)
-    r -= 1.0
-    return float(np.max(np.abs(r, out=r)))
+        """The conjugate row pairing and the real form, built once per basis."""
+        return _conjugate_pairs(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +161,6 @@ class _ConjugatePairs:
             the self-paired rows and then the lower rows of the pairs.
         partner: p(n) for every family row n.
         phase: the diagonal of D, one unit modulus per family row.
-        unimodularity: max abs(|F| - 1), measured during the fold.
     """
 
     real: np.ndarray
@@ -167,7 +168,6 @@ class _ConjugatePairs:
     rows: np.ndarray
     partner: np.ndarray
     phase: np.ndarray
-    unimodularity: float
 
     def unfold(self, y: np.ndarray) -> np.ndarray:
         """F x from y = R x, for any complex x with one column per column of
@@ -234,31 +234,30 @@ class _ConjugatePairs:
         return diag, off
 
 
-def _conjugate_pairs(F: np.ndarray) -> _ConjugatePairs:
-    """Find the conjugate row pairing of F, verify it on every entry and
-    fold F to its real form, ``PAIRING_BLOCK`` rows at a time.
+def _conjugate_pairs(basis: TensorBasis) -> _ConjugatePairs:
+    """Find the conjugate row pairing of the scalar family F of ``basis``,
+    verify it on every entry and fold F to its real form, reading
+    ``PAIRING_BLOCK`` rows and their partners at a time, each row once.
 
-    The partner p(n) of each row is matched on one key per row, z = D F r
-    with r_i = sin(i^2), i = 1..N: no rational combination of the r_i
-    vanishes (Lindemann-Weierstrass), so distinct rows of a +-1 family get
-    distinct keys, and so do those of any family in general.  The partner's
-    key is the conjugate, with the same real part, so p(n) is the one of
-    row n and its two neighbours in the order of Re z whose key is nearest
-    to conj(z_n): a real row (every Walsh-Hadamard row, say) pairs with
-    itself.  The match is then checked on every entry: dephased
+    The partner p(n) of each row is matched on the key z = D F r of
+    ``basis._scan``, with r_i = sin(i^2), i = 1..N: no rational combination
+    of the r_i vanishes (Lindemann-Weierstrass), so distinct rows of a +-1
+    family get distinct keys, and so do those of any family in general.
+    The partner's key is the conjugate, with the same real part, so p(n) is
+    the one of row n and its two neighbours in the order of Re z whose key
+    is nearest to conj(z_n): a real row (every Walsh-Hadamard row, say)
+    pairs with itself.  The match is then checked on every entry: dephased
     row p(n) against the conjugate of dephased row n, for each self-paired
     row and the lower row of each pair (the upper row's difference is minus
     the conjugate of it).  For the Fourier families
     f_k(x_i) = exp(2 pi i k x_i) on R nodes spaced 1/R apart with R
-    consecutive frequencies, p is k -> -k mod R.  The same pass measures the
-    unimodularity of every entry, so a recipe basis need not keep F for it.
+    consecutive frequencies, p is k -> -k mod R.
 
     Raises:
         ValueError: if the family is not closed under conjugation.
     """
-    N = F.shape[0]
-    phase = np.exp(-1j * np.angle(F[:, 0]))
-    z = (F @ np.sin(np.arange(1.0, N + 1) ** 2)) * phase
+    N = basis.grid_size
+    phase, z, _ = basis._scan
     order = np.argsort(z.real)
     rank = np.empty(N, dtype=np.intp)
     rank[order] = np.arange(N)
@@ -269,19 +268,19 @@ def _conjugate_pairs(F: np.ndarray) -> _ConjugatePairs:
         raise ValueError("family violates conjugate symmetry (residual inf)")
     fixed, lower = np.flatnonzero(p == n), np.flatnonzero(n < p)
     rows, ns = np.concatenate([fixed, lower]), fixed.size
-    k, res, gap = rows.size, [], []
-    real = np.empty(F.shape)
+    k, res = rows.size, []
+    real = np.empty((N, N))
     for start in range(0, k, PAIRING_BLOCK):
         blk = rows[start : start + PAIRING_BLOCK]
-        # the rows blk and p[blk] cover every row of F
-        h, d = F[blk], F[p[blk]]
-        gap += [_modulus_gap(h), _modulus_gap(d)]
-        h = h * phase[blk, None]
-        d = d * phase[p[blk], None]
+        stop, first = start + blk.size, max(start, ns)  # first paired row
+        h = basis._rows(blk) * phase[blk, None]
+        # a self-paired row is its own partner, so the rows blk and the
+        # partners of the paired ones cover every row of F once
+        q = p[blk[first - start :]]
+        d = np.concatenate([h[: first - start], basis._rows(q) * phase[q, None]])
         d.real -= h.real  # d - conj(h), which is 2i Im(h) on a self-paired row
         d.imag += h.imag
         res.append(np.max(np.abs(d)))
-        stop, first = start + blk.size, max(start, ns)  # first paired row
         real[start:stop] = h.real
         real[first:stop] *= np.sqrt(2.0)
         imag = real[k + first - ns : k + stop - ns]
@@ -290,7 +289,7 @@ def _conjugate_pairs(F: np.ndarray) -> _ConjugatePairs:
     if not res <= HYPOTHESIS_TOL:  # a NaN residual fails too
         raise ValueError(f"family violates conjugate symmetry (residual {res:.3e})")
     real.setflags(write=False)
-    return _ConjugatePairs(real, ns, rows, p, phase, float(np.max(gap)))
+    return _ConjugatePairs(real, ns, rows, p, phase)
 
 
 def fourier_family(freqs, numer, denom: int) -> np.ndarray:

@@ -523,7 +523,9 @@ def test_heisenberg_builds_problem_and_spectrum_once(tmp_path, monkeypatch):
     weight = _count_calls(monkeypatch, heisenberg.hs_weight)
     profile = _count_calls(monkeypatch, heisenberg._lattice_profile)
     assert run_config(cfg, tmp_path / "run") == 0
-    assert len(family) == 1
+    # the band basis reads its 64 rows in blocks, once per pass of its fold
+    rows = [np.size(args[0]) for args in family]
+    assert sum(rows) == 2 * 64 and max(rows) <= tensor_onb.PAIRING_BLOCK
     assert len(spectrum) == 1
     # the 256-point scale grid is weighed once, by one lattice pass
     assert sum(np.size(args[2]) == 256 for args in weight) == 1
@@ -551,9 +553,11 @@ def test_cli_run_builds_each_input_once(tmp_path, monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", ["analyze", "witness", "shiftinv", "heisenberg"])
 def test_cli_run_generates_each_family_once_inside_the_fold(tmp_path, monkeypatch, mode):
-    # Each runner builds its basis from a Fourier recipe: the fold generates
-    # the family once (scalar_family read by _pairs), keeps the real form
-    # alone, and no runner path reads scalar_family after it.
+    # Each runner builds a Fourier basis, whose rows are generated as they
+    # are read: the two passes of its fold read every row once each, a block
+    # at a time (4 rows here, so the small grids take several blocks), keep
+    # the real form alone, and no runner path reads scalar_family.
+    monkeypatch.setattr(tensor_onb, "PAIRING_BLOCK", 4)
     family = _count_calls(monkeypatch, tensor_onb.fourier_family)
     readers = []
     read = TensorBasis.scalar_family.fget
@@ -565,8 +569,10 @@ def test_cli_run_generates_each_family_once_inside_the_fold(tmp_path, monkeypatc
     monkeypatch.setattr(TensorBasis, "scalar_family", property(spy))
     out = str(tmp_path / "run")
     assert cli.main(["--config", _write(tmp_path, _SMALL[mode]), "--out", out]) == 0
-    assert len(family) == 1
-    assert readers == ["_pairs"]
+    rows = [np.size(args[0]) for args in family]
+    n = {"analyze": 8, "witness": 4, "shiftinv": 16, "heisenberg": 16}[mode]
+    assert sum(rows) == 2 * n and max(rows) <= 4
+    assert readers == []
 
 
 def test_heisenberg_takes_the_band_decision_without_hypothesis_check(
@@ -917,6 +923,28 @@ def test_bad_value_diagnostic_names_key(tmp_path, base, path, bad):
     assert not (tmp_path / "run").exists()
 
 
+_CROSS_RULES = [
+    ({"mode": "analyze", "space": {"grid_size": 8, "weight": {"inline": [1.0, 1.0, 1.0]}}},
+     "space.weight.inline: has length 3, expected 8"),
+    ({"mode": "shiftinv", "generator": {
+        "preset": "custom", "grid_size": 4, "samples_path": "gen.csv"}},
+     "generator.radius: required for custom samples"),
+    ({"mode": "shiftinv", "generator": {"preset": "wide-indicator", "grid_size": 16, "radius": 1}},
+     "generator.radius: wide-indicator needs radius >= 2"),
+    ({"mode": "zak", "window": {"preset": "gaussian"}, "time_resolution": 64, "translates": 33},
+     "time_resolution * translates must not exceed 2048"),
+]
+
+
+@pytest.mark.parametrize("config,diag", _CROSS_RULES, ids=[d for _, d in _CROSS_RULES])
+def test_cross_rule_diagnostics(tmp_path, capsys, config, diag):
+    # each rule that ties keys together is the one diagnostic of its config
+    assert _diags(config) == [diag]
+    if config["mode"] == "zak":
+        assert cli.main(["--validate-only", "--config", _write(tmp_path, config)]) == 1
+        assert f"config error: {diag}" in capsys.readouterr().err
+
+
 def test_run_config_refuses_wrong_length_custom_window(tmp_path):
     cfg = {
         "mode": "zak",
@@ -1041,6 +1069,28 @@ def test_run_config_refuses_nonfinite_custom_samples(tmp_path, mode):
     with pytest.raises(ValueError, match=re.escape(f"{where}: sample 16 is not finite")):
         run_config(cfg, tmp_path / "run")
     assert not (tmp_path / "run" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text,row",
+    [
+        # a first row whose second field does not parse is no header
+        ("1.0,\n" + "1,0\n" * 16, ['1.0', '']),
+        ("re,im\n" + "1,0\n" * 15 + "1,2,3\n", ['1', '2', '3']),
+        ("re,im\n" + "1,0\n" * 8 + "x,0\n" + "1,0\n" * 8, ['x', '0']),
+    ],
+    ids=["first_row", "three_fields", "later_row"],
+)
+@pytest.mark.parametrize("mode", sorted(_NONFINITE))
+def test_malformed_sample_row_refused(tmp_path, mode, text, row):
+    # The config needs 16 samples.  Skipping the bad row, or reading 1,2,3
+    # as 1+2j, would leave exactly 16, so only the row rule refuses a file.
+    where, make = _NONFINITE[mode]
+    path = tmp_path / "samples.csv"
+    path.write_text(text)
+    assert _diags(make(str(path))) == [f"{where}: {path}: malformed sample row {row!r}"]
+    path.write_text("re,im\n" + "1,0\n" * 16)
+    assert _diags(make(str(path))) == []
 
 
 @pytest.mark.parametrize(
