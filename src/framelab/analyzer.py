@@ -25,8 +25,8 @@ and the defect ratio all take it, so each ratio is a coefficient
 computation of its own, never read off the weights, and none forms an
 N x N array beside R.
 
-The spectral route stays dense on purpose: an SVD of the analysis factors
-and an ``eigvalsh`` of the synthesis-Gram factors, O(N^3) in the grid size.
+The spectral route stays dense on purpose: an SVD of the scalar analysis
+factor and an ``eigvalsh`` of the scalar Gram, O(N^3) in the grid size.
 For the discrete Fourier family the weighted scalar Gram is circulant, and
 its FFT eigenvalues are the weights themselves, so an FFT Gram route would
 read back the very numbers the weight route reads and check nothing.  The
@@ -85,24 +85,26 @@ class FrameReport:
     Attributes:
         verdict: strongest property established for the family.
         weight_bounds: (min, max) of the node weights in play.
-        oracle_bounds: extreme frame-operator eigenvalues, when computed.
         gram_bounds: extreme synthesis-Gram eigenvalues, when computed.
         residuals: named nonnegative diagnostics from the cross checks.
         witness: field exhibiting a failure, when the verdict is negative.
         spectrum: ascending frame-operator spectrum on the support (the
-            squared singular values of the analysis matrix) when the
-            analysis route ran, or the ascending Gabor Gram spectrum of a
-            Zak check, so callers can reuse it instead of computing it
-            again; ``oracle_bounds`` are its first and last entries.
+            squared singular values of the analysis matrix) when the analysis
+            route ran, or the ascending Gabor Gram spectrum of a Zak check,
+            so callers can reuse it instead of computing it again.
     """
 
     verdict: Verdict
     weight_bounds: tuple
-    oracle_bounds: tuple | None
     gram_bounds: tuple | None
     residuals: dict
     witness: Field | None
     spectrum: np.ndarray | None = None
+
+    @property
+    def oracle_bounds(self) -> tuple | None:
+        """The first and last entries of ``spectrum``, None without one."""
+        return None if self.spectrum is None else _extremes(self.spectrum)
 
 
 def weight_bounds(space: WeightedSpace) -> tuple:
@@ -114,12 +116,11 @@ def _validate_family(fam: OperatorFamily) -> None:
     """The deciders assume a unimodular orthonormal tensor family.  The
     checks run in order and the first failure is raised: unimodularity,
     then conjugate symmetry (the real form the scalar check reads needs
-    it), then scalar and fiber orthonormality."""
+    it), then scalar orthonormality; the fiber basis is the standard one."""
     b = fam.basis
     checks = (
         ("unimodularity", b.unimodularity_residual),
         ("scalar orthonormality", b.scalar_gram_residual),
-        ("fiber orthonormality", b.fiber_gram_residual),
     )
     for name, residual in checks:
         res = residual()
@@ -131,56 +132,45 @@ def synthesis_gram(fam: OperatorFamily) -> np.ndarray:
     """Gram matrix of the synthesis images G_{m,n} in the weighted space.
 
     The dense NM x NM reference, built from the fields themselves.  It
-    equals kron(G G^H, (F w/N) F^H); the deciders work from those two
-    factors (``_gram_factors``) and never call this.
+    equals kron(I_M, (F w/N) F^H); the deciders work from the scalar block
+    (``_gram_fold``) and never call this.
     """
     V = _field_matrix(fam.basis)
     wq = np.repeat(fam.space.weights, fam.space.fiber_dim) / fam.space.grid_size
     return (V * wq) @ V.conj().T
 
 
-def _gram_factors(fam: OperatorFamily) -> tuple:
-    """Kronecker factors of the synthesis Gram: the fiber Gram G G^H
-    (M x M) and the real fold (R w/N) R^T (N x N) of the weighted scalar
-    Gram (F w/N) F^H, with R the basis's real form.
+def _gram_fold(fam: OperatorFamily) -> np.ndarray:
+    """The real fold (R w/N) R^T (N x N) of the weighted scalar Gram
+    gs = (F w/N) F^H, with R the basis's real form.
 
     Entry ((m, n), (m', n')) of the synthesis Gram is
-    <g_m, g_m'> * (1/N) sum_i f_n(x_i) conj(f_n'(x_i)) w_i, the product of
-    the two factor entries, so the Gram is their Kronecker product.  The
-    scalar factor is its own real product of the family entries, not the
-    square of the frame route's matrix, so the two routes share only the
-    family.
+    delta_{m m'} * (1/N) sum_i f_n(x_i) conj(f_n'(x_i)) w_i, so the Gram is
+    kron(I_M, gs).  The fold is its own real product of the family entries,
+    not the square of the frame route's matrix, so the two routes share
+    only the family.
     """
-    G, R = fam.basis.fiber_family, fam.basis._pairs.real
+    R = fam.basis._pairs.real
     weighted = R * (fam.space.weights / fam.space.grid_size)
-    return G @ G.conj().T, weighted @ R.T
+    return weighted @ R.T
 
 
-def _gram_spectrum(factors: tuple) -> np.ndarray:
-    """Ascending synthesis-Gram spectrum: the pairwise products of the
-    eigenvalues of the two factors (tiny negative ones from zero-weight
-    nodes included).
+def _gram_spectrum(fold: np.ndarray, fiber_dim: int) -> np.ndarray:
+    """Ascending synthesis-Gram spectrum: the eigenvalues of the fold (tiny
+    negative ones from zero-weight nodes included), each ``fiber_dim`` times.
 
-    The scalar factor is the real symmetric fold U D gs D^H U^H of the
-    weighted scalar Gram gs, with D the row dephasing and U the sparse
-    unitary of the basis's conjugate row pairing, so it has the spectrum of
-    gs and ``eigvalsh`` runs in real arithmetic on the family entries.  The
-    fold is not an FFT: for the discrete Fourier family an FFT would
+    The fold is the real symmetric U D gs D^H U^H of the weighted scalar
+    Gram gs, with D the row dephasing and U the sparse unitary of the
+    basis's conjugate row pairing, so it has the spectrum of gs and
+    ``eigvalsh`` runs in real arithmetic on the family entries.  The fold
+    is not an FFT: for the discrete Fourier family an FFT would
     diagonalize gs and read back the weights, and check nothing.
     """
-    gf, gs = factors
-    return np.sort(np.outer(np.linalg.eigvalsh(gf), np.linalg.eigvalsh(gs)).ravel())
+    return np.repeat(np.linalg.eigvalsh(fold), fiber_dim)
 
 
 def _extremes(spec: np.ndarray) -> tuple:
     return (float(spec[0]), float(spec[-1]))
-
-
-def _offmax(a: np.ndarray) -> float:
-    """Largest modulus off the diagonal; 0 for a 1 x 1 matrix."""
-    r = np.abs(a)
-    np.fill_diagonal(r, 0.0)
-    return float(np.max(r))
 
 
 def witness_ratio(fam: OperatorFamily, field: Field) -> float:
@@ -196,9 +186,9 @@ def witness_ratio(fam: OperatorFamily, field: Field) -> float:
 
 
 def _indicator_field(fam: OperatorFamily, nodes) -> Field:
-    """The first fiber vector g_0 on ``nodes`` (a mask or an index), else 0."""
+    """The first fiber vector e_0 on ``nodes`` (a mask or an index), else 0."""
     vals = np.zeros((fam.space.grid_size, fam.space.fiber_dim), dtype=complex)
-    vals[nodes] = fam.basis.fiber_family[0]
+    vals[nodes, 0] = 1.0
     return Field(vals)
 
 
@@ -206,7 +196,7 @@ def witness_lower_failure(fam: OperatorFamily, a_claimed: float):
     """Indicator field on the nodes where the weight undercuts a claimed
     lower bound.
 
-    On E = {i : w_i < a_claimed} the field 1_E g_0 has coefficient energy
+    On E = {i : w_i < a_claimed} the field 1_E e_0 has coefficient energy
     (1/N) sum_E w_i^2 against squared norm (1/N) sum_E w_i, so its energy
     ratio is at most max(w on E) and in particular below the claim.
 
@@ -241,23 +231,13 @@ def _lower_witness(fam: OperatorFamily, claim: float, band: bool) -> Field | Non
     return _indicator_field(fam, mask) if mask.any() else None
 
 
-def _factor_residuals(fam: OperatorFamily, factors: tuple) -> dict:
-    """ONB defects of the synthesis Gram kron(gf, gs) from its factors: the
-    largest off-diagonal modulus (onb_cross) and the largest deviation of a
-    diagonal entry from 1 (onb_norm).  The moduli and the diagonal of the
-    complex scalar factor gs are read off its real fold."""
-    # Off the diagonal of kron(gf, gs) either m != m' (any n, n') or
-    # m = m' and n != n'; the diagonal is diag(gf) (x) diag(gs).
-    gf, real = factors
-    dgs, off = fam.basis._pairs.moduli(real)
-    dgf = np.diag(gf)
-    return {
-        "onb_cross": max(
-            _offmax(gf) * max(float(np.max(np.abs(dgs))), off),
-            float(np.max(np.abs(dgf))) * off,
-        ),
-        "onb_norm": float(np.max(np.abs(np.outer(dgf, dgs).real - 1.0))),
-    }
+def _onb_residuals(fam: OperatorFamily, fold: np.ndarray) -> dict:
+    """ONB defects of the synthesis Gram kron(I_M, gs): the largest
+    off-diagonal modulus (onb_cross) and the largest deviation of a
+    diagonal entry from 1 (onb_norm), those of gs, whose moduli and
+    diagonal are read off its real fold."""
+    diag, off = fam.basis._pairs.moduli(fold)
+    return {"onb_cross": off, "onb_norm": float(np.max(np.abs(diag - 1.0)))}
 
 
 def _parseval_checks(fam: OperatorFamily, verdict: Verdict, rng) -> tuple:
@@ -286,16 +266,16 @@ def _parseval_checks(fam: OperatorFamily, verdict: Verdict, rng) -> tuple:
 
 
 def _onb_half(fam: OperatorFamily, tol: float, rng) -> FrameReport:
-    """``decide_onb`` for a family that holds its hypotheses: the
-    synthesis-Gram factors, their spectrum and ONB defects, then the
-    Parseval probes and the defect field."""
-    factors = _gram_factors(fam)
-    gb = _extremes(_gram_spectrum(factors))
-    residuals = _factor_residuals(fam, factors)
+    """``decide_onb`` for a family that holds its hypotheses: the fold of
+    the synthesis Gram, its spectrum and ONB defects, then the Parseval
+    probes and the defect field."""
+    fold = _gram_fold(fam)
+    gb = _extremes(_gram_spectrum(fold, fam.space.fiber_dim))
+    residuals = _onb_residuals(fam, fold)
     verdict = _verdict(fam.space.weights, tol)
     defect, probes = _parseval_checks(fam, verdict, rng)
     bounds = weight_bounds(fam.space)
-    return FrameReport(verdict, bounds, None, gb, {**residuals, **probes}, defect)
+    return FrameReport(verdict, bounds, gb, {**residuals, **probes}, defect)
 
 
 def decide_frame(
@@ -332,8 +312,7 @@ def _decide_frame(fam: OperatorFamily, tol: float, claim, band: bool) -> FrameRe
     if witness is not None:
         residuals["witness_ratio"] = witness_ratio(fam, witness)
     verdict = Verdict.FRAME if lo > tol else Verdict.NOT_FRAME
-    bounds = _extremes(spec)
-    return FrameReport(verdict, (lo, hi), bounds, None, residuals, witness, spec)
+    return FrameReport(verdict, (lo, hi), None, residuals, witness, spec)
 
 
 def decide_onb(fam: OperatorFamily, tol: float = VERDICT_TOL, rng=None) -> FrameReport:

@@ -449,7 +449,7 @@ def _run_witness(cfg: dict, space: WeightedSpace) -> tuple:
 def _run_shiftinv(cfg: dict, inputs: tuple) -> tuple:
     gen, space = inputs
     n = np.arange(gen.grid_size)
-    basis = TensorBasis.fourier(-n, n, gen.grid_size, np.eye(1, dtype=complex))
+    basis = TensorBasis.fourier(-n, n, gen.grid_size, 1)
     fam = OperatorFamily(space, basis)
     rep = classify(fam, tol=cfg["tolerances"]["verdict"], rng=_Normals(cfg["seed"]))
     residuals = dict(rep.residuals)

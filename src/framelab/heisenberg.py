@@ -56,9 +56,16 @@ K_MAX = 4
 SPECTRAL_RESOLUTION = 256
 
 
+def _integer(name: str, x) -> int:
+    """``x`` as an int; a non-integral value is refused, not truncated."""
+    if not float(x).is_integer():  # NaN and inf are refused too
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 def _check_params(eps: float, d: int) -> tuple[float, int]:
     eps = float(eps)
-    d = int(d)
+    d = _integer("d", d)
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
     if d < 0:
@@ -157,7 +164,7 @@ def weight_envelope_check(eps: float, d: int, grid) -> tuple[float, float]:
 
 def midpoint_grid(resolution: int) -> np.ndarray:
     """Midpoint scale grid (i + 1/2) / resolution on (0, 1)."""
-    R = int(resolution)
+    R = _integer("resolution", resolution)
     if R < 2:
         raise ValueError("resolution must be >= 2")
     return (np.arange(R) + 0.5) / R
@@ -189,15 +196,15 @@ class CenterTranslateModel:
             raise ValueError("eps must be positive for the band model")
         if d < 1:
             raise ValueError("d must be >= 1 for the band model")
-        if int(self.k_max) < 0:
+        k_max = _integer("k_max", self.k_max)
+        if k_max < 0:
             raise ValueError("k_max must be nonnegative")
-        a = midpoint_grid(self.resolution)
-        space = WeightedSpace(a.size, 1, hs_weight(eps, d, a))
+        space = _band_space(eps, d, self.resolution)
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "resolution", int(self.resolution))
-        object.__setattr__(self, "k_max", int(self.k_max))
-        object.__setattr__(self, "alpha", _readonly(a))
+        object.__setattr__(self, "resolution", space.grid_size)
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "alpha", _readonly(midpoint_grid(space.grid_size)))
         object.__setattr__(self, "weights", space.weights)
         object.__setattr__(self, "support", space.support)
 
@@ -275,7 +282,7 @@ def _band_report(space: WeightedSpace, tol: float) -> FrameReport:
     R = space.grid_size
     n = np.arange(R)
     # alpha_i = (2i + 1) / 2R
-    basis = TensorBasis.fourier(R // 2 - n, 2 * n + 1, 2 * R, np.eye(1, dtype=complex))
+    basis = TensorBasis.fourier(R // 2 - n, 2 * n + 1, 2 * R, 1)
     fam = OperatorFamily(space, basis)
     rep = _decide_frame(fam, tol, None, band=True)
     rep.residuals["support_fraction"] = float(space.support.mean())

@@ -6,9 +6,9 @@ coefficient functional.  Stacking all the functionals, applied to a
 weighted orthonormal coordinate system, yields the analysis matrix whose
 singular values squared are the frame-operator spectrum.  With a complete
 orthonormal scalar family that spectrum is the weight multiset, each value
-repeated once per fiber dimension.  The matrix is a Kronecker product of a
-fiber factor and a scalar factor, and the spectrum is computed from the
-factors; the dense matrix itself is built only by the tests, as an oracle.
+repeated once per fiber dimension.  The fiber only repeats each scalar
+value M times, so the spectrum is computed from the scalar factor alone;
+the dense matrix itself is built only by the tests, as an oracle.
 ``lambda_all`` and ``frame_spectrum`` read the basis's real form R alone;
 of this module only the reference check ``parseval_residual`` reads the
 complex family.
@@ -47,19 +47,17 @@ class OperatorFamily:
         n = self.basis.grid_size  # the scalar family is square
         if n != N:
             raise ValueError(f"scalar family shape {(n, n)} does not match grid size {N}")
-        if self.basis.fiber_family.shape != (M, M):
-            raise ValueError(
-                f"fiber family shape {self.basis.fiber_family.shape} "
-                f"does not match fiber dimension {M}"
-            )
+        m = self.basis.fiber_dim
+        if m != M:
+            raise ValueError(f"basis fiber dimension {m} does not match space's {M}")
 
 
 def lambda_all(fam: OperatorFamily, field: Field) -> np.ndarray:
     """All coefficient functionals at once, as an (M, N) array: entry [m, n]
-    is (1/N) sum_i conj(f_n(x_i)) w_i <f(x_i), g_m>.
+    is (1/N) sum_i conj(f_n(x_i)) w_i f(x_i)[m].
 
-    With V = f G^H the fiber coefficients at the nodes, this is
-    conj(F W) with W = conj((w/N) V), and F W is read off one real product
+    With V the N x M field values, this is conj(F W) with
+    W = conj((w/N) V), and F W is read off one real product
     R W with the basis's real form R = U D F, taken on the float64 view of
     W, then unfolded row pair by row pair and dephased in O(N M)
     (``_ConjugatePairs.unfold``).  No N x N array beside R is read or made.
@@ -72,9 +70,10 @@ def lambda_all(fam: OperatorFamily, field: Field) -> np.ndarray:
     space = fam.space
     _conform(space, field)
     pairs = fam.basis._pairs
-    V = field.values @ fam.basis.fiber_family.conj().T
-    V *= (space.weights / space.grid_size)[:, None]
-    W = np.conj(V, out=V)
+    # C order, since the real product reads the float64 view of W
+    scale = (space.weights / space.grid_size)[:, None]
+    W = np.multiply(field.values, scale, order="C")
+    np.conj(W, out=W)
     y = (pairs.real @ W.view(float)).view(complex)
     return np.conj(pairs.unfold(y)).T
 
@@ -85,16 +84,15 @@ def frame_spectrum(fam: OperatorFamily) -> np.ndarray:
     weight: M |S| values, the weight multiset of the support repeated once
     per fiber dimension for a complete orthonormal family.
 
-    The analysis matrix is conj(G) (x) q up to a column permutation, with q
+    The analysis matrix is I_M (x) q up to a column permutation, with q
     the N x |S| scalar factor of entries conj(f_n(x_i)) w_i / N scaled by
-    sqrt(N / w_i), so its singular values are the pairwise products of
-    those of the M x M fiber basis and of F[:, S] sqrt(w_S / N): two small
-    SVDs instead of one of the NM x |S|M matrix.  The scalar SVD runs in
-    real arithmetic, on the support columns of the basis's real form R,
-    which has the singular values of the family on every column set.  R
-    is a fixed sparse unitary (the conjugate row pairing, after each row is
-    dephased) applied to the family: it diagonalizes nothing, so the SVD
-    still checks the weights independently.
+    sqrt(N / w_i), so its singular values are those of F[:, S] sqrt(w_S / N),
+    each repeated M times: one N x |S| SVD instead of one of the NM x |S|M
+    matrix.  The SVD runs in real arithmetic, on the support columns of the
+    basis's real form R, which has the singular values of the family on
+    every column set.  R is a fixed sparse unitary (the conjugate row
+    pairing, after each row is dephased) applied to the family: it
+    diagonalizes nothing, so the SVD still checks the weights independently.
 
     Raises:
         ValueError: if the scalar family is not closed under conjugation.
@@ -102,25 +100,21 @@ def frame_spectrum(fam: OperatorFamily) -> np.ndarray:
     idx = np.flatnonzero(fam.space.support)
     real = fam.basis._pairs.real[:, idx]
     real *= np.sqrt(fam.space.weights[idx] / fam.space.grid_size)
-    s = np.outer(
-        np.linalg.svd(fam.basis.fiber_family, compute_uv=False),
-        np.linalg.svd(real, compute_uv=False),
-    )
-    return np.sort(s.ravel()) ** 2
+    s = np.linalg.svd(real, compute_uv=False)
+    return np.sort(np.tile(s, fam.basis.fiber_dim)) ** 2
 
 
 def parseval_residual(fam: OperatorFamily, field: Field) -> float:
     """Worst relative defect, over n, of the energy sum_m ||c_{m,n}||^2 of the
-    pointwise coefficients c_{m,n}(x_i) = conj(f_n(x_i)) <f(x_i), g_m>
+    pointwise coefficients c_{m,n}(x_i) = conj(f_n(x_i)) f(x_i)[m]
     against ||f||^2."""
     space = fam.space
     ns = norm(space, field) ** 2
     if ns == 0.0:
         return 0.0
-    V = field.values @ fam.basis.fiber_family.conj().T
     F, worst = fam.basis.scalar_family, 0.0
     for n in range(space.grid_size):
-        lt = F[n].conj()[:, None] * V
+        lt = F[n].conj()[:, None] * field.values
         s = float(
             ((np.abs(lt) ** 2).sum(axis=1) * space.weights).sum() / space.grid_size
         )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analyzer import VERDICT_TOL, FrameReport, _extremes, _verdict
+from .analyzer import VERDICT_TOL, FrameReport, _verdict
 from .errors import ConsistencyError, TruncationError
 from .wspace import _readonly
 
@@ -275,5 +275,5 @@ def _gabor_riesz_check(zak: ZakGrid, phi, tol: float) -> FrameReport:
             f"in ({eig[0]:.6e}, {eig[-1]:.6e}): max relative gap {res:.3e}"
         )
     return FrameReport(
-        _verdict(zsq, tol), (az, bz), _extremes(eig), None, {"zak_vs_gram": res}, None, eig
+        _verdict(zsq, tol), (az, bz), None, {"zak_vs_gram": res}, None, eig
     )

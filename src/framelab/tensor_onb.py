@@ -1,11 +1,11 @@
-"""Tensor families built from a scalar function family and a fiber basis.
+"""Tensor families built from a scalar function family and the fiber C^M.
 
-A scalar family {f_n} on the grid and a vector family {g_m} in the fiber
-combine into the fields G_{m,n}(x_i) = f_n(x_i) g_m.  With the discrete
-Fourier family and the standard fiber basis this is a unimodular
-orthonormal system of the unweighted space, and it is the family the
-analyzer works with: the node weight enters through the quadrature, not
-through the family.
+A scalar family {f_n} on the grid and the standard basis {e_m} of C^M
+combine into the fields G_{m,n}(x_i) = f_n(x_i) e_m.  With the discrete
+Fourier family this is a unimodular orthonormal system of the unweighted
+space, and it is the family the analyzer works with: the node weight
+enters through the quadrature, not through the family.  No verdict
+depends on the fiber basis, so the fiber only repeats each value M times.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ PAIRING_BLOCK = 32
 
 @dataclass(frozen=True, eq=False, init=False)
 class TensorBasis:
-    """Scalar family (rows f_n over the grid) and fiber family (rows g_m).
+    """Scalar family (rows f_n over the grid) tensored with the fiber C^M.
 
     The scalar family is read through one row reader, which alone knows the
     kind of basis and returns the rows F[idx]: a basis built as
-    ``TensorBasis(scalar_family, fiber_family)`` indexes the array it holds,
+    ``TensorBasis(scalar_family, fiber_dim)`` indexes the array it holds,
     and one built by ``TensorBasis.fourier`` generates the rows
     ``fourier_family(freqs[idx], numer, denom)``, bit for bit those of the
     whole family, so it holds no complex N x N array.
@@ -45,22 +45,22 @@ class TensorBasis:
     takes the real form, at a quarter of the flops of a complex one.
 
     Attributes:
-        fiber_family: (M, M) complex array, row m = g_m.
+        fiber_dim: M, the dimension of the fiber C^M.
         grid_size: N, the number of rows and of nodes of the scalar family.
     """
 
-    fiber_family: np.ndarray
+    fiber_dim: int
     grid_size: int
     _rows: Callable = field(repr=False)
 
-    def __init__(self, scalar_family, fiber_family):
+    def __init__(self, scalar_family, fiber_dim: int):
         s = np.asarray(scalar_family, dtype=complex)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError("scalar_family must be a square 2-d array")
-        self._bind(_readonly(s).__getitem__, s.shape[0], fiber_family)
+        self._bind(_readonly(s).__getitem__, s.shape[0], fiber_dim)
 
     @classmethod
-    def fourier(cls, freqs, numer, denom: int, fiber_family) -> TensorBasis:
+    def fourier(cls, freqs, numer, denom: int, fiber_dim: int) -> TensorBasis:
         """The basis of ``fourier_family(freqs, numer, denom)``, which generates
         its rows as they are read; ``freqs`` and ``numer`` must have one length."""
         freqs, numer = (_readonly(np.asarray(a, np.int64)) for a in (freqs, numer))
@@ -69,15 +69,14 @@ class TensorBasis:
         denom = int(denom)
         basis = cls.__new__(cls)
         basis._bind(
-            lambda i: fourier_family(freqs[i], numer, denom), freqs.size, fiber_family
+            lambda i: fourier_family(freqs[i], numer, denom), freqs.size, fiber_dim
         )
         return basis
 
-    def _bind(self, rows, grid_size, fiber_family) -> None:
-        g = np.asarray(fiber_family, dtype=complex)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError("fiber_family must be a square 2-d array")
-        object.__setattr__(self, "fiber_family", _readonly(g))
+    def _bind(self, rows, grid_size, fiber_dim) -> None:
+        if int(fiber_dim) < 1:
+            raise ValueError("fiber_dim must be >= 1")
+        object.__setattr__(self, "fiber_dim", int(fiber_dim))
         object.__setattr__(self, "grid_size", grid_size)
         object.__setattr__(self, "_rows", rows)
 
@@ -85,10 +84,6 @@ class TensorBasis:
     def scalar_family(self) -> np.ndarray:
         """(N, N) read-only complex array, entry [n, i] = f_n(x_i)."""
         return self._rows(slice(None))
-
-    @property
-    def fiber_dim(self) -> int:
-        return self.fiber_family.shape[0]
 
     def unimodularity_residual(self) -> float:
         """max_i,n abs(|f_n(x_i)| - 1), measured by the first pass."""
@@ -108,11 +103,6 @@ class TensorBasis:
         gram /= self.grid_size
         diag, off = pairs.moduli(gram)
         return max(float(np.max(np.abs(diag - 1.0))), off)
-
-    def fiber_gram_residual(self) -> float:
-        G = self.fiber_family
-        gram = G @ G.conj().T
-        return float(np.max(np.abs(gram - np.eye(self.fiber_dim))))
 
     @cached_property
     def _scan(self) -> tuple:
@@ -323,17 +313,16 @@ def fourier_family(freqs, numer, denom: int) -> np.ndarray:
 
 
 def build_default(grid_size: int, fiber_dim: int) -> TensorBasis:
-    """Discrete Fourier scalar family with the standard fiber basis.
+    """Discrete Fourier scalar family over the fiber C^M.
 
-    f_n(x_i) = exp(2 pi i n i / N) on the grid x_i = i/N, and g_m is the
-    standard basis of C^M.
+    f_n(x_i) = exp(2 pi i n i / N) on the grid x_i = i/N.
     """
     n = np.arange(grid_size)
-    return TensorBasis.fourier(n, n, grid_size, np.eye(fiber_dim, dtype=complex))
+    return TensorBasis.fourier(n, n, grid_size, fiber_dim)
 
 
 def _field_matrix(basis: TensorBasis) -> np.ndarray:
     """All G_{m,n} flattened: row (m, n) m-major, column (i, j) i-major."""
     N, M = basis.grid_size, basis.fiber_dim
-    stack = np.einsum("mj,ni->mnij", basis.fiber_family, basis.scalar_family)
+    stack = np.einsum("mj,ni->mnij", np.eye(M), basis.scalar_family)
     return stack.reshape(M * N, N * M)

@@ -20,7 +20,7 @@ def tensor_field(basis, m: int, n: int) -> Field:
     N, M = basis.grid_size, basis.fiber_dim
     if not (0 <= m < M and 0 <= n < N):
         raise IndexError(f"(m, n) = ({m}, {n}) out of range for ({M}, {N})")
-    return Field(np.outer(basis.scalar_family[n], basis.fiber_family[m]))
+    return Field(np.outer(basis.scalar_family[n], np.eye(M)[m]))
 
 
 def lambda_tilde(fam, m: int, n: int, field: Field) -> np.ndarray:
@@ -32,7 +32,7 @@ def lambda_tilde(fam, m: int, n: int, field: Field) -> np.ndarray:
     if not (0 <= m < M and 0 <= n < N):
         raise IndexError(f"(m, n) = ({m}, {n}) out of range for ({M}, {N})")
     _conform(fam.space, field)
-    fiber_part = field.values @ fam.basis.fiber_family[m].conj()
+    fiber_part = field.values @ np.eye(M)[m].conj()
     return fam.basis.scalar_family[n].conj() * fiber_part
 
 
@@ -41,7 +41,7 @@ def complex_lambda_all(fam, field: Field) -> np.ndarray:
     conj(F conj((w/N) V)) with V = f G^H, the route before the real form."""
     space = fam.space
     _conform(space, field)
-    V = field.values @ fam.basis.fiber_family.conj().T
+    V = field.values @ np.eye(fam.basis.fiber_dim).conj().T
     V *= (space.weights / space.grid_size)[:, None]
     return np.conj(fam.basis.scalar_family @ V.conj()).T
 
@@ -69,7 +69,7 @@ def analysis_matrix(fam) -> np.ndarray:
     of the two Kronecker factors that ``frame_spectrum`` takes its SVDs of.
     It is the dense NM x NM reference for that factored route.
     """
-    fiber, q = fam.basis.fiber_family.conj(), analysis_factor(fam)
+    fiber, q = np.eye(fam.basis.fiber_dim).conj(), analysis_factor(fam)
     M, (N, S) = fiber.shape[0], q.shape
     return np.einsum("mj,ni->mnij", fiber, q).reshape(M * N, S * M)
 
@@ -207,7 +207,7 @@ def complex_frame_spectrum(fam) -> np.ndarray:
     """The frame spectrum from complex SVDs of the two analysis factors, the
     route before the real conjugate-pair fold."""
     s = np.outer(
-        np.linalg.svd(fam.basis.fiber_family.conj(), compute_uv=False),
+        np.linalg.svd(np.eye(fam.basis.fiber_dim).conj(), compute_uv=False),
         np.linalg.svd(analysis_factor(fam), compute_uv=False),
     )
     return np.sort(s.ravel()) ** 2
@@ -216,6 +216,6 @@ def complex_frame_spectrum(fam) -> np.ndarray:
 def complex_gram_spectrum(fam) -> np.ndarray:
     """The synthesis-Gram spectrum from complex ``eigvalsh`` of its two
     factors, the route before the real conjugate-pair fold."""
-    gf = fam.basis.fiber_family @ fam.basis.fiber_family.conj().T
+    gf = np.eye(fam.basis.fiber_dim) @ np.eye(fam.basis.fiber_dim).conj().T
     gs = weighted_scalar_gram(fam.basis.scalar_family, fam.space.weights)
     return np.sort(np.outer(np.linalg.eigvalsh(gf), np.linalg.eigvalsh(gs)).ravel())

@@ -22,7 +22,7 @@ from framelab import (
     witness_lower_failure,
     witness_ratio,
 )
-from framelab.analyzer import _extremes, _gram_factors, _gram_spectrum
+from framelab.analyzer import _extremes, _gram_fold, _gram_spectrum
 
 
 def _family(weights, m=1):
@@ -77,7 +77,7 @@ def test_decide_frame_rejects_invalid_family():
     sp = WeightedSpace(6, 1, w)
     scalar = build_default(6, 1).scalar_family.copy()
     scalar[1] *= 2.0  # not unimodular
-    fam = OperatorFamily(sp, TensorBasis(scalar, np.eye(1)))
+    fam = OperatorFamily(sp, TensorBasis(scalar, 1))
     with pytest.raises(ValueError, match="unimodularity"):
         decide_frame(fam)
 
@@ -87,7 +87,7 @@ def test_nan_family_refused_by_both_deciders():
     sp = WeightedSpace(n, 1, np.linspace(0.5, 2.0, n))
     scalar = build_default(n, 1).scalar_family.copy()
     scalar[3, 5] = np.nan
-    fam = OperatorFamily(sp, TensorBasis(scalar, np.eye(1)))
+    fam = OperatorFamily(sp, TensorBasis(scalar, 1))
     for decide in (decide_frame, classify):
         with pytest.raises(ValueError, match=r"unimodularity \(residual nan\)"):
             decide(fam)
@@ -100,7 +100,7 @@ def test_infinite_family_refused_on_unimodularity_without_warning():
     sp = WeightedSpace(n, 1, np.linspace(0.5, 2.0, n))
     scalar = build_default(n, 1).scalar_family.copy()
     scalar[3, 5] = complex(np.inf, np.inf)
-    fam = OperatorFamily(sp, TensorBasis(scalar, np.eye(1)))
+    fam = OperatorFamily(sp, TensorBasis(scalar, 1))
     for decide in (decide_frame, classify):
         with pytest.raises(ValueError, match=r"unimodularity \(residual inf\)"):
             decide(fam)
@@ -222,7 +222,7 @@ def test_decide_scalar_frame():
     n = 8
     w = np.full(n, 0.7)
     sp = WeightedSpace(n, 1, w)
-    basis = TensorBasis(build_default(n, 1).scalar_family, np.eye(1))
+    basis = TensorBasis(build_default(n, 1).scalar_family, 1)
     rep = decide_frame(OperatorFamily(sp, basis))
     assert rep.verdict is Verdict.FRAME
     assert rep.oracle_bounds[0] == pytest.approx(0.7, abs=1e-10)
@@ -284,8 +284,8 @@ def test_classify_equals_the_three_deciders_merged(w, m, tol, seed):
     rep = classify(fam, tol=tol, rng=np.random.default_rng(seed))
     fr = decide_frame(fam, tol=tol)
     ob = decide_onb(fam, tol=tol, rng=np.random.default_rng(seed))
-    # the Gram route: its spectrum from the factors against the weight range
-    gb = _extremes(_gram_spectrum(_gram_factors(fam)))
+    # the Gram route: its spectrum from the fold against the weight range
+    gb = _extremes(_gram_spectrum(_gram_fold(fam), fam.space.fiber_dim))
     lo, hi = fr.weight_bounds
     gram = {"gram_vs_weight": max(abs(gb[0] - lo), abs(gb[1] - hi)) / max(1.0, hi)}
     basis = Verdict.RIESZ_BASIS if fr.verdict is Verdict.FRAME else Verdict.NOT_FRAME

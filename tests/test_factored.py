@@ -25,33 +25,30 @@ from framelab import (
 )
 import oracles
 from framelab import witness_ratio
-from framelab.analyzer import _extremes, _gram_factors, _gram_spectrum
+from framelab.analyzer import _extremes, _gram_fold, _gram_spectrum
 from framelab.tensor_onb import fourier_family
 from oracles import analysis_matrix
 
 
 def _oracle_cases():
-    """(family, standard fiber?) over seeded random weights, with and without
-    dead nodes, with the standard and a random unitary fiber basis."""
+    """Families over seeded random weights, with and without dead nodes,
+    with the Fourier basis and a basis holding its family as an array."""
     rng = np.random.default_rng(61)
     for n, m in [(5, 2), (37, 3), (64, 2), (16, 1)]:
         w = rng.uniform(0.1, 3.0, n)
         dead = w.copy()
         dead[::3] = 0.0
-        q, _ = np.linalg.qr(
-            rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        )
         scalar = build_default(n, m).scalar_family
         for weights in (w, dead):
             sp = WeightedSpace(n, m, weights)
-            for fiber, standard in ((np.eye(m, dtype=complex), True), (q, False)):
-                yield OperatorFamily(sp, TensorBasis(scalar, fiber)), standard
+            for basis in (build_default(n, m), TensorBasis(scalar, m)):
+                yield OperatorFamily(sp, basis)
 
 
 def test_factored_frame_spectrum_matches_dense_svd():
     # The real fold of q is a different route from the dense complex SVD,
-    # so even at M = 1 with the standard fiber the two agree to rounding.
-    for fam, _ in _oracle_cases():
+    # so even at M = 1 the two agree to rounding.
+    for fam in _oracle_cases():
         spec = frame_spectrum(fam)
         T = analysis_matrix(fam)
         dense = np.sort(np.linalg.svd(T, compute_uv=False)) ** 2
@@ -62,19 +59,19 @@ def test_factored_frame_spectrum_matches_dense_svd():
 def test_factored_gram_route_matches_dense_gram():
     # The spectrum comes from the real fold of gs and meets the dense
     # eigensolve to rounding.  onb_cross and onb_norm are the moduli and the
-    # diagonal of the complex factors, read off the real fold; at M = 1 with
-    # the standard fiber they are those of the one-expression real Gram.
-    for fam, standard in _oracle_cases():
+    # diagonal of the complex scalar Gram, read off the real fold; at M = 1
+    # they are those of the one-expression real Gram.
+    for fam in _oracle_cases():
         gram = synthesis_gram(fam)
         dense_eig = np.linalg.eigvalsh(gram)
         dense_cross = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
         dense_norm = float(np.max(np.abs(np.diag(gram).real - 1.0)))
-        spec = _gram_spectrum(_gram_factors(fam))
+        spec = _gram_spectrum(_gram_fold(fam), fam.space.fiber_dim)
         rep = decide_onb(fam)
         cross, unit = rep.residuals["onb_cross"], rep.residuals["onb_norm"]
         scale = float(np.max(np.abs(gram)))
         assert np.max(np.abs(spec - dense_eig)) <= 1e-12 * scale
-        if fam.space.fiber_dim == 1 and standard:
+        if fam.space.fiber_dim == 1:
             n = fam.space.grid_size
             F = fam.basis.scalar_family
             R = oracles.real_form(F, oracles.conjugate_partner(np.arange(n), n))
@@ -148,7 +145,7 @@ def test_working_set_routes_match_dense_forms_bit_for_bit():
         dead = w.copy()
         dead[1::3] = 0.0
         for F, args, partner, _ in _family_kinds(n):
-            basis = TensorBasis(F, np.eye(1))
+            basis = TensorBasis(F, 1)
             assert basis.unimodularity_residual() == float(
                 np.max(np.abs(np.abs(F) - 1.0))
             )
@@ -156,7 +153,7 @@ def test_working_set_routes_match_dense_forms_bit_for_bit():
             assert _same_bits(basis._pairs.real, R)
             # a recipe basis folds the same family in the same pass that
             # measures its unimodularity
-            recipe = TensorBasis.fourier(*args, np.eye(1))
+            recipe = TensorBasis.fourier(*args, 1)
             assert _same_bits(recipe._pairs.real, R)
             assert recipe.unimodularity_residual() == basis.unimodularity_residual()
             diag, off = basis._pairs.moduli(R @ R.T / n)
@@ -166,24 +163,22 @@ def test_working_set_routes_match_dense_forms_bit_for_bit():
             for weights in (w, dead):
                 sp = WeightedSpace(n, 1, weights)
                 fam = OperatorFamily(sp, basis)
-                assert _same_bits(_gram_factors(fam)[1], oracles.real_gram(R, weights))
+                assert _same_bits(_gram_fold(fam), oracles.real_gram(R, weights))
 
 
 def _fold_cases():
     """The family of each scalar family a runner builds, at ``BIT_SIZES``,
-    with and without dead nodes, at M = 1 and at M = 3 with a random
-    unitary fiber basis."""
+    with and without dead nodes, at M = 1 and at M = 3."""
     rng = np.random.default_rng(73)
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     for n in BIT_SIZES:
         for F, *_ in _family_kinds(n):
             w = rng.uniform(0.1, 3.0, n)
             dead = w.copy()
             dead[1::3] = 0.0
-            for fiber in (np.eye(1, dtype=complex), q):
+            for m in (1, 3):
                 for weights in (w, dead):
-                    sp = WeightedSpace(n, fiber.shape[0], weights)
-                    yield OperatorFamily(sp, TensorBasis(F, fiber))
+                    sp = WeightedSpace(n, m, weights)
+                    yield OperatorFamily(sp, TensorBasis(F, m))
 
 
 def test_moduli_match_complex_scalar_gram():
@@ -197,7 +192,7 @@ def test_moduli_match_complex_scalar_gram():
         for w in (fam.space.weights, np.ones(n)):
             sp = WeightedSpace(n, 1, w)
             gs = oracles.weighted_scalar_gram(F, w)
-            real = _gram_factors(OperatorFamily(sp, fam.basis))[1]
+            real = _gram_fold(OperatorFamily(sp, fam.basis))
             diag, off = fam.basis._pairs.moduli(real)
             scale = float(w.max())
             gap = np.max(np.abs(np.sort(diag) - np.sort(np.diag(gs).real)))
@@ -213,7 +208,7 @@ def test_folded_spectra_match_complex_oracles_and_weights():
         n, m = fam.space.grid_size, fam.space.fiber_dim
         w = fam.space.weights
         spec = frame_spectrum(fam)
-        gram = _gram_spectrum(_gram_factors(fam))
+        gram = _gram_spectrum(_gram_fold(fam), m)
         if n * m <= 512:
             T = analysis_matrix(fam)
             oracle = np.sort(np.linalg.svd(T, compute_uv=False)) ** 2
@@ -236,7 +231,7 @@ def test_family_not_closed_under_conjugation_is_refused():
     rng = np.random.default_rng(79)
     F = build_default(n, 1).scalar_family * np.exp(2j * np.pi * rng.random(n))
     sp = WeightedSpace(n, 2, np.linspace(0.5, 2.0, n))
-    fam = OperatorFamily(sp, TensorBasis(F, np.eye(2, dtype=complex)))
+    fam = OperatorFamily(sp, TensorBasis(F, 2))
     assert fam.basis.unimodularity_residual() <= 1e-12
     assert np.max(np.abs(oracles.scalar_gram_defect(F))) <= 1e-12
     f = random_field(sp, np.random.default_rng(80))
@@ -260,12 +255,12 @@ def test_walsh_hadamard_family_is_classified(n):
     # not circulant, so the DFT diagonalizes neither route.
     H = oracles.walsh_family(n)
     w = np.linspace(0.5, 2.0, n)
-    fam = OperatorFamily(WeightedSpace(n, 1, w), TensorBasis(H, np.eye(1)))
+    fam = OperatorFamily(WeightedSpace(n, 1, w), TensorBasis(H, 1))
     assert fam.basis._pairs.n_self == n
     assert classify(fam, rng=np.random.default_rng(0)).verdict is Verdict.RIESZ_BASIS
     tol = 1e-12 * w.max()
     assert np.max(np.abs(frame_spectrum(fam) - np.sort(w))) <= tol
-    assert np.max(np.abs(_gram_spectrum(_gram_factors(fam)) - np.sort(w))) <= tol
+    assert np.max(np.abs(_gram_spectrum(_gram_fold(fam), 1) - np.sort(w))) <= tol
 
 
 def test_onb_ratios_match_witness_ratio():
@@ -318,8 +313,8 @@ def test_weight_scaling_scales_spectra(case, c):
     spec, spec_c = frame_spectrum(fam), frame_spectrum(fam_c)
     assert spec_c.shape == spec.shape == (m * np.count_nonzero(w),)
     assert np.max(np.abs(spec_c - c * spec)) <= 1e-12 * c * spec.max()
-    lo, hi = _extremes(_gram_spectrum(_gram_factors(fam)))
-    lo_c, hi_c = _extremes(_gram_spectrum(_gram_factors(fam_c)))
+    lo, hi = _extremes(_gram_spectrum(_gram_fold(fam), m))
+    lo_c, hi_c = _extremes(_gram_spectrum(_gram_fold(fam_c), m))
     assert abs(lo_c - c * lo) <= 1e-12 * c * hi
     assert abs(hi_c - c * hi) <= 1e-12 * c * hi
     # the cross checks are relative to the weight scale, so they pass in any unit
@@ -355,3 +350,45 @@ def test_node_permutation_keeps_spectrum_and_verdict(case, rnd):
         else Verdict.RIESZ_BASIS if w.min() > 1e-9 else Verdict.NOT_FRAME
     )
     assert rep.verdict is expect
+
+
+def _repeat_cases():
+    """(scalar family, weights with zeros) of each runner family and, at a
+    power of 2, the Walsh-Hadamard family, at N = 7, 64 and 100."""
+    rng = np.random.default_rng(83)
+    for n in (7, 64, 100):
+        families = [F for F, *_ in _family_kinds(n)]
+        if n & (n - 1) == 0:
+            families.append(oracles.walsh_family(n))
+        for F in families:
+            w = rng.uniform(0.1, 3.0, n)
+            w[1::3] = 0.0
+            yield F, w
+
+
+@pytest.mark.parametrize("m", [2, 3, 16])
+def test_fiber_dimension_only_repeats_the_scalar_values(m):
+    # The fiber C^M in its standard basis repeats each scalar value M times
+    # and adds no rounding: every spectrum and ONB defect at fiber dimension
+    # M is, bit for bit, the M = 1 value repeated.  The coefficients of each
+    # field component are the M = 1 ones to rounding only: lambda_all takes
+    # one real product with all 2M float columns, whose rounding depends on
+    # the column count; with OpenBLAS 0.3.31 (Haswell kernels) the last bit
+    # differs from a 2-column product at M >= 3 and N >= 64.
+    rng = np.random.default_rng(m)
+    for F, w in _repeat_cases():
+        n = w.size
+        one = OperatorFamily(WeightedSpace(n, 1, w), TensorBasis(F, 1))
+        fam = OperatorFamily(WeightedSpace(n, m, w), TensorBasis(F, m))
+        assert _same_bits(frame_spectrum(fam), np.repeat(frame_spectrum(one), m))
+        gram = _gram_spectrum(_gram_fold(fam), m)
+        assert _same_bits(gram, np.repeat(_gram_spectrum(_gram_fold(one), 1), m))
+        rep, rep_one = decide_onb(fam), decide_onb(one)
+        for key in ("onb_cross", "onb_norm"):
+            assert _same_bits(rep.residuals[key], rep_one.residuals[key])
+        assert rep.gram_bounds == rep_one.gram_bounds
+        f = random_field(fam.space, rng)
+        coeffs = lambda_all(fam, f)
+        for j in range(m):
+            ref = lambda_all(one, Field(f.values[:, j : j + 1]))[0]
+            assert np.max(np.abs(coeffs[j] - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -104,6 +104,40 @@ def test_model_construction_and_support():
         hb.CenterTranslateModel(0.5, 0)
 
 
+@pytest.mark.parametrize(
+    "call, args, name",
+    [
+        (hb.hs_weight, (0.5, 2.5, 0.7), "d"),
+        (hb.psi_norm_sq, (0.5, 2.5), "d"),
+        (hb.weight_envelope_check, (0.5, 1.5, hb.midpoint_grid(8)), "d"),
+        (hb.midpoint_grid, (4.7,), "resolution"),
+        (hb.midpoint_grid, (float("nan"),), "resolution"),
+        (hb.CenterTranslateModel, (0.5, 1.9, 64.9, 2.5), "d"),
+        (hb.CenterTranslateModel, (0.5, 2, 64.9), "resolution"),
+        (hb.CenterTranslateModel, (0.5, 2, 64, 2.5), "k_max"),
+        (hb.frame_report, (0.5, 2.5), "d"),
+        (hb.frame_report, (0.5, 2, 64.5), "resolution"),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else None,
+)
+def test_non_integer_parameters_are_refused_not_truncated(call, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(*args)
+
+
+def test_integral_floats_and_numpy_integers_pass():
+    assert hb.hs_weight(0.5, 2.0, 0.7) == hb.hs_weight(0.5, np.int64(2), 0.7) == 0.7 ** 2
+    assert hb.psi_norm_sq(0.5, 2.0) == hb.psi_norm_sq(0.5, 2)
+    assert np.array_equal(hb.midpoint_grid(4.0), hb.midpoint_grid(np.int64(4)))
+    model = hb.CenterTranslateModel(0.5, 2.0, resolution=64.0, k_max=np.int64(2))
+    assert (model.d, model.resolution, model.k_max) == (2, 64, 2)
+    assert all(type(v) is int for v in (model.d, model.resolution, model.k_max))
+    same = hb.CenterTranslateModel(0.5, 2, resolution=64, k_max=2)
+    assert np.array_equal(model.weights, same.weights)
+    rep = hb.frame_report(0.5, 2.0, resolution=64.0)
+    assert np.array_equal(rep.spectrum, hb.frame_report(0.5, 2, resolution=64).spectrum)
+
+
 def test_s_map_support_and_shape():
     model = hb.CenterTranslateModel(0.5, 1, resolution=256, k_max=1)
     sf = hb.s_map(model, np.array([0.0, 1.0, 0.0], dtype=complex))
@@ -168,7 +202,7 @@ def test_frame_report_is_the_frame_decision_on_the_band(eps, d):
     sp = WeightedSpace(r, 1, w)
     k = np.arange(r)
     scal = fourier_family(r // 2 - k, 2 * k + 1, 2 * r)
-    fam = OperatorFamily(sp, TensorBasis(scal, np.eye(1)))
+    fam = OperatorFamily(sp, TensorBasis(scal, 1))
     whole = decide_frame(fam, tol)
     band = w > 0
     lo, hi = w[band].min(), w[band].max()

@@ -99,7 +99,7 @@ def test_translate_frame_verdict_through_weight():
     sp = WeightedSpace(16, 1, w)
     ks = np.arange(16)
     scal = np.exp(-2j * np.pi * np.outer(ks, sp.grid))
-    rep = decide_frame(OperatorFamily(sp, TensorBasis(scal, np.eye(1))))
+    rep = decide_frame(OperatorFamily(sp, TensorBasis(scal, 1)))
     assert rep.verdict is Verdict.FRAME
     assert rep.weight_bounds[0] > 0.5
 

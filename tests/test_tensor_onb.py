@@ -20,20 +20,20 @@ from oracles import tensor_field
 
 def test_basis_validation():
     with pytest.raises(ValueError):
-        TensorBasis(np.ones((3, 4)), np.eye(2))
+        TensorBasis(np.ones((3, 4)), 2)
+    with pytest.raises(ValueError, match="fiber_dim must be >= 1"):
+        TensorBasis(np.ones((3, 3)), 0)
     with pytest.raises(ValueError):
-        TensorBasis(np.ones((3, 3)), np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        TensorBasis(np.ones(3), np.eye(2))
+        TensorBasis(np.ones(3), 2)
 
 
 def test_basis_adopts_readonly_family_and_copies_writable_one():
     fam = fourier_family(np.arange(16), np.arange(16), 16)
     assert not fam.flags.writeable
-    assert np.shares_memory(TensorBasis(fam, np.eye(1)).scalar_family, fam)
+    assert np.shares_memory(TensorBasis(fam, 1).scalar_family, fam)
     assert not build_default(8, 1).scalar_family.flags.writeable
     mine = np.array(fam)
-    basis = TensorBasis(mine, np.eye(1))
+    basis = TensorBasis(mine, 1)
     assert not np.shares_memory(basis.scalar_family, mine)
     mine[0, 0] = 0.0
     assert basis.scalar_family[0, 0] == fam[0, 0]
@@ -68,7 +68,7 @@ def test_recipe_basis_keeps_only_the_real_form():
     n = 512
     k = np.arange(n)
     for args in ((k, k, n), (-k, k, n), (n // 2 - k, 2 * k + 1, 2 * n)):
-        basis = TensorBasis.fourier(*args, np.eye(2))
+        basis = TensorBasis.fourier(*args, 2)
         assert basis.grid_size == n
         tracemalloc.start()
         try:
@@ -82,7 +82,7 @@ def test_recipe_basis_keeps_only_the_real_form():
         assert not fam.flags.writeable
         assert not np.shares_memory(fam, basis.scalar_family)
     with pytest.raises(ValueError, match="one length"):
-        TensorBasis.fourier(k, k[:-1], n, np.eye(1))
+        TensorBasis.fourier(k, k[:-1], n, 1)
 
 
 def test_default_family_is_unimodular_orthonormal():
@@ -90,7 +90,6 @@ def test_default_family_is_unimodular_orthonormal():
         basis = build_default(n, m)
         assert basis.unimodularity_residual() < 1e-12
         assert basis.scalar_gram_residual() < 1e-12
-        assert basis.fiber_gram_residual() == 0.0
 
 
 def test_tensor_field_values():
