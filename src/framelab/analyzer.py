@@ -40,7 +40,11 @@ the SVD of the support columns of R, and the Gram route the ``eigvalsh``
 of its own product (R w/N) R^T, so the routes share only the family.  The
 fold regroups entries and diagonalizes nothing, so the routes stay dense
 and independent, and the moduli and the diagonal of the complex Gram that
-the residuals report are read back off the real one.
+the residuals report are read back off the real one.  Both real Grams are
+formed a block of rows at a time: the hypothesis check never holds
+R R^T / N whole, and the Gram route writes its one N x N output from
+blocks of R scaled in one reused buffer, so no run holds an N x N array
+beside R and that output.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from enum import Enum
 import numpy as np
 
 from .operators import OperatorFamily, frame_spectrum, lambda_all
-from .tensor_onb import HYPOTHESIS_TOL, _field_matrix
+from .tensor_onb import HYPOTHESIS_TOL, PAIRING_BLOCK, _field_matrix
 from .wspace import Field, WeightedSpace, _Normals, norm, random_field
 
 __all__ = [
@@ -148,11 +152,19 @@ def _gram_fold(fam: OperatorFamily) -> np.ndarray:
     delta_{m m'} * (1/N) sum_i f_n(x_i) conj(f_n'(x_i)) w_i, so the Gram is
     kron(I_M, gs).  The fold is its own real product of the family entries,
     not the square of the frame route's matrix, so the two routes share
-    only the family.
+    only the family.  It is written into its one N x N output a block of
+    ``PAIRING_BLOCK`` rows at a time, each block of R scaled by w/N in one
+    reused buffer, so no scaled copy of R is formed.
     """
     R = fam.basis._pairs.real
-    weighted = R * (fam.space.weights / fam.space.grid_size)
-    return weighted @ R.T
+    N = R.shape[0]
+    q = fam.space.weights / fam.space.grid_size
+    fold, buf = np.empty((N, N)), np.empty((min(PAIRING_BLOCK, N), N))
+    for start in range(0, N, PAIRING_BLOCK):
+        blk = slice(start, start + PAIRING_BLOCK)
+        scaled = np.multiply(R[blk], q, out=buf[: fold[blk].shape[0]])
+        np.matmul(scaled, R.T, out=fold[blk])
+    return fold
 
 
 def _gram_spectrum(fold: np.ndarray, fiber_dim: int) -> np.ndarray:
@@ -235,7 +247,7 @@ def _onb_residuals(fam: OperatorFamily, fold: np.ndarray) -> dict:
     """ONB defects of the synthesis Gram kron(I_M, gs): the largest
     off-diagonal modulus (onb_cross) and the largest deviation of a
     diagonal entry from 1 (onb_norm), those of gs, whose moduli and
-    diagonal are read off its real fold."""
+    diagonal are read off its real fold, a block of row views at a time."""
     diag, off = fam.basis._pairs.moduli(fold)
     return {"onb_cross": off, "onb_norm": float(np.max(np.abs(diag - 1.0)))}
 

@@ -32,7 +32,7 @@ from .analyzer import VERDICT_TOL, FrameReport, _decide_frame
 from .errors import ConsistencyError
 from .operators import OperatorFamily
 from .tensor_onb import TensorBasis
-from .wspace import WeightedSpace, _readonly
+from .wspace import WeightedSpace, _integer, _readonly
 
 __all__ = [
     "hs_weight",
@@ -54,13 +54,6 @@ QUAD_NODES = 64
 RESOLUTION = 4096
 K_MAX = 4
 SPECTRAL_RESOLUTION = 256
-
-
-def _integer(name: str, x) -> int:
-    """``x`` as an int; a non-integral value is refused, not truncated."""
-    if not float(x).is_integer():  # NaN and inf are refused too
-        raise ValueError(f"{name} must be an integer, got {x!r}")
-    return int(x)
 
 
 def _check_params(eps: float, d: int) -> tuple[float, int]:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .wspace import _readonly
+from .wspace import _integer, _readonly
 
 __all__ = ["TensorBasis", "build_default", "fourier_family"]
 
@@ -66,7 +66,7 @@ class TensorBasis:
         freqs, numer = (_readonly(np.asarray(a, np.int64)) for a in (freqs, numer))
         if freqs.ndim != 1 or freqs.shape != numer.shape:
             raise ValueError("freqs and numer must be 1-d and of one length")
-        denom = int(denom)
+        denom = _integer("denom", denom)
         basis = cls.__new__(cls)
         basis._bind(
             lambda i: fourier_family(freqs[i], numer, denom), freqs.size, fiber_dim
@@ -74,10 +74,11 @@ class TensorBasis:
         return basis
 
     def _bind(self, rows, grid_size, fiber_dim) -> None:
-        if int(fiber_dim) < 1:
+        fiber_dim = _integer("fiber_dim", fiber_dim)
+        if fiber_dim < 1:
             raise ValueError("fiber_dim must be >= 1")
-        object.__setattr__(self, "fiber_dim", int(fiber_dim))
-        object.__setattr__(self, "grid_size", grid_size)
+        object.__setattr__(self, "fiber_dim", fiber_dim)
+        object.__setattr__(self, "grid_size", _integer("grid_size", grid_size))
         object.__setattr__(self, "_rows", rows)
 
     @property
@@ -93,15 +94,21 @@ class TensorBasis:
         """Deviation of the scalar Gram from the identity under the
         unweighted quadrature (1/N) sum_i f_n conj(f_n'): the largest modulus
         of an entry of (F/N) F^H - I, read off the real Gram R R^T / N of
-        the real form R.
+        the real form R, which is formed a block of rows R[idx] R^T / N at
+        a time as ``moduli`` reads it, and never whole.
 
         Raises:
             ValueError: if the family is not closed under conjugation.
         """
         pairs = self._pairs
-        gram = pairs.real @ pairs.real.T
-        gram /= self.grid_size
-        diag, off = pairs.moduli(gram)
+        R = pairs.real
+
+        def rows(idx: slice) -> np.ndarray:
+            g = R[idx] @ R.T
+            g /= self.grid_size
+            return g
+
+        diag, off = pairs.moduli(rows)
         return max(float(np.max(np.abs(diag - 1.0))), off)
 
     @cached_property
@@ -177,9 +184,12 @@ class _ConjugatePairs:
         out *= self.phase.conj()[:, None]
         return out
 
-    def moduli(self, g: np.ndarray) -> tuple:
+    def moduli(self, g) -> tuple:
         """(diagonal, largest off-diagonal modulus) of the complex Gram
-        H = D F w F^H D^H whose real fold U H U^H is the symmetric ``g``.
+        H = D F w F^H D^H whose real fold U H U^H is the symmetric ``g``:
+        the fold itself, or a reader ``rows(idx)`` that returns g[idx, :]
+        for a slice of rows idx, so that a Gram formed by rows is never
+        formed whole.
 
         Dephasing changes no modulus and no diagonal entry, so these are the
         diagonal and the off-diagonal moduli of F w F^H itself.  H = U^H g U
@@ -191,37 +201,63 @@ class _ConjugatePairs:
         the rows p are their conjugates.  The diagonal follows the rows of
         the real form: the self-paired rows, then each pair twice, as
         H[n, n] = H[p, p].
+
+        Each row of ``g`` is read once, ``PAIRING_BLOCK`` rows at a time:
+        the self-paired rows, which give every H[s, s'], then each block of
+        lower rows a together with their imaginary-part rows b, which give
+        every entry in a row n of a pair.  Each entry is read from the rows
+        it is written with above, never from its transpose, so it keeps its
+        bits when ``g`` is symmetric only to rounding.
         """
+        rows = g if callable(g) else g.__getitem__
         ns = self.n_self
-        k = (g.shape[0] + ns) // 2  # the first imaginary-part row
-        s, a, b = slice(0, ns), slice(ns, k), slice(k, None)
-        gaa, gbb, gab, gba = g[a, a], g[b, b], g[a, b], g[b, a]
-        pair_diag = (np.diag(gaa) + np.diag(gbb)) / 2
-        diag = np.concatenate([np.diag(g)[s], pair_diag, pair_diag])
-        # With max|g| < 2^e, each x, y below is under 2^(e+1) in modulus:
-        # scaled by 2^-(e+1), which rounds nothing, no square overflows.
-        scale = np.ldexp(1.0, -1 - int(np.frexp(max(g.max(), -g.min()))[1]))
-
-        def largest(x: np.ndarray, y: np.ndarray, skip_diagonal=False) -> float:
-            """max |x + i y| over two arrays, which it overwrites."""
-            x *= scale
-            x *= x
-            y *= scale
-            y *= y
-            x += y
-            if skip_diagonal:
-                np.fill_diagonal(x, 0.0)
-            return float(np.sqrt(np.max(x, initial=0.0))) / scale
-
-        selfs = np.abs(g[s, s])
-        np.fill_diagonal(selfs, 0.0)
-        off = max(
-            float(np.max(selfs, initial=0.0)),
-            largest(np.array(g[a, s]), np.array(g[b, s])) * np.sqrt(0.5),
-            largest(gaa + gbb, gba - gab, skip_diagonal=True) / 2,
-            largest(gaa - gbb, gba + gab) / 2,
-        )
+        N = self.real.shape[0]
+        k = (N + ns) // 2  # the first imaginary-part row
+        diag, off = np.empty(N), 0.0
+        for start in range(0, ns, PAIRING_BLOCK):
+            h = rows(slice(start, min(start + PAIRING_BLOCK, ns)))[:, :ns]
+            i = np.arange(h.shape[0])
+            diag[start + i] = h[i, start + i]
+            selfs = np.abs(h)
+            selfs[i, start + i] = 0.0
+            off = max(off, float(np.max(selfs, initial=0.0)))
+        for start in range(ns, k, PAIRING_BLOCK):
+            stop = min(start + PAIRING_BLOCK, k)
+            ga, gb = rows(slice(start, stop)), rows(slice(start + k - ns, stop + k - ns))
+            gaa, gbb, gab, gba = ga[:, ns:k], gb[:, k:], ga[:, k:], gb[:, ns:k]
+            i = np.arange(stop - start)
+            j = i + (start - ns)  # the pair of row i among the pairs
+            pair_diag = (gaa[i, j] + gbb[i, j]) / 2
+            diag[start:stop] = diag[start + k - ns : stop + k - ns] = pair_diag
+            # With max|g| < 2^e over the rows read, each x, y below is under
+            # 2^(e+1) in modulus: scaled by 2^-(e+1), which rounds nothing,
+            # no square overflows.  A power of two scales every normal square
+            # exactly, so the moduli do not depend on which rows were read
+            # unless a square falls below the normal range.
+            top = max(ga.max(), -ga.min(), gb.max(), -gb.min())
+            scale = np.ldexp(1.0, -1 - int(np.frexp(top)[1]))
+            off = max(
+                off,
+                _largest(np.array(ga[:, :ns]), np.array(gb[:, :ns]), scale)
+                * np.sqrt(0.5),
+                _largest(gaa + gbb, gba - gab, scale, (i, j)) / 2,
+                _largest(gaa - gbb, gba + gab, scale) / 2,
+            )
         return diag, off
+
+
+def _largest(x: np.ndarray, y: np.ndarray, scale: float, skip=None) -> float:
+    """max |x + i y| over two arrays, which it overwrites, but at the entries
+    ``skip`` (an index pair), computed as sqrt((scale x)^2 + (scale y)^2) /
+    scale for a power of two ``scale``."""
+    x *= scale
+    x *= x
+    y *= scale
+    y *= y
+    x += y
+    if skip is not None:
+        x[skip] = 0.0
+    return float(np.sqrt(np.max(x, initial=0.0))) / scale
 
 
 def _conjugate_pairs(basis: TensorBasis) -> _ConjugatePairs:

@@ -40,6 +40,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _integer(name: str, x) -> int:
+    """``x`` as an int; a non-integral value is refused, not truncated."""
+    if not float(x).is_integer():  # NaN and inf are refused too
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedSpace:
     """Uniform grid, fiber dimension and node weights.
@@ -64,15 +71,15 @@ class WeightedSpace:
     support: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if int(self.grid_size) < 1:
+        n = _integer("grid_size", self.grid_size)
+        if n < 1:
             raise ValueError("grid_size must be >= 1")
-        if int(self.fiber_dim) < 1:
+        m = _integer("fiber_dim", self.fiber_dim)
+        if m < 1:
             raise ValueError("fiber_dim must be >= 1")
         w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.grid_size,):
-            raise ValueError(
-                f"weights must have shape ({self.grid_size},), got {w.shape}"
-            )
+        if w.shape != (n,):
+            raise ValueError(f"weights must have shape ({n},), got {w.shape}")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
         if np.any(w < 0):
@@ -81,11 +88,13 @@ class WeightedSpace:
         if not support.any():
             raise ValueError("at least one weight must be positive")
         low, tiny = float(w[support].min()), np.finfo(float).tiny
-        if low / self.grid_size < tiny:
+        if low / n < tiny:
             raise ValueError(
                 f"positive weight {low:.3e} is below grid_size * tiny = "
-                f"{self.grid_size * tiny:.3e}, so its quadrature weight is subnormal"
+                f"{n * tiny:.3e}, so its quadrature weight is subnormal"
             )
+        object.__setattr__(self, "grid_size", n)
+        object.__setattr__(self, "fiber_dim", m)
         object.__setattr__(self, "weights", _readonly(w))
         object.__setattr__(self, "support", _readonly(support))
 

@@ -12,6 +12,7 @@ import io
 import numpy as np
 
 from framelab import Field
+from framelab.tensor_onb import PAIRING_BLOCK
 from framelab.wspace import _conform
 
 
@@ -201,6 +202,70 @@ def real_form(F: np.ndarray, partner: np.ndarray) -> np.ndarray:
 def real_gram(R: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(R w/N) R^T, the weighted scalar Gram of a real form."""
     return (R * (w / R.shape[0])) @ R.T
+
+
+def moduli(pairs, g: np.ndarray) -> tuple:
+    """``_ConjugatePairs.moduli`` on the whole fold ``g`` at once, with one
+    power-of-two scale taken from the largest entry of ``g``."""
+    ns = pairs.n_self
+    k = (g.shape[0] + ns) // 2  # the first imaginary-part row
+    s, a, b = slice(0, ns), slice(ns, k), slice(k, None)
+    gaa, gbb, gab, gba = g[a, a], g[b, b], g[a, b], g[b, a]
+    pair_diag = (np.diag(gaa) + np.diag(gbb)) / 2
+    diag = np.concatenate([np.diag(g)[s], pair_diag, pair_diag])
+    scale = np.ldexp(1.0, -1 - int(np.frexp(max(g.max(), -g.min()))[1]))
+
+    def largest(x: np.ndarray, y: np.ndarray, skip_diagonal=False) -> float:
+        x *= scale
+        x *= x
+        y *= scale
+        y *= y
+        x += y
+        if skip_diagonal:
+            np.fill_diagonal(x, 0.0)
+        return float(np.sqrt(np.max(x, initial=0.0))) / scale
+
+    selfs = np.abs(g[s, s])
+    np.fill_diagonal(selfs, 0.0)
+    off = max(
+        float(np.max(selfs, initial=0.0)),
+        largest(np.array(g[a, s]), np.array(g[b, s])) * np.sqrt(0.5),
+        largest(gaa + gbb, gba - gab, skip_diagonal=True) / 2,
+        largest(gaa - gbb, gba + gab) / 2,
+    )
+    return diag, off
+
+
+def moduli_row_blocks(n_self: int, size: int) -> list:
+    """The row slices ``_ConjugatePairs.moduli`` reads, in its order: the
+    self-paired rows ``PAIRING_BLOCK`` at a time, then each block of lower
+    pair rows followed by the block of their imaginary-part rows."""
+    k = (size + n_self) // 2
+    blocks = [
+        slice(start, min(start + PAIRING_BLOCK, n_self))
+        for start in range(0, n_self, PAIRING_BLOCK)
+    ]
+    for start in range(n_self, k, PAIRING_BLOCK):
+        stop = min(start + PAIRING_BLOCK, k)
+        blocks += [slice(start, stop), slice(start + k - n_self, stop + k - n_self)]
+    return blocks
+
+
+def gram_by_row_blocks(R: np.ndarray, w, blocks=None) -> np.ndarray:
+    """(R w/N) R^T, or R R^T / N when ``w`` is None, formed one slice of
+    rows of ``blocks`` at a time, as R[idx] w/N times R^T (R[idx] R^T, then
+    divided by N); by default ``PAIRING_BLOCK`` rows at a time from the
+    first."""
+    N = R.shape[0]
+    if blocks is None:
+        blocks = [slice(i, i + PAIRING_BLOCK) for i in range(0, N, PAIRING_BLOCK)]
+    g = np.empty((N, N))
+    for idx in blocks:
+        if w is None:
+            g[idx] = R[idx] @ R.T / N
+        else:
+            g[idx] = (R[idx] * (w / N)) @ R.T
+    return g
 
 
 def complex_frame_spectrum(fam) -> np.ndarray:

@@ -60,7 +60,7 @@ def test_factored_gram_route_matches_dense_gram():
     # The spectrum comes from the real fold of gs and meets the dense
     # eigensolve to rounding.  onb_cross and onb_norm are the moduli and the
     # diagonal of the complex scalar Gram, read off the real fold; at M = 1
-    # they are those of the one-expression real Gram.
+    # they are those of the real Gram formed by the same row blocks.
     for fam in _oracle_cases():
         gram = synthesis_gram(fam)
         dense_eig = np.linalg.eigvalsh(gram)
@@ -75,7 +75,8 @@ def test_factored_gram_route_matches_dense_gram():
             n = fam.space.grid_size
             F = fam.basis.scalar_family
             R = oracles.real_form(F, oracles.conjugate_partner(np.arange(n), n))
-            diag, off = fam.basis._pairs.moduli(oracles.real_gram(R, fam.space.weights))
+            g = oracles.gram_by_row_blocks(R, fam.space.weights)
+            diag, off = oracles.moduli(fam.basis._pairs, g)
             assert cross == off and unit == float(np.max(np.abs(diag - 1.0)))
         assert abs(cross - dense_cross) <= 1e-12 * scale
         assert abs(unit - dense_norm) <= 1e-12 * scale
@@ -156,14 +157,22 @@ def test_working_set_routes_match_dense_forms_bit_for_bit():
             recipe = TensorBasis.fourier(*args, 1)
             assert _same_bits(recipe._pairs.real, R)
             assert recipe.unimodularity_residual() == basis.unimodularity_residual()
-            diag, off = basis._pairs.moduli(R @ R.T / n)
+            # Both real Grams are formed a block of rows at a time, so they
+            # match the block loops bit for bit and the whole products to
+            # rounding: a row of a block product need not keep its bits.
+            blocks = oracles.moduli_row_blocks(basis._pairs.n_self, n)
+            gram = oracles.gram_by_row_blocks(R, None, blocks)
+            assert np.max(np.abs(gram - R @ R.T / n)) <= 1e-15
+            diag, off = oracles.moduli(basis._pairs, gram)
             assert basis.scalar_gram_residual() == max(
                 float(np.max(np.abs(diag - 1.0))), off
             )
             for weights in (w, dead):
                 sp = WeightedSpace(n, 1, weights)
-                fam = OperatorFamily(sp, basis)
-                assert _same_bits(_gram_fold(fam), oracles.real_gram(R, weights))
+                fold = _gram_fold(OperatorFamily(sp, basis))
+                assert _same_bits(fold, oracles.gram_by_row_blocks(R, weights))
+                whole = oracles.real_gram(R, weights)
+                assert np.max(np.abs(fold - whole)) <= 1e-15 * weights.max()
 
 
 def _fold_cases():
@@ -198,6 +207,32 @@ def test_moduli_match_complex_scalar_gram():
             gap = np.max(np.abs(np.sort(diag) - np.sort(np.diag(gs).real)))
             assert gap <= 1e-15 * scale
             assert abs(off - np.max(np.abs(oracles.off_diagonal(gs)))) <= 1e-15 * scale
+
+
+def test_streamed_moduli_match_whole_matrix_bit_for_bit():
+    # The moduli read g a block of rows at a time, each row once, and give
+    # the diagonal and the largest off-diagonal modulus of the whole-matrix
+    # form bit for bit, from the fold itself or from a reader: on each fold,
+    # on one that is symmetric only to rounding and on random symmetric
+    # matrices near the overflow and the underflow ranges, whose blocks
+    # differ in their largest entry.
+    rng = np.random.default_rng(83)
+    for fam in _fold_cases():
+        if fam.space.fiber_dim > 1:
+            continue
+        pairs, n = fam.basis._pairs, fam.space.grid_size
+        fold = _gram_fold(fam)
+        a = rng.standard_normal((n, n))
+        sym = a + a.T
+        for g in (fold, fold + 1e-17 * a, sym, sym * 2.0**1000, sym * 2.0**-1000):
+            read = []
+            want_diag, want_off = oracles.moduli(pairs, g)
+            for rows in (g, lambda idx: read.append(idx) or g[idx]):
+                diag, off = pairs.moduli(rows)
+                assert _same_bits(diag, want_diag) and off == want_off
+            assert read == oracles.moduli_row_blocks(pairs.n_self, n)
+            every = np.concatenate([np.arange(n)[idx] for idx in read])
+            assert np.array_equal(np.sort(every), np.arange(n))
 
 
 def test_folded_spectra_match_complex_oracles_and_weights():

@@ -27,6 +27,20 @@ def test_basis_validation():
         TensorBasis(np.ones(3), 2)
 
 
+def test_non_integer_fiber_dim_and_denominator_are_refused():
+    k = np.arange(4)
+    for call, name in [
+        (lambda: TensorBasis.fourier(k, k, 4, 2.5), "fiber_dim"),
+        (lambda: TensorBasis(np.ones((1, 1)), 1.5), "fiber_dim"),
+        (lambda: TensorBasis.fourier(k, k, 4.5, 1), "denom"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call()
+    basis = TensorBasis.fourier(k, k, 4.0, np.int64(2))
+    assert basis.fiber_dim == 2 and type(basis.fiber_dim) is int
+    assert np.array_equal(basis.scalar_family, build_default(4, 2).scalar_family)
+
+
 def test_basis_adopts_readonly_family_and_copies_writable_one():
     fam = fourier_family(np.arange(16), np.arange(16), 16)
     assert not fam.flags.writeable

@@ -27,6 +27,27 @@ def test_space_validation():
     assert WeightedSpace(4, 1, np.array([1.0, 4.0 * tiny, 0.0, 1.0])).support[1]
 
 
+@pytest.mark.parametrize(
+    "grid_size, fiber_dim, name",
+    [
+        (4.5, 1, "grid_size"),
+        (float("nan"), 1, "grid_size"),
+        (4, 2.5, "fiber_dim"),
+        (4, float("inf"), "fiber_dim"),
+    ],
+)
+def test_non_integer_sizes_are_refused_not_truncated(grid_size, fiber_dim, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        WeightedSpace(grid_size, fiber_dim, np.ones(4))
+
+
+def test_integral_float_and_numpy_sizes_are_stored_as_int():
+    for n, m in [(4.0, 2.0), (np.int64(4), np.int32(2))]:
+        sp = WeightedSpace(n, m, np.ones(4))
+        assert (sp.grid_size, sp.fiber_dim) == (4, 2)
+        assert type(sp.grid_size) is int and type(sp.fiber_dim) is int
+
+
 def test_weights_are_readonly():
     sp = WeightedSpace.uniform(4, 2)
     with pytest.raises(ValueError):
