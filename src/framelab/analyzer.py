@@ -55,7 +55,7 @@ from enum import Enum
 import numpy as np
 
 from .operators import OperatorFamily, frame_spectrum, lambda_all
-from .tensor_onb import HYPOTHESIS_TOL, PAIRING_BLOCK, _field_matrix
+from .tensor_onb import HYPOTHESIS_TOL, PAIRING_BLOCK
 from .wspace import Field, WeightedSpace, _Normals, norm, random_field
 
 __all__ = [
@@ -139,9 +139,16 @@ def synthesis_gram(fam: OperatorFamily) -> np.ndarray:
     equals kron(I_M, (F w/N) F^H); the deciders work from the scalar block
     (``_gram_fold``) and never call this.
     """
-    V = _field_matrix(fam.basis)
+    V = _field_matrix(fam)
     wq = np.repeat(fam.space.weights, fam.space.fiber_dim) / fam.space.grid_size
     return (V * wq) @ V.conj().T
+
+
+def _field_matrix(fam: OperatorFamily) -> np.ndarray:
+    """All G_{m,n} flattened: row (m, n) m-major, column (i, j) i-major."""
+    N, M = fam.space.grid_size, fam.space.fiber_dim
+    stack = np.einsum("mj,ni->mnij", np.eye(M), fam.basis.scalar_family)
+    return stack.reshape(M * N, N * M)
 
 
 def _gram_fold(fam: OperatorFamily) -> np.ndarray:

@@ -46,6 +46,7 @@ from .shiftinv import (
     _gabor_riesz_check,
     _multiset_gap,
     _quasiperiodicity_residual,
+    _time_samples,
     gabor_window,
     make_generator,
     periodized_weight,
@@ -430,7 +431,7 @@ def _witness(rep, tables: dict) -> dict:
 
 
 def _run_analyze(cfg: dict, space: WeightedSpace) -> tuple:
-    fam = OperatorFamily(space, build_default(space.grid_size, space.fiber_dim))
+    fam = OperatorFamily(space, build_default(space.grid_size))
     rep = classify(fam, tol=cfg["tolerances"]["verdict"], rng=_Normals(cfg["seed"]))
     metrics = {
         "total_mass": total_mass(space),
@@ -440,7 +441,7 @@ def _run_analyze(cfg: dict, space: WeightedSpace) -> tuple:
 
 
 def _run_witness(cfg: dict, space: WeightedSpace) -> tuple:
-    fam = OperatorFamily(space, build_default(space.grid_size, space.fiber_dim))
+    fam = OperatorFamily(space, build_default(space.grid_size))
     rep = decide_frame(fam, tol=cfg["tolerances"]["verdict"], claim=cfg["a_claimed"])
     metrics = {"a_claimed": cfg["a_claimed"], "total_mass": total_mass(space)}
     return rep, rep.residuals, metrics, _weight_tables(space.grid, space.weights)
@@ -449,12 +450,14 @@ def _run_witness(cfg: dict, space: WeightedSpace) -> tuple:
 def _run_shiftinv(cfg: dict, inputs: tuple) -> tuple:
     gen, space = inputs
     n = np.arange(gen.grid_size)
-    basis = TensorBasis.fourier(-n, n, gen.grid_size, 1)
+    basis = TensorBasis.fourier(-n, n, gen.grid_size)
     fam = OperatorFamily(space, basis)
     rep = classify(fam, tol=cfg["tolerances"]["verdict"], rng=_Normals(cfg["seed"]))
     residuals = dict(rep.residuals)
     mass = total_mass(space)
-    norm_sq = float((np.abs(gen.fhat) ** 2).sum() / gen.grid_size)
+    # the time-side quadrature of |phi|^2 at spacing 1/(2R), against the
+    # frequency-side fold: the two meet only through Parseval
+    norm_sq = float((np.abs(_time_samples(gen)) ** 2).sum() / (2 * gen.radius))
     residuals["mass_vs_norm"] = abs(mass - norm_sq) / max(
         norm_sq, np.finfo(float).tiny
     )

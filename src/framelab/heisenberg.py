@@ -58,11 +58,9 @@ SPECTRAL_RESOLUTION = 256
 
 def _check_params(eps: float, d: int) -> tuple[float, int]:
     eps = float(eps)
-    d = _integer("d", d)
+    d = _integer("d", d, 0)
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
-    if d < 0:
-        raise ValueError("d must be a nonnegative integer")
     return eps, d
 
 
@@ -157,9 +155,7 @@ def weight_envelope_check(eps: float, d: int, grid) -> tuple[float, float]:
 
 def midpoint_grid(resolution: int) -> np.ndarray:
     """Midpoint scale grid (i + 1/2) / resolution on (0, 1)."""
-    R = _integer("resolution", resolution)
-    if R < 2:
-        raise ValueError("resolution must be >= 2")
+    R = _integer("resolution", resolution, 2)
     return (np.arange(R) + 0.5) / R
 
 
@@ -189,9 +185,7 @@ class CenterTranslateModel:
             raise ValueError("eps must be positive for the band model")
         if d < 1:
             raise ValueError("d must be >= 1 for the band model")
-        k_max = _integer("k_max", self.k_max)
-        if k_max < 0:
-            raise ValueError("k_max must be nonnegative")
+        k_max = _integer("k_max", self.k_max, 0)
         space = _band_space(eps, d, self.resolution)
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "d", d)
@@ -275,7 +269,7 @@ def _band_report(space: WeightedSpace, tol: float) -> FrameReport:
     R = space.grid_size
     n = np.arange(R)
     # alpha_i = (2i + 1) / 2R
-    basis = TensorBasis.fourier(R // 2 - n, 2 * n + 1, 2 * R, 1)
+    basis = TensorBasis.fourier(R // 2 - n, 2 * n + 1, 2 * R)
     fam = OperatorFamily(space, basis)
     rep = _decide_frame(fam, tol, None, band=True)
     rep.residuals["support_fraction"] = float(space.support.mean())

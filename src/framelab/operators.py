@@ -34,22 +34,19 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class OperatorFamily:
-    """A tensor basis bound to the space it analyzes.
+    """A scalar basis bound to the space it analyzes, whose fiber C^M the
+    basis is tensored with.
 
-    Index ranges: m in [0, M), n in [0, N).
+    Index ranges: m in [0, M), n in [0, N), with M the space's fiber_dim.
     """
 
     space: WeightedSpace
     basis: TensorBasis
 
     def __post_init__(self):
-        N, M = self.space.grid_size, self.space.fiber_dim
-        n = self.basis.grid_size  # the scalar family is square
+        N, n = self.space.grid_size, self.basis.grid_size  # the family is square
         if n != N:
             raise ValueError(f"scalar family shape {(n, n)} does not match grid size {N}")
-        m = self.basis.fiber_dim
-        if m != M:
-            raise ValueError(f"basis fiber dimension {m} does not match space's {M}")
 
 
 def lambda_all(fam: OperatorFamily, field: Field) -> np.ndarray:
@@ -101,7 +98,7 @@ def frame_spectrum(fam: OperatorFamily) -> np.ndarray:
     real = fam.basis._pairs.real[:, idx]
     real *= np.sqrt(fam.space.weights[idx] / fam.space.grid_size)
     s = np.linalg.svd(real, compute_uv=False)
-    return np.sort(np.tile(s, fam.basis.fiber_dim)) ** 2
+    return np.sort(np.tile(s, fam.space.fiber_dim)) ** 2
 
 
 def parseval_residual(fam: OperatorFamily, field: Field) -> float:

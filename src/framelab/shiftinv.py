@@ -21,7 +21,7 @@ import numpy as np
 
 from .analyzer import VERDICT_TOL, FrameReport, _verdict
 from .errors import ConsistencyError, TruncationError
-from .wspace import _readonly
+from .wspace import _integer, _readonly
 
 __all__ = [
     "Generator",
@@ -60,12 +60,10 @@ class Generator:
     decay_tail: float = 0.0
 
     def __post_init__(self):
-        if int(self.radius) < 1:
-            raise ValueError("radius must be a positive integer")
-        if int(self.grid_size) < 1:
-            raise ValueError("grid_size must be >= 1")
+        R = _integer("radius", self.radius, 1)
+        N = _integer("grid_size", self.grid_size, 1)
         f = np.asarray(self.fhat, dtype=complex)
-        expect = 2 * self.radius * self.grid_size
+        expect = 2 * R * N
         if f.shape != (expect,):
             raise ValueError(f"fhat must have shape ({expect},), got {f.shape}")
         if not np.all(np.isfinite(f)):
@@ -73,6 +71,8 @@ class Generator:
         if not self.decay_tail >= 0:  # NaN too
             raise ValueError("decay_tail must be nonnegative")
         object.__setattr__(self, "fhat", _readonly(f))
+        object.__setattr__(self, "radius", R)
+        object.__setattr__(self, "grid_size", N)
 
 
 def make_generator(preset: str, grid_size: int, radius: int | None = None) -> Generator:
@@ -86,8 +86,8 @@ def make_generator(preset: str, grid_size: int, radius: int | None = None) -> Ge
     """
     if preset not in GENERATOR_RADIUS:
         raise ValueError(f"unknown generator preset {preset!r}")
-    N = grid_size
-    R = GENERATOR_RADIUS[preset] if radius is None else radius
+    N = _integer("grid_size", grid_size, 1)
+    R = _integer("radius", GENERATOR_RADIUS[preset] if radius is None else radius, 1)
     xi = -R + np.arange(2 * R * N) / N
     if preset == "indicator":
         fhat = ((xi >= 0) & (xi < 1)).astype(complex)
@@ -138,30 +138,43 @@ def translate_gram(gen: Generator) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ZakGrid:
-    """Finite Zak transform values Z[j, m] at (x_j, xi_m) = (j/N, m/L)."""
+    """Finite Zak transform values Z[j, m] at (x_j, xi_m) = (j/N, m/L), an
+    N x L array whose shape gives both sizes."""
 
     values: np.ndarray
-    time_resolution: int
-    translates: int
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.time_resolution, self.translates):
-            raise ValueError(
-                f"values must have shape ({self.time_resolution}, {self.translates})"
-            )
+        if v.ndim != 2:
+            raise ValueError("values must be a 2-d array (time x frequency)")
         object.__setattr__(self, "values", _readonly(v))
 
+    @property
+    def time_resolution(self) -> int:
+        """N, the samples per period."""
+        return self.values.shape[0]
 
-def _check_window(phi, time_resolution: int, translates: int) -> np.ndarray:
+    @property
+    def translates(self) -> int:
+        """L, the periods of the window."""
+        return self.values.shape[1]
+
+
+def _sizes(time_resolution: int, translates: int) -> tuple:
+    """(N, L) as ints of at least 1, a non-integral size refused."""
+    N = _integer("time_resolution", time_resolution, 1)
+    return N, _integer("translates", translates, 1)
+
+
+def _check_window(phi, time_resolution: int, translates: int) -> tuple:
+    """(phi, N, L): the finite window of N * L samples and its sizes."""
+    N, L = _sizes(time_resolution, translates)
     phi = np.asarray(phi, dtype=complex)
-    if phi.shape != (time_resolution * translates,):
-        raise ValueError(
-            f"window must have {time_resolution * translates} samples, got {phi.shape}"
-        )
+    if phi.shape != (N * L,):
+        raise ValueError(f"window must have {N * L} samples, got {phi.shape}")
     if not np.all(np.isfinite(phi)):
         raise ValueError("window must be finite")
-    return phi
+    return phi, N, L
 
 
 def zak_transform(phi, time_resolution: int, translates: int) -> ZakGrid:
@@ -170,10 +183,8 @@ def zak_transform(phi, time_resolution: int, translates: int) -> ZakGrid:
     Z[j, m] = sum_k phi[j + N k] exp(2 pi i m k / L), a length-L transform
     across the translate index for each time offset j.
     """
-    N, L = int(time_resolution), int(translates)
-    phi = _check_window(phi, N, L)
-    folded = phi.reshape(L, N)
-    return ZakGrid(L * np.fft.ifft(folded, axis=0).T, N, L)
+    phi, N, L = _check_window(phi, time_resolution, translates)
+    return ZakGrid(L * np.fft.ifft(phi.reshape(L, N), axis=0).T)
 
 
 def _quasiperiodicity_residual(zak: ZakGrid, phi) -> float:
@@ -190,7 +201,7 @@ def _quasiperiodicity_residual(zak: ZakGrid, phi) -> float:
 def gabor_window(preset: str, time_resolution: int, translates: int) -> np.ndarray:
     """Built-in windows of length N * L: first-period indicator, or a
     centered normalized Gaussian."""
-    N, L = int(time_resolution), int(translates)
+    N, L = _sizes(time_resolution, translates)
     if preset == "indicator":
         phi = np.zeros(N * L, dtype=complex)
         phi[:N] = 1.0
@@ -224,8 +235,8 @@ def gabor_gram_spectrum(phi, time_resolution: int, translates: int) -> np.ndarra
     index.  The two meet only through the Zak criterion itself, which is
     what ``gabor_riesz_check`` compares.
     """
-    N, L = int(time_resolution), int(translates)
-    blocks = _check_window(phi, N, L).reshape(L, N)
+    phi, N, L = _check_window(phi, time_resolution, translates)
+    blocks = phi.reshape(L, N)
     # shifted[b, k] is period k of roll(phi, b N), i.e. period (k - b) mod L
     shifted = blocks[(np.arange(L)[None, :] - np.arange(L)[:, None]) % L]
     folded = (shifted * blocks.conj()[None]).sum(axis=1)

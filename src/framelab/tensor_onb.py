@@ -1,11 +1,12 @@
-"""Tensor families built from a scalar function family and the fiber C^M.
+"""Scalar function families on the grid, tensored with the fiber of a space.
 
-A scalar family {f_n} on the grid and the standard basis {e_m} of C^M
-combine into the fields G_{m,n}(x_i) = f_n(x_i) e_m.  With the discrete
-Fourier family this is a unimodular orthonormal system of the unweighted
-space, and it is the family the analyzer works with: the node weight
-enters through the quadrature, not through the family.  No verdict
-depends on the fiber basis, so the fiber only repeats each value M times.
+A scalar family {f_n} on the grid and the standard basis {e_m} of the
+fiber C^M of the space combine into the fields G_{m,n}(x_i) = f_n(x_i) e_m.
+With the discrete Fourier family this is a unimodular orthonormal system
+of the unweighted space, and it is the family the analyzer works with: the
+node weight enters through the quadrature, not through the family.  The
+fiber dimension M belongs to the space alone; no verdict depends on the
+fiber basis, so the fiber only repeats each value M times.
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ PAIRING_BLOCK = 32
 
 @dataclass(frozen=True, eq=False, init=False)
 class TensorBasis:
-    """Scalar family (rows f_n over the grid) tensored with the fiber C^M.
+    """Scalar family (rows f_n over the grid), tensored with the fiber C^M
+    of the space it is bound to.
 
     The scalar family is read through one row reader, which alone knows the
     kind of basis and returns the rows F[idx]: a basis built as
-    ``TensorBasis(scalar_family, fiber_dim)`` indexes the array it holds,
+    ``TensorBasis(scalar_family)`` indexes the array it holds,
     and one built by ``TensorBasis.fourier`` generates the rows
     ``fourier_family(freqs[idx], numer, denom)``, bit for bit those of the
     whole family, so it holds no complex N x N array.
@@ -45,22 +47,20 @@ class TensorBasis:
     takes the real form, at a quarter of the flops of a complex one.
 
     Attributes:
-        fiber_dim: M, the dimension of the fiber C^M.
         grid_size: N, the number of rows and of nodes of the scalar family.
     """
 
-    fiber_dim: int
     grid_size: int
     _rows: Callable = field(repr=False)
 
-    def __init__(self, scalar_family, fiber_dim: int):
+    def __init__(self, scalar_family):
         s = np.asarray(scalar_family, dtype=complex)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError("scalar_family must be a square 2-d array")
-        self._bind(_readonly(s).__getitem__, s.shape[0], fiber_dim)
+        self._bind(_readonly(s).__getitem__, s.shape[0])
 
     @classmethod
-    def fourier(cls, freqs, numer, denom: int, fiber_dim: int) -> TensorBasis:
+    def fourier(cls, freqs, numer, denom: int) -> TensorBasis:
         """The basis of ``fourier_family(freqs, numer, denom)``, which generates
         its rows as they are read; ``freqs`` and ``numer`` must have one length."""
         freqs, numer = (_readonly(np.asarray(a, np.int64)) for a in (freqs, numer))
@@ -68,17 +68,11 @@ class TensorBasis:
             raise ValueError("freqs and numer must be 1-d and of one length")
         denom = _integer("denom", denom)
         basis = cls.__new__(cls)
-        basis._bind(
-            lambda i: fourier_family(freqs[i], numer, denom), freqs.size, fiber_dim
-        )
+        basis._bind(lambda i: fourier_family(freqs[i], numer, denom), freqs.size)
         return basis
 
-    def _bind(self, rows, grid_size, fiber_dim) -> None:
-        fiber_dim = _integer("fiber_dim", fiber_dim)
-        if fiber_dim < 1:
-            raise ValueError("fiber_dim must be >= 1")
-        object.__setattr__(self, "fiber_dim", fiber_dim)
-        object.__setattr__(self, "grid_size", _integer("grid_size", grid_size))
+    def _bind(self, rows, grid_size: int) -> None:
+        object.__setattr__(self, "grid_size", grid_size)
         object.__setattr__(self, "_rows", rows)
 
     @property
@@ -348,17 +342,8 @@ def fourier_family(freqs, numer, denom: int) -> np.ndarray:
     return family
 
 
-def build_default(grid_size: int, fiber_dim: int) -> TensorBasis:
-    """Discrete Fourier scalar family over the fiber C^M.
-
-    f_n(x_i) = exp(2 pi i n i / N) on the grid x_i = i/N.
-    """
+def build_default(grid_size: int) -> TensorBasis:
+    """Discrete Fourier scalar family f_n(x_i) = exp(2 pi i n i / N) on the
+    grid x_i = i/N."""
     n = np.arange(grid_size)
-    return TensorBasis.fourier(n, n, grid_size, fiber_dim)
-
-
-def _field_matrix(basis: TensorBasis) -> np.ndarray:
-    """All G_{m,n} flattened: row (m, n) m-major, column (i, j) i-major."""
-    N, M = basis.grid_size, basis.fiber_dim
-    stack = np.einsum("mj,ni->mnij", np.eye(M), basis.scalar_family)
-    return stack.reshape(M * N, N * M)
+    return TensorBasis.fourier(n, n, grid_size)

@@ -40,10 +40,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _integer(name: str, x) -> int:
-    """``x`` as an int; a non-integral value is refused, not truncated."""
+def _integer(name: str, x, least: int | None = None) -> int:
+    """``x`` as an int; a non-integral value is refused, not truncated, and
+    so is one below ``least``."""
     if not float(x).is_integer():  # NaN and inf are refused too
         raise ValueError(f"{name} must be an integer, got {x!r}")
+    if least is not None and x < least:
+        raise ValueError(f"{name} must be >= {least}")
     return int(x)
 
 
@@ -60,7 +63,8 @@ class WeightedSpace:
 
     Attributes:
         grid_size: number N of grid nodes x_i = i/N in [0, 1).
-        fiber_dim: dimension M of the value space.
+        fiber_dim: dimension M of the value space, stated here alone: a
+            ``TensorBasis`` holds the scalar family and no M.
         weights: N nonnegative node weights, at least one positive.
         support: read-only mask of the nodes with positive weight.
     """
@@ -71,12 +75,8 @@ class WeightedSpace:
     support: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = _integer("grid_size", self.grid_size)
-        if n < 1:
-            raise ValueError("grid_size must be >= 1")
-        m = _integer("fiber_dim", self.fiber_dim)
-        if m < 1:
-            raise ValueError("fiber_dim must be >= 1")
+        n = _integer("grid_size", self.grid_size, 1)
+        m = _integer("fiber_dim", self.fiber_dim, 1)
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (n,):
             raise ValueError(f"weights must have shape ({n},), got {w.shape}")
@@ -97,11 +97,6 @@ class WeightedSpace:
         object.__setattr__(self, "fiber_dim", m)
         object.__setattr__(self, "weights", _readonly(w))
         object.__setattr__(self, "support", _readonly(support))
-
-    @classmethod
-    def uniform(cls, grid_size: int, fiber_dim: int = 1) -> "WeightedSpace":
-        """Space with unit weight at every node."""
-        return cls(grid_size, fiber_dim, np.ones(grid_size))
 
     @property
     def grid(self) -> np.ndarray:

@@ -16,34 +16,37 @@ from framelab.tensor_onb import PAIRING_BLOCK
 from framelab.wspace import _conform
 
 
-def tensor_field(basis, m: int, n: int) -> Field:
-    """The field G_{m,n}(x_i) = f_n(x_i) g_m."""
-    N, M = basis.grid_size, basis.fiber_dim
+def _check_index(fam, m: int, n: int) -> None:
+    M, N = fam.space.fiber_dim, fam.space.grid_size
     if not (0 <= m < M and 0 <= n < N):
         raise IndexError(f"(m, n) = ({m}, {n}) out of range for ({M}, {N})")
-    return Field(np.outer(basis.scalar_family[n], np.eye(M)[m]))
+
+
+def tensor_field(fam, m: int, n: int) -> Field:
+    """The field G_{m,n}(x_i) = f_n(x_i) e_m of the fiber C^M of the space."""
+    _check_index(fam, m, n)
+    values = np.zeros((fam.space.grid_size, fam.space.fiber_dim), dtype=complex)
+    values[:, m] = fam.basis.scalar_family[n]
+    return Field(values)
 
 
 def lambda_tilde(fam, m: int, n: int, field: Field) -> np.ndarray:
     """Pointwise coefficient x_i -> <f(x_i), G_{m,n}(x_i)>_fiber.
 
-    Returns a length-N complex array, conj(f_n(x_i)) <f(x_i), g_m>.
+    Returns a length-N complex array, conj(f_n(x_i)) f(x_i)[m].
     """
-    M, N = fam.space.fiber_dim, fam.space.grid_size
-    if not (0 <= m < M and 0 <= n < N):
-        raise IndexError(f"(m, n) = ({m}, {n}) out of range for ({M}, {N})")
+    _check_index(fam, m, n)
     _conform(fam.space, field)
-    fiber_part = field.values @ np.eye(M)[m].conj()
-    return fam.basis.scalar_family[n].conj() * fiber_part
+    return fam.basis.scalar_family[n].conj() * field.values[:, m]
 
 
 def complex_lambda_all(fam, field: Field) -> np.ndarray:
     """``lambda_all`` as one complex product with the family,
-    conj(F conj((w/N) V)) with V = f G^H, the route before the real form."""
+    conj(F conj((w/N) V)) with V the field values, the route before the
+    real form."""
     space = fam.space
     _conform(space, field)
-    V = field.values @ np.eye(fam.basis.fiber_dim).conj().T
-    V *= (space.weights / space.grid_size)[:, None]
+    V = field.values * (space.weights / space.grid_size)[:, None]
     return np.conj(fam.basis.scalar_family @ V.conj()).T
 
 
@@ -66,13 +69,15 @@ def analysis_matrix(fam) -> np.ndarray:
     the nodes of positive weight.
 
     Column (i, j) is ``complex_lambda_all`` applied to that coordinate field,
-    in closed form conj(g_m[j]) * quad[n, i] * sqrt(N / w_i): one outer product
-    of the two Kronecker factors that ``frame_spectrum`` takes its SVDs of.
-    It is the dense NM x NM reference for that factored route.
+    in closed form delta_{mj} * quad[n, i] * sqrt(N / w_i): the scalar factor
+    q that ``frame_spectrum`` takes its SVD of, on each diagonal block
+    m = j.  It is the dense NM x NM reference for that factored route.
     """
-    fiber, q = np.eye(fam.basis.fiber_dim).conj(), analysis_factor(fam)
-    M, (N, S) = fiber.shape[0], q.shape
-    return np.einsum("mj,ni->mnij", fiber, q).reshape(M * N, S * M)
+    q, M = analysis_factor(fam), fam.space.fiber_dim
+    (N, S), m = q.shape, np.arange(M)
+    T = np.zeros((M, N, S, M), dtype=complex)
+    T[m, :, :, m] = q
+    return T.reshape(M * N, S * M)
 
 
 def s_map(model, a) -> np.ndarray:
@@ -269,18 +274,15 @@ def gram_by_row_blocks(R: np.ndarray, w, blocks=None) -> np.ndarray:
 
 
 def complex_frame_spectrum(fam) -> np.ndarray:
-    """The frame spectrum from complex SVDs of the two analysis factors, the
-    route before the real conjugate-pair fold."""
-    s = np.outer(
-        np.linalg.svd(np.eye(fam.basis.fiber_dim).conj(), compute_uv=False),
-        np.linalg.svd(analysis_factor(fam), compute_uv=False),
-    )
-    return np.sort(s.ravel()) ** 2
+    """The frame spectrum from a complex SVD of the scalar analysis factor,
+    each value M times, the route before the real conjugate-pair fold."""
+    s = np.linalg.svd(analysis_factor(fam), compute_uv=False)
+    return np.sort(np.tile(s, fam.space.fiber_dim)) ** 2
 
 
 def complex_gram_spectrum(fam) -> np.ndarray:
-    """The synthesis-Gram spectrum from complex ``eigvalsh`` of its two
-    factors, the route before the real conjugate-pair fold."""
-    gf = np.eye(fam.basis.fiber_dim) @ np.eye(fam.basis.fiber_dim).conj().T
+    """The synthesis-Gram spectrum from a complex ``eigvalsh`` of the
+    weighted scalar Gram, each value M times, the route before the real
+    conjugate-pair fold."""
     gs = weighted_scalar_gram(fam.basis.scalar_family, fam.space.weights)
-    return np.sort(np.outer(np.linalg.eigvalsh(gf), np.linalg.eigvalsh(gs)).ravel())
+    return np.repeat(np.linalg.eigvalsh(gs), fam.space.fiber_dim)

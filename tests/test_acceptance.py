@@ -51,7 +51,7 @@ def _finish(name, failures, elapsed=None, budget=None):
 
 def _family(w, m):
     sp = WeightedSpace(w.size, m, w)
-    return sp, OperatorFamily(sp, build_default(w.size, m))
+    return sp, OperatorFamily(sp, build_default(w.size))
 
 
 def test_criterion_1_spectral_equivalence_sweep():

@@ -30,7 +30,7 @@ import oracles
 def _family(weights, m=1):
     w = np.asarray(weights, dtype=float)
     sp = WeightedSpace(w.size, m, w)
-    return sp, OperatorFamily(sp, build_default(w.size, m))
+    return sp, OperatorFamily(sp, build_default(w.size))
 
 
 def test_weight_bounds():
@@ -77,9 +77,9 @@ def test_decide_frame_positive_and_negative():
 def test_decide_frame_rejects_invalid_family():
     w = np.linspace(0.5, 2.0, 6)
     sp = WeightedSpace(6, 1, w)
-    scalar = build_default(6, 1).scalar_family.copy()
+    scalar = build_default(6).scalar_family.copy()
     scalar[1] *= 2.0  # not unimodular
-    fam = OperatorFamily(sp, TensorBasis(scalar, 1))
+    fam = OperatorFamily(sp, TensorBasis(scalar))
     with pytest.raises(ValueError, match="unimodularity"):
         decide_frame(fam)
 
@@ -87,9 +87,9 @@ def test_decide_frame_rejects_invalid_family():
 def test_nan_family_refused_by_both_deciders():
     n = 8
     sp = WeightedSpace(n, 1, np.linspace(0.5, 2.0, n))
-    scalar = build_default(n, 1).scalar_family.copy()
+    scalar = build_default(n).scalar_family.copy()
     scalar[3, 5] = np.nan
-    fam = OperatorFamily(sp, TensorBasis(scalar, 1))
+    fam = OperatorFamily(sp, TensorBasis(scalar))
     for decide in (decide_frame, classify):
         with pytest.raises(ValueError, match=r"unimodularity \(residual nan\)"):
             decide(fam)
@@ -100,9 +100,9 @@ def test_infinite_family_refused_on_unimodularity_without_warning():
     # conjugate pairing; an infinite entry must not warn there first.
     n = 8
     sp = WeightedSpace(n, 1, np.linspace(0.5, 2.0, n))
-    scalar = build_default(n, 1).scalar_family.copy()
+    scalar = build_default(n).scalar_family.copy()
     scalar[3, 5] = complex(np.inf, np.inf)
-    fam = OperatorFamily(sp, TensorBasis(scalar, 1))
+    fam = OperatorFamily(sp, TensorBasis(scalar))
     for decide in (decide_frame, classify):
         with pytest.raises(ValueError, match=r"unimodularity \(residual inf\)"):
             decide(fam)
@@ -115,13 +115,13 @@ def _half_frequency_family() -> TensorBasis:
     the last of the 49 pairs and falls in their last, ragged row block."""
     j = np.arange(1, 49)
     freqs = np.concatenate([[0, 100], np.stack([2 * j, -2 * j], 1).ravel(), [97, -97]])
-    return TensorBasis.fourier(freqs, np.arange(100), 200, 1)
+    return TensorBasis.fourier(freqs, np.arange(100), 200)
 
 
 @pytest.mark.parametrize(
     "basis, residual",
     [
-        (TensorBasis.fourier([0, 1, -1, 4], np.arange(4), 8, 1), "6.533e-01"),
+        (TensorBasis.fourier([0, 1, -1, 4], np.arange(4), 8), "6.533e-01"),
         (_half_frequency_family(), "6.366e-01"),
     ],
     ids=["n4", "n100_last_block"],
@@ -271,13 +271,14 @@ def test_decide_scalar_frame():
     n = 8
     w = np.full(n, 0.7)
     sp = WeightedSpace(n, 1, w)
-    basis = TensorBasis(build_default(n, 1).scalar_family, 1)
+    basis = TensorBasis(build_default(n).scalar_family)
     rep = decide_frame(OperatorFamily(sp, basis))
     assert rep.verdict is Verdict.FRAME
     assert rep.oracle_bounds[0] == pytest.approx(0.7, abs=1e-10)
-    sp_bad = WeightedSpace(n, 2, w)
-    with pytest.raises(ValueError):
-        OperatorFamily(sp_bad, basis)  # a scalar family needs fiber dimension 1
+    # the space alone states M: the same scalar basis serves fiber dimension 2
+    rep2 = decide_frame(OperatorFamily(WeightedSpace(n, 2, w), basis))
+    assert rep2.verdict is Verdict.FRAME and rep2.weight_bounds == rep.weight_bounds
+    assert rep2.spectrum.size == 2 * rep.spectrum.size
 
 
 def test_classify_merges_reports():

@@ -34,7 +34,7 @@ def test_array_records_compare_by_identity():
     # A field-wise == would ask an array for its truth value (ValueError),
     # and a field-wise hash would hash an ndarray (TypeError).
     sp = WeightedSpace(4, 1, np.ones(4))
-    fam = OperatorFamily(sp, build_default(4, 1))
+    fam = OperatorFamily(sp, build_default(4))
     records = [
         sp,
         Field(np.ones((4, 1))),

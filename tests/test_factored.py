@@ -38,10 +38,10 @@ def _oracle_cases():
         w = rng.uniform(0.1, 3.0, n)
         dead = w.copy()
         dead[::3] = 0.0
-        scalar = build_default(n, m).scalar_family
+        scalar = build_default(n).scalar_family
         for weights in (w, dead):
             sp = WeightedSpace(n, m, weights)
-            for basis in (build_default(n, m), TensorBasis(scalar, m)):
+            for basis in (build_default(n), TensorBasis(scalar)):
                 yield OperatorFamily(sp, basis)
 
 
@@ -99,7 +99,7 @@ def _family_kinds(n: int):
     exp(2 pi i k i / n)."""
     k = np.arange(n)
     yield (
-        build_default(n, 1).scalar_family,
+        build_default(n).scalar_family,
         (k, k, n),
         oracles.conjugate_partner(k, n),
         (oracles.grid_family(n), oracles.dft_family(n)),
@@ -146,7 +146,7 @@ def test_working_set_routes_match_dense_forms_bit_for_bit():
         dead = w.copy()
         dead[1::3] = 0.0
         for F, args, partner, _ in _family_kinds(n):
-            basis = TensorBasis(F, 1)
+            basis = TensorBasis(F)
             assert basis.unimodularity_residual() == float(
                 np.max(np.abs(np.abs(F) - 1.0))
             )
@@ -154,7 +154,7 @@ def test_working_set_routes_match_dense_forms_bit_for_bit():
             assert _same_bits(basis._pairs.real, R)
             # a recipe basis folds the same family in the same pass that
             # measures its unimodularity
-            recipe = TensorBasis.fourier(*args, 1)
+            recipe = TensorBasis.fourier(*args)
             assert _same_bits(recipe._pairs.real, R)
             assert recipe.unimodularity_residual() == basis.unimodularity_residual()
             # Both real Grams are formed a block of rows at a time, so they
@@ -187,7 +187,7 @@ def _fold_cases():
             for m in (1, 3):
                 for weights in (w, dead):
                     sp = WeightedSpace(n, m, weights)
-                    yield OperatorFamily(sp, TensorBasis(F, m))
+                    yield OperatorFamily(sp, TensorBasis(F))
 
 
 def test_moduli_match_complex_scalar_gram():
@@ -264,9 +264,9 @@ def test_family_not_closed_under_conjugation_is_refused():
     # no dephased row is the conjugate of another.
     n = 8
     rng = np.random.default_rng(79)
-    F = build_default(n, 1).scalar_family * np.exp(2j * np.pi * rng.random(n))
+    F = build_default(n).scalar_family * np.exp(2j * np.pi * rng.random(n))
     sp = WeightedSpace(n, 2, np.linspace(0.5, 2.0, n))
-    fam = OperatorFamily(sp, TensorBasis(F, 2))
+    fam = OperatorFamily(sp, TensorBasis(F))
     assert fam.basis.unimodularity_residual() <= 1e-12
     assert np.max(np.abs(oracles.scalar_gram_defect(F))) <= 1e-12
     f = random_field(sp, np.random.default_rng(80))
@@ -290,7 +290,7 @@ def test_walsh_hadamard_family_is_classified(n):
     # not circulant, so the DFT diagonalizes neither route.
     H = oracles.walsh_family(n)
     w = np.linspace(0.5, 2.0, n)
-    fam = OperatorFamily(WeightedSpace(n, 1, w), TensorBasis(H, 1))
+    fam = OperatorFamily(WeightedSpace(n, 1, w), TensorBasis(H))
     assert fam.basis._pairs.n_self == n
     assert classify(fam, rng=np.random.default_rng(0)).verdict is Verdict.RIESZ_BASIS
     tol = 1e-12 * w.max()
@@ -329,7 +329,7 @@ def weighted_families(draw, values=st.floats(0.05, 20.0)):
 
 def _fam(n, m, w):
     sp = WeightedSpace(n, m, w)
-    return sp, OperatorFamily(sp, build_default(n, m))
+    return sp, OperatorFamily(sp, build_default(n))
 
 
 @PROPERTY
@@ -413,8 +413,9 @@ def test_fiber_dimension_only_repeats_the_scalar_values(m):
     rng = np.random.default_rng(m)
     for F, w in _repeat_cases():
         n = w.size
-        one = OperatorFamily(WeightedSpace(n, 1, w), TensorBasis(F, 1))
-        fam = OperatorFamily(WeightedSpace(n, m, w), TensorBasis(F, m))
+        basis = TensorBasis(F)
+        one = OperatorFamily(WeightedSpace(n, 1, w), basis)
+        fam = OperatorFamily(WeightedSpace(n, m, w), basis)
         assert _same_bits(frame_spectrum(fam), np.repeat(frame_spectrum(one), m))
         gram = _gram_spectrum(_gram_fold(fam), m)
         assert _same_bits(gram, np.repeat(_gram_spectrum(_gram_fold(one), 1), m))

@@ -202,7 +202,7 @@ def test_frame_report_is_the_frame_decision_on_the_band(eps, d):
     sp = WeightedSpace(r, 1, w)
     k = np.arange(r)
     scal = fourier_family(r // 2 - k, 2 * k + 1, 2 * r)
-    fam = OperatorFamily(sp, TensorBasis(scal, 1))
+    fam = OperatorFamily(sp, TensorBasis(scal))
     whole = decide_frame(fam, tol)
     band = w > 0
     lo, hi = w[band].min(), w[band].max()

@@ -30,23 +30,13 @@ from oracles import (
 def _family(n, m, weights=None):
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     sp = WeightedSpace(n, m, w)
-    return sp, OperatorFamily(sp, build_default(n, m))
+    return sp, OperatorFamily(sp, build_default(n))
 
 
 def test_family_shape_validation():
-    sp = WeightedSpace.uniform(4, 2)
+    sp = WeightedSpace(4, 2, np.ones(4))
     with pytest.raises(ValueError):
-        OperatorFamily(sp, build_default(5, 2))
-    with pytest.raises(ValueError):
-        OperatorFamily(sp, build_default(4, 3))
-
-
-def test_fiber_dimension_mismatch_is_refused():
-    sp = WeightedSpace.uniform(4, 2)
-    with pytest.raises(ValueError, match="basis fiber dimension 3 does not match space's 2"):
-        OperatorFamily(sp, build_default(4, 3))
-    with pytest.raises(ValueError, match="fiber_dim must be >= 1"):
-        TensorBasis.fourier(np.arange(4), np.arange(4), 4, 0)
+        OperatorFamily(sp, build_default(5))
 
 
 def test_lambda_tilde_hand_values():
@@ -69,7 +59,7 @@ def test_lambda_all_matches_loop():
     assert table.shape == (3, 6)
     for m in range(3):
         for n in range(6):
-            ref = inner(sp, f, tensor_field(fam.basis, m, n))
+            ref = inner(sp, f, tensor_field(fam, m, n))
             assert table[m, n] == pytest.approx(ref, abs=1e-13)
 
 
@@ -80,15 +70,15 @@ def test_lambda_all_matches_complex_product(kind, n):
     # lambda_all reads the real form R: one real product and an O(NM)
     # unfold give the complex product of the family to rounding, for the
     # analyze, heisenberg and Walsh-Hadamard families, weights with zeros
-    # and fiber dimensions 1 to 3.
+    # and fiber dimensions 1 to 3, all read through one basis.
     rng = np.random.default_rng(n)
     k = np.arange(n)
+    basis = {
+        "dft": lambda: TensorBasis.fourier(k, k, n),
+        "midpoint": lambda: TensorBasis.fourier(n // 2 - k, 2 * k + 1, 2 * n),
+        "walsh": lambda: TensorBasis(walsh_family(n)),
+    }[kind]()
     for m in (1, 2, 3):
-        basis = {
-            "dft": lambda: TensorBasis.fourier(k, k, n, m),
-            "midpoint": lambda: TensorBasis.fourier(n // 2 - k, 2 * k + 1, 2 * n, m),
-            "walsh": lambda: TensorBasis(walsh_family(n), m),
-        }[kind]()
         w = rng.uniform(0.0, 2.0, n)
         w[::3] = 0.0
         sp = WeightedSpace(n, m, w)
@@ -114,8 +104,8 @@ def test_adjoint_pairing_identities():
             adj = Field(np.outer(scalar[nn] * phi, fiber[mm]))
             assert lhs == pytest.approx(inner(sp, f, adj), abs=1e-12)
             c = complex(rng.standard_normal(), rng.standard_normal())
-            lhs2 = inner(sp, f, tensor_field(fam.basis, mm, nn)) * np.conj(c)
-            rhs2 = inner(sp, f, Field(c * tensor_field(fam.basis, mm, nn).values))
+            lhs2 = inner(sp, f, tensor_field(fam, mm, nn)) * np.conj(c)
+            rhs2 = inner(sp, f, Field(c * tensor_field(fam, mm, nn).values))
             assert lhs2 == pytest.approx(rhs2, abs=1e-12)
 
 
@@ -162,7 +152,7 @@ def test_analysis_matrix_matches_column_construction():
         assert np.array_equal(T, _column_by_column(fam, supp))
 
         # a basis holding the family as an array gives the same matrix
-        fam_u = OperatorFamily(sp, TensorBasis(build_default(n, m).scalar_family, m))
+        fam_u = OperatorFamily(sp, TensorBasis(build_default(n).scalar_family))
         T = analysis_matrix(fam_u)
         ref = _column_by_column(fam_u, supp)
         assert np.max(np.abs(T - ref)) <= 1e-15 * np.max(np.abs(T))

@@ -39,6 +39,59 @@ def test_generator_refuses_nan_decay_tail():
         si.Generator(np.ones(8), 1, 4, decay_tail=float("nan"))
 
 
+@pytest.mark.parametrize(
+    "call, args, name",
+    [
+        (si.zak_transform, (np.ones(8), 4.7, 2), "time_resolution"),
+        (si.zak_transform, (np.ones(8), 4, 2.5), "translates"),
+        (si.gabor_window, ("indicator", 4.9, 2), "time_resolution"),
+        (si.gabor_window, ("gaussian", 4, float("inf")), "translates"),
+        (si.gabor_gram_spectrum, (np.ones(8), 4, 2.5), "translates"),
+        (si.gabor_riesz_check, (np.ones(8), float("nan"), 2), "time_resolution"),
+        (si.make_generator, ("indicator", 4.5), "grid_size"),
+        (si.make_generator, ("gaussian", 8, 2.5), "radius"),
+        (si.Generator, (np.ones(12), 1.5, 4), "radius"),
+        (si.Generator, (np.ones(12), 1, 6.5), "grid_size"),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else None,
+)
+def test_non_integer_sizes_are_refused_not_truncated(call, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(*args)
+
+
+def test_integral_float_and_numpy_sizes_are_stored_as_int():
+    gen = si.Generator(np.ones(8), 1.0, np.int64(4))
+    assert (gen.radius, gen.grid_size) == (1, 4)
+    assert type(gen.radius) is int and type(gen.grid_size) is int
+    assert np.array_equal(si.periodized_weight(gen), np.full(4, 2.0))
+    made = si.make_generator("indicator", 4.0, np.int64(1))
+    assert type(made.radius) is int and type(made.grid_size) is int
+    phi = si.gabor_window("gaussian", 4.0, np.int64(2))
+    assert np.array_equal(phi, si.gabor_window("gaussian", 4, 2))
+    zak = si.zak_transform(phi, np.int64(4), 2.0)
+    assert (zak.time_resolution, zak.translates) == (4, 2)
+    assert type(zak.time_resolution) is int and type(zak.translates) is int
+    assert np.array_equal(zak.values, si.zak_transform(phi, 4, 2).values)
+
+
+def test_sizes_below_one_are_refused():
+    with pytest.raises(ValueError, match="^time_resolution must be >= 1"):
+        si.zak_transform(np.ones(0), 0, 2)
+    with pytest.raises(ValueError, match="^translates must be >= 1"):
+        si.gabor_window("indicator", 4, -1)
+    with pytest.raises(ValueError, match="^grid_size must be >= 1"):
+        si.make_generator("indicator", 0)
+
+
+def test_zak_grid_reads_its_sizes_off_its_values():
+    zak = si.ZakGrid(np.zeros((3, 5)))
+    assert (zak.time_resolution, zak.translates) == (3, 5)
+    assert not zak.values.flags.writeable
+    with pytest.raises(ValueError, match="2-d"):
+        si.ZakGrid(np.zeros(15))
+
+
 def test_indicator_weight_is_one_everywhere():
     for n in (2, 8, 32, 64):
         gen = si.make_generator("indicator", n)
@@ -99,7 +152,7 @@ def test_translate_frame_verdict_through_weight():
     sp = WeightedSpace(16, 1, w)
     ks = np.arange(16)
     scal = np.exp(-2j * np.pi * np.outer(ks, sp.grid))
-    rep = decide_frame(OperatorFamily(sp, TensorBasis(scal, 1)))
+    rep = decide_frame(OperatorFamily(sp, TensorBasis(scal)))
     assert rep.verdict is Verdict.FRAME
     assert rep.weight_bounds[0] > 0.5
 

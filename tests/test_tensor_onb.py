@@ -14,40 +14,35 @@ from framelab import (
     random_field,
     synthesis_gram,
 )
-from framelab.tensor_onb import TensorBasis, _field_matrix, fourier_family
+from framelab.analyzer import _field_matrix
+from framelab.tensor_onb import TensorBasis, fourier_family
 from oracles import tensor_field
 
 
 def test_basis_validation():
     with pytest.raises(ValueError):
-        TensorBasis(np.ones((3, 4)), 2)
-    with pytest.raises(ValueError, match="fiber_dim must be >= 1"):
-        TensorBasis(np.ones((3, 3)), 0)
+        TensorBasis(np.ones((3, 4)))
     with pytest.raises(ValueError):
-        TensorBasis(np.ones(3), 2)
+        TensorBasis(np.ones(3))
 
 
-def test_non_integer_fiber_dim_and_denominator_are_refused():
+def test_non_integer_denominator_is_refused():
     k = np.arange(4)
-    for call, name in [
-        (lambda: TensorBasis.fourier(k, k, 4, 2.5), "fiber_dim"),
-        (lambda: TensorBasis(np.ones((1, 1)), 1.5), "fiber_dim"),
-        (lambda: TensorBasis.fourier(k, k, 4.5, 1), "denom"),
-    ]:
-        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-            call()
-    basis = TensorBasis.fourier(k, k, 4.0, np.int64(2))
-    assert basis.fiber_dim == 2 and type(basis.fiber_dim) is int
-    assert np.array_equal(basis.scalar_family, build_default(4, 2).scalar_family)
+    with pytest.raises(ValueError, match="^denom must be an integer"):
+        TensorBasis.fourier(k, k, 4.5)
+    for denom in (4.0, np.int64(4)):
+        basis = TensorBasis.fourier(k, k, denom)
+        assert basis.grid_size == 4 and type(basis.grid_size) is int
+        assert np.array_equal(basis.scalar_family, build_default(4).scalar_family)
 
 
 def test_basis_adopts_readonly_family_and_copies_writable_one():
     fam = fourier_family(np.arange(16), np.arange(16), 16)
     assert not fam.flags.writeable
-    assert np.shares_memory(TensorBasis(fam, 1).scalar_family, fam)
-    assert not build_default(8, 1).scalar_family.flags.writeable
+    assert np.shares_memory(TensorBasis(fam).scalar_family, fam)
+    assert not build_default(8).scalar_family.flags.writeable
     mine = np.array(fam)
-    basis = TensorBasis(mine, 1)
+    basis = TensorBasis(mine)
     assert not np.shares_memory(basis.scalar_family, mine)
     mine[0, 0] = 0.0
     assert basis.scalar_family[0, 0] == fam[0, 0]
@@ -82,7 +77,7 @@ def test_recipe_basis_keeps_only_the_real_form():
     n = 512
     k = np.arange(n)
     for args in ((k, k, n), (-k, k, n), (n // 2 - k, 2 * k + 1, 2 * n)):
-        basis = TensorBasis.fourier(*args, 2)
+        basis = TensorBasis.fourier(*args)
         assert basis.grid_size == n
         tracemalloc.start()
         try:
@@ -96,51 +91,51 @@ def test_recipe_basis_keeps_only_the_real_form():
         assert not fam.flags.writeable
         assert not np.shares_memory(fam, basis.scalar_family)
     with pytest.raises(ValueError, match="one length"):
-        TensorBasis.fourier(k, k[:-1], n, 1)
+        TensorBasis.fourier(k, k[:-1], n)
 
 
 def test_default_family_is_unimodular_orthonormal():
-    for n, m in [(1, 1), (2, 3), (8, 2), (16, 1)]:
-        basis = build_default(n, m)
+    for n in (1, 2, 8, 16):
+        basis = build_default(n)
         assert basis.unimodularity_residual() < 1e-12
         assert basis.scalar_gram_residual() < 1e-12
 
 
 def test_tensor_field_values():
-    basis = build_default(4, 2)
-    g = tensor_field(basis, 1, 1)
+    fam = OperatorFamily(WeightedSpace(4, 2, np.ones(4)), build_default(4))
+    g = tensor_field(fam, 1, 1)
     # f_1(x_i) = i^i along the grid, g_1 = e_1
     expect = np.zeros((4, 2), dtype=complex)
     expect[:, 1] = [1, 1j, -1, -1j]
     assert np.allclose(g.values, expect, atol=1e-15)
     with pytest.raises(IndexError):
-        tensor_field(basis, 2, 0)
+        tensor_field(fam, 2, 0)
     with pytest.raises(IndexError):
-        tensor_field(basis, 0, 4)
+        tensor_field(fam, 0, 4)
 
 
 def test_field_matrix_layout():
-    basis = build_default(3, 2)
-    V = _field_matrix(basis)
+    fam = OperatorFamily(WeightedSpace(3, 2, np.ones(3)), build_default(3))
+    V = _field_matrix(fam)
     assert V.shape == (6, 6)
     # row (m, n) m-major must flatten tensor_field(m, n) with i-major columns
     for m in range(2):
         for n in range(3):
             row = V[m * 3 + n]
-            assert np.array_equal(row, tensor_field(basis, m, n).values.reshape(-1))
+            assert np.array_equal(row, tensor_field(fam, m, n).values.reshape(-1))
 
 
 def test_verify_tensor_onb_brute_force():
     # the full (N*M) x (N*M) Gram of all G_{m,n} under unit weight
-    sp = WeightedSpace.uniform(8, 2)
-    gram = synthesis_gram(OperatorFamily(sp, build_default(8, 2)))
+    sp = WeightedSpace(8, 2, np.ones(8))
+    gram = synthesis_gram(OperatorFamily(sp, build_default(8)))
     assert np.max(np.abs(gram - np.eye(16))) < 1e-12
 
 
 def test_expansion_round_trip():
     rng = np.random.default_rng(5)
-    sp = WeightedSpace.uniform(8, 3)
-    fam = OperatorFamily(sp, build_default(8, 3))
+    sp = WeightedSpace(8, 3, np.ones(8))
+    fam = OperatorFamily(sp, build_default(8))
     for _ in range(10):
         f = random_field(sp, rng)
         c = lambda_all(fam, f)
@@ -148,9 +143,9 @@ def test_expansion_round_trip():
 
 
 def test_coefficients_pick_out_members():
-    sp = WeightedSpace.uniform(6, 2)
-    basis = build_default(6, 2)
-    c = lambda_all(OperatorFamily(sp, basis), tensor_field(basis, 1, 4))
+    sp = WeightedSpace(6, 2, np.ones(6))
+    fam = OperatorFamily(sp, build_default(6))
+    c = lambda_all(fam, tensor_field(fam, 1, 4))
     expect = np.zeros((2, 6))
     expect[1, 4] = 1.0
     assert np.max(np.abs(c - expect)) < 1e-12

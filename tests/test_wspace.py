@@ -49,7 +49,7 @@ def test_integral_float_and_numpy_sizes_are_stored_as_int():
 
 
 def test_weights_are_readonly():
-    sp = WeightedSpace.uniform(4, 2)
+    sp = WeightedSpace(4, 2, np.ones(4))
     with pytest.raises(ValueError):
         sp.weights[0] = 2.0
 
@@ -62,7 +62,7 @@ def test_support_is_the_positive_weights():
 
 
 def test_uniform_and_grid():
-    sp = WeightedSpace.uniform(8, 3)
+    sp = WeightedSpace(8, 3, np.ones(8))
     assert sp.grid_size == 8 and sp.fiber_dim == 3
     assert np.all(sp.weights == 1.0)
     assert np.allclose(sp.grid, np.arange(8) / 8)
@@ -91,7 +91,7 @@ def test_total_mass_frozen_value():
 
 
 def test_inner_shape_mismatch():
-    sp = WeightedSpace.uniform(4, 2)
+    sp = WeightedSpace(4, 2, np.ones(4))
     good = Field(np.ones((4, 2)))
     bad = Field(np.ones((4, 3)))
     with pytest.raises(ValueError):
