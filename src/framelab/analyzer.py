@@ -25,8 +25,9 @@ and the defect ratio all take it, so each ratio is a coefficient
 computation of its own, never read off the weights, and none forms an
 N x N array beside R.
 
-The spectral route stays dense on purpose: an SVD of the scalar analysis
-factor and an ``eigvalsh`` of the scalar Gram, O(N^3) in the grid size.
+The spectral route stays dense on purpose: an ``eigvalsh`` of the scalar
+frame operator q^H q (|S| x |S|, S the support) and one of the scalar
+Gram q q^H (N x N), O(N^3) in the grid size.
 For the discrete Fourier family the weighted scalar Gram is circulant, and
 its FFT eigenvalues are the weights themselves, so an FFT Gram route would
 read back the very numbers the weight route reads and check nothing.  The
@@ -36,8 +37,9 @@ under conjugation, and a fixed sparse unitary (the centrohermitian
 reduction) maps it to its real form R, built once per basis, a block of
 rows at a time, so a Fourier basis keeps R alone, never its family.  The
 hypothesis check reads the scalar Gram R R^T / N, the frame route takes
-the SVD of the support columns of R, and the Gram route the ``eigvalsh``
-of its own product (R w/N) R^T, so the routes share only the family.  The
+the ``eigvalsh`` of X^T X, X the support columns of R, scaled by
+sqrt(w/N) on both sides, and the Gram route the ``eigvalsh`` of its own
+product (R w/N) R^T, so the routes share only the family.  The
 fold regroups entries and diagonalizes nothing, so the routes stay dense
 and independent, and the moduli and the diagonal of the complex Gram that
 the residuals report are read back off the real one.  Both real Grams are
@@ -56,7 +58,14 @@ import numpy as np
 
 from .operators import OperatorFamily, frame_spectrum, lambda_all
 from .tensor_onb import HYPOTHESIS_TOL, PAIRING_BLOCK
-from .wspace import Field, WeightedSpace, _Normals, norm, random_field
+from .wspace import (
+    Field,
+    WeightedSpace,
+    _Normals,
+    _scaled_norm,
+    _weight_exponent,
+    random_field,
+)
 
 __all__ = [
     "Verdict",
@@ -93,7 +102,7 @@ class FrameReport:
         residuals: named nonnegative diagnostics from the cross checks.
         witness: field exhibiting a failure, when the verdict is negative.
         spectrum: ascending frame-operator spectrum on the support (the
-            squared singular values of the analysis matrix) when the analysis
+            eigenvalues of S = T*T, T the analysis matrix) when the analysis
             route ran, or the ascending Gabor Gram spectrum of a Zak check,
             so callers can reuse it instead of computing it again.
     """
@@ -196,12 +205,21 @@ def witness_ratio(fam: OperatorFamily, field: Field) -> float:
     """Total coefficient energy sum |Lambda_{m,n} f|^2 of ``field``, through
     ``lambda_all``, over its squared norm.
 
-    Zero-norm fields (supported where the weight vanishes) report 0.
+    With e from ``wspace._weight_exponent``, the ratio is 2^e times that of
+    the field divided by 2^(e/4), its coefficients and its squared norm
+    divided by 2^e.  Each scaling is exact in binary, so every ratio whose
+    energies are in range keeps its bits, and the coefficients (about
+    2^(3e/4)), the energy and the squared norm (about 2^(-e/2)) stay in
+    range for every weight the space accepts.  Zero-norm fields (supported
+    where the weight vanishes) report 0.
     """
-    den = norm(fam.space, field) ** 2
+    e = _weight_exponent(fam.space.weights)
+    scaled = Field(field.values * np.ldexp(1.0, -(e // 4)))
+    den = _scaled_norm(fam.space, scaled, e) ** 2
     if den == 0.0:
         return 0.0
-    return float((np.abs(lambda_all(fam, field)) ** 2).sum()) / den
+    coeffs = lambda_all(fam, scaled) * np.ldexp(1.0, -e)
+    return float(np.ldexp(float((np.abs(coeffs) ** 2).sum()) / den, e))
 
 
 def _indicator_field(fam: OperatorFamily, nodes) -> Field:
@@ -272,11 +290,11 @@ def _parseval_checks(fam: OperatorFamily, verdict: Verdict, rng) -> tuple:
     """
     if rng is None:
         rng = _Normals(0)
-    parseval = 0.0
-    for _ in range(PARSEVAL_FIELDS):
-        f = random_field(fam.space, rng)
-        parseval = max(parseval, abs(witness_ratio(fam, f) - 1.0))
-    residuals = {"onb_parseval": parseval}
+    gaps = [
+        abs(witness_ratio(fam, random_field(fam.space, rng)) - 1.0)
+        for _ in range(PARSEVAL_FIELDS)
+    ]
+    residuals = {"onb_parseval": float(np.max(gaps))}  # a NaN gap propagates
     if verdict is Verdict.ONB:
         return None, residuals
     defect = _indicator_field(fam, int(np.argmax(np.abs(fam.space.weights - 1.0))))

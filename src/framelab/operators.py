@@ -3,12 +3,13 @@
 For a field f, the pointwise coefficient against G_{m,n} is a scalar grid
 function; integrating it against the node weights gives a complex
 coefficient functional.  Stacking all the functionals, applied to a
-weighted orthonormal coordinate system, yields the analysis matrix whose
-singular values squared are the frame-operator spectrum.  With a complete
-orthonormal scalar family that spectrum is the weight multiset, each value
-repeated once per fiber dimension.  The fiber only repeats each scalar
-value M times, so the spectrum is computed from the scalar factor alone;
-the dense matrix itself is built only by the tests, as an oracle.
+weighted orthonormal coordinate system, yields the analysis matrix T; the
+eigenvalues of the frame operator S = T*T are the frame-operator spectrum.
+With a complete orthonormal scalar family that spectrum is the weight
+multiset, each value repeated once per fiber dimension.  The fiber only
+repeats each scalar value M times, so the spectrum is computed from the
+scalar factor alone; the dense matrix itself is built only by the tests,
+as an oracle.
 ``lambda_all`` and ``frame_spectrum`` read the basis's real form R alone;
 of this module only the reference check ``parseval_residual`` reads the
 complex family.
@@ -21,7 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor_onb import TensorBasis
-from .wspace import Field, WeightedSpace, _conform, norm, total_mass
+from .wspace import (
+    Field,
+    WeightedSpace,
+    _conform,
+    _scaled_norm,
+    _weight_exponent,
+    norm,
+    total_mass,
+)
 
 __all__ = [
     "OperatorFamily",
@@ -76,45 +85,63 @@ def lambda_all(fam: OperatorFamily, field: Field) -> np.ndarray:
 
 
 def frame_spectrum(fam: OperatorFamily) -> np.ndarray:
-    """Ascending frame-operator spectrum (squared singular values of the
+    """Ascending frame-operator spectrum (the eigenvalues of S = T*T, T the
     analysis matrix) on the support of the space, the nodes of positive
     weight: M |S| values, the weight multiset of the support repeated once
     per fiber dimension for a complete orthonormal family.
 
     The analysis matrix is I_M (x) q up to a column permutation, with q
     the N x |S| scalar factor of entries conj(f_n(x_i)) w_i / N scaled by
-    sqrt(N / w_i), so its singular values are those of F[:, S] sqrt(w_S / N),
-    each repeated M times: one N x |S| SVD instead of one of the NM x |S|M
-    matrix.  The SVD runs in real arithmetic, on the support columns of the
-    basis's real form R, which has the singular values of the family on
-    every column set.  R is a fixed sparse unitary (the conjugate row
-    pairing, after each row is dephased) applied to the family: it
-    diagonalizes nothing, so the SVD still checks the weights independently.
+    sqrt(N / w_i), so S is I_M (x) q^H q: one |S| x |S| eigensolve, each
+    value repeated M times.  It runs in real arithmetic on the support
+    columns X of the basis's real form R, which has the Gram of the family
+    on every column set: q^H q = D X^T X D with D = diag(sqrt(w_S / N)).
+    X^T X is one symmetric product (BLAS syrk), of R itself on a full
+    support, so no scaled copy of R is made, and ``eigvalsh`` reads its
+    lower triangle once D has scaled its rows and columns.  R is a fixed
+    sparse unitary (the conjugate row pairing, after each row is dephased)
+    applied to the family: it diagonalizes nothing, so the eigensolve still
+    checks the weights independently.
+
+    D is taken from w_S / 2^e, e the even exponent of the largest support
+    weight (``_weight_exponent``), and the eigenvalues are multiplied back
+    by 2^e: exact in binary, so the eigensolve sees a matrix of norm near 1,
+    and scaling the weight by a power of 4 scales the spectrum by it bit
+    for bit.
 
     Raises:
         ValueError: if the scalar family is not closed under conjugation.
     """
-    idx = np.flatnonzero(fam.space.support)
-    real = fam.basis._pairs.real[:, idx]
-    real *= np.sqrt(fam.space.weights[idx] / fam.space.grid_size)
-    s = np.linalg.svd(real, compute_uv=False)
-    return np.sort(np.tile(s, fam.space.fiber_dim)) ** 2
+    space = fam.space
+    R = fam.basis._pairs.real
+    idx = np.flatnonzero(space.support)
+    cols = R if idx.size == R.shape[1] else R[:, idx]
+    gram = cols.T @ cols
+    del cols  # the support copy goes before the eigensolve
+    w = space.weights[idx]
+    e = _weight_exponent(w)
+    d = np.sqrt(np.ldexp(w, -e) / space.grid_size)
+    gram *= d
+    gram *= d[:, None]
+    return np.repeat(np.ldexp(np.linalg.eigvalsh(gram), e), space.fiber_dim)
 
 
 def parseval_residual(fam: OperatorFamily, field: Field) -> float:
     """Worst relative defect, over n, of the energy sum_m ||c_{m,n}||^2 of the
     pointwise coefficients c_{m,n}(x_i) = conj(f_n(x_i)) f(x_i)[m]
-    against ||f||^2."""
+    against ||f||^2, both taken under the weights divided by 2^e
+    (``_weight_exponent``): exact in binary, so the defect keeps its bits
+    and its energies stay in range for every weight the space accepts."""
     space = fam.space
-    ns = norm(space, field) ** 2
+    e = _weight_exponent(space.weights)
+    ns = _scaled_norm(space, field, e) ** 2
     if ns == 0.0:
         return 0.0
+    w = np.ldexp(space.weights, -e)
     F, worst = fam.basis.scalar_family, 0.0
     for n in range(space.grid_size):
         lt = F[n].conj()[:, None] * field.values
-        s = float(
-            ((np.abs(lt) ** 2).sum(axis=1) * space.weights).sum() / space.grid_size
-        )
+        s = float(((np.abs(lt) ** 2).sum(axis=1) * w).sum() / space.grid_size)
         worst = max(worst, abs(s - ns))
     return worst / ns
 

@@ -37,6 +37,8 @@ __all__ = [
 
 TAIL_LIMIT = 1e-6
 ZAK_GRAM_TOL = 1e-6
+# Complex entries of one chunk of shifted window products in the Gabor Gram.
+ZAK_CHUNK = 1 << 16
 # Default band half-width R of each built-in generator preset.
 GENERATOR_RADIUS = {"indicator": 1, "wide-indicator": 2, "gaussian": 4}
 
@@ -227,8 +229,11 @@ def gabor_gram_spectrum(phi, time_resolution: int, translates: int) -> np.ndarra
     circulant blocks (BCCB): the 2-D DFT diagonalizes it, and its spectrum
     is fft2(c), real because G is Hermitian.  The column c is formed by
     direct inner products: the L products roll(phi, bN) * conj(phi), each
-    folded mod N and sent through an N-point inverse FFT, with O(L * P)
-    memory and no P x P array.
+    folded mod N and sent through an N-point inverse FFT.  The products
+    are taken a chunk of shifts at a time, at most ``ZAK_CHUNK`` complex
+    entries each (one shift if a single one is larger), so the route holds
+    O(P) memory and no P x P array; every shape with L * P <= ZAK_CHUNK
+    runs as one chunk.
 
     The route never forms the Zak transform: it pairs shifted copies of the
     window in time, while ``zak_transform`` transforms across the translate
@@ -237,9 +242,15 @@ def gabor_gram_spectrum(phi, time_resolution: int, translates: int) -> np.ndarra
     """
     phi, N, L = _check_window(phi, time_resolution, translates)
     blocks = phi.reshape(L, N)
-    # shifted[b, k] is period k of roll(phi, b N), i.e. period (k - b) mod L
-    shifted = blocks[(np.arange(L)[None, :] - np.arange(L)[:, None]) % L]
-    folded = (shifted * blocks.conj()[None]).sum(axis=1)
+    conj, periods = blocks.conj(), np.arange(L)
+    folded = np.empty((L, N), dtype=complex)
+    step = max(1, ZAK_CHUNK // phi.size)
+    for start in range(0, L, step):
+        chunk = slice(start, start + step)
+        # shifted[b, k] is period k of roll(phi, b N), i.e. period (k - b) mod L
+        shifted = blocks[(periods[None, :] - periods[chunk, None]) % L]
+        shifted *= conj
+        shifted.sum(axis=1, out=folded[chunk])
     column = np.fft.ifft(folded, axis=1).T
     return np.sort(np.fft.fft2(column).real, axis=None)
 

@@ -137,10 +137,11 @@ class _ConjugatePairs:
     moduli), the family has for each row n a row p(n) equal to its
     conjugate.  U is the unitary that keeps a self-paired row and sends a
     pair n < p to (e_n + e_p)/sqrt(2) and (e_n - e_p)/(i sqrt(2)), so
-    R = U D F is real, and R^T R = F^H F: R has the singular values of F on
-    every column set, and under node weights w its Gram R w R^T has the
-    spectrum of F w F^H.  U and D regroup entries and diagonalize nothing,
-    so a spectrum taken on R is still a dense decomposition of the family.
+    R = U D F is real, and R^T R = F^H F: R has the Gram, and so the
+    singular values, of F on every column set, and under node weights w
+    its Gram R w R^T has the spectrum of F w F^H.  U and D regroup entries
+    and diagonalize nothing, so a spectrum taken on R is still a dense
+    decomposition of the family.
 
     Attributes:
         real: read-only N x N array R.  Its rows are the real parts of the

@@ -132,22 +132,51 @@ def inner(space: WeightedSpace, f: Field, g: Field) -> complex:
     """
     _conform(space, f)
     _conform(space, g)
-    val = np.einsum(
-        "ij,ij,i->", f.values, g.values.conj(), space.weights
-    ) / space.grid_size
+    return _inner(f, g, space.weights, space.grid_size)
+
+
+def _inner(f: Field, g: Field, weights: np.ndarray, grid_size: int) -> complex:
+    val = np.einsum("ij,ij,i->", f.values, g.values.conj(), weights) / grid_size
     return complex(val)
+
+
+def _weight_exponent(weights: np.ndarray) -> int:
+    """The even e with max(weights) / 2^e in [1/4, 1).
+
+    Dividing a weight by 2^e is exact in binary, unless the quotient leaves
+    the normal range, and commutes with a square root; it keeps every
+    quadratic form in the weights far from overflow.
+    """
+    e = int(np.frexp(weights.max())[1])
+    return e + (e & 1)
 
 
 def norm(space: WeightedSpace, f: Field) -> float:
     """Norm induced by ``inner``; zero exactly when f vanishes on the
-    positive-weight nodes."""
-    sq = inner(space, f, f).real
+    positive-weight nodes.
+
+    The square is summed under the weights divided by 2^e, e from
+    ``_weight_exponent``, and the root multiplied back by 2^(e/2): exact in
+    binary, so the norm keeps the bits of the unscaled form wherever its
+    square is in range, and no weight the space accepts overflows it.
+    """
+    e = _weight_exponent(space.weights)
+    return float(np.ldexp(_scaled_norm(space, f, e), e // 2))
+
+
+def _scaled_norm(space: WeightedSpace, f: Field, e: int) -> float:
+    """||f|| / 2^(e/2), for even e: the norm under the weights w / 2^e."""
+    _conform(space, f)
+    sq = _inner(f, f, np.ldexp(space.weights, -e), space.grid_size).real
     return float(np.sqrt(max(sq, 0.0)))
 
 
 def total_mass(space: WeightedSpace) -> float:
-    """Quadrature integral of the weight, (1/N) sum_i w_i."""
-    return float(space.weights.sum() / space.grid_size)
+    """Quadrature integral of the weight, (1/N) sum_i w_i, summed in units
+    of 2^e (``_weight_exponent``), so a sum above the float range that
+    the mean is not does not overflow."""
+    e = _weight_exponent(space.weights)
+    return float(np.ldexp(np.ldexp(space.weights, -e).sum() / space.grid_size, e))
 
 
 class _Normals:

@@ -70,8 +70,9 @@ def analysis_matrix(fam) -> np.ndarray:
 
     Column (i, j) is ``complex_lambda_all`` applied to that coordinate field,
     in closed form delta_{mj} * quad[n, i] * sqrt(N / w_i): the scalar factor
-    q that ``frame_spectrum`` takes its SVD of, on each diagonal block
-    m = j.  It is the dense NM x NM reference for that factored route.
+    q, whose Gram q^H q ``frame_spectrum`` diagonalizes in real form, on
+    each diagonal block m = j.  It is the dense NM x NM reference for that
+    factored route.
     """
     q, M = analysis_factor(fam), fam.space.fiber_dim
     (N, S), m = q.shape, np.arange(M)
@@ -275,7 +276,8 @@ def gram_by_row_blocks(R: np.ndarray, w, blocks=None) -> np.ndarray:
 
 def complex_frame_spectrum(fam) -> np.ndarray:
     """The frame spectrum from a complex SVD of the scalar analysis factor,
-    each value M times, the route before the real conjugate-pair fold."""
+    each value M times: an oracle by another algorithm than the eigvalsh
+    of the real frame operator that ``frame_spectrum`` takes."""
     s = np.linalg.svd(analysis_factor(fam), compute_uv=False)
     return np.sort(np.tile(s, fam.space.fiber_dim)) ** 2
 
@@ -286,3 +288,13 @@ def complex_gram_spectrum(fam) -> np.ndarray:
     conjugate-pair fold."""
     gs = weighted_scalar_gram(fam.basis.scalar_family, fam.space.weights)
     return np.repeat(np.linalg.eigvalsh(gs), fam.space.fiber_dim)
+
+
+def gabor_gram_spectrum(phi, N: int, L: int) -> np.ndarray:
+    """The Gabor Gram spectrum with the L x L x N products of all shifts
+    formed at once: the one-chunk form of ``shiftinv.gabor_gram_spectrum``."""
+    blocks = np.asarray(phi, dtype=complex).reshape(L, N)
+    shifted = blocks[(np.arange(L)[None, :] - np.arange(L)[:, None]) % L]
+    folded = (shifted * blocks.conj()[None]).sum(axis=1)
+    column = np.fft.ifft(folded, axis=1).T
+    return np.sort(np.fft.fft2(column).real, axis=None)

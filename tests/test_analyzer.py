@@ -17,11 +17,17 @@ from framelab import (
     classify,
     decide_frame,
     decide_onb,
+    frame_spectrum,
+    norm,
+    parseval_residual,
+    random_field,
     synthesis_gram,
+    total_mass,
     weight_bounds,
     witness_lower_failure,
     witness_ratio,
 )
+from framelab import analyzer
 from framelab.analyzer import _extremes, _gram_fold, _gram_spectrum
 from framelab.tensor_onb import PAIRING_BLOCK
 import oracles
@@ -156,9 +162,10 @@ def test_classify_working_set_at_grid_cap():
     # Each N x N complex array takes 16 N^2 bytes, a real one half that.
     # The fold reads the family a few blocks of rows at a time, so the basis
     # holds its real form R alone.  classify then holds at most one more
-    # real N x N array beside R at a time: the support columns of R for the
-    # SVD, then the weighted real Gram (R w/N) R^T, written a block of rows
-    # at a time into its one output, whose moduli are read off row views.
+    # real N x N array beside R at a time: the frame operator R^T R, formed
+    # from R itself on this full support and scaled in place for eigvalsh,
+    # then the weighted real Gram (R w/N) R^T, written a block of rows at a
+    # time into its one output, whose moduli are read off row views.
     # The hypothesis check forms R R^T / N a block of rows at a time, never
     # whole.  The Parseval and defect ratios go through the coefficient
     # functionals, which add no N x N array.  The default probe source
@@ -352,3 +359,57 @@ def test_classify_equals_the_three_deciders_merged(w, m, tol, seed):
         assert rep.witness is None
     else:
         assert np.array_equal(rep.witness.values, witness.values)
+
+
+def test_power_of_four_weight_scaling_scales_ratios_and_spectrum_bit_for_bit():
+    # Every energy ratio and the frame spectrum are taken in units of a power
+    # of two read off the weights, so scaling the weights by 4^k scales them
+    # by 4^k exactly, from weights near the underflow limit of the space to
+    # weights near the largest float.
+    n = 64
+    w = np.linspace(0.5, 2.0, n)
+    w[::7] = 0.0
+    rng = np.random.default_rng(97)
+    fields = [Field(rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))]
+    fields.append(Field(np.eye(n, 2)))
+    _, fam = _family(w, m=2)
+    want = [witness_ratio(fam, f) for f in fields]
+    spec = frame_spectrum(fam)
+    for k in (-500, -128, -1, 1, 128, 510):
+        _, scaled = _family(np.ldexp(w, 2 * k), m=2)
+        got = [witness_ratio(scaled, f) for f in fields]
+        assert got == [float(np.ldexp(r, 2 * k)) for r in want]
+        assert np.array_equal(frame_spectrum(scaled), np.ldexp(spec, 2 * k))
+
+
+def test_energy_ratios_stay_finite_at_extreme_weights():
+    # The coefficient energies of weights near 1e160 overflow a plain sum of
+    # squares, and a total mass above 1.8e308 overflows a plain sum; both are
+    # weights the space accepts.  The ratios keep their meaning: the defect
+    # field of a node has the energy ratio of its weight, and the Parseval
+    # gap is the distance of a ratio in the weight range from 1; the
+    # pointwise Parseval defect stays at rounding.
+    for lo, hi in ((0.5e160, 2e160), (1e300, 1.7e308), (1e-300, 2e-300)):
+        w = np.linspace(lo, hi, 8)
+        sp, fam = _family(w, m=2)
+        mass = float((w / 8).sum())
+        assert total_mass(sp) == pytest.approx(mass, rel=1e-15)
+        root = np.sqrt(2.0) * np.sqrt(mass)
+        assert norm(sp, Field(np.ones((8, 2)))) == pytest.approx(root, rel=1e-15)
+        rep = decide_onb(fam)
+        assert rep.residuals["onb_defect_ratio"] == pytest.approx(hi, rel=1e-13)
+        gaps = abs(lo - 1.0), abs(hi - 1.0)
+        gap = rep.residuals["onb_parseval"]
+        assert min(gaps) * (1 - 1e-13) <= gap <= max(gaps) * (1 + 1e-13)
+        low = witness_lower_failure(fam, float(np.nextafter(lo, np.inf)))
+        assert witness_ratio(fam, low) == pytest.approx(lo, rel=1e-13)
+        f = random_field(sp, np.random.default_rng(98))
+        assert parseval_residual(fam, f) <= 1e-14
+
+
+def test_parseval_residual_propagates_a_nan_ratio(monkeypatch):
+    # A NaN energy ratio must show in onb_parseval, not vanish under max().
+    _, fam = _family(np.linspace(0.5, 2.0, 8))
+    ratios = iter([1.0, 1.0, float("nan")] + [1.0] * 8)
+    monkeypatch.setattr(analyzer, "witness_ratio", lambda fam, f: next(ratios))
+    assert np.isnan(decide_onb(fam).residuals["onb_parseval"])

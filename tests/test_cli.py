@@ -613,6 +613,51 @@ def test_heisenberg_builds_problem_and_spectrum_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["analyze", "witness", "shiftinv", "heisenberg"])
+def test_cli_run_takes_no_svd(tmp_path, monkeypatch, mode):
+    # The frame route diagonalizes the real frame operator with eigvalsh;
+    # an SVD is a test oracle only.
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    spectrum = _count_calls(monkeypatch, operators.frame_spectrum)
+    out = str(tmp_path / "run")
+    assert cli.main(["--config", _write(tmp_path, _SMALL[mode]), "--out", out]) == 0
+    assert len(spectrum) == 1 and calls == []
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(0.5e160, 2e160), (1e300, 1.7e308), (1e-300, 2e-300)]
+)
+def test_report_at_extreme_weights_is_finite_json(tmp_path, lo, hi):
+    # Weights the validator accepts whose coefficient energies or total mass
+    # leave the float range: every number in the report stays finite, so the
+    # report is valid JSON, and the defect ratio is the largest weight.
+    cfg = {
+        "mode": "analyze",
+        "space": {"grid_size": 8, "fiber_dim": 2,
+                  "weight": {"preset": "ramp", "start": lo, "stop": hi}},
+    }
+    out = tmp_path / "run"
+    assert cli.main(["--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+
+    def refuse(name):
+        raise ValueError(f"report.json holds {name}")
+
+    doc = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    assert doc["verdict"] == ("riesz_basis" if lo > 1e-9 else "not_frame")
+    assert doc["residuals"]["onb_defect_ratio"] == pytest.approx(hi, rel=1e-13)
+    w = np.linspace(lo, hi, 8)
+    assert doc["metrics"]["total_mass"] == pytest.approx((w / 8).sum(), rel=1e-15)
+    gap = min(abs(lo - 1.0), abs(hi - 1.0))
+    assert doc["residuals"]["onb_parseval"] >= gap * (1 - 1e-13)
+
+
+@pytest.mark.parametrize("mode", ["analyze", "witness", "shiftinv", "heisenberg"])
 def test_cli_run_builds_each_input_once(tmp_path, monkeypatch, mode):
     # check_config builds what the run computes on, and the runner takes it:
     # one space, or for heisenberg the model's space on its 64-point grid and
@@ -790,8 +835,8 @@ def test_analyze_at_grid_and_fiber_caps(tmp_path):
 
 
 def test_cross_checks_at_grid_cap_hold_to_rounding(tmp_path):
-    # With every family entry a root of unity to rounding, the SVD and Gram
-    # routes meet the weights to a few ulps even at the grid cap.
+    # With every family entry a root of unity to rounding, the frame-operator
+    # and Gram routes meet the weights to a few ulps even at the grid cap.
     space = {"grid_size": 512, "fiber_dim": 2}
     configs = {
         "onb": {"mode": "analyze",

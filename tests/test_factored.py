@@ -3,6 +3,8 @@ references, the in-place family and factor builders against their
 one-expression forms bit for bit, plus scale and permutation properties of
 the factored route."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,8 +48,8 @@ def _oracle_cases():
 
 
 def test_factored_frame_spectrum_matches_dense_svd():
-    # The real fold of q is a different route from the dense complex SVD,
-    # so even at M = 1 the two agree to rounding.
+    # The eigvalsh of the real frame operator is a different route from the
+    # dense complex SVD, so even at M = 1 the two agree to rounding.
     for fam in _oracle_cases():
         spec = frame_spectrum(fam)
         T = analysis_matrix(fam)
@@ -235,11 +237,32 @@ def test_streamed_moduli_match_whole_matrix_bit_for_bit():
             assert np.array_equal(np.sort(every), np.arange(n))
 
 
+def _spread_cases():
+    """The family of each scalar family a runner builds, at N = 7, 100 and
+    257 and M = 1 and 3, on a full support, a random half of the nodes and
+    a single node, with weights spread over 14 decades below their largest,
+    which is 1 or 1e300."""
+    rng = np.random.default_rng(75)
+    for n in (7, 100, 257):
+        spread = np.geomspace(1e-14, 1.0, n)
+        rng.shuffle(spread)
+        half = rng.random(n) < 0.5
+        half[rng.integers(n)] = True
+        for live in (np.ones(n, bool), half, np.arange(n) == n // 2):
+            for F, *_ in _family_kinds(n):
+                for top in (1.0, 1e300):
+                    w = np.where(live, spread * top, 0.0)
+                    for m in (1, 3):
+                        yield OperatorFamily(WeightedSpace(n, m, w), TensorBasis(F))
+
+
 def test_folded_spectra_match_complex_oracles_and_weights():
-    # Dense NM x NM oracles up to NM = 512; above that the complex factored
-    # routes (complex SVD of q, complex eigvalsh of gs), since a dense
-    # 1536 x 1536 SVD per case would dominate the suite.
-    for fam in _fold_cases():
+    # The frame route is an eigvalsh of the real frame operator T*T, the
+    # oracle an SVD of the complex analysis matrix.  Dense NM x NM oracles
+    # up to NM = 512; above that the complex factored routes (complex SVD of
+    # q, complex eigvalsh of gs), since a dense 1536 x 1536 SVD per case
+    # would dominate the suite.
+    for fam in itertools.chain(_fold_cases(), _spread_cases()):
         n, m = fam.space.grid_size, fam.space.fiber_dim
         w = fam.space.weights
         spec = frame_spectrum(fam)

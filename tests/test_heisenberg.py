@@ -234,10 +234,10 @@ def test_frame_report_is_the_frame_decision_on_the_band(eps, d):
 def test_band_decision_working_set():
     # Each R x R complex array takes 16 R^2 bytes, a real one half that.  The
     # fold reads the family a few blocks of rows at a time and holds its real
-    # form alone.  A not_frame band decision then holds the real form and
-    # its support columns for the SVD; its witness ratio goes through the
-    # coefficient functionals, which read the real form and add no R x R
-    # array.
+    # form alone.  A not_frame band decision then holds the real form, its
+    # support columns and, until the eigensolve, their frame operator
+    # X^T X, |S| x |S|; its witness ratio goes through the coefficient
+    # functionals, which read the real form and add no R x R array.
     r = 1024
     tracemalloc.start()
     try:

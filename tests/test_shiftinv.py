@@ -1,9 +1,12 @@
 """Translate systems, periodized weights, Zak transform, Gabor check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import framelab.shiftinv as si
+import oracles
 from framelab import (
     ConsistencyError,
     OperatorFamily,
@@ -247,6 +250,40 @@ def test_structured_gram_spectrum_matches_dense_oracle(shape):
         assert eig.shape == (N * L,)
         assert np.all(np.diff(eig) >= 0)
         assert np.max(np.abs(eig - dense)) <= 1e-12 * np.abs(dense).max(), name
+
+
+@pytest.mark.parametrize("chunk", [si.ZAK_CHUNK, 64, 1])
+def test_chunked_gram_spectrum_keeps_the_bits_of_one_chunk(monkeypatch, chunk):
+    # The shifted products are summed a chunk of shifts at a time; each sum
+    # runs over the same periods in the same order as the one-chunk form, so
+    # the spectrum keeps its bits for every chunk size.  At the default size
+    # 2 x 1024 takes 32 chunks and every shape with L * P <= 2^16 one.
+    monkeypatch.setattr(si, "ZAK_CHUNK", chunk)
+    rng = np.random.default_rng(37)
+    for N, L in [(2, 1024), (1, 2048), (32, 32), (16, 64), (7, 300), (5, 7), (1, 1)]:
+        windows = (
+            si.gabor_window("gaussian", N, L),
+            rng.standard_normal(N * L) + 1j * rng.standard_normal(N * L),
+        )
+        for phi in windows:
+            got, want = si.gabor_gram_spectrum(phi, N, L), oracles.gabor_gram_spectrum(phi, N, L)
+            assert np.array_equal(got, want), (N, L)
+
+
+def test_gram_spectrum_working_set_at_2x1024():
+    # The one-chunk form holds L x L x N complex products, 64 MiB at
+    # N = 2, L = 1024.  In chunks of ZAK_CHUNK = 2^16 complex entries the
+    # route holds one chunk of products and its period indices beside
+    # O(P) arrays.  Measured 2.3 x 16 * 2^16 bytes.
+    phi = si.gabor_window("gaussian", 2, 1024)
+    tracemalloc.start()
+    try:
+        eig = si.gabor_gram_spectrum(phi, 2, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eig.shape == (2048,)
+    assert peak <= 3 * 16 * si.ZAK_CHUNK
 
 
 def test_gabor_check_compares_whole_spectrum(monkeypatch):
