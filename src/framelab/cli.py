@@ -50,7 +50,7 @@ from .shiftinv import (
     gabor_window,
     make_generator,
     periodized_weight,
-    translate_gram,
+    translate_gram_spectrum,
     zak_transform,
 )
 from .tensor_onb import TensorBasis, build_default
@@ -466,12 +466,10 @@ def _run_shiftinv(cfg: dict, inputs: tuple) -> tuple:
         "window_norm_sq": norm_sq,
         "decay_tail": gen.decay_tail,
         "translate_count": gen.grid_size,
-        # the dense translate Gram is formed only up to 64 translates
-        "translate_gram_checked": gen.grid_size <= 64,
     }
-    if metrics["translate_gram_checked"]:
-        eig = np.linalg.eigvalsh(translate_gram(gen))
-        residuals["translate_gram_vs_weight"] = _multiset_gap(np.sort(space.weights), eig)
+    residuals["translate_gram_vs_weight"] = _multiset_gap(
+        np.sort(space.weights), translate_gram_spectrum(gen)
+    )
     return rep, residuals, metrics, _weight_tables(space.grid, space.weights)
 
 

@@ -17,9 +17,13 @@ read from the inverse DFT of the weight.
 The frame verdict is the analyzer's frame decision on the family alone,
 with its bounds and witness over the positive-weight band, the span of the
 translates.  The basis generates the family's rows as its fold reads them,
-so it keeps only its real form; it is orthonormal by construction, so no
-hypothesis check adds a second R x R array, and the witness ratio goes
-through the coefficient functionals, which form none either.
+so it keeps only its real form.  Its R consecutive frequencies on the R
+midpoints make it orthonormal by construction, so the hypothesis check is
+skipped: it would stream row blocks and add no R x R array, but its block
+products R[idx] R^T cost R^3 flops, about two thirds of the band decision's
+own time at R = 1024 (65 ms against 90 ms on 2 vCPUs), to confirm what the
+recipe guarantees.  The witness ratio goes through the coefficient
+functionals, which form no R x R array either.
 """
 
 from __future__ import annotations

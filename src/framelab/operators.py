@@ -28,7 +28,6 @@ from .wspace import (
     _conform,
     _scaled_norm,
     _weight_exponent,
-    norm,
     total_mass,
 )
 
@@ -148,8 +147,21 @@ def parseval_residual(fam: OperatorFamily, field: Field) -> float:
 
 def bessel_excess(fam: OperatorFamily, field: Field) -> float:
     """Largest amount, over n, by which sum_m |coefficient|^2 exceeds the
-    mass bound total_mass * ||f||^2.  Nonpositive means the bound holds."""
-    coeffs = lambda_all(fam, field)
+    mass bound total_mass * ||f||^2.  Nonpositive means the bound holds.
+
+    As in ``analyzer.witness_ratio``, the field is divided by 2^(e/4) and
+    the coefficients and the mass by 2^e, e from ``_weight_exponent``, so
+    both terms are taken in units of 2^(2e + 2(e//4)) and stay in range
+    for every weight the space accepts.  The excess is multiplied back
+    by that unit: exact in binary, so every excess in range keeps its
+    bits, and one beyond the float range is infinite, never NaN.
+    """
+    space = fam.space
+    e = _weight_exponent(space.weights)
+    k = e // 4
+    scaled = Field(field.values * np.ldexp(1.0, -k))
+    coeffs = lambda_all(fam, scaled) * np.ldexp(1.0, -e)
     per_n = (np.abs(coeffs) ** 2).sum(axis=0)
-    cap = total_mass(fam.space) * norm(fam.space, field) ** 2
-    return float(per_n.max() - cap)
+    cap = np.ldexp(total_mass(space), -e) * _scaled_norm(space, scaled, e) ** 2
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(per_n.max() - cap, 2 * (e + k)))

@@ -4,8 +4,8 @@ A generator is given by frequency samples on [-R, R) at spacing 1/N, so
 integer translates of the unit grid land on sample points.  Folding the
 squared modulus over integer shifts produces a node weight on [0, 1) that
 carries the frame character of the translate family.  The module also
-provides the time-side Gram of the translates, the finite Zak transform,
-and a Gabor basis check at critical density.
+provides the spectrum of the time-side Gram of the translates, the finite
+Zak transform, and a Gabor basis check at critical density.
 
 The discrete model is periodic: time samples live on a cyclic grid of
 period N with spacing 1/(2R), the exact transform pair of the frequency
@@ -27,7 +27,7 @@ __all__ = [
     "Generator",
     "make_generator",
     "periodized_weight",
-    "translate_gram",
+    "translate_gram_spectrum",
     "ZakGrid",
     "zak_transform",
     "gabor_window",
@@ -129,13 +129,35 @@ def _time_samples(gen: Generator) -> np.ndarray:
     return 2 * gen.radius * signs * np.fft.ifft(gen.fhat)
 
 
-def translate_gram(gen: Generator) -> np.ndarray:
-    """Gram matrix of the N translates, by time-side quadrature; its
-    spectrum reproduces the periodized weight exactly."""
+def translate_gram_spectrum(gen: Generator) -> np.ndarray:
+    """Ascending eigenvalues of the Gram matrix of the N translates, by
+    time-side quadrature; they reproduce the periodized weight exactly.
+
+    With phi the P = 2RN time samples and step = 2R, translate k is
+    phi[s - step k] and the Gram is
+    G[k, k'] = (1/step) sum_s conj(phi[s - step k]) phi[s - step k'].
+    Substituting s -> s + step k', G[k, k'] = c[(k - k') mod N] with
+
+        c[k] = (1/step) sum_s conj(phi[s - step k]) phi[s],
+
+    so G is circulant: the DFT over the lag k diagonalizes it, and its
+    spectrum is fft(c), real because G is Hermitian.  Each c[k] is a direct
+    inner product of the samples with one cyclic shift of them, taken on
+    the two slices the shift wraps into, so the route does O(N P) work in
+    O(P) memory and copies no samples: it forms no N x P or N x N array.
+    It transforms neither the samples nor across the translates, either of
+    which would read the weight back; as in ``gabor_gram_spectrum`` the
+    only DFT is over the lag.
+    """
     step = 2 * gen.radius
-    phi_t = _time_samples(gen)
-    V = np.stack([np.roll(phi_t, step * k) for k in range(gen.grid_size)])
-    return (V.conj() @ V.T) / step
+    phi = _time_samples(gen)
+    P = phi.size
+    column = np.empty(gen.grid_size, dtype=complex)
+    for k in range(gen.grid_size):
+        m = step * k  # phi[s - m] is phi[s - m + P] for s < m
+        column[k] = np.vdot(phi[: P - m], phi[m:]) + np.vdot(phi[P - m :], phi[:m])
+    column /= step
+    return np.sort(np.fft.fft(column).real)
 
 
 @dataclass(frozen=True, eq=False)

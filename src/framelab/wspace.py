@@ -129,10 +129,19 @@ def inner(space: WeightedSpace, f: Field, g: Field) -> complex:
 
     <f, g> = (1/N) sum_i <f(x_i), g(x_i)>_fiber * w_i, with the fiber
     pairing conjugating its second slot.
+
+    The sum is taken under the weights divided by 2^e, e from
+    ``_weight_exponent``, and its real and imaginary parts are multiplied
+    back by 2^e: exact in binary, so every inner product in range keeps
+    its bits, and one beyond the float range is infinite in that part
+    rather than NaN in the other.
     """
     _conform(space, f)
     _conform(space, g)
-    return _inner(f, g, space.weights, space.grid_size)
+    e = _weight_exponent(space.weights)
+    val = _inner(f, g, np.ldexp(space.weights, -e), space.grid_size)
+    with np.errstate(over="ignore"):
+        return complex(np.ldexp(val.real, e), np.ldexp(val.imag, e))
 
 
 def _inner(f: Field, g: Field, weights: np.ndarray, grid_size: int) -> complex:

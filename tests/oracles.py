@@ -4,14 +4,15 @@ the one-expression forms of the family arrays that the package now builds in
 place, without extra N x N copies, the complex coefficient product and the
 whole-grid lattice sum that the real-form and in-band routes replaced, and
 the single-member fields and pointwise coefficients that only the tests take
-apart."""
+apart, and the unscaled forms of the inner product and the Bessel excess."""
 
 import csv
 import io
 
 import numpy as np
 
-from framelab import Field
+from framelab import Field, lambda_all, norm, total_mass
+from framelab.shiftinv import _time_samples
 from framelab.tensor_onb import PAIRING_BLOCK
 from framelab.wspace import _conform
 
@@ -96,6 +97,31 @@ def translate_gram(model) -> np.ndarray:
     e = np.exp(2j * np.pi * np.outer(ks, model.alpha))
     w = np.where(model.support, model.weights, 0.0)
     return (e * w) @ e.conj().T / model.resolution
+
+
+def generator_translate_gram(gen) -> np.ndarray:
+    """The N x N Gram of the translates of a ``shiftinv`` generator, by
+    time-side quadrature, with every shifted copy of the time samples
+    stacked into one N x P array: the dense reference for
+    ``shiftinv.translate_gram_spectrum``."""
+    step = 2 * gen.radius
+    phi_t = _time_samples(gen)
+    V = np.stack([np.roll(phi_t, step * k) for k in range(gen.grid_size)])
+    return (V.conj() @ V.T) / step
+
+
+def unscaled_inner(space, f, g) -> complex:
+    """``wspace.inner`` summed under the weights themselves, as it was
+    before the sum was taken in power-of-two units."""
+    val = np.einsum("ij,ij,i->", f.values, g.values.conj(), space.weights)
+    return complex(val / space.grid_size)
+
+
+def unscaled_bessel_excess(fam, field) -> float:
+    """``operators.bessel_excess`` with both terms taken unscaled, as it
+    was before they were taken in power-of-two units."""
+    per_n = (np.abs(lambda_all(fam, field)) ** 2).sum(axis=0)
+    return float(per_n.max() - total_mass(fam.space) * norm(fam.space, field) ** 2)
 
 
 def csv_text(header, columns) -> str:

@@ -127,7 +127,6 @@ def test_shiftinv_mode(tmp_path):
     assert doc["verdict"] == "riesz_basis"
     assert doc["residuals"]["mass_vs_norm"] < 1e-12
     assert doc["residuals"]["translate_gram_vs_weight"] <= 1e-13
-    assert doc["metrics"]["translate_gram_checked"] is True
     assert doc["metrics"]["total_mass"] == pytest.approx(
         doc["metrics"]["window_norm_sq"], rel=1e-12
     )
@@ -146,6 +145,27 @@ def test_shiftinv_mass_vs_norm_takes_the_norm_on_the_time_side(tmp_path, monkeyp
     code = run_config(cfg, tmp_path / "broken")
     assert int(code) == 2
     assert code.doc["residuals"]["mass_vs_norm"] == pytest.approx(1 - 1 / 1.01**2)
+
+
+def test_shiftinv_translate_gram_takes_the_time_samples_at_the_cap(
+    tmp_path, monkeypatch, capsys
+):
+    # At 256 translates, the grid cap, the translate Gram is still formed
+    # from the time samples: scaling them by 1.01 scales its spectrum by
+    # 1.01^2, which the check against the weight reports.  The time-side
+    # norm of mass_vs_norm reads its own samples and does not move.
+    cfg = {"mode": "shiftinv", "generator": {"preset": "gaussian", "grid_size": 256}}
+    argv = ["--config", _write(tmp_path, cfg), "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 0
+    good = _report(tmp_path)
+    monkeypatch.setattr(shiftinv, "_time_samples", lambda g: 1.01 * cli._time_samples(g))
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert "check failed: translate_gram_vs_weight" in capsys.readouterr().err
+    broken = _report(tmp_path)
+    assert broken["residuals"]["translate_gram_vs_weight"] == pytest.approx(1 - 1 / 1.01**2)
+    assert broken["residuals"]["mass_vs_norm"] == good["residuals"]["mass_vs_norm"]
+    assert broken["metrics"]["window_norm_sq"] == good["metrics"]["window_norm_sq"]
 
 
 _SEED_WEIGHTS = st.one_of(
@@ -208,13 +228,14 @@ def test_verdict_bounds_and_checks_do_not_depend_on_seed(config, seed_a, seed_b)
     assert outcomes[0] == outcomes[1]
 
 
-def test_shiftinv_reports_unchecked_translate_gram_above_64(tmp_path):
-    cfg = {"mode": "shiftinv", "generator": {"preset": "gaussian", "grid_size": 65}}
+@pytest.mark.parametrize("grid_size", [65, 256])
+def test_shiftinv_checks_translate_gram_at_every_size(tmp_path, grid_size):
+    cfg = {"mode": "shiftinv", "generator": {"preset": "gaussian", "grid_size": grid_size}}
     proc = _run(tmp_path, cfg)
     assert proc.returncode == 0, proc.stderr
     doc = _report(tmp_path)
-    assert doc["metrics"]["translate_gram_checked"] is False
-    assert "translate_gram_vs_weight" not in doc["residuals"]
+    assert doc["residuals"]["translate_gram_vs_weight"] <= 1e-13
+    assert "translate_gram_checked" not in doc["metrics"]
 
 
 def test_shiftinv_writes_witness_csv(tmp_path):

@@ -17,12 +17,14 @@ from framelab import (
     random_field,
     total_mass,
 )
+from framelab.wspace import _Normals
 
 from oracles import (
     analysis_matrix,
     complex_lambda_all,
     lambda_tilde,
     tensor_field,
+    unscaled_bessel_excess,
     walsh_family,
 )
 
@@ -209,6 +211,38 @@ def test_bessel_bound_with_mass_constant():
         sp, fam = _family(n, m, rng.uniform(0.1, 5.0, n))
         f = random_field(sp, rng)
         assert bessel_excess(fam, f) <= 1e-10 * max(1.0, inner(sp, f, f).real)
+
+
+def test_bessel_excess_keeps_its_bits_in_range():
+    # both terms taken in power-of-two units and the excess scaled back is
+    # exact in binary: the same bits as the unscaled difference
+    rng = np.random.default_rng(44)
+    for _ in range(300):
+        n = int(rng.integers(2, 17))
+        m = int(rng.integers(1, 5))
+        sp, fam = _family(n, m, rng.uniform(0.1, 10.0, n) * 10.0 ** rng.uniform(-50, 50))
+        f = random_field(sp, rng)
+        got, want = bessel_excess(fam, f), unscaled_bessel_excess(fam, f)
+        assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
+def test_bessel_excess_at_extreme_weights():
+    # Scaling the weights by 4^j scales the excess by 16^j, exactly: over
+    # every weight the space accepts it is that of the ramp 0.5..2 times
+    # 16^j, never NaN, and -inf only once that is below -1.8e308.
+    base_w = np.linspace(0.5, 2.0, 8)
+    sp, fam = _family(8, 2, base_w)
+    f = random_field(sp, _Normals(1))
+    base = bessel_excess(fam, f)
+    assert base < 0.0
+    for j in [*range(-500, 512, 9), 511]:  # the top weight 2 * 4^511 is 2^1023
+        got = bessel_excess(_family(8, 2, np.ldexp(base_w, 2 * j))[1], f)
+        with np.errstate(over="ignore", under="ignore"):
+            want = np.ldexp(base, 4 * j)
+        assert got == want, j
+    for lo, hi in ((0.5e160, 2e160), (1e300, 1.7e308)):
+        sp, fam = _family(8, 2, np.linspace(lo, hi, 8))
+        assert bessel_excess(fam, random_field(sp, _Normals(1))) == -np.inf
 
 
 def test_bessel_bound_tight_for_constant_fields():

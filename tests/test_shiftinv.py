@@ -145,8 +145,43 @@ def test_translate_gram_spectrum_equals_weight():
     for _ in range(6):
         gen = _random_generator(rng, N=int(rng.integers(2, 25)), R=2)
         w = si.periodized_weight(gen)
-        eig = np.sort(np.linalg.eigvalsh(si.translate_gram(gen)))
+        eig = si.translate_gram_spectrum(gen)
         assert np.max(np.abs(eig - np.sort(w))) < 1e-9 * max(1.0, w.max())
+
+
+def test_translate_gram_spectrum_matches_dense_oracle():
+    # the lag-DFT route against eigvalsh of the dense Gram, odd N and N = 1
+    # included; the dense Gram is circulant, which is what the route assumes
+    rng = np.random.default_rng(19)
+    for N in [1, 2, 3, *rng.integers(4, 40, size=12)]:
+        for R in range(1, 5):
+            gen = _random_generator(rng, N=int(N), R=R)
+            G = oracles.generator_translate_gram(gen)
+            atol = 1e-13 * np.abs(G).max()
+            for k in range(gen.grid_size):
+                assert np.allclose(np.roll(G[:, 0], k), G[:, k], rtol=0, atol=atol)
+            dense = np.linalg.eigvalsh(G)
+            eig = si.translate_gram_spectrum(gen)
+            assert eig.shape == (gen.grid_size,)
+            assert np.all(np.diff(eig) >= 0)
+            assert np.max(np.abs(eig - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+def test_translate_gram_spectrum_working_set_at_cap():
+    # 256 translates at radius 16, the validator's caps: the route holds the
+    # time samples and the N lags, no N x P array (which alone would be
+    # N x 16P bytes); its peak is that of forming the samples.  Measured
+    # 4.0 x 16P.
+    gen = si.make_generator("gaussian", 256, 16)
+    P = gen.fhat.size
+    tracemalloc.start()
+    try:
+        eig = si.translate_gram_spectrum(gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eig.shape == (256,)
+    assert peak <= 8 * 16 * P
 
 
 def test_translate_frame_verdict_through_weight():

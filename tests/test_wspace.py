@@ -6,6 +6,8 @@ import pytest
 from framelab import Field, WeightedSpace, inner, norm, random_field, total_mass
 from framelab.wspace import _Normals
 
+import oracles
+
 
 def test_space_validation():
     with pytest.raises(ValueError):
@@ -118,6 +120,35 @@ def test_inner_sesquilinear_sweep():
         # hermitian symmetry
         assert inner(sp, f, g) == pytest.approx(np.conj(inner(sp, g, f)), abs=1e-12)
         assert norm(sp, f) >= 0.0
+
+
+def _bits(z: complex) -> bytes:
+    return np.array([z]).tobytes()
+
+
+def test_inner_keeps_its_bits_in_range():
+    # the sum taken under w / 2^e and scaled back by 2^e is exact in binary
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        n = int(rng.integers(1, 17))
+        m = int(rng.integers(1, 5))
+        w = (rng.uniform(0.0, 2.0, n) + 1e-3) * 10.0 ** rng.uniform(-100, 100)
+        sp = WeightedSpace(n, m, w)
+        f, g = random_field(sp, rng), random_field(sp, rng)
+        assert _bits(inner(sp, f, g)) == _bits(oracles.unscaled_inner(sp, f, g))
+
+
+def test_inner_at_extreme_weights():
+    # ||f||^2 is past the float range, so <f, f> is infinite in its real
+    # part and 0 in its imaginary part, not NaN, while the norm is finite;
+    # a pairing that is in range is the one of the weights scaled down
+    w = np.linspace(1e300, 1.7e308, 8)
+    sp = WeightedSpace(8, 2, w)
+    f = random_field(sp, _Normals(1))
+    assert inner(sp, f, f) == complex(np.inf, 0.0)
+    assert np.isfinite(norm(sp, f))
+    g = Field(f.values * 2.0**-600)
+    assert inner(sp, f, g) == inner(WeightedSpace(8, 2, np.ldexp(w, -600)), f, f)
 
 
 def test_zero_weight_nodes_are_invisible():
