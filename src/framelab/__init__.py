@@ -17,7 +17,6 @@ from .analyzer import (
     decide_frame,
     decide_onb,
     synthesis_gram,
-    weight_bounds,
     witness_lower_failure,
     witness_ratio,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "bessel_excess",
     "Verdict",
     "FrameReport",
-    "weight_bounds",
     "synthesis_gram",
     "witness_ratio",
     "witness_lower_failure",

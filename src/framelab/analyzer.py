@@ -13,9 +13,10 @@ space it analyzes, so every route reads one weight.  ``classify`` is
 decision serves every weight mode: ``decide_frame`` reads the verdict, the
 weight bounds and a witness over the whole grid, and ``heisenberg`` takes
 the same decision with its bounds and witness over its positive-weight
-band, the nodes its family must cover.  The ``_vs_`` residuals are
-relative to max(1, largest weight), so they do not depend on the units of
-the weight.
+band, the nodes its family must cover.  Every spectral ``_vs_`` residual
+follows one rule, ``_multiset_gap``: the whole ascending spectrum against
+the whole sorted multiset it must reproduce, relative to the largest value
+of either, so it does not depend on the units of the weight.
 
 Every coefficient energy, sum |Lambda_{m,n} f|^2 against ||f||^2, takes
 one route: ``witness_ratio`` through ``operators.lambda_all``, one real
@@ -58,19 +59,11 @@ import numpy as np
 
 from .operators import OperatorFamily, frame_spectrum, lambda_all
 from .tensor_onb import HYPOTHESIS_TOL, PAIRING_BLOCK
-from .wspace import (
-    Field,
-    WeightedSpace,
-    _Normals,
-    _scaled_norm,
-    _weight_exponent,
-    random_field,
-)
+from .wspace import Field, WeightedSpace, _Normals, _scaled_norm, random_field
 
 __all__ = [
     "Verdict",
     "FrameReport",
-    "weight_bounds",
     "synthesis_gram",
     "decide_frame",
     "decide_onb",
@@ -120,11 +113,6 @@ class FrameReport:
         return None if self.spectrum is None else _extremes(self.spectrum)
 
 
-def weight_bounds(space: WeightedSpace) -> tuple:
-    w = space.weights
-    return (float(w.min()), float(w.max()))
-
-
 def _validate_family(fam: OperatorFamily) -> None:
     """The deciders assume a unimodular orthonormal tensor family.  The
     checks run in order and the first failure is raised: unimodularity,
@@ -161,20 +149,21 @@ def _field_matrix(fam: OperatorFamily) -> np.ndarray:
 
 
 def _gram_fold(fam: OperatorFamily) -> np.ndarray:
-    """The real fold (R w/N) R^T (N x N) of the weighted scalar Gram
-    gs = (F w/N) F^H, with R the basis's real form.
+    """The real fold (R u/N) R^T (N x N) of the weighted scalar Gram
+    gs = (F u/N) F^H, with R the basis's real form and u = w / 2^e the
+    space's unit weights: the Gram in the space's unit.
 
     Entry ((m, n), (m', n')) of the synthesis Gram is
     delta_{m m'} * (1/N) sum_i f_n(x_i) conj(f_n'(x_i)) w_i, so the Gram is
     kron(I_M, gs).  The fold is its own real product of the family entries,
     not the square of the frame route's matrix, so the two routes share
     only the family.  It is written into its one N x N output a block of
-    ``PAIRING_BLOCK`` rows at a time, each block of R scaled by w/N in one
+    ``PAIRING_BLOCK`` rows at a time, each block of R scaled by u/N in one
     reused buffer, so no scaled copy of R is formed.
     """
     R = fam.basis._pairs.real
     N = R.shape[0]
-    q = fam.space.weights / fam.space.grid_size
+    q = fam.space.unit_weights / fam.space.grid_size
     fold, buf = np.empty((N, N)), np.empty((min(PAIRING_BLOCK, N), N))
     for start in range(0, N, PAIRING_BLOCK):
         blk = slice(start, start + PAIRING_BLOCK)
@@ -183,9 +172,10 @@ def _gram_fold(fam: OperatorFamily) -> np.ndarray:
     return fold
 
 
-def _gram_spectrum(fold: np.ndarray, fiber_dim: int) -> np.ndarray:
+def _gram_spectrum(fold: np.ndarray, space: WeightedSpace) -> np.ndarray:
     """Ascending synthesis-Gram spectrum: the eigenvalues of the fold (tiny
-    negative ones from zero-weight nodes included), each ``fiber_dim`` times.
+    negative ones from zero-weight nodes included), multiplied back by the
+    unit 2^e of ``space``, each ``space.fiber_dim`` times.
 
     The fold is the real symmetric U D gs D^H U^H of the weighted scalar
     Gram gs, with D the row dephasing and U the sparse unitary of the
@@ -194,28 +184,36 @@ def _gram_spectrum(fold: np.ndarray, fiber_dim: int) -> np.ndarray:
     is not an FFT: for the discrete Fourier family an FFT would
     diagonalize gs and read back the weights, and check nothing.
     """
-    return np.repeat(np.linalg.eigvalsh(fold), fiber_dim)
+    spec = np.ldexp(np.linalg.eigvalsh(fold), space.unit_exponent)
+    return np.repeat(spec, space.fiber_dim)
 
 
 def _extremes(spec: np.ndarray) -> tuple:
     return (float(spec[0]), float(spec[-1]))
 
 
+def _multiset_gap(values: np.ndarray, eig: np.ndarray) -> float:
+    """max |values - eig| over the largest of either (at least tiny), for
+    ascending ``values`` and the ascending eigenvalues that must reproduce
+    them: the relative gap between two whole sorted multisets, the one rule
+    of every spectral ``_vs_`` residual."""
+    scale = max(float(values[-1]), float(eig[-1]), np.finfo(float).tiny)
+    return float(np.max(np.abs(values - eig)) / scale)
+
+
 def witness_ratio(fam: OperatorFamily, field: Field) -> float:
     """Total coefficient energy sum |Lambda_{m,n} f|^2 of ``field``, through
     ``lambda_all``, over its squared norm.
 
-    With e from ``wspace._weight_exponent``, the ratio is 2^e times that of
-    the field divided by 2^(e/4), its coefficients and its squared norm
-    divided by 2^e.  Each scaling is exact in binary, so every ratio whose
-    energies are in range keeps its bits, and the coefficients (about
-    2^(3e/4)), the energy and the squared norm (about 2^(-e/2)) stay in
-    range for every weight the space accepts.  Zero-norm fields (supported
-    where the weight vanishes) report 0.
+    With 2^e the space's unit, the ratio is 2^e times that of the field
+    divided by 2^(e/4), its coefficients and its squared norm divided by
+    2^e, so the coefficients (about 2^(3e/4)), the energy and the squared
+    norm (about 2^(-e/2)) stay in range for every weight the space accepts.
+    Zero-norm fields (supported where the weight vanishes) report 0.
     """
-    e = _weight_exponent(fam.space.weights)
+    e = fam.space.unit_exponent
     scaled = Field(field.values * np.ldexp(1.0, -(e // 4)))
-    den = _scaled_norm(fam.space, scaled, e) ** 2
+    den = _scaled_norm(fam.space, scaled) ** 2
     if den == 0.0:
         return 0.0
     coeffs = lambda_all(fam, scaled) * np.ldexp(1.0, -e)
@@ -272,9 +270,12 @@ def _onb_residuals(fam: OperatorFamily, fold: np.ndarray) -> dict:
     """ONB defects of the synthesis Gram kron(I_M, gs): the largest
     off-diagonal modulus (onb_cross) and the largest deviation of a
     diagonal entry from 1 (onb_norm), those of gs, whose moduli and
-    diagonal are read off its real fold, a block of row views at a time."""
+    diagonal are read off its real fold, a block of row views at a time,
+    and multiplied back by the space's unit."""
+    e = fam.space.unit_exponent
     diag, off = fam.basis._pairs.moduli(fold)
-    return {"onb_cross": off, "onb_norm": float(np.max(np.abs(diag - 1.0)))}
+    onb_norm = float(np.max(np.abs(np.ldexp(diag, e) - 1.0)))
+    return {"onb_cross": float(np.ldexp(off, e)), "onb_norm": onb_norm}
 
 
 def _parseval_checks(fam: OperatorFamily, verdict: Verdict, rng) -> tuple:
@@ -304,15 +305,17 @@ def _parseval_checks(fam: OperatorFamily, verdict: Verdict, rng) -> tuple:
 
 def _onb_half(fam: OperatorFamily, tol: float, rng) -> FrameReport:
     """``decide_onb`` for a family that holds its hypotheses: the fold of
-    the synthesis Gram, its spectrum and ONB defects, then the Parseval
-    probes and the defect field."""
-    fold = _gram_fold(fam)
-    gb = _extremes(_gram_spectrum(fold, fam.space.fiber_dim))
-    residuals = _onb_residuals(fam, fold)
-    verdict = _verdict(fam.space.weights, tol)
+    the synthesis Gram, its spectrum against all the weights
+    (gram_vs_weight) and its ONB defects, then the Parseval probes and the
+    defect field."""
+    fold, w = _gram_fold(fam), np.sort(fam.space.weights)
+    spec = _gram_spectrum(fold, fam.space)
+    gap = _multiset_gap(np.repeat(w, fam.space.fiber_dim), spec)
+    residuals = {"gram_vs_weight": gap, **_onb_residuals(fam, fold)}
+    verdict = _verdict(w, tol)
     defect, probes = _parseval_checks(fam, verdict, rng)
-    bounds = weight_bounds(fam.space)
-    return FrameReport(verdict, bounds, gb, {**residuals, **probes}, defect)
+    gb = _extremes(spec)
+    return FrameReport(verdict, _extremes(w), gb, {**residuals, **probes}, defect)
 
 
 def decide_frame(
@@ -332,15 +335,15 @@ def decide_frame(
 def _decide_frame(fam: OperatorFamily, tol: float, claim, band: bool) -> FrameReport:
     """``decide_frame`` for a family that holds its hypotheses, with its
     bounds and witness over the whole grid or, with ``band``, over the
-    support.  The spectrum on the support must reproduce the support weight
-    range: spectrum_vs_weight is the gap of the extremes, relative to
-    max(1, largest weight).  The witness undercuts ``claim``, else, for a
-    non-frame, the smallest claim above ``tol``, which holds the nodes of
-    weight <= tol; its ``witness_ratio`` is reported."""
+    support.  The spectrum on the support must reproduce the support
+    weights, each M times (spectrum_vs_weight, a ``_multiset_gap``).  The
+    witness undercuts ``claim``, else, for a non-frame, the smallest claim
+    above ``tol``, which holds the nodes of weight <= tol; its
+    ``witness_ratio`` is reported."""
     spec = frame_spectrum(fam)
     sw = fam.space.weights[fam.space.support]
-    gap = max(abs(float(spec[0]) - sw.min()), abs(float(spec[-1]) - sw.max()))
-    residuals = {"spectrum_vs_weight": gap / max(1.0, float(sw.max()))}
+    gap = _multiset_gap(np.repeat(np.sort(sw), fam.space.fiber_dim), spec)
+    residuals = {"spectrum_vs_weight": gap}
     w = sw if band else fam.space.weights
     lo, hi = float(w.min()), float(w.max())
     witness = None if claim is None else _lower_witness(fam, claim, band)
@@ -357,9 +360,11 @@ def decide_onb(fam: OperatorFamily, tol: float = VERDICT_TOL, rng=None) -> Frame
     within ``tol`` and, as for every ONB, the family is a frame, i.e. the
     weight exceeds ``tol``.
 
-    Three independent conditions are verified and reported: cross
-    orthogonality of the synthesis images (onb_cross), unit norm of the
-    synthesis images (onb_norm), and energy preservation on random fields
+    The synthesis-Gram spectrum must reproduce the weights, each M times
+    (gram_vs_weight, a ``_multiset_gap``), and three independent conditions
+    are verified and reported: cross orthogonality of the synthesis images
+    (onb_cross), unit norm of the synthesis images (onb_norm), and energy
+    preservation on random fields
     (onb_parseval), drawn from ``rng``: any object with
     ``standard_normal(shape)``, such as a numpy ``Generator``; None uses a
     fixed seed-0 source.  Unless the verdict is onb, the node whose weight
@@ -376,19 +381,17 @@ def classify(fam: OperatorFamily, tol: float = VERDICT_TOL, rng=None) -> FrameRe
     Note the family is square, so the two-sided bound and the basis
     property coincide; the merged verdict is onb, riesz_basis or not_frame.
     The family hypotheses are verified once, then ``decide_frame`` and the
-    ONB half of ``decide_onb`` run, merged with the synthesis-Gram spectrum
-    against the weight range (gram_vs_weight, relative to max(1, largest
-    weight)).  The Parseval probes are drawn from ``rng`` as in
-    ``decide_onb``.  The verdict is that of ``decide_onb``; the witness is
-    the lower-bound one, else the defect field.
+    ONB half of ``decide_onb`` run and their residuals are merged.  The
+    Parseval probes are drawn from ``rng`` as in ``decide_onb``.  The
+    verdict is that of ``decide_onb``; the witness is the lower-bound one,
+    else the defect field.
     """
     _validate_family(fam)
     fr = _decide_frame(fam, tol, None, band=False)
     onb = _onb_half(fam, tol, rng)
-    (lo, hi), gb = fr.weight_bounds, onb.gram_bounds
-    gram = max(abs(gb[0] - lo), abs(gb[1] - hi)) / max(1.0, hi)
-    residuals = {**fr.residuals, "gram_vs_weight": gram, **onb.residuals}
+    residuals = {**fr.residuals, **onb.residuals}
     witness = onb.witness if fr.witness is None else fr.witness
+    gb = onb.gram_bounds
     return replace(
         fr, verdict=onb.verdict, gram_bounds=gb, residuals=residuals, witness=witness
     )

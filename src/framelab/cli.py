@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analyzer import VERDICT_TOL, Verdict, classify, decide_frame
+from .analyzer import VERDICT_TOL, Verdict, _multiset_gap, classify, decide_frame
 from .errors import ConsistencyError
 from .heisenberg import (
     K_MAX,
@@ -43,8 +43,8 @@ from .operators import OperatorFamily
 from .shiftinv import (
     GENERATOR_RADIUS,
     Generator,
+    _check_window,
     _gabor_riesz_check,
-    _multiset_gap,
     _quasiperiodicity_residual,
     _time_samples,
     gabor_window,
@@ -302,9 +302,10 @@ def _build_inputs(cfg: dict, samples, diags: list):
     if mode == "shiftinv":
         return _attempt(diags, "generator", _generator_inputs, cfg["generator"], samples)
     if mode == "zak":
-        if samples is not None:
-            return samples
         size = (cfg["time_resolution"], cfg["translates"])
+        if samples is not None:  # the window rules of the routes, at validation
+            _attempt(diags, "window.samples_path", _check_window, samples, *size)
+            return samples
         return _attempt(diags, "window", gabor_window, cfg["window"]["preset"], *size)
     h = cfg["heisenberg"]
     eps, d = h["eps"], h["d"]

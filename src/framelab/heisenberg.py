@@ -28,7 +28,7 @@ functionals, which form no R x R array either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -210,6 +210,8 @@ class CenterTranslateModel:
                 f"coefficients must have shape ({2 * self.k_max + 1},) "
                 "for translates -k_max..k_max"
             )
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be finite")
         return c
 
 
@@ -243,7 +245,7 @@ def isometry_residual(model: CenterTranslateModel, a) -> float:
     k = np.arange(n)
     gram = float(np.real(c.conj() @ t[k[:, None] - k + n - 1] @ c))
     rel = abs(field - gram) / max(gram, np.finfo(float).tiny)
-    if rel > ISOMETRY_TOL:
+    if not rel <= ISOMETRY_TOL:  # a NaN gap fails too
         raise ConsistencyError(f"synthesis norm routes disagree: {field!r} vs {gram!r}")
     return rel
 
@@ -276,5 +278,5 @@ def _band_report(space: WeightedSpace, tol: float) -> FrameReport:
     basis = TensorBasis.fourier(R // 2 - n, 2 * n + 1, 2 * R)
     fam = OperatorFamily(space, basis)
     rep = _decide_frame(fam, tol, None, band=True)
-    rep.residuals["support_fraction"] = float(space.support.mean())
-    return rep
+    share = {"support_fraction": float(space.support.mean())}
+    return replace(rep, residuals={**rep.residuals, **share})

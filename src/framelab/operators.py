@@ -22,14 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor_onb import TensorBasis
-from .wspace import (
-    Field,
-    WeightedSpace,
-    _conform,
-    _scaled_norm,
-    _weight_exponent,
-    total_mass,
-)
+from .wspace import Field, WeightedSpace, _conform, _scaled_norm, total_mass
 
 __all__ = [
     "OperatorFamily",
@@ -102,11 +95,9 @@ def frame_spectrum(fam: OperatorFamily) -> np.ndarray:
     applied to the family: it diagonalizes nothing, so the eigensolve still
     checks the weights independently.
 
-    D is taken from w_S / 2^e, e the even exponent of the largest support
-    weight (``_weight_exponent``), and the eigenvalues are multiplied back
-    by 2^e: exact in binary, so the eigensolve sees a matrix of norm near 1,
-    and scaling the weight by a power of 4 scales the spectrum by it bit
-    for bit.
+    D is taken from the space's unit weights w_S / 2^e, and the eigenvalues
+    are multiplied back by 2^e, so the eigensolve sees a matrix of norm
+    near 1.
 
     Raises:
         ValueError: if the scalar family is not closed under conjugation.
@@ -117,26 +108,23 @@ def frame_spectrum(fam: OperatorFamily) -> np.ndarray:
     cols = R if idx.size == R.shape[1] else R[:, idx]
     gram = cols.T @ cols
     del cols  # the support copy goes before the eigensolve
-    w = space.weights[idx]
-    e = _weight_exponent(w)
-    d = np.sqrt(np.ldexp(w, -e) / space.grid_size)
+    d = np.sqrt(space.unit_weights[idx] / space.grid_size)
     gram *= d
     gram *= d[:, None]
-    return np.repeat(np.ldexp(np.linalg.eigvalsh(gram), e), space.fiber_dim)
+    spec = np.ldexp(np.linalg.eigvalsh(gram), space.unit_exponent)
+    return np.repeat(spec, space.fiber_dim)
 
 
 def parseval_residual(fam: OperatorFamily, field: Field) -> float:
     """Worst relative defect, over n, of the energy sum_m ||c_{m,n}||^2 of the
     pointwise coefficients c_{m,n}(x_i) = conj(f_n(x_i)) f(x_i)[m]
-    against ||f||^2, both taken under the weights divided by 2^e
-    (``_weight_exponent``): exact in binary, so the defect keeps its bits
-    and its energies stay in range for every weight the space accepts."""
+    against ||f||^2, both taken under the space's unit weights, so its
+    energies stay in range for every weight the space accepts."""
     space = fam.space
-    e = _weight_exponent(space.weights)
-    ns = _scaled_norm(space, field, e) ** 2
+    ns = _scaled_norm(space, field) ** 2
     if ns == 0.0:
         return 0.0
-    w = np.ldexp(space.weights, -e)
+    w = space.unit_weights
     F, worst = fam.basis.scalar_family, 0.0
     for n in range(space.grid_size):
         lt = F[n].conj()[:, None] * field.values
@@ -150,18 +138,17 @@ def bessel_excess(fam: OperatorFamily, field: Field) -> float:
     mass bound total_mass * ||f||^2.  Nonpositive means the bound holds.
 
     As in ``analyzer.witness_ratio``, the field is divided by 2^(e/4) and
-    the coefficients and the mass by 2^e, e from ``_weight_exponent``, so
-    both terms are taken in units of 2^(2e + 2(e//4)) and stay in range
-    for every weight the space accepts.  The excess is multiplied back
-    by that unit: exact in binary, so every excess in range keeps its
-    bits, and one beyond the float range is infinite, never NaN.
+    the coefficients and the mass by 2^e, 2^e the space's unit, so both
+    terms are taken in units of 2^(2e + 2(e//4)) and stay in range for
+    every weight the space accepts.  The excess is multiplied back by that
+    unit, so one beyond the float range is infinite, never NaN.
     """
     space = fam.space
-    e = _weight_exponent(space.weights)
+    e = space.unit_exponent
     k = e // 4
     scaled = Field(field.values * np.ldexp(1.0, -k))
     coeffs = lambda_all(fam, scaled) * np.ldexp(1.0, -e)
     per_n = (np.abs(coeffs) ** 2).sum(axis=0)
-    cap = np.ldexp(total_mass(space), -e) * _scaled_norm(space, scaled, e) ** 2
+    cap = np.ldexp(total_mass(space), -e) * _scaled_norm(space, scaled) ** 2
     with np.errstate(over="ignore"):
         return float(np.ldexp(per_n.max() - cap, 2 * (e + k)))

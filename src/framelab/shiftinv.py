@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analyzer import VERDICT_TOL, FrameReport, _verdict
+from .analyzer import VERDICT_TOL, FrameReport, _multiset_gap, _verdict
 from .errors import ConsistencyError, TruncationError
 from .wspace import _integer, _readonly
 
@@ -191,13 +191,21 @@ def _sizes(time_resolution: int, translates: int) -> tuple:
 
 
 def _check_window(phi, time_resolution: int, translates: int) -> tuple:
-    """(phi, N, L): the finite window of N * L samples and its sizes."""
+    """(phi, N, L): the finite window of N * L samples and its sizes.
+
+    L * sum |phi|^2 must be finite too: it bounds every squared Zak
+    magnitude and every Gabor Gram eigenvalue, so neither route overflows.
+    """
     N, L = _sizes(time_resolution, translates)
     phi = np.asarray(phi, dtype=complex)
     if phi.shape != (N * L,):
         raise ValueError(f"window must have {N * L} samples, got {phi.shape}")
     if not np.all(np.isfinite(phi)):
         raise ValueError("window must be finite")
+    with np.errstate(over="ignore"):
+        energy = L * float(np.sum(np.abs(phi) ** 2))
+    if not np.isfinite(energy):
+        raise ValueError("window energy translates * sum |phi|^2 overflows")
     return phi, N, L
 
 
@@ -297,14 +305,6 @@ def gabor_riesz_check(
     """
     zak = zak_transform(phi, time_resolution, translates)
     return _gabor_riesz_check(zak, phi, tol)
-
-
-def _multiset_gap(values: np.ndarray, eig: np.ndarray) -> float:
-    """max |values - eig| over the largest of either (at least tiny), for
-    ascending ``values`` and the ascending eigenvalues that must reproduce
-    them: the relative gap between two whole sorted multisets."""
-    scale = max(float(values[-1]), float(eig[-1]), np.finfo(float).tiny)
-    return float(np.max(np.abs(values - eig)) / scale)
 
 
 def _gabor_riesz_check(zak: ZakGrid, phi, tol: float) -> FrameReport:

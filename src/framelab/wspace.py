@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,18 +62,26 @@ class WeightedSpace:
     that the coordinate scale sqrt(N / w_i) of the support stays finite; a
     smaller positive weight is refused, not dropped.
 
+    The unit 2^e of the weights is stated here alone: e is even and
+    max(w) / 2^e lies in [1/4, 1).  Every energy, norm and spectrum of the
+    package is taken under the unit weights w / 2^e, far from overflow, and
+    multiplied back by the matching power of 2^e, which is exact in binary,
+    so scaling the weight by a power of 4 scales it bit for bit.
+
     Attributes:
         grid_size: number N of grid nodes x_i = i/N in [0, 1).
         fiber_dim: dimension M of the value space, stated here alone: a
             ``TensorBasis`` holds the scalar family and no M.
         weights: N nonnegative node weights, at least one positive.
         support: read-only mask of the nodes with positive weight.
+        unit_exponent: the even exponent e of the unit 2^e.
     """
 
     grid_size: int
     fiber_dim: int
     weights: np.ndarray
     support: np.ndarray = field(init=False, repr=False)
+    unit_exponent: int = field(init=False, repr=False)
 
     def __post_init__(self):
         n = _integer("grid_size", self.grid_size, 1)
@@ -97,6 +106,15 @@ class WeightedSpace:
         object.__setattr__(self, "fiber_dim", m)
         object.__setattr__(self, "weights", _readonly(w))
         object.__setattr__(self, "support", _readonly(support))
+        e = int(np.frexp(w.max())[1])
+        object.__setattr__(self, "unit_exponent", e + (e & 1))
+
+    @cached_property
+    def unit_weights(self) -> np.ndarray:
+        """Read-only w / 2^e, made on first read, not by every space."""
+        u = np.ldexp(self.weights, -self.unit_exponent)
+        u.setflags(write=False)
+        return u
 
     @property
     def grid(self) -> np.ndarray:
@@ -130,16 +148,14 @@ def inner(space: WeightedSpace, f: Field, g: Field) -> complex:
     <f, g> = (1/N) sum_i <f(x_i), g(x_i)>_fiber * w_i, with the fiber
     pairing conjugating its second slot.
 
-    The sum is taken under the weights divided by 2^e, e from
-    ``_weight_exponent``, and its real and imaginary parts are multiplied
-    back by 2^e: exact in binary, so every inner product in range keeps
-    its bits, and one beyond the float range is infinite in that part
-    rather than NaN in the other.
+    The sum is taken under the space's unit weights, and its real and
+    imaginary parts are multiplied back by 2^e, so one beyond the float
+    range is infinite in that part rather than NaN in the other.
     """
     _conform(space, f)
     _conform(space, g)
-    e = _weight_exponent(space.weights)
-    val = _inner(f, g, np.ldexp(space.weights, -e), space.grid_size)
+    e = space.unit_exponent
+    val = _inner(f, g, space.unit_weights, space.grid_size)
     with np.errstate(over="ignore"):
         return complex(np.ldexp(val.real, e), np.ldexp(val.imag, e))
 
@@ -149,43 +165,26 @@ def _inner(f: Field, g: Field, weights: np.ndarray, grid_size: int) -> complex:
     return complex(val)
 
 
-def _weight_exponent(weights: np.ndarray) -> int:
-    """The even e with max(weights) / 2^e in [1/4, 1).
-
-    Dividing a weight by 2^e is exact in binary, unless the quotient leaves
-    the normal range, and commutes with a square root; it keeps every
-    quadratic form in the weights far from overflow.
-    """
-    e = int(np.frexp(weights.max())[1])
-    return e + (e & 1)
-
-
 def norm(space: WeightedSpace, f: Field) -> float:
     """Norm induced by ``inner``; zero exactly when f vanishes on the
-    positive-weight nodes.
-
-    The square is summed under the weights divided by 2^e, e from
-    ``_weight_exponent``, and the root multiplied back by 2^(e/2): exact in
-    binary, so the norm keeps the bits of the unscaled form wherever its
-    square is in range, and no weight the space accepts overflows it.
-    """
-    e = _weight_exponent(space.weights)
-    return float(np.ldexp(_scaled_norm(space, f, e), e // 2))
+    positive-weight nodes.  It is ``_scaled_norm`` multiplied back by
+    2^(e/2), so no weight the space accepts overflows its square."""
+    return float(np.ldexp(_scaled_norm(space, f), space.unit_exponent // 2))
 
 
-def _scaled_norm(space: WeightedSpace, f: Field, e: int) -> float:
-    """||f|| / 2^(e/2), for even e: the norm under the weights w / 2^e."""
+def _scaled_norm(space: WeightedSpace, f: Field) -> float:
+    """||f|| / 2^(e/2): the norm under the space's unit weights."""
     _conform(space, f)
-    sq = _inner(f, f, np.ldexp(space.weights, -e), space.grid_size).real
+    sq = _inner(f, f, space.unit_weights, space.grid_size).real
     return float(np.sqrt(max(sq, 0.0)))
 
 
 def total_mass(space: WeightedSpace) -> float:
-    """Quadrature integral of the weight, (1/N) sum_i w_i, summed in units
-    of 2^e (``_weight_exponent``), so a sum above the float range that
-    the mean is not does not overflow."""
-    e = _weight_exponent(space.weights)
-    return float(np.ldexp(np.ldexp(space.weights, -e).sum() / space.grid_size, e))
+    """Quadrature integral of the weight, (1/N) sum_i w_i, summed under the
+    unit weights, so a sum above the float range that the mean is not does
+    not overflow."""
+    unit_mass = space.unit_weights.sum() / space.grid_size
+    return float(np.ldexp(unit_mass, space.unit_exponent))
 
 
 class _Normals:

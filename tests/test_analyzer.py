@@ -23,12 +23,11 @@ from framelab import (
     random_field,
     synthesis_gram,
     total_mass,
-    weight_bounds,
     witness_lower_failure,
     witness_ratio,
 )
 from framelab import analyzer
-from framelab.analyzer import _extremes, _gram_fold, _gram_spectrum
+from framelab.analyzer import _gram_fold, _gram_spectrum, _multiset_gap
 from framelab.tensor_onb import PAIRING_BLOCK
 import oracles
 
@@ -37,11 +36,6 @@ def _family(weights, m=1):
     w = np.asarray(weights, dtype=float)
     sp = WeightedSpace(w.size, m, w)
     return sp, OperatorFamily(sp, build_default(w.size))
-
-
-def test_weight_bounds():
-    sp, _ = _family([0.5, 2.0, 1.0])
-    assert weight_bounds(sp) == (0.5, 2.0)
 
 
 def test_synthesis_gram_spectrum_is_weight_multiset():
@@ -341,18 +335,21 @@ def test_classify_equals_the_three_deciders_merged(w, m, tol, seed):
     rep = classify(fam, tol=tol, rng=np.random.default_rng(seed))
     fr = decide_frame(fam, tol=tol)
     ob = decide_onb(fam, tol=tol, rng=np.random.default_rng(seed))
-    # the Gram route: its spectrum from the fold against the weight range
-    gb = _extremes(_gram_spectrum(_gram_fold(fam), fam.space.fiber_dim))
-    lo, hi = fr.weight_bounds
-    gram = {"gram_vs_weight": max(abs(gb[0] - lo), abs(gb[1] - hi)) / max(1.0, hi)}
+    # the Gram route: its whole spectrum from the fold against all the
+    # weights, each m times, in the ONB half; the frame route against the
+    # support weights, each m times
+    gram = _gram_spectrum(_gram_fold(fam), sp)
+    assert ob.residuals["gram_vs_weight"] == _multiset_gap(np.repeat(np.sort(w), m), gram)
+    live = np.repeat(np.sort(w[w > 0]), m)
+    assert fr.residuals["spectrum_vs_weight"] == _multiset_gap(live, fr.spectrum)
     basis = Verdict.RIESZ_BASIS if fr.verdict is Verdict.FRAME else Verdict.NOT_FRAME
     assert rep.verdict is (ob.verdict if ob.verdict is Verdict.ONB else basis)
     assert rep.verdict is ob.verdict
     assert rep.weight_bounds == fr.weight_bounds == ob.weight_bounds
     assert rep.oracle_bounds == fr.oracle_bounds
     assert np.array_equal(rep.spectrum, fr.spectrum)
-    assert rep.gram_bounds == gb == ob.gram_bounds
-    merged = {**fr.residuals, **gram, **ob.residuals}
+    assert rep.gram_bounds == (gram[0], gram[-1]) == ob.gram_bounds
+    merged = {**fr.residuals, **ob.residuals}
     assert rep.residuals == merged
     witness = fr.witness if fr.witness is not None else ob.witness
     if witness is None:
@@ -380,6 +377,27 @@ def test_power_of_four_weight_scaling_scales_ratios_and_spectrum_bit_for_bit():
         got = [witness_ratio(scaled, f) for f in fields]
         assert got == [float(np.ldexp(r, 2 * k)) for r in want]
         assert np.array_equal(frame_spectrum(scaled), np.ldexp(spec, 2 * k))
+
+
+def test_power_of_four_weight_scaling_keeps_every_spectral_check_bit_for_bit():
+    # The frame and Gram routes both run in the space's unit, so scaling the
+    # weights by 4^k scales both spectra and the Gram bounds by 4^k exactly,
+    # and the two checks, relative to the largest value, keep their bits.
+    w = np.linspace(0.3, 1.7, 64)
+    w[::5] = 0.0
+    sp, fam = _family(w, m=2)
+    rep = classify(fam, rng=np.random.default_rng(0))
+    gram = _gram_spectrum(_gram_fold(fam), sp)
+    for k in range(-20, 21):
+        sp_k, fam_k = _family(np.ldexp(w, 2 * k), m=2)
+        rep_k = classify(fam_k, rng=np.random.default_rng(0))
+        assert np.array_equal(rep_k.spectrum, np.ldexp(rep.spectrum, 2 * k))
+        assert np.array_equal(
+            _gram_spectrum(_gram_fold(fam_k), sp_k), np.ldexp(gram, 2 * k)
+        )
+        assert rep_k.gram_bounds == tuple(float(np.ldexp(g, 2 * k)) for g in rep.gram_bounds)
+        for check in ("spectrum_vs_weight", "gram_vs_weight"):
+            assert rep_k.residuals[check] == rep.residuals[check]
 
 
 def test_energy_ratios_stay_finite_at_extreme_weights():

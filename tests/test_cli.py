@@ -874,8 +874,8 @@ def test_cross_checks_at_grid_cap_hold_to_rounding(tmp_path):
 
 @pytest.mark.parametrize("mode", ["analyze", "witness"])
 def test_cross_checks_hold_in_large_weight_units(tmp_path, mode):
-    # The _vs_ residuals are relative to max(1, largest weight), so weights
-    # in units of 1e8 pass the default tolerance as weights near 1 do.
+    # The _vs_ residuals are relative to the largest value compared, so
+    # weights in units of 1e8 pass the default tolerance as weights near 1 do.
     cfg = {
         "mode": mode,
         "space": {"grid_size": 64, "fiber_dim": 2,
@@ -889,6 +889,32 @@ def test_cross_checks_hold_in_large_weight_units(tmp_path, mode):
     assert doc["verdict"] == ("riesz_basis" if mode == "analyze" else "frame")
     checks = {k: v for k, v in doc["residuals"].items() if "_vs_" in k}
     assert checks and max(checks.values()) <= 1e-14, checks
+
+
+def _doubled(route):
+    return lambda *args: 2.0 * route(*args)
+
+
+@pytest.mark.parametrize("start, stop", [(3e-12, 1e-10), (0.3, 1.0)])
+@pytest.mark.parametrize(
+    "route, check",
+    [("frame_spectrum", "spectrum_vs_weight"), ("_gram_spectrum", "gram_vs_weight")],
+)
+def test_a_doubled_spectrum_fails_its_check_in_any_unit(
+    tmp_path, monkeypatch, route, check, start, stop
+):
+    # Each spectral check compares the whole spectrum with the weights,
+    # relative to the largest value, so a route that returns twice its
+    # spectrum fails its check whether the weights are near 1 or near 1e-10.
+    monkeypatch.setattr(analyzer, route, _doubled(getattr(analyzer, route)))
+    cfg = {
+        "mode": "analyze",
+        "space": {"grid_size": 64, "fiber_dim": 2,
+                  "weight": {"preset": "ramp", "start": start, "stop": stop}},
+    }
+    code = run_config(cfg, tmp_path / "run")
+    assert code == 2
+    assert [name for name, _ in cli._failed_checks(code.doc)] == [check]
 
 
 def test_config_echo_round_trip(tmp_path):
@@ -1212,6 +1238,24 @@ def test_run_config_refuses_nonfinite_custom_samples(tmp_path, mode):
     cfg = make(_nonfinite_csv(tmp_path, 16, "nan"))
     with pytest.raises(ValueError, match=re.escape(f"{where}: sample 16 is not finite")):
         run_config(cfg, tmp_path / "run")
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
+@pytest.mark.parametrize("validate_only", [True, False], ids=["validate", "run"])
+def test_custom_window_whose_energy_overflows_is_refused(tmp_path, validate_only):
+    # finite samples whose Zak magnitudes overflow are refused at validation,
+    # by the rule of the Zak and Gram routes, and no report is written
+    path = tmp_path / "samples.csv"
+    path.write_text("re,im\n" + "1e200,0\n" * 8 + "0,0\n" * 56)
+    cfg = {"mode": "zak", "window": {"preset": "custom", "samples_path": str(path)},
+           "time_resolution": 8, "translates": 8}
+    proc = _run(tmp_path, cfg, extra=["--validate-only"] if validate_only else [])
+    assert proc.returncode == 1
+    assert "config ok" not in proc.stdout
+    assert (
+        "config error: window.samples_path: window energy translates * sum |phi|^2 "
+        "overflows"
+    ) in proc.stderr
     assert not (tmp_path / "run" / "report.json").exists()
 
 

@@ -68,7 +68,7 @@ def test_factored_gram_route_matches_dense_gram():
         dense_eig = np.linalg.eigvalsh(gram)
         dense_cross = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
         dense_norm = float(np.max(np.abs(np.diag(gram).real - 1.0)))
-        spec = _gram_spectrum(_gram_fold(fam), fam.space.fiber_dim)
+        spec = _gram_spectrum(_gram_fold(fam), fam.space)
         rep = decide_onb(fam)
         cross, unit = rep.residuals["onb_cross"], rep.residuals["onb_norm"]
         scale = float(np.max(np.abs(gram)))
@@ -171,7 +171,9 @@ def test_working_set_routes_match_dense_forms_bit_for_bit():
             )
             for weights in (w, dead):
                 sp = WeightedSpace(n, 1, weights)
-                fold = _gram_fold(OperatorFamily(sp, basis))
+                # the fold is taken in the space's unit, so multiplied back
+                # by it, exactly, it is the absolute fold bit for bit
+                fold = np.ldexp(_gram_fold(OperatorFamily(sp, basis)), sp.unit_exponent)
                 assert _same_bits(fold, oracles.gram_by_row_blocks(R, weights))
                 whole = oracles.real_gram(R, weights)
                 assert np.max(np.abs(fold - whole)) <= 1e-15 * weights.max()
@@ -205,6 +207,7 @@ def test_moduli_match_complex_scalar_gram():
             gs = oracles.weighted_scalar_gram(F, w)
             real = _gram_fold(OperatorFamily(sp, fam.basis))
             diag, off = fam.basis._pairs.moduli(real)
+            diag, off = np.ldexp(diag, sp.unit_exponent), np.ldexp(off, sp.unit_exponent)
             scale = float(w.max())
             gap = np.max(np.abs(np.sort(diag) - np.sort(np.diag(gs).real)))
             assert gap <= 1e-15 * scale
@@ -266,7 +269,7 @@ def test_folded_spectra_match_complex_oracles_and_weights():
         n, m = fam.space.grid_size, fam.space.fiber_dim
         w = fam.space.weights
         spec = frame_spectrum(fam)
-        gram = _gram_spectrum(_gram_fold(fam), m)
+        gram = _gram_spectrum(_gram_fold(fam), fam.space)
         if n * m <= 512:
             T = analysis_matrix(fam)
             oracle = np.sort(np.linalg.svd(T, compute_uv=False)) ** 2
@@ -318,7 +321,7 @@ def test_walsh_hadamard_family_is_classified(n):
     assert classify(fam, rng=np.random.default_rng(0)).verdict is Verdict.RIESZ_BASIS
     tol = 1e-12 * w.max()
     assert np.max(np.abs(frame_spectrum(fam) - np.sort(w))) <= tol
-    assert np.max(np.abs(_gram_spectrum(_gram_fold(fam), 1) - np.sort(w))) <= tol
+    assert np.max(np.abs(_gram_spectrum(_gram_fold(fam), fam.space) - np.sort(w))) <= tol
 
 
 def test_onb_ratios_match_witness_ratio():
@@ -371,8 +374,8 @@ def test_weight_scaling_scales_spectra(case, c):
     spec, spec_c = frame_spectrum(fam), frame_spectrum(fam_c)
     assert spec_c.shape == spec.shape == (m * np.count_nonzero(w),)
     assert np.max(np.abs(spec_c - c * spec)) <= 1e-12 * c * spec.max()
-    lo, hi = _extremes(_gram_spectrum(_gram_fold(fam), m))
-    lo_c, hi_c = _extremes(_gram_spectrum(_gram_fold(fam_c), m))
+    lo, hi = _extremes(_gram_spectrum(_gram_fold(fam), fam.space))
+    lo_c, hi_c = _extremes(_gram_spectrum(_gram_fold(fam_c), fam_c.space))
     assert abs(lo_c - c * lo) <= 1e-12 * c * hi
     assert abs(hi_c - c * hi) <= 1e-12 * c * hi
     # the cross checks are relative to the weight scale, so they pass in any unit
@@ -440,8 +443,8 @@ def test_fiber_dimension_only_repeats_the_scalar_values(m):
         one = OperatorFamily(WeightedSpace(n, 1, w), basis)
         fam = OperatorFamily(WeightedSpace(n, m, w), basis)
         assert _same_bits(frame_spectrum(fam), np.repeat(frame_spectrum(one), m))
-        gram = _gram_spectrum(_gram_fold(fam), m)
-        assert _same_bits(gram, np.repeat(_gram_spectrum(_gram_fold(one), 1), m))
+        gram = _gram_spectrum(_gram_fold(fam), fam.space)
+        assert _same_bits(gram, np.repeat(_gram_spectrum(_gram_fold(one), one.space), m))
         rep, rep_one = decide_onb(fam), decide_onb(one)
         for key in ("onb_cross", "onb_norm"):
             assert _same_bits(rep.residuals[key], rep_one.residuals[key])

@@ -183,6 +183,38 @@ def test_isometry_guard_is_live(monkeypatch):
         hb.isometry_residual(model, a)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coefficients_are_refused(bad):
+    model = hb.CenterTranslateModel(0.5, 2, resolution=64, k_max=2)
+    a = np.ones(5, dtype=complex)
+    a[2] = bad
+    for route in (hb.s_map, hb.isometry_residual):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            route(model, a)
+
+
+def test_isometry_guard_fails_a_nan_gap(monkeypatch):
+    # a NaN gap between the routes is no pass: the gate is written
+    # ``not rel <= tol``, so it raises on NaN as on a gap above the tolerance
+    model = hb.CenterTranslateModel(0.5, 2, resolution=64, k_max=2)
+    monkeypatch.setattr(hb, "s_map", lambda m, c: np.full(m.resolution, np.nan))
+    with pytest.raises(ConsistencyError):
+        hb.isometry_residual(model, np.ones(5))
+
+
+def test_band_report_leaves_the_frame_decision_as_built(monkeypatch):
+    # support_fraction is added to a copy of the residuals, not written into
+    # the report the frame decision returned
+    built = []
+    decide = hb._decide_frame
+    monkeypatch.setattr(
+        hb, "_decide_frame", lambda *a, **k: built.append(decide(*a, **k)) or built[-1]
+    )
+    rep = hb.frame_report(0.5, 1, resolution=64)
+    assert set(built[0].residuals) == {"spectrum_vs_weight"}
+    assert rep.residuals == {**built[0].residuals, "support_fraction": 0.5}
+
+
 def test_scalar_family_orthonormal_on_midpoint_grid():
     for r in (4, 16, 64):
         k = np.arange(r)

@@ -378,6 +378,19 @@ def test_gabor_generic_window_is_riesz():
     assert rep.weight_bounds == (pytest.approx(zsq.min()), pytest.approx(zsq.max()))
 
 
+def test_window_whose_energy_overflows_is_refused():
+    # finite samples whose squared Zak magnitudes overflow: L * sum |phi|^2
+    # bounds every |Z|^2 and every Gram eigenvalue, so it must be finite
+    phi = 1e200 * si.gabor_window("indicator", 8, 8)
+    for route in (si.zak_transform, si.gabor_gram_spectrum, si.gabor_riesz_check):
+        with pytest.raises(ValueError, match="window energy .* overflows"):
+            route(phi, 8, 8)
+    # a large window whose energy is in range is checked as any other
+    rep = si.gabor_riesz_check(1e150 * si.gabor_window("indicator", 8, 8), 8, 8)
+    assert rep.weight_bounds == (pytest.approx(1e300), pytest.approx(1e300))
+    assert rep.residuals["zak_vs_gram"] <= 1e-15
+
+
 def test_gabor_check_guard_trips(monkeypatch):
     N = L = 4
     phi = si.gabor_window("indicator", N, L)
