@@ -37,17 +37,18 @@ product runs in real arithmetic all the same: every family here is closed
 under conjugation, and a fixed sparse unitary (the centrohermitian
 reduction) maps it to its real form R, built once per basis, a block of
 rows at a time, so a Fourier basis keeps R alone, never its family.  The
-hypothesis check reads the scalar Gram R R^T / N, the frame route takes
-the ``eigvalsh`` of X^T X, X the support columns of R, scaled by
-sqrt(w/N) on both sides, and the Gram route the ``eigvalsh`` of its own
-product (R w/N) R^T, so the routes share only the family.  The
-fold regroups entries and diagonalizes nothing, so the routes stay dense
-and independent, and the moduli and the diagonal of the complex Gram that
-the residuals report are read back off the real one.  Both real Grams are
-formed a block of rows at a time: the hypothesis check never holds
-R R^T / N whole, and the Gram route writes its one N x N output from
-blocks of R scaled in one reused buffer, so no run holds an N x N array
-beside R and that output.
+frame route takes the ``eigvalsh`` of X^T X, X the support columns of R,
+scaled by sqrt(w/N) on both sides, and the Gram route the ``eigvalsh`` of
+its own product (R w/N) R^T, so the routes share only the family.  The
+isometry hypothesis F^H F = N I is the column Gram R^T R, so each decider
+reads it off X^T X before the weight scales it (``_support_gram``): it
+costs the frame route no copy and no product, and ``decide_onb``, which
+has no frame route, forms X^T X for it alone.  No decider forms R R^T.
+The fold regroups entries and diagonalizes nothing, so the routes stay
+dense and independent, and the moduli and the diagonal of the complex
+Gram that the residuals report are read back off the real one.  The Gram
+route writes its one N x N output from blocks of R scaled in one reused
+buffer, so no run holds an N x N array beside R and that output.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ from enum import Enum
 
 import numpy as np
 
-from .operators import OperatorFamily, frame_spectrum, lambda_all
-from .tensor_onb import HYPOTHESIS_TOL, PAIRING_BLOCK
+from .operators import OperatorFamily, _support_gram, frame_spectrum, lambda_all
+from .tensor_onb import PAIRING_BLOCK, _check_hypothesis
 from .wspace import Field, WeightedSpace, _Normals, _scaled_norm, random_field
 
 __all__ = [
@@ -116,17 +117,13 @@ class FrameReport:
 def _validate_family(fam: OperatorFamily) -> None:
     """The deciders assume a unimodular orthonormal tensor family.  The
     checks run in order and the first failure is raised: unimodularity,
-    then conjugate symmetry (the real form the scalar check reads needs
-    it), then scalar orthonormality; the fiber basis is the standard one."""
-    b = fam.basis
-    checks = (
-        ("unimodularity", b.unimodularity_residual),
-        ("scalar orthonormality", b.scalar_gram_residual),
-    )
-    for name, residual in checks:
-        res = residual()
-        if not res <= HYPOTHESIS_TOL:  # a NaN residual fails too
-            raise ValueError(f"family violates {name} (residual {res:.3e})")
+    then conjugate symmetry, which the real form needs.  The third
+    hypothesis, scalar orthonormality, is read off the frame operator on
+    the support columns of the real form (``operators._support_gram``),
+    which the frame route forms anyway, so the deciders check it there, next
+    and before anything else; the fiber basis is the standard one."""
+    _check_hypothesis("unimodularity", fam.basis.unimodularity_residual())
+    fam.basis._pairs
 
 
 def synthesis_gram(fam: OperatorFamily) -> np.ndarray:
@@ -372,6 +369,7 @@ def decide_onb(fam: OperatorFamily, tol: float = VERDICT_TOL, rng=None) -> Frame
     equals its weight.
     """
     _validate_family(fam)
+    _support_gram(fam)  # the isometry hypothesis, which no ONB route reads
     return _onb_half(fam, tol, rng)
 
 

@@ -16,14 +16,13 @@ read from the inverse DFT of the weight.
 
 The frame verdict is the analyzer's frame decision on the family alone,
 with its bounds and witness over the positive-weight band, the span of the
-translates.  The basis generates the family's rows as its fold reads them,
-so it keeps only its real form.  Its R consecutive frequencies on the R
-midpoints make it orthonormal by construction, so the hypothesis check is
-skipped: it would stream row blocks and add no R x R array, but its block
-products R[idx] R^T cost R^3 flops, about two thirds of the band decision's
-own time at R = 1024 (65 ms against 90 ms on 2 vCPUs), to confirm what the
-recipe guarantees.  The witness ratio goes through the coefficient
-functionals, which form no R x R array either.
+translates.  The basis gathers the rows of its real form from its table of
+roots in one pass, so it keeps only the real form.  Its R consecutive
+frequencies on the R midpoints make it orthonormal by construction, and
+the decision checks so on the band's frame operator X^T X before the
+weight scales it: the isometry costs no copy and no product beyond the one
+the frame route takes anyway.  The witness ratio goes through the
+coefficient functionals, which form no R x R array either.
 """
 
 from __future__ import annotations
@@ -269,9 +268,9 @@ def _band_space(eps: float, d: int, resolution: int) -> WeightedSpace:
 
 
 def _band_report(space: WeightedSpace, tol: float) -> FrameReport:
-    """``frame_report`` on its weighted space.  The family e^(-2 pi i k alpha),
-    k = -R//2 .. R - R//2 - 1, is orthonormal, so its R x R check is skipped;
-    the basis generates its rows as they are read and keeps the real form."""
+    """``frame_report`` on its weighted space, for the orthonormal family
+    e^(-2 pi i k alpha), k = -R//2 .. R - R//2 - 1, whose basis gathers its
+    real form in one pass and keeps it alone."""
     R = space.grid_size
     n = np.arange(R)
     # alpha_i = (2i + 1) / 2R

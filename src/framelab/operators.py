@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_onb import TensorBasis
+from .tensor_onb import TensorBasis, _check_hypothesis, _isometry_residual
 from .wspace import Field, WeightedSpace, _conform, _scaled_norm, total_mass
 
 __all__ = [
@@ -88,9 +88,9 @@ def frame_spectrum(fam: OperatorFamily) -> np.ndarray:
     value repeated M times.  It runs in real arithmetic on the support
     columns X of the basis's real form R, which has the Gram of the family
     on every column set: q^H q = D X^T X D with D = diag(sqrt(w_S / N)).
-    X^T X is one symmetric product (BLAS syrk), of R itself on a full
-    support, so no scaled copy of R is made, and ``eigvalsh`` reads its
-    lower triangle once D has scaled its rows and columns.  R is a fixed
+    X^T X (``_support_gram``, which checks the isometry on it first) is
+    one symmetric product, and ``eigvalsh`` reads its lower triangle once
+    D has scaled its rows and columns in place.  R is a fixed
     sparse unitary (the conjugate row pairing, after each row is dephased)
     applied to the family: it diagonalizes nothing, so the eigensolve still
     checks the weights independently.
@@ -100,7 +100,32 @@ def frame_spectrum(fam: OperatorFamily) -> np.ndarray:
     near 1.
 
     Raises:
-        ValueError: if the scalar family is not closed under conjugation.
+        ValueError: if the scalar family is not closed under conjugation,
+            or not an isometry on the support columns.
+    """
+    space = fam.space
+    gram, idx = _support_gram(fam)
+    d = np.sqrt(space.unit_weights[idx] / space.grid_size)
+    gram *= d
+    gram *= d[:, None]
+    spec = np.ldexp(np.linalg.eigvalsh(gram), space.unit_exponent)
+    return np.repeat(spec, space.fiber_dim)
+
+
+def _support_gram(fam: OperatorFamily) -> tuple:
+    """(X^T X, idx): the column Gram of the support columns X = R[:, idx] of
+    the basis's real form, the frame operator before the weight, once the
+    family has passed the isometry hypothesis on it, max |X^T X / N - I|
+    <= ``HYPOTHESIS_TOL``.  R^T R = F^H F, so this is the column Gram of
+    the family itself.  Every quantity of a run lives on the support (a
+    zero-weight column enters no coefficient, Gram entry or spectrum), so
+    the hypothesis is needed there only.  X^T X is one symmetric product
+    (BLAS syrk), of R itself on a full support, so no scaled copy of R is
+    made, and the check reads it in place.
+
+    Raises:
+        ValueError: if the scalar family is not closed under conjugation,
+            or not an isometry on the support columns.
     """
     space = fam.space
     R = fam.basis._pairs.real
@@ -108,11 +133,9 @@ def frame_spectrum(fam: OperatorFamily) -> np.ndarray:
     cols = R if idx.size == R.shape[1] else R[:, idx]
     gram = cols.T @ cols
     del cols  # the support copy goes before the eigensolve
-    d = np.sqrt(space.unit_weights[idx] / space.grid_size)
-    gram *= d
-    gram *= d[:, None]
-    spec = np.ldexp(np.linalg.eigvalsh(gram), space.unit_exponent)
-    return np.repeat(spec, space.fiber_dim)
+    residual = _isometry_residual(gram, space.grid_size)
+    _check_hypothesis("scalar orthonormality", residual)
+    return gram, idx
 
 
 def parseval_residual(fam: OperatorFamily, field: Field) -> float:

@@ -70,6 +70,11 @@ class Generator:
             raise ValueError(f"fhat must have shape ({expect},), got {f.shape}")
         if not np.all(np.isfinite(f)):
             raise ValueError("fhat must be finite")
+        # sum |fhat|^2 bounds every periodized weight, so none overflows
+        with np.errstate(over="ignore"):
+            energy = float(np.sum(np.abs(f) ** 2))
+        if not np.isfinite(energy):
+            raise ValueError("fhat energy sum |fhat|^2 overflows")
         if not self.decay_tail >= 0:  # NaN too
             raise ValueError("decay_tail must be nonnegative")
         object.__setattr__(self, "fhat", _readonly(f))

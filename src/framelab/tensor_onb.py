@@ -27,24 +27,50 @@ HYPOTHESIS_TOL = 1e-9
 PAIRING_BLOCK = 32
 
 
+def _check_hypothesis(name: str, residual: float) -> None:
+    """Refuse a family whose residual for the hypothesis ``name`` exceeds
+    ``HYPOTHESIS_TOL``; a NaN residual fails too."""
+    if not residual <= HYPOTHESIS_TOL:
+        raise ValueError(f"family violates {name} (residual {residual:.3e})")
+
+
+def _isometry_residual(gram: np.ndarray, n: int) -> float:
+    """max |G/n - I| for the column Gram G = X^T X of n-row columns X of a
+    real form: the isometry F^H F = n I on those columns.  G is read in
+    place, with its diagonal set aside, zeroed for the off-diagonal extremes
+    and written back, so it keeps its bits and is not copied."""
+    diag = np.array(np.diagonal(gram))
+    view = gram.reshape(-1)[:: gram.shape[0] + 1]  # the diagonal, writable
+    view[:] = 0.0
+    off = max(float(gram.max(initial=0.0)), -float(gram.min(initial=0.0))) / n
+    view[:] = diag
+    return max(float(np.max(np.abs(diag / n - 1.0), initial=0.0)), off)
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class TensorBasis:
     """Scalar family (rows f_n over the grid), tensored with the fiber C^M
     of the space it is bound to.
 
-    The scalar family is read through one row reader, which alone knows the
-    kind of basis and returns the rows F[idx]: a basis built as
-    ``TensorBasis(scalar_family)`` indexes the array it holds,
-    and one built by ``TensorBasis.fourier`` generates the rows
-    ``fourier_family(freqs[idx], numer, denom)``, bit for bit those of the
-    whole family, so it holds no complex N x N array.
+    A basis built as ``TensorBasis(scalar_family)`` holds the array it is
+    given.  One built by ``TensorBasis.fourier(freqs, numer, denom)`` holds
+    its integers, and generates the rows
+    ``fourier_family(freqs[idx], numer, denom)`` as they are read, bit for
+    bit those of the whole family, so it holds no complex N x N array.
 
-    Two passes read the family ``PAIRING_BLOCK`` rows at a time: ``_scan``
-    (for ``unimodularity_residual``) raises nothing, and ``_pairs`` (for
-    ``scalar_gram_residual``, both spectral routes and ``lambda_all``)
-    checks the conjugate row pairing and builds the read-only real form
-    R = U D F once.  The basis keeps R, so every N x N product of a run
-    takes the real form, at a quarter of the flops of a complex one.
+    The first pass over the family (``_scan``) reads it ``PAIRING_BLOCK``
+    rows at a time and raises nothing; it gives ``unimodularity_residual``.
+    ``_pairs`` then holds the conjugate row pairing and the read-only real
+    form R = U D F, built once, which both spectral routes, the isometry
+    check on the frame operator and ``lambda_all`` read, so every N x N
+    product of a run takes the real form, at a quarter of the flops of a
+    complex one.  An array basis finds its pairing on one key per row, so
+    its first pass keys the rows and a second one checks the pairing on
+    every entry and folds.  A Fourier basis knows its pairing from its
+    integers (``_recipe_partner``), so its one pass gathers each row of R
+    from the table, folds it and measures the unimodularity gap on the
+    table entries the family reads; a recipe whose integers pair no rows
+    takes the array route, on the rows it generates.
 
     Attributes:
         grid_size: N, the number of rows and of nodes of the scalar family.
@@ -52,12 +78,13 @@ class TensorBasis:
 
     grid_size: int
     _rows: Callable = field(repr=False)
+    _recipe: tuple | None = field(repr=False)
 
     def __init__(self, scalar_family):
         s = np.asarray(scalar_family, dtype=complex)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError("scalar_family must be a square 2-d array")
-        self._bind(_readonly(s).__getitem__, s.shape[0])
+        self._bind(_readonly(s).__getitem__, s.shape[0], None)
 
     @classmethod
     def fourier(cls, freqs, numer, denom: int) -> TensorBasis:
@@ -66,14 +93,16 @@ class TensorBasis:
         freqs, numer = (_readonly(np.asarray(a, np.int64)) for a in (freqs, numer))
         if freqs.ndim != 1 or freqs.shape != numer.shape:
             raise ValueError("freqs and numer must be 1-d and of one length")
-        denom = _integer("denom", denom)
+        denom = _integer("denom", denom, 1)
         basis = cls.__new__(cls)
-        basis._bind(lambda i: fourier_family(freqs[i], numer, denom), freqs.size)
+        recipe = (freqs, numer, denom)
+        basis._bind(lambda i: fourier_family(freqs[i], numer, denom), freqs.size, recipe)
         return basis
 
-    def _bind(self, rows, grid_size: int) -> None:
+    def _bind(self, rows, grid_size: int, recipe) -> None:
         object.__setattr__(self, "grid_size", grid_size)
         object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_recipe", recipe)
 
     @property
     def scalar_family(self) -> np.ndarray:
@@ -84,32 +113,18 @@ class TensorBasis:
         """max_i,n abs(|f_n(x_i)| - 1), measured by the first pass."""
         return self._scan[2]
 
-    def scalar_gram_residual(self) -> float:
-        """Deviation of the scalar Gram from the identity under the
-        unweighted quadrature (1/N) sum_i f_n conj(f_n'): the largest modulus
-        of an entry of (F/N) F^H - I, read off the real Gram R R^T / N of
-        the real form R, which is formed a block of rows R[idx] R^T / N at
-        a time as ``moduli`` reads it, and never whole.
-
-        Raises:
-            ValueError: if the family is not closed under conjugation.
-        """
-        pairs = self._pairs
-        R = pairs.real
-
-        def rows(idx: slice) -> np.ndarray:
-            g = R[idx] @ R.T
-            g /= self.grid_size
-            return g
-
-        diag, off = pairs.moduli(rows)
-        return max(float(np.max(np.abs(diag - 1.0))), off)
-
     @cached_property
     def _scan(self) -> tuple:
-        """(phase, key, gap): the diagonal of D, which dephases each row by
-        its first entry, the key z = D F r of ``_conjugate_pairs`` and max
-        abs(|F| - 1), which refuses a non-finite row, so its key warns nothing."""
+        """(phase, key, gap, pairs) of the first pass: the diagonal of D,
+        which dephases each row by its first entry, the key z = D F r of
+        ``_conjugate_pairs``, max abs(|F| - 1) and the pairs when the pass
+        folds them (a Fourier basis that ``_recipe_partner`` pairs, which has
+        no key), else None.  The keyed pass refuses nothing, so a non-finite
+        row warns nothing there."""
+        if self._recipe is not None:
+            partner = _recipe_partner(*self._recipe)
+            if partner is not None:
+                return _recipe_fold(*self._recipe, partner)
         N = self.grid_size
         r = np.sin(np.arange(1.0, N + 1) ** 2)
         phase, z, gap = np.empty(N, complex), np.empty(N, complex), []
@@ -121,12 +136,17 @@ class TensorBasis:
                 z[blk] = h @ r
                 gap.append(np.max(np.abs(np.abs(h) - 1.0)))
             z *= phase
-        return phase, z, float(np.max(gap))
+        return phase, z, float(np.max(gap)), None
 
     @cached_property
     def _pairs(self) -> _ConjugatePairs:
-        """The conjugate row pairing and the real form, built once per basis."""
-        return _conjugate_pairs(self)
+        """The conjugate row pairing and the real form, built once per basis.
+
+        Raises:
+            ValueError: if the family is not closed under conjugation.
+        """
+        pairs = self._scan[3]
+        return _conjugate_pairs(self) if pairs is None else pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,9 +159,12 @@ class _ConjugatePairs:
     pair n < p to (e_n + e_p)/sqrt(2) and (e_n - e_p)/(i sqrt(2)), so
     R = U D F is real, and R^T R = F^H F: R has the Gram, and so the
     singular values, of F on every column set, and under node weights w
-    its Gram R w R^T has the spectrum of F w F^H.  U and D regroup entries
-    and diagonalize nothing, so a spectrum taken on R is still a dense
-    decomposition of the family.
+    its Gram R w R^T has the spectrum of F w F^H.  So the isometry
+    hypothesis F^H F = N I is read off R^T R (``_isometry_residual``), and
+    the moduli of a weighted Gram F w F^H off its real fold (``moduli``).
+    U and D regroup entries and diagonalize nothing, so a spectrum taken on
+    R is still a dense decomposition of the family.  ``_fold`` builds the
+    pairs of either kind of basis, from its pairing and its dephased rows.
 
     Attributes:
         real: read-only N x N array R.  Its rows are the real parts of the
@@ -179,12 +202,9 @@ class _ConjugatePairs:
         out *= self.phase.conj()[:, None]
         return out
 
-    def moduli(self, g) -> tuple:
+    def moduli(self, g: np.ndarray) -> tuple:
         """(diagonal, largest off-diagonal modulus) of the complex Gram
-        H = D F w F^H D^H whose real fold U H U^H is the symmetric ``g``:
-        the fold itself, or a reader ``rows(idx)`` that returns g[idx, :]
-        for a slice of rows idx, so that a Gram formed by rows is never
-        formed whole.
+        H = D F w F^H D^H whose real fold U H U^H is the symmetric ``g``.
 
         Dephasing changes no modulus and no diagonal entry, so these are the
         diagonal and the off-diagonal moduli of F w F^H itself.  H = U^H g U
@@ -197,20 +217,20 @@ class _ConjugatePairs:
         the real form: the self-paired rows, then each pair twice, as
         H[n, n] = H[p, p].
 
-        Each row of ``g`` is read once, ``PAIRING_BLOCK`` rows at a time:
-        the self-paired rows, which give every H[s, s'], then each block of
-        lower rows a together with their imaginary-part rows b, which give
-        every entry in a row n of a pair.  Each entry is read from the rows
-        it is written with above, never from its transpose, so it keeps its
-        bits when ``g`` is symmetric only to rounding.
+        Each row of ``g`` is read once, ``PAIRING_BLOCK`` rows at a time, so
+        the temporaries stay a few row blocks: the self-paired rows, which
+        give every H[s, s'], then each block of lower rows a together with
+        their imaginary-part rows b, which give every entry in a row n of a
+        pair.  Each entry is read from the rows it is written with above,
+        never from its transpose, so it keeps its bits when ``g`` is
+        symmetric only to rounding.
         """
-        rows = g if callable(g) else g.__getitem__
         ns = self.n_self
         N = self.real.shape[0]
         k = (N + ns) // 2  # the first imaginary-part row
         diag, off = np.empty(N), 0.0
         for start in range(0, ns, PAIRING_BLOCK):
-            h = rows(slice(start, min(start + PAIRING_BLOCK, ns)))[:, :ns]
+            h = g[start : min(start + PAIRING_BLOCK, ns), :ns]
             i = np.arange(h.shape[0])
             diag[start + i] = h[i, start + i]
             selfs = np.abs(h)
@@ -218,7 +238,7 @@ class _ConjugatePairs:
             off = max(off, float(np.max(selfs, initial=0.0)))
         for start in range(ns, k, PAIRING_BLOCK):
             stop = min(start + PAIRING_BLOCK, k)
-            ga, gb = rows(slice(start, stop)), rows(slice(start + k - ns, stop + k - ns))
+            ga, gb = g[start:stop], g[start + k - ns : stop + k - ns]
             gaa, gbb, gab, gba = ga[:, ns:k], gb[:, k:], ga[:, k:], gb[:, ns:k]
             i = np.arange(stop - start)
             j = i + (start - ns)  # the pair of row i among the pairs
@@ -270,15 +290,13 @@ def _conjugate_pairs(basis: TensorBasis) -> _ConjugatePairs:
     pairs with itself.  The match is then checked on every entry: dephased
     row p(n) against the conjugate of dephased row n, for each self-paired
     row and the lower row of each pair (the upper row's difference is minus
-    the conjugate of it).  For the Fourier families
-    f_k(x_i) = exp(2 pi i k x_i) on R nodes spaced 1/R apart with R
-    consecutive frequencies, p is k -> -k mod R.
+    the conjugate of it).
 
     Raises:
         ValueError: if the family is not closed under conjugation.
     """
     N = basis.grid_size
-    phase, z, _ = basis._scan
+    phase, z, *_ = basis._scan
     order = np.argsort(z.real)
     rank = np.empty(N, dtype=np.intp)
     rank[order] = np.arange(N)
@@ -286,31 +304,105 @@ def _conjugate_pairs(basis: TensorBasis) -> _ConjugatePairs:
     n = np.arange(N)
     p = cand[np.argmin(np.abs(z[cand] - z.conj()), axis=0), n]
     if not np.array_equal(p[p], n):  # p must be an involution
-        raise ValueError("family violates conjugate symmetry (residual inf)")
-    fixed, lower = np.flatnonzero(p == n), np.flatnonzero(n < p)
-    rows, ns = np.concatenate([fixed, lower]), fixed.size
-    k, res = rows.size, []
-    real = np.empty((N, N))
-    for start in range(0, k, PAIRING_BLOCK):
-        blk = rows[start : start + PAIRING_BLOCK]
-        stop, first = start + blk.size, max(start, ns)  # first paired row
+        _check_hypothesis("conjugate symmetry", np.inf)
+    res = []
+
+    def dephased(blk: np.ndarray, first: int) -> np.ndarray:
         h = basis._rows(blk) * phase[blk, None]
         # a self-paired row is its own partner, so the rows blk and the
-        # partners of the paired ones cover every row of F once
-        q = p[blk[first - start :]]
-        d = np.concatenate([h[: first - start], basis._rows(q) * phase[q, None]])
+        # partners of the paired ones, from ``first`` on, cover every row once
+        q = p[blk[first:]]
+        d = np.concatenate([h[:first], basis._rows(q) * phase[q, None]])
         d.real -= h.real  # d - conj(h), which is 2i Im(h) on a self-paired row
         d.imag += h.imag
         res.append(np.max(np.abs(d)))
+        return h
+
+    pairs = _fold(p, phase, dephased)
+    _check_hypothesis("conjugate symmetry", float(np.max(res)))
+    return pairs
+
+
+def _fold(partner: np.ndarray, phase: np.ndarray, dephased) -> _ConjugatePairs:
+    """The pairs of the row pairing ``partner`` and the real form R, written
+    from ``dephased(blk, first)``, the dephased rows D F[blk] of each block
+    ``blk`` of ``PAIRING_BLOCK`` rows of R, whose paired rows start at
+    ``first``: the self-paired rows, then the lower rows of the pairs."""
+    n = np.arange(partner.size)
+    fixed, lower = np.flatnonzero(partner == n), np.flatnonzero(n < partner)
+    rows, ns = np.concatenate([fixed, lower]), fixed.size
+    k = rows.size
+    real = np.empty((n.size, n.size))
+    for start in range(0, k, PAIRING_BLOCK):
+        blk = rows[start : start + PAIRING_BLOCK]
+        stop, first = start + blk.size, max(start, ns)  # first paired row
+        h = dephased(blk, first - start)
         real[start:stop] = h.real
         real[first:stop] *= np.sqrt(2.0)
         imag = real[k + first - ns : k + stop - ns]
         np.multiply(h[first - start :].imag, np.sqrt(2.0), out=imag)
-    res = float(np.max(res))
-    if not res <= HYPOTHESIS_TOL:  # a NaN residual fails too
-        raise ValueError(f"family violates conjugate symmetry (residual {res:.3e})")
     real.setflags(write=False)
-    return _ConjugatePairs(real, ns, rows, p, phase)
+    return _ConjugatePairs(real, ns, rows, partner, phase)
+
+
+def _recipe_partner(freqs: np.ndarray, numer: np.ndarray, denom: int):
+    """The conjugate row pairing of ``fourier_family(freqs, numer, denom)``
+    from its integers, or None unless each row has exactly one partner.
+
+    Dephased by its first entry, row k is exp(2 pi i k (m - m_0) / denom)
+    over the numerators m, which depends on k mod P alone, with
+    P = denom / gcd(denom, m - m_0 over every m), and its conjugate is the
+    row of -k: so p(n) is the row whose frequency is -freqs[n] mod P.  A
+    negated frequency that is missing or held by two rows pairs nothing.
+    For R consecutive frequencies on R nodes spaced 1/R apart, p is
+    k -> -k mod R.
+    """
+    period = denom // int(np.gcd.reduce(numer - numer[:1], initial=denom))
+    key = np.mod(freqs, period)
+    order = np.argsort(key, kind="stable")
+    want = np.mod(-freqs, period)
+    lo, hi = (np.searchsorted(key[order], want, side) for side in ("left", "right"))
+    return order[lo] if np.all(hi - lo == 1) else None
+
+
+def _recipe_fold(freqs, numer, denom: int, partner: np.ndarray) -> tuple:
+    """``TensorBasis._scan`` of a Fourier basis paired by ``partner``, in
+    one pass: each row of the real form is gathered once from the one table
+    of roots, dephased by the phase of its first entry and folded, and the
+    unimodularity gap is read off the table entries the family reads.
+
+    A partner row q of a lower row n reads the entries (c - j) mod denom,
+    j those of row n and c = (freqs[n] + freqs[q]) numer[0] mod denom: the
+    frequency sum is a multiple of P, so it multiplies every numerator as
+    it does numer[0].  So the gap of every row is read without its row.
+    """
+    roots = _roots(denom)
+    dev = np.abs(np.abs(roots) - 1.0)
+    phase = np.exp(-1j * np.angle(roots[(freqs * numer[:1]) % denom]))
+    offset = ((freqs + freqs[partner]) * numer[:1]) % denom
+    gap = []
+
+    def dephased(blk: np.ndarray, first: int) -> np.ndarray:
+        idx = _root_index(freqs[blk], numer, denom)
+        gap.append(np.max(np.take(dev, idx, mode="wrap")))
+        mirror = offset[blk[first:], None] - idx[first:]  # in (-denom, denom)
+        gap.append(np.max(np.take(dev, mirror, mode="wrap"), initial=0.0))
+        return np.take(roots, idx, mode="wrap") * phase[blk, None]
+
+    pairs = _fold(partner, phase, dephased)
+    return phase, None, float(np.max(gap)), pairs
+
+
+def _roots(denom: int) -> np.ndarray:
+    """The table of the ``denom`` roots of unity exp(2 pi i j / denom)."""
+    return np.exp(2j * np.pi * np.arange(denom) / denom)
+
+
+def _root_index(freqs: np.ndarray, numer: np.ndarray, denom: int, out=None):
+    """The table index (k m) mod ``denom`` of each entry of the rows of the
+    frequencies ``freqs`` over the numerators ``numer``, in int64."""
+    out = np.multiply(freqs[:, None], numer, out=out)
+    return np.remainder(out, denom, out=out)
 
 
 def fourier_family(freqs, numer, denom: int) -> np.ndarray:
@@ -330,14 +422,12 @@ def fourier_family(freqs, numer, denom: int) -> np.ndarray:
     into a temporary first.
     """
     freqs, numer = np.asarray(freqs, np.int64), np.asarray(numer, np.int64)
-    roots = np.exp(2j * np.pi * np.arange(denom) / denom)
+    roots = _roots(denom)
     family = np.empty((freqs.size, numer.size), dtype=complex)
     block = np.empty((min(PAIRING_BLOCK, freqs.size), numer.size), np.int64)
     for start in range(0, freqs.size, PAIRING_BLOCK):
         k = freqs[start : start + PAIRING_BLOCK]
-        idx = block[: k.size]
-        np.multiply(k[:, None], numer, out=idx)
-        np.remainder(idx, denom, out=idx)
+        idx = _root_index(k, numer, denom, out=block[: k.size])
         np.take(roots, idx, mode="wrap", out=family[start : start + k.size])
     family.setflags(write=False)
     return family

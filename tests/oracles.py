@@ -268,35 +268,14 @@ def moduli(pairs, g: np.ndarray) -> tuple:
     return diag, off
 
 
-def moduli_row_blocks(n_self: int, size: int) -> list:
-    """The row slices ``_ConjugatePairs.moduli`` reads, in its order: the
-    self-paired rows ``PAIRING_BLOCK`` at a time, then each block of lower
-    pair rows followed by the block of their imaginary-part rows."""
-    k = (size + n_self) // 2
-    blocks = [
-        slice(start, min(start + PAIRING_BLOCK, n_self))
-        for start in range(0, n_self, PAIRING_BLOCK)
-    ]
-    for start in range(n_self, k, PAIRING_BLOCK):
-        stop = min(start + PAIRING_BLOCK, k)
-        blocks += [slice(start, stop), slice(start + k - n_self, stop + k - n_self)]
-    return blocks
-
-
-def gram_by_row_blocks(R: np.ndarray, w, blocks=None) -> np.ndarray:
-    """(R w/N) R^T, or R R^T / N when ``w`` is None, formed one slice of
-    rows of ``blocks`` at a time, as R[idx] w/N times R^T (R[idx] R^T, then
-    divided by N); by default ``PAIRING_BLOCK`` rows at a time from the
-    first."""
+def gram_by_row_blocks(R: np.ndarray, w) -> np.ndarray:
+    """(R w/N) R^T formed ``PAIRING_BLOCK`` rows at a time from the first,
+    as R[idx] w/N times R^T."""
     N = R.shape[0]
-    if blocks is None:
-        blocks = [slice(i, i + PAIRING_BLOCK) for i in range(0, N, PAIRING_BLOCK)]
     g = np.empty((N, N))
-    for idx in blocks:
-        if w is None:
-            g[idx] = R[idx] @ R.T / N
-        else:
-            g[idx] = (R[idx] * (w / N)) @ R.T
+    for start in range(0, N, PAIRING_BLOCK):
+        idx = slice(start, start + PAIRING_BLOCK)
+        g[idx] = (R[idx] * (w / N)) @ R.T
     return g
 
 

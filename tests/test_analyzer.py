@@ -112,7 +112,8 @@ def _half_frequency_family() -> TensorBasis:
     """N = 100 nodes m/100 with the integer frequencies 0, 50 and +-1 ..
     +-48, orthonormal among themselves, then one conjugate pair at +-48.5
     (97 and -97 over the denominator 200), listed last, so its lower row is
-    the last of the 49 pairs and falls in their last, ragged row block."""
+    the last of the 49 pairs and falls in their last, ragged row block of
+    the fold."""
     j = np.arange(1, 49)
     freqs = np.concatenate([[0, 100], np.stack([2 * j, -2 * j], 1).ravel(), [97, -97]])
     return TensorBasis.fourier(freqs, np.arange(100), 200)
@@ -121,35 +122,65 @@ def _half_frequency_family() -> TensorBasis:
 @pytest.mark.parametrize(
     "basis, residual",
     [
-        (TensorBasis.fourier([0, 1, -1, 4], np.arange(4), 8), "6.533e-01"),
-        (_half_frequency_family(), "6.366e-01"),
+        (TensorBasis.fourier([0, 1, -1, 4], np.arange(4), 8), "5.000e-01"),
+        (_half_frequency_family(), "3.987e-02"),
     ],
     ids=["n4", "n100_last_block"],
 )
 def test_family_violating_scalar_orthonormality_is_refused(basis, residual):
-    # Unimodular and closed under conjugation, so only the scalar Gram
-    # check refuses it, through either decider.
+    # Unimodular and closed under conjugation, so only the isometry check
+    # on the frame operator refuses it, through every decider, with the
+    # column Gram defect max |F^H F / N - I| of the family on its full
+    # support, for the recipe and for its array twin alike.
     n = basis.grid_size
-    fam = OperatorFamily(WeightedSpace(n, 1, np.linspace(0.5, 2.0, n)), basis)
-    assert basis.unimodularity_residual() <= 1e-15
-    for decide in (classify, decide_frame):
-        with pytest.raises(
-            ValueError,
-            match=rf"^family violates scalar orthonormality \(residual {residual}\)$",
-        ):
+    F = basis.scalar_family
+    defect = np.abs(F.conj().T @ F / n - np.eye(n)).max()
+    assert f"{defect:.3e}" == residual
+    twin = TensorBasis(F)
+    for b in (basis, twin):
+        fam = OperatorFamily(WeightedSpace(n, 1, np.linspace(0.5, 2.0, n)), b)
+        assert b.unimodularity_residual() <= 1e-15
+        for decide in (classify, decide_frame, decide_onb, frame_spectrum):
+            with pytest.raises(
+                ValueError,
+                match=rf"^family violates scalar orthonormality \(residual {residual}\)$",
+            ):
+                decide(fam)
+    # the pair in the last, ragged block of the fold is folded: its rows of
+    # the real form are those of the array twin, bit for bit
+    pairs = basis._pairs
+    last = pairs.rows[pairs.n_self + PAIRING_BLOCK :]
+    assert n == 4 or (last.size == 17 and 99 in pairs.partner[last])
+    assert np.array_equal(pairs.real, twin._pairs.real)
+
+
+def test_isometry_is_required_on_the_support_only():
+    # Two nodes on one column: the family is no isometry, but the column of
+    # a zero-weight node enters no coefficient, Gram entry or spectrum, so
+    # the deciders refuse it only when that node carries weight, and
+    # otherwise give the report of the orthonormal family, bit for bit.
+    n = 16
+    k = np.arange(n)
+    numer = k.copy()
+    numer[3] = numer[2]
+    merged = TensorBasis.fourier(k, numer, n)
+    w = np.linspace(0.5, 2.0, n)
+    fam = OperatorFamily(WeightedSpace(n, 1, w), merged)
+    for decide in (classify, decide_frame, decide_onb):
+        with pytest.raises(ValueError, match=r"orthonormality \(residual 1\.000e\+00\)"):
             decide(fam)
-    if n == 100:
-        # The stream must read the last block: the moduli that the other
-        # blocks read, rows of the earlier pairs and the self-paired block,
-        # stay below 0.03, far under the residual.
-        pairs = basis._pairs
-        last = pairs.rows[pairs.n_self + PAIRING_BLOCK :]
-        assert last.size == 17 and 99 in pairs.partner[last]
-        defect = np.abs(oracles.scalar_gram_defect(basis.scalar_family))
-        early = np.setdiff1d(pairs.rows[pairs.n_self :], last)
-        early = np.concatenate([early, pairs.partner[early]])
-        selfs = pairs.rows[: pairs.n_self]
-        assert max(defect[early].max(), defect[np.ix_(selfs, selfs)].max()) < 0.03
+    w[3] = 0.0
+    sp = WeightedSpace(n, 1, w)
+    for decide in (classify, decide_frame, decide_onb):
+        rep = decide(OperatorFamily(sp, merged))
+        want = decide(OperatorFamily(sp, build_default(n)))
+        assert rep.verdict is want.verdict is Verdict.NOT_FRAME
+        assert rep.residuals == want.residuals
+        assert rep.gram_bounds == want.gram_bounds
+        assert np.array_equal(rep.witness.values, want.witness.values)
+        assert rep.spectrum is want.spectrum is None or np.array_equal(
+            rep.spectrum, want.spectrum
+        )
 
 
 def test_classify_working_set_at_grid_cap():
@@ -160,9 +191,10 @@ def test_classify_working_set_at_grid_cap():
     # from R itself on this full support and scaled in place for eigvalsh,
     # then the weighted real Gram (R w/N) R^T, written a block of rows at a
     # time into its one output, whose moduli are read off row views.
-    # The hypothesis check forms R R^T / N a block of rows at a time, never
-    # whole.  The Parseval and defect ratios go through the coefficient
-    # functionals, which add no N x N array.  The default probe source
+    # The isometry check reads the frame operator in place, before it is
+    # scaled, so it adds no N x N array.  The Parseval and defect ratios go
+    # through the coefficient functionals, which add no N x N array either.
+    # The default probe source
     # imports nothing, so no module import is traced as working set.
     # Measured 1.08 x 16 N^2.
     n, m = 512, 2

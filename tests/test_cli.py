@@ -3,10 +3,12 @@
 import copy
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
 import tempfile
+from types import SimpleNamespace
 from pathlib import Path
 
 import numpy as np
@@ -618,13 +620,17 @@ def test_heisenberg_builds_problem_and_spectrum_once(tmp_path, monkeypatch):
                        "spectral_resolution": 64, "k_max": 2},
     }
     family = _count_calls(monkeypatch, tensor_onb.fourier_family)
+    index = _count_calls(monkeypatch, tensor_onb._root_index)
     spectrum = _count_calls(monkeypatch, operators.frame_spectrum)
     weight = _count_calls(monkeypatch, heisenberg.hs_weight)
     profile = _count_calls(monkeypatch, heisenberg._lattice_profile)
     assert run_config(cfg, tmp_path / "run") == 0
-    # the band basis reads its 64 rows in blocks, once per pass of its fold
-    rows = [np.size(args[0]) for args in family]
-    assert sum(rows) == 2 * 64 and max(rows) <= tensor_onb.PAIRING_BLOCK
+    # the band basis generates no family: its one pass gathers the 33 rows
+    # of the real form it needs (2 self-paired rows and the lower rows of 31
+    # pairs) from its table of roots, in blocks, once each
+    rows = [np.size(args[0]) for args in index]
+    assert family == []
+    assert sum(rows) == 33 and max(rows) <= tensor_onb.PAIRING_BLOCK
     assert len(spectrum) == 1
     # the 256-point scale grid is weighed once, by one lattice pass
     assert sum(np.size(args[2]) == 256 for args in weight) == 1
@@ -697,12 +703,15 @@ def test_cli_run_builds_each_input_once(tmp_path, monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", ["analyze", "witness", "shiftinv", "heisenberg"])
 def test_cli_run_generates_each_family_once_inside_the_fold(tmp_path, monkeypatch, mode):
-    # Each runner builds a Fourier basis, whose rows are generated as they
-    # are read: the two passes of its fold read every row once each, a block
-    # at a time (4 rows here, so the small grids take several blocks), keep
-    # the real form alone, and no runner path reads scalar_family.
+    # Each runner builds a Fourier basis, which knows its conjugate pairing
+    # from its integers: its one pass gathers each row of the real form once
+    # from its table of roots, a block at a time (4 rows here, so the small
+    # grids take several blocks), the 2 self-paired rows and the lower row
+    # of each pair, and keeps the real form alone.  No runner path generates
+    # the family or reads scalar_family.
     monkeypatch.setattr(tensor_onb, "PAIRING_BLOCK", 4)
     family = _count_calls(monkeypatch, tensor_onb.fourier_family)
+    index = _count_calls(monkeypatch, tensor_onb._root_index)
     readers = []
     read = TensorBasis.scalar_family.fget
 
@@ -713,28 +722,30 @@ def test_cli_run_generates_each_family_once_inside_the_fold(tmp_path, monkeypatc
     monkeypatch.setattr(TensorBasis, "scalar_family", property(spy))
     out = str(tmp_path / "run")
     assert cli.main(["--config", _write(tmp_path, _SMALL[mode]), "--out", out]) == 0
-    rows = [np.size(args[0]) for args in family]
+    rows = [np.size(args[0]) for args in index]
     n = {"analyze": 8, "witness": 4, "shiftinv": 16, "heisenberg": 16}[mode]
-    assert sum(rows) == 2 * n and max(rows) <= 4
-    assert readers == []
+    assert sum(rows) == (n + 2) // 2 and max(rows) <= 4
+    assert family == [] and readers == []
 
 
-def test_heisenberg_takes_the_band_decision_without_hypothesis_check(
+def test_heisenberg_band_decision_checks_isometry_on_its_frame_operator(
     tmp_path, monkeypatch
 ):
-    # The midpoint family is orthonormal by construction: checking it would
-    # form an R x R scalar Gram, a second R x R array at the peak of the run.
-    # The witness ratio of a not_frame run (alpha^64 under the tolerance)
-    # takes one pass of the coefficient functionals, which forms none
-    # (test_band_decision_working_set bounds the peak).
+    # The band decision reads the isometry hypothesis off the frame operator
+    # X^T X it diagonalizes, in place: the array checked is the one eigvalsh
+    # receives, so the check forms no second R x R array
+    # (test_band_decision_working_set bounds the peak).  The witness ratio
+    # of a not_frame run (alpha^64 under the tolerance) takes one pass of
+    # the coefficient functionals, which forms none either.
     decide = _count_calls(monkeypatch, analyzer._decide_frame)
     check = _count_calls(monkeypatch, analyzer._validate_family)
     coeffs = _count_calls(monkeypatch, operators.lambda_all)
-    gram = []
-    residual = TensorBasis.scalar_gram_residual
+    checked, solved = [], []
+    isometry, eigvalsh = operators._isometry_residual, np.linalg.eigvalsh
     monkeypatch.setattr(
-        TensorBasis, "scalar_gram_residual", lambda b: gram.append(b) or residual(b)
+        operators, "_isometry_residual", lambda g, n: checked.append(g) or isometry(g, n)
     )
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a) or eigvalsh(a))
     for d, verdict in ((1, "frame"), (64, "not_frame")):
         cfg = {"mode": "heisenberg", "heisenberg": {"eps": 0.5, "d": d, "resolution": 256,
                                                     "spectral_resolution": 512}}
@@ -743,9 +754,25 @@ def test_heisenberg_takes_the_band_decision_without_hypothesis_check(
         doc = json.loads((out / "report.json").read_text())
         assert doc["verdict"] == verdict
         assert doc["witness"]["exists"] is (verdict == "not_frame")
-    assert len(decide) == 2
-    assert check == [] and gram == []
+    assert len(decide) == 2 and check == []
+    # one check per run, on the 256-node band's frame operator, the very
+    # array that eigvalsh diagonalizes once D has scaled it in place
+    assert [c.shape for c in checked] == [(256, 256)] * 2
+    assert all(any(c is a for a in solved) for c in checked)
     assert len(coeffs) == 1
+    # Two of the band's nodes on one column make the family no isometry on
+    # its support, and the band decision refuses it.
+    fourier = TensorBasis.fourier
+
+    def merged(freqs, numer, denom):
+        numer = np.array(numer)
+        numer[-1] = numer[-2]
+        return fourier(freqs, numer, denom)
+
+    monkeypatch.setattr(heisenberg, "TensorBasis", SimpleNamespace(fourier=merged))
+    refusal = r"^family violates scalar orthonormality \(residual 1\.000e\+00\)$"
+    with pytest.raises(ValueError, match=refusal):
+        heisenberg.frame_report(0.5, 1, resolution=64)
 
 
 @pytest.mark.parametrize(
@@ -1256,6 +1283,24 @@ def test_custom_window_whose_energy_overflows_is_refused(tmp_path, validate_only
         "config error: window.samples_path: window energy translates * sum |phi|^2 "
         "overflows"
     ) in proc.stderr
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
+@pytest.mark.parametrize("validate_only", [True, False], ids=["validate", "run"])
+def test_custom_generator_whose_energy_overflows_is_refused(tmp_path, validate_only):
+    # finite samples whose squared moduli sum past the float range are
+    # refused by Generator itself, before any warning: with every warning an
+    # error, the run ends on one clean config error line, not a traceback
+    path = tmp_path / "samples.csv"
+    path.write_text("re\n" + "1e154\n0\n0\n0\n" * 2)
+    cfg = {"mode": "shiftinv", "generator": {"preset": "custom", "grid_size": 4,
+                                             "radius": 1, "samples_path": str(path)}}
+    cmd = [sys.executable, "-m", "framelab", "--config", _write(tmp_path, cfg),
+           "--out", str(tmp_path / "run"), *(["--validate-only"] if validate_only else [])]
+    env = {**os.environ, "PYTHONWARNINGS": "error"}
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr == "config error: generator: fhat energy sum |fhat|^2 overflows\n"
     assert not (tmp_path / "run" / "report.json").exists()
 
 

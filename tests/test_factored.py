@@ -28,7 +28,7 @@ from framelab import (
 import oracles
 from framelab import witness_ratio
 from framelab.analyzer import _extremes, _gram_fold, _gram_spectrum
-from framelab.tensor_onb import fourier_family
+from framelab.tensor_onb import _isometry_residual, fourier_family
 from oracles import analysis_matrix
 
 
@@ -159,16 +159,17 @@ def test_working_set_routes_match_dense_forms_bit_for_bit():
             recipe = TensorBasis.fourier(*args)
             assert _same_bits(recipe._pairs.real, R)
             assert recipe.unimodularity_residual() == basis.unimodularity_residual()
-            # Both real Grams are formed a block of rows at a time, so they
-            # match the block loops bit for bit and the whole products to
+            # The isometry check reads the column Gram R^T R = F^H F in
+            # place: it is max |R^T R / N - I| bit for bit, and leaves the
+            # Gram's bits as they were.
+            gram = R.T @ R
+            kept = gram.copy()
+            defect = np.max(np.abs(gram / n - np.eye(n)))
+            assert _isometry_residual(gram, n) == defect <= 1e-14
+            assert _same_bits(gram, kept)
+            # The Gram fold is formed a block of rows at a time, so it
+            # matches the block loop bit for bit and the whole product to
             # rounding: a row of a block product need not keep its bits.
-            blocks = oracles.moduli_row_blocks(basis._pairs.n_self, n)
-            gram = oracles.gram_by_row_blocks(R, None, blocks)
-            assert np.max(np.abs(gram - R @ R.T / n)) <= 1e-15
-            diag, off = oracles.moduli(basis._pairs, gram)
-            assert basis.scalar_gram_residual() == max(
-                float(np.max(np.abs(diag - 1.0))), off
-            )
             for weights in (w, dead):
                 sp = WeightedSpace(n, 1, weights)
                 # the fold is taken in the space's unit, so multiplied back
@@ -217,10 +218,9 @@ def test_moduli_match_complex_scalar_gram():
 def test_streamed_moduli_match_whole_matrix_bit_for_bit():
     # The moduli read g a block of rows at a time, each row once, and give
     # the diagonal and the largest off-diagonal modulus of the whole-matrix
-    # form bit for bit, from the fold itself or from a reader: on each fold,
-    # on one that is symmetric only to rounding and on random symmetric
-    # matrices near the overflow and the underflow ranges, whose blocks
-    # differ in their largest entry.
+    # form bit for bit: on each fold, on one that is symmetric only to
+    # rounding and on random symmetric matrices near the overflow and the
+    # underflow ranges, whose blocks differ in their largest entry.
     rng = np.random.default_rng(83)
     for fam in _fold_cases():
         if fam.space.fiber_dim > 1:
@@ -230,14 +230,9 @@ def test_streamed_moduli_match_whole_matrix_bit_for_bit():
         a = rng.standard_normal((n, n))
         sym = a + a.T
         for g in (fold, fold + 1e-17 * a, sym, sym * 2.0**1000, sym * 2.0**-1000):
-            read = []
             want_diag, want_off = oracles.moduli(pairs, g)
-            for rows in (g, lambda idx: read.append(idx) or g[idx]):
-                diag, off = pairs.moduli(rows)
-                assert _same_bits(diag, want_diag) and off == want_off
-            assert read == oracles.moduli_row_blocks(pairs.n_self, n)
-            every = np.concatenate([np.arange(n)[idx] for idx in read])
-            assert np.array_equal(np.sort(every), np.arange(n))
+            diag, off = pairs.moduli(g)
+            assert _same_bits(diag, want_diag) and off == want_off
 
 
 def _spread_cases():
@@ -299,8 +294,8 @@ def test_family_not_closed_under_conjugation_is_refused():
     checks = (
         classify,
         decide_frame,
+        decide_onb,
         frame_spectrum,
-        lambda fam: fam.basis.scalar_gram_residual(),
         lambda fam: lambda_all(fam, f),
         lambda fam: witness_ratio(fam, f),
     )

@@ -4,18 +4,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from framelab import (
     Field,
     OperatorFamily,
     WeightedSpace,
     build_default,
+    classify,
+    decide_frame,
+    decide_onb,
     lambda_all,
     random_field,
     synthesis_gram,
 )
 from framelab.analyzer import _field_matrix
-from framelab.tensor_onb import TensorBasis, fourier_family
+from framelab.tensor_onb import TensorBasis, _isometry_residual, fourier_family
 from oracles import tensor_field
 
 
@@ -98,7 +103,67 @@ def test_default_family_is_unimodular_orthonormal():
     for n in (1, 2, 8, 16):
         basis = build_default(n)
         assert basis.unimodularity_residual() < 1e-12
-        assert basis.scalar_gram_residual() < 1e-12
+        R = basis._pairs.real
+        assert _isometry_residual(R.T @ R, n) < 1e-12
+
+
+@st.composite
+def _closed_recipes(draw):
+    """(freqs, numer, denom) of a family closed under conjugation: random
+    numerators and denominator, and frequencies whose residues mod the
+    period P = denom / gcd(denom, numer - numer[0]) are distinct and closed
+    under negation, each shifted by a random multiple of P."""
+    denom = draw(st.integers(1, 60))
+    n = draw(st.integers(1, 12))
+    numer = np.array(draw(st.lists(st.integers(-99, 99), min_size=n, max_size=n)))
+    period = denom // int(np.gcd.reduce(numer - numer[0], initial=denom))
+    orbits = {frozenset({r, -r % period}) for r in range(period)}
+    orbits = draw(st.permutations(sorted(orbits, key=sorted)))
+    residues = []
+    for orbit in orbits:
+        if len(residues) + len(orbit) <= n:
+            residues += sorted(orbit)
+    assume(len(residues) == n)
+    shifts = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    freqs = np.array(draw(st.permutations(residues))) + period * np.array(shifts)
+    return freqs, numer, denom
+
+
+@settings(max_examples=150, deadline=None)
+@given(_closed_recipes(), st.data())
+def test_recipe_pairs_match_their_array_twin_bit_for_bit(recipe, data):
+    # A Fourier basis pairs its rows from its integers and gathers the real
+    # form from its table; its array twin finds the pairing on its keys and
+    # checks it on every entry.  Both give the same pairs, bit for bit, and
+    # the same unimodularity gap.  With one negated frequency dropped or
+    # held twice, every decider refuses the recipe as it refuses its twin.
+    basis = TensorBasis.fourier(*recipe)
+    twin = TensorBasis(basis.scalar_family)
+    for name in ("real", "rows", "partner", "phase"):
+        got, want = getattr(basis._pairs, name), getattr(twin._pairs, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert basis._pairs.n_self == twin._pairs.n_self
+    assert basis.unimodularity_residual() == twin.unimodularity_residual()
+    freqs, numer, denom = recipe
+    n = freqs.size
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.sampled_from(np.flatnonzero(freqs != freqs[i]).tolist() or [i]))
+    broken = freqs.copy()
+    broken[j] = freqs[i]  # -freqs[j] loses its row, or freqs[i] gains one
+    assume(not np.array_equal(broken, freqs))
+    space = WeightedSpace(n, 1, np.linspace(0.5, 2.0, n))
+    basis = TensorBasis.fourier(broken, numer, denom)
+    fams = [OperatorFamily(space, b) for b in (basis, TensorBasis(basis.scalar_family))]
+    # mostly a conjugate symmetry refusal; two rows on one self-conjugate
+    # frequency still pair, and are refused as no isometry
+    for decide in (classify, decide_frame, decide_onb):
+        messages = []
+        for fam in fams:
+            with pytest.raises(ValueError) as err:
+                decide(fam)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("family violates ")
 
 
 def test_tensor_field_values():
