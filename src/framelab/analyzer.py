@@ -11,12 +11,14 @@ Every decider takes the family alone: an ``OperatorFamily`` binds the
 space it analyzes, so every route reads one weight.  ``classify`` is
 ``decide_frame`` followed by the ONB half of ``decide_onb``.  One frame
 decision serves every weight mode: ``decide_frame`` reads the verdict, the
-weight bounds and a witness over the whole grid, and ``heisenberg`` takes
-the same decision with its bounds and witness over its positive-weight
-band, the nodes its family must cover.  Every spectral ``_vs_`` residual
-follows one rule, ``_multiset_gap``: the whole ascending spectrum against
-the whole sorted multiset it must reproduce, relative to the largest value
-of either, so it does not depend on the units of the weight.
+weight bounds and a witness over the whole grid, or with ``band`` over the
+positive-weight band, the nodes a ``heisenberg`` family must cover.  Each
+family hypothesis is checked where its array is built: unimodularity and
+conjugate symmetry by the basis before it writes its real form R, the
+isometry on X^T X (below).  Every spectral ``_vs_`` residual follows one
+rule, ``_multiset_gap``: the whole ascending spectrum against the whole
+sorted multiset it must reproduce, relative to the largest value of
+either, so it does not depend on the units of the weight.
 
 Every coefficient energy, sum |Lambda_{m,n} f|^2 against ||f||^2, takes
 one route: ``witness_ratio`` through ``operators.lambda_all``, one real
@@ -59,7 +61,7 @@ from enum import Enum
 import numpy as np
 
 from .operators import OperatorFamily, _support_gram, frame_spectrum, lambda_all
-from .tensor_onb import PAIRING_BLOCK, _check_hypothesis
+from .tensor_onb import PAIRING_BLOCK
 from .wspace import Field, WeightedSpace, _Normals, _scaled_norm, random_field
 
 __all__ = [
@@ -112,18 +114,6 @@ class FrameReport:
     def oracle_bounds(self) -> tuple | None:
         """The first and last entries of ``spectrum``, None without one."""
         return None if self.spectrum is None else _extremes(self.spectrum)
-
-
-def _validate_family(fam: OperatorFamily) -> None:
-    """The deciders assume a unimodular orthonormal tensor family.  The
-    checks run in order and the first failure is raised: unimodularity,
-    then conjugate symmetry, which the real form needs.  The third
-    hypothesis, scalar orthonormality, is read off the frame operator on
-    the support columns of the real form (``operators._support_gram``),
-    which the frame route forms anyway, so the deciders check it there, next
-    and before anything else; the fiber basis is the standard one."""
-    _check_hypothesis("unimodularity", fam.basis.unimodularity_residual())
-    fam.basis._pairs
 
 
 def synthesis_gram(fam: OperatorFamily) -> np.ndarray:
@@ -316,27 +306,19 @@ def _onb_half(fam: OperatorFamily, tol: float, rng) -> FrameReport:
 
 
 def decide_frame(
-    fam: OperatorFamily, tol: float = VERDICT_TOL, claim=None
+    fam: OperatorFamily, tol: float = VERDICT_TOL, claim=None, *, band: bool = False
 ) -> FrameReport:
     """Frame verdict from the weight minimum, cross-checked spectrally.
 
     The family is a frame exactly when the weight stays above ``tol``; the
     frame-operator spectrum on the support (nodes with positive weight)
-    must reproduce the support weight range.  The witness undercuts
-    ``claim``, else, for a non-frame, the smallest claim above ``tol``.
+    must reproduce the support weights, each M times (spectrum_vs_weight, a
+    ``_multiset_gap``).  The bounds and the witness are taken over the
+    whole grid or, with ``band``, over the support.  The witness undercuts
+    ``claim``, else, for a non-frame, the smallest claim above ``tol``,
+    which holds the nodes of weight <= tol; its ``witness_ratio`` is
+    reported.
     """
-    _validate_family(fam)
-    return _decide_frame(fam, tol, claim, band=False)
-
-
-def _decide_frame(fam: OperatorFamily, tol: float, claim, band: bool) -> FrameReport:
-    """``decide_frame`` for a family that holds its hypotheses, with its
-    bounds and witness over the whole grid or, with ``band``, over the
-    support.  The spectrum on the support must reproduce the support
-    weights, each M times (spectrum_vs_weight, a ``_multiset_gap``).  The
-    witness undercuts ``claim``, else, for a non-frame, the smallest claim
-    above ``tol``, which holds the nodes of weight <= tol; its
-    ``witness_ratio`` is reported."""
     spec = frame_spectrum(fam)
     sw = fam.space.weights[fam.space.support]
     gap = _multiset_gap(np.repeat(np.sort(sw), fam.space.fiber_dim), spec)
@@ -368,7 +350,6 @@ def decide_onb(fam: OperatorFamily, tol: float = VERDICT_TOL, rng=None) -> Frame
     is farthest from 1 yields an explicit defect field whose energy ratio
     equals its weight.
     """
-    _validate_family(fam)
     _support_gram(fam)  # the isometry hypothesis, which no ONB route reads
     return _onb_half(fam, tol, rng)
 
@@ -378,14 +359,13 @@ def classify(fam: OperatorFamily, tol: float = VERDICT_TOL, rng=None) -> FrameRe
 
     Note the family is square, so the two-sided bound and the basis
     property coincide; the merged verdict is onb, riesz_basis or not_frame.
-    The family hypotheses are verified once, then ``decide_frame`` and the
-    ONB half of ``decide_onb`` run and their residuals are merged.  The
+    ``decide_frame``, whose frame route checks the family hypotheses, and
+    the ONB half of ``decide_onb`` run and their residuals are merged.  The
     Parseval probes are drawn from ``rng`` as in ``decide_onb``.  The
     verdict is that of ``decide_onb``; the witness is the lower-bound one,
     else the defect field.
     """
-    _validate_family(fam)
-    fr = _decide_frame(fam, tol, None, band=False)
+    fr = decide_frame(fam, tol)
     onb = _onb_half(fam, tol, rng)
     residuals = {**fr.residuals, **onb.residuals}
     witness = onb.witness if fr.witness is None else fr.witness

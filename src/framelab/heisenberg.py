@@ -14,15 +14,16 @@ is checked along two routes: the weighted norm of S(c), evaluated with one
 FFT, against the quadratic form c^H T c of the Toeplitz translate Gram T,
 read from the inverse DFT of the weight.
 
-The frame verdict is the analyzer's frame decision on the family alone,
-with its bounds and witness over the positive-weight band, the span of the
-translates.  The basis gathers the rows of its real form from its table of
-roots in one pass, so it keeps only the real form.  Its R consecutive
-frequencies on the R midpoints make it orthonormal by construction, and
-the decision checks so on the band's frame operator X^T X before the
-weight scales it: the isometry costs no copy and no product beyond the one
-the frame route takes anyway.  The witness ratio goes through the
-coefficient functionals, which form no R x R array either.
+The frame verdict is ``analyzer.decide_frame`` on the family alone, with
+``band``: its bounds and witness over the positive-weight band, the span of
+the translates.  The basis gathers the rows of its real form from its
+table of roots in one pass, so it keeps only the real form; the table
+bounds its unimodularity gap.  Its R consecutive frequencies on the R
+midpoints make it orthonormal by construction, and the decision checks so
+on the band's frame operator X^T X before the weight scales it: the
+isometry costs no copy and no product beyond the one the frame route takes
+anyway.  The witness ratio goes through the coefficient functionals, which
+form no R x R array either.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analyzer import VERDICT_TOL, FrameReport, _decide_frame
+from .analyzer import VERDICT_TOL, FrameReport, decide_frame
 from .errors import ConsistencyError
 from .operators import OperatorFamily
 from .tensor_onb import TensorBasis
@@ -276,6 +277,6 @@ def _band_report(space: WeightedSpace, tol: float) -> FrameReport:
     # alpha_i = (2i + 1) / 2R
     basis = TensorBasis.fourier(R // 2 - n, 2 * n + 1, 2 * R)
     fam = OperatorFamily(space, basis)
-    rep = _decide_frame(fam, tol, None, band=True)
+    rep = decide_frame(fam, tol, band=True)
     share = {"support_fraction": float(space.support.mean())}
     return replace(rep, residuals={**rep.residuals, **share})

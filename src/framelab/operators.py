@@ -63,7 +63,7 @@ def lambda_all(fam: OperatorFamily, field: Field) -> np.ndarray:
     probes, the Bessel bound) goes through here.
 
     Raises:
-        ValueError: if the scalar family is not closed under conjugation.
+        ValueError: if the family is not unimodular or not conjugation-closed.
     """
     space = fam.space
     _conform(space, field)
@@ -100,8 +100,8 @@ def frame_spectrum(fam: OperatorFamily) -> np.ndarray:
     near 1.
 
     Raises:
-        ValueError: if the scalar family is not closed under conjugation,
-            or not an isometry on the support columns.
+        ValueError: if the family is not unimodular, not closed under
+            conjugation or not an isometry on the support columns.
     """
     space = fam.space
     gram, idx = _support_gram(fam)
@@ -124,8 +124,8 @@ def _support_gram(fam: OperatorFamily) -> tuple:
     made, and the check reads it in place.
 
     Raises:
-        ValueError: if the scalar family is not closed under conjugation,
-            or not an isometry on the support columns.
+        ValueError: if the family is not unimodular, not closed under
+            conjugation or not an isometry on the support columns.
     """
     space = fam.space
     R = fam.basis._pairs.real

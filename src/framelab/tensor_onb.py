@@ -58,19 +58,20 @@ class TensorBasis:
     ``fourier_family(freqs[idx], numer, denom)`` as they are read, bit for
     bit those of the whole family, so it holds no complex N x N array.
 
-    The first pass over the family (``_scan``) reads it ``PAIRING_BLOCK``
-    rows at a time and raises nothing; it gives ``unimodularity_residual``.
-    ``_pairs`` then holds the conjugate row pairing and the read-only real
-    form R = U D F, built once, which both spectral routes, the isometry
-    check on the frame operator and ``lambda_all`` read, so every N x N
-    product of a run takes the real form, at a quarter of the flops of a
-    complex one.  An array basis finds its pairing on one key per row, so
-    its first pass keys the rows and a second one checks the pairing on
-    every entry and folds.  A Fourier basis knows its pairing from its
-    integers (``_recipe_partner``), so its one pass gathers each row of R
-    from the table, folds it and measures the unimodularity gap on the
-    table entries the family reads; a recipe whose integers pair no rows
-    takes the array route, on the rows it generates.
+    ``_pairs`` holds the conjugate row pairing and the read-only real form
+    R = U D F, built once, which both spectral routes, the isometry check
+    on the frame operator and ``lambda_all`` read, so every N x N product
+    of a run takes the real form, at a quarter of the flops of a complex
+    one.  It refuses a family before it writes R: first one that is not
+    unimodular, then one that is not closed under conjugation.  An array
+    basis finds its pairing on one key per row, so its first pass keys the
+    rows and measures the unimodularity gap, and a second one checks the
+    pairing on every entry and folds.  A Fourier basis knows its pairing
+    from its integers (``_recipe_partner``), so its one pass gathers each
+    row of R from its table of roots and folds it; the table's largest
+    deviation from unit modulus bounds every entry it gathers.  A recipe
+    whose integers pair no rows takes the array route, on the rows it
+    generates.
 
     Attributes:
         grid_size: N, the number of rows and of nodes of the scalar family.
@@ -109,44 +110,19 @@ class TensorBasis:
         """(N, N) read-only complex array, entry [n, i] = f_n(x_i)."""
         return self._rows(slice(None))
 
-    def unimodularity_residual(self) -> float:
-        """max_i,n abs(|f_n(x_i)| - 1), measured by the first pass."""
-        return self._scan[2]
-
-    @cached_property
-    def _scan(self) -> tuple:
-        """(phase, key, gap, pairs) of the first pass: the diagonal of D,
-        which dephases each row by its first entry, the key z = D F r of
-        ``_conjugate_pairs``, max abs(|F| - 1) and the pairs when the pass
-        folds them (a Fourier basis that ``_recipe_partner`` pairs, which has
-        no key), else None.  The keyed pass refuses nothing, so a non-finite
-        row warns nothing there."""
-        if self._recipe is not None:
-            partner = _recipe_partner(*self._recipe)
-            if partner is not None:
-                return _recipe_fold(*self._recipe, partner)
-        N = self.grid_size
-        r = np.sin(np.arange(1.0, N + 1) ** 2)
-        phase, z, gap = np.empty(N, complex), np.empty(N, complex), []
-        with np.errstate(invalid="ignore", over="ignore"):
-            for start in range(0, N, PAIRING_BLOCK):
-                blk = slice(start, start + PAIRING_BLOCK)
-                h = self._rows(blk)
-                phase[blk] = np.exp(-1j * np.angle(h[:, 0]))
-                z[blk] = h @ r
-                gap.append(np.max(np.abs(np.abs(h) - 1.0)))
-            z *= phase
-        return phase, z, float(np.max(gap)), None
-
     @cached_property
     def _pairs(self) -> _ConjugatePairs:
         """The conjugate row pairing and the real form, built once per basis.
 
         Raises:
-            ValueError: if the family is not closed under conjugation.
+            ValueError: if the family is not unimodular, or else not closed
+                under conjugation.
         """
-        pairs = self._scan[3]
-        return _conjugate_pairs(self) if pairs is None else pairs
+        if self._recipe is not None:
+            partner = _recipe_partner(*self._recipe)
+            if partner is not None:
+                return _recipe_fold(*self._recipe, partner)
+        return _conjugate_pairs(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,27 +252,39 @@ def _largest(x: np.ndarray, y: np.ndarray, scale: float, skip=None) -> float:
 
 
 def _conjugate_pairs(basis: TensorBasis) -> _ConjugatePairs:
-    """Find the conjugate row pairing of the scalar family F of ``basis``,
-    verify it on every entry and fold F to its real form, reading
-    ``PAIRING_BLOCK`` rows and their partners at a time, each row once.
+    """Check that the scalar family F of ``basis`` is unimodular, find its
+    conjugate row pairing, verify it on every entry and fold F to its real
+    form, in two passes of ``PAIRING_BLOCK`` rows at a time.
 
-    The partner p(n) of each row is matched on the key z = D F r of
-    ``basis._scan``, with r_i = sin(i^2), i = 1..N: no rational combination
+    The first pass measures max abs(|F| - 1), the dephasing D and the key
+    z = D F r, with r_i = sin(i^2), i = 1..N: no rational combination
     of the r_i vanishes (Lindemann-Weierstrass), so distinct rows of a +-1
     family get distinct keys, and so do those of any family in general.
     The partner's key is the conjugate, with the same real part, so p(n) is
     the one of row n and its two neighbours in the order of Re z whose key
     is nearest to conj(z_n): a real row (every Walsh-Hadamard row, say)
-    pairs with itself.  The match is then checked on every entry: dephased
-    row p(n) against the conjugate of dephased row n, for each self-paired
-    row and the lower row of each pair (the upper row's difference is minus
-    the conjugate of it).
+    pairs with itself.  The second pass checks the match on every entry:
+    dephased row p(n) against the conjugate of dephased row n, for each
+    self-paired row and the lower row of each pair (the upper row's
+    difference is minus the conjugate of it), and folds.
 
     Raises:
-        ValueError: if the family is not closed under conjugation.
+        ValueError: if the family is not unimodular, or else not closed
+            under conjugation.
     """
     N = basis.grid_size
-    phase, z, *_ = basis._scan
+    r = np.sin(np.arange(1.0, N + 1) ** 2)
+    phase, z, gap = np.empty(N, complex), np.empty(N, complex), []
+    # a non-finite entry is refused below, so it must not warn here first
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start in range(0, N, PAIRING_BLOCK):
+            blk = slice(start, start + PAIRING_BLOCK)
+            h = basis._rows(blk)
+            phase[blk] = np.exp(-1j * np.angle(h[:, 0]))
+            z[blk] = h @ r
+            gap.append(np.max(np.abs(np.abs(h) - 1.0)))
+        z *= phase
+    _check_hypothesis("unimodularity", float(np.max(gap)))
     order = np.argsort(z.real)
     rank = np.empty(N, dtype=np.intp)
     rank[order] = np.arange(N)
@@ -365,32 +353,23 @@ def _recipe_partner(freqs: np.ndarray, numer: np.ndarray, denom: int):
     return order[lo] if np.all(hi - lo == 1) else None
 
 
-def _recipe_fold(freqs, numer, denom: int, partner: np.ndarray) -> tuple:
-    """``TensorBasis._scan`` of a Fourier basis paired by ``partner``, in
-    one pass: each row of the real form is gathered once from the one table
-    of roots, dephased by the phase of its first entry and folded, and the
-    unimodularity gap is read off the table entries the family reads.
-
-    A partner row q of a lower row n reads the entries (c - j) mod denom,
-    j those of row n and c = (freqs[n] + freqs[q]) numer[0] mod denom: the
-    frequency sum is a multiple of P, so it multiplies every numerator as
-    it does numer[0].  So the gap of every row is read without its row.
+def _recipe_fold(freqs, numer, denom: int, partner: np.ndarray) -> _ConjugatePairs:
+    """The pairs of a Fourier basis paired by ``partner``, in one pass: each
+    row of the real form is gathered once from the one table of roots,
+    dephased by the phase of its first entry and folded.  Every entry of
+    the family is a table entry, so the table's largest deviation from
+    unit modulus bounds its unimodularity gap, which is checked first.
     """
     roots = _roots(denom)
-    dev = np.abs(np.abs(roots) - 1.0)
-    phase = np.exp(-1j * np.angle(roots[(freqs * numer[:1]) % denom]))
-    offset = ((freqs + freqs[partner]) * numer[:1]) % denom
-    gap = []
+    _check_hypothesis("unimodularity", float(np.max(np.abs(np.abs(roots) - 1.0))))
+    lead = np.remainder(freqs, denom) * (numer[0] % denom) % denom
+    phase = np.exp(-1j * np.angle(roots[lead]))
 
     def dephased(blk: np.ndarray, first: int) -> np.ndarray:
         idx = _root_index(freqs[blk], numer, denom)
-        gap.append(np.max(np.take(dev, idx, mode="wrap")))
-        mirror = offset[blk[first:], None] - idx[first:]  # in (-denom, denom)
-        gap.append(np.max(np.take(dev, mirror, mode="wrap"), initial=0.0))
         return np.take(roots, idx, mode="wrap") * phase[blk, None]
 
-    pairs = _fold(partner, phase, dephased)
-    return phase, None, float(np.max(gap)), pairs
+    return _fold(partner, phase, dephased)
 
 
 def _roots(denom: int) -> np.ndarray:
@@ -400,8 +379,10 @@ def _roots(denom: int) -> np.ndarray:
 
 def _root_index(freqs: np.ndarray, numer: np.ndarray, denom: int, out=None):
     """The table index (k m) mod ``denom`` of each entry of the rows of the
-    frequencies ``freqs`` over the numerators ``numer``, in int64."""
-    out = np.multiply(freqs[:, None], numer, out=out)
+    frequencies ``freqs`` over the numerators ``numer``, in int64, each
+    factor reduced first, so no product wraps while denom < 2^31.5."""
+    k, m = np.remainder(freqs, denom), np.remainder(numer, denom)
+    out = np.multiply(k[:, None], m, out=out)
     return np.remainder(out, denom, out=out)
 
 
@@ -409,10 +390,10 @@ def fourier_family(freqs, numer, denom: int) -> np.ndarray:
     """The exponential family exp(2 pi i k m / denom), row k over the node
     numerators m, for integer frequencies ``freqs`` and numerators ``numer``.
 
-    Each product k m is reduced mod ``denom`` in int64 and the entry is read
-    from one table of the ``denom`` roots of unity exp(2 pi i j / denom),
-    0 <= j < denom, so no phase argument exceeds 2 pi and every entry is a
-    root of unity to rounding, whatever the size of k m.  R consecutive
+    Each product k m is reduced mod ``denom`` in int64, its factors first,
+    and the entry is read from one table of the ``denom`` roots of unity
+    exp(2 pi i j / denom), 0 <= j < denom, so no phase argument exceeds
+    2 pi and every entry is a root of unity to rounding.  R consecutive
     frequencies on R nodes spaced 1/R apart are orthonormal under the
     unweighted quadrature.  The array is formed in one buffer and is
     read-only, so a ``TensorBasis`` holds it without a copy.  The index is

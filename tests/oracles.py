@@ -4,7 +4,8 @@ the one-expression forms of the family arrays that the package now builds in
 place, without extra N x N copies, the complex coefficient product and the
 whole-grid lattice sum that the real-form and in-band routes replaced, and
 the single-member fields and pointwise coefficients that only the tests take
-apart, and the unscaled forms of the inner product and the Bessel excess."""
+apart, the unscaled forms of the inner product and the Bessel excess, and a
+family that breaks unimodularity alone."""
 
 import csv
 import io
@@ -182,6 +183,18 @@ def walsh_family(n: int) -> np.ndarray:
     while H.shape[0] < n:
         H = np.block([[H, H], [H, -H]])
     return H
+
+
+def mixed_row_family(n: int) -> np.ndarray:
+    """The discrete Fourier family of even order ``n`` with rows 0 and n/2
+    replaced by (f_0 +- f_(n/2)) / sqrt(2).  Both new rows are real, so the
+    family is closed under conjugation, and a rotation of two orthonormal
+    rows keeps it an isometry, but its entries there are 0 and sqrt(2): it
+    is not unimodular, with residual max abs(|F| - 1) = 1."""
+    F = dft_family(n)
+    h = n // 2
+    F[0], F[h] = (F[0] + F[h]) / np.sqrt(2.0), (F[0] - F[h]) / np.sqrt(2.0)
+    return F
 
 
 def scalar_gram_defect(F: np.ndarray) -> np.ndarray:

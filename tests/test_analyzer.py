@@ -1,6 +1,7 @@
 """Verdict logic, witnesses, and the Gram route."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from framelab import (
     TensorBasis,
     Verdict,
     WeightedSpace,
+    bessel_excess,
     build_default,
     classify,
     decide_frame,
     decide_onb,
     frame_spectrum,
+    lambda_all,
     norm,
     parseval_residual,
     random_field,
@@ -27,8 +30,9 @@ from framelab import (
     witness_ratio,
 )
 from framelab import analyzer
+import framelab.heisenberg as hb
 from framelab.analyzer import _gram_fold, _gram_spectrum, _multiset_gap
-from framelab.tensor_onb import PAIRING_BLOCK
+from framelab.tensor_onb import PAIRING_BLOCK, fourier_family
 import oracles
 
 
@@ -139,7 +143,7 @@ def test_family_violating_scalar_orthonormality_is_refused(basis, residual):
     twin = TensorBasis(F)
     for b in (basis, twin):
         fam = OperatorFamily(WeightedSpace(n, 1, np.linspace(0.5, 2.0, n)), b)
-        assert b.unimodularity_residual() <= 1e-15
+        assert np.max(np.abs(np.abs(b.scalar_family) - 1.0)) <= 1e-15
         for decide in (classify, decide_frame, decide_onb, frame_spectrum):
             with pytest.raises(
                 ValueError,
@@ -152,6 +156,89 @@ def test_family_violating_scalar_orthonormality_is_refused(basis, residual):
     last = pairs.rows[pairs.n_self + PAIRING_BLOCK :]
     assert n == 4 or (last.size == 17 and 99 in pairs.partner[last])
     assert np.array_equal(pairs.real, twin._pairs.real)
+
+
+def _phased(F: np.ndarray) -> np.ndarray:
+    """F times seeded unimodular column phases: no dephased row of the
+    product is the conjugate of another."""
+    return F * np.exp(2j * np.pi * np.random.default_rng(79).random(F.shape[1]))
+
+
+def _merged(n: int) -> np.ndarray:
+    """The Fourier family of order ``n`` with nodes 2 and 3 on one column:
+    unimodular and closed under conjugation, but no isometry."""
+    k = np.arange(n)
+    numer = k.copy()
+    numer[3] = numer[2]
+    return fourier_family(k, numer, n)
+
+
+# Each family with the first hypothesis it breaks, in the order of the
+# checks; the two phased ones break a later hypothesis too.
+_BROKEN = {
+    "mixed_rows": (oracles.mixed_row_family, "unimodularity"),
+    "mixed_rows_phased": (lambda n: _phased(oracles.mixed_row_family(n)), "unimodularity"),
+    "phased": (lambda n: _phased(oracles.dft_family(n)), "conjugate symmetry"),
+    "merged_phased": (lambda n: _phased(_merged(n)), "conjugate symmetry"),
+    "merged": (_merged, "scalar orthonormality"),
+}
+
+
+def _patched_frame_report(fam, monkeypatch):
+    """``heisenberg.frame_report`` with its basis patched to that of ``fam``,
+    on a midpoint grid whose every node is in the band."""
+    monkeypatch.setattr(hb, "TensorBasis", SimpleNamespace(fourier=lambda *a: fam.basis))
+    return hb.frame_report(0.01, 1, resolution=fam.space.grid_size)
+
+
+def _probe(fam):
+    return random_field(fam.space, np.random.default_rng(80))
+
+
+_ENTRY_POINTS = {
+    "classify": lambda fam, _: classify(fam),
+    "decide_frame": lambda fam, _: decide_frame(fam),
+    "decide_frame_band": lambda fam, _: decide_frame(fam, band=True),
+    "frame_report": _patched_frame_report,
+    "decide_onb": lambda fam, _: decide_onb(fam),
+    "frame_spectrum": lambda fam, _: frame_spectrum(fam),
+    "lambda_all": lambda fam, _: lambda_all(fam, _probe(fam)),
+    "witness_ratio": lambda fam, _: witness_ratio(fam, _probe(fam)),
+    "bessel_excess": lambda fam, _: bessel_excess(fam, _probe(fam)),
+}
+# the coefficient routes read the real form R alone and form no X^T X
+_COEFFICIENT_ROUTES = {"lambda_all", "witness_ratio", "bessel_excess"}
+
+
+@pytest.mark.parametrize("family", list(_BROKEN))
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_family_on_its_first_broken_hypothesis(
+    entry, family, monkeypatch
+):
+    # Each hypothesis is checked where the array that needs it is built:
+    # unimodularity and then conjugate symmetry as the basis writes its real
+    # form R, then scalar orthonormality on the frame operator X^T X.  Every
+    # entry point that reads R refuses a family on the first hypothesis it
+    # breaks, with the message of that check, the band decision included.
+    n = 16
+    build, hypothesis = _BROKEN[family]
+    F = build(n)
+    if hypothesis == "scalar orthonormality":
+        defect = np.abs(F.conj().T @ F / n - np.eye(n)).max()
+        message = f"family violates {hypothesis} (residual {defect:.3e})"
+    else:
+        with pytest.raises(ValueError) as err:
+            TensorBasis(F)._pairs
+        message = str(err.value)
+    assert message.startswith(f"family violates {hypothesis} (residual ")
+    fam = OperatorFamily(WeightedSpace(n, 2, np.linspace(0.5, 2.0, n)), TensorBasis(F))
+    run = _ENTRY_POINTS[entry]
+    if entry in _COEFFICIENT_ROUTES and hypothesis == "scalar orthonormality":
+        assert np.all(np.isfinite(run(fam, monkeypatch)))
+        return
+    with pytest.raises(ValueError) as err:
+        run(fam, monkeypatch)
+    assert str(err.value) == message
 
 
 def test_isometry_is_required_on_the_support_only():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from framelab import TensorBasis, analyzer, cli, heisenberg, operators, shiftinv
 from framelab import tensor_onb
 from framelab.cli import check_config, run_config
-from oracles import csv_text
+from oracles import csv_text, mixed_row_family
 
 
 def _diags(config) -> list:
@@ -737,8 +737,10 @@ def test_heisenberg_band_decision_checks_isometry_on_its_frame_operator(
     # (test_band_decision_working_set bounds the peak).  The witness ratio
     # of a not_frame run (alpha^64 under the tolerance) takes one pass of
     # the coefficient functionals, which forms none either.
-    decide = _count_calls(monkeypatch, analyzer._decide_frame)
-    check = _count_calls(monkeypatch, analyzer._validate_family)
+    decide, decide_frame = [], heisenberg.decide_frame
+    monkeypatch.setattr(
+        heisenberg, "decide_frame", lambda *a, **k: decide.append(k) or decide_frame(*a, **k)
+    )
     coeffs = _count_calls(monkeypatch, operators.lambda_all)
     checked, solved = [], []
     isometry, eigvalsh = operators._isometry_residual, np.linalg.eigvalsh
@@ -754,7 +756,7 @@ def test_heisenberg_band_decision_checks_isometry_on_its_frame_operator(
         doc = json.loads((out / "report.json").read_text())
         assert doc["verdict"] == verdict
         assert doc["witness"]["exists"] is (verdict == "not_frame")
-    assert len(decide) == 2 and check == []
+    assert decide == [{"band": True}] * 2
     # one check per run, on the 256-node band's frame operator, the very
     # array that eigvalsh diagonalizes once D has scaled it in place
     assert [c.shape for c in checked] == [(256, 256)] * 2
@@ -772,6 +774,13 @@ def test_heisenberg_band_decision_checks_isometry_on_its_frame_operator(
     monkeypatch.setattr(heisenberg, "TensorBasis", SimpleNamespace(fourier=merged))
     refusal = r"^family violates scalar orthonormality \(residual 1\.000e\+00\)$"
     with pytest.raises(ValueError, match=refusal):
+        heisenberg.frame_report(0.5, 1, resolution=64)
+    # It checks unimodularity first, as every decider does: the mixed-row
+    # family, an isometry closed under conjugation with entries 0 and
+    # sqrt(2), is refused before its real form is written.
+    mixed = TensorBasis(mixed_row_family(64))
+    monkeypatch.setattr(heisenberg, "TensorBasis", SimpleNamespace(fourier=lambda *a: mixed))
+    with pytest.raises(ValueError, match=r"^family violates unimodularity \(residual 1\.000e\+00\)$"):
         heisenberg.frame_report(0.5, 1, resolution=64)
 
 

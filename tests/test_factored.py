@@ -28,6 +28,7 @@ from framelab import (
 import oracles
 from framelab import witness_ratio
 from framelab.analyzer import _extremes, _gram_fold, _gram_spectrum
+from framelab import tensor_onb
 from framelab.tensor_onb import _isometry_residual, fourier_family
 from oracles import analysis_matrix
 
@@ -141,24 +142,36 @@ def test_families_are_orthonormal_to_rounding(n):
         assert np.max(np.abs(oracles.scalar_gram_defect(F))) <= 1e-15
 
 
-def test_working_set_routes_match_dense_forms_bit_for_bit():
+def test_working_set_routes_match_dense_forms_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(71)
+    checks = []
+    check = tensor_onb._check_hypothesis
+    monkeypatch.setattr(
+        tensor_onb, "_check_hypothesis", lambda name, r: checks.append((name, r)) or check(name, r)
+    )
     for n in BIT_SIZES:
         w = rng.uniform(0.1, 3.0, n)
         dead = w.copy()
         dead[1::3] = 0.0
         for F, args, partner, _ in _family_kinds(n):
+            gap = float(np.max(np.abs(np.abs(F) - 1.0)))
+            checks.clear()
             basis = TensorBasis(F)
-            assert basis.unimodularity_residual() == float(
-                np.max(np.abs(np.abs(F) - 1.0))
-            )
             R = oracles.real_form(F, partner)
             assert _same_bits(basis._pairs.real, R)
-            # a recipe basis folds the same family in the same pass that
-            # measures its unimodularity
+            # the array basis checks max abs(|F| - 1), measured on every
+            # entry by its keyed pass, before its conjugate pairing
+            assert checks[0] == ("unimodularity", gap)
+            assert [name for name, _ in checks[1:]] == ["conjugate symmetry"]
+            # a recipe basis checks its table of roots, whose largest
+            # deviation from unit modulus bounds every entry it gathers, and
+            # then folds the same family in one pass
+            checks.clear()
             recipe = TensorBasis.fourier(*args)
             assert _same_bits(recipe._pairs.real, R)
-            assert recipe.unimodularity_residual() == basis.unimodularity_residual()
+            table = np.exp(2j * np.pi * np.arange(args[2]) / args[2])
+            assert checks == [("unimodularity", float(np.max(np.abs(np.abs(table) - 1.0))))]
+            assert gap <= checks[0][1] <= 1e-15
             # The isometry check reads the column Gram R^T R = F^H F in
             # place: it is max |R^T R / N - I| bit for bit, and leaves the
             # Gram's bits as they were.
@@ -288,7 +301,7 @@ def test_family_not_closed_under_conjugation_is_refused():
     F = build_default(n).scalar_family * np.exp(2j * np.pi * rng.random(n))
     sp = WeightedSpace(n, 2, np.linspace(0.5, 2.0, n))
     fam = OperatorFamily(sp, TensorBasis(F))
-    assert fam.basis.unimodularity_residual() <= 1e-12
+    assert np.max(np.abs(np.abs(F) - 1.0)) <= 1e-12
     assert np.max(np.abs(oracles.scalar_gram_defect(F))) <= 1e-12
     f = random_field(sp, np.random.default_rng(80))
     checks = (

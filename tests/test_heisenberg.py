@@ -205,12 +205,15 @@ def test_isometry_guard_fails_a_nan_gap(monkeypatch):
 def test_band_report_leaves_the_frame_decision_as_built(monkeypatch):
     # support_fraction is added to a copy of the residuals, not written into
     # the report the frame decision returned
-    built = []
-    decide = hb._decide_frame
+    built, kwargs = [], []
+    decide = hb.decide_frame
     monkeypatch.setattr(
-        hb, "_decide_frame", lambda *a, **k: built.append(decide(*a, **k)) or built[-1]
+        hb,
+        "decide_frame",
+        lambda *a, **k: kwargs.append(k) or built.append(decide(*a, **k)) or built[-1],
     )
     rep = hb.frame_report(0.5, 1, resolution=64)
+    assert kwargs == [{"band": True}]
     assert set(built[0].residuals) == {"spectrum_vs_weight"}
     assert rep.residuals == {**built[0].residuals, "support_fraction": 0.5}
 

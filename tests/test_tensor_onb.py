@@ -1,6 +1,7 @@
 """Tensor families: structure, orthonormality, expansion round trips."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from framelab import (
     synthesis_gram,
 )
 from framelab.analyzer import _field_matrix
+from framelab import tensor_onb
 from framelab.tensor_onb import TensorBasis, _isometry_residual, fourier_family
 from oracles import tensor_field
 
@@ -102,9 +104,26 @@ def test_recipe_basis_keeps_only_the_real_form():
 def test_default_family_is_unimodular_orthonormal():
     for n in (1, 2, 8, 16):
         basis = build_default(n)
-        assert basis.unimodularity_residual() < 1e-12
-        R = basis._pairs.real
+        assert np.max(np.abs(np.abs(basis.scalar_family) - 1.0)) < 1e-12
+        R = basis._pairs.real  # which the basis writes once it holds its hypotheses
         assert _isometry_residual(R.T @ R, n) < 1e-12
+
+
+def test_fourier_family_reduces_each_factor_before_the_product():
+    # (2^40 + 1)(2^40 + 3) is past 2^63, so its int64 product would wrap and
+    # read the wrong root; Python's integers give the exact index.
+    k, m, denom = 2**40 + 1, 2**40 + 3, 7
+    roots = np.exp(2j * np.pi * np.arange(denom) / denom)
+    assert fourier_family([k], [m], denom)[0, 0] == roots[k * m % denom]
+    # a recipe basis gathers its rows and their phases through the same
+    # index: integers shifted by multiples of denom far past 2^32 give the
+    # family and the real form of the reduced ones, bit for bit
+    n = 16
+    i = np.arange(n)
+    big = TensorBasis.fourier(i + 2**40 * n, i - 2**41 * n, n)
+    small = build_default(n)
+    assert big.scalar_family.tobytes() == small.scalar_family.tobytes()
+    assert big._pairs.real.tobytes() == small._pairs.real.tobytes()
 
 
 @st.composite
@@ -135,15 +154,29 @@ def test_recipe_pairs_match_their_array_twin_bit_for_bit(recipe, data):
     # A Fourier basis pairs its rows from its integers and gathers the real
     # form from its table; its array twin finds the pairing on its keys and
     # checks it on every entry.  Both give the same pairs, bit for bit, and
-    # the same unimodularity gap.  With one negated frequency dropped or
-    # held twice, every decider refuses the recipe as it refuses its twin.
+    # the twin's unimodularity gap, measured on every entry, is within the
+    # gap of the recipe's table of roots, which the recipe checks instead.
+    # With one negated frequency dropped or held twice, every decider
+    # refuses the recipe as it refuses its twin.
+    checks = []
+    check = tensor_onb._check_hypothesis
+
+    def record(name, residual):
+        checks.append((name, residual))
+        check(name, residual)
+
     basis = TensorBasis.fourier(*recipe)
     twin = TensorBasis(basis.scalar_family)
+    with mock.patch.object(tensor_onb, "_check_hypothesis", record):
+        pairs, twin_pairs = basis._pairs, twin._pairs
     for name in ("real", "rows", "partner", "phase"):
-        got, want = getattr(basis._pairs, name), getattr(twin._pairs, name)
+        got, want = getattr(pairs, name), getattr(twin_pairs, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert basis._pairs.n_self == twin._pairs.n_self
-    assert basis.unimodularity_residual() == twin.unimodularity_residual()
+    assert pairs.n_self == twin_pairs.n_self
+    (table_check, table_gap), (twin_check, twin_gap) = checks[:2]
+    assert table_check == twin_check == "unimodularity"
+    assert twin_gap == float(np.max(np.abs(np.abs(twin.scalar_family) - 1.0)))
+    assert twin_gap <= table_gap <= 1e-15
     freqs, numer, denom = recipe
     n = freqs.size
     i = data.draw(st.integers(0, n - 1))
