@@ -8,7 +8,8 @@ Exit codes:
     0  computed, all cross checks within the consistency tolerance
     2  computed, but an oracle cross check exceeded the tolerance; each
        failing check is named on stderr with its value and tolerance
-    1  invalid config, unreadable input, or a truncation refusal
+    1  invalid config, unreadable input, unwritable output, or a
+       truncation refusal
 
 Residual keys containing ``_vs_`` are the cross checks: each compares two
 independent evaluation routes for the same quantity and feeds the exit
@@ -46,7 +47,6 @@ from .shiftinv import (
     _check_window,
     _gabor_riesz_check,
     _quasiperiodicity_residual,
-    _time_samples,
     gabor_window,
     make_generator,
     periodized_weight,
@@ -335,7 +335,8 @@ def check_config(config) -> tuple:
     build would; ``run_config`` takes it as it is.
 
     Raises:
-        ConsistencyError: if a cross check inside a build fails.
+        ConsistencyError: if the closed-form guard of a build fails (the
+            lattice sum of the ``heisenberg`` weight).
     """
     diags: list = []
     cfg = _CONFIG(config, "", diags)
@@ -458,7 +459,7 @@ def _run_shiftinv(cfg: dict, inputs: tuple) -> tuple:
     mass = total_mass(space)
     # the time-side quadrature of |phi|^2 at spacing 1/(2R), against the
     # frequency-side fold: the two meet only through Parseval
-    norm_sq = float((np.abs(_time_samples(gen)) ** 2).sum() / (2 * gen.radius))
+    norm_sq = float((np.abs(gen.time_samples) ** 2).sum() / (2 * gen.radius))
     residuals["mass_vs_norm"] = abs(mass - norm_sq) / max(
         norm_sq, np.finfo(float).tiny
     )
@@ -627,6 +628,9 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an --out that names a file, or a path under one
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:  # LinAlgError included
         print(f"error: {exc}", file=sys.stderr)
         return 1

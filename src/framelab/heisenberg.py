@@ -12,7 +12,8 @@ dimension d enters only through the weight exponent and the window
 normalization.  The isometry from translate coefficients c to fields S(c)
 is checked along two routes: the weighted norm of S(c), evaluated with one
 FFT, against the quadratic form c^H T c of the Toeplitz translate Gram T,
-read from the inverse DFT of the weight.
+read from the inverse DFT of the weight; their gap is returned for the
+caller to judge.
 
 The frame verdict is ``analyzer.decide_frame`` on the family alone, with
 ``band``: its bounds and witness over the positive-weight band, the span of
@@ -51,7 +52,6 @@ __all__ = [
 
 CLOSED_FORM_TOL = 1e-12
 MASS_TOL = 1e-9
-ISOMETRY_TOL = 1e-8
 LATTICE_WINDOW = 3  # integer shifts j in [-3, 3] cover every alpha in (0, 1]
 QUAD_NODES = 64
 # Default scale grid, translate range and spectral grid of a model and a report.
@@ -129,32 +129,26 @@ def psi_norm_sq(eps: float, d: int) -> float:
     return quad
 
 
-def _envelope(eps: float, d: int, w: np.ndarray) -> tuple[float, float]:
-    """Extremes of the support weights ``w``, which must lie in [eps^d, 1]."""
-    lo, hi = float(w.min()), float(w.max())
-    # [eps^d, 1] is the range of the closed form, so it takes that tolerance
-    if lo < eps ** d - CLOSED_FORM_TOL or hi > 1.0 + CLOSED_FORM_TOL:
-        raise ConsistencyError(
-            f"supported weight range ({lo}, {hi}) escapes [{eps ** d}, 1]"
-        )
-    return lo, hi
+def _envelope(w: np.ndarray) -> tuple[float, float]:
+    """Extremes of the support weights ``w``."""
+    return float(w.min()), float(w.max())
 
 
 def weight_envelope_check(eps: float, d: int, grid) -> tuple[float, float]:
-    """Extremes of the weight over the support points of a scale grid.
+    """Extremes of the weight over the support points of a scale grid, the
+    effective two-sided bounds.
 
-    Every supported value must land in [eps^d, 1]; the observed extremes
-    are returned as the effective two-sided bounds.
+    Every supported value lies in [eps^d, 1] by construction: ``hs_weight``
+    returns the closed form alpha^d on alpha in (eps, 1], and only after
+    its lattice-sum check has passed.
 
     Raises:
         ValueError: when no grid point carries positive weight, or one
             carries a positive weight that ``WeightedSpace`` refuses.
-        ConsistencyError: if a value escapes the guaranteed sandwich.
     """
-    eps, d = _check_params(eps, d)
     w = np.atleast_1d(hs_weight(eps, d, grid))
     space = WeightedSpace(w.size, 1, w)
-    return _envelope(eps, d, space.weights[space.support])
+    return _envelope(space.weights[space.support])
 
 
 def midpoint_grid(resolution: int) -> np.ndarray:
@@ -201,7 +195,7 @@ class CenterTranslateModel:
 
     def envelope(self) -> tuple[float, float]:
         """``weight_envelope_check`` over the model grid, from the stored weights."""
-        return _envelope(self.eps, self.d, self.weights[self.support])
+        return _envelope(self.weights[self.support])
 
     def _coeffs(self, a) -> np.ndarray:
         c = np.asarray(a, dtype=complex)
@@ -233,9 +227,8 @@ def isometry_residual(model: CenterTranslateModel, a) -> float:
     """Relative gap between the weighted norm of S(a) and a^H T a, where
     T[k, k'] = (1/R) sum_i w_i e^(2 pi i (k - k') alpha_i) over the support:
     at lag l, the inverse DFT of the weight at l mod R times e^(pi i l / R).
-
-    Raises:
-        ConsistencyError: when the gap exceeds ``ISOMETRY_TOL`` relative.
+    The gap is returned, NaN when a route is, for the caller to judge (the
+    CLI by ``tolerances.consistency``, as ``isometry_vs_translate_gram``).
     """
     c = model._coeffs(a)
     R, n = model.resolution, c.size
@@ -244,10 +237,7 @@ def isometry_residual(model: CenterTranslateModel, a) -> float:
     t = np.fft.ifft(model.weights)[lags % R] * np.exp(1j * np.pi * lags / R)
     k = np.arange(n)
     gram = float(np.real(c.conj() @ t[k[:, None] - k + n - 1] @ c))
-    rel = abs(field - gram) / max(gram, np.finfo(float).tiny)
-    if not rel <= ISOMETRY_TOL:  # a NaN gap fails too
-        raise ConsistencyError(f"synthesis norm routes disagree: {field!r} vs {gram!r}")
-    return rel
+    return abs(field - gram) / max(gram, np.finfo(float).tiny)
 
 
 def frame_report(

@@ -13,7 +13,6 @@ import io
 import numpy as np
 
 from framelab import Field, lambda_all, norm, total_mass
-from framelab.shiftinv import _time_samples
 from framelab.tensor_onb import PAIRING_BLOCK
 from framelab.wspace import _conform
 
@@ -106,7 +105,7 @@ def generator_translate_gram(gen) -> np.ndarray:
     stacked into one N x P array: the dense reference for
     ``shiftinv.translate_gram_spectrum``."""
     step = 2 * gen.radius
-    phi_t = _time_samples(gen)
+    phi_t = gen.time_samples
     V = np.stack([np.roll(phi_t, step * k) for k in range(gen.grid_size)])
     return (V.conj() @ V.T) / step
 

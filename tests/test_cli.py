@@ -134,40 +134,58 @@ def test_shiftinv_mode(tmp_path):
     )
 
 
+def _scale_time_samples(monkeypatch, factor):
+    """Make the one time-sample array of every generator ``factor`` times
+    its true value, for every route that reads it."""
+    samples = shiftinv.Generator.time_samples.func
+    monkeypatch.setattr(
+        shiftinv.Generator, "time_samples", property(lambda g: factor * samples(g))
+    )
+
+
 def test_shiftinv_mass_vs_norm_takes_the_norm_on_the_time_side(tmp_path, monkeypatch):
     # The norm side is the quadrature of |phi|^2 over the cyclic time grid,
     # not the frequency samples the weight is folded from, so a fault in
-    # the time samples shows in the check.
+    # the time samples shows in the check, and in the translate Gram, which
+    # reads the same samples.
     cfg = {"mode": "shiftinv", "generator": {"preset": "gaussian", "grid_size": 16}}
-    gen = shiftinv.make_generator("gaussian", 16)
-    phi = shiftinv._time_samples(gen)
+    phi = shiftinv.make_generator("gaussian", 16).time_samples
     doc = run_config(cfg, tmp_path / "run").doc
     assert doc["metrics"]["window_norm_sq"] == float((np.abs(phi) ** 2).sum() / 8)
-    monkeypatch.setattr(cli, "_time_samples", lambda g: 1.01 * shiftinv._time_samples(g))
+    _scale_time_samples(monkeypatch, 1.01)
     code = run_config(cfg, tmp_path / "broken")
     assert int(code) == 2
-    assert code.doc["residuals"]["mass_vs_norm"] == pytest.approx(1 - 1 / 1.01**2)
+    failed = dict(cli._failed_checks(code.doc))
+    assert sorted(failed) == ["mass_vs_norm", "translate_gram_vs_weight"]
+    for value in failed.values():
+        assert value == pytest.approx(1 - 1 / 1.01**2)
 
 
 def test_shiftinv_translate_gram_takes_the_time_samples_at_the_cap(
     tmp_path, monkeypatch, capsys
 ):
     # At 256 translates, the grid cap, the translate Gram is still formed
-    # from the time samples: scaling them by 1.01 scales its spectrum by
-    # 1.01^2, which the check against the weight reports.  The time-side
-    # norm of mass_vs_norm reads its own samples and does not move.
+    # from the time samples: scaling them by 1.01 scales its spectrum and
+    # the time-side norm by 1.01^2, which both checks against the weight
+    # report.  The spectral checks read the weight alone and do not move.
     cfg = {"mode": "shiftinv", "generator": {"preset": "gaussian", "grid_size": 256}}
     argv = ["--config", _write(tmp_path, cfg), "--out", str(tmp_path / "run")]
     assert cli.main(argv) == 0
     good = _report(tmp_path)
-    monkeypatch.setattr(shiftinv, "_time_samples", lambda g: 1.01 * cli._time_samples(g))
+    _scale_time_samples(monkeypatch, 1.01)
     capsys.readouterr()
     assert cli.main(argv) == 2
-    assert "check failed: translate_gram_vs_weight" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "check failed: mass_vs_norm" in err
+    assert "check failed: translate_gram_vs_weight" in err
     broken = _report(tmp_path)
-    assert broken["residuals"]["translate_gram_vs_weight"] == pytest.approx(1 - 1 / 1.01**2)
-    assert broken["residuals"]["mass_vs_norm"] == good["residuals"]["mass_vs_norm"]
-    assert broken["metrics"]["window_norm_sq"] == good["metrics"]["window_norm_sq"]
+    for name in ("mass_vs_norm", "translate_gram_vs_weight"):
+        assert broken["residuals"][name] == pytest.approx(1 - 1 / 1.01**2)
+    for name in ("spectrum_vs_weight", "gram_vs_weight"):
+        assert broken["residuals"][name] == good["residuals"][name]
+    assert broken["metrics"]["window_norm_sq"] == pytest.approx(
+        1.01**2 * good["metrics"]["window_norm_sq"]
+    )
 
 
 _SEED_WEIGHTS = st.one_of(
@@ -572,6 +590,18 @@ def test_tol_override_keeps_non_object_tolerances_diagnostic(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/under"], ids=["file", "under_file"])
+def test_unusable_out_path_is_an_error_not_a_traceback(tmp_path, out):
+    # --out naming a file, or a path under one, is refused with one error
+    # line and exit 1, and the file is left as it was
+    (tmp_path / "taken").write_text("keep\n")
+    proc = _run(tmp_path, ANALYZE, out=out)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert "Traceback" not in proc.stderr
+    assert (tmp_path / "taken").read_text() == "keep\n"
+
+
 def _count_calls(monkeypatch, func):
     """Record the positional arguments of every call to ``func`` through
     every framelab module binding it."""
@@ -951,6 +981,46 @@ def test_a_doubled_spectrum_fails_its_check_in_any_unit(
     code = run_config(cfg, tmp_path / "run")
     assert code == 2
     assert [name for name, _ in cli._failed_checks(code.doc)] == [check]
+
+
+_FAULTED_RUNS = {
+    "zak": (
+        {"mode": "zak", "window": {"preset": "gaussian"},
+         "time_resolution": 8, "translates": 8},
+        shiftinv, "gabor_gram_spectrum", 2.0,
+        "zak_vs_gram", 0.5, ["spectrum.csv", "zak_magnitude.csv"],
+    ),
+    "heisenberg": (
+        {"mode": "heisenberg", "heisenberg": {"eps": 0.5, "d": 2, "resolution": 512,
+                                              "spectral_resolution": 64, "k_max": 3}},
+        heisenberg, "s_map", 1.0 + 1e-6,
+        "isometry_vs_translate_gram", (1.0 + 1e-6) ** 2 - 1.0,
+        ["spectrum.csv", "weight.csv"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAULTED_RUNS))
+def test_a_faulted_route_is_reported_and_judged_by_the_consistency_tolerance(
+    tmp_path, monkeypatch, capsys, case
+):
+    # The Zak and isometry routes return their gap and raise on none, so a
+    # route off by a factor writes its report and tables and fails its one
+    # check by tolerances.consistency, which a run may set above the gap.
+    cfg, module, route, factor, check, gap, tables = _FAULTED_RUNS[case]
+    original = getattr(module, route)
+    monkeypatch.setattr(module, route, lambda *args: factor * original(*args))
+    loose = {**cfg, "tolerances": {"consistency": 10 * gap}}
+    for out, config, want in [("strict", cfg, 2), ("loose", loose, 0)]:
+        argv = ["--config", _write(tmp_path, config), "--out", str(tmp_path / out)]
+        assert cli.main(argv) == want
+        err = capsys.readouterr().err
+        assert "consistency failure:" not in err
+        failed = [f"check failed: {check}"] if want else []
+        assert [line.split(" = ")[0] for line in err.splitlines()] == failed
+        doc = _report(tmp_path, out)
+        assert doc["residuals"][check] == pytest.approx(gap, rel=1e-6)
+        assert all((tmp_path / out / name).is_file() for name in tables)
 
 
 def test_config_echo_round_trip(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import framelab.heisenberg as hb
+from framelab import cli
 from framelab import (
     ConsistencyError,
     OperatorFamily,
@@ -173,14 +174,28 @@ def test_fft_s_map_and_translate_gram_match_dense_routes(eps, d, resolution, k_m
     assert hb.isometry_residual(model, a) < 1e-13
 
 
-def test_isometry_guard_is_live(monkeypatch):
+def _isometry_check_alone_fails(tmp_path, resolution, k_max) -> float:
+    """The isometry residual of a ``heisenberg`` run at eps = 0.5, d = 2,
+    which must exit 2 with it the only failing check."""
+    section = {"eps": 0.5, "d": 2, "resolution": resolution, "k_max": k_max}
+    code = cli.run_config({"mode": "heisenberg", "heisenberg": section}, tmp_path / "run")
+    assert code == 2
+    name = "isometry_vs_translate_gram"
+    assert [failed for failed, _ in cli._failed_checks(code.doc)] == [name]
+    return code.doc["residuals"][name]
+
+
+def test_isometry_guard_is_live(tmp_path, monkeypatch):
+    # a field route off by 1e-6 puts a relative gap of (1 + 1e-6)^2 - 1 in
+    # the residual, which the run reports and fails on alone
     model = hb.CenterTranslateModel(0.5, 2, resolution=512, k_max=3)
     a = np.arange(1.0, 8.0) + 0.5j
     assert hb.isometry_residual(model, a) < 1e-13
     s_map = hb.s_map
     monkeypatch.setattr(hb, "s_map", lambda m, c: s_map(m, c) * (1.0 + 1e-6))
-    with pytest.raises(ConsistencyError):
-        hb.isometry_residual(model, a)
+    gap = (1.0 + 1e-6) ** 2 - 1.0
+    assert hb.isometry_residual(model, a) == pytest.approx(gap, rel=1e-6)
+    assert _isometry_check_alone_fails(tmp_path, 512, 3) == pytest.approx(gap, rel=1e-6)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -193,13 +208,14 @@ def test_non_finite_coefficients_are_refused(bad):
             route(model, a)
 
 
-def test_isometry_guard_fails_a_nan_gap(monkeypatch):
-    # a NaN gap between the routes is no pass: the gate is written
-    # ``not rel <= tol``, so it raises on NaN as on a gap above the tolerance
+def test_isometry_guard_fails_a_nan_gap(tmp_path, monkeypatch):
+    # a NaN gap between the routes is returned as NaN, and it is no pass:
+    # the CLI judges each check by ``not value <= tol``, so a run fails on
+    # NaN as on a gap above the tolerance
     model = hb.CenterTranslateModel(0.5, 2, resolution=64, k_max=2)
     monkeypatch.setattr(hb, "s_map", lambda m, c: np.full(m.resolution, np.nan))
-    with pytest.raises(ConsistencyError):
-        hb.isometry_residual(model, np.ones(5))
+    assert np.isnan(hb.isometry_residual(model, np.ones(5)))
+    assert np.isnan(_isometry_check_alone_fails(tmp_path, 64, 2))
 
 
 def test_band_report_leaves_the_frame_decision_as_built(monkeypatch):

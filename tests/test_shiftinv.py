@@ -7,8 +7,8 @@ import pytest
 
 import framelab.shiftinv as si
 import oracles
+from framelab import cli
 from framelab import (
-    ConsistencyError,
     OperatorFamily,
     TensorBasis,
     TruncationError,
@@ -133,7 +133,10 @@ def test_mass_identity_exact_rearrangement():
 def test_time_samples_match_quadrature_norm():
     rng = np.random.default_rng(14)
     gen = _random_generator(rng)
-    phi = si._time_samples(gen)
+    phi = gen.time_samples
+    # made once per generator, and read-only, so every route reads the same
+    assert gen.time_samples is phi
+    assert not phi.flags.writeable
     # cyclic quadrature norm equals the frequency-side norm (unitarity)
     t_norm = (np.abs(phi) ** 2).sum() / (2 * gen.radius)
     f_norm = (np.abs(gen.fhat) ** 2).sum() / gen.grid_size
@@ -321,7 +324,16 @@ def test_gram_spectrum_working_set_at_2x1024():
     assert peak <= 3 * 16 * si.ZAK_CHUNK
 
 
-def test_gabor_check_compares_whole_spectrum(monkeypatch):
+def _zak_check_alone_fails(tmp_path, cfg) -> dict:
+    """The report of a ``zak`` run of ``cfg``, which must exit 2 with
+    ``zak_vs_gram`` its only failing check."""
+    code = cli.run_config(cfg, tmp_path / "run")
+    assert code == 2
+    assert [name for name, _ in cli._failed_checks(code.doc)] == ["zak_vs_gram"]
+    return code.doc
+
+
+def test_gabor_check_compares_whole_spectrum(tmp_path, monkeypatch):
     # same extremes as the Zak magnitudes, wrong interior: only a comparison
     # of the full multiset can see it
     rng = np.random.default_rng(31)
@@ -329,10 +341,15 @@ def test_gabor_check_compares_whole_spectrum(monkeypatch):
     phi = rng.standard_normal(N * L) + 1j * rng.standard_normal(N * L)
     zsq = np.sort(np.abs(si.zak_transform(phi, N, L).values) ** 2, axis=None)
     skewed = np.linspace(zsq[0], zsq[-1], N * L)
-    assert np.max(np.abs(skewed - zsq)) > 1e-3 * zsq[-1]
+    gap = np.max(np.abs(skewed - zsq)) / zsq[-1]
+    assert gap > 1e-3
     monkeypatch.setattr(si, "gabor_gram_spectrum", lambda *a, **k: skewed)
-    with pytest.raises(ConsistencyError):
-        si.gabor_riesz_check(phi, N, L)
+    assert si.gabor_riesz_check(phi, N, L).residuals["zak_vs_gram"] == gap
+    path = tmp_path / "window.csv"
+    path.write_text(oracles.csv_text(("re", "im"), (phi.real, phi.imag)))
+    window = {"preset": "custom", "samples_path": str(path)}
+    cfg = {"mode": "zak", "window": window, "time_resolution": N, "translates": L}
+    assert _zak_check_alone_fails(tmp_path, cfg)["residuals"]["zak_vs_gram"] == gap
 
 
 def test_gabor_check_keeps_spectrum():
@@ -391,11 +408,16 @@ def test_window_whose_energy_overflows_is_refused():
     assert rep.residuals["zak_vs_gram"] <= 1e-15
 
 
-def test_gabor_check_guard_trips(monkeypatch):
+def test_gabor_check_guard_trips(tmp_path, monkeypatch):
+    # every |Z|^2 of the indicator is 1, so a Gram spectrum on [5, 9] is off
+    # by 8 at most, relative to 9: the check returns that gap, and the run
+    # reports it and fails on it alone
     N = L = 4
     phi = si.gabor_window("indicator", N, L)
     monkeypatch.setattr(
         si, "gabor_gram_spectrum", lambda *a, **k: np.linspace(5.0, 9.0, N * L)
     )
-    with pytest.raises(ConsistencyError):
-        si.gabor_riesz_check(phi, N, L)
+    assert si.gabor_riesz_check(phi, N, L).residuals["zak_vs_gram"] == 8.0 / 9.0
+    window = {"preset": "indicator"}
+    cfg = {"mode": "zak", "window": window, "time_resolution": N, "translates": L}
+    assert _zak_check_alone_fails(tmp_path, cfg)["residuals"]["zak_vs_gram"] == 8.0 / 9.0
