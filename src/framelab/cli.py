@@ -6,14 +6,14 @@ Identical config and seed produce byte-identical reports.
 
 Exit codes:
     0  computed, all cross checks within the consistency tolerance
-    2  computed, but an oracle cross check exceeded the tolerance; each
-       failing check is named on stderr with its value and tolerance
+    2  computed, but a cross check exceeded the tolerance, or is missing or
+       null; each failing check is named on stderr
     1  invalid config, unreadable input, unwritable output, or a
        truncation refusal
 
-Residual keys containing ``_vs_`` are the cross checks: each compares two
-independent evaluation routes for the same quantity and feeds the exit
-code.  All other residuals and metrics are informational.
+The cross checks are the ``_vs_`` residuals that ``MODES`` declares for the
+mode, each comparing two independent routes to one quantity; a non-finite
+one is written as ``null``.  All other residuals and metrics are informational.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -63,9 +64,9 @@ from .wspace import WeightedSpace, _Normals, total_mass
 # ``rule(value, path, diags)`` with the raw value (``_MISSING`` when the key
 # is absent) and the key's dotted path.  It returns the typed value with its
 # default filled in, or appends a diagnostic that starts with the path.
-# Rules that tie several keys together run afterwards, in ``_check_cross``,
-# on the typed config.  Last, ``_build_inputs`` builds what the run computes
-# on, so that validation refuses whatever a build would.
+# Rules that tie several keys together run afterwards, in the mode's build
+# (``MODES``), which then reads any custom samples and builds what the run
+# computes on, so that validation refuses whatever a build would.
 
 _MISSING = object()
 _REQUIRED = object()
@@ -166,7 +167,7 @@ def _weight(value, path, diags):
 
 _SAMPLES_PATH = _leaf(lambda v: isinstance(v, str), str, _REQUIRED, "a file path")
 _SPACE = _obj({"grid_size": _int(1, 512), "fiber_dim": _int(1, 16, 1), "weight": _weight})
-# Without a radius, a preset generator takes GENERATOR_RADIUS[preset] in _check_cross.
+# Without a radius, a preset generator takes GENERATOR_RADIUS[preset] in its build.
 _GEN_KEYS = {"grid_size": _int(2, 256), "radius": _int(1, 16, None)}
 _GENERATOR = _obj(
     {
@@ -193,21 +194,6 @@ _COMMON = {
     "seed": _int(0, default=0),
     "tolerances": _obj({"consistency": _TOLERANCE, "verdict": _TOLERANCE}, optional=True),
 }
-_CONFIG = _obj(
-    {
-        "analyze": {**_COMMON, "space": _SPACE},
-        "witness": {**_COMMON, "space": _SPACE, "a_claimed": _positive()},
-        "shiftinv": {**_COMMON, "generator": _GENERATOR},
-        "zak": {
-            **_COMMON,
-            "window": _WINDOW,
-            "time_resolution": _int(2),
-            "translates": _int(2),
-        },
-        "heisenberg": {**_COMMON, "heisenberg": _HEISENBERG},
-    },
-    tag="mode",
-)
 
 
 def _space_from(section: dict) -> WeightedSpace:
@@ -225,41 +211,13 @@ def _space_from(section: dict) -> WeightedSpace:
     return WeightedSpace(n, section["fiber_dim"], w)
 
 
-def _check_cross(cfg: dict, diags: list) -> None:
-    """Rules that tie keys together, on the typed config with its defaults
-    filled; also fills the radius of a preset generator."""
-    space = cfg.get("space")
-    if space is not None:
-        n, inline = space["grid_size"], space["weight"].get("inline")
-        if inline is not None and len(inline) != n:
-            diags.append(f"space.weight.inline: has length {len(inline)}, expected {n}")
-    gen = cfg.get("generator")
-    if gen is not None:
-        if gen["radius"] is None and gen["preset"] == "custom":
-            diags.append("generator.radius: required for custom samples")
-        elif gen["radius"] is None:
-            gen["radius"] = GENERATOR_RADIUS[gen["preset"]]
-        elif gen["preset"] == "wide-indicator" and gen["radius"] < 2:
-            diags.append("generator.radius: wide-indicator needs radius >= 2")
-    if cfg["mode"] == "zak" and cfg["time_resolution"] * cfg["translates"] > 2048:
-        diags.append("time_resolution * translates must not exceed 2048")
-
-
-def _check_samples(cfg: dict, diags: list) -> np.ndarray | None:
-    """The samples of a custom window or generator, which must parse and
-    hold exactly the finite samples that its sizes need; None for a preset
-    or a file that does not parse.  The one rule that reads a file."""
-    sec = cfg.get("window") or cfg.get("generator")
-    if sec is None or sec["preset"] != "custom":
-        return None
-    if cfg["mode"] == "zak":
-        where, rule = "window.samples_path", "time_resolution * translates"
-        expect = cfg["time_resolution"] * cfg["translates"]
-    else:
-        where, rule = "generator.samples_path", "2 * radius * grid_size"
-        expect = 2 * sec["radius"] * sec["grid_size"]
+def _check_samples(cfg: dict, where: str, expect: int, rule: str, diags: list):
+    """The samples of the CSV that the key path ``where`` names, which must
+    hold the ``expect`` finite samples that ``rule`` needs; None for a file
+    that does not parse.  The one rule that reads a file."""
+    section, key = where.split(".")
     try:
-        samples = _load_samples(sec["samples_path"])
+        samples = _load_samples(cfg[section][key])
     except OSError:
         diags.append(f"{where}: must name a readable file")
     except ValueError as exc:
@@ -282,6 +240,15 @@ def _attempt(diags: list, where: str, build, *args):
         diags.append(f"{where}: {exc}")
 
 
+def _build_space(cfg: dict, diags: list):
+    """The weighted space of a ``space`` section."""
+    space = cfg["space"]
+    n, inline = space["grid_size"], space["weight"].get("inline")
+    if inline is None or len(inline) == n:
+        return _attempt(diags, "space", _space_from, space)
+    diags.append(f"space.weight.inline: has length {len(inline)}, expected {n}")
+
+
 def _generator_inputs(g: dict, samples) -> tuple:
     """The generator of a ``generator`` section and the space of its
     periodized weight."""
@@ -292,21 +259,40 @@ def _generator_inputs(g: dict, samples) -> tuple:
     return gen, WeightedSpace(gen.grid_size, 1, periodized_weight(gen))
 
 
-def _build_inputs(cfg: dict, samples, diags: list):
-    """The inputs of the mode's runner, each built once: the space of
-    ``analyze`` and ``witness``, the generator and space of ``shiftinv``,
-    the window of ``zak``, and the model and band of ``heisenberg``."""
-    mode = cfg["mode"]
-    if mode in ("analyze", "witness"):
-        return _attempt(diags, "space", _space_from, cfg["space"])
-    if mode == "shiftinv":
-        return _attempt(diags, "generator", _generator_inputs, cfg["generator"], samples)
-    if mode == "zak":
-        size = (cfg["time_resolution"], cfg["translates"])
-        if samples is not None:  # the window rules of the routes, at validation
-            _attempt(diags, "window.samples_path", _check_window, samples, *size)
+def _build_generator(cfg: dict, diags: list):
+    """The ``_generator_inputs`` of the typed config; fills the radius of a
+    preset generator."""
+    g, samples = cfg["generator"], None
+    if g["radius"] is None and g["preset"] == "custom":
+        diags.append("generator.radius: required for custom samples")
+    elif g["radius"] is None:
+        g["radius"] = GENERATOR_RADIUS[g["preset"]]
+    elif g["preset"] == "wide-indicator" and g["radius"] < 2:
+        diags.append("generator.radius: wide-indicator needs radius >= 2")
+    if not diags and g["preset"] == "custom":
+        expect, rule = 2 * g["radius"] * g["grid_size"], "2 * radius * grid_size"
+        samples = _check_samples(cfg, "generator.samples_path", expect, rule, diags)
+    if not diags:
+        return _attempt(diags, "generator", _generator_inputs, g, samples)
+
+
+def _build_window(cfg: dict, diags: list):
+    """The window samples of a Gabor system."""
+    N, L, window = cfg["time_resolution"], cfg["translates"], cfg["window"]
+    if N * L > 2048:
+        diags.append("time_resolution * translates must not exceed 2048")
+    elif window["preset"] != "custom":
+        return _attempt(diags, "window", gabor_window, window["preset"], N, L)
+    else:
+        where, rule = "window.samples_path", "time_resolution * translates"
+        samples = _check_samples(cfg, where, N * L, rule, diags)
+        if not diags:  # the window rules of the routes, at validation
+            _attempt(diags, where, _check_window, samples, N, L)
             return samples
-        return _attempt(diags, "window", gabor_window, cfg["window"]["preset"], *size)
+
+
+def _build_heisenberg(cfg: dict, diags: list) -> tuple:
+    """The model and band space of a ``heisenberg`` section."""
     h = cfg["heisenberg"]
     eps, d = h["eps"], h["d"]
     args = (eps, d, h["resolution"], h["k_max"])
@@ -341,11 +327,7 @@ def check_config(config) -> tuple:
     diags: list = []
     cfg = _CONFIG(config, "", diags)
     if not diags:
-        _check_cross(cfg, diags)
-    if not diags:
-        samples = _check_samples(cfg, diags)
-    if not diags:
-        inputs = _build_inputs(cfg, samples, diags)
+        inputs = MODES[cfg["mode"]].build(cfg, diags)
     if not diags:
         cfg = _Checked(cfg)
         cfg.inputs = inputs
@@ -382,8 +364,8 @@ def _plain(x):
         return bool(x)
     if isinstance(x, (int, np.integer)):
         return int(x)
-    if isinstance(x, (float, np.floating)):
-        return float(x)
+    if isinstance(x, (float, np.floating)):  # null for a non-finite value
+        return float(x) if np.isfinite(x) else None
     if isinstance(x, (np.ndarray, list, tuple)):
         return [_plain(v) for v in x]
     if isinstance(x, dict):
@@ -426,10 +408,12 @@ def _witness(rep, tables: dict) -> dict:
 
 # ---------------------------------------------------------------- modes
 #
-# A runner maps a typed config and the inputs that ``check_config`` built for
-# it to (FrameReport, residuals, metrics, tables), builds no input and touches
-# no file; ``tables`` maps a CSV file name to its header and columns.
-# ``run_config`` adds the witness and writes everything.
+# Each mode is declared once, in ``MODES``: its config keys besides
+# ``_COMMON``, its build, its runner, and the cross checks (``_vs_``
+# residuals) that each of its reports holds.  A runner maps a typed config
+# and its inputs to (FrameReport, residuals, metrics, tables), builds no
+# input and touches no file; ``tables`` maps a CSV file name to its header
+# and columns.  ``run_config`` adds the witness and writes everything.
 
 
 def _run_analyze(cfg: dict, space: WeightedSpace) -> tuple:
@@ -507,23 +491,37 @@ def _run_heisenberg(cfg: dict, inputs: tuple) -> tuple:
     return rep, residuals, metrics, _weight_tables(alpha, space.weights, "alpha")
 
 
-_RUNNERS = {
-    "analyze": _run_analyze,
-    "witness": _run_witness,
-    "shiftinv": _run_shiftinv,
-    "zak": _run_zak,
-    "heisenberg": _run_heisenberg,
+_Mode = namedtuple("_Mode", "keys build run checks")
+_SPECTRAL = ("gram_vs_weight", "spectrum_vs_weight")
+MODES = {
+    "analyze": _Mode({"space": _SPACE}, _build_space, _run_analyze, _SPECTRAL),
+    "witness": _Mode(
+        {"space": _SPACE, "a_claimed": _positive()},
+        _build_space, _run_witness, ("spectrum_vs_weight",),
+    ),
+    "shiftinv": _Mode(
+        {"generator": _GENERATOR}, _build_generator, _run_shiftinv,
+        (*_SPECTRAL, "mass_vs_norm", "translate_gram_vs_weight"),
+    ),
+    "zak": _Mode(
+        {"window": _WINDOW, "time_resolution": _int(2), "translates": _int(2)},
+        _build_window, _run_zak, ("zak_vs_gram",),
+    ),
+    "heisenberg": _Mode(
+        {"heisenberg": _HEISENBERG}, _build_heisenberg, _run_heisenberg,
+        ("isometry_vs_translate_gram", "spectrum_vs_weight"),
+    ),
 }
+_CONFIG = _obj({mode: {**_COMMON, **m.keys} for mode, m in MODES.items()}, tag="mode")
 
 
 def _failed_checks(doc: dict) -> list:
-    """(name, value) of each cross check in a report above its tolerance."""
-    tol = doc["config"]["tolerances"]["consistency"]
-    return [
-        (k, v)
-        for k, v in sorted(doc["residuals"].items())
-        if "_vs_" in k and not v <= tol
-    ]
+    """(name, value) of each check that ``MODES`` declares for the report's
+    mode, sorted, above its tolerance; a missing or null check has value nan."""
+    tol, got = doc["config"]["tolerances"]["consistency"], doc["residuals"]
+    checks = sorted(MODES[doc["mode"]].checks)
+    values = [(k, np.nan if got.get(k) is None else got[k]) for k in checks]
+    return [(k, v) for k, v in values if not v <= tol]
 
 
 class _Exit(int):
@@ -550,7 +548,7 @@ def run_config(config: dict, out_dir) -> int:
             raise ValueError("invalid config: " + "; ".join(diags))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rep, residuals, metrics, tables = _RUNNERS[cfg["mode"]](cfg, cfg.inputs)
+    rep, residuals, metrics, tables = MODES[cfg["mode"]].run(cfg, cfg.inputs)
     witness = _witness(rep, tables)
     spec = rep.spectrum
     tables["spectrum.csv"] = _table(("index", "eigenvalue"), np.arange(spec.size), spec)
@@ -573,7 +571,8 @@ def run_config(config: dict, out_dir) -> int:
             "config": cfg,
         }
     )
-    (out / "report.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    (out / "report.json").write_text(text + "\n")
     code = _Exit(2 if _failed_checks(doc) else 0)
     code.doc = doc
     return code

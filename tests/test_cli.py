@@ -1023,6 +1023,26 @@ def test_a_faulted_route_is_reported_and_judged_by_the_consistency_tolerance(
         assert all((tmp_path / out / name).is_file() for name in tables)
 
 
+def _refuse(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+@pytest.mark.parametrize("case", sorted(_FAULTED_RUNS))
+def test_a_nan_check_is_written_as_null_and_fails(tmp_path, monkeypatch, capsys, case):
+    # A route that returns NaN leaves the report strict JSON: the check is
+    # written as null, and a null check fails the run and is named on stderr.
+    cfg, module, route, _, check, _, tables = _FAULTED_RUNS[case]
+    original = getattr(module, route)
+    monkeypatch.setattr(module, route, lambda *args: np.nan * original(*args))
+    argv = ["--config", _write(tmp_path, cfg), "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert [line.split(" = ")[0] for line in err.splitlines()] == [f"check failed: {check}"]
+    text = (tmp_path / "run" / "report.json").read_text()
+    assert json.loads(text, parse_constant=_refuse)["residuals"][check] is None
+    assert all((tmp_path / "run" / name).is_file() for name in tables)
+
+
 def test_config_echo_round_trip(tmp_path):
     proc = _run(tmp_path, ANALYZE)
     assert proc.returncode == 0
@@ -1300,13 +1320,56 @@ _SMALL = {
 def test_every_runner_table_matches_per_value_oracle(mode):
     cfg, diags = check_config(_SMALL[mode])
     assert diags == [] and cfg["mode"] == mode
-    rep, _, _, tables = cli._RUNNERS[mode](cfg, cfg.inputs)
+    rep, _, _, tables = cli.MODES[mode].run(cfg, cfg.inputs)
     witness = cli._witness(rep, tables)
     assert ("witness.csv" in tables) is witness["exists"]
     spec = rep.spectrum
     tables["spectrum.csv"] = cli._table(("index", "eigenvalue"), np.arange(spec.size), spec)
     for header, columns in tables.values():
         assert cli._csv_text(header, columns) == csv_text(header, columns)
+
+
+def test_small_configs_cover_every_mode():
+    assert sorted(_SMALL) == sorted(cli.MODES)
+
+
+_SHIPPED = Path(__file__).resolve().parents[1] / "configs"
+_DECLARED = [(f"small_{mode}", _SMALL[mode]) for mode in sorted(_SMALL)] + [
+    (path.stem, json.loads(path.read_text())) for path in sorted(_SHIPPED.glob("*.json"))
+]
+
+
+@pytest.mark.parametrize("name,config", _DECLARED, ids=[name for name, _ in _DECLARED])
+def test_every_report_holds_exactly_the_checks_its_mode_declares(tmp_path, name, config):
+    # MODES is the one list of the checks each mode owes: a report holds
+    # each of them and no other _vs_ residual, which would go unjudged.
+    cfg, diags = check_config(config)
+    if diags:  # a config that exits 1 writes no report
+        assert name.startswith("invalid_"), diags
+        return
+    doc = run_config(cfg, tmp_path / "run").doc
+    got = sorted(k for k in doc["residuals"] if "_vs_" in k)
+    assert got == sorted(cli.MODES[doc["mode"]].checks)
+
+
+@pytest.mark.parametrize("mode", sorted(_SMALL))
+def test_a_report_missing_a_declared_check_fails(tmp_path, monkeypatch, capsys, mode):
+    # A runner that stops reporting a check cannot pass in silence: the
+    # missing check fails the run, and stderr names it.
+    entry = cli.MODES[mode]
+    dropped = entry.checks[0]
+
+    def run(cfg, inputs):
+        rep, residuals, metrics, tables = entry.run(cfg, inputs)
+        kept = {k: v for k, v in residuals.items() if k != dropped}
+        return rep, kept, metrics, tables
+
+    monkeypatch.setitem(cli.MODES, mode, entry._replace(run=run))
+    argv = ["--config", _write(tmp_path, _SMALL[mode]), "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert [line.split(" = ")[0] for line in err.splitlines()] == [f"check failed: {dropped}"]
+    assert dropped not in _report(tmp_path)["residuals"]
 
 
 def _nonfinite_csv(tmp_path, count, bad):

@@ -210,12 +210,12 @@ def test_non_finite_coefficients_are_refused(bad):
 
 def test_isometry_guard_fails_a_nan_gap(tmp_path, monkeypatch):
     # a NaN gap between the routes is returned as NaN, and it is no pass:
-    # the CLI judges each check by ``not value <= tol``, so a run fails on
-    # NaN as on a gap above the tolerance
+    # the report writes it as null, and the CLI fails a null check as one
+    # above the tolerance
     model = hb.CenterTranslateModel(0.5, 2, resolution=64, k_max=2)
     monkeypatch.setattr(hb, "s_map", lambda m, c: np.full(m.resolution, np.nan))
     assert np.isnan(hb.isometry_residual(model, np.ones(5)))
-    assert np.isnan(_isometry_check_alone_fails(tmp_path, 64, 2))
+    assert _isometry_check_alone_fails(tmp_path, 64, 2) is None
 
 
 def test_band_report_leaves_the_frame_decision_as_built(monkeypatch):

@@ -1,4 +1,5 @@
-"""The README library quick start runs as written and prints what it says."""
+"""The README library quick start runs as written and prints what it says,
+and its Modes table lists the modes and cross checks of the CLI."""
 
 import contextlib
 import io
@@ -6,6 +7,8 @@ import re
 from pathlib import Path
 
 import numpy as np
+
+from framelab.cli import MODES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,3 +37,10 @@ def test_readme_quick_start_prints_what_its_comments_state():
     assert scope["report"].weight_bounds == (0.5, 1.0)
     spectrum = scope["frame_spectrum"](scope["fam"])
     assert np.allclose(spectrum, [0.5, 0.5, 1, 1, 1, 1, 1, 1], rtol=0, atol=1e-12)
+
+
+def test_readme_modes_table_lists_every_mode_and_its_checks():
+    section = README.read_text().split("### Modes", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` *\|[^|]*\|([^|]*)\|", section, re.M)
+    table = {mode: re.findall(r"`(\w+)`", checks) for mode, checks in rows}
+    assert table == {mode: sorted(m.checks) for mode, m in MODES.items()}
