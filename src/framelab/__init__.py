@@ -20,7 +20,7 @@ from .analyzer import (
     witness_lower_failure,
     witness_ratio,
 )
-from .errors import ConsistencyError, TruncationError
+from .errors import TruncationError
 from .operators import (
     OperatorFamily,
     bessel_excess,
@@ -34,7 +34,6 @@ from .wspace import Field, WeightedSpace, inner, norm, random_field, total_mass
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConsistencyError",
     "TruncationError",
     "WeightedSpace",
     "Field",

@@ -310,8 +310,8 @@ def decide_frame(
 ) -> FrameReport:
     """Frame verdict from the weight minimum, cross-checked spectrally.
 
-    The family is a frame exactly when the weight stays above ``tol``; the
-    frame-operator spectrum on the support (nodes with positive weight)
+    The family is a frame by the rule of ``_verdict``, weight above ``tol``;
+    the frame-operator spectrum on the support (nodes with positive weight)
     must reproduce the support weights, each M times (spectrum_vs_weight, a
     ``_multiset_gap``).  The bounds and the witness are taken over the
     whole grid or, with ``band``, over the support.  The witness undercuts
@@ -325,12 +325,13 @@ def decide_frame(
     residuals = {"spectrum_vs_weight": gap}
     w = sw if band else fam.space.weights
     lo, hi = float(w.min()), float(w.max())
+    frame = _verdict(w, tol) is not Verdict.NOT_FRAME
     witness = None if claim is None else _lower_witness(fam, claim, band)
-    if witness is None and not lo > tol:  # no claim witness for a non-frame
+    if witness is None and not frame:  # no claim witness for a non-frame
         witness = _lower_witness(fam, float(np.nextafter(tol, np.inf)), band)
     if witness is not None:
         residuals["witness_ratio"] = witness_ratio(fam, witness)
-    verdict = Verdict.FRAME if lo > tol else Verdict.NOT_FRAME
+    verdict = Verdict.FRAME if frame else Verdict.NOT_FRAME
     return FrameReport(verdict, (lo, hi), None, residuals, witness, spec)
 
 

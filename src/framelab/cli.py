@@ -6,10 +6,10 @@ Identical config and seed produce byte-identical reports.
 
 Exit codes:
     0  computed, all cross checks within the consistency tolerance
-    2  computed, but a cross check exceeded the tolerance, or is missing or
-       null; each failing check is named on stderr
-    1  invalid config, unreadable input, unwritable output, or a
-       truncation refusal
+    2  computed and written, but a cross check exceeded the tolerance, or is
+       missing or null; each failing check is named on stderr
+    1  usage error, invalid config, unreadable input, unwritable output,
+       or a truncation refusal
 
 The cross checks are the ``_vs_`` residuals that ``MODES`` declares for the
 mode, each comparing two independent routes to one quantity; a non-finite
@@ -29,7 +29,6 @@ import numpy as np
 
 from . import __version__
 from .analyzer import VERDICT_TOL, Verdict, _multiset_gap, classify, decide_frame
-from .errors import ConsistencyError
 from .heisenberg import (
     K_MAX,
     RESOLUTION,
@@ -37,7 +36,9 @@ from .heisenberg import (
     CenterTranslateModel,
     _band_report,
     _band_space,
+    band_mass_residual,
     isometry_residual,
+    lattice_residual,
     midpoint_grid,
     psi_norm_sq,
 )
@@ -292,13 +293,17 @@ def _build_window(cfg: dict, diags: list):
 
 
 def _build_heisenberg(cfg: dict, diags: list) -> tuple:
-    """The model and band space of a ``heisenberg`` section."""
+    """The model and band space of a ``heisenberg`` section, and their lattice gap."""
     h = cfg["heisenberg"]
     eps, d = h["eps"], h["d"]
     args = (eps, d, h["resolution"], h["k_max"])
     model = _attempt(diags, "heisenberg: resolution grid", CenterTranslateModel, *args)
     where = "heisenberg: spectral_resolution grid"
-    return model, _attempt(diags, where, _band_space, eps, d, h["spectral_resolution"])
+    space = _attempt(diags, where, _band_space, eps, d, h["spectral_resolution"])
+    if not diags:
+        gaps = [lattice_residual(eps, d, midpoint_grid(s.weights.size), s.weights)
+                for s in (model, space)]
+        return model, space, float(np.max(gaps))  # a NaN gap propagates
 
 
 class _Checked(dict):
@@ -319,10 +324,6 @@ def check_config(config) -> tuple:
     ``_Checked`` holding its runner's inputs, built here once (a custom
     samples CSV is read here too), so that validation refuses whatever a
     build would; ``run_config`` takes it as it is.
-
-    Raises:
-        ConsistencyError: if the closed-form guard of a build fails (the
-            lattice sum of the ``heisenberg`` weight).
     """
     diags: list = []
     cfg = _CONFIG(config, "", diags)
@@ -477,7 +478,7 @@ def _run_zak(cfg: dict, phi: np.ndarray) -> tuple:
 
 
 def _run_heisenberg(cfg: dict, inputs: tuple) -> tuple:
-    model, space = inputs
+    model, space, lattice_gap = inputs
     mass = psi_norm_sq(model.eps, model.d)
     lo, hi = model.envelope()
     rep = _band_report(space, cfg["tolerances"]["verdict"])
@@ -486,6 +487,8 @@ def _run_heisenberg(cfg: dict, inputs: tuple) -> tuple:
     coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     residuals = dict(rep.residuals)
     residuals["isometry_vs_translate_gram"] = isometry_residual(model, coeffs)
+    residuals["lattice_sum_vs_closed_form"] = lattice_gap
+    residuals["band_mass_vs_closed_form"] = band_mass_residual(model.eps, model.d, mass)
     metrics = {"band_mass": mass, "envelope_lo": lo, "envelope_hi": hi}
     alpha = midpoint_grid(space.grid_size)
     return rep, residuals, metrics, _weight_tables(alpha, space.weights, "alpha")
@@ -509,7 +512,8 @@ MODES = {
     ),
     "heisenberg": _Mode(
         {"heisenberg": _HEISENBERG}, _build_heisenberg, _run_heisenberg,
-        ("isometry_vs_translate_gram", "spectrum_vs_weight"),
+        ("isometry_vs_translate_gram", "spectrum_vs_weight",
+         "lattice_sum_vs_closed_form", "band_mass_vs_closed_form"),
     ),
 }
 _CONFIG = _obj({mode: {**_COMMON, **m.keys} for mode, m in MODES.items()}, tag="mode")
@@ -595,7 +599,10 @@ def main(argv=None) -> int:
         action="store_true",
         help="check the config and exit without running",
     )
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error exits 2 in argparse, --help 0
+        return 1 if exc.code else 0
 
     try:
         raw = json.loads(Path(args.config).read_text())
@@ -624,9 +631,6 @@ def main(argv=None) -> int:
         if diags:
             return 1
         code = run_config(cfg, args.out)
-    except ConsistencyError as exc:
-        print(f"consistency failure: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:  # an --out that names a file, or a path under one
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1

@@ -1,10 +1,6 @@
 """Shared exception types."""
 
-__all__ = ["ConsistencyError", "TruncationError"]
-
-
-class ConsistencyError(ArithmeticError):
-    """Two independent evaluation routes for the same quantity disagree."""
+__all__ = ["TruncationError"]
 
 
 class TruncationError(ValueError):

@@ -419,23 +419,91 @@ def test_validate_only_refuses_heisenberg_band_that_a_run_refuses(tmp_path, caps
     assert cli.main(["--config", path, "--out", str(tmp_path / "valid")]) == 0
 
 
-@pytest.mark.parametrize("validate_only", [True, False], ids=["validate", "run"])
-def test_consistency_failure_while_checking_exits_two(
-    tmp_path, monkeypatch, capsys, validate_only
-):
-    # a lattice sum that drifts from the closed form fails the guard of
-    # hs_weight while check_config builds the heisenberg model
-    monkeypatch.setattr(
+_CLOSED_FORM_FAULTS = {
+    # a constant lattice sum drifts from the closed-form weight on both grids,
+    # and its quadrature from the closed-form band mass
+    "lattice_sum": (
         heisenberg, "_lattice_profile",
         lambda eps, d, x, window: np.full(np.shape(x), 0.123),
+        ["band_mass_vs_closed_form", "lattice_sum_vs_closed_form"],
+    ),
+    "band_mass": (
+        cli, "psi_norm_sq", lambda eps, d: 0.5, ["band_mass_vs_closed_form"],
+    ),
+}
+
+
+@pytest.mark.parametrize("validate_only", [True, False], ids=["validate", "run"])
+@pytest.mark.parametrize("fault", sorted(_CLOSED_FORM_FAULTS))
+def test_a_faulted_closed_form_is_a_reported_check(
+    tmp_path, monkeypatch, capsys, fault, validate_only
+):
+    # The closed forms of the heisenberg weight and band mass raise nowhere:
+    # validation passes, and a run writes its report, names each check that
+    # the fault fails, exits 2, and exits 0 with a tolerance above the gaps.
+    module, route, faulted, checks = _CLOSED_FORM_FAULTS[fault]
+    monkeypatch.setattr(module, route, faulted)
+    cfg = _BASES["heisenberg"]
+    if validate_only:
+        assert cli.main(["--validate-only", "--config", _write(tmp_path, cfg)]) == 0
+        assert capsys.readouterr() == ("config ok\n", "")
+        return
+    argv = ["--config", _write(tmp_path, cfg), "--out", str(tmp_path / "strict")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert [line.split(" = ")[0] for line in err.splitlines()] == [
+        f"check failed: {check}" for check in checks
+    ]
+    residuals = _report(tmp_path, "strict")["residuals"]
+    loose = {**cfg, "tolerances": {"consistency": 2 * max(residuals[c] for c in checks)}}
+    argv = ["--config", _write(tmp_path, loose), "--out", str(tmp_path / "loose")]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+_USAGE_ERRORS = {
+    "no_config": ["--validate-only"],
+    "unknown_flag": ["--config", "c.json", "--bogus"],
+    "bad_seed": ["--config", "c.json", "--seed", "x"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_USAGE_ERRORS))
+def test_a_usage_error_exits_one_with_the_usage_line(capsys, case):
+    # Exit 2 means a failed check, so argparse's own 2 becomes 1, in
+    # process and as a module; --help still exits 0.
+    argv = _USAGE_ERRORS[case]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: framelab")
+    proc = subprocess.run(
+        [sys.executable, "-m", "framelab", *argv], capture_output=True, text=True
     )
-    path = _write(tmp_path, _BASES["heisenberg"])
-    flags = ["--validate-only"] if validate_only else ["--out", str(tmp_path / "run")]
-    assert cli.main(["--config", path, *flags]) == 2
-    captured = capsys.readouterr()
-    assert "config ok" not in captured.out
-    assert captured.err.startswith("consistency failure: periodized weight differs")
-    assert not (tmp_path / "run").exists()
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage: framelab") and "Traceback" not in proc.stderr
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: framelab")
+
+
+_CAP = {"eps": 0.5, "resolution": 65536, "spectral_resolution": 1024, "k_max": 64}
+
+
+@pytest.mark.parametrize(
+    "section",
+    [None, {**_CAP, "d": 3}, {**_CAP, "d": 64}],
+    ids=["heisenberg_half", "cap_d3", "cap_d64"],
+)
+def test_closed_form_checks_hold_to_rounding(tmp_path, section):
+    # The shipped config and the two at-cap configs of CI: the lattice sum
+    # and the closed form take the same power at the one lattice point in
+    # the band, and the quadrature is exact for alpha^d.
+    shipped = _SHIPPED / "heisenberg_half.json"
+    cfg = {"mode": "heisenberg", "heisenberg": section} if section else json.loads(
+        shipped.read_text()
+    )
+    residuals = run_config(cfg, tmp_path / "run").doc["residuals"]
+    assert residuals["lattice_sum_vs_closed_form"] <= 1e-13
+    assert residuals["band_mass_vs_closed_form"] <= 1e-13
 
 
 def test_exit_code_two_on_strict_consistency(tmp_path):
@@ -662,11 +730,14 @@ def test_heisenberg_builds_problem_and_spectrum_once(tmp_path, monkeypatch):
     assert family == []
     assert sum(rows) == 33 and max(rows) <= tensor_onb.PAIRING_BLOCK
     assert len(spectrum) == 1
-    # the 256-point scale grid is weighed once, by one lattice pass
+    # the 256-point scale grid is weighed once, and checked by one lattice pass
     assert sum(np.size(args[2]) == 256 for args in weight) == 1
     assert sum(np.size(args[2]) == 256 for args in profile) == 1
     # and the 64-point spectral grid once: weight.csv reuses the frame problem's
     assert sum(np.size(args[2]) == 64 for args in weight) == 1
+    # (the band-mass quadrature takes a pass of its own, on 64 Gauss nodes)
+    grid = heisenberg.midpoint_grid(64)
+    assert sum(np.array_equal(args[2], grid) for args in profile) == 1
 
 
 @pytest.mark.parametrize("mode", ["analyze", "witness", "shiftinv", "heisenberg"])
@@ -1015,7 +1086,6 @@ def test_a_faulted_route_is_reported_and_judged_by_the_consistency_tolerance(
         argv = ["--config", _write(tmp_path, config), "--out", str(tmp_path / out)]
         assert cli.main(argv) == want
         err = capsys.readouterr().err
-        assert "consistency failure:" not in err
         failed = [f"check failed: {check}"] if want else []
         assert [line.split(" = ")[0] for line in err.splitlines()] == failed
         doc = _report(tmp_path, out)

@@ -8,7 +8,6 @@ import pytest
 import framelab.heisenberg as hb
 from framelab import cli
 from framelab import (
-    ConsistencyError,
     OperatorFamily,
     TensorBasis,
     Verdict,
@@ -336,8 +335,20 @@ def test_frame_report_support_restriction_keeps_quadrature():
 
 
 def test_weight_guard_is_live(monkeypatch):
+    # A lattice sum that drifts from the closed form raises nowhere: the
+    # weight stays the closed form, and both residuals return the gap of the
+    # drifted route, NaN for a NaN route, for the caller to judge.
+    alpha = np.array([0.3, 0.7, 0.9])
+    w = hb.hs_weight(0.5, 1, alpha)
+    assert hb.lattice_residual(0.5, 1, alpha, w) == 0.0
+    assert hb.band_mass_residual(0.5, 1, hb.psi_norm_sq(0.5, 1)) == 0.0
     monkeypatch.setattr(
         hb, "_lattice_profile", lambda eps, d, x, window: np.full(np.shape(x), 0.123)
     )
-    with pytest.raises(ConsistencyError):
-        hb.hs_weight(0.5, 1, np.array([0.7, 0.9]))
+    assert np.array_equal(hb.hs_weight(0.5, 1, alpha), w)
+    assert hb.lattice_residual(0.5, 1, alpha, w) == pytest.approx((0.9 - 0.123) / 0.9)
+    mass = hb.psi_norm_sq(0.5, 1)
+    assert mass == pytest.approx(0.123 * 0.5)
+    assert hb.band_mass_residual(0.5, 1, mass) == pytest.approx((0.375 - mass) / 0.375)
+    assert np.isnan(hb.lattice_residual(0.5, 1, alpha, np.full(3, np.nan)))
+    assert np.isnan(hb.band_mass_residual(0.5, 1, np.nan))
