@@ -199,7 +199,8 @@ class _ConjugatePairs:
         their imaginary-part rows b, which give every entry in a row n of a
         pair.  Each entry is read from the rows it is written with above,
         never from its transpose, so it keeps its bits when ``g`` is
-        symmetric only to rounding.
+        symmetric only to rounding; each modulus is one ``np.hypot``, which
+        neither overflows nor underflows short of its result.
         """
         ns = self.n_self
         N = self.real.shape[0]
@@ -220,35 +221,18 @@ class _ConjugatePairs:
             j = i + (start - ns)  # the pair of row i among the pairs
             pair_diag = (gaa[i, j] + gbb[i, j]) / 2
             diag[start:stop] = diag[start + k - ns : stop + k - ns] = pair_diag
-            # With max|g| < 2^e over the rows read, each x, y below is under
-            # 2^(e+1) in modulus: scaled by 2^-(e+1), which rounds nothing,
-            # no square overflows.  A power of two scales every normal square
-            # exactly, so the moduli do not depend on which rows were read
-            # unless a square falls below the normal range.
-            top = max(ga.max(), -ga.min(), gb.max(), -gb.min())
-            scale = np.ldexp(1.0, -1 - int(np.frexp(top)[1]))
+            pair = gaa + gbb  # 2 |H[n, n']|, then 2 |H[n, p']|, in one buffer
+            np.hypot(pair, gba - gab, out=pair)
+            pair[i, j] = 0.0  # the diagonal H[n, n]
+            off = max(off, float(np.max(pair, initial=0.0)) / 2)
+            np.hypot(np.subtract(gaa, gbb, out=pair), gba + gab, out=pair)
             off = max(
                 off,
-                _largest(np.array(ga[:, :ns]), np.array(gb[:, :ns]), scale)
+                float(np.max(pair, initial=0.0)) / 2,
+                float(np.max(np.hypot(ga[:, :ns], gb[:, :ns]), initial=0.0))
                 * np.sqrt(0.5),
-                _largest(gaa + gbb, gba - gab, scale, (i, j)) / 2,
-                _largest(gaa - gbb, gba + gab, scale) / 2,
             )
         return diag, off
-
-
-def _largest(x: np.ndarray, y: np.ndarray, scale: float, skip=None) -> float:
-    """max |x + i y| over two arrays, which it overwrites, but at the entries
-    ``skip`` (an index pair), computed as sqrt((scale x)^2 + (scale y)^2) /
-    scale for a power of two ``scale``."""
-    x *= scale
-    x *= x
-    y *= scale
-    y *= y
-    x += y
-    if skip is not None:
-        x[skip] = 0.0
-    return float(np.sqrt(np.max(x, initial=0.0))) / scale
 
 
 def _conjugate_pairs(basis: TensorBasis) -> _ConjugatePairs:
@@ -260,13 +244,15 @@ def _conjugate_pairs(basis: TensorBasis) -> _ConjugatePairs:
     z = D F r, with r_i = sin(i^2), i = 1..N: no rational combination
     of the r_i vanishes (Lindemann-Weierstrass), so distinct rows of a +-1
     family get distinct keys, and so do those of any family in general.
-    The partner's key is the conjugate, with the same real part, so p(n) is
-    the one of row n and its two neighbours in the order of Re z whose key
-    is nearest to conj(z_n): a real row (every Walsh-Hadamard row, say)
-    pairs with itself.  The second pass checks the match on every entry:
-    dephased row p(n) against the conjugate of dephased row n, for each
-    self-paired row and the lower row of each pair (the upper row's
-    difference is minus the conjugate of it), and folds.
+    The partner's key is the conjugate, so a row whose key is real to
+    ``HYPOTHESIS_TOL`` (every Walsh-Hadamard row, say) pairs with itself,
+    and the others share Re z + (sqrt(2) - 1) |Im z| with their partner
+    alone: sorted on it, they pair two by two, an involution whatever the
+    ties of Re z, and an odd count of them is refused.  The second pass
+    checks the match on every entry: dephased row p(n) against the
+    conjugate of dephased row n, for each self-paired row and the lower
+    row of each pair (the upper row's difference is minus the conjugate of
+    it), and folds.
 
     Raises:
         ValueError: if the family is not unimodular, or else not closed
@@ -285,14 +271,13 @@ def _conjugate_pairs(basis: TensorBasis) -> _ConjugatePairs:
             gap.append(np.max(np.abs(np.abs(h) - 1.0)))
         z *= phase
     _check_hypothesis("unimodularity", float(np.max(gap)))
-    order = np.argsort(z.real)
-    rank = np.empty(N, dtype=np.intp)
-    rank[order] = np.arange(N)
-    cand = order[np.clip(rank + np.arange(-1, 2)[:, None], 0, N - 1)]
-    n = np.arange(N)
-    p = cand[np.argmin(np.abs(z[cand] - z.conj()), axis=0), n]
-    if not np.array_equal(p[p], n):  # p must be an involution
+    paired = np.flatnonzero(np.abs(z.imag) > HYPOTHESIS_TOL * np.sum(np.abs(r)))
+    key = z.real[paired] + (np.sqrt(2.0) - 1) * np.abs(z.imag[paired])
+    order = paired[np.argsort(key)]
+    if order.size % 2:
         _check_hypothesis("conjugate symmetry", np.inf)
+    p = np.arange(N)
+    p[order[::2]], p[order[1::2]] = order[1::2], order[::2]
     res = []
 
     def dephased(blk: np.ndarray, first: int) -> np.ndarray:

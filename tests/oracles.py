@@ -249,33 +249,23 @@ def real_gram(R: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def moduli(pairs, g: np.ndarray) -> tuple:
-    """``_ConjugatePairs.moduli`` on the whole fold ``g`` at once, with one
-    power-of-two scale taken from the largest entry of ``g``."""
+    """``_ConjugatePairs.moduli`` on the whole fold ``g`` at once, each
+    modulus |x + i y| taken as ``np.hypot(x, y)``."""
     ns = pairs.n_self
     k = (g.shape[0] + ns) // 2  # the first imaginary-part row
     s, a, b = slice(0, ns), slice(ns, k), slice(k, None)
     gaa, gbb, gab, gba = g[a, a], g[b, b], g[a, b], g[b, a]
     pair_diag = (np.diag(gaa) + np.diag(gbb)) / 2
     diag = np.concatenate([np.diag(g)[s], pair_diag, pair_diag])
-    scale = np.ldexp(1.0, -1 - int(np.frexp(max(g.max(), -g.min()))[1]))
-
-    def largest(x: np.ndarray, y: np.ndarray, skip_diagonal=False) -> float:
-        x *= scale
-        x *= x
-        y *= scale
-        y *= y
-        x += y
-        if skip_diagonal:
-            np.fill_diagonal(x, 0.0)
-        return float(np.sqrt(np.max(x, initial=0.0))) / scale
-
     selfs = np.abs(g[s, s])
     np.fill_diagonal(selfs, 0.0)
+    pair_cross = np.hypot(gaa + gbb, gba - gab)
+    np.fill_diagonal(pair_cross, 0.0)
     off = max(
         float(np.max(selfs, initial=0.0)),
-        largest(np.array(g[a, s]), np.array(g[b, s])) * np.sqrt(0.5),
-        largest(gaa + gbb, gba - gab, skip_diagonal=True) / 2,
-        largest(gaa - gbb, gba + gab) / 2,
+        float(np.max(np.hypot(g[a, s], g[b, s]), initial=0.0)) * np.sqrt(0.5),
+        float(np.max(pair_cross, initial=0.0)) / 2,
+        float(np.max(np.hypot(gaa - gbb, gba + gab), initial=0.0)) / 2,
     )
     return diag, off
 

@@ -233,7 +233,8 @@ def test_streamed_moduli_match_whole_matrix_bit_for_bit():
     # the diagonal and the largest off-diagonal modulus of the whole-matrix
     # form bit for bit: on each fold, on one that is symmetric only to
     # rounding and on random symmetric matrices near the overflow and the
-    # underflow ranges, whose blocks differ in their largest entry.
+    # underflow ranges and in the subnormal range, whose blocks differ in
+    # their largest entry.
     rng = np.random.default_rng(83)
     for fam in _fold_cases():
         if fam.space.fiber_dim > 1:
@@ -242,7 +243,8 @@ def test_streamed_moduli_match_whole_matrix_bit_for_bit():
         fold = _gram_fold(fam)
         a = rng.standard_normal((n, n))
         sym = a + a.T
-        for g in (fold, fold + 1e-17 * a, sym, sym * 2.0**1000, sym * 2.0**-1000):
+        scaled = (sym * 2.0**1000, sym * 2.0**-1000, sym * 2.0**-1070)
+        for g in (fold, fold + 1e-17 * a, sym, *scaled):
             want_diag, want_off = oracles.moduli(pairs, g)
             diag, off = pairs.moduli(g)
             assert _same_bits(diag, want_diag) and off == want_off

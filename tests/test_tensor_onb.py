@@ -23,7 +23,7 @@ from framelab import (
 from framelab.analyzer import _field_matrix
 from framelab import tensor_onb
 from framelab.tensor_onb import TensorBasis, _isometry_residual, fourier_family
-from oracles import tensor_field
+from oracles import tensor_field, walsh_family
 
 
 def test_basis_validation():
@@ -197,6 +197,62 @@ def test_recipe_pairs_match_their_array_twin_bit_for_bit(recipe, data):
             messages.append(str(err.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith("family violates ")
+
+
+# Seven repeated nodes give four rows one real part of their pairing key.
+TIE_RECIPE = ([0, 1, 14, 2, 13, 3, 12, 4, 11], [34, 1, 1, 1, 1, 1, 1, 1, -1], 15)
+
+
+def test_array_twin_pairs_rows_whose_keys_tie_in_real_part():
+    # Rows 1, 2, 7 and 8 of this family share Re z of their keys z = D F r
+    # to rounding, so row 1's partner, row 2, need not be its neighbour in
+    # the order of Re z.  The array twin still pairs the rows as the recipe
+    # does, and folds them to the same pairs, bit for bit.
+    basis = TensorBasis.fourier(*TIE_RECIPE)
+    F = basis.scalar_family
+    z = (F * np.exp(-1j * np.angle(F[:, :1]))) @ np.sin(np.arange(1.0, 10.0) ** 2)
+    assert np.ptp(z.real[[1, 2, 7, 8]]) <= 1e-14
+    pairs, twin = basis._pairs, TensorBasis(F)._pairs
+    assert pairs.partner.tolist() == [0, 2, 1, 4, 3, 6, 5, 8, 7]
+    for name in ("real", "rows", "partner", "phase"):
+        got, want = getattr(twin, name), getattr(pairs, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _outcome(fam) -> str:
+    """The verdict of ``classify``, or the message of its refusal."""
+    try:
+        return classify(fam).verdict.value
+    except ValueError as err:
+        return str(err)
+
+
+def _permutation_case(name: str):
+    """(family, its conjugate row pairing) of the named case: the pairing of
+    a Fourier family from its integers, and the identity for the real rows
+    of the Walsh-Hadamard family."""
+    if name == "walsh16":
+        return walsh_family(16), np.arange(16)
+    basis = TensorBasis.fourier(*TIE_RECIPE) if name == "tie" else build_default(64)
+    return basis.scalar_family, basis._pairs.partner
+
+
+@pytest.mark.parametrize("name", ["tie", "dft64", "walsh16"])
+def test_array_pairing_commutes_with_row_permutations(name):
+    # Permuting the rows of an array basis permutes its pairing: row i of
+    # F[perm] is row perm[i] of F, so its partner is the row of F[perm]
+    # that holds p(perm[i]), inv[p[perm]] with inv the inverse permutation.
+    # The verdict, or the refusal, of classify does not move.
+    family, partner = _permutation_case(name)
+    n = family.shape[0]
+    space = WeightedSpace(n, 1, np.linspace(0.5, 2.0, n))
+    want = _outcome(OperatorFamily(space, TensorBasis(family)))
+    rng = np.random.default_rng(33)
+    for _ in range(40):
+        perm = rng.permutation(n)
+        basis = TensorBasis(family[perm])
+        assert np.array_equal(basis._pairs.partner, np.argsort(perm)[partner[perm]])
+        assert _outcome(OperatorFamily(space, basis)) == want
 
 
 def test_tensor_field_values():
