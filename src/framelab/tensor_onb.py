@@ -241,18 +241,18 @@ def _conjugate_pairs(basis: TensorBasis) -> _ConjugatePairs:
     form, in two passes of ``PAIRING_BLOCK`` rows at a time.
 
     The first pass measures max abs(|F| - 1), the dephasing D and the key
-    z = D F r, with r_i = sin(i^2), i = 1..N: no rational combination
-    of the r_i vanishes (Lindemann-Weierstrass), so distinct rows of a +-1
+    z = D F r, with r_i = sin(i^2), i = 1..N: no algebraic combination of
+    the r_i vanishes (Lindemann-Weierstrass), so distinct rows of a +-1
     family get distinct keys, and so do those of any family in general.
-    The partner's key is the conjugate, so a row whose key is real to
-    ``HYPOTHESIS_TOL`` (every Walsh-Hadamard row, say) pairs with itself,
-    and the others share Re z + (sqrt(2) - 1) |Im z| with their partner
-    alone: sorted on it, they pair two by two, an involution whatever the
-    ties of Re z, and an odd count of them is refused.  The second pass
-    checks the match on every entry: dephased row p(n) against the
-    conjugate of dephased row n, for each self-paired row and the lower
-    row of each pair (the upper row's difference is minus the conjugate of
-    it), and folds.
+    A row whose key is real to ``HYPOTHESIS_TOL`` (every Walsh-Hadamard row,
+    say) pairs with itself; the others, sorted on Re z + |Im z| / 2, pair
+    two by two, and an odd count of them is refused.  A row shares that
+    sort key with its conjugate, and with no other row of roots of unity,
+    however Re z ties: arctan(1/2) is no rational multiple of pi (Niven),
+    unlike arctan(sqrt(2) - 1) = pi/8.  The second pass checks the match on
+    every entry: dephased row p(n) against the conjugate of dephased row n,
+    for each self-paired row and the lower row of each pair (the upper
+    row's difference is minus the conjugate of it), and folds.
 
     Raises:
         ValueError: if the family is not unimodular, or else not closed
@@ -272,7 +272,7 @@ def _conjugate_pairs(basis: TensorBasis) -> _ConjugatePairs:
         z *= phase
     _check_hypothesis("unimodularity", float(np.max(gap)))
     paired = np.flatnonzero(np.abs(z.imag) > HYPOTHESIS_TOL * np.sum(np.abs(r)))
-    key = z.real[paired] + (np.sqrt(2.0) - 1) * np.abs(z.imag[paired])
+    key = z.real[paired] + np.abs(z.imag[paired]) / 2
     order = paired[np.argsort(key)]
     if order.size % 2:
         _check_hypothesis("conjugate symmetry", np.inf)

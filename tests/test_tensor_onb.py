@@ -199,23 +199,42 @@ def test_recipe_pairs_match_their_array_twin_bit_for_bit(recipe, data):
         assert messages[0].startswith("family violates ")
 
 
-# Seven repeated nodes give four rows one real part of their pairing key.
-TIE_RECIPE = ([0, 1, 14, 2, 13, 3, 12, 4, 11], [34, 1, 1, 1, 1, 1, 1, 1, -1], 15)
+# (recipe, tied rows, coefficient c, its partner) of two families whose
+# rows a sort on Re z + c |Im z| of their keys z cannot tell apart: seven
+# repeated nodes give four rows one real part (c = 0), and in a family of
+# denominator 16 four rows, two pairs, share the key for c = tan(pi/8).
+TIE_RECIPES = {
+    "re": (
+        ([0, 1, 14, 2, 13, 3, 12, 4, 11], [34, 1, 1, 1, 1, 1, 1, 1, -1], 15),
+        [1, 2, 7, 8],
+        0.0,
+        [0, 2, 1, 4, 3, 6, 5, 8, 7],
+    ),
+    "tan": (
+        ([5, 3, 11, 13], [0, 2, 1, 1], 16),
+        [0, 1, 2, 3],
+        np.tan(np.pi / 8),
+        [2, 3, 0, 1],
+    ),
+}
 
 
-def test_array_twin_pairs_rows_whose_keys_tie_in_real_part():
-    # Rows 1, 2, 7 and 8 of this family share Re z of their keys z = D F r
-    # to rounding, so row 1's partner, row 2, need not be its neighbour in
-    # the order of Re z.  The array twin still pairs the rows as the recipe
+@pytest.mark.parametrize("name", sorted(TIE_RECIPES))
+def test_array_twin_pairs_rows_whose_keys_tie(name):
+    # The tied rows share Re z + c |Im z| of their keys z = D F r to
+    # rounding, so in the order of that key a row's partner need not be
+    # its neighbour.  The array twin still pairs the rows as the recipe
     # does, and folds them to the same pairs, bit for bit.
-    basis = TensorBasis.fourier(*TIE_RECIPE)
+    recipe, rows, c, partner = TIE_RECIPES[name]
+    basis = TensorBasis.fourier(*recipe)
     F = basis.scalar_family
-    z = (F * np.exp(-1j * np.angle(F[:, :1]))) @ np.sin(np.arange(1.0, 10.0) ** 2)
-    assert np.ptp(z.real[[1, 2, 7, 8]]) <= 1e-14
+    r = np.sin(np.arange(1.0, F.shape[0] + 1) ** 2)
+    z = (F * np.exp(-1j * np.angle(F[:, :1]))) @ r
+    assert np.ptp((z.real + c * np.abs(z.imag))[rows]) <= 1e-14
     pairs, twin = basis._pairs, TensorBasis(F)._pairs
-    assert pairs.partner.tolist() == [0, 2, 1, 4, 3, 6, 5, 8, 7]
-    for name in ("real", "rows", "partner", "phase"):
-        got, want = getattr(twin, name), getattr(pairs, name)
+    assert pairs.partner.tolist() == partner
+    for attr in ("real", "rows", "partner", "phase"):
+        got, want = getattr(twin, attr), getattr(pairs, attr)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -233,11 +252,14 @@ def _permutation_case(name: str):
     of the Walsh-Hadamard family."""
     if name == "walsh16":
         return walsh_family(16), np.arange(16)
-    basis = TensorBasis.fourier(*TIE_RECIPE) if name == "tie" else build_default(64)
+    if name in TIE_RECIPES:
+        basis = TensorBasis.fourier(*TIE_RECIPES[name][0])
+    else:
+        basis = build_default(64)
     return basis.scalar_family, basis._pairs.partner
 
 
-@pytest.mark.parametrize("name", ["tie", "dft64", "walsh16"])
+@pytest.mark.parametrize("name", ["re", "tan", "dft64", "walsh16"])
 def test_array_pairing_commutes_with_row_permutations(name):
     # Permuting the rows of an array basis permutes its pairing: row i of
     # F[perm] is row perm[i] of F, so its partner is the row of F[perm]
