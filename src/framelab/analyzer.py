@@ -60,9 +60,9 @@ from enum import Enum
 
 import numpy as np
 
-from .operators import OperatorFamily, _support_gram, frame_spectrum, lambda_all
+from .operators import OperatorFamily, _support_gram, _unit_energy, frame_spectrum
 from .tensor_onb import PAIRING_BLOCK
-from .wspace import Field, WeightedSpace, _Normals, _scaled_norm, random_field
+from .wspace import Field, WeightedSpace, _Normals, random_field
 
 __all__ = [
     "Verdict",
@@ -192,19 +192,14 @@ def witness_ratio(fam: OperatorFamily, field: Field) -> float:
     """Total coefficient energy sum |Lambda_{m,n} f|^2 of ``field``, through
     ``lambda_all``, over its squared norm.
 
-    With 2^e the space's unit, the ratio is 2^e times that of the field
-    divided by 2^(e/4), its coefficients and its squared norm divided by
-    2^e, so the coefficients (about 2^(3e/4)), the energy and the squared
-    norm (about 2^(-e/2)) stay in range for every weight the space accepts.
-    Zero-norm fields (supported where the weight vanishes) report 0.
+    The ratio is 2^e, the space's unit, times that of the energies and the
+    squared norm of ``_unit_energy``.  Zero-norm fields (supported where
+    the weight vanishes) report 0.
     """
-    e = fam.space.unit_exponent
-    scaled = Field(field.values * np.ldexp(1.0, -(e // 4)))
-    den = _scaled_norm(fam.space, scaled) ** 2
-    if den == 0.0:
+    energy, norm_sq = _unit_energy(fam, field, skip_null=True)
+    if energy is None:
         return 0.0
-    coeffs = lambda_all(fam, scaled) * np.ldexp(1.0, -e)
-    return float(np.ldexp(float((np.abs(coeffs) ** 2).sum()) / den, e))
+    return float(np.ldexp(float(energy.sum()) / norm_sq, fam.space.unit_exponent))
 
 
 def _indicator_field(fam: OperatorFamily, nodes) -> Field:

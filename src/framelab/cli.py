@@ -36,6 +36,7 @@ from .heisenberg import (
     CenterTranslateModel,
     _band_report,
     _band_space,
+    _envelope,
     band_mass_residual,
     isometry_residual,
     lattice_residual,
@@ -301,8 +302,8 @@ def _build_heisenberg(cfg: dict, diags: list) -> tuple:
     where = "heisenberg: spectral_resolution grid"
     space = _attempt(diags, where, _band_space, eps, d, h["spectral_resolution"])
     if not diags:
-        gaps = [lattice_residual(eps, d, midpoint_grid(s.weights.size), s.weights)
-                for s in (model, space)]
+        gaps = [lattice_residual(eps, d, midpoint_grid(s.grid_size), s.weights)
+                for s in (model.space, space)]
         return model, space, float(np.max(gaps))  # a NaN gap propagates
 
 
@@ -480,7 +481,7 @@ def _run_zak(cfg: dict, phi: np.ndarray) -> tuple:
 def _run_heisenberg(cfg: dict, inputs: tuple) -> tuple:
     model, space, lattice_gap = inputs
     mass = psi_norm_sq(model.eps, model.d)
-    lo, hi = model.envelope()
+    lo, hi = _envelope(model.space)
     rep = _band_report(space, cfg["tolerances"]["verdict"])
     rng = _Normals(cfg["seed"])
     k = 2 * model.k_max + 1

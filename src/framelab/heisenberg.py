@@ -37,7 +37,7 @@ import numpy as np
 from .analyzer import VERDICT_TOL, FrameReport, decide_frame
 from .operators import OperatorFamily
 from .tensor_onb import TensorBasis
-from .wspace import WeightedSpace, _integer, _readonly
+from .wspace import WeightedSpace, _integer
 
 __all__ = [
     "hs_weight",
@@ -129,8 +129,9 @@ def band_mass_residual(eps: float, d: int, mass: float) -> float:
     return abs(mass - closed) / closed
 
 
-def _envelope(w: np.ndarray) -> tuple[float, float]:
-    """Extremes of the support weights ``w``."""
+def _envelope(space: WeightedSpace) -> tuple[float, float]:
+    """Extremes of the weight over the support of ``space``."""
+    w = space.weights[space.support]
     return float(w.min()), float(w.max())
 
 
@@ -146,8 +147,7 @@ def weight_envelope_check(eps: float, d: int, grid) -> tuple[float, float]:
             carries a positive weight that ``WeightedSpace`` refuses.
     """
     w = np.atleast_1d(hs_weight(eps, d, grid))
-    space = WeightedSpace(w.size, 1, w)
-    return _envelope(space.weights[space.support])
+    return _envelope(WeightedSpace(w.size, 1, w))
 
 
 def midpoint_grid(resolution: int) -> np.ndarray:
@@ -160,21 +160,17 @@ def midpoint_grid(resolution: int) -> np.ndarray:
 class CenterTranslateModel:
     """Discretized coefficient model for center translates of the window.
 
-    Scale grid, collapsed weight, and its support are precomputed; the
-    model space is the span of the translates, i.e. fields supported on
-    the positive-weight band.  ``weights`` and ``support`` are those of the
-    ``WeightedSpace`` of the scale grid: the support is the nodes of
-    positive weight, and a positive weight whose quadrature weight w/R is
-    subnormal is refused.
+    ``space`` is the ``WeightedSpace`` of the midpoint scale grid
+    (``_band_space``): the collapsed weight, positive on the band that the
+    translates span, refused where its quadrature weight w/R is subnormal.
+    The grid itself is ``midpoint_grid(resolution)``.
     """
 
     eps: float
     d: int
     resolution: int = RESOLUTION
     k_max: int = K_MAX
-    alpha: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
-    support: np.ndarray = field(init=False, repr=False)
+    space: WeightedSpace = field(init=False, repr=False)
 
     def __post_init__(self):
         eps, d = _check_params(self.eps, self.d)
@@ -188,13 +184,7 @@ class CenterTranslateModel:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "resolution", space.grid_size)
         object.__setattr__(self, "k_max", k_max)
-        object.__setattr__(self, "alpha", _readonly(midpoint_grid(space.grid_size)))
-        object.__setattr__(self, "weights", space.weights)
-        object.__setattr__(self, "support", space.support)
-
-    def envelope(self) -> tuple[float, float]:
-        """``weight_envelope_check`` over the model grid, from the stored weights."""
-        return _envelope(self.weights[self.support])
+        object.__setattr__(self, "space", space)
 
     def _coeffs(self, a) -> np.ndarray:
         c = np.asarray(a, dtype=complex)
@@ -219,7 +209,9 @@ def s_map(model: CenterTranslateModel, a) -> np.ndarray:
     ks = np.arange(-model.k_max, model.k_max + 1)
     bins = np.zeros(R, dtype=complex)
     np.add.at(bins, ks % R, c * np.exp(-1j * np.pi * ks / R))
-    return np.where(model.support, np.fft.fft(bins), 0.0)
+    samples = np.fft.fft(bins)
+    samples[~model.space.support] = 0.0
+    return samples
 
 
 def isometry_residual(model: CenterTranslateModel, a) -> float:
@@ -230,10 +222,10 @@ def isometry_residual(model: CenterTranslateModel, a) -> float:
     CLI by ``tolerances.consistency``, as ``isometry_vs_translate_gram``).
     """
     c = model._coeffs(a)
-    R, n = model.resolution, c.size
-    field = float((np.abs(s_map(model, c)) ** 2 * model.weights).sum() / R)
+    R, n, w = model.resolution, c.size, model.space.weights
+    field = float((np.abs(s_map(model, c)) ** 2 * w).sum() / R)
     lags = np.arange(1 - n, n)
-    t = np.fft.ifft(model.weights)[lags % R] * np.exp(1j * np.pi * lags / R)
+    t = np.fft.ifft(w)[lags % R] * np.exp(1j * np.pi * lags / R)
     k = np.arange(n)
     gram = float(np.real(c.conj() @ t[k[:, None] - k + n - 1] @ c))
     return abs(field - gram) / max(gram, np.finfo(float).tiny)

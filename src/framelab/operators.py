@@ -76,6 +76,20 @@ def lambda_all(fam: OperatorFamily, field: Field) -> np.ndarray:
     return np.conj(pairs.unfold(y)).T
 
 
+def _unit_energy(fam: OperatorFamily, field: Field, skip_null: bool = False) -> tuple:
+    """(|c|^2, ||g||^2) for g the field divided by 2^(e//4), 2^e the space's
+    unit, and c its ``lambda_all`` coefficients divided by 2^e: (M, N)
+    energies and a squared norm in range for every weight the space
+    accepts.  With ``skip_null`` a zero norm forms no coefficient (None)."""
+    e = fam.space.unit_exponent
+    scaled = Field(field.values * np.ldexp(1.0, -(e // 4)))
+    norm_sq = _scaled_norm(fam.space, scaled) ** 2
+    if skip_null and norm_sq == 0.0:
+        return None, norm_sq
+    coeffs = lambda_all(fam, scaled) * np.ldexp(1.0, -e)
+    return np.abs(coeffs) ** 2, norm_sq
+
+
 def frame_spectrum(fam: OperatorFamily) -> np.ndarray:
     """Ascending frame-operator spectrum (the eigenvalues of S = T*T, T the
     analysis matrix) on the support of the space, the nodes of positive
@@ -160,18 +174,14 @@ def bessel_excess(fam: OperatorFamily, field: Field) -> float:
     """Largest amount, over n, by which sum_m |coefficient|^2 exceeds the
     mass bound total_mass * ||f||^2.  Nonpositive means the bound holds.
 
-    As in ``analyzer.witness_ratio``, the field is divided by 2^(e/4) and
-    the coefficients and the mass by 2^e, 2^e the space's unit, so both
-    terms are taken in units of 2^(2e + 2(e//4)) and stay in range for
-    every weight the space accepts.  The excess is multiplied back by that
-    unit, so one beyond the float range is infinite, never NaN.
+    Both terms come from ``_unit_energy``, the mass divided by 2^e, 2^e the
+    space's unit: in units of 2^(2e + 2(e//4)), in range for every weight
+    the space accepts.  The excess is multiplied back by that unit, so one
+    beyond the float range is infinite, never NaN.
     """
     space = fam.space
     e = space.unit_exponent
-    k = e // 4
-    scaled = Field(field.values * np.ldexp(1.0, -k))
-    coeffs = lambda_all(fam, scaled) * np.ldexp(1.0, -e)
-    per_n = (np.abs(coeffs) ** 2).sum(axis=0)
-    cap = np.ldexp(total_mass(space), -e) * _scaled_norm(space, scaled) ** 2
+    energy, norm_sq = _unit_energy(fam, field)
+    cap = np.ldexp(total_mass(space), -e) * norm_sq
     with np.errstate(over="ignore"):
-        return float(np.ldexp(per_n.max() - cap, 2 * (e + k)))
+        return float(np.ldexp(energy.sum(axis=0).max() - cap, 2 * (e + e // 4)))

@@ -1,8 +1,9 @@
 """Dense reference constructions that the package itself never forms, the
 per-value CSV writer that the CLI's one-format-per-table writer replaced,
 the one-expression forms of the family arrays that the package now builds in
-place, without extra N x N copies, the complex coefficient product and the
-whole-grid lattice sum that the real-form and in-band routes replaced, and
+place, without extra N x N copies, the complex coefficient product, the
+whole-grid lattice sum and the ``np.where`` field samples that the
+real-form, in-band and in-place routes replaced, and
 the single-member fields and pointwise coefficients that only the tests take
 apart, the unscaled forms of the inner product and the Bessel excess, and a
 family that breaks unimodularity alone."""
@@ -13,6 +14,7 @@ import io
 import numpy as np
 
 from framelab import Field, lambda_all, norm, total_mass
+from framelab.heisenberg import midpoint_grid
 from framelab.tensor_onb import PAIRING_BLOCK
 from framelab.wspace import _conform
 
@@ -86,16 +88,26 @@ def s_map(model, a) -> np.ndarray:
     """S(a) on the model grid as the dense sum over k of a_k e^(-2 pi i k alpha):
     the (2 k_max + 1) x R reference for the FFT evaluation in ``heisenberg``."""
     ks = np.arange(-model.k_max, model.k_max + 1)
-    p = np.asarray(a, dtype=complex) @ np.exp(-2j * np.pi * np.outer(ks, model.alpha))
-    return np.where(model.support, p, 0.0)
+    alpha = midpoint_grid(model.resolution)
+    p = np.asarray(a, dtype=complex) @ np.exp(-2j * np.pi * np.outer(ks, alpha))
+    return np.where(model.space.support, p, 0.0)
+
+
+def where_s_map(model, a) -> np.ndarray:
+    """``heisenberg.s_map`` with the off-band samples dropped by ``np.where``
+    into a third R-point complex array, not zeroed in the FFT output."""
+    R, ks = model.resolution, np.arange(-model.k_max, model.k_max + 1)
+    bins = np.zeros(R, dtype=complex)
+    np.add.at(bins, ks % R, np.asarray(a, dtype=complex) * np.exp(-1j * np.pi * ks / R))
+    return np.where(model.space.support, np.fft.fft(bins), 0.0)
 
 
 def translate_gram(model) -> np.ndarray:
     """T[k, k'] = (1/R) sum_i w_i e^(2 pi i (k - k') alpha_i) over the support,
     formed entry by entry from the dense exponentials."""
     ks = np.arange(-model.k_max, model.k_max + 1)
-    e = np.exp(2j * np.pi * np.outer(ks, model.alpha))
-    w = np.where(model.support, model.weights, 0.0)
+    e = np.exp(2j * np.pi * np.outer(ks, midpoint_grid(model.resolution)))
+    w = np.where(model.space.support, model.space.weights, 0.0)
     return (e * w) @ e.conj().T / model.resolution
 
 

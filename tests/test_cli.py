@@ -485,6 +485,14 @@ def test_a_usage_error_exits_one_with_the_usage_line(capsys, case):
     assert capsys.readouterr().out.startswith("usage: framelab")
 
 
+def test_a_missing_config_exits_one(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot read config:")
+    assert str(path) in err and not (tmp_path / "run").exists()
+
+
 _CAP = {"eps": 0.5, "resolution": 65536, "spectral_resolution": 1024, "k_max": 64}
 
 
@@ -1536,6 +1544,16 @@ def test_malformed_sample_row_refused(tmp_path, mode, text, row):
     assert _diags(make(str(path))) == [f"{where}: {path}: malformed sample row {row!r}"]
     path.write_text("re,im\n" + "1,0\n" * 16)
     assert _diags(make(str(path))) == []
+
+
+@pytest.mark.parametrize("text", ["re,im\n", "re\n\n"], ids=["header", "blank_row"])
+@pytest.mark.parametrize("mode", sorted(_NONFINITE))
+def test_header_only_samples_file_is_refused(tmp_path, mode, text):
+    # a header row, and blank rows, are no samples
+    where, make = _NONFINITE[mode]
+    path = tmp_path / "samples.csv"
+    path.write_text(text)
+    assert _diags(make(str(path))) == [f"{where}: {path}: no samples found"]
 
 
 @pytest.mark.parametrize(

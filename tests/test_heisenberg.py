@@ -95,13 +95,17 @@ def test_midpoint_grid():
 
 def test_model_construction_and_support():
     model = hb.CenterTranslateModel(0.5, 1, resolution=1024, k_max=2)
-    assert model.alpha.shape == (1024,)
-    assert model.support.sum() == 512
-    assert np.all(model.weights[model.support] > 0.5)
+    space = model.space
+    assert space.weights.shape == (1024,)
+    assert space.support.sum() == 512
+    assert np.all(space.weights[space.support] > 0.5)
+    assert hb._envelope(space) == hb.weight_envelope_check(0.5, 1, hb.midpoint_grid(1024))
     with pytest.raises(ValueError):
         hb.CenterTranslateModel(0.5, 1, k_max=-1)
     with pytest.raises(ValueError):
         hb.CenterTranslateModel(0.5, 0)
+    with pytest.raises(ValueError, match="^eps must be positive for the band model$"):
+        hb.CenterTranslateModel(0.0, 1)
 
 
 @pytest.mark.parametrize(
@@ -133,7 +137,7 @@ def test_integral_floats_and_numpy_integers_pass():
     assert (model.d, model.resolution, model.k_max) == (2, 64, 2)
     assert all(type(v) is int for v in (model.d, model.resolution, model.k_max))
     same = hb.CenterTranslateModel(0.5, 2, resolution=64, k_max=2)
-    assert np.array_equal(model.weights, same.weights)
+    assert np.array_equal(model.space.weights, same.space.weights)
     rep = hb.frame_report(0.5, 2.0, resolution=64.0)
     assert np.array_equal(rep.spectrum, hb.frame_report(0.5, 2, resolution=64).spectrum)
 
@@ -142,8 +146,9 @@ def test_s_map_support_and_shape():
     model = hb.CenterTranslateModel(0.5, 1, resolution=256, k_max=1)
     sf = hb.s_map(model, np.array([0.0, 1.0, 0.0], dtype=complex))
     assert sf.shape == (256,)
-    assert np.all(sf[~model.support] == 0.0)
-    assert np.max(np.abs(np.abs(sf[model.support]) - 1.0)) < 1e-12
+    band = model.space.support
+    assert np.all(sf[~band] == 0.0)
+    assert np.max(np.abs(np.abs(sf[band]) - 1.0)) < 1e-12
     with pytest.raises(ValueError):
         hb.s_map(model, np.ones(4, dtype=complex))
 
@@ -167,10 +172,59 @@ def test_fft_s_map_and_translate_gram_match_dense_routes(eps, d, resolution, k_m
     sf = hb.s_map(model, a)
     dense = oracles.s_map(model, a)
     assert np.max(np.abs(sf - dense)) <= 1e-13 * np.max(np.abs(dense))
-    field = float((np.abs(sf) ** 2 * model.weights).sum() / model.resolution)
+    field = float((np.abs(sf) ** 2 * model.space.weights).sum() / model.resolution)
     gram = float(np.real(a.conj() @ oracles.translate_gram(model) @ a))
     assert field == pytest.approx(gram, rel=1e-13)
     assert hb.isometry_residual(model, a) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "eps, d, resolution, k_max",
+    [(0.37, 5, 1001, 16), (0.5, 1, 7, 8), (0.5, 3, 65536, 64)],
+)
+def test_s_map_zeroes_off_band_in_place_bit_for_bit(monkeypatch, eps, d, resolution, k_max):
+    # zeroing the FFT output off the band writes the same bits as np.where,
+    # so the isometry residual keeps its value bit for bit
+    model = hb.CenterTranslateModel(eps, d, resolution=resolution, k_max=k_max)
+    k = np.arange(2 * k_max + 1)
+    a = np.cos(k) + 1j * np.sin(3.0 * k)
+    got, want = hb.s_map(model, a), oracles.where_s_map(model, a)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    value = hb.isometry_residual(model, a)
+    monkeypatch.setattr(hb, "s_map", oracles.where_s_map)
+    assert hb.isometry_residual(model, a).hex() == value.hex()
+
+
+def test_model_holds_its_band_space_alone():
+    # the weights (8 bytes a node) and the support mask (1 byte a node) of
+    # its one WeightedSpace, and no scale grid beside them
+    r = 65536
+    tracemalloc.start()
+    try:
+        model = hb.CenterTranslateModel(0.5, 3, resolution=r, k_max=4)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 9.1 * r
+    assert model.space.grid_size == r
+
+
+def test_isometry_route_working_set():
+    # A warm call peaks in s_map, at the coefficient bins and their FFT
+    # (16 bytes a node each) and the off-band mask (1 byte a node) that
+    # zeroes the FFT in place: no third complex R-point array.
+    r = 65536
+    model = hb.CenterTranslateModel(0.5, 3, resolution=r, k_max=64)
+    a = np.arange(129.0) + 0.5j
+    hb.isometry_residual(model, a)
+    tracemalloc.start()
+    try:
+        gap = hb.isometry_residual(model, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gap < 1e-13
+    assert peak <= 34 * r
 
 
 def _isometry_check_alone_fails(tmp_path, resolution, k_max) -> float:

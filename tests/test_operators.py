@@ -203,6 +203,14 @@ def test_parseval_identity_per_scalar_index():
         assert parseval_residual(fam, f) < 1e-12
 
 
+def test_parseval_residual_of_a_field_off_the_support_is_zero():
+    # a field on the zero-weight nodes alone has norm 0, and so no defect
+    sp, fam = _family(4, 2, [0.0, 2.0, 0.0, 0.5])
+    values = np.zeros((4, 2), dtype=complex)
+    values[[0, 2]] = [[1.0, 2j], [-3.0, 0.5]]
+    assert parseval_residual(fam, Field(values)) == 0.0
+
+
 def test_bessel_bound_with_mass_constant():
     rng = np.random.default_rng(43)
     for _ in range(10):

@@ -264,17 +264,29 @@ def test_array_pairing_commutes_with_row_permutations(name):
     # Permuting the rows of an array basis permutes its pairing: row i of
     # F[perm] is row perm[i] of F, so its partner is the row of F[perm]
     # that holds p(perm[i]), inv[p[perm]] with inv the inverse permutation.
-    # The verdict, or the refusal, of classify does not move.
+    # The verdict, or the refusal, of classify does not move, and for the
+    # families it accepts neither do its spectrum, Gram bounds and residuals.
     family, partner = _permutation_case(name)
     n = family.shape[0]
     space = WeightedSpace(n, 1, np.linspace(0.5, 2.0, n))
     want = _outcome(OperatorFamily(space, TensorBasis(family)))
+    kept = name in ("dft64", "walsh16")
+    if kept:
+        rep = classify(OperatorFamily(space, TensorBasis(family)))
     rng = np.random.default_rng(33)
     for _ in range(40):
         perm = rng.permutation(n)
         basis = TensorBasis(family[perm])
         assert np.array_equal(basis._pairs.partner, np.argsort(perm)[partner[perm]])
-        assert _outcome(OperatorFamily(space, basis)) == want
+        fam = OperatorFamily(space, basis)
+        assert _outcome(fam) == want
+        if kept:
+            got = classify(fam)
+            assert np.max(np.abs(got.spectrum - rep.spectrum)) <= 1e-13
+            assert np.max(np.abs(np.subtract(got.gram_bounds, rep.gram_bounds))) <= 1e-13
+            assert got.residuals.keys() == rep.residuals.keys()
+            for key, value in rep.residuals.items():
+                assert abs(got.residuals[key] - value) <= 1e-13, key
 
 
 def test_tensor_field_values():
