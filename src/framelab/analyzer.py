@@ -13,20 +13,19 @@ space it analyzes, so every route reads one weight.  ``classify`` is
 decision serves every weight mode: ``decide_frame`` reads the verdict, the
 weight bounds and a witness over the whole grid, or with ``band`` over the
 positive-weight band, the nodes a ``heisenberg`` family must cover.  Each
-family hypothesis is checked where its array is built: unimodularity and
-conjugate symmetry by the basis before it writes its real form R, the
-isometry on X^T X (below).  Every spectral ``_vs_`` residual follows one
-rule, ``_multiset_gap``: the whole ascending spectrum against the whole
-sorted multiset it must reproduce, relative to the largest value of
-either, so it does not depend on the units of the weight.
+family hypothesis is checked where its array is built: unimodularity by
+the basis before it builds its form, the isometry on X^H X (below).
+Every spectral ``_vs_`` residual follows one rule, ``_multiset_gap``: the
+whole ascending spectrum against the whole sorted multiset it must
+reproduce, relative to the largest value of either, so it does not depend
+on the units of the weight.
 
 Every coefficient energy, sum |Lambda_{m,n} f|^2 against ||f||^2, takes
-one route: ``witness_ratio`` through ``operators.lambda_all``, one real
-product of the family's real form R with the weighted fiber coefficients
-of the field, unfolded in O(N M).  The witness ratio, the Parseval probes
-and the defect ratio all take it, so each ratio is a coefficient
-computation of its own, never read off the weights, and none forms an
-N x N array beside R.
+one route: ``witness_ratio`` through ``operators.lambda_all``, one product
+of the basis's form with the weighted fiber coefficients of the field.
+The witness ratio, the Parseval probes and the defect ratio all take it,
+so each ratio is a coefficient computation of its own, never read off the
+weights, and none forms an N x N array beside the form.
 
 The spectral route stays dense on purpose: an ``eigvalsh`` of the scalar
 frame operator q^H q (|S| x |S|, S the support) and one of the scalar
@@ -34,23 +33,24 @@ Gram q q^H (N x N), O(N^3) in the grid size.
 For the discrete Fourier family the weighted scalar Gram is circulant, and
 its FFT eigenvalues are the weights themselves, so an FFT Gram route would
 read back the very numbers the weight route reads and check nothing.  The
-cost of the cross check is the price of its independence.  Every N x N
-product runs in real arithmetic all the same: every family here is closed
-under conjugation, and a fixed sparse unitary (the centrohermitian
-reduction) maps it to its real form R, built once per basis, a block of
-rows at a time, so a Fourier basis keeps R alone, never its family.  The
-frame route takes the ``eigvalsh`` of X^T X, X the support columns of R,
-scaled by sqrt(w/N) on both sides, and the Gram route the ``eigvalsh`` of
-its own product (R w/N) R^T, so the routes share only the family.  The
-isometry hypothesis F^H F = N I is the column Gram R^T R, so each decider
-reads it off X^T X before the weight scales it (``_support_gram``): it
-costs the frame route no copy and no product, and ``decide_onb``, which
-has no frame route, forms X^T X for it alone.  No decider forms R R^T.
-The fold regroups entries and diagonalizes nothing, so the routes stay
-dense and independent, and the moduli and the diagonal of the complex
-Gram that the residuals report are read back off the real one.  The Gram
-route writes its one N x N output from blocks of R scaled in one reused
-buffer, so no run holds an N x N array beside R and that output.
+cost of the cross check is the price of its independence.  Each route
+reads the basis's form A through one code path: the real form R of every
+runner's family, a Fourier recipe whose integers pair its rows with their
+conjugates, which a fixed sparse unitary (the centrohermitian reduction)
+maps to R a block of rows at a time, so every N x N product of a run is
+real; any other family is its own form F.  The frame route takes the
+``eigvalsh`` of X^H X, X the support columns of A, scaled by sqrt(w/N)
+on both sides, and the Gram route the ``eigvalsh`` of its own product
+(A w/N) A^H, so the routes share only the family.  The isometry
+hypothesis F^H F = N I is the column Gram A^H A, so each decider reads it
+off X^H X before the weight scales it (``_support_gram``): it costs the
+frame route no copy and no product, and ``decide_onb``, which has no
+frame route, forms X^H X for it alone.  No decider forms A A^H.  The fold
+regroups entries and diagonalizes nothing, so the routes stay dense and
+independent, and the moduli and the diagonal of the complex Gram that the
+residuals report are read back off the real one.  The Gram route writes
+its one N x N output from blocks of A scaled in one reused buffer, so no
+run holds an N x N array beside A and that output.
 """
 
 from __future__ import annotations
@@ -136,26 +136,29 @@ def _field_matrix(fam: OperatorFamily) -> np.ndarray:
 
 
 def _gram_fold(fam: OperatorFamily) -> np.ndarray:
-    """The real fold (R u/N) R^T (N x N) of the weighted scalar Gram
-    gs = (F u/N) F^H, with R the basis's real form and u = w / 2^e the
-    space's unit weights: the Gram in the space's unit.
+    """The Gram (A u/N) A^H (N x N) of the basis's form A, with u = w / 2^e
+    the space's unit weights: for a real fold A = R the real fold of the
+    weighted scalar Gram gs = (F u/N) F^H, else gs itself, in the space's
+    unit, in the form's dtype.
 
     Entry ((m, n), (m', n')) of the synthesis Gram is
     delta_{m m'} * (1/N) sum_i f_n(x_i) conj(f_n'(x_i)) w_i, so the Gram is
-    kron(I_M, gs).  The fold is its own real product of the family entries,
+    kron(I_M, gs).  The fold is its own product of the family entries,
     not the square of the frame route's matrix, so the two routes share
     only the family.  It is written into its one N x N output a block of
-    ``PAIRING_BLOCK`` rows at a time, each block of R scaled by u/N in one
-    reused buffer, so no scaled copy of R is formed.
+    ``PAIRING_BLOCK`` rows at a time, each block of A scaled by u/N in one
+    reused buffer, so no scaled copy of A is formed; on a real fold
+    ``conj`` returns R itself, so no copy of it either.
     """
-    R = fam.basis._pairs.real
-    N = R.shape[0]
+    A = fam.basis._form.matrix
+    N, AH = A.shape[0], A.conj().T
     q = fam.space.unit_weights / fam.space.grid_size
-    fold, buf = np.empty((N, N)), np.empty((min(PAIRING_BLOCK, N), N))
+    fold = np.empty((N, N), A.dtype)
+    buf = np.empty((min(PAIRING_BLOCK, N), N), A.dtype)
     for start in range(0, N, PAIRING_BLOCK):
         blk = slice(start, start + PAIRING_BLOCK)
-        scaled = np.multiply(R[blk], q, out=buf[: fold[blk].shape[0]])
-        np.matmul(scaled, R.T, out=fold[blk])
+        scaled = np.multiply(A[blk], q, out=buf[: fold[blk].shape[0]])
+        np.matmul(scaled, AH, out=fold[blk])
     return fold
 
 
@@ -164,7 +167,7 @@ def _gram_spectrum(fold: np.ndarray, space: WeightedSpace) -> np.ndarray:
     negative ones from zero-weight nodes included), multiplied back by the
     unit 2^e of ``space``, each ``space.fiber_dim`` times.
 
-    The fold is the real symmetric U D gs D^H U^H of the weighted scalar
+    A real fold is the real symmetric U D gs D^H U^H of the weighted scalar
     Gram gs, with D the row dephasing and U the sparse unitary of the
     basis's conjugate row pairing, so it has the spectrum of gs and
     ``eigvalsh`` runs in real arithmetic on the family entries.  The fold
@@ -252,10 +255,10 @@ def _onb_residuals(fam: OperatorFamily, fold: np.ndarray) -> dict:
     """ONB defects of the synthesis Gram kron(I_M, gs): the largest
     off-diagonal modulus (onb_cross) and the largest deviation of a
     diagonal entry from 1 (onb_norm), those of gs, whose moduli and
-    diagonal are read off its real fold, a block of row views at a time,
-    and multiplied back by the space's unit."""
+    diagonal the basis's form reads off ``fold`` (a real fold a block of
+    row views at a time), multiplied back by the space's unit."""
     e = fam.space.unit_exponent
-    diag, off = fam.basis._pairs.moduli(fold)
+    diag, off = fam.basis._form.moduli(fold)
     onb_norm = float(np.max(np.abs(np.ldexp(diag, e) - 1.0)))
     return {"onb_cross": float(np.ldexp(off, e)), "onb_norm": onb_norm}
 

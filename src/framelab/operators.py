@@ -10,9 +10,10 @@ multiset, each value repeated once per fiber dimension.  The fiber only
 repeats each scalar value M times, so the spectrum is computed from the
 scalar factor alone; the dense matrix itself is built only by the tests,
 as an oracle.
-``lambda_all`` and ``frame_spectrum`` read the basis's real form R alone;
-of this module only the reference check ``parseval_residual`` reads the
-complex family.
+``lambda_all`` and ``frame_spectrum`` read the basis's form alone, the real
+fold R of a Fourier basis whose integers pair its rows or else the family
+F itself; of this module only the reference check ``parseval_residual``
+reads ``scalar_family``.
 """
 
 from __future__ import annotations
@@ -55,25 +56,24 @@ def lambda_all(fam: OperatorFamily, field: Field) -> np.ndarray:
     is (1/N) sum_i conj(f_n(x_i)) w_i f(x_i)[m].
 
     With V the N x M field values, this is conj(F W) with
-    W = conj((w/N) V), and F W is read off one real product
-    R W with the basis's real form R = U D F, taken on the float64 view of
-    W, then unfolded row pair by row pair and dephased in O(N M)
-    (``_ConjugatePairs.unfold``).  No N x N array beside R is read or made.
-    Every coefficient energy of the package (witness ratios, Parseval
-    probes, the Bessel bound) goes through here.
+    W = conj((w/N) V), and F W is the basis's form applied to W: one real
+    product R W on the float64 view of W, unfolded row pair by row pair
+    and dephased in O(N M), for a real fold R = U D F
+    (``_ConjugatePairs.apply``), else the complex product F W.  No N x N
+    array beside the form is read or made.  Every coefficient energy of
+    the package (witness ratios, Parseval probes, the Bessel bound) goes
+    through here.
 
     Raises:
-        ValueError: if the family is not unimodular or not conjugation-closed.
+        ValueError: if the family is not unimodular.
     """
     space = fam.space
     _conform(space, field)
-    pairs = fam.basis._pairs
-    # C order, since the real product reads the float64 view of W
+    # C order, since the real fold reads the float64 view of W
     scale = (space.weights / space.grid_size)[:, None]
     W = np.multiply(field.values, scale, order="C")
     np.conj(W, out=W)
-    y = (pairs.real @ W.view(float)).view(complex)
-    return np.conj(pairs.unfold(y)).T
+    return np.conj(fam.basis._form.apply(W)).T
 
 
 def _unit_energy(fam: OperatorFamily, field: Field, skip_null: bool = False) -> tuple:
@@ -99,23 +99,24 @@ def frame_spectrum(fam: OperatorFamily) -> np.ndarray:
     The analysis matrix is I_M (x) q up to a column permutation, with q
     the N x |S| scalar factor of entries conj(f_n(x_i)) w_i / N scaled by
     sqrt(N / w_i), so S is I_M (x) q^H q: one |S| x |S| eigensolve, each
-    value repeated M times.  It runs in real arithmetic on the support
-    columns X of the basis's real form R, which has the Gram of the family
-    on every column set: q^H q = D X^T X D with D = diag(sqrt(w_S / N)).
-    X^T X (``_support_gram``, which checks the isometry on it first) is
-    one symmetric product, and ``eigvalsh`` reads its lower triangle once
-    D has scaled its rows and columns in place.  R is a fixed
-    sparse unitary (the conjugate row pairing, after each row is dephased)
-    applied to the family: it diagonalizes nothing, so the eigensolve still
-    checks the weights independently.
+    value repeated M times.  It runs on the support columns X of the
+    basis's form, which has the Gram of the family on every column set:
+    q^H q = conj(D X^H X D) with D = diag(sqrt(w_S / N)), which has the
+    same spectrum.  X^H X (``_support_gram``, which checks the isometry on
+    it first) is one product, and ``eigvalsh`` reads its lower triangle
+    once D has scaled its rows and columns in place.  A real fold R is a
+    fixed sparse unitary (the conjugate row pairing, after each row is
+    dephased) applied to the family, so the product runs in real
+    arithmetic; it diagonalizes nothing, so the eigensolve still checks
+    the weights independently.
 
     D is taken from the space's unit weights w_S / 2^e, and the eigenvalues
     are multiplied back by 2^e, so the eigensolve sees a matrix of norm
     near 1.
 
     Raises:
-        ValueError: if the family is not unimodular, not closed under
-            conjugation or not an isometry on the support columns.
+        ValueError: if the family is not unimodular or not an isometry on
+            the support columns.
     """
     space = fam.space
     gram, idx = _support_gram(fam)
@@ -127,25 +128,26 @@ def frame_spectrum(fam: OperatorFamily) -> np.ndarray:
 
 
 def _support_gram(fam: OperatorFamily) -> tuple:
-    """(X^T X, idx): the column Gram of the support columns X = R[:, idx] of
-    the basis's real form, the frame operator before the weight, once the
-    family has passed the isometry hypothesis on it, max |X^T X / N - I|
-    <= ``HYPOTHESIS_TOL``.  R^T R = F^H F, so this is the column Gram of
-    the family itself.  Every quantity of a run lives on the support (a
-    zero-weight column enters no coefficient, Gram entry or spectrum), so
-    the hypothesis is needed there only.  X^T X is one symmetric product
-    (BLAS syrk), of R itself on a full support, so no scaled copy of R is
-    made, and the check reads it in place.
+    """(X^H X, idx): the column Gram of the support columns X = A[:, idx] of
+    the basis's form A, the frame operator before the weight, once the
+    family has passed the isometry hypothesis on it, max |X^H X / N - I|
+    <= ``HYPOTHESIS_TOL`` (``_isometry_residual``).  A real fold R has
+    R^T R = F^H F, so this is the column Gram of the family itself.  Every
+    quantity of a run lives on the support (a zero-weight column enters no
+    coefficient, Gram entry or spectrum), so the hypothesis is needed there
+    only.  On a real fold ``conj`` returns X itself, so X^T X is one
+    symmetric product (BLAS syrk), of R itself on a full support, so no
+    scaled copy of R is made, and the check reads it in place.
 
     Raises:
-        ValueError: if the family is not unimodular, not closed under
-            conjugation or not an isometry on the support columns.
+        ValueError: if the family is not unimodular or not an isometry on
+            the support columns.
     """
     space = fam.space
-    R = fam.basis._pairs.real
+    A = fam.basis._form.matrix
     idx = np.flatnonzero(space.support)
-    cols = R if idx.size == R.shape[1] else R[:, idx]
-    gram = cols.T @ cols
+    cols = A if idx.size == A.shape[1] else A[:, idx]
+    gram = cols.conj().T @ cols
     del cols  # the support copy goes before the eigensolve
     residual = _isometry_residual(gram, space.grid_size)
     _check_hypothesis("scalar orthonormality", residual)

@@ -7,6 +7,11 @@ of the unweighted space, and it is the family the analyzer works with: the
 node weight enters through the quadrature, not through the family.  The
 fiber dimension M belongs to the space alone; no verdict depends on the
 fiber basis, so the fiber only repeats each value M times.
+
+A family must be unimodular and an isometry, F^H F = N I; closure under
+conjugation is no hypothesis.  A Fourier basis whose integers pair its
+rows with their conjugates holds the real fold R of its family, which runs
+every N x N product in real arithmetic; every other basis holds F itself.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ from .wspace import _integer, _readonly
 __all__ = ["TensorBasis", "build_default", "fourier_family"]
 
 HYPOTHESIS_TOL = 1e-9
-# Rows of the family read, dephased, checked and folded at a time, so that
-# neither building a family nor folding it holds another N x N temporary.
+# Rows of a family gathered, dephased and folded at a time, and of a Gram
+# read at a time, so that neither building a family nor folding it nor
+# reading its moduli holds another N x N temporary.
 PAIRING_BLOCK = 32
 
 
@@ -35,16 +41,33 @@ def _check_hypothesis(name: str, residual: float) -> None:
 
 
 def _isometry_residual(gram: np.ndarray, n: int) -> float:
-    """max |G/n - I| for the column Gram G = X^T X of n-row columns X of a
-    real form: the isometry F^H F = n I on those columns.  G is read in
-    place, with its diagonal set aside, zeroed for the off-diagonal extremes
-    and written back, so it keeps its bits and is not copied."""
+    """max |G/n - I| for the column Gram G = X^H X of n-row columns X of a
+    form: the isometry F^H F = n I on those columns.  The off-diagonal
+    extremes are taken on the float64 view of G, so on a complex Gram they
+    are the larger of max |Re| and max |Im|; the diagonal defects are
+    moduli.  G is read in place, with its diagonal set aside, zeroed for
+    the off-diagonal extremes and written back, so it keeps its bits and is
+    not copied."""
     diag = np.array(np.diagonal(gram))
     view = gram.reshape(-1)[:: gram.shape[0] + 1]  # the diagonal, writable
     view[:] = 0.0
-    off = max(float(gram.max(initial=0.0)), -float(gram.min(initial=0.0))) / n
+    flat = gram.view(float)
+    off = max(float(flat.max(initial=0.0)), -float(flat.min(initial=0.0))) / n
     view[:] = diag
     return max(float(np.max(np.abs(diag / n - 1.0), initial=0.0)), off)
+
+
+def _integers(name: str, a) -> np.ndarray:
+    """``a`` as an int64 array; a value that is non-integral, non-finite or
+    outside int64 is refused, not truncated.  An array of a dtype that casts
+    safely to int64 is not scanned."""
+    a = np.asarray(a)
+    if not np.can_cast(a.dtype, np.int64):
+        x = np.asarray(a, dtype=float)
+        bad = ~((np.floor(x) == x) & (-(2.0**63) <= x) & (x < 2.0**63))
+        if bad.any():
+            raise ValueError(f"{name} must hold int64 integers, got {float(x[bad][0])}")
+    return np.asarray(a, np.int64)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -58,20 +81,16 @@ class TensorBasis:
     ``fourier_family(freqs[idx], numer, denom)`` as they are read, bit for
     bit those of the whole family, so it holds no complex N x N array.
 
-    ``_pairs`` holds the conjugate row pairing and the read-only real form
-    R = U D F, built once, which both spectral routes, the isometry check
-    on the frame operator and ``lambda_all`` read, so every N x N product
-    of a run takes the real form, at a quarter of the flops of a complex
-    one.  It refuses a family before it writes R: first one that is not
-    unimodular, then one that is not closed under conjugation.  An array
-    basis finds its pairing on one key per row, so its first pass keys the
-    rows and measures the unimodularity gap, and a second one checks the
-    pairing on every entry and folds.  A Fourier basis knows its pairing
-    from its integers (``_recipe_partner``), so its one pass gathers each
-    row of R from its table of roots and folds it; the table's largest
-    deviation from unit modulus bounds every entry it gathers.  A recipe
-    whose integers pair no rows takes the array route, on the rows it
-    generates.
+    ``_form`` holds the form the N x N products of a run take, built once:
+    the read-only real fold R = U D F of a Fourier basis whose integers
+    pair its rows (``_ConjugatePairs``), at a quarter of the flops of a
+    complex product, and F itself for every other basis (``_ComplexForm``).
+    Both spectral routes, the isometry check on the frame operator and
+    ``lambda_all`` read the form alone, through one code path for either
+    kind.  Unimodularity is checked before the form is built: a
+    Fourier basis checks its table of roots, whose largest deviation from
+    unit modulus bounds every entry it gathers, and any other basis every
+    entry of its family.
 
     Attributes:
         grid_size: N, the number of rows and of nodes of the scalar family.
@@ -91,7 +110,8 @@ class TensorBasis:
     def fourier(cls, freqs, numer, denom: int) -> TensorBasis:
         """The basis of ``fourier_family(freqs, numer, denom)``, which generates
         its rows as they are read; ``freqs`` and ``numer`` must have one length."""
-        freqs, numer = (_readonly(np.asarray(a, np.int64)) for a in (freqs, numer))
+        freqs, numer = _integers("freqs", freqs), _integers("numer", numer)
+        freqs, numer = _readonly(freqs), _readonly(numer)
         if freqs.ndim != 1 or freqs.shape != numer.shape:
             raise ValueError("freqs and numer must be 1-d and of one length")
         denom = _integer("denom", denom, 1)
@@ -111,23 +131,47 @@ class TensorBasis:
         return self._rows(slice(None))
 
     @cached_property
-    def _pairs(self) -> _ConjugatePairs:
-        """The conjugate row pairing and the real form, built once per basis.
+    def _form(self) -> _ConjugatePairs | _ComplexForm:
+        """The form of the family, built once per basis.
 
         Raises:
-            ValueError: if the family is not unimodular, or else not closed
-                under conjugation.
+            ValueError: if the family is not unimodular.
         """
         if self._recipe is not None:
             partner = _recipe_partner(*self._recipe)
             if partner is not None:
                 return _recipe_fold(*self._recipe, partner)
-        return _conjugate_pairs(self)
+        F = self.scalar_family
+        _check_hypothesis("unimodularity", float(np.max(np.abs(np.abs(F) - 1.0))))
+        return _ComplexForm(F)
+
+
+@dataclass(frozen=True, eq=False)
+class _ComplexForm:
+    """The form of a family whose rows no recipe pairs: F itself, so every
+    product runs in complex arithmetic.
+
+    Attributes:
+        matrix: the read-only N x N family F.
+    """
+
+    matrix: np.ndarray
+
+    def apply(self, W: np.ndarray) -> np.ndarray:
+        """F W."""
+        return self.matrix @ W
+
+    def moduli(self, g: np.ndarray) -> tuple:
+        """(real diagonal, largest off-diagonal modulus) of the complex Gram
+        ``g``."""
+        off = np.abs(g)
+        np.fill_diagonal(off, 0.0)
+        return g.diagonal().real, float(np.max(off, initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
 class _ConjugatePairs:
-    """The real form of a scalar family F closed under conjugation.
+    """The real form of a Fourier family F whose integers pair its rows.
 
     Once each row is dephased by its first entry (D, a diagonal of unit
     moduli), the family has for each row n a row p(n) equal to its
@@ -139,11 +183,10 @@ class _ConjugatePairs:
     hypothesis F^H F = N I is read off R^T R (``_isometry_residual``), and
     the moduli of a weighted Gram F w F^H off its real fold (``moduli``).
     U and D regroup entries and diagonalize nothing, so a spectrum taken on
-    R is still a dense decomposition of the family.  ``_fold`` builds the
-    pairs of either kind of basis, from its pairing and its dephased rows.
+    R is still a dense decomposition of the family.
 
     Attributes:
-        real: read-only N x N array R.  Its rows are the real parts of the
+        matrix: read-only N x N array R.  Its rows are the real parts of the
             ``n_self`` dephased self-paired rows, then sqrt(2) times the
             real parts of the dephased lower rows n of the pairs, then
             sqrt(2) times their imaginary parts, in the same order.
@@ -154,18 +197,20 @@ class _ConjugatePairs:
         phase: the diagonal of D, one unit modulus per family row.
     """
 
-    real: np.ndarray
+    matrix: np.ndarray
     n_self: int
     rows: np.ndarray
     partner: np.ndarray
     phase: np.ndarray
 
-    def unfold(self, y: np.ndarray) -> np.ndarray:
-        """F x from y = R x, for any complex x with one column per column of
-        ``y``: y holds U D F x, whose rows are (D F x)[s] for a self-paired
-        row s, and (D F x)[n] = (y[a] + i y[b]) / sqrt(2) and
-        (D F x)[p(n)] = (y[a] - i y[b]) / sqrt(2) for a pair n < p(n) with
-        real rows a, b; undoing D is one conjugate phase per row.  O(N M)."""
+    def apply(self, W: np.ndarray) -> np.ndarray:
+        """F W for a C-ordered complex W, as one real product R W on its
+        float64 view, unfolded: with y = R W = U D F W, whose rows are
+        (D F W)[s] for a self-paired row s, and (D F W)[n] = (y[a] + i y[b])
+        / sqrt(2) and (D F W)[p(n)] = (y[a] - i y[b]) / sqrt(2) for a pair
+        n < p(n) with real rows a, b; undoing D is one conjugate phase per
+        row.  The unfold is O(N M)."""
+        y = (self.matrix @ W.view(float)).view(complex)
         ns, k = self.n_self, self.rows.size
         lower = self.rows[ns:]
         # dividing by sqrt(2) undoes the fold's scaling more often than
@@ -203,7 +248,7 @@ class _ConjugatePairs:
         neither overflows nor underflows short of its result.
         """
         ns = self.n_self
-        N = self.real.shape[0]
+        N = self.matrix.shape[0]
         k = (N + ns) // 2  # the first imaginary-part row
         diag, off = np.empty(N), 0.0
         for start in range(0, ns, PAIRING_BLOCK):
@@ -235,89 +280,6 @@ class _ConjugatePairs:
         return diag, off
 
 
-def _conjugate_pairs(basis: TensorBasis) -> _ConjugatePairs:
-    """Check that the scalar family F of ``basis`` is unimodular, find its
-    conjugate row pairing, verify it on every entry and fold F to its real
-    form, in two passes of ``PAIRING_BLOCK`` rows at a time.
-
-    The first pass measures max abs(|F| - 1), the dephasing D and the key
-    z = D F r, with r_i = sin(i^2), i = 1..N: no algebraic combination of
-    the r_i vanishes (Lindemann-Weierstrass), so distinct rows of a +-1
-    family get distinct keys, and so do those of any family in general.
-    A row whose key is real to ``HYPOTHESIS_TOL`` (every Walsh-Hadamard row,
-    say) pairs with itself; the others, sorted on Re z + |Im z| / 2, pair
-    two by two, and an odd count of them is refused.  A row shares that
-    sort key with its conjugate, and with no other row of roots of unity,
-    however Re z ties: arctan(1/2) is no rational multiple of pi (Niven),
-    unlike arctan(sqrt(2) - 1) = pi/8.  The second pass checks the match on
-    every entry: dephased row p(n) against the conjugate of dephased row n,
-    for each self-paired row and the lower row of each pair (the upper
-    row's difference is minus the conjugate of it), and folds.
-
-    Raises:
-        ValueError: if the family is not unimodular, or else not closed
-            under conjugation.
-    """
-    N = basis.grid_size
-    r = np.sin(np.arange(1.0, N + 1) ** 2)
-    phase, z, gap = np.empty(N, complex), np.empty(N, complex), []
-    # a non-finite entry is refused below, so it must not warn here first
-    with np.errstate(invalid="ignore", over="ignore"):
-        for start in range(0, N, PAIRING_BLOCK):
-            blk = slice(start, start + PAIRING_BLOCK)
-            h = basis._rows(blk)
-            phase[blk] = np.exp(-1j * np.angle(h[:, 0]))
-            z[blk] = h @ r
-            gap.append(np.max(np.abs(np.abs(h) - 1.0)))
-        z *= phase
-    _check_hypothesis("unimodularity", float(np.max(gap)))
-    paired = np.flatnonzero(np.abs(z.imag) > HYPOTHESIS_TOL * np.sum(np.abs(r)))
-    key = z.real[paired] + np.abs(z.imag[paired]) / 2
-    order = paired[np.argsort(key)]
-    if order.size % 2:
-        _check_hypothesis("conjugate symmetry", np.inf)
-    p = np.arange(N)
-    p[order[::2]], p[order[1::2]] = order[1::2], order[::2]
-    res = []
-
-    def dephased(blk: np.ndarray, first: int) -> np.ndarray:
-        h = basis._rows(blk) * phase[blk, None]
-        # a self-paired row is its own partner, so the rows blk and the
-        # partners of the paired ones, from ``first`` on, cover every row once
-        q = p[blk[first:]]
-        d = np.concatenate([h[:first], basis._rows(q) * phase[q, None]])
-        d.real -= h.real  # d - conj(h), which is 2i Im(h) on a self-paired row
-        d.imag += h.imag
-        res.append(np.max(np.abs(d)))
-        return h
-
-    pairs = _fold(p, phase, dephased)
-    _check_hypothesis("conjugate symmetry", float(np.max(res)))
-    return pairs
-
-
-def _fold(partner: np.ndarray, phase: np.ndarray, dephased) -> _ConjugatePairs:
-    """The pairs of the row pairing ``partner`` and the real form R, written
-    from ``dephased(blk, first)``, the dephased rows D F[blk] of each block
-    ``blk`` of ``PAIRING_BLOCK`` rows of R, whose paired rows start at
-    ``first``: the self-paired rows, then the lower rows of the pairs."""
-    n = np.arange(partner.size)
-    fixed, lower = np.flatnonzero(partner == n), np.flatnonzero(n < partner)
-    rows, ns = np.concatenate([fixed, lower]), fixed.size
-    k = rows.size
-    real = np.empty((n.size, n.size))
-    for start in range(0, k, PAIRING_BLOCK):
-        blk = rows[start : start + PAIRING_BLOCK]
-        stop, first = start + blk.size, max(start, ns)  # first paired row
-        h = dephased(blk, first - start)
-        real[start:stop] = h.real
-        real[first:stop] *= np.sqrt(2.0)
-        imag = real[k + first - ns : k + stop - ns]
-        np.multiply(h[first - start :].imag, np.sqrt(2.0), out=imag)
-    real.setflags(write=False)
-    return _ConjugatePairs(real, ns, rows, partner, phase)
-
-
 def _recipe_partner(freqs: np.ndarray, numer: np.ndarray, denom: int):
     """The conjugate row pairing of ``fourier_family(freqs, numer, denom)``
     from its integers, or None unless each row has exactly one partner.
@@ -339,22 +301,33 @@ def _recipe_partner(freqs: np.ndarray, numer: np.ndarray, denom: int):
 
 
 def _recipe_fold(freqs, numer, denom: int, partner: np.ndarray) -> _ConjugatePairs:
-    """The pairs of a Fourier basis paired by ``partner``, in one pass: each
-    row of the real form is gathered once from the one table of roots,
-    dephased by the phase of its first entry and folded.  Every entry of
-    the family is a table entry, so the table's largest deviation from
-    unit modulus bounds its unimodularity gap, which is checked first.
+    """The real form of a Fourier basis paired by ``partner``, in one pass of
+    ``PAIRING_BLOCK`` rows of R at a time, the self-paired rows and then
+    the lower rows of the pairs: each is gathered once from the one table
+    of roots, dephased by the phase of its first entry and folded.  Every
+    entry of the family is a table entry, so the table's largest deviation
+    from unit modulus bounds its unimodularity gap, which is checked first.
     """
     roots = _roots(denom)
     _check_hypothesis("unimodularity", float(np.max(np.abs(np.abs(roots) - 1.0))))
     lead = np.remainder(freqs, denom) * (numer[0] % denom) % denom
     phase = np.exp(-1j * np.angle(roots[lead]))
-
-    def dephased(blk: np.ndarray, first: int) -> np.ndarray:
-        idx = _root_index(freqs[blk], numer, denom)
-        return np.take(roots, idx, mode="wrap") * phase[blk, None]
-
-    return _fold(partner, phase, dephased)
+    n = np.arange(partner.size)
+    fixed, lower = np.flatnonzero(partner == n), np.flatnonzero(n < partner)
+    rows, ns = np.concatenate([fixed, lower]), fixed.size
+    k = rows.size
+    real = np.empty((n.size, n.size))
+    for start in range(0, k, PAIRING_BLOCK):
+        blk = rows[start : start + PAIRING_BLOCK]
+        stop, first = start + blk.size, max(start, ns)  # first paired row
+        h = np.take(roots, _root_index(freqs[blk], numer, denom), mode="wrap")
+        h *= phase[blk, None]
+        real[start:stop] = h.real
+        real[first:stop] *= np.sqrt(2.0)
+        imag = real[k + first - ns : k + stop - ns]
+        np.multiply(h[first - start :].imag, np.sqrt(2.0), out=imag)
+    real.setflags(write=False)
+    return _ConjugatePairs(real, ns, rows, partner, phase)
 
 
 def _roots(denom: int) -> np.ndarray:
@@ -387,7 +360,7 @@ def fourier_family(freqs, numer, denom: int) -> np.ndarray:
     writes to ``out`` unbuffered, where the default ``mode="raise"`` gathers
     into a temporary first.
     """
-    freqs, numer = np.asarray(freqs, np.int64), np.asarray(numer, np.int64)
+    freqs, numer = _integers("freqs", freqs), _integers("numer", numer)
     roots = _roots(denom)
     family = np.empty((freqs.size, numer.size), dtype=complex)
     block = np.empty((min(PAIRING_BLOCK, freqs.size), numer.size), np.int64)

@@ -132,10 +132,11 @@ def _half_frequency_family() -> TensorBasis:
     ids=["n4", "n100_last_block"],
 )
 def test_family_violating_scalar_orthonormality_is_refused(basis, residual):
-    # Unimodular and closed under conjugation, so only the isometry check
-    # on the frame operator refuses it, through every decider, with the
-    # column Gram defect max |F^H F / N - I| of the family on its full
-    # support, for the recipe and for its array twin alike.
+    # Unimodular, so only the isometry check on the frame operator refuses
+    # it, through every decider, with the column Gram defect
+    # max |F^H F / N - I| of the family on its full support, for the recipe
+    # (on its real fold) and for its array twin (on the complex family)
+    # alike: F^H F of a family closed under conjugation is real.
     n = basis.grid_size
     F = basis.scalar_family
     defect = np.abs(F.conj().T @ F / n - np.eye(n)).max()
@@ -150,17 +151,18 @@ def test_family_violating_scalar_orthonormality_is_refused(basis, residual):
                 match=rf"^family violates scalar orthonormality \(residual {residual}\)$",
             ):
                 decide(fam)
-    # the pair in the last, ragged block of the fold is folded: its rows of
-    # the real form are those of the array twin, bit for bit
-    pairs = basis._pairs
+    # the pair in the last, ragged block of the fold is folded: the real
+    # form is the one-expression fold of the family, bit for bit
+    pairs = basis._form
     last = pairs.rows[pairs.n_self + PAIRING_BLOCK :]
     assert n == 4 or (last.size == 17 and 99 in pairs.partner[last])
-    assert np.array_equal(pairs.real, twin._pairs.real)
+    assert np.array_equal(pairs.matrix, oracles.real_form(F, pairs.partner))
 
 
 def _phased(F: np.ndarray) -> np.ndarray:
     """F times seeded unimodular column phases: no dephased row of the
-    product is the conjugate of another."""
+    product is the conjugate of another, and the product is an isometry
+    exactly when F is."""
     return F * np.exp(2j * np.pi * np.random.default_rng(79).random(F.shape[1]))
 
 
@@ -174,12 +176,14 @@ def _merged(n: int) -> np.ndarray:
 
 
 # Each family with the first hypothesis it breaks, in the order of the
-# checks; the two phased ones break a later hypothesis too.
+# checks: column phases keep the moduli and the isometry of a family, so a
+# phased family breaks what its unphased one breaks, and the doubled merged
+# family breaks both hypotheses, unimodularity first.
 _BROKEN = {
     "mixed_rows": (oracles.mixed_row_family, "unimodularity"),
     "mixed_rows_phased": (lambda n: _phased(oracles.mixed_row_family(n)), "unimodularity"),
-    "phased": (lambda n: _phased(oracles.dft_family(n)), "conjugate symmetry"),
-    "merged_phased": (lambda n: _phased(_merged(n)), "conjugate symmetry"),
+    "merged_doubled": (lambda n: 2.0 * _merged(n), "unimodularity"),
+    "merged_phased": (lambda n: _phased(_merged(n)), "scalar orthonormality"),
     "merged": (_merged, "scalar orthonormality"),
 }
 
@@ -206,7 +210,7 @@ _ENTRY_POINTS = {
     "witness_ratio": lambda fam, _: witness_ratio(fam, _probe(fam)),
     "bessel_excess": lambda fam, _: bessel_excess(fam, _probe(fam)),
 }
-# the coefficient routes read the real form R alone and form no X^T X
+# the coefficient routes read the form alone and form no X^H X
 _COEFFICIENT_ROUTES = {"lambda_all", "witness_ratio", "bessel_excess"}
 
 
@@ -216,19 +220,20 @@ def test_every_entry_point_refuses_a_family_on_its_first_broken_hypothesis(
     entry, family, monkeypatch
 ):
     # Each hypothesis is checked where the array that needs it is built:
-    # unimodularity and then conjugate symmetry as the basis writes its real
-    # form R, then scalar orthonormality on the frame operator X^T X.  Every
-    # entry point that reads R refuses a family on the first hypothesis it
-    # breaks, with the message of that check, the band decision included.
+    # unimodularity as the basis builds its form, then scalar orthonormality
+    # on the frame operator X^H X, whose off-diagonal defect on a complex
+    # family is the larger of max |Re| and max |Im|.  Every entry point that
+    # reads the form refuses a family on the first hypothesis it breaks,
+    # with the message of that check, the band decision included.
     n = 16
     build, hypothesis = _BROKEN[family]
     F = build(n)
     if hypothesis == "scalar orthonormality":
-        defect = np.abs(F.conj().T @ F / n - np.eye(n)).max()
+        defect = np.abs((F.conj().T @ F / n - np.eye(n)).view(float)).max()
         message = f"family violates {hypothesis} (residual {defect:.3e})"
     else:
         with pytest.raises(ValueError) as err:
-            TensorBasis(F)._pairs
+            TensorBasis(F)._form
         message = str(err.value)
     assert message.startswith(f"family violates {hypothesis} (residual ")
     fam = OperatorFamily(WeightedSpace(n, 2, np.linspace(0.5, 2.0, n)), TensorBasis(F))

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 import framelab
-from framelab import Field, OperatorFamily, WeightedSpace, build_default, classify
+from framelab import (
+    Field,
+    OperatorFamily,
+    TensorBasis,
+    WeightedSpace,
+    build_default,
+    classify,
+)
 from framelab.heisenberg import CenterTranslateModel
 from framelab.shiftinv import make_generator, zak_transform
 
@@ -39,14 +46,15 @@ def test_array_records_compare_by_identity():
         sp,
         Field(np.ones((4, 1))),
         fam.basis,
-        fam.basis._pairs,
+        fam.basis._form,
+        TensorBasis(np.ones((4, 4)))._form,
         fam,
         classify(fam),
         make_generator("gaussian", 4),
         zak_transform(np.ones(8), 4, 2),
         CenterTranslateModel(0.5, 1, resolution=16),
     ]
-    assert len({type(r) for r in records}) == 9
+    assert len({type(r) for r in records}) == 10
     for rec in records:
         twin = copy.copy(rec)
         assert rec == rec and not rec != rec

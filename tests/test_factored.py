@@ -62,8 +62,9 @@ def test_factored_frame_spectrum_matches_dense_svd():
 def test_factored_gram_route_matches_dense_gram():
     # The spectrum comes from the real fold of gs and meets the dense
     # eigensolve to rounding.  onb_cross and onb_norm are the moduli and the
-    # diagonal of the complex scalar Gram, read off the real fold; at M = 1
-    # they are those of the real Gram formed by the same row blocks.
+    # diagonal of the complex scalar Gram, read off the real fold of the
+    # recipe basis, where at M = 1 they are those of the real Gram formed
+    # by the same row blocks, and off the complex Gram of the array basis.
     for fam in _oracle_cases():
         gram = synthesis_gram(fam)
         dense_eig = np.linalg.eigvalsh(gram)
@@ -74,12 +75,12 @@ def test_factored_gram_route_matches_dense_gram():
         cross, unit = rep.residuals["onb_cross"], rep.residuals["onb_norm"]
         scale = float(np.max(np.abs(gram)))
         assert np.max(np.abs(spec - dense_eig)) <= 1e-12 * scale
-        if fam.space.fiber_dim == 1:
+        if fam.space.fiber_dim == 1 and fam.basis._recipe is not None:
             n = fam.space.grid_size
             F = fam.basis.scalar_family
             R = oracles.real_form(F, oracles.conjugate_partner(np.arange(n), n))
             g = oracles.gram_by_row_blocks(R, fam.space.weights)
-            diag, off = oracles.moduli(fam.basis._pairs, g)
+            diag, off = oracles.moduli(fam.basis._form, g)
             assert cross == off and unit == float(np.max(np.abs(diag - 1.0)))
         assert abs(cross - dense_cross) <= 1e-12 * scale
         assert abs(unit - dense_norm) <= 1e-12 * scale
@@ -156,19 +157,22 @@ def test_working_set_routes_match_dense_forms_bit_for_bit(monkeypatch):
         for F, args, partner, _ in _family_kinds(n):
             gap = float(np.max(np.abs(np.abs(F) - 1.0)))
             checks.clear()
+            # the array basis checks max abs(|F| - 1) on every entry and
+            # keeps the family as given, without a copy
             basis = TensorBasis(F)
-            R = oracles.real_form(F, partner)
-            assert _same_bits(basis._pairs.real, R)
-            # the array basis checks max abs(|F| - 1), measured on every
-            # entry by its keyed pass, before its conjugate pairing
-            assert checks[0] == ("unimodularity", gap)
-            assert [name for name, _ in checks[1:]] == ["conjugate symmetry"]
+            assert np.shares_memory(basis._form.matrix, F)
+            assert _same_bits(basis._form.matrix, F)
+            assert checks == [("unimodularity", gap)]
             # a recipe basis checks its table of roots, whose largest
             # deviation from unit modulus bounds every entry it gathers, and
             # then folds the same family in one pass
             checks.clear()
+            R = oracles.real_form(F, partner)
             recipe = TensorBasis.fourier(*args)
-            assert _same_bits(recipe._pairs.real, R)
+            assert _same_bits(recipe._form.matrix, R)
+            # conj of a real array is the array itself, so the Gram routes
+            # take R^T, not a copy of R (numpy 1.24 and later)
+            assert recipe._form.matrix.conj() is recipe._form.matrix
             table = np.exp(2j * np.pi * np.arange(args[2]) / args[2])
             assert checks == [("unimodularity", float(np.max(np.abs(np.abs(table) - 1.0))))]
             assert gap <= checks[0][1] <= 1e-15
@@ -187,25 +191,25 @@ def test_working_set_routes_match_dense_forms_bit_for_bit(monkeypatch):
                 sp = WeightedSpace(n, 1, weights)
                 # the fold is taken in the space's unit, so multiplied back
                 # by it, exactly, it is the absolute fold bit for bit
-                fold = np.ldexp(_gram_fold(OperatorFamily(sp, basis)), sp.unit_exponent)
+                fold = np.ldexp(_gram_fold(OperatorFamily(sp, recipe)), sp.unit_exponent)
                 assert _same_bits(fold, oracles.gram_by_row_blocks(R, weights))
                 whole = oracles.real_gram(R, weights)
                 assert np.max(np.abs(fold - whole)) <= 1e-15 * weights.max()
 
 
 def _fold_cases():
-    """The family of each scalar family a runner builds, at ``BIT_SIZES``,
-    with and without dead nodes, at M = 1 and at M = 3."""
+    """The recipe basis of each scalar family a runner builds, at
+    ``BIT_SIZES``, with and without dead nodes, at M = 1 and at M = 3."""
     rng = np.random.default_rng(73)
     for n in BIT_SIZES:
-        for F, *_ in _family_kinds(n):
+        for _, args, *_ in _family_kinds(n):
             w = rng.uniform(0.1, 3.0, n)
             dead = w.copy()
             dead[1::3] = 0.0
             for m in (1, 3):
                 for weights in (w, dead):
                     sp = WeightedSpace(n, m, weights)
-                    yield OperatorFamily(sp, TensorBasis(F))
+                    yield OperatorFamily(sp, TensorBasis.fourier(*args))
 
 
 def test_moduli_match_complex_scalar_gram():
@@ -220,7 +224,7 @@ def test_moduli_match_complex_scalar_gram():
             sp = WeightedSpace(n, 1, w)
             gs = oracles.weighted_scalar_gram(F, w)
             real = _gram_fold(OperatorFamily(sp, fam.basis))
-            diag, off = fam.basis._pairs.moduli(real)
+            diag, off = fam.basis._form.moduli(real)
             diag, off = np.ldexp(diag, sp.unit_exponent), np.ldexp(off, sp.unit_exponent)
             scale = float(w.max())
             gap = np.max(np.abs(np.sort(diag) - np.sort(np.diag(gs).real)))
@@ -239,7 +243,7 @@ def test_streamed_moduli_match_whole_matrix_bit_for_bit():
     for fam in _fold_cases():
         if fam.space.fiber_dim > 1:
             continue
-        pairs, n = fam.basis._pairs, fam.space.grid_size
+        pairs, n = fam.basis._form, fam.space.grid_size
         fold = _gram_fold(fam)
         a = rng.standard_normal((n, n))
         sym = a + a.T
@@ -295,28 +299,32 @@ def test_folded_spectra_match_complex_oracles_and_weights():
         assert np.max(np.abs(gram - np.sort(np.repeat(w, m)))) <= 1e-12 * scale
 
 
-def test_family_not_closed_under_conjugation_is_refused():
+def test_family_not_closed_under_conjugation_is_accepted():
     # Random column phases keep the family unimodular and orthonormal, but
-    # no dephased row is the conjugate of another.
+    # no dephased row is the conjugate of another.  Closure under
+    # conjugation is no hypothesis: every decider accepts the family and
+    # gives it the decision of the Fourier family, and its coefficients are
+    # those of the Fourier family times the conjugate phases.
     n = 8
     rng = np.random.default_rng(79)
-    F = build_default(n).scalar_family * np.exp(2j * np.pi * rng.random(n))
+    u = np.exp(2j * np.pi * rng.random(n))
+    F = build_default(n).scalar_family * u
     sp = WeightedSpace(n, 2, np.linspace(0.5, 2.0, n))
-    fam = OperatorFamily(sp, TensorBasis(F))
+    fam, dft = (OperatorFamily(sp, b) for b in (TensorBasis(F), build_default(n)))
     assert np.max(np.abs(np.abs(F) - 1.0)) <= 1e-12
     assert np.max(np.abs(oracles.scalar_gram_defect(F))) <= 1e-12
     f = random_field(sp, np.random.default_rng(80))
-    checks = (
-        classify,
-        decide_frame,
-        decide_onb,
-        frame_spectrum,
-        lambda fam: lambda_all(fam, f),
-        lambda fam: witness_ratio(fam, f),
-    )
-    for decide in checks:
-        with pytest.raises(ValueError, match="conjugate symmetry"):
-            decide(fam)
+    # sum_i conj(F[n, i]) u_i f_i = sum_i conj(f_n(x_i)) f_i, with |u_i| = 1
+    shifted = Field(f.values * u[:, None])
+    assert np.max(np.abs(lambda_all(fam, shifted) - lambda_all(dft, f))) <= 1e-14
+    assert abs(witness_ratio(fam, shifted) - witness_ratio(dft, f)) <= 1e-14
+    assert np.max(np.abs(frame_spectrum(fam) - frame_spectrum(dft))) <= 1e-14
+    for decide in (classify, decide_frame, decide_onb):
+        got, want = decide(fam), decide(dft)
+        assert got.verdict is want.verdict
+        assert got.residuals.keys() == want.residuals.keys()
+        for key, value in want.residuals.items():
+            assert abs(got.residuals[key] - value) <= 1e-14, key
 
 
 @pytest.mark.parametrize("n", [16, 512])
@@ -327,7 +335,7 @@ def test_walsh_hadamard_family_is_classified(n):
     H = oracles.walsh_family(n)
     w = np.linspace(0.5, 2.0, n)
     fam = OperatorFamily(WeightedSpace(n, 1, w), TensorBasis(H))
-    assert fam.basis._pairs.n_self == n
+    assert np.array_equal(fam.basis._form.matrix, H)  # its form is the family
     assert classify(fam, rng=np.random.default_rng(0)).verdict is Verdict.RIESZ_BASIS
     tol = 1e-12 * w.max()
     assert np.max(np.abs(frame_spectrum(fam) - np.sort(w))) <= tol
@@ -424,17 +432,18 @@ def test_node_permutation_keeps_spectrum_and_verdict(case, rnd):
 
 
 def _repeat_cases():
-    """(scalar family, weights with zeros) of each runner family and, at a
-    power of 2, the Walsh-Hadamard family, at N = 7, 64 and 100."""
+    """(basis, weights with zeros) of the recipe basis of each runner family
+    and, at a power of 2, the array basis of the Walsh-Hadamard family, at
+    N = 7, 64 and 100."""
     rng = np.random.default_rng(83)
     for n in (7, 64, 100):
-        families = [F for F, *_ in _family_kinds(n)]
+        bases = [TensorBasis.fourier(*args) for _, args, *_ in _family_kinds(n)]
         if n & (n - 1) == 0:
-            families.append(oracles.walsh_family(n))
-        for F in families:
+            bases.append(TensorBasis(oracles.walsh_family(n)))
+        for basis in bases:
             w = rng.uniform(0.1, 3.0, n)
             w[1::3] = 0.0
-            yield F, w
+            yield basis, w
 
 
 @pytest.mark.parametrize("m", [2, 3, 16])
@@ -447,9 +456,8 @@ def test_fiber_dimension_only_repeats_the_scalar_values(m):
     # the column count; with OpenBLAS 0.3.31 (Haswell kernels) the last bit
     # differs from a 2-column product at M >= 3 and N >= 64.
     rng = np.random.default_rng(m)
-    for F, w in _repeat_cases():
+    for basis, w in _repeat_cases():
         n = w.size
-        basis = TensorBasis(F)
         one = OperatorFamily(WeightedSpace(n, 1, w), basis)
         fam = OperatorFamily(WeightedSpace(n, m, w), basis)
         assert _same_bits(frame_spectrum(fam), np.repeat(frame_spectrum(one), m))

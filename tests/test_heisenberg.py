@@ -305,8 +305,8 @@ def test_frame_report_is_the_frame_decision_on_the_band(eps, d):
     w = np.where(grid > eps, grid**d, 0.0)
     sp = WeightedSpace(r, 1, w)
     k = np.arange(r)
-    scal = fourier_family(r // 2 - k, 2 * k + 1, 2 * r)
-    fam = OperatorFamily(sp, TensorBasis(scal))
+    # the recipe basis a run builds, so the two decisions share its real fold
+    fam = OperatorFamily(sp, TensorBasis.fourier(r // 2 - k, 2 * k + 1, 2 * r))
     whole = decide_frame(fam, tol)
     band = w > 0
     lo, hi = w[band].min(), w[band].max()

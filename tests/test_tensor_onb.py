@@ -88,7 +88,7 @@ def test_recipe_basis_keeps_only_the_real_form():
         assert basis.grid_size == n
         tracemalloc.start()
         try:
-            basis._pairs
+            basis._form
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -105,7 +105,7 @@ def test_default_family_is_unimodular_orthonormal():
     for n in (1, 2, 8, 16):
         basis = build_default(n)
         assert np.max(np.abs(np.abs(basis.scalar_family) - 1.0)) < 1e-12
-        R = basis._pairs.real  # which the basis writes once it holds its hypotheses
+        R = basis._form.matrix  # which the basis writes once it holds its hypotheses
         assert _isometry_residual(R.T @ R, n) < 1e-12
 
 
@@ -123,7 +123,7 @@ def test_fourier_family_reduces_each_factor_before_the_product():
     big = TensorBasis.fourier(i + 2**40 * n, i - 2**41 * n, n)
     small = build_default(n)
     assert big.scalar_family.tobytes() == small.scalar_family.tobytes()
-    assert big._pairs.real.tobytes() == small._pairs.real.tobytes()
+    assert big._form.matrix.tobytes() == small._form.matrix.tobytes()
 
 
 @st.composite
@@ -148,16 +148,39 @@ def _closed_recipes(draw):
     return freqs, numer, denom
 
 
-@settings(max_examples=150, deadline=None)
+def _decision(decide, fam):
+    """The report of ``decide`` on ``fam``, or the message of its refusal."""
+    try:
+        return decide(fam)
+    except ValueError as err:
+        return str(err)
+
+
+def _assert_same_report(got, want, tol=1e-13):
+    """One verdict, and spectrum, Gram bounds and every residual within ``tol``."""
+    assert got.verdict is want.verdict
+    for name in ("spectrum", "gram_bounds"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.max(np.abs(np.subtract(a, b))) <= tol, name
+    assert got.residuals.keys() == want.residuals.keys()
+    for key, value in want.residuals.items():
+        assert abs(got.residuals[key] - value) <= tol, key
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_closed_recipes(), st.data())
-def test_recipe_pairs_match_their_array_twin_bit_for_bit(recipe, data):
-    # A Fourier basis pairs its rows from its integers and gathers the real
-    # form from its table; its array twin finds the pairing on its keys and
-    # checks it on every entry.  Both give the same pairs, bit for bit, and
-    # the twin's unimodularity gap, measured on every entry, is within the
-    # gap of the recipe's table of roots, which the recipe checks instead.
-    # With one negated frequency dropped or held twice, every decider
-    # refuses the recipe as it refuses its twin.
+def test_recipe_and_its_array_twin_give_one_decision(recipe, data):
+    # A Fourier basis pairs its rows from its integers and decides on its
+    # real fold; its array twin holds the family as given and decides on it
+    # in complex arithmetic.  The twin's unimodularity gap, measured on
+    # every entry, is within the gap of the recipe's table of roots, which
+    # the recipe checks instead.  Every decider gives both one verdict, with
+    # spectra and residuals within 1e-13, or refuses both on the isometry
+    # with residuals within 1e-13.  With one negated frequency dropped or
+    # held twice the recipe pairs no rows, and every decider refuses it and
+    # its twin, which hold the same family, with one message.
     checks = []
     check = tensor_onb._check_hypothesis
 
@@ -166,29 +189,33 @@ def test_recipe_pairs_match_their_array_twin_bit_for_bit(recipe, data):
         check(name, residual)
 
     basis = TensorBasis.fourier(*recipe)
-    twin = TensorBasis(basis.scalar_family)
+    n = basis.grid_size
+    space = WeightedSpace(n, 1, np.linspace(0.5, 2.0, n))
+    bases = (basis, TensorBasis(basis.scalar_family))
     with mock.patch.object(tensor_onb, "_check_hypothesis", record):
-        pairs, twin_pairs = basis._pairs, twin._pairs
-    for name in ("real", "rows", "partner", "phase"):
-        got, want = getattr(pairs, name), getattr(twin_pairs, name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert pairs.n_self == twin_pairs.n_self
-    (table_check, table_gap), (twin_check, twin_gap) = checks[:2]
+        forms = [b._form for b in bases]
+    (table_check, table_gap), (twin_check, twin_gap) = checks
     assert table_check == twin_check == "unimodularity"
-    assert twin_gap == float(np.max(np.abs(np.abs(twin.scalar_family) - 1.0)))
+    assert twin_gap == float(np.max(np.abs(np.abs(bases[1].scalar_family) - 1.0)))
     assert twin_gap <= table_gap <= 1e-15
+    residuals = [_isometry_residual(f.matrix.conj().T @ f.matrix, n) for f in forms]
+    assert abs(residuals[0] - residuals[1]) <= 1e-13
+    for decide in (classify, decide_frame, decide_onb):
+        got, want = (_decision(decide, OperatorFamily(space, b)) for b in bases)
+        if isinstance(want, str):
+            assert isinstance(got, str)
+            for message in (got, want):
+                assert message.startswith("family violates scalar orthonormality ")
+        else:
+            _assert_same_report(got, want)
     freqs, numer, denom = recipe
-    n = freqs.size
     i = data.draw(st.integers(0, n - 1))
     j = data.draw(st.sampled_from(np.flatnonzero(freqs != freqs[i]).tolist() or [i]))
     broken = freqs.copy()
     broken[j] = freqs[i]  # -freqs[j] loses its row, or freqs[i] gains one
     assume(not np.array_equal(broken, freqs))
-    space = WeightedSpace(n, 1, np.linspace(0.5, 2.0, n))
     basis = TensorBasis.fourier(broken, numer, denom)
     fams = [OperatorFamily(space, b) for b in (basis, TensorBasis(basis.scalar_family))]
-    # mostly a conjugate symmetry refusal; two rows on one self-conjugate
-    # frequency still pair, and are refused as no isometry
     for decide in (classify, decide_frame, decide_onb):
         messages = []
         for fam in fams:
@@ -196,97 +223,68 @@ def test_recipe_pairs_match_their_array_twin_bit_for_bit(recipe, data):
                 decide(fam)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
-        assert messages[0].startswith("family violates ")
+        assert messages[0].startswith("family violates scalar orthonormality ")
 
 
-# (recipe, tied rows, coefficient c, its partner) of two families whose
-# rows a sort on Re z + c |Im z| of their keys z cannot tell apart: seven
-# repeated nodes give four rows one real part (c = 0), and in a family of
-# denominator 16 four rows, two pairs, share the key for c = tan(pi/8).
-TIE_RECIPES = {
-    "re": (
-        ([0, 1, 14, 2, 13, 3, 12, 4, 11], [34, 1, 1, 1, 1, 1, 1, 1, -1], 15),
-        [1, 2, 7, 8],
-        0.0,
-        [0, 2, 1, 4, 3, 6, 5, 8, 7],
-    ),
-    "tan": (
-        ([5, 3, 11, 13], [0, 2, 1, 1], 16),
-        [0, 1, 2, 3],
-        np.tan(np.pi / 8),
-        [2, 3, 0, 1],
-    ),
-}
+def test_non_integral_recipe_integers_are_refused():
+    # Frequencies and numerators are integers: a non-integral, non-finite or
+    # out-of-int64 value is refused by both entry points, naming its
+    # argument, where it used to be truncated or to raise another error.
+    k = np.arange(4)
+    bad = (
+        [0, 1.5, 2.7, 3],
+        [0.5, 1, 2, 3],
+        [0, 1, 2, 1e300],
+        [0, 1, 2, np.inf],
+        [0, 1, 2, -np.inf],
+        [0, 1, 2, np.nan],
+        [0, 1, 2, 2.0**63],
+    )
+    for values in bad:
+        with pytest.raises(ValueError, match="^freqs must hold int64 integers"):
+            TensorBasis.fourier(values, k, 4)
+        with pytest.raises(ValueError, match="^numer must hold int64 integers"):
+            TensorBasis.fourier(k, values, 4)
+        with pytest.raises(ValueError, match="^freqs must hold int64 integers"):
+            fourier_family(values, k, 4)
+        with pytest.raises(ValueError, match="^numer must hold int64 integers"):
+            fourier_family(k, values, 4)
+    with pytest.raises(ValueError, match=r"^freqs must hold int64 integers, got 0\.5$"):
+        fourier_family([0.5], [1], 4)
+    with pytest.raises(ValueError, match="^freqs must hold int64 integers"):
+        fourier_family([2**70], [1], 4)
+    # integral values of any dtype give the family of their int64 values
+    want = build_default(4).scalar_family
+    for values in (k, k.astype(float), k.tolist(), k.astype(np.uint8), [0.0, 1.0, 2, 3]):
+        assert np.array_equal(TensorBasis.fourier(values, values, 4).scalar_family, want)
+        assert np.array_equal(fourier_family(values, values, 4), want)
+    assert fourier_family([-(2**63)], [1], 4)[0, 0] == 1.0
 
 
-@pytest.mark.parametrize("name", sorted(TIE_RECIPES))
-def test_array_twin_pairs_rows_whose_keys_tie(name):
-    # The tied rows share Re z + c |Im z| of their keys z = D F r to
-    # rounding, so in the order of that key a row's partner need not be
-    # its neighbour.  The array twin still pairs the rows as the recipe
-    # does, and folds them to the same pairs, bit for bit.
-    recipe, rows, c, partner = TIE_RECIPES[name]
-    basis = TensorBasis.fourier(*recipe)
-    F = basis.scalar_family
-    r = np.sin(np.arange(1.0, F.shape[0] + 1) ** 2)
-    z = (F * np.exp(-1j * np.angle(F[:, :1]))) @ r
-    assert np.ptp((z.real + c * np.abs(z.imag))[rows]) <= 1e-14
-    pairs, twin = basis._pairs, TensorBasis(F)._pairs
-    assert pairs.partner.tolist() == partner
-    for attr in ("real", "rows", "partner", "phase"):
-        got, want = getattr(twin, attr), getattr(pairs, attr)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-def _outcome(fam) -> str:
-    """The verdict of ``classify``, or the message of its refusal."""
-    try:
-        return classify(fam).verdict.value
-    except ValueError as err:
-        return str(err)
-
-
-def _permutation_case(name: str):
-    """(family, its conjugate row pairing) of the named case: the pairing of
-    a Fourier family from its integers, and the identity for the real rows
-    of the Walsh-Hadamard family."""
-    if name == "walsh16":
-        return walsh_family(16), np.arange(16)
-    if name in TIE_RECIPES:
-        basis = TensorBasis.fourier(*TIE_RECIPES[name][0])
-    else:
-        basis = build_default(64)
-    return basis.scalar_family, basis._pairs.partner
-
-
-@pytest.mark.parametrize("name", ["re", "tan", "dft64", "walsh16"])
-def test_array_pairing_commutes_with_row_permutations(name):
-    # Permuting the rows of an array basis permutes its pairing: row i of
-    # F[perm] is row perm[i] of F, so its partner is the row of F[perm]
-    # that holds p(perm[i]), inv[p[perm]] with inv the inverse permutation.
-    # The verdict, or the refusal, of classify does not move, and for the
-    # families it accepts neither do its spectrum, Gram bounds and residuals.
-    family, partner = _permutation_case(name)
-    n = family.shape[0]
-    space = WeightedSpace(n, 1, np.linspace(0.5, 2.0, n))
-    want = _outcome(OperatorFamily(space, TensorBasis(family)))
-    kept = name in ("dft64", "walsh16")
-    if kept:
-        rep = classify(OperatorFamily(space, TensorBasis(family)))
-    rng = np.random.default_rng(33)
-    for _ in range(40):
-        perm = rng.permutation(n)
-        basis = TensorBasis(family[perm])
-        assert np.array_equal(basis._pairs.partner, np.argsort(perm)[partner[perm]])
-        fam = OperatorFamily(space, basis)
-        assert _outcome(fam) == want
-        if kept:
-            got = classify(fam)
-            assert np.max(np.abs(got.spectrum - rep.spectrum)) <= 1e-13
-            assert np.max(np.abs(np.subtract(got.gram_bounds, rep.gram_bounds))) <= 1e-13
-            assert got.residuals.keys() == rep.residuals.keys()
-            for key, value in rep.residuals.items():
-                assert abs(got.residuals[key] - value) <= 1e-13, key
+@pytest.mark.parametrize("name", ["dft64", "walsh16"])
+def test_decisions_ignore_column_phases_and_row_order(name):
+    # F diag(u) for unit u is an isometry with the moduli of F, though no
+    # dephased row of it is the conjugate of another, and so is F with its
+    # rows permuted.  Each array is taken as given: classify gives each the
+    # verdict of F, and its spectrum, Gram bounds and every residual within
+    # 1e-13 (onb_parseval too, since F is orthonormal: the energies of its
+    # random probes do not move).
+    F = build_default(64).scalar_family if name == "dft64" else walsh_family(16)
+    n = F.shape[0]
+    weights = {
+        "ramp": np.linspace(0.5, 2.0, n),
+        "step": np.where(np.arange(n) < n // 4, 0.0, 1.0),
+        "constant": np.ones(n),
+    }
+    rng = np.random.default_rng(36)
+    for w in weights.values():
+        space = WeightedSpace(n, 1, w)
+        want = classify(OperatorFamily(space, TensorBasis(F)))
+        for _ in range(5):
+            u, perm = np.exp(2j * np.pi * rng.random(n)), rng.permutation(n)
+            for G in (F * u, F[perm], F[perm] * u):
+                got = classify(OperatorFamily(space, TensorBasis(G)))
+                _assert_same_report(got, want)
 
 
 def test_tensor_field_values():
