@@ -261,8 +261,9 @@ def test_non_integral_recipe_integers_are_refused():
     assert fourier_family([-(2**63)], [1], 4)[0, 0] == 1.0
 
 
+@pytest.mark.parametrize("weight", ["ramp", "step", "constant"])
 @pytest.mark.parametrize("name", ["dft64", "walsh16"])
-def test_decisions_ignore_column_phases_and_row_order(name):
+def test_decisions_ignore_column_phases_and_row_order(name, weight):
     # F diag(u) for unit u is an isometry with the moduli of F, though no
     # dephased row of it is the conjugate of another, and so is F with its
     # rows permuted.  Each array is taken as given: classify gives each the
@@ -271,20 +272,19 @@ def test_decisions_ignore_column_phases_and_row_order(name):
     # random probes do not move).
     F = build_default(64).scalar_family if name == "dft64" else walsh_family(16)
     n = F.shape[0]
-    weights = {
+    w = {
         "ramp": np.linspace(0.5, 2.0, n),
         "step": np.where(np.arange(n) < n // 4, 0.0, 1.0),
         "constant": np.ones(n),
-    }
+    }[weight]
     rng = np.random.default_rng(36)
-    for w in weights.values():
-        space = WeightedSpace(n, 1, w)
-        want = classify(OperatorFamily(space, TensorBasis(F)))
-        for _ in range(5):
-            u, perm = np.exp(2j * np.pi * rng.random(n)), rng.permutation(n)
-            for G in (F * u, F[perm], F[perm] * u):
-                got = classify(OperatorFamily(space, TensorBasis(G)))
-                _assert_same_report(got, want)
+    space = WeightedSpace(n, 1, w)
+    want = classify(OperatorFamily(space, TensorBasis(F)))
+    for _ in range(5):
+        u, perm = np.exp(2j * np.pi * rng.random(n)), rng.permutation(n)
+        for G in (F * u, F[perm], F[perm] * u):
+            got = classify(OperatorFamily(space, TensorBasis(G)))
+            _assert_same_report(got, want)
 
 
 def test_tensor_field_values():
