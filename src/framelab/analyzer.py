@@ -167,12 +167,12 @@ def _gram_spectrum(fold: np.ndarray, space: WeightedSpace) -> np.ndarray:
     negative ones from zero-weight nodes included), multiplied back by the
     unit 2^e of ``space``, each ``space.fiber_dim`` times.
 
-    A real fold is the real symmetric U D gs D^H U^H of the weighted scalar
-    Gram gs, with D the row dephasing and U the sparse unitary of the
-    basis's conjugate row pairing, so it has the spectrum of gs and
-    ``eigvalsh`` runs in real arithmetic on the family entries.  The fold
-    is not an FFT: for the discrete Fourier family an FFT would
-    diagonalize gs and read back the weights, and check nothing.
+    A real fold is the real symmetric U gs U^H of the weighted scalar Gram
+    gs, with U the sparse unitary of the basis's conjugate row pairing, so
+    it has the spectrum of gs and ``eigvalsh`` runs in real arithmetic on
+    the family entries.  The fold is not an FFT: for the discrete Fourier
+    family an FFT would diagonalize gs and read back the weights, and check
+    nothing.
     """
     spec = np.ldexp(np.linalg.eigvalsh(fold), space.unit_exponent)
     return np.repeat(spec, space.fiber_dim)

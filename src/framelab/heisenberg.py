@@ -18,14 +18,17 @@ of the weight.
 
 The frame verdict is ``analyzer.decide_frame`` on the family alone, with
 ``band``: its bounds and witness over the positive-weight band, the span of
-the translates.  The basis gathers the rows of its real form from its
-table of roots in one pass, so it keeps only the real form; the table
-bounds its unimodularity gap.  Its R consecutive frequencies on the R
-midpoints make it orthonormal by construction, and the decision checks so
-on the band's frame operator X^T X before the weight scales it: the
-isometry costs no copy and no product beyond the one the frame route takes
-anyway.  The witness ratio goes through the coefficient functionals, which
-form no R x R array either.
+the translates.  The family is the discrete Fourier family
+``build_default(R)``: on the midpoint grid its row n is the translate
+exponential e^(2 pi i n alpha) times a constant of unit modulus, which
+moves no frame bound, spectrum or coefficient modulus.  Its rows pair with
+their conjugates, so the basis gathers the rows of its real form from its
+table of roots in one pass and keeps only the real form; the table bounds
+its unimodularity gap.  The family is orthonormal by construction, and the
+decision checks so on the band's frame operator X^T X before the weight
+scales it: the isometry costs no copy and no product beyond the one the
+frame route takes anyway.  The witness ratio goes through the coefficient
+functionals, which form no R x R array either.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 
 from .analyzer import VERDICT_TOL, FrameReport, decide_frame
 from .operators import OperatorFamily
-from .tensor_onb import TensorBasis
+from .tensor_onb import build_default
 from .wspace import WeightedSpace, _integer
 
 __all__ = [
@@ -250,14 +253,11 @@ def _band_space(eps: float, d: int, resolution: int) -> WeightedSpace:
 
 
 def _band_report(space: WeightedSpace, tol: float) -> FrameReport:
-    """``frame_report`` on its weighted space, for the orthonormal family
-    e^(-2 pi i k alpha), k = -R//2 .. R - R//2 - 1, whose basis gathers its
-    real form in one pass and keeps it alone."""
-    R = space.grid_size
-    n = np.arange(R)
-    # alpha_i = (2i + 1) / 2R
-    basis = TensorBasis.fourier(R // 2 - n, 2 * n + 1, 2 * R)
-    fam = OperatorFamily(space, basis)
+    """``frame_report`` on its weighted space, for the discrete Fourier
+    family ``build_default(R)``: on alpha_i = (i + 1/2) / R its row n is the
+    translate exponential e^(2 pi i n alpha_i) times the constant
+    e^(-pi i n / R), which moves no bound, spectrum or coefficient modulus."""
+    fam = OperatorFamily(space, build_default(space.grid_size))
     rep = decide_frame(fam, tol, band=True)
     share = {"support_fraction": float(space.support.mean())}
     return replace(rep, residuals={**rep.residuals, **share})

@@ -58,11 +58,10 @@ def lambda_all(fam: OperatorFamily, field: Field) -> np.ndarray:
     With V the N x M field values, this is conj(F W) with
     W = conj((w/N) V), and F W is the basis's form applied to W: one real
     product R W on the float64 view of W, unfolded row pair by row pair
-    and dephased in O(N M), for a real fold R = U D F
-    (``_ConjugatePairs.apply``), else the complex product F W.  No N x N
-    array beside the form is read or made.  Every coefficient energy of
-    the package (witness ratios, Parseval probes, the Bessel bound) goes
-    through here.
+    in O(N M), for a real fold R = U F (``_ConjugatePairs.apply``), else
+    the complex product F W.  No N x N array beside the form is read or
+    made.  Every coefficient energy of the package (witness ratios,
+    Parseval probes, the Bessel bound) goes through here.
 
     Raises:
         ValueError: if the family is not unimodular.
@@ -105,10 +104,9 @@ def frame_spectrum(fam: OperatorFamily) -> np.ndarray:
     same spectrum.  X^H X (``_support_gram``, which checks the isometry on
     it first) is one product, and ``eigvalsh`` reads its lower triangle
     once D has scaled its rows and columns in place.  A real fold R is a
-    fixed sparse unitary (the conjugate row pairing, after each row is
-    dephased) applied to the family, so the product runs in real
-    arithmetic; it diagonalizes nothing, so the eigensolve still checks
-    the weights independently.
+    fixed sparse unitary (the conjugate row pairing) applied to the
+    family, so the product runs in real arithmetic; it diagonalizes
+    nothing, so the eigensolve still checks the weights independently.
 
     D is taken from the space's unit weights w_S / 2^e, and the eigenvalues
     are multiplied back by 2^e, so the eigensolve sees a matrix of norm

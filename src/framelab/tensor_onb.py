@@ -12,6 +12,8 @@ A family must be unimodular and an isometry, F^H F = N I; closure under
 conjugation is no hypothesis.  A Fourier basis whose integers pair its
 rows with their conjugates holds the real fold R of its family, which runs
 every N x N product in real arithmetic; every other basis holds F itself.
+A constant phase per row moves no frame bound, so no runner needs a
+family whose rows pair only up to one.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from .wspace import _integer, _readonly
 __all__ = ["TensorBasis", "build_default", "fourier_family"]
 
 HYPOTHESIS_TOL = 1e-9
-# Rows of a family gathered, dephased and folded at a time, and of a Gram
-# read at a time, so that neither building a family nor folding it nor
-# reading its moduli holds another N x N temporary.
+# Rows of a family gathered and folded at a time, and of a Gram read at a
+# time, so that neither building a family nor folding it nor reading its
+# moduli holds another N x N temporary.
 PAIRING_BLOCK = 32
 
 
@@ -58,16 +60,17 @@ def _isometry_residual(gram: np.ndarray, n: int) -> float:
 
 
 def _integers(name: str, a) -> np.ndarray:
-    """``a`` as an int64 array; a value that is non-integral, non-finite or
-    outside int64 is refused, not truncated.  An array of a dtype that casts
-    safely to int64 is not scanned."""
+    """``a`` as an int64 array; a value that is non-integral, non-real,
+    non-finite or outside int64 is refused, not truncated.  An array of a
+    dtype that casts safely to int64 is not scanned."""
     a = np.asarray(a)
     if not np.can_cast(a.dtype, np.int64):
-        x = np.asarray(a, dtype=float)
+        x = np.asarray(np.real(a), dtype=float)
         bad = ~((np.floor(x) == x) & (-(2.0**63) <= x) & (x < 2.0**63))
+        bad |= np.imag(a) != 0
         if bad.any():
-            raise ValueError(f"{name} must hold int64 integers, got {float(x[bad][0])}")
-    return np.asarray(a, np.int64)
+            raise ValueError(f"{name} must hold int64 integers, got {a[bad][0]}")
+    return np.asarray(np.real(a), np.int64)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -82,7 +85,7 @@ class TensorBasis:
     bit those of the whole family, so it holds no complex N x N array.
 
     ``_form`` holds the form the N x N products of a run take, built once:
-    the read-only real fold R = U D F of a Fourier basis whose integers
+    the read-only real fold R = U F of a Fourier basis whose integers
     pair its rows (``_ConjugatePairs``), at a quarter of the flops of a
     complex product, and F itself for every other basis (``_ComplexForm``).
     Both spectral routes, the isometry check on the frame operator and
@@ -173,43 +176,39 @@ class _ComplexForm:
 class _ConjugatePairs:
     """The real form of a Fourier family F whose integers pair its rows.
 
-    Once each row is dephased by its first entry (D, a diagonal of unit
-    moduli), the family has for each row n a row p(n) equal to its
-    conjugate.  U is the unitary that keeps a self-paired row and sends a
-    pair n < p to (e_n + e_p)/sqrt(2) and (e_n - e_p)/(i sqrt(2)), so
-    R = U D F is real, and R^T R = F^H F: R has the Gram, and so the
-    singular values, of F on every column set, and under node weights w
-    its Gram R w R^T has the spectrum of F w F^H.  So the isometry
-    hypothesis F^H F = N I is read off R^T R (``_isometry_residual``), and
-    the moduli of a weighted Gram F w F^H off its real fold (``moduli``).
-    U and D regroup entries and diagonalize nothing, so a spectrum taken on
-    R is still a dense decomposition of the family.
+    The family has for each row n a row p(n) equal to its conjugate.  U
+    is the unitary that keeps a self-paired row and sends a pair n < p to
+    (e_n + e_p)/sqrt(2) and (e_n - e_p)/(i sqrt(2)), so R = U F is real,
+    and R^T R = F^H F: R has the Gram, and so the singular values, of F on
+    every column set, and under node weights w its Gram R w R^T has the
+    spectrum of F w F^H.  So the isometry hypothesis F^H F = N I is read
+    off R^T R (``_isometry_residual``), and the moduli of a weighted Gram
+    F w F^H off its real fold (``moduli``).  U regroups entries and
+    diagonalizes nothing, so a spectrum taken on R is still a dense
+    decomposition of the family.
 
     Attributes:
         matrix: read-only N x N array R.  Its rows are the real parts of the
-            ``n_self`` dephased self-paired rows, then sqrt(2) times the
-            real parts of the dephased lower rows n of the pairs, then
-            sqrt(2) times their imaginary parts, in the same order.
+            ``n_self`` self-paired rows, then sqrt(2) times the real parts
+            of the lower rows n of the pairs, then sqrt(2) times their
+            imaginary parts, in the same order.
         n_self: the number of self-paired rows.
         rows: the family row of each of the first ``rows.size`` rows of R,
             the self-paired rows and then the lower rows of the pairs.
         partner: p(n) for every family row n.
-        phase: the diagonal of D, one unit modulus per family row.
     """
 
     matrix: np.ndarray
     n_self: int
     rows: np.ndarray
     partner: np.ndarray
-    phase: np.ndarray
 
     def apply(self, W: np.ndarray) -> np.ndarray:
         """F W for a C-ordered complex W, as one real product R W on its
-        float64 view, unfolded: with y = R W = U D F W, whose rows are
-        (D F W)[s] for a self-paired row s, and (D F W)[n] = (y[a] + i y[b])
-        / sqrt(2) and (D F W)[p(n)] = (y[a] - i y[b]) / sqrt(2) for a pair
-        n < p(n) with real rows a, b; undoing D is one conjugate phase per
-        row.  The unfold is O(N M)."""
+        float64 view, unfolded: with y = R W = U F W, whose rows are
+        (F W)[s] for a self-paired row s, and (F W)[n] = (y[a] + i y[b])
+        / sqrt(2) and (F W)[p(n)] = (y[a] - i y[b]) / sqrt(2) for a pair
+        n < p(n) with real rows a, b.  The unfold is O(N M)."""
         y = (self.matrix @ W.view(float)).view(complex)
         ns, k = self.n_self, self.rows.size
         lower = self.rows[ns:]
@@ -220,18 +219,16 @@ class _ConjugatePairs:
         out[self.rows[:ns]] = y[:ns]
         out[lower] = a + b
         out[self.partner[lower]] = a - b
-        out *= self.phase.conj()[:, None]
         return out
 
     def moduli(self, g: np.ndarray) -> tuple:
         """(diagonal, largest off-diagonal modulus) of the complex Gram
-        H = D F w F^H D^H whose real fold U H U^H is the symmetric ``g``.
+        H = F w F^H whose real fold U H U^H is the symmetric ``g``.
 
-        Dephasing changes no modulus and no diagonal entry, so these are the
-        diagonal and the off-diagonal moduli of F w F^H itself.  H = U^H g U
-        is read off the 2 x 2 blocks of ``g`` in O(N^2): with a, b the real
-        rows of a pair (n, p) and s a self-paired row, H[s, s'] = g[s, s'],
-        |H[n, s]| = |g[a, s] + i g[b, s]| / sqrt(2), and for two pairs
+        H = U^H g U is read off the 2 x 2 blocks of ``g`` in O(N^2): with
+        a, b the real rows of a pair (n, p) and s a self-paired row,
+        H[s, s'] = g[s, s'], |H[n, s]| = |g[a, s] + i g[b, s]| / sqrt(2),
+        and for two pairs
         H[n, n'] = (g[a, a'] + g[b, b'] + i (g[b, a'] - g[a, b'])) / 2 and
         H[n, p'] = (g[a, a'] - g[b, b'] + i (g[b, a'] + g[a, b'])) / 2;
         the rows p are their conjugates.  The diagonal follows the rows of
@@ -284,15 +281,15 @@ def _recipe_partner(freqs: np.ndarray, numer: np.ndarray, denom: int):
     """The conjugate row pairing of ``fourier_family(freqs, numer, denom)``
     from its integers, or None unless each row has exactly one partner.
 
-    Dephased by its first entry, row k is exp(2 pi i k (m - m_0) / denom)
-    over the numerators m, which depends on k mod P alone, with
-    P = denom / gcd(denom, m - m_0 over every m), and its conjugate is the
-    row of -k: so p(n) is the row whose frequency is -freqs[n] mod P.  A
-    negated frequency that is missing or held by two rows pairs nothing.
-    For R consecutive frequencies on R nodes spaced 1/R apart, p is
-    k -> -k mod R.
+    Row k is exp(2 pi i k m / denom) over the numerators m, which depends
+    on k mod P alone, with P = denom / gcd(denom, every m), and its
+    conjugate is the row of -k: so p(n) is the row whose frequency is
+    -freqs[n] mod P.  A negated frequency that is missing or held by two
+    rows pairs nothing, and a family whose rows pair only up to a constant
+    phase per row gets no real form.  For R consecutive frequencies on R
+    nodes spaced 1/R apart, p is k -> -k mod R.
     """
-    period = denom // int(np.gcd.reduce(numer - numer[:1], initial=denom))
+    period = denom // int(np.gcd.reduce(numer, initial=denom))
     key = np.mod(freqs, period)
     order = np.argsort(key, kind="stable")
     want = np.mod(-freqs, period)
@@ -304,14 +301,12 @@ def _recipe_fold(freqs, numer, denom: int, partner: np.ndarray) -> _ConjugatePai
     """The real form of a Fourier basis paired by ``partner``, in one pass of
     ``PAIRING_BLOCK`` rows of R at a time, the self-paired rows and then
     the lower rows of the pairs: each is gathered once from the one table
-    of roots, dephased by the phase of its first entry and folded.  Every
-    entry of the family is a table entry, so the table's largest deviation
-    from unit modulus bounds its unimodularity gap, which is checked first.
+    of roots and folded.  Every entry of the family is a table entry, so
+    the table's largest deviation from unit modulus bounds its
+    unimodularity gap, which is checked first.
     """
     roots = _roots(denom)
     _check_hypothesis("unimodularity", float(np.max(np.abs(np.abs(roots) - 1.0))))
-    lead = np.remainder(freqs, denom) * (numer[0] % denom) % denom
-    phase = np.exp(-1j * np.angle(roots[lead]))
     n = np.arange(partner.size)
     fixed, lower = np.flatnonzero(partner == n), np.flatnonzero(n < partner)
     rows, ns = np.concatenate([fixed, lower]), fixed.size
@@ -321,13 +316,12 @@ def _recipe_fold(freqs, numer, denom: int, partner: np.ndarray) -> _ConjugatePai
         blk = rows[start : start + PAIRING_BLOCK]
         stop, first = start + blk.size, max(start, ns)  # first paired row
         h = np.take(roots, _root_index(freqs[blk], numer, denom), mode="wrap")
-        h *= phase[blk, None]
         real[start:stop] = h.real
         real[first:stop] *= np.sqrt(2.0)
         imag = real[k + first - ns : k + stop - ns]
         np.multiply(h[first - start :].imag, np.sqrt(2.0), out=imag)
     real.setflags(write=False)
-    return _ConjugatePairs(real, ns, rows, partner, phase)
+    return _ConjugatePairs(real, ns, rows, partner)
 
 
 def _roots(denom: int) -> np.ndarray:

@@ -180,8 +180,8 @@ def translate_family(n: int) -> np.ndarray:
 
 
 def midpoint_family(resolution: int) -> np.ndarray:
-    """The center-translate family e^(-2 pi i k alpha) of ``heisenberg`` on
-    the midpoint grid, k = -R//2 .. R - R//2 - 1, in one expression."""
+    """The center-translate family e^(-2 pi i k alpha) on the midpoint grid,
+    k = -R//2 .. R - R//2 - 1, in one expression."""
     alpha = (np.arange(resolution) + 0.5) / resolution
     ks = np.arange(resolution) - resolution // 2
     return np.exp(-2j * np.pi * np.outer(ks, alpha))
@@ -235,7 +235,7 @@ def off_diagonal(a: np.ndarray) -> np.ndarray:
 
 def conjugate_partner(freqs, modulus: int) -> np.ndarray:
     """p(n): the row whose frequency is -freqs[n] mod ``modulus``, the
-    conjugate of row n of a dephased Fourier family."""
+    conjugate of row n of a Fourier family."""
     r = np.asarray(freqs) % modulus
     row = np.empty(modulus, dtype=int)
     row[r] = np.arange(r.size)
@@ -243,15 +243,13 @@ def conjugate_partner(freqs, modulus: int) -> np.ndarray:
 
 
 def real_form(F: np.ndarray, partner: np.ndarray) -> np.ndarray:
-    """The real form U D F of a family with conjugate row pairing
-    ``partner`` in one expression: the dephased self-paired rows, then the
-    dephased lower row of each pair, real parts then imaginary parts, each
-    paired one times sqrt(2)."""
+    """The real form U F of a family with conjugate row pairing ``partner``
+    in one expression: the self-paired rows, then the lower row of each
+    pair, real parts then imaginary parts, each paired one times sqrt(2)."""
     n = np.arange(partner.size)
-    D = F * np.exp(-1j * np.angle(F[:, :1]))
     fixed, lower = n[partner == n], n[n < partner]
     return np.concatenate(
-        [D[fixed].real, np.sqrt(2.0) * D[lower].real, np.sqrt(2.0) * D[lower].imag]
+        [F[fixed].real, np.sqrt(2.0) * F[lower].real, np.sqrt(2.0) * F[lower].imag]
     )
 
 

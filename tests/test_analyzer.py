@@ -1,7 +1,6 @@
 """Verdict logic, witnesses, and the Gram route."""
 
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -160,9 +159,9 @@ def test_family_violating_scalar_orthonormality_is_refused(basis, residual):
 
 
 def _phased(F: np.ndarray) -> np.ndarray:
-    """F times seeded unimodular column phases: no dephased row of the
-    product is the conjugate of another, and the product is an isometry
-    exactly when F is."""
+    """F times seeded unimodular column phases: no row of the product is
+    the conjugate of another, even up to a constant phase, and the product
+    is an isometry exactly when F is."""
     return F * np.exp(2j * np.pi * np.random.default_rng(79).random(F.shape[1]))
 
 
@@ -191,7 +190,7 @@ _BROKEN = {
 def _patched_frame_report(fam, monkeypatch):
     """``heisenberg.frame_report`` with its basis patched to that of ``fam``,
     on a midpoint grid whose every node is in the band."""
-    monkeypatch.setattr(hb, "TensorBasis", SimpleNamespace(fourier=lambda *a: fam.basis))
+    monkeypatch.setattr(hb, "build_default", lambda grid_size: fam.basis)
     return hb.frame_report(0.01, 1, resolution=fam.space.grid_size)
 
 
@@ -444,7 +443,7 @@ _WEIGHTS = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(
     st.lists(_WEIGHTS, min_size=1, max_size=40),
     st.integers(1, 3),

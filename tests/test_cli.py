@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import tempfile
-from types import SimpleNamespace
 from pathlib import Path
 
 import numpy as np
@@ -229,7 +228,7 @@ _SEED_CONFIGS = st.one_of(
 )
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(_SEED_CONFIGS, st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
 def test_verdict_bounds_and_checks_do_not_depend_on_seed(config, seed_a, seed_b):
     # The seed draws only the Parseval probe fields: the verdict, the weight
@@ -873,14 +872,13 @@ def test_heisenberg_band_decision_checks_isometry_on_its_frame_operator(
     assert len(coeffs) == 1
     # Two of the band's nodes on one column make the family no isometry on
     # its support, and the band decision refuses it.
-    fourier = TensorBasis.fourier
-
-    def merged(freqs, numer, denom):
-        numer = np.array(numer)
+    def merged(grid_size):
+        n = np.arange(grid_size)
+        numer = n.copy()
         numer[-1] = numer[-2]
-        return fourier(freqs, numer, denom)
+        return TensorBasis.fourier(n, numer, grid_size)
 
-    monkeypatch.setattr(heisenberg, "TensorBasis", SimpleNamespace(fourier=merged))
+    monkeypatch.setattr(heisenberg, "build_default", merged)
     refusal = r"^family violates scalar orthonormality \(residual 1\.000e\+00\)$"
     with pytest.raises(ValueError, match=refusal):
         heisenberg.frame_report(0.5, 1, resolution=64)
@@ -888,7 +886,7 @@ def test_heisenberg_band_decision_checks_isometry_on_its_frame_operator(
     # family, an isometry closed under conjugation with entries 0 and
     # sqrt(2), is refused before its real form is written.
     mixed = TensorBasis(mixed_row_family(64))
-    monkeypatch.setattr(heisenberg, "TensorBasis", SimpleNamespace(fourier=lambda *a: mixed))
+    monkeypatch.setattr(heisenberg, "build_default", lambda grid_size: mixed)
     with pytest.raises(ValueError, match=r"^family violates unimodularity \(residual 1\.000e\+00\)$"):
         heisenberg.frame_report(0.5, 1, resolution=64)
 

@@ -15,7 +15,7 @@ from framelab import (
     decide_frame,
     witness_ratio,
 )
-from framelab.tensor_onb import fourier_family
+from framelab.tensor_onb import _ComplexForm, build_default, fourier_family
 
 import oracles
 
@@ -288,11 +288,16 @@ def test_band_report_leaves_the_frame_decision_as_built(monkeypatch):
 
 
 def test_scalar_family_orthonormal_on_midpoint_grid():
-    for r in (4, 16, 64):
+    # The translate exponentials on the midpoint grid, gathered from the
+    # table of roots, meet their exp form to a few ulps of its largest
+    # phase argument, and are orthonormal to rounding.
+    for r in (4, 16, 64, 512, 1024):
         k = np.arange(r)
-        fam = fourier_family(r // 2 - k, 2 * k + 1, 2 * r)
-        gram = fam @ fam.conj().T / r
-        assert np.max(np.abs(gram - np.eye(r))) < 1e-12
+        freqs, numer = r // 2 - k, 2 * k + 1
+        fam = fourier_family(freqs, numer, 2 * r)
+        arg = np.pi * np.max(np.abs(np.outer(freqs, numer))) / r
+        assert np.max(np.abs(fam - oracles.midpoint_family(r))) <= 4 * np.finfo(float).eps * arg
+        assert np.max(np.abs(oracles.scalar_gram_defect(fam))) <= 1e-15
         assert np.max(np.abs(np.abs(fam) - 1.0)) < 1e-12
 
 
@@ -304,9 +309,8 @@ def test_frame_report_is_the_frame_decision_on_the_band(eps, d):
     grid = hb.midpoint_grid(r)
     w = np.where(grid > eps, grid**d, 0.0)
     sp = WeightedSpace(r, 1, w)
-    k = np.arange(r)
-    # the recipe basis a run builds, so the two decisions share its real fold
-    fam = OperatorFamily(sp, TensorBasis.fourier(r // 2 - k, 2 * k + 1, 2 * r))
+    # the basis a run builds, so the two decisions share its real fold
+    fam = OperatorFamily(sp, build_default(r))
     whole = decide_frame(fam, tol)
     band = w > 0
     lo, hi = w[band].min(), w[band].max()
@@ -333,6 +337,38 @@ def test_frame_report_is_the_frame_decision_on_the_band(eps, d):
         closed = (w**2 * f2).sum() / (w * f2).sum()
         assert 0.0 < ratio < tol
         assert ratio == pytest.approx(closed, rel=1e-12)
+
+
+@pytest.mark.parametrize("eps, d", [(0.5, 1), (0.3, 3), (0.5, 64)])
+def test_frame_report_meets_the_midpoint_recipe_in_complex_form(eps, d):
+    # The translate exponentials e^(2 pi i k alpha_i) on the midpoint grid
+    # are the discrete Fourier rows of the report times one constant phase
+    # per row, which moves no bound.  Their recipe pairs its rows only up
+    # to those phases, so its basis holds F itself and decides in complex
+    # arithmetic, and the report on the real fold meets it: one verdict
+    # and witness, with spectrum, bounds and witness ratio within 1e-13 of
+    # the largest value.
+    r, tol = 128, 1e-9
+    k = np.arange(r)
+    basis = TensorBasis.fourier(r // 2 - k, 2 * k + 1, 2 * r)
+    assert isinstance(basis._form, _ComplexForm)
+    sp = WeightedSpace(r, 1, hb.hs_weight(eps, d, hb.midpoint_grid(r)))
+    want = decide_frame(OperatorFamily(sp, basis), tol, band=True)
+    rep = hb.frame_report(eps, d, resolution=r, tol=tol)
+
+    def gap(got, ref):
+        return np.max(np.abs(np.subtract(got, ref))) / np.max(np.abs(ref))
+
+    assert rep.verdict is want.verdict
+    assert rep.weight_bounds == want.weight_bounds
+    assert gap(rep.spectrum, want.spectrum) <= 1e-13
+    assert gap(rep.oracle_bounds, want.oracle_bounds) <= 1e-13
+    assert set(rep.residuals) == {*want.residuals, "support_fraction"}
+    assert (rep.witness is None) == (want.witness is None) == (d < 64)
+    if d == 64:
+        assert np.array_equal(rep.witness.values, want.witness.values)
+        ratio = want.residuals["witness_ratio"]
+        assert gap(rep.residuals["witness_ratio"], ratio) <= 1e-13
 
 
 def test_band_decision_working_set():
