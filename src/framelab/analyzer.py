@@ -36,18 +36,18 @@ read back the very numbers the weight route reads and check nothing.  The
 cost of the cross check is the price of its independence.  Each route
 reads the basis's form A through one code path: the real form R of every
 runner's family, a Fourier recipe whose integers pair its rows with their
-conjugates, which a fixed sparse unitary (the centrohermitian reduction)
-maps to R a block of rows at a time, so every N x N product of a run is
-real; any other family is its own form F.  The frame route takes the
+conjugates, which the Hartley form R = Re F + Im F = U F (U a fixed sparse
+unitary) gives a block of rows at a time, so every N x N product of a run
+is real; any other family is its own form F.  The frame route takes the
 ``eigvalsh`` of X^H X, X the support columns of A, scaled by sqrt(w/N)
 on both sides, and the Gram route the ``eigvalsh`` of its own product
 (A w/N) A^H, so the routes share only the family.  The isometry
 hypothesis F^H F = N I is the column Gram A^H A, so each decider reads it
 off X^H X before the weight scales it (``_support_gram``): it costs the
 frame route no copy and no product, and ``decide_onb``, which has no
-frame route, forms X^H X for it alone.  No decider forms A A^H.  The fold
-regroups entries and diagonalizes nothing, so the routes stay dense and
-independent, and the moduli and the diagonal of the complex Gram that the
+frame route, forms X^H X for it alone.  No decider forms A A^H.  U mixes
+each row with its conjugate and diagonalizes nothing, so the routes stay
+dense and independent, and the moduli and the diagonal of the complex Gram that the
 residuals report are read back off the real one.  The Gram route writes
 its one N x N output from blocks of A scaled in one reused buffer, so no
 run holds an N x N array beside A and that output.
@@ -168,7 +168,7 @@ def _gram_spectrum(fold: np.ndarray, space: WeightedSpace) -> np.ndarray:
     unit 2^e of ``space``, each ``space.fiber_dim`` times.
 
     A real fold is the real symmetric U gs U^H of the weighted scalar Gram
-    gs, with U the sparse unitary of the basis's conjugate row pairing, so
+    gs, with U the sparse unitary of the basis's Hartley form, so
     it has the spectrum of gs and ``eigvalsh`` runs in real arithmetic on
     the family entries.  The fold is not an FFT: for the discrete Fourier
     family an FFT would diagonalize gs and read back the weights, and check
@@ -255,8 +255,8 @@ def _onb_residuals(fam: OperatorFamily, fold: np.ndarray) -> dict:
     """ONB defects of the synthesis Gram kron(I_M, gs): the largest
     off-diagonal modulus (onb_cross) and the largest deviation of a
     diagonal entry from 1 (onb_norm), those of gs, whose moduli and
-    diagonal the basis's form reads off ``fold`` (a real fold a block of
-    row views at a time), multiplied back by the space's unit."""
+    diagonal the basis's form reads off ``fold`` (a real fold a few row
+    blocks at a time), multiplied back by the space's unit."""
     e = fam.space.unit_exponent
     diag, off = fam.basis._form.moduli(fold)
     onb_norm = float(np.max(np.abs(np.ldexp(diag, e) - 1.0)))

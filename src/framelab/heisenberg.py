@@ -22,13 +22,14 @@ the translates.  The family is the discrete Fourier family
 ``build_default(R)``: on the midpoint grid its row n is the translate
 exponential e^(2 pi i n alpha) times a constant of unit modulus, which
 moves no frame bound, spectrum or coefficient modulus.  Its rows pair with
-their conjugates, so the basis gathers the rows of its real form from its
-table of roots in one pass and keeps only the real form; the table bounds
-its unimodularity gap.  The family is orthonormal by construction, and the
-decision checks so on the band's frame operator X^T X before the weight
-scales it: the isometry costs no copy and no product beyond the one the
-frame route takes anyway.  The witness ratio goes through the coefficient
-functionals, which form no R x R array either.
+their conjugates, so the basis gathers the rows n <= p(n) from its table
+of roots in one pass, writes its Hartley form Re F + Im F from them and
+keeps only that real form; the table bounds its unimodularity gap.  The
+family is orthonormal by construction, and the decision checks so on the
+band's frame operator X^T X before the weight scales it: the isometry
+costs no copy and no product beyond the one the frame route takes anyway.
+The witness ratio goes through the coefficient functionals, which form no
+R x R array either.
 """
 
 from __future__ import annotations

@@ -57,9 +57,9 @@ def lambda_all(fam: OperatorFamily, field: Field) -> np.ndarray:
 
     With V the N x M field values, this is conj(F W) with
     W = conj((w/N) V), and F W is the basis's form applied to W: one real
-    product R W on the float64 view of W, unfolded row pair by row pair
-    in O(N M), for a real fold R = U F (``_ConjugatePairs.apply``), else
-    the complex product F W.  No N x N array beside the form is read or
+    product y = R W on the float64 view of W, then U^H y in O(N M), for a
+    Hartley form R = U F (``_HartleyForm.apply``), else the complex
+    product F W.  No N x N array beside the form is read or
     made.  Every coefficient energy of the package (witness ratios,
     Parseval probes, the Bessel bound) goes through here.
 
@@ -104,9 +104,10 @@ def frame_spectrum(fam: OperatorFamily) -> np.ndarray:
     same spectrum.  X^H X (``_support_gram``, which checks the isometry on
     it first) is one product, and ``eigvalsh`` reads its lower triangle
     once D has scaled its rows and columns in place.  A real fold R is a
-    fixed sparse unitary (the conjugate row pairing) applied to the
-    family, so the product runs in real arithmetic; it diagonalizes
-    nothing, so the eigensolve still checks the weights independently.
+    fixed sparse unitary (the Hartley form of the conjugate row pairing)
+    applied to the family, so the product runs in real arithmetic; it
+    diagonalizes nothing, so the eigensolve still checks the weights
+    independently.
 
     D is taken from the space's unit weights w_S / 2^e, and the eigenvalues
     are multiplied back by 2^e, so the eigensolve sees a matrix of norm

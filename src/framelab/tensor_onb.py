@@ -10,10 +10,10 @@ fiber basis, so the fiber only repeats each value M times.
 
 A family must be unimodular and an isometry, F^H F = N I; closure under
 conjugation is no hypothesis.  A Fourier basis whose integers pair its
-rows with their conjugates holds the real fold R of its family, which runs
-every N x N product in real arithmetic; every other basis holds F itself.
-A constant phase per row moves no frame bound, so no runner needs a
-family whose rows pair only up to one.
+rows with their conjugates holds the Hartley form R = Re F + Im F of its
+family, which runs every N x N product in real arithmetic; every other
+basis holds F itself.  A constant phase per row moves no frame bound, so
+no runner needs a family whose rows pair only up to one.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ class TensorBasis:
     bit those of the whole family, so it holds no complex N x N array.
 
     ``_form`` holds the form the N x N products of a run take, built once:
-    the read-only real fold R = U F of a Fourier basis whose integers
-    pair its rows (``_ConjugatePairs``), at a quarter of the flops of a
+    the read-only Hartley form R = U F of a Fourier basis whose integers
+    pair its rows (``_HartleyForm``), at a quarter of the flops of a
     complex product, and F itself for every other basis (``_ComplexForm``).
     Both spectral routes, the isometry check on the frame operator and
     ``lambda_all`` read the form alone, through one code path for either
@@ -134,7 +134,7 @@ class TensorBasis:
         return self._rows(slice(None))
 
     @cached_property
-    def _form(self) -> _ConjugatePairs | _ComplexForm:
+    def _form(self) -> _HartleyForm | _ComplexForm:
         """The form of the family, built once per basis.
 
         Raises:
@@ -173,108 +173,78 @@ class _ComplexForm:
 
 
 @dataclass(frozen=True, eq=False)
-class _ConjugatePairs:
-    """The real form of a Fourier family F whose integers pair its rows.
+class _HartleyForm:
+    """The Hartley form of a Fourier family F whose integers pair its rows.
 
-    The family has for each row n a row p(n) equal to its conjugate.  U
-    is the unitary that keeps a self-paired row and sends a pair n < p to
-    (e_n + e_p)/sqrt(2) and (e_n - e_p)/(i sqrt(2)), so R = U F is real,
-    and R^T R = F^H F: R has the Gram, and so the singular values, of F on
-    every column set, and under node weights w its Gram R w R^T has the
-    spectrum of F w F^H.  So the isometry hypothesis F^H F = N I is read
-    off R^T R (``_isometry_residual``), and the moduli of a weighted Gram
-    F w F^H off its real fold (``moduli``).  U regroups entries and
+    The family has for each row n a row p(n) equal to its conjugate, and
+    row n of R is Re f_n + Im f_n, the cas = cos + sin of its phase
+    (Bracewell, "Discrete Hartley transform", J. Opt. Soc. Am. 73, 1983),
+    so row p(n) is Re f_n - Im f_n and a self-paired row is f_n itself.
+    Then R = U F with U = ((1 - i) I + (1 + i) P) / 2, P the permutation
+    of p, which is unitary since P^2 = I.  So R^T R = F^H F: R has the
+    Gram, and so the singular values, of F on every column set, and under
+    node weights w its Gram R w R^T has the spectrum of F w F^H.  So the
+    isometry hypothesis F^H F = N I is read off R^T R
+    (``_isometry_residual``), and the moduli of a weighted Gram F w F^H off
+    its real form (``moduli``).  U mixes each row with its partner and
     diagonalizes nothing, so a spectrum taken on R is still a dense
     decomposition of the family.
 
     Attributes:
-        matrix: read-only N x N array R.  Its rows are the real parts of the
-            ``n_self`` self-paired rows, then sqrt(2) times the real parts
-            of the lower rows n of the pairs, then sqrt(2) times their
-            imaginary parts, in the same order.
-        n_self: the number of self-paired rows.
-        rows: the family row of each of the first ``rows.size`` rows of R,
-            the self-paired rows and then the lower rows of the pairs.
+        matrix: read-only N x N array R, in the row order of the family.
         partner: p(n) for every family row n.
     """
 
     matrix: np.ndarray
-    n_self: int
-    rows: np.ndarray
     partner: np.ndarray
 
     def apply(self, W: np.ndarray) -> np.ndarray:
-        """F W for a C-ordered complex W, as one real product R W on its
-        float64 view, unfolded: with y = R W = U F W, whose rows are
-        (F W)[s] for a self-paired row s, and (F W)[n] = (y[a] + i y[b])
-        / sqrt(2) and (F W)[p(n)] = (y[a] - i y[b]) / sqrt(2) for a pair
-        n < p(n) with real rows a, b.  The unfold is O(N M)."""
+        """F W = U^H y for a C-ordered complex W, with y = R W one real
+        product on the float64 view of W: (F W)[n] = ((y[n] + y[p(n)])
+        + i (y[n] - y[p(n)])) / 2, so a self-paired row is y itself."""
         y = (self.matrix @ W.view(float)).view(complex)
-        ns, k = self.n_self, self.rows.size
-        lower = self.rows[ns:]
-        # dividing by sqrt(2) undoes the fold's scaling more often than
-        # multiplying by sqrt(0.5), whose product with sqrt(2) rounds to 1 + 2^-52
-        a, b = y[ns:k] / np.sqrt(2.0), y[k:] / np.sqrt(2.0) * 1j
-        out = np.empty_like(y)
-        out[self.rows[:ns]] = y[:ns]
-        out[lower] = a + b
-        out[self.partner[lower]] = a - b
+        yp = y[self.partner]
+        out = y + yp
+        out += 1j * np.subtract(y, yp, out=yp)
+        out /= 2
         return out
 
     def moduli(self, g: np.ndarray) -> tuple:
         """(diagonal, largest off-diagonal modulus) of the complex Gram
-        H = F w F^H whose real fold U H U^H is the symmetric ``g``.
+        H = F w F^H whose real form U H U^H is the symmetric ``g``.
 
-        H = U^H g U is read off the 2 x 2 blocks of ``g`` in O(N^2): with
-        a, b the real rows of a pair (n, p) and s a self-paired row,
-        H[s, s'] = g[s, s'], |H[n, s]| = |g[a, s] + i g[b, s]| / sqrt(2),
-        and for two pairs
-        H[n, n'] = (g[a, a'] + g[b, b'] + i (g[b, a'] - g[a, b'])) / 2 and
-        H[n, p'] = (g[a, a'] - g[b, b'] + i (g[b, a'] + g[a, b'])) / 2;
-        the rows p are their conjugates.  The diagonal follows the rows of
-        the real form: the self-paired rows, then each pair twice, as
-        H[n, n] = H[p, p].
-
-        Each row of ``g`` is read once, ``PAIRING_BLOCK`` rows at a time, so
-        the temporaries stay a few row blocks: the self-paired rows, which
-        give every H[s, s'], then each block of lower rows a together with
-        their imaginary-part rows b, which give every entry in a row n of a
-        pair.  Each entry is read from the rows it is written with above,
+        H = U^H g U is H[n, m] = (g[n, m] + g[p(n), p(m)]
+        + i (g[n, p(m)] - g[p(n), m])) / 2, so its diagonal is
+        (g[n, n] + g[p(n), p(n)]) / 2 and row p(n) is row n conjugated,
+        with its columns permuted by p.  So the moduli are read off the
+        rows n <= p(n) alone, in O(N^2): ``PAIRING_BLOCK`` rows of ``g`` at
+        a time, half of them rows n and half their partners, gathered and
+        permuted into three reused half blocks, so the temporaries stay
+        smaller than two row blocks.  Each entry is read as written above,
         never from its transpose, so it keeps its bits when ``g`` is
         symmetric only to rounding; each modulus is one ``np.hypot``, which
         neither overflows nor underflows short of its result.
         """
-        ns = self.n_self
-        N = self.matrix.shape[0]
-        k = (N + ns) // 2  # the first imaginary-part row
-        diag, off = np.empty(N), 0.0
-        for start in range(0, ns, PAIRING_BLOCK):
-            h = g[start : min(start + PAIRING_BLOCK, ns), :ns]
-            i = np.arange(h.shape[0])
-            diag[start + i] = h[i, start + i]
-            selfs = np.abs(h)
-            selfs[i, start + i] = 0.0
-            off = max(off, float(np.max(selfs, initial=0.0)))
-        for start in range(ns, k, PAIRING_BLOCK):
-            stop = min(start + PAIRING_BLOCK, k)
-            ga, gb = g[start:stop], g[start + k - ns : stop + k - ns]
-            gaa, gbb, gab, gba = ga[:, ns:k], gb[:, k:], ga[:, k:], gb[:, ns:k]
-            i = np.arange(stop - start)
-            j = i + (start - ns)  # the pair of row i among the pairs
-            pair_diag = (gaa[i, j] + gbb[i, j]) / 2
-            diag[start:stop] = diag[start + k - ns : stop + k - ns] = pair_diag
-            pair = gaa + gbb  # 2 |H[n, n']|, then 2 |H[n, p']|, in one buffer
-            np.hypot(pair, gba - gab, out=pair)
-            pair[i, j] = 0.0  # the diagonal H[n, n]
-            off = max(off, float(np.max(pair, initial=0.0)) / 2)
-            np.hypot(np.subtract(gaa, gbb, out=pair), gba + gab, out=pair)
-            off = max(
-                off,
-                float(np.max(pair, initial=0.0)) / 2,
-                float(np.max(np.hypot(ga[:, :ns], gb[:, :ns]), initial=0.0))
-                * np.sqrt(0.5),
-            )
-        return diag, off
+        p = self.partner
+        d = np.diagonal(g)
+        diag, off = (d + d[p]) / 2, 0.0
+        lower = np.flatnonzero(np.arange(p.size) <= p)
+        step = PAIRING_BLOCK // 2
+        bufs = np.empty((3, min(step, lower.size), p.size))
+        for start in range(0, lower.size, step):
+            n = lower[start : start + step]
+            a, b, c = bufs[:, : n.size]
+            # mode="wrap" makes take write to out unbuffered
+            np.take(g, n, axis=0, out=a, mode="wrap")
+            np.take(g, p[n], axis=0, out=b, mode="wrap")
+            np.take(b, p, axis=1, out=c, mode="wrap")  # g[p(n), p(m)]
+            re = np.add(a, c, out=b)
+            np.subtract(a, c, out=c)
+            im = np.take(c, p, axis=1, out=a, mode="wrap")  # g[n, p(m)] - g[p(n), m]
+            np.hypot(re, im, out=re)
+            re[np.arange(n.size), n] = 0.0  # the diagonal H[n, n]
+            off = max(off, float(np.max(re, initial=0.0)))
+        return diag, off / 2
 
 
 def _recipe_partner(freqs: np.ndarray, numer: np.ndarray, denom: int):
@@ -297,31 +267,26 @@ def _recipe_partner(freqs: np.ndarray, numer: np.ndarray, denom: int):
     return order[lo] if np.all(hi - lo == 1) else None
 
 
-def _recipe_fold(freqs, numer, denom: int, partner: np.ndarray) -> _ConjugatePairs:
-    """The real form of a Fourier basis paired by ``partner``, in one pass of
-    ``PAIRING_BLOCK`` rows of R at a time, the self-paired rows and then
-    the lower rows of the pairs: each is gathered once from the one table
-    of roots and folded.  Every entry of the family is a table entry, so
-    the table's largest deviation from unit modulus bounds its
-    unimodularity gap, which is checked first.
+def _recipe_fold(freqs, numer, denom: int, partner: np.ndarray) -> _HartleyForm:
+    """The Hartley form of a Fourier basis paired by ``partner``, in one pass
+    over its rows n <= p(n), ``PAIRING_BLOCK`` at a time: each is gathered
+    once from the one table of roots as h, and gives R[p(n)] = Re h - Im h
+    and then R[n] = Re h + Im h, so a self-paired row keeps the latter.
+    Every entry of the family is a table entry, so the table's largest
+    deviation from unit modulus bounds its unimodularity gap, which is
+    checked first.
     """
     roots = _roots(denom)
     _check_hypothesis("unimodularity", float(np.max(np.abs(np.abs(roots) - 1.0))))
-    n = np.arange(partner.size)
-    fixed, lower = np.flatnonzero(partner == n), np.flatnonzero(n < partner)
-    rows, ns = np.concatenate([fixed, lower]), fixed.size
-    k = rows.size
-    real = np.empty((n.size, n.size))
-    for start in range(0, k, PAIRING_BLOCK):
-        blk = rows[start : start + PAIRING_BLOCK]
-        stop, first = start + blk.size, max(start, ns)  # first paired row
-        h = np.take(roots, _root_index(freqs[blk], numer, denom), mode="wrap")
-        real[start:stop] = h.real
-        real[first:stop] *= np.sqrt(2.0)
-        imag = real[k + first - ns : k + stop - ns]
-        np.multiply(h[first - start :].imag, np.sqrt(2.0), out=imag)
+    lower = np.flatnonzero(np.arange(partner.size) <= partner)
+    real = np.empty((partner.size, partner.size))
+    for start in range(0, lower.size, PAIRING_BLOCK):
+        n = lower[start : start + PAIRING_BLOCK]
+        h = np.take(roots, _root_index(freqs[n], numer, denom), mode="wrap")
+        real[partner[n]] = h.real - h.imag
+        real[n] = h.real + h.imag
     real.setflags(write=False)
-    return _ConjugatePairs(real, ns, rows, partner)
+    return _HartleyForm(real, partner)
 
 
 def _roots(denom: int) -> np.ndarray:
@@ -345,7 +310,8 @@ def fourier_family(freqs, numer, denom: int) -> np.ndarray:
     Each product k m is reduced mod ``denom`` in int64, its factors first,
     and the entry is read from one table of the ``denom`` roots of unity
     exp(2 pi i j / denom), 0 <= j < denom, so no phase argument exceeds
-    2 pi and every entry is a root of unity to rounding.  R consecutive
+    2 pi and every entry is a root of unity to rounding; ``denom`` must be
+    an integer of at least 1.  R consecutive
     frequencies on R nodes spaced 1/R apart are orthonormal under the
     unweighted quadrature.  The array is formed in one buffer and is
     read-only, so a ``TensorBasis`` holds it without a copy.  The index is
@@ -355,6 +321,7 @@ def fourier_family(freqs, numer, denom: int) -> np.ndarray:
     into a temporary first.
     """
     freqs, numer = _integers("freqs", freqs), _integers("numer", numer)
+    denom = _integer("denom", denom, 1)
     roots = _roots(denom)
     family = np.empty((freqs.size, numer.size), dtype=complex)
     block = np.empty((min(PAIRING_BLOCK, freqs.size), numer.size), np.int64)

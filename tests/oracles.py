@@ -243,14 +243,21 @@ def conjugate_partner(freqs, modulus: int) -> np.ndarray:
 
 
 def real_form(F: np.ndarray, partner: np.ndarray) -> np.ndarray:
-    """The real form U F of a family with conjugate row pairing ``partner``
-    in one expression: the self-paired rows, then the lower row of each
-    pair, real parts then imaginary parts, each paired one times sqrt(2)."""
+    """The Hartley form of a family with conjugate row pairing ``partner``:
+    Re f_n + Im f_n on each row n, and Re f_n - Im f_n on row p(n) for each
+    pair n < p(n), as the basis writes it from the lower row alone."""
     n = np.arange(partner.size)
-    fixed, lower = n[partner == n], n[n < partner]
-    return np.concatenate(
-        [F[fixed].real, np.sqrt(2.0) * F[lower].real, np.sqrt(2.0) * F[lower].imag]
-    )
+    lower = n[n < partner]
+    R = F.real + F.imag
+    R[partner[lower]] = F[lower].real - F[lower].imag
+    return R
+
+
+def hartley_unitary(partner: np.ndarray) -> np.ndarray:
+    """U = ((1 - i) I + (1 + i) P) / 2, P the permutation of ``partner``,
+    the unitary that maps a family to its Hartley form, R = U F."""
+    eye = np.eye(partner.size)
+    return ((1 - 1j) * eye + (1 + 1j) * eye[partner]) / 2
 
 
 def real_gram(R: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -258,26 +265,16 @@ def real_gram(R: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (R * (w / R.shape[0])) @ R.T
 
 
-def moduli(pairs, g: np.ndarray) -> tuple:
-    """``_ConjugatePairs.moduli`` on the whole fold ``g`` at once, each
-    modulus |x + i y| taken as ``np.hypot(x, y)``."""
-    ns = pairs.n_self
-    k = (g.shape[0] + ns) // 2  # the first imaginary-part row
-    s, a, b = slice(0, ns), slice(ns, k), slice(k, None)
-    gaa, gbb, gab, gba = g[a, a], g[b, b], g[a, b], g[b, a]
-    pair_diag = (np.diag(gaa) + np.diag(gbb)) / 2
-    diag = np.concatenate([np.diag(g)[s], pair_diag, pair_diag])
-    selfs = np.abs(g[s, s])
-    np.fill_diagonal(selfs, 0.0)
-    pair_cross = np.hypot(gaa + gbb, gba - gab)
-    np.fill_diagonal(pair_cross, 0.0)
-    off = max(
-        float(np.max(selfs, initial=0.0)),
-        float(np.max(np.hypot(g[a, s], g[b, s]), initial=0.0)) * np.sqrt(0.5),
-        float(np.max(pair_cross, initial=0.0)) / 2,
-        float(np.max(np.hypot(gaa - gbb, gba + gab), initial=0.0)) / 2,
-    )
-    return diag, off
+def moduli(form, g: np.ndarray) -> tuple:
+    """``_HartleyForm.moduli`` on the whole real Gram ``g`` at once: the
+    diagonal and the largest off-diagonal modulus of H = U^H g U, whose
+    entry [n, m] has the modulus hypot(g[n, m] + g[p(n), p(m)],
+    g[n, p(m)] - g[p(n), m]) / 2."""
+    p = form.partner
+    d = np.diag(g)
+    off = np.hypot(g + g[p][:, p], g[:, p] - g[p])
+    np.fill_diagonal(off, 0.0)
+    return (d + d[p]) / 2, float(np.max(off, initial=0.0)) / 2
 
 
 def gram_by_row_blocks(R: np.ndarray, w) -> np.ndarray:

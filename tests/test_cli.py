@@ -731,8 +731,8 @@ def test_heisenberg_builds_problem_and_spectrum_once(tmp_path, monkeypatch):
     profile = _count_calls(monkeypatch, heisenberg._lattice_profile)
     assert run_config(cfg, tmp_path / "run") == 0
     # the band basis generates no family: its one pass gathers the 33 rows
-    # of the real form it needs (2 self-paired rows and the lower rows of 31
-    # pairs) from its table of roots, in blocks, once each
+    # n <= p(n) that its real form needs (2 self-paired rows and the lower
+    # rows of 31 pairs) from its table of roots, in blocks, once each
     rows = [np.size(args[0]) for args in index]
     assert family == []
     assert sum(rows) == 33 and max(rows) <= tensor_onb.PAIRING_BLOCK
@@ -812,11 +812,11 @@ def test_cli_run_builds_each_input_once(tmp_path, monkeypatch, mode):
 @pytest.mark.parametrize("mode", ["analyze", "witness", "shiftinv", "heisenberg"])
 def test_cli_run_generates_each_family_once_inside_the_fold(tmp_path, monkeypatch, mode):
     # Each runner builds a Fourier basis, which knows its conjugate pairing
-    # from its integers: its one pass gathers each row of the real form once
-    # from its table of roots, a block at a time (4 rows here, so the small
-    # grids take several blocks), the 2 self-paired rows and the lower row
-    # of each pair, and keeps the real form alone.  No runner path generates
-    # the family or reads scalar_family.
+    # from its integers: its one pass gathers each row n <= p(n) of the
+    # family once from its table of roots, a block at a time (4 rows here,
+    # so the small grids take several blocks), the 2 self-paired rows and
+    # the lower row of each pair, writes the real form from them and keeps
+    # it alone.  No runner path generates the family or reads scalar_family.
     monkeypatch.setattr(tensor_onb, "PAIRING_BLOCK", 4)
     family = _count_calls(monkeypatch, tensor_onb.fourier_family)
     index = _count_calls(monkeypatch, tensor_onb._root_index)

@@ -161,6 +161,10 @@ def test_working_set_routes_match_dense_forms_bit_for_bit(monkeypatch):
             R = oracles.real_form(F, partner)
             recipe = TensorBasis.fourier(*args)
             assert _same_bits(recipe._form.matrix, R)
+            # which is U F for the unitary U of the pairing, to rounding
+            U = oracles.hartley_unitary(partner)
+            assert np.max(np.abs(U.conj().T @ U - np.eye(n))) <= 1e-15
+            assert np.max(np.abs(U @ F - R)) <= 1e-15
             # conj of a real array is the array itself, so the Gram routes
             # take R^T, not a copy of R (numpy 1.24 and later)
             assert recipe._form.matrix.conj() is recipe._form.matrix
@@ -205,7 +209,7 @@ def _fold_cases():
 
 def test_moduli_match_complex_scalar_gram():
     # The diagonal and the largest off-diagonal modulus of the complex
-    # scalar Gram, read off the 2 x 2 pair blocks of its real fold, under
+    # scalar Gram, read off the row pairs of its real fold, under
     # the case's weights and under unit weights.
     for fam in _fold_cases():
         if fam.space.fiber_dim > 1:
@@ -224,24 +228,24 @@ def test_moduli_match_complex_scalar_gram():
 
 
 def test_streamed_moduli_match_whole_matrix_bit_for_bit():
-    # The moduli read g a block of rows at a time, each row once, and give
-    # the diagonal and the largest off-diagonal modulus of the whole-matrix
-    # form bit for bit: on each fold, on one that is symmetric only to
-    # rounding and on random symmetric matrices near the overflow and the
-    # underflow ranges and in the subnormal range, whose blocks differ in
-    # their largest entry.
+    # The moduli read g a few rows n <= p(n) at a time with their partner
+    # rows, and give the diagonal and the largest off-diagonal modulus of
+    # the whole-matrix form bit for bit: on each fold, on one that is
+    # symmetric only to rounding and on random symmetric matrices near the
+    # overflow and the underflow ranges and in the subnormal range, whose
+    # blocks differ in their largest entry.
     rng = np.random.default_rng(83)
     for fam in _fold_cases():
         if fam.space.fiber_dim > 1:
             continue
-        pairs, n = fam.basis._form, fam.space.grid_size
+        form, n = fam.basis._form, fam.space.grid_size
         fold = _gram_fold(fam)
         a = rng.standard_normal((n, n))
         sym = a + a.T
         scaled = (sym * 2.0**1000, sym * 2.0**-1000, sym * 2.0**-1070)
         for g in (fold, fold + 1e-17 * a, sym, *scaled):
-            want_diag, want_off = oracles.moduli(pairs, g)
-            diag, off = pairs.moduli(g)
+            want_diag, want_off = oracles.moduli(form, g)
+            diag, off = form.moduli(g)
             assert _same_bits(diag, want_diag) and off == want_off
 
 

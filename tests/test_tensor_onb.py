@@ -267,6 +267,18 @@ def test_non_integral_recipe_integers_are_refused():
         TensorBasis.fourier([0], [1j], 4)
     with pytest.raises(ValueError, match="^freqs must hold int64 integers"):
         fourier_family([2**70], [1], 4)
+    # the denominator is one integer of at least 1, refused by name where it
+    # used to raise a ufunc casting, division or index error
+    for denom, message in (
+        (2.5, r"^denom must be an integer, got 2\.5$"),
+        (np.nan, r"^denom must be an integer, got nan$"),
+        (0, r"^denom must be >= 1$"),
+        (-4, r"^denom must be >= 1$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            TensorBasis.fourier(k, k, denom)
+        with pytest.raises(ValueError, match=message):
+            fourier_family(k, k, denom)
     # integral values of any dtype give the family of their int64 values
     want = build_default(4).scalar_family
     for values in (
