@@ -36,9 +36,9 @@ read back the very numbers the weight route reads and check nothing.  The
 cost of the cross check is the price of its independence.  Each route
 reads the basis's form A through one code path: the real form R of every
 runner's family, a Fourier recipe whose integers pair its rows with their
-conjugates, which the Hartley form R = Re F + Im F = U F (U a fixed sparse
-unitary) gives a block of rows at a time, so every N x N product of a run
-is real; any other family is its own form F.  The frame route takes the
+conjugates, whose Hartley form R = Re F + Im F = U F (U a fixed sparse
+unitary) makes every N x N product of a run real; any other family is its
+own form F.  The frame route takes the
 ``eigvalsh`` of X^H X, X the support columns of A, scaled by sqrt(w/N)
 on both sides, and the Gram route the ``eigvalsh`` of its own product
 (A w/N) A^H, so the routes share only the family.  The isometry
@@ -49,8 +49,8 @@ frame route, forms X^H X for it alone.  No decider forms A A^H.  U mixes
 each row with its conjugate and diagonalizes nothing, so the routes stay
 dense and independent, and the moduli and the diagonal of the complex Gram that the
 residuals report are read back off the real one.  The Gram route writes
-its one N x N output from blocks of A scaled in one reused buffer, so no
-run holds an N x N array beside A and that output.
+its one N x N output a block of rows of A at a time, so no run holds an
+N x N array beside A and that output.
 """
 
 from __future__ import annotations
@@ -146,19 +146,17 @@ def _gram_fold(fam: OperatorFamily) -> np.ndarray:
     kron(I_M, gs).  The fold is its own product of the family entries,
     not the square of the frame route's matrix, so the two routes share
     only the family.  It is written into its one N x N output a block of
-    ``PAIRING_BLOCK`` rows at a time, each block of A scaled by u/N in one
-    reused buffer, so no scaled copy of A is formed; on a real fold
-    ``conj`` returns R itself, so no copy of it either.
+    ``PAIRING_BLOCK`` rows at a time, each block of A scaled by u/N, so no
+    scaled copy of A is formed; on a real fold ``conj`` returns R itself,
+    so no copy of it either.
     """
     A = fam.basis._form.matrix
     N, AH = A.shape[0], A.conj().T
     q = fam.space.unit_weights / fam.space.grid_size
     fold = np.empty((N, N), A.dtype)
-    buf = np.empty((min(PAIRING_BLOCK, N), N), A.dtype)
     for start in range(0, N, PAIRING_BLOCK):
         blk = slice(start, start + PAIRING_BLOCK)
-        scaled = np.multiply(A[blk], q, out=buf[: fold[blk].shape[0]])
-        np.matmul(scaled, AH, out=fold[blk])
+        np.matmul(A[blk] * q, AH, out=fold[blk])
     return fold
 
 
@@ -232,7 +230,10 @@ def witness_lower_failure(fam: OperatorFamily, a_claimed: float):
 def _verdict(values: np.ndarray, tol: float) -> Verdict:
     """The verdict rule for weights, or squared Zak magnitudes: not_frame
     unless every value exceeds ``tol``, else onb when every value is within
-    ``tol`` of 1, else riesz_basis."""
+    ``tol`` of 1, else riesz_basis; a ``tol`` not positive and finite is
+    refused."""
+    if not 0 < tol < np.inf:  # NaN is refused too
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if not values.min() > tol:
         return Verdict.NOT_FRAME
     if np.max(np.abs(values - 1.0)) <= tol:

@@ -18,7 +18,6 @@ no runner needs a family whose rows pair only up to one.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -50,20 +49,22 @@ def _isometry_residual(gram: np.ndarray, n: int) -> float:
     moduli.  G is read in place, with its diagonal set aside, zeroed for
     the off-diagonal extremes and written back, so it keeps its bits and is
     not copied."""
-    diag = np.array(np.diagonal(gram))
-    view = gram.reshape(-1)[:: gram.shape[0] + 1]  # the diagonal, writable
-    view[:] = 0.0
+    diag = gram.diagonal().copy()
+    np.fill_diagonal(gram, 0.0)
     flat = gram.view(float)
     off = max(float(flat.max(initial=0.0)), -float(flat.min(initial=0.0))) / n
-    view[:] = diag
+    np.fill_diagonal(gram, diag)
     return max(float(np.max(np.abs(diag / n - 1.0), initial=0.0)), off)
 
 
 def _integers(name: str, a) -> np.ndarray:
-    """``a`` as an int64 array; a value that is non-integral, non-real,
-    non-finite or outside int64 is refused, not truncated.  An array of a
-    dtype that casts safely to int64 is not scanned."""
+    """``a`` as a 1-d int64 array; another shape is refused, and so is a
+    value that is non-integral, non-real, non-finite or outside int64, not
+    truncated.  An array of a dtype that casts safely to int64 is not
+    scanned."""
     a = np.asarray(a)
+    if a.ndim != 1:
+        raise ValueError(f"{name} must be 1-d, got shape {a.shape}")
     if not np.can_cast(a.dtype, np.int64):
         x = np.asarray(np.real(a), dtype=float)
         bad = ~((np.floor(x) == x) & (-(2.0**63) <= x) & (x < 2.0**63))
@@ -73,6 +74,17 @@ def _integers(name: str, a) -> np.ndarray:
     return np.asarray(np.real(a), np.int64)
 
 
+def _checked_recipe(freqs, numer, denom) -> tuple:
+    """``freqs`` and ``numer`` as 1-d int64 arrays and ``denom`` an integer
+    from 1 to 2^20, so the table of roots holds at most 16 MiB and every
+    ``_root_index`` product stays below 2^40."""
+    freqs, numer = _integers("freqs", freqs), _integers("numer", numer)
+    denom = _integer("denom", denom, 1)
+    if denom > 2**20:
+        raise ValueError(f"denom must be <= 2**20, got {denom}")
+    return freqs, numer, denom
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class TensorBasis:
     """Scalar family (rows f_n over the grid), tensored with the fiber C^M
@@ -80,9 +92,8 @@ class TensorBasis:
 
     A basis built as ``TensorBasis(scalar_family)`` holds the array it is
     given.  One built by ``TensorBasis.fourier(freqs, numer, denom)`` holds
-    its integers, and generates the rows
-    ``fourier_family(freqs[idx], numer, denom)`` as they are read, bit for
-    bit those of the whole family, so it holds no complex N x N array.
+    its integers and no complex N x N array: each read of
+    ``scalar_family`` builds ``fourier_family(freqs, numer, denom)``.
 
     ``_form`` holds the form the N x N products of a run take, built once:
     the read-only Hartley form R = U F of a Fourier basis whose integers
@@ -100,38 +111,37 @@ class TensorBasis:
     """
 
     grid_size: int
-    _rows: Callable = field(repr=False)
+    _family: np.ndarray | None = field(repr=False)
     _recipe: tuple | None = field(repr=False)
 
     def __init__(self, scalar_family):
         s = np.asarray(scalar_family, dtype=complex)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError("scalar_family must be a square 2-d array")
-        self._bind(_readonly(s).__getitem__, s.shape[0], None)
+        self._bind(s.shape[0], _readonly(s), None)
 
     @classmethod
     def fourier(cls, freqs, numer, denom: int) -> TensorBasis:
-        """The basis of ``fourier_family(freqs, numer, denom)``, which generates
-        its rows as they are read; ``freqs`` and ``numer`` must have one length."""
-        freqs, numer = _integers("freqs", freqs), _integers("numer", numer)
-        freqs, numer = _readonly(freqs), _readonly(numer)
-        if freqs.ndim != 1 or freqs.shape != numer.shape:
-            raise ValueError("freqs and numer must be 1-d and of one length")
-        denom = _integer("denom", denom, 1)
+        """The basis of ``fourier_family(freqs, numer, denom)``, which holds
+        its integers; ``freqs`` and ``numer`` must have one length."""
+        freqs, numer, denom = _checked_recipe(freqs, numer, denom)
+        if freqs.shape != numer.shape:
+            raise ValueError("freqs and numer must have one length")
         basis = cls.__new__(cls)
-        recipe = (freqs, numer, denom)
-        basis._bind(lambda i: fourier_family(freqs[i], numer, denom), freqs.size, recipe)
+        basis._bind(freqs.size, None, (_readonly(freqs), _readonly(numer), denom))
         return basis
 
-    def _bind(self, rows, grid_size: int, recipe) -> None:
+    def _bind(self, grid_size: int, family, recipe) -> None:
         object.__setattr__(self, "grid_size", grid_size)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_family", family)
         object.__setattr__(self, "_recipe", recipe)
 
     @property
     def scalar_family(self) -> np.ndarray:
         """(N, N) read-only complex array, entry [n, i] = f_n(x_i)."""
-        return self._rows(slice(None))
+        if self._recipe is None:
+            return self._family
+        return fourier_family(*self._recipe)
 
     @cached_property
     def _form(self) -> _HartleyForm | _ComplexForm:
@@ -204,10 +214,7 @@ class _HartleyForm:
         + i (y[n] - y[p(n)])) / 2, so a self-paired row is y itself."""
         y = (self.matrix @ W.view(float)).view(complex)
         yp = y[self.partner]
-        out = y + yp
-        out += 1j * np.subtract(y, yp, out=yp)
-        out /= 2
-        return out
+        return ((y + yp) + 1j * (y - yp)) / 2
 
     def moduli(self, g: np.ndarray) -> tuple:
         """(diagonal, largest off-diagonal modulus) of the complex Gram
@@ -218,29 +225,24 @@ class _HartleyForm:
         (g[n, n] + g[p(n), p(n)]) / 2 and row p(n) is row n conjugated,
         with its columns permuted by p.  So the moduli are read off the
         rows n <= p(n) alone, in O(N^2): ``PAIRING_BLOCK`` rows of ``g`` at
-        a time, half of them rows n and half their partners, gathered and
-        permuted into three reused half blocks, so the temporaries stay
-        smaller than two row blocks.  Each entry is read as written above,
-        never from its transpose, so it keeps its bits when ``g`` is
-        symmetric only to rounding; each modulus is one ``np.hypot``, which
-        neither overflows nor underflows short of its result.
+        a time, half of them rows n and half their partners.  Each entry is
+        read as written above, never from its transpose, so it keeps its
+        bits when ``g`` is symmetric only to rounding; each modulus is one
+        ``np.hypot``, which neither overflows nor underflows short of its
+        result.
         """
         p = self.partner
         d = np.diagonal(g)
         diag, off = (d + d[p]) / 2, 0.0
         lower = np.flatnonzero(np.arange(p.size) <= p)
         step = PAIRING_BLOCK // 2
-        bufs = np.empty((3, min(step, lower.size), p.size))
         for start in range(0, lower.size, step):
             n = lower[start : start + step]
-            a, b, c = bufs[:, : n.size]
-            # mode="wrap" makes take write to out unbuffered
-            np.take(g, n, axis=0, out=a, mode="wrap")
-            np.take(g, p[n], axis=0, out=b, mode="wrap")
-            np.take(b, p, axis=1, out=c, mode="wrap")  # g[p(n), p(m)]
-            re = np.add(a, c, out=b)
-            np.subtract(a, c, out=c)
-            im = np.take(c, p, axis=1, out=a, mode="wrap")  # g[n, p(m)] - g[p(n), m]
+            gn, gp = g[n], g[p[n]]
+            re = gp.take(p, axis=1)  # g[p(n), p(m)]
+            re += gn
+            im = gn.take(p, axis=1)  # g[n, p(m)]
+            im -= gp
             np.hypot(re, im, out=re)
             re[np.arange(n.size), n] = 0.0  # the diagonal H[n, n]
             off = max(off, float(np.max(re, initial=0.0)))
@@ -282,7 +284,7 @@ def _recipe_fold(freqs, numer, denom: int, partner: np.ndarray) -> _HartleyForm:
     real = np.empty((partner.size, partner.size))
     for start in range(0, lower.size, PAIRING_BLOCK):
         n = lower[start : start + PAIRING_BLOCK]
-        h = np.take(roots, _root_index(freqs[n], numer, denom), mode="wrap")
+        h = roots[_root_index(freqs[n], numer, denom)]
         real[partner[n]] = h.real - h.imag
         real[n] = h.real + h.imag
     real.setflags(write=False)
@@ -294,13 +296,12 @@ def _roots(denom: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(denom) / denom)
 
 
-def _root_index(freqs: np.ndarray, numer: np.ndarray, denom: int, out=None):
+def _root_index(freqs: np.ndarray, numer: np.ndarray, denom: int) -> np.ndarray:
     """The table index (k m) mod ``denom`` of each entry of the rows of the
     frequencies ``freqs`` over the numerators ``numer``, in int64, each
-    factor reduced first, so no product wraps while denom < 2^31.5."""
+    factor reduced first, so a product stays below denom^2 <= 2^40."""
     k, m = np.remainder(freqs, denom), np.remainder(numer, denom)
-    out = np.multiply(k[:, None], m, out=out)
-    return np.remainder(out, denom, out=out)
+    return np.remainder(k[:, None] * m, denom)
 
 
 def fourier_family(freqs, numer, denom: int) -> np.ndarray:
@@ -310,25 +311,19 @@ def fourier_family(freqs, numer, denom: int) -> np.ndarray:
     Each product k m is reduced mod ``denom`` in int64, its factors first,
     and the entry is read from one table of the ``denom`` roots of unity
     exp(2 pi i j / denom), 0 <= j < denom, so no phase argument exceeds
-    2 pi and every entry is a root of unity to rounding; ``denom`` must be
-    an integer of at least 1.  R consecutive
-    frequencies on R nodes spaced 1/R apart are orthonormal under the
-    unweighted quadrature.  The array is formed in one buffer and is
-    read-only, so a ``TensorBasis`` holds it without a copy.  The index is
-    formed and gathered ``PAIRING_BLOCK`` rows at a time in one reused
-    buffer, straight into the family: ``np.take`` with ``mode="wrap"``
-    writes to ``out`` unbuffered, where the default ``mode="raise"`` gathers
-    into a temporary first.
+    2 pi and every entry is a root of unity to rounding; the integers are
+    checked by ``_checked_recipe``.  R consecutive frequencies on R nodes
+    spaced 1/R apart are orthonormal under the unweighted quadrature.  The
+    array is formed in one buffer, ``PAIRING_BLOCK`` rows at a time, so no
+    N x N index is held, and is read-only, so a ``TensorBasis`` holds it
+    without a copy.
     """
-    freqs, numer = _integers("freqs", freqs), _integers("numer", numer)
-    denom = _integer("denom", denom, 1)
+    freqs, numer, denom = _checked_recipe(freqs, numer, denom)
     roots = _roots(denom)
     family = np.empty((freqs.size, numer.size), dtype=complex)
-    block = np.empty((min(PAIRING_BLOCK, freqs.size), numer.size), np.int64)
     for start in range(0, freqs.size, PAIRING_BLOCK):
-        k = freqs[start : start + PAIRING_BLOCK]
-        idx = _root_index(k, numer, denom, out=block[: k.size])
-        np.take(roots, idx, mode="wrap", out=family[start : start + k.size])
+        rows = slice(start, start + PAIRING_BLOCK)
+        family[rows] = roots[_root_index(freqs[rows], numer, denom)]
     family.setflags(write=False)
     return family
 

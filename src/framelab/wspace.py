@@ -10,6 +10,7 @@ call concurrently.
 
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -42,9 +43,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _integer(name: str, x, least: int | None = None) -> int:
-    """``x`` as an int; a non-integral value is refused, not truncated, and
-    so is one below ``least``."""
-    if not float(x).is_integer():  # NaN and inf are refused too
+    """``x`` as an int; a value that is not a real number or is non-integral
+    is refused, not truncated, and so is one below ``least``."""
+    if not isinstance(x, numbers.Real) or not float(x).is_integer():  # NaN, inf too
         raise ValueError(f"{name} must be an integer, got {x!r}")
     if least is not None and x < least:
         raise ValueError(f"{name} must be >= {least}")

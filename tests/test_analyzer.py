@@ -30,6 +30,7 @@ from framelab import (
 )
 from framelab import analyzer
 import framelab.heisenberg as hb
+import framelab.shiftinv as si
 from framelab.analyzer import _gram_fold, _gram_spectrum, _multiset_gap
 from framelab.tensor_onb import PAIRING_BLOCK, fourier_family
 import oracles
@@ -75,6 +76,26 @@ def test_decide_frame_positive_and_negative():
     assert rep2.verdict is Verdict.NOT_FRAME
     assert rep2.witness is not None
     assert rep2.residuals["witness_ratio"] == 0.0  # dead-node witness
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_deciders_refuse_a_tolerance_that_is_not_positive_and_finite(tol):
+    # At tol -1 the zero weight passed the frame rule, so classify read
+    # riesz_basis and the critical-density Gaussian, whose Zak transform
+    # vanishes, read riesz_basis too; a NaN tolerance raised a message about
+    # a claimed lower bound.  The one verdict rule refuses each, naming tol.
+    sp, fam = _family([0.0, 1.0, 1.0, 1.0])
+    gauss = si.gabor_window("gaussian", 4, 4)
+    calls = (
+        lambda: classify(fam, tol=tol),
+        lambda: decide_frame(fam, tol=tol),
+        lambda: decide_onb(fam, tol=tol),
+        lambda: si.gabor_riesz_check(gauss, 4, 4, tol=tol),
+        lambda: hb.frame_report(0.5, 2, resolution=64, tol=tol),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^tol must be positive and finite, got "):
+            call()
 
 
 def test_decide_frame_rejects_invalid_family():
@@ -276,19 +297,18 @@ def test_isometry_is_required_on_the_support_only():
 
 def test_classify_working_set_at_grid_cap():
     # Each N x N complex array takes 16 N^2 bytes, a real one half that.
-    # The fold reads the family a few blocks of rows at a time, so the basis
-    # holds its real form R alone.  classify then holds at most one more
-    # real N x N array beside R at a time: the frame operator R^T R, formed
-    # from R itself on this full support and scaled in place for eigvalsh,
-    # then the weighted real Gram (R w/N) R^T, written a block of rows at a
-    # time into its one output, whose moduli are read off it through three
-    # reused half blocks of rows.
+    # The basis holds its real form R alone.  classify then holds at most
+    # one more real N x N array beside R at a time: the frame operator
+    # R^T R, formed from R itself on this full support and scaled in place
+    # for eigvalsh, then the weighted real Gram (R w/N) R^T, written a
+    # block of rows at a time into its one output, whose moduli are read
+    # off it a block of rows at a time.
     # The isometry check reads the frame operator in place, before it is
     # scaled, so it adds no N x N array.  The Parseval and defect ratios go
     # through the coefficient functionals, which add no N x N array either.
     # The default probe source
     # imports nothing, so no module import is traced as working set.
-    # Measured 1.06 x 16 N^2.
+    # Measured 1.11 x 16 N^2.
     n, m = 512, 2
     tracemalloc.start()
     try:

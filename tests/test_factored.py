@@ -179,9 +179,9 @@ def test_working_set_routes_match_dense_forms_bit_for_bit(monkeypatch):
             defect = np.max(np.abs(gram / n - np.eye(n)))
             assert _isometry_residual(gram, n) == defect <= 1e-14
             assert _same_bits(gram, kept)
-            # The Gram fold is formed a block of rows at a time, so it
-            # matches the block loop bit for bit and the whole product to
-            # rounding: a row of a block product need not keep its bits.
+            # The Gram fold matches the block loop bit for bit and the
+            # whole product to rounding: a row of a block product need not
+            # keep its bits.
             for weights in (w, dead):
                 sp = WeightedSpace(n, 1, weights)
                 # the fold is taken in the space's unit, so multiplied back

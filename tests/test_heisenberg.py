@@ -121,6 +121,7 @@ def test_model_construction_and_support():
         (hb.CenterTranslateModel, (0.5, 2, 64, 2.5), "k_max"),
         (hb.frame_report, (0.5, 2.5), "d"),
         (hb.frame_report, (0.5, 2, 64.5), "resolution"),
+        (hb.midpoint_grid, ("8",), "resolution"),
     ],
     ids=lambda v: v.__name__ if callable(v) else None,
 )
@@ -373,8 +374,8 @@ def test_frame_report_meets_the_midpoint_recipe_in_complex_form(eps, d):
 
 def test_band_decision_working_set():
     # Each R x R complex array takes 16 R^2 bytes, a real one half that.  The
-    # fold reads the family a few blocks of rows at a time and holds its real
-    # form alone.  A not_frame band decision then holds the real form, its
+    # basis holds its real form alone.  A not_frame band decision then holds
+    # the real form, its
     # support columns and, until the eigensolve, their frame operator
     # X^T X, |S| x |S|; its witness ratio goes through the coefficient
     # functionals, which read the real form and add no R x R array.

@@ -55,6 +55,7 @@ def test_generator_refuses_nan_decay_tail():
         (si.make_generator, ("gaussian", 8, 2.5), "radius"),
         (si.Generator, (np.ones(12), 1.5, 4), "radius"),
         (si.Generator, (np.ones(12), 1, 6.5), "grid_size"),
+        (si.make_generator, ("indicator", "4"), "grid_size"),
     ],
     ids=lambda v: v.__name__ if callable(v) else None,
 )

@@ -279,6 +279,21 @@ def test_non_integral_recipe_integers_are_refused():
             TensorBasis.fourier(k, k, denom)
         with pytest.raises(ValueError, match=message):
             fourier_family(k, k, denom)
+    # the integers are 1-d and the table of roots at most 2^20 long: a 2-d
+    # or 0-d argument used to raise a broadcast or an index error, or to
+    # give a family of the wrong shape, and denom 2^34 asked for 128 GiB
+    for args, message in (
+        (([[1, 2]], [0, 1], 4), r"^freqs must be 1-d, got shape \(1, 2\)$"),
+        (([0, 1], [[0, 1]], 4), r"^numer must be 1-d, got shape \(1, 2\)$"),
+        ((1, 1, 4), r"^freqs must be 1-d, got shape \(\)$"),
+        (([0], [0], 2**34), r"^denom must be <= 2\*\*20, got 17179869184$"),
+        (([0], [0], 2**20 + 1), r"^denom must be <= 2\*\*20, got 1048577$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            TensorBasis.fourier(*args)
+        with pytest.raises(ValueError, match=message):
+            fourier_family(*args)
+    assert fourier_family([1], [1], 2**20)[0, 0] == np.exp(2j * np.pi / 2**20)
     # integral values of any dtype give the family of their int64 values
     want = build_default(4).scalar_family
     for values in (

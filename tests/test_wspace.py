@@ -36,6 +36,8 @@ def test_space_validation():
         (float("nan"), 1, "grid_size"),
         (4, 2.5, "fiber_dim"),
         (4, float("inf"), "fiber_dim"),
+        ("4", 1, "grid_size"),
+        (4, 1j, "fiber_dim"),
     ],
 )
 def test_non_integer_sizes_are_refused_not_truncated(grid_size, fiber_dim, name):
